@@ -17,12 +17,14 @@ there and nowhere else.  Modes:
 
 Every metric is printed by name with its unit and sample count; the last
 line of standard output is one JSON object with ``correct``, ``attempted``,
-``failed`` and ``metrics``.  The exit code is 1 when an output check failed
-and 2 when there is no program to measure.
+``failed`` and ``metrics``.  A timed or traced run that gets that far exits
+0 and reports failed ops there; ``--check`` exits 1 when an output check
+failed.  The exit code is 2 when there is no program to measure.
 
 Only per-process tools are used: ``time.perf_counter``,
-``time.process_time``, ``resource.getrusage`` and a per-process interval
-timer for the op deadline.
+``time.process_time``, ``resource.getrusage`` and a per-process CPU-time
+interval timer for the op deadline.  Any integer is a valid seed; seeds
+are taken modulo 2**64.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ import signal
 import statistics
 import subprocess
 import sys
+import traceback
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -52,7 +55,8 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "NUMEXPR_NUM_THREADS")
 MIN_OPS = 100           # so that at least 10 samples lie beyond p90
 MAX_RUN_FACTOR = 3.0    # a timed phase stops at this multiple of --seconds
-OP_DEADLINE_S = 10.0    # an op still running after this has failed
+OP_DEADLINE_S = 10.0    # an op that used this much CPU time has failed
+SEED_MODULUS = 2 ** 64  # numpy seeds must be non-negative
 SETUP_SAMPLES = 5
 CAL_REPS = 50
 CAL_REF_S = 250e-6      # the calibration on an unloaded 2-core Xeon VM
@@ -65,16 +69,17 @@ CLI_ARGS = {"bump-sweep": ("cli.convergence_s",
                            ["convergence", "--manifold", "bump2d"]),
             "fleet-exactness": ("cli.exactness_s", ["exactness"])}
 MEASUREMENT = ("per-process tools only (time.perf_counter, time.process_time, "
-               "resource.getrusage, setitimer for the op deadline); no system "
-               "tracing, no cache dropping, no kernel or cgroup settings")
+               "resource.getrusage, a CPU-time setitimer for the op deadline); "
+               "no system tracing, no cache dropping, no kernel or cgroup "
+               "settings")
 
 
 class OpTimeout(Exception):
-    """An op ran past OP_DEADLINE_S."""
+    """An op used more than OP_DEADLINE_S of CPU time."""
 
 
-def _on_alarm(signum, frame):
-    raise OpTimeout(f"op exceeded its {OP_DEADLINE_S:g} s deadline")
+def _on_deadline(signum, frame):
+    raise OpTimeout(f"op exceeded its {OP_DEADLINE_S:g} s CPU-time deadline")
 
 
 def pin_threads():
@@ -99,16 +104,29 @@ def import_program():
     return geoladders
 
 
+_reported = set()
+
+
 def run_op(op, deadline=OP_DEADLINE_S):
-    """Run one op under a deadline; returns (passed its check, failure kind)."""
+    """Run one op under a deadline; returns (passed its check, failure kind).
+
+    The deadline counts the process's CPU time, not wall time, so a busy
+    host cannot make an op fail.  Any exception fails the op instead of
+    ending the run; the first traceback of each unexpected kind goes to
+    standard error.
+    """
     from geoladders import GeometryError
-    signal.setitimer(signal.ITIMER_REAL, deadline)
+    signal.setitimer(signal.ITIMER_PROF, deadline)
     try:
         return bool(op()), None
-    except (GeometryError, OpTimeout) as err:
-        return False, type(err).__name__
+    except Exception as err:
+        kind = type(err).__name__
+        if not isinstance(err, (GeometryError, OpTimeout)) and kind not in _reported:
+            _reported.add(kind)
+            traceback.print_exc()
+        return False, kind
     finally:
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.setitimer(signal.ITIMER_PROF, 0.0)
 
 
 @dataclass
@@ -362,21 +380,24 @@ def run_record(name, seed, mode, seconds):
 def _parse(argv):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True, choices=WORKLOADS)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=int, default=0,
+                        help="any integer; taken modulo 2**64")
     parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--check", action="store_true",
                         help="untimed: a few units and their output checks")
     parser.add_argument("--setup-probe", action="store_true",
                         help=argparse.SUPPRESS)
-    return parser.parse_args(argv)
+    args = parser.parse_args(argv)
+    args.seed %= SEED_MODULUS
+    return args
 
 
 def main(argv=None):
     args = _parse(argv)
     pin_threads()
     sys.path.insert(0, str(HERE))
-    signal.signal(signal.SIGALRM, _on_alarm)
+    signal.signal(signal.SIGPROF, _on_deadline)
     if args.setup_probe:
         print(setup(args.workload, args.seed)[1], _calibration())
         return 0
@@ -405,18 +426,25 @@ def main(argv=None):
         print(f"{key}: {value}")
     print("record: " + json.dumps(record))
 
-    OUT.mkdir(exist_ok=True)
     stem = f"{args.workload}-seed{args.seed}-{mode}"
     result = {"correct": correct, "attempted": attempted, "failed": failed,
               "metrics": {name: {"value": value, "unit": unit}
                           for name, (value, unit, _) in metrics.items()}}
-    (OUT / f"{stem}.json").write_text(json.dumps(
-        {"record": record, "notes": notes, "result": result}, indent=1,
-        default=str))
-    if tracer is not None:
-        tracer.dump(OUT / f"{stem}.spans.jsonl.gz", record)
+    try:
+        OUT.mkdir(exist_ok=True)
+        (OUT / f"{stem}.json").write_text(json.dumps(
+            {"record": record, "notes": notes, "result": result}, indent=1,
+            default=str))
+        if tracer is not None:
+            tracer.dump(OUT / f"{stem}.spans.jsonl.gz", record)
+    except OSError as err:
+        print(f"perfbench: could not write {OUT}: {err}", file=sys.stderr)
     print(json.dumps(result))
-    return 0 if correct else 1
+    if not correct:
+        print(f"perfbench: {failed} of {attempted} ops failed their checks: "
+              f"{notes.get('failures')} {notes.get('problems', '')}",
+              file=sys.stderr)
+    return 1 if mode == "check" and not correct else 0
 
 
 if __name__ == "__main__":

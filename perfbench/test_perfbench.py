@@ -26,9 +26,9 @@ EXACT = [name for name, unit, _ in tracing.LAYER_METRICS
 
 @pytest.fixture(autouse=True)
 def op_deadline():
-    old = signal.signal(signal.SIGALRM, run._on_alarm)
+    old = signal.signal(signal.SIGPROF, run._on_deadline)
     yield
-    signal.signal(signal.SIGALRM, old)
+    signal.signal(signal.SIGPROF, old)
 
 
 @pytest.mark.parametrize("name", run.WORKLOADS)
@@ -40,6 +40,13 @@ def test_same_seed_gives_identical_counters_and_accuracy(name):
     assert first[1]["problems"] == []
 
 
+@pytest.mark.parametrize("name", run.WORKLOADS)
+def test_any_integer_is_a_seed(name):
+    args = run._parse(["--workload", name, "--seed", "-1"])
+    assert args.seed == 2 ** 64 - 1
+    workloads.make(name, args.seed).unit()
+
+
 def test_nan_christoffel_counts_as_failed_ops():
     conn = gl.ChartConnection(2, lambda x: np.full((2, 2, 2), np.nan),
                               chart_bounds=(np.full(2, -2.0), np.full(2, 2.0)))
@@ -48,6 +55,19 @@ def test_nan_christoffel_counts_as_failed_ops():
     ph = run.run_phase(workloads.BumpSweep(0, space=space), units=1, deadline=0.5)
     assert ph.ops == len(workloads.SCALES)
     assert ph.failed / ph.ops > 0
+
+
+def test_sweep_outside_criterion_2_is_recorded_not_failed():
+    wl = workloads.BumpSweep(0)
+    wl.errors = list(workloads.SCALES ** 3.5)
+    assert wl.close_unit([True] * len(workloads.SCALES)) == [True] * 7
+    acc = wl.accuracy()
+    assert acc["criterion_2_sweeps_outside"] == 1
+    assert acc["analysis.slope_min"] == pytest.approx(3.5)
+
+
+def test_unexpected_exception_fails_the_op_not_the_run():
+    assert run.run_op(lambda: 1 / 0) == (False, "ZeroDivisionError")
 
 
 def test_traced_run_leaves_nothing_wrapped():
