@@ -43,6 +43,7 @@ from .core import (
     LogBranch,
     MaxStepsExceeded,
     NoConvergence,
+    NonFinite,
     NotSPD,
     Point,
     TangentVector,
@@ -69,15 +70,9 @@ from .manifolds import (
     RotationGroup,
     SPD,
     Sphere,
-    bump_metric_ops,
-    euclidean_ops,
-    hyperbolic_ops,
-    lie_group_ops,
     make_chart,
     make_space,
     registry_names,
-    sphere_ops,
-    spd_ops,
 )
 
 __version__ = "0.1.0"

@@ -26,6 +26,7 @@ from .core import (
     GeodesicSegment,
     MaxStepsExceeded,
     NoConvergence,
+    NonFinite,
     Point,
     TangentVector,
     ToleranceConfig,
@@ -93,7 +94,8 @@ class ChartConnection:
 
     ``christoffel(x)`` returns the array G[k, i, j] = G^k_ij at chart point x.
     Symbols are symmetrized in (i, j) on every query; asymmetry beyond 1e-12
-    triggers a warning since it would mean a connection with torsion.
+    triggers a warning since it would mean a connection with torsion, and a
+    non-finite symbol raises NonFinite.
     """
 
     dim: int
@@ -109,6 +111,10 @@ class ChartConnection:
             )
         gt = np.swapaxes(g, 1, 2)
         asym = float(np.max(np.abs(g - gt))) if g.size else 0.0
+        # NaN/inf in any symbol makes asym non-finite; left unchecked, the
+        # adaptive integrator's time becomes NaN and it never terminates
+        if not math.isfinite(asym):
+            raise NonFinite(f"christoffel symbols are not finite at {x}")
         if asym > 1e-12:
             warnings.warn(
                 f"christoffel symbols asymmetric by {asym:.3e}; symmetrizing "

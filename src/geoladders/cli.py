@@ -4,7 +4,7 @@ CSV output.
 
 Subcommands: transport | convergence | bch-check | exactness.
 Exit codes: 0 ok, 1 config error, 2 numerical error, 3 insufficient data,
-4 exactness failure.
+4 exactness failure, 5 series slope below its order threshold (bch-check).
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import hashlib
 import math
 import sys
 from dataclasses import dataclass, fields, replace
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -62,7 +63,6 @@ class ExperimentConfig:
     n_rungs: int = 1
     seed: int = 0
     trials: int = 100
-    tol_exactness: float | None = None
     output: str | None = None
     fixed_step: bool = False
     noise_floor: float | None = None
@@ -90,26 +90,16 @@ class ExperimentConfig:
         return hashlib.sha256(text.encode()).hexdigest()[:12]
 
     def tolerances(self) -> ToleranceConfig:
-        base = ToleranceConfig()
-        overrides = {}
-        for name in ("membership_tol", "log_tol", "exactness_tol",
-                     "ode_rel_tol", "ode_abs_tol", "max_shooting_iters"):
-            value = getattr(self, name)
-            if value is not None:
-                overrides[name] = value
-        if self.tol_exactness is not None:
-            overrides["exactness_tol"] = self.tol_exactness
-        return replace(base, **overrides) if overrides else base
+        overrides = {f.name: getattr(self, f.name)
+                     for f in fields(ToleranceConfig)
+                     if getattr(self, f.name) is not None}
+        return ToleranceConfig(**overrides)
 
     def build_space(self) -> ConnectionSpace:
         if self.manifold is None:
             raise ConfigError("a manifold name is required (--manifold)")
-        solver = None
-        if self.fixed_step:
-            tol = self.tolerances()
-            solver = ODESolverConfig(method="rk4", initial_step=_FIXED_STEP,
-                                     rel_tol=tol.ode_rel_tol,
-                                     abs_tol=tol.ode_abs_tol)
+        solver = (ODESolverConfig(method="rk4", initial_step=_FIXED_STEP)
+                  if self.fixed_step else None)
         try:
             return make_space(self.manifold, self.tolerances(), solver)
         except ValueError as err:
@@ -126,26 +116,22 @@ class ExperimentConfig:
 _BOOL_WORDS = {"true": True, "1": True, "yes": True,
                "false": False, "0": False, "no": False}
 
+# field name -> declared type, with the None of an optional field dropped
+_FIELD_TYPES = {
+    name: next(t for t in get_args(hint) or (hint,) if t is not type(None))
+    for name, hint in get_type_hints(ExperimentConfig).items()
+}
+
 
 def _parse_value(name: str, raw: str):
-    target = ExperimentConfig.__dataclass_fields__[name].type
+    kind = _FIELD_TYPES[name]
     raw = raw.strip()
-    if name in ("p", "q", "u", "manifold", "scheme", "output", "command"):
+    if kind is str:
         return raw
-    if name == "fixed_step":
-        try:
-            return _BOOL_WORDS[raw.lower()]
-        except KeyError:
-            raise ConfigError(f"bad boolean for {name}: {raw!r}")
-    if name in ("num_scales", "n_rungs", "seed", "trials", "max_shooting_iters"):
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"bad integer for {name}: {raw!r}")
     try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"bad number for {name}: {raw!r} (type {target})")
+        return _BOOL_WORDS[raw.lower()] if kind is bool else kind(raw)
+    except (KeyError, ValueError):
+        raise ConfigError(f"bad {kind.__name__} for {name}: {raw!r}")
 
 
 def load_config_file(path: str) -> dict:
@@ -156,7 +142,7 @@ def load_config_file(path: str) -> dict:
             lines = fh.readlines()
     except OSError as err:
         raise ConfigError(f"cannot read config file {path}: {err}")
-    known = set(ExperimentConfig.__dataclass_fields__)
+    known = set(_FIELD_TYPES)
     for lineno, line in enumerate(lines, start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -175,7 +161,7 @@ def _make_config(args: argparse.Namespace) -> ExperimentConfig:
     values = {"command": args.command}
     if getattr(args, "config", None):
         values.update(load_config_file(args.config))
-    for name in ExperimentConfig.__dataclass_fields__:
+    for name in _FIELD_TYPES:
         flag_value = getattr(args, name, None)
         if flag_value is not None:
             values[name] = flag_value
@@ -400,7 +386,7 @@ def cmd_bch_check(cfg: ExperimentConfig) -> int:
     if not ok:
         print("bch-check: a residual slope fell below its order threshold",
               file=sys.stderr)
-        return 3
+        return 5
     return 0
 
 
@@ -441,7 +427,7 @@ def cmd_exactness(cfg: ExperimentConfig) -> int:
              "config_hash")
     failures = []
     for name in manifolds:
-        space = make_space(name, cfg.tolerances())
+        space = replace(cfg, manifold=name).build_space()
         if not space.locally_symmetric:
             raise ConfigError(f"{name} is not flagged locally symmetric")
         tol = space.tolerances.exactness_tol
@@ -468,6 +454,17 @@ def cmd_exactness(cfg: ExperimentConfig) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+# subcommand -> (handler, help text)
+_COMMANDS = {
+    "transport": (cmd_transport, "one ladder transport against the oracle"),
+    "convergence": (cmd_convergence,
+                    "one-step error sweep with a log-log slope fit"),
+    "bch-check": (cmd_bch_check,
+                  "double-exponential series residuals at orders 1, 3, 4"),
+    "exactness": (cmd_exactness, "symmetric-space exactness certification"),
+}
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # exit 1 on usage errors, not argparse's 2
         raise ConfigError(message)
@@ -479,13 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Parallel-transport experiments with geodesic ladders.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    specs = {
-        "transport": "one ladder transport against the oracle",
-        "convergence": "one-step error sweep with a log-log slope fit",
-        "bch-check": "double-exponential series residuals at orders 1, 3, 4",
-        "exactness": "symmetric-space exactness certification",
-    }
-    for name, help_text in specs.items():
+    for name, (_, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--manifold", help=f"one of {registry_names()}")
         p.add_argument("--scheme", choices=LADDER_KINDS)
@@ -495,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n-rungs", dest="n_rungs", type=int)
         p.add_argument("--seed", type=int)
         p.add_argument("--trials", type=int)
-        p.add_argument("--tol-exactness", dest="tol_exactness", type=float)
+        p.add_argument("--tol-exactness", dest="exactness_tol", type=float)
         p.add_argument("--output", help="CSV output path (default: stdout)")
         p.add_argument("--fixed-step", dest="fixed_step", action="store_const",
                        const=True, help="fixed-step RK4 integration for "
@@ -504,19 +495,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_COMMANDS = {
-    "transport": cmd_transport,
-    "convergence": cmd_convergence,
-    "bch-check": cmd_bch_check,
-    "exactness": cmd_exactness,
-}
-
-
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         cfg = _make_config(args)
-        return _COMMANDS[args.command](cfg)
+        return _COMMANDS[args.command][0](cfg)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 1

@@ -23,6 +23,7 @@ __all__ = [
     "DomainEscape",
     "MaxStepsExceeded",
     "NoConvergence",
+    "NonFinite",
     "CutLocus",
     "LogBranch",
     "NotSPD",
@@ -63,6 +64,10 @@ class NoConvergence(GeometryError):
     def __init__(self, message, residual=None):
         super().__init__(message)
         self.residual = residual
+
+
+class NonFinite(GeometryError):
+    """A computed quantity (e.g. a Christoffel symbol) is NaN or infinite."""
 
 
 class CutLocus(GeometryError):

@@ -31,9 +31,6 @@ __all__ = [
     "transport_along_geodesic",
 ]
 
-LADDER_KINDS = ("schild", "pole_v1", "pole_v2", "pole_alt", "pole_avg")
-
-
 @dataclass(frozen=True)
 class LadderScheme:
     """Scheme selection plus the vector rescaling applied around the fold.
@@ -142,6 +139,8 @@ _STEPS = {
     "pole_avg": pole_step_averaged,
 }
 
+LADDER_KINDS = tuple(_STEPS)
+
 
 def ladder_step(space: ConnectionSpace, p: Point, q: Point, u: TangentVector,
                 scheme) -> TangentVector:
@@ -173,8 +172,9 @@ def transport_along_geodesic(space: ConnectionSpace, p: Point, q: Point,
     """Fold a one-step scheme over n_rungs equal-parameter segments of [p, q].
 
     The vector is multiplied by the scheme's vector_scaling before the fold
-    and by its inverse after; rung failures re-raise the underlying error
-    with the failing rung index prefixed.
+    and by its inverse after; a rung failure re-raises the underlying error
+    object, with its attributes intact and the failing rung index prefixed to
+    its message.
     """
     if isinstance(scheme, str):
         scheme = LadderScheme(scheme)
@@ -196,5 +196,6 @@ def transport_along_geodesic(space: ConnectionSpace, p: Point, q: Point,
             diagnostics.append(_rung_diagnostics(space, a, b, current))
             current = step(space, a, b, current)
         except GeometryError as err:
-            raise type(err)(f"rung {i + 1}/{n_rungs}: {err}") from err
+            err.args = (f"rung {i + 1}/{n_rungs}: {err}",)
+            raise
     return LadderTransportResult((1.0 / scaling) * current, tuple(diagnostics))

@@ -10,6 +10,7 @@ with position.  Registry names: "euclidean-n", "sphere-n", "hyperbolic-n",
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -43,12 +44,6 @@ __all__ = [
     "make_space",
     "make_chart",
     "registry_names",
-    "sphere_ops",
-    "spd_ops",
-    "lie_group_ops",
-    "bump_metric_ops",
-    "euclidean_ops",
-    "hyperbolic_ops",
 ]
 
 
@@ -108,6 +103,8 @@ class Sphere(ConnectionSpace):
     _ANTIPODE_TOL = 1e-8
 
     def __init__(self, n: int, tolerances: ToleranceConfig | None = None):
+        if n < 1:
+            raise ValueError("sphere dimension must be at least 1")
         super().__init__(tolerances)
         self.dim = n
         self.ambient_dim = n + 1
@@ -192,6 +189,8 @@ class Hyperbolic(ConnectionSpace):
     locally_symmetric = True
 
     def __init__(self, n: int, tolerances: ToleranceConfig | None = None):
+        if n < 1:
+            raise ValueError("hyperbolic dimension must be at least 1")
         super().__init__(tolerances)
         self.dim = n
         self.ambient_dim = n + 1
@@ -242,18 +241,17 @@ class Hyperbolic(ConnectionSpace):
         return _mink(u, v)
 
     def _tangent_basis(self, x):
+        # Gram-Schmidt on the projections e_i + x_i x of the spatial axes:
+        # their Gram matrix I + x_s x_s^T is never singular, so no candidate
+        # is nearly cancelled (the time axis would be, at any x with a small
+        # spatial coordinate, leaving an off-tangent basis vector)
         basis = []
-        for i in range(self.ambient_dim):
-            cand = np.zeros(self.ambient_dim)
-            cand[i] = 1.0
-            cand = cand + _mink(x, cand) * x  # project onto the tangent space
+        for i in range(1, self.ambient_dim):
+            cand = x[i] * x
+            cand[i] += 1.0
             for b in basis:
                 cand = cand - _mink(b, cand) * b
-            nr = math.sqrt(max(_mink(cand, cand), 0.0))
-            if nr > 1e-9:
-                basis.append(cand / nr)
-            if len(basis) == self.dim:
-                break
+            basis.append(cand / math.sqrt(_mink(cand, cand)))
         return np.column_stack(basis)
 
     def random_point(self, rng):
@@ -312,6 +310,8 @@ class SPD(ConnectionSpace):
     locally_symmetric = True
 
     def __init__(self, n: int, tolerances: ToleranceConfig | None = None):
+        if n < 2:
+            raise ValueError("SPD dimension must be at least 2")
         super().__init__(tolerances)
         self.n = n
         self.dim = n * (n + 1) // 2
@@ -572,70 +572,10 @@ class BumpMetric2D(ChartSpace):
 
 
 # ---------------------------------------------------------------------------
-# Registries
+# Registries: one name -> constructor table per lookup
 # ---------------------------------------------------------------------------
 
-def euclidean_ops(n, tolerances=None):
-    return Euclidean(n, tolerances)
-
-
-def sphere_ops(n, tolerances=None):
-    if n < 1:
-        raise ValueError("sphere dimension must be at least 1")
-    return Sphere(n, tolerances)
-
-
-def hyperbolic_ops(n, tolerances=None):
-    if n < 1:
-        raise ValueError("hyperbolic dimension must be at least 1")
-    return Hyperbolic(n, tolerances)
-
-
-def spd_ops(n, tolerances=None):
-    if n < 2:
-        raise ValueError("SPD dimension must be at least 2")
-    return SPD(n, tolerances)
-
-
-def lie_group_ops(tolerances=None):
-    return RotationGroup(tolerances)
-
-
-def bump_metric_ops(beta=1.0, tolerances=None, solver=None, shooting=None):
-    return BumpMetric2D(beta, tolerances, solver, shooting)
-
-
-_FAMILIES = {
-    "euclidean": euclidean_ops,
-    "sphere": sphere_ops,
-    "hyperbolic": hyperbolic_ops,
-    "spd": spd_ops,
-}
-
-
-def registry_names() -> tuple[str, ...]:
-    return ("euclidean-n", "sphere-n", "hyperbolic-n", "spd-n", "so3", "bump2d")
-
-
-def make_space(name: str, tolerances: ToleranceConfig | None = None,
-               solver: ODESolverConfig | None = None) -> ConnectionSpace:
-    """Build a registered manifold from its name, e.g. "sphere-2"."""
-    if name == "so3":
-        return lie_group_ops(tolerances)
-    if name == "bump2d":
-        return bump_metric_ops(1.0, tolerances=tolerances, solver=solver)
-    family, sep, num = name.rpartition("-")
-    if sep and family in _FAMILIES:
-        try:
-            n = int(num)
-        except ValueError:
-            raise ValueError(f"bad dimension in manifold name {name!r}")
-        return _FAMILIES[family](n, tolerances)
-    raise ValueError(
-        f"unknown manifold {name!r}; expected one of {registry_names()}")
-
-
-# -- chart registry: numerical realizations of the fleet on charts -----------
+# chart-level realizations of the fleet, for cross-validation
 
 def _stereographic_sphere_chart():
     # plane chart of the unit 2-sphere, projection from the north pole;
@@ -701,24 +641,50 @@ def _so3_rotation_vector_chart():
     ), metric, right_jacobian
 
 
-def make_chart(name: str):
-    """Built-in ChartConnection instances for cross-validation and the CLI.
+_SPACES = {
+    "euclidean-n": lambda n, tol, solver: Euclidean(n, tol),
+    "sphere-n": lambda n, tol, solver: Sphere(n, tol),
+    "hyperbolic-n": lambda n, tol, solver: Hyperbolic(n, tol),
+    "spd-n": lambda n, tol, solver: SPD(n, tol),
+    "so3": lambda tol, solver: RotationGroup(tol),
+    "bump2d": lambda tol, solver: BumpMetric2D(1.0, tol, solver),
+}
 
-    Names: "flat-n" (zero symbols), "bump2d", "sphere2-stereographic",
-    "hyperbolic2-ball", "spd2-entries", "so3-rotvec".
+_CHARTS = {
+    "flat-n": lambda n: ChartConnection(
+        dim=n, christoffel=lambda x: np.zeros((n, n, n))),
+    "bump2d": lambda: BumpMetric2D().conn,
+    "sphere2-stereographic": _stereographic_sphere_chart,
+    "hyperbolic2-ball": _poincare_ball_chart,
+    "spd2-entries": _spd2_entry_chart,
+    "so3-rotvec": lambda: _so3_rotation_vector_chart()[0],
+}
+
+
+def _lookup(table: dict, name: str, what: str):
+    """Constructor registered for name, with a family's dimension bound.
+
+    A key ending in "-n" names a family; "sphere-2" selects "sphere-n" with
+    n = 2.  The placeholder "sphere-n" itself names nothing.
     """
-    if name == "bump2d":
-        return BumpMetric2D().conn
-    if name == "sphere2-stereographic":
-        return _stereographic_sphere_chart()
-    if name == "hyperbolic2-ball":
-        return _poincare_ball_chart()
-    if name == "spd2-entries":
-        return _spd2_entry_chart()
-    if name == "so3-rotvec":
-        return _so3_rotation_vector_chart()[0]
     family, sep, num = name.rpartition("-")
-    if sep and family == "flat":
-        n = int(num)
-        return ChartConnection(dim=n, christoffel=lambda x: np.zeros((n, n, n)))
-    raise ValueError(f"unknown chart {name!r}")
+    if sep and num.isdecimal() and f"{family}-n" in table:
+        return functools.partial(table[f"{family}-n"], int(num))
+    if name in table and not name.endswith("-n"):
+        return table[name]
+    raise ValueError(f"unknown {what} {name!r}; expected one of {tuple(table)}")
+
+
+def registry_names() -> tuple[str, ...]:
+    return tuple(_SPACES)
+
+
+def make_space(name: str, tolerances: ToleranceConfig | None = None,
+               solver: ODESolverConfig | None = None) -> ConnectionSpace:
+    """Build a registered manifold from its name, e.g. "sphere-2"."""
+    return _lookup(_SPACES, name, "manifold")(tolerances, solver)
+
+
+def make_chart(name: str) -> ChartConnection:
+    """Built-in ChartConnection from its name, e.g. "flat-3" or "so3-rotvec"."""
+    return _lookup(_CHARTS, name, "chart")()

@@ -8,6 +8,7 @@ from geoladders import (
     ChartSpace,
     DomainEscape,
     NoConvergence,
+    NonFinite,
     ODESolverConfig,
     ShootingConfig,
     christoffels_from_metric,
@@ -480,3 +481,14 @@ def test_chart_space_wraps_engine(bump):
 def test_chart_registry_unknown_name():
     with pytest.raises(ValueError):
         make_chart("nope")
+
+
+@pytest.mark.parametrize("method", ["adaptive", "rk4"])
+def test_nan_christoffel_raises_non_finite(method):
+    # the adaptive integrator used to run on with t = NaN; rk4 reported a
+    # misleading DomainEscape
+    conn = ChartConnection(2, lambda x: np.full((2, 2, 2), np.nan),
+                           chart_bounds=(np.full(2, -2.0), np.full(2, 2.0)))
+    with pytest.raises(NonFinite):
+        geodesic_flow(conn, [0.3, 0.1], [0.1, 0.0],
+                      solver=ODESolverConfig(method=method))

@@ -1,6 +1,12 @@
 import subprocess
 import sys
+from dataclasses import fields
+from types import SimpleNamespace
+from typing import get_args, get_type_hints
 
+import pytest
+
+from geoladders import cli, make_space
 from geoladders.cli import (
     ExperimentConfig,
     exactness_sweep,
@@ -8,7 +14,6 @@ from geoladders.cli import (
     main,
     sample_trial,
 )
-from geoladders import make_space
 
 
 def read_rows(path):
@@ -58,6 +63,13 @@ def test_unknown_manifold_exits_1(capsys):
 
 def test_bad_flag_exits_1():
     assert main(["transport", "--manifold", "sphere-2", "--seed", "x"]) == 1
+
+
+@pytest.mark.parametrize("command", ["transport", "convergence", "bch-check",
+                                     "exactness"])
+def test_unregistered_manifold_is_a_config_error(command, capsys):
+    assert main([command, "--manifold", "torus-2", "--trials", "1"]) == 1
+    assert capsys.readouterr().err.startswith("config error: unknown manifold")
 
 
 # -- convergence -----------------------------------------------------------------
@@ -138,6 +150,15 @@ def test_bch_check_sphere_order_three_slope(tmp_path):
     assert slope3 >= 4.8
 
 
+def test_bch_check_slope_failure_exits_5(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "convergence_order",
+                        lambda *args, **kwargs: SimpleNamespace(fitted_slope=1.0))
+    rc = main(["bch-check", "--manifold", "sphere-2", "--seed", "6",
+               "--h-min", "0.05", "--h-max", "0.5", "--num-scales", "5"])
+    assert rc == 5
+    assert "order threshold" in capsys.readouterr().err
+
+
 def test_bch_check_bump_slopes(tmp_path):
     out = tmp_path / "b.csv"
     rc = main(["bch-check", "--manifold", "bump2d", "--seed", "5",
@@ -174,6 +195,23 @@ def test_exactness_unreachable_tolerance_exits_4(tmp_path, capsys):
                "--output", str(tmp_path / "x.csv")])
     assert rc == 4
     assert "exactness failure" in capsys.readouterr().err
+
+
+def test_tol_exactness_flag_overrides_the_config_file(tmp_path):
+    cfg = tmp_path / "loose.cfg"
+    cfg.write_text("exactness_tol = 1e-3\n")
+    args = ["exactness", "--manifold", "sphere-2", "--trials", "5",
+            "--seed", "3", "--config", str(cfg),
+            "--output", str(tmp_path / "x.csv")]
+    assert main(args) == 0
+    assert main(args + ["--tol-exactness", "1e-18"]) == 4
+
+
+def test_tol_exactness_is_not_a_config_key(tmp_path, capsys):
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text("tol_exactness = 1e-3\n")
+    assert main(["exactness", "--config", str(cfg)]) == 1
+    assert "unknown key 'tol_exactness'" in capsys.readouterr().err
 
 
 def test_exactness_rejects_schild(capsys):
@@ -219,6 +257,22 @@ def test_config_file_parsing_and_flag_override(tmp_path):
     assert rc == 0
     _, rows, _ = read_rows(out)
     assert rows[0][0] == "euclidean-2"  # flag wins over config file
+
+
+def test_every_config_field_round_trips_with_its_declared_type(tmp_path):
+    samples = {str: "text", int: 7, float: 0.25, bool: True}
+    expected = {}
+    for name, hint in get_type_hints(ExperimentConfig).items():
+        kind = next(t for t in get_args(hint) or (hint,) if t is not type(None))
+        expected[name] = samples[kind]
+    assert set(expected) == {f.name for f in fields(ExperimentConfig)}
+    cfg = tmp_path / "all.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in expected.items()))
+    values = load_config_file(str(cfg))
+    assert values == expected
+    assert {k: type(v) for k, v in values.items()} == \
+        {k: type(v) for k, v in expected.items()}
+    assert ExperimentConfig(**values).exactness_tol == 0.25
 
 
 def test_config_file_unknown_key(tmp_path):

@@ -6,8 +6,10 @@ import pytest
 from geoladders import (
     CutLocus,
     LadderScheme,
+    NoConvergence,
     convergence_order,
     ladder_step,
+    ladders,
     make_space,
     pole_step_alt,
     pole_step_averaged,
@@ -232,6 +234,19 @@ def test_driver_reports_failing_rung_index():
     with pytest.raises(CutLocus, match="rung 1/2"):
         transport_along_geodesic(sp, p, q2, u2, 2,
                                  LadderScheme("pole_v2", vector_scaling=1.0))
+
+
+def test_driver_keeps_the_error_evidence(monkeypatch):
+    def failing_step(space, p, q, u):
+        raise NoConvergence("shooting stalled", residual=0.5)
+
+    monkeypatch.setitem(ladders._STEPS, "pole_v2", failing_step)
+    space = make_space("euclidean-2")
+    p = space.point([0.0, 0.0])
+    u = space.tangent(p, [0.1, 0.2])
+    with pytest.raises(NoConvergence, match="rung 1/2: shooting stalled") as info:
+        transport_along_geodesic(space, p, space.point([1.0, 0.0]), u, 2)
+    assert info.value.residual == 0.5
 
 
 def test_vector_scaling_is_inverted_exactly():

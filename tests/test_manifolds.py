@@ -7,6 +7,8 @@ from geoladders import (
     CutLocus,
     LogBranch,
     NotSPD,
+    Sphere,
+    make_chart,
     make_space,
     registry_names,
     schild_step,
@@ -41,6 +43,39 @@ def test_registry_names_and_flags():
     assert not bump.has_closed_form_transport
     with pytest.raises(ValueError):
         make_space("torus-2")
+
+
+@pytest.mark.parametrize("name", ["euclidean-1", "sphere-1", "hyperbolic-1",
+                                  "spd-2", "so3", "bump2d"])
+def test_registry_family_builds_at_minimum_dimension(name):
+    assert make_space(name).name == name
+
+
+@pytest.mark.parametrize("build", [
+    lambda: make_space("sphere-0"),
+    lambda: make_space("hyperbolic-0"),
+    lambda: make_space("spd-1"),
+    lambda: Sphere(0),
+])
+def test_below_minimum_dimension_is_rejected(build):
+    with pytest.raises(ValueError, match="at least"):
+        build()
+
+
+@pytest.mark.parametrize("lookup", [make_space, make_chart])
+@pytest.mark.parametrize("name", ["torus-2", "sphere-x", "flat-x", "sphere-n"])
+def test_unregistered_names_are_rejected(lookup, name):
+    with pytest.raises(ValueError, match="unknown"):
+        lookup(name)
+
+
+@pytest.mark.parametrize("name", ["flat-3", "bump2d", "sphere2-stereographic",
+                                  "hyperbolic2-ball", "spd2-entries",
+                                  "so3-rotvec"])
+def test_readme_chart_names_build(name):
+    conn = make_chart(name)
+    x = np.resize([0.3, 0.1, 0.2], conn.dim)  # inside every chart's domain
+    assert np.isfinite(conn.gamma(x)).all()
 
 
 def test_sphere_injectivity_radius_is_pi():
@@ -133,6 +168,24 @@ def test_hyperbolic_membership_and_tangency():
         assert hy.tangency_residual(u) <= 1e-9
         q = hy.exp(p, 0.8 * u)
         assert hy.membership_residual(q) <= 1e-9
+
+
+@pytest.mark.parametrize("coords", [
+    [0.7175, 6.6e-6],  # spatial part of a fleet-exactness trial point
+    [1e-12, 0.9],
+    [0.0, -2.5],
+    [3.0, 1e-9, 0.0],
+])
+def test_hyperbolic_tangent_basis_is_tangent_near_an_axis(coords):
+    # a small spatial coordinate used to leave a basis vector 6e-11 off the
+    # tangent space, enough to push a pole-ladder error above 1e-10
+    y = np.asarray(coords)
+    hy = make_space(f"hyperbolic-{y.size}")
+    p = hy.point(np.concatenate([[math.sqrt(1.0 + float(y @ y))], y]))
+    basis = hy.tangent_basis(p)
+    minkowski = np.diag([-1.0] + [1.0] * y.size)
+    assert np.max(np.abs(p.coords @ minkowski @ basis)) <= 1e-14
+    assert np.allclose(basis.T @ minkowski @ basis, np.eye(y.size), atol=1e-13)
 
 
 def test_hyperbolic_constant_negative_curvature():
