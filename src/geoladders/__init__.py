@@ -21,8 +21,6 @@ from .analysis import (
 from .chart import (
     ChartConnection,
     ChartSpace,
-    ODESolverConfig,
-    ShootingConfig,
     christoffels_from_metric,
     conformal_christoffel,
     curvature_components,
@@ -36,7 +34,6 @@ from .core import (
     ConnectionSpace,
     CutLocus,
     DomainEscape,
-    GeodesicSegment,
     GeometryError,
     InsufficientData,
     InvalidBase,
@@ -54,7 +51,6 @@ from .ladders import (
     LADDER_KINDS,
     LadderScheme,
     LadderTransportResult,
-    RungDiagnostics,
     ladder_step,
     pole_step_alt,
     pole_step_averaged,

@@ -23,7 +23,6 @@ from scipy.integrate import solve_ivp
 from .core import (
     ConnectionSpace,
     DomainEscape,
-    GeodesicSegment,
     MaxStepsExceeded,
     NoConvergence,
     NonFinite,
@@ -35,8 +34,6 @@ from .core import (
 
 __all__ = [
     "ChartConnection",
-    "ODESolverConfig",
-    "ShootingConfig",
     "ChartSpace",
     "geodesic_flow",
     "log_shooting",
@@ -50,42 +47,23 @@ __all__ = [
 _EPS = np.finfo(float).eps
 # optimum for first derivatives of smooth functions by central differences
 _FD_STEP = _EPS ** (1.0 / 3.0)
+# outer step of the nested differences in nabla_curvature_components, wider
+# than _FD_STEP so it stays above the noise of the inner curvature stencil
+_NABLA_FD_STEP = 5e-4
+# Newton Jacobian of the shooting solve, by central differences in velocity
+_JACOBIAN_FD_STEP = 1e-5
+# first trial fraction of each Newton step; the line search halves it
+_NEWTON_DAMPING = 1.0
+# time step of the fixed-step "rk4" integrator
+_RK4_STEP = 1.0 / 256.0
+# step budget of either integrator
+_MAX_STEPS = 100_000
 
-
-@dataclass(frozen=True)
-class ODESolverConfig:
-    """Integrator selection for geodesic and transport ODEs.
-
-    ``adaptive`` uses an embedded Runge-Kutta 4(5) pair with local error
-    control; ``rk4`` is the classical fixed-step scheme (step = initial_step)
-    for bit-reproducible sweeps.
-    """
-
-    method: str = "adaptive"
-    initial_step: float = 1.0 / 256.0
-    rel_tol: float = 1e-12
-    abs_tol: float = 1e-12
-    max_steps: int = 100_000
-
-    def __post_init__(self):
-        if self.method not in ("adaptive", "rk4"):
-            raise ValueError(f"unknown integrator method {self.method!r}")
-        if self.initial_step <= 0.0:
-            raise ValueError("initial_step must be positive")
-
-
-@dataclass(frozen=True)
-class ShootingConfig:
-    """Damped-Newton settings for the boundary-value geodesic solve."""
-
-    max_iters: int = 100
-    residual_tol: float = 1e-11
-    damping: float = 1.0
-    jacobian_fd_step: float = 1e-5
-
-    def __post_init__(self):
-        if not 0.0 < self.damping <= 1.0:
-            raise ValueError("damping must be in (0, 1]")
+# Integrator methods: "adaptive" is an embedded Runge-Kutta 4(5) pair with
+# local error control at the ToleranceConfig ODE tolerances; "rk4" is the
+# classical fixed-step scheme, for bit-reproducible sweeps.
+_METHODS = ("adaptive", "rk4")
+_DEFAULT_TOLERANCES = ToleranceConfig()
 
 
 @dataclass(frozen=True)
@@ -143,17 +121,19 @@ def _check_bounds(conn: ChartConnection, positions: np.ndarray):
 
 
 def _integrate(conn: ChartConnection, rhs, z0: np.ndarray, t: float,
-               solver: ODESolverConfig) -> np.ndarray:
+               tolerances: ToleranceConfig, method: str) -> np.ndarray:
+    if method not in _METHODS:
+        raise ValueError(f"unknown integrator method {method!r}")
     if t == 0.0:
         return z0.copy()
     if t < 0.0:
         raise ValueError("integration time must be non-negative")
     d = conn.dim
-    if solver.method == "rk4":
-        n = int(math.ceil(t / solver.initial_step))
-        if n > solver.max_steps:
+    if method == "rk4":
+        n = int(math.ceil(t / _RK4_STEP))
+        if n > _MAX_STEPS:
             raise MaxStepsExceeded(
-                f"{n} fixed steps exceed the budget of {solver.max_steps}"
+                f"{n} fixed steps exceed the budget of {_MAX_STEPS}"
             )
         h = t / n
         z = z0.copy()
@@ -167,24 +147,25 @@ def _integrate(conn: ChartConnection, rhs, z0: np.ndarray, t: float,
                 raise DomainEscape("trajectory left the chart bounds")
         return z
     sol = solve_ivp(rhs, (0.0, t), z0, method="RK45",
-                    rtol=solver.rel_tol, atol=solver.abs_tol)
+                    rtol=tolerances.ode_rel_tol, atol=tolerances.ode_abs_tol)
     if not sol.success:
         raise MaxStepsExceeded(f"adaptive integrator failed: {sol.message}")
-    if sol.t.size - 1 > solver.max_steps:
+    if sol.t.size - 1 > _MAX_STEPS:
         raise MaxStepsExceeded(
             f"{sol.t.size - 1} adaptive steps exceed the budget of "
-            f"{solver.max_steps}")
+            f"{_MAX_STEPS}")
     _check_bounds(conn, sol.y[:d])
     return sol.y[:, -1]
 
 
 def geodesic_flow(conn: ChartConnection, x, v, t: float = 1.0,
-                  solver: ODESolverConfig | None = None):
+                  tolerances: ToleranceConfig | None = None,
+                  method: str = "adaptive"):
     """Integrate the geodesic equation x'' + G(x)(x', x') = 0.
 
     Returns the (position, velocity) pair at time t.
     """
-    solver = solver or ODESolverConfig()
+    tolerances = tolerances or _DEFAULT_TOLERANCES
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     d = conn.dim
@@ -197,21 +178,27 @@ def geodesic_flow(conn: ChartConnection, x, v, t: float = 1.0,
         acc = -np.einsum("kij,i,j->k", gam, vel, vel)
         return np.concatenate([vel, acc])
 
-    z = _integrate(conn, rhs, np.concatenate([x, v]), t, solver)
+    z = _integrate(conn, rhs, np.concatenate([x, v]), t, tolerances, method)
     return z[:d], z[d:]
 
 
 def log_shooting(conn: ChartConnection, x, y,
-                 cfg: ShootingConfig | None = None,
-                 solver: ODESolverConfig | None = None):
+                 tolerances: ToleranceConfig | None = None,
+                 method: str = "adaptive"):
     """Solve exp_x(v) = y for v by damped Newton on the endpoint residual.
 
     The initial guess is the chart difference y - x, which converges inside
-    convex normal neighborhoods.  Returns (v, iterations); raises
-    NoConvergence with the final residual attached otherwise.
+    convex normal neighborhoods.  Each Newton step is halved up to four times
+    until the residual decreases.  The solve succeeds once the residual is
+    at most max(10 ode_rel_tol, 1e-11), within ``max_shooting_iters``
+    iterations.  Returns (v, iterations); raises NoConvergence with the
+    best residual attached otherwise.
     """
-    cfg = cfg or ShootingConfig()
-    solver = solver or ODESolverConfig()
+    tolerances = tolerances or _DEFAULT_TOLERANCES
+    max_iters = tolerances.max_shooting_iters
+    # the endpoint carries integration error of order ode_rel_tol, so the
+    # residual target sits a decade above it, and never below 1e-11
+    residual_tol = max(10.0 * tolerances.ode_rel_tol, 1e-11)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     d = conn.dim
@@ -220,18 +207,18 @@ def log_shooting(conn: ChartConnection, x, y,
         # a trial velocity that stalls the integrator or escapes the chart is
         # a shooting failure, not silent garbage
         try:
-            return geodesic_flow(conn, x, vel, 1.0, solver)[0]
+            return geodesic_flow(conn, x, vel, 1.0, tolerances, method)[0]
         except (MaxStepsExceeded, DomainEscape) as err:
             raise NoConvergence(f"shooting trial failed: {err}") from err
 
     v = y - x
     res = endpoint(v) - y
     rnorm = float(np.linalg.norm(res))
-    for it in range(1, cfg.max_iters + 1):
-        if rnorm <= cfg.residual_tol:
+    for it in range(1, max_iters + 1):
+        if rnorm <= residual_tol:
             return v, it - 1
         jac = np.empty((d, d))
-        h = cfg.jacobian_fd_step * max(1.0, float(np.linalg.norm(v)))
+        h = _JACOBIAN_FD_STEP * max(1.0, float(np.linalg.norm(v)))
         for k in range(d):
             dv = np.zeros(d)
             dv[k] = h
@@ -240,7 +227,7 @@ def log_shooting(conn: ChartConnection, x, y,
             step = np.linalg.solve(jac, res)
         except np.linalg.LinAlgError:
             raise NoConvergence("singular shooting Jacobian", residual=rnorm)
-        alpha = cfg.damping
+        alpha = _NEWTON_DAMPING
         for _ in range(5):
             v_try = v - alpha * step
             res_try = endpoint(v_try) - y
@@ -248,32 +235,32 @@ def log_shooting(conn: ChartConnection, x, y,
             if r_try < rnorm:
                 break
             alpha *= 0.5
+        else:
+            raise NoConvergence(
+                f"shooting line search found no decrease at iteration {it} "
+                f"(residual {rnorm:.3e})",
+                residual=rnorm,
+            )
         v, res, rnorm = v_try, res_try, r_try
-    if rnorm <= cfg.residual_tol:
-        return v, cfg.max_iters
+    if rnorm <= residual_tol:
+        return v, max_iters
     raise NoConvergence(
-        f"shooting stalled after {cfg.max_iters} iterations "
+        f"shooting stalled after {max_iters} iterations "
         f"(residual {rnorm:.3e})",
         residual=rnorm,
     )
 
 
-def transport_ode(conn: ChartConnection, u, x, v=None, t: float = 1.0,
-                  solver: ODESolverConfig | None = None):
-    """Transport u along a geodesic: u' + G(x)(x', u) = 0.
+def transport_ode(conn: ChartConnection, u, x, v, t: float = 1.0,
+                  tolerances: ToleranceConfig | None = None,
+                  method: str = "adaptive"):
+    """Transport u along the geodesic from x with initial velocity v:
+    u' + G(x)(x', u) = 0.
 
-    The carrier may be given either as a ``GeodesicSegment`` (as produced by
-    the flow or the shooting solver) or as a start point plus initial
-    velocity; the transport is integrated jointly with the geodesic so the
-    curve and the vector stay consistent.  Returns
-    (u_t, position_t, velocity_t).
+    The transport is integrated jointly with the geodesic so the curve and
+    the vector stay consistent.  Returns (u_t, position_t, velocity_t).
     """
-    solver = solver or ODESolverConfig()
-    if isinstance(x, GeodesicSegment):
-        v = x.initial_velocity.components
-        x = x.start.coords
-    elif v is None:
-        raise ValueError("transport_ode needs a GeodesicSegment or (x, v)")
+    tolerances = tolerances or _DEFAULT_TOLERANCES
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     u = np.asarray(u, dtype=float)
@@ -286,7 +273,7 @@ def transport_ode(conn: ChartConnection, u, x, v=None, t: float = 1.0,
         du = -np.einsum("kij,i,j->k", gam, vel, vec)
         return np.concatenate([vel, acc, du])
 
-    z = _integrate(conn, rhs, np.concatenate([x, v, u]), t, solver)
+    z = _integrate(conn, rhs, np.concatenate([x, v, u]), t, tolerances, method)
     return z[2 * d:], z[:d], z[d:2 * d]
 
 
@@ -327,10 +314,7 @@ def curvature_components(conn: ChartConnection, x, fd_step: float | None = None
     return 0.5 * (r - np.einsum("ljik->lijk", r))
 
 
-def nabla_curvature_components(conn: ChartConnection, x,
-                               fd_step: float | None = None,
-                               curvature_fd_step: float | None = None
-                               ) -> np.ndarray:
+def nabla_curvature_components(conn: ChartConnection, x) -> np.ndarray:
     """Covariant derivative DR[m, l, i, j, k] = (nabla_m R)^l_ijk at x.
 
     Assembled as d_m R^l_ijk plus one Christoffel correction per tensor index:
@@ -340,18 +324,17 @@ def nabla_curvature_components(conn: ChartConnection, x,
     inner stencil.
     """
     x = np.asarray(x, dtype=float)
-    scale = max(1.0, float(np.max(np.abs(x))))
-    h = fd_step if fd_step is not None else 5e-4 * scale
+    h = _NABLA_FD_STEP * max(1.0, float(np.max(np.abs(x))))
     d = conn.dim
     dr = np.empty((d, d, d, d, d))
     for m in range(d):
         dx = np.zeros(d)
         dx[m] = h
-        rp = curvature_components(conn, x + dx, curvature_fd_step)
-        rm = curvature_components(conn, x - dx, curvature_fd_step)
+        rp = curvature_components(conn, x + dx)
+        rm = curvature_components(conn, x - dx)
         dr[m] = (rp - rm) / (2.0 * h)
     g = conn.gamma(x)
-    r = curvature_components(conn, x, curvature_fd_step)
+    r = curvature_components(conn, x)
     dr += np.einsum("lma,aijk->mlijk", g, r)
     dr -= np.einsum("ami,lajk->mlijk", g, r)
     dr -= np.einsum("amj,liak->mlijk", g, r)
@@ -379,8 +362,7 @@ def conformal_christoffel(grad_f: Callable[[np.ndarray], np.ndarray]):
     return christoffel
 
 
-def christoffels_from_metric(metric: Callable[[np.ndarray], np.ndarray],
-                             fd_step: float | None = None):
+def christoffels_from_metric(metric: Callable[[np.ndarray], np.ndarray]):
     """Levi-Civita symbols of a chart metric, by central differences.
 
     G^k_ij = 1/2 g^kl (d_i g_lj + d_j g_li - d_l g_ij).
@@ -389,7 +371,7 @@ def christoffels_from_metric(metric: Callable[[np.ndarray], np.ndarray],
     def christoffel(x):
         x = np.asarray(x, dtype=float)
         d = x.size
-        h = fd_step if fd_step is not None else _FD_STEP * max(1.0, float(np.max(np.abs(x))))
+        h = _FD_STEP * max(1.0, float(np.max(np.abs(x))))
         dg = np.empty((d, d, d))
         for m in range(d):
             dx = np.zeros(d)
@@ -414,8 +396,9 @@ class ChartSpace(ConnectionSpace):
     """A ConnectionSpace realized numerically from a ChartConnection.
 
     The log map is solved by shooting, the transport oracle is the transport
-    ODE at the configured tolerances, and curvature callbacks contract the
-    finite-difference tensors.
+    ODE at the configured tolerances and integrator ``method`` ("adaptive"
+    or "rk4"), and curvature callbacks contract the finite-difference
+    tensors.
     """
 
     has_closed_form_transport = False
@@ -423,14 +406,13 @@ class ChartSpace(ConnectionSpace):
     def __init__(self, name: str, connection: ChartConnection,
                  metric: Callable[[np.ndarray], np.ndarray] | None = None,
                  tolerances: ToleranceConfig | None = None,
-                 solver: ODESolverConfig | None = None,
-                 shooting: ShootingConfig | None = None,
+                 method: str = "adaptive",
                  anchor=None,
                  sample_halfwidth: float = 0.5,
                  validity_radius: float = 0.5,
                  locally_symmetric: bool = False):
         super().__init__(tolerances)
-        tol = self.tolerances
+        self.method = method
         self.name = name
         self.conn = connection
         self.dim = connection.dim
@@ -440,12 +422,6 @@ class ChartSpace(ConnectionSpace):
         self.locally_symmetric = locally_symmetric
         self.injectivity_radius = math.nan  # unknown for a generic chart
         self.validity_radius = validity_radius
-        self.solver = solver or ODESolverConfig(
-            rel_tol=tol.ode_rel_tol, abs_tol=tol.ode_abs_tol)
-        self.shooting = shooting or ShootingConfig(
-            max_iters=tol.max_shooting_iters,
-            residual_tol=max(10.0 * tol.ode_rel_tol, 1e-11),
-        )
         #: canonical interior base point used by experiment sweeps
         self.anchor = (np.zeros(self.dim) if anchor is None
                        else np.asarray(anchor, dtype=float))
@@ -454,10 +430,11 @@ class ChartSpace(ConnectionSpace):
     # -- kernels --------------------------------------------------------------
 
     def _exp(self, x, v):
-        return geodesic_flow(self.conn, x, v, 1.0, self.solver)[0]
+        return geodesic_flow(self.conn, x, v, 1.0, self.tolerances,
+                             self.method)[0]
 
     def _log(self, x, y):
-        return log_shooting(self.conn, x, y, self.shooting, self.solver)[0]
+        return log_shooting(self.conn, x, y, self.tolerances, self.method)[0]
 
     def log_stats(self, p: Point, q: Point):
         self._check_point(p)
@@ -465,12 +442,13 @@ class ChartSpace(ConnectionSpace):
         if np.array_equal(p.coords, q.coords):
             return TangentVector(p, np.zeros(self.ambient_dim)), 0
         v, iters = log_shooting(self.conn, p.coords, q.coords,
-                                self.shooting, self.solver)
+                                self.tolerances, self.method)
         return TangentVector(p, v), iters
 
     def _transport(self, x, u, y):
-        v = log_shooting(self.conn, x, y, self.shooting, self.solver)[0]
-        return transport_ode(self.conn, u, x, v, 1.0, self.solver)[0]
+        v = log_shooting(self.conn, x, y, self.tolerances, self.method)[0]
+        return transport_ode(self.conn, u, x, v, 1.0, self.tolerances,
+                             self.method)[0]
 
     def _curvature(self, x, u, v, w):
         r = curvature_components(self.conn, x)

@@ -28,7 +28,7 @@ from .analysis import (
     pole_error_measured,
     pole_error_predicted,
 )
-from .chart import ChartSpace, ODESolverConfig
+from .chart import ChartSpace
 from .core import (
     ConfigError,
     ConnectionSpace,
@@ -46,8 +46,6 @@ __all__ = ["ExperimentConfig", "main", "cmd_transport", "cmd_convergence",
 
 SYMMETRIC_FLEET = ("sphere-2", "hyperbolic-2", "spd-3", "so3")
 POLE_SCHEMES = ("pole_v1", "pole_v2", "pole_alt", "pole_avg")
-
-_FIXED_STEP = 1.0 / 256.0
 
 
 @dataclass(frozen=True)
@@ -73,8 +71,6 @@ class ExperimentConfig:
     q: str | None = None
     u: str | None = None
     # ToleranceConfig overrides
-    membership_tol: float | None = None
-    log_tol: float | None = None
     exactness_tol: float | None = None
     ode_rel_tol: float | None = None
     ode_abs_tol: float | None = None
@@ -98,10 +94,9 @@ class ExperimentConfig:
     def build_space(self) -> ConnectionSpace:
         if self.manifold is None:
             raise ConfigError("a manifold name is required (--manifold)")
-        solver = (ODESolverConfig(method="rk4", initial_step=_FIXED_STEP)
-                  if self.fixed_step else None)
+        method = "rk4" if self.fixed_step else "adaptive"
         try:
-            return make_space(self.manifold, self.tolerances(), solver)
+            return make_space(self.manifold, self.tolerances(), method)
         except ValueError as err:
             raise ConfigError(str(err)) from err
 

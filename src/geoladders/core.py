@@ -1,10 +1,10 @@
 """Core data model for numerical geometry on affine connection spaces.
 
-Points, tangent vectors and geodesic segments are thin wrappers around plain
-float arrays.  ``ConnectionSpace`` is the contract every manifold in this
-package implements: exponential and log maps, parallel transport along
-geodesics, midpoints, geodesic symmetries, and (optionally) the curvature
-tensor and its covariant derivative.  All operations are pure functions of
+Points and tangent vectors are thin wrappers around plain float arrays.
+``ConnectionSpace`` is the contract every manifold in this package
+implements: exponential and log maps, parallel transport along geodesics,
+midpoints, geodesic symmetries, and (optionally) the curvature tensor and
+its covariant derivative.  All operations are pure functions of
 their inputs; spaces are immutable after construction and safe to share.
 """
 
@@ -33,7 +33,6 @@ __all__ = [
     "ToleranceConfig",
     "Point",
     "TangentVector",
-    "GeodesicSegment",
     "ConnectionSpace",
 ]
 
@@ -67,7 +66,8 @@ class NoConvergence(GeometryError):
 
 
 class NonFinite(GeometryError):
-    """A computed quantity (e.g. a Christoffel symbol) is NaN or infinite."""
+    """An input or computed quantity (coordinates, components, a Christoffel
+    symbol) is NaN or infinite."""
 
 
 class CutLocus(GeometryError):
@@ -102,20 +102,20 @@ class ConfigError(GeometryError):
 class ToleranceConfig:
     """Numerical tolerances shared across a space's operations.
 
-    Defaults sit roughly two orders of magnitude above double-precision
-    noise accumulated over ~1e3 arithmetic operations.
+    ``exactness_tol`` bounds the relative ladder error on symmetric spaces;
+    ``ode_rel_tol``/``ode_abs_tol`` drive the adaptive geodesic integrator and
+    ``max_shooting_iters`` the Newton log solve of chart spaces.  Defaults sit
+    roughly two orders of magnitude above double-precision noise accumulated
+    over ~1e3 arithmetic operations.
     """
 
-    membership_tol: float = 1e-9
-    log_tol: float = 1e-10
     exactness_tol: float = 1e-10
     ode_rel_tol: float = 1e-12
     ode_abs_tol: float = 1e-12
     max_shooting_iters: int = 100
 
     def __post_init__(self):
-        for name in ("membership_tol", "log_tol", "exactness_tol",
-                     "ode_rel_tol", "ode_abs_tol"):
+        for name in ("exactness_tol", "ode_rel_tol", "ode_abs_tol"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be strictly positive")
         if self.max_shooting_iters < 1:
@@ -131,6 +131,13 @@ def _as_float_array(values) -> np.ndarray:
     if arr.ndim != 1:
         arr = arr.reshape(-1)
     return arr
+
+
+def _require_finite(values: np.ndarray, what: str):
+    # on arrays of a few entries this scan is several times faster than
+    # np.isfinite(values).all(), and it runs on every exp/log/transport
+    if not all(map(math.isfinite, values.tolist())):
+        raise NonFinite(f"{what} are not finite: {values}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,18 +206,6 @@ class TangentVector:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class GeodesicSegment:
-    """A geodesic encoded by its endpoints and the initial velocity.
-
-    Consistency: ``exp(start, initial_velocity) == end`` within log tolerance.
-    """
-
-    start: Point
-    end: Point
-    initial_velocity: TangentVector
-
-
 # ---------------------------------------------------------------------------
 # The connection-space contract
 # ---------------------------------------------------------------------------
@@ -220,8 +215,9 @@ class ConnectionSpace(abc.ABC):
 
     Subclasses implement the private kernels ``_exp``/``_log``/``_transport``
     on raw coordinate arrays; the public wrappers handle ``Point`` /
-    ``TangentVector`` packing, base-point validation and degenerate inputs
-    (``exp(p, 0) == p`` exactly, ``log(p, p) == 0`` without shooting).
+    ``TangentVector`` packing, base-point validation, non-finite inputs
+    (``NonFinite``) and degenerate inputs (``exp(p, 0) == p`` exactly,
+    ``log(p, p) == 0`` without shooting).
 
     Capability flags (``has_metric``, ``has_curvature``, ...) are truthful:
     every flagged capability is backed by a working operation.
@@ -292,6 +288,7 @@ class ConnectionSpace(abc.ABC):
             raise InvalidBase(
                 f"point has {p.coords.size} coordinates, expected {self.ambient_dim}"
             )
+        _require_finite(p.coords, "point coordinates")
 
     def _check_base(self, v: TangentVector, p: Point):
         self._check_point(v.base)
@@ -312,6 +309,7 @@ class ConnectionSpace(abc.ABC):
         """Geodesic endpoint at time 1 starting from p with velocity v."""
         self._check_point(p)
         self._check_base(v, p)
+        _require_finite(v.components, "tangent components")
         if not v.components.any():
             return p
         return Point(self._exp(p.coords, v.components), self.name)
@@ -333,12 +331,10 @@ class ConnectionSpace(abc.ABC):
         self._check_point(q)
         p = u.base
         self._check_point(p)
+        _require_finite(u.components, "tangent components")
         if np.array_equal(p.coords, q.coords):
             return TangentVector(q, u.components.copy())
         return TangentVector(q, self._transport(p.coords, u.components, q.coords))
-
-    def geodesic(self, p: Point, q: Point) -> GeodesicSegment:
-        return GeodesicSegment(p, q, self.log(p, q))
 
     def midpoint(self, p: Point, q: Point) -> Point:
         """Point at parameter 1/2 on the geodesic [p, q] (exponential barycenter)."""

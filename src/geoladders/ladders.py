@@ -13,14 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import ConnectionSpace, GeometryError, Point, TangentVector
 
 __all__ = [
     "LADDER_KINDS",
     "LadderScheme",
-    "RungDiagnostics",
     "LadderTransportResult",
     "schild_step",
     "pole_step_v1",
@@ -51,18 +48,8 @@ class LadderScheme:
 
 
 @dataclass(frozen=True)
-class RungDiagnostics:
-    """Per-rung health numbers recorded by the multi-rung driver."""
-
-    midpoint_residual: float
-    symmetry_residual: float
-    log_iterations: int
-
-
-@dataclass(frozen=True)
 class LadderTransportResult:
     vector: TangentVector
-    diagnostics: tuple[RungDiagnostics, ...]
 
 
 def schild_step(space: ConnectionSpace, p: Point, q: Point,
@@ -153,18 +140,6 @@ def ladder_step(space: ConnectionSpace, p: Point, q: Point, u: TangentVector,
     return step(space, p, q, u)
 
 
-def _rung_diagnostics(space, a, b, u):
-    m = space.midpoint(a, b)
-    la, ia = space.log_stats(m, a)
-    lb, ib = space.log_stats(m, b)
-    mid_res = float(np.linalg.norm(la.components + lb.components))
-    p1 = space.exp(a, u)
-    q1 = space.geodesic_symmetry(m, p1)
-    sym_res = float(np.linalg.norm(
-        space.log(m, p1).components + space.log(m, q1).components))
-    return RungDiagnostics(mid_res, sym_res, ia + ib)
-
-
 def transport_along_geodesic(space: ConnectionSpace, p: Point, q: Point,
                              u: TangentVector, n_rungs: int = 1,
                              scheme: LadderScheme | str = "pole_v2",
@@ -189,13 +164,10 @@ def transport_along_geodesic(space: ConnectionSpace, p: Point, q: Point,
     scaling = scheme.vector_scaling if scheme.vector_scaling is not None \
         else 1.0 / n_rungs
     current = scaling * u
-    diagnostics = []
     for i in range(n_rungs):
-        a, b = rail[i], rail[i + 1]
         try:
-            diagnostics.append(_rung_diagnostics(space, a, b, current))
-            current = step(space, a, b, current)
+            current = step(space, rail[i], rail[i + 1], current)
         except GeometryError as err:
             err.args = (f"rung {i + 1}/{n_rungs}: {err}",)
             raise
-    return LadderTransportResult((1.0 / scaling) * current, tuple(diagnostics))
+    return LadderTransportResult((1.0 / scaling) * current)

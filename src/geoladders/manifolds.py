@@ -19,8 +19,6 @@ from scipy.linalg import null_space
 from .chart import (
     ChartConnection,
     ChartSpace,
-    ODESolverConfig,
-    ShootingConfig,
     christoffels_from_metric,
     conformal_christoffel,
 )
@@ -541,8 +539,7 @@ class BumpMetric2D(ChartSpace):
 
     def __init__(self, beta: float = 1.0,
                  tolerances: ToleranceConfig | None = None,
-                 solver: ODESolverConfig | None = None,
-                 shooting: ShootingConfig | None = None):
+                 method: str = "adaptive"):
         self.beta = float(beta)
         beta_ = self.beta
 
@@ -559,7 +556,7 @@ class BumpMetric2D(ChartSpace):
         )
         super().__init__(
             "bump2d", conn, metric=metric, tolerances=tolerances,
-            solver=solver, shooting=shooting,
+            method=method,
             anchor=np.array([0.3, 0.1]), sample_halfwidth=0.5,
             validity_radius=0.5, locally_symmetric=(beta_ == 0.0),
         )
@@ -642,12 +639,12 @@ def _so3_rotation_vector_chart():
 
 
 _SPACES = {
-    "euclidean-n": lambda n, tol, solver: Euclidean(n, tol),
-    "sphere-n": lambda n, tol, solver: Sphere(n, tol),
-    "hyperbolic-n": lambda n, tol, solver: Hyperbolic(n, tol),
-    "spd-n": lambda n, tol, solver: SPD(n, tol),
-    "so3": lambda tol, solver: RotationGroup(tol),
-    "bump2d": lambda tol, solver: BumpMetric2D(1.0, tol, solver),
+    "euclidean-n": lambda n, tol, method: Euclidean(n, tol),
+    "sphere-n": lambda n, tol, method: Sphere(n, tol),
+    "hyperbolic-n": lambda n, tol, method: Hyperbolic(n, tol),
+    "spd-n": lambda n, tol, method: SPD(n, tol),
+    "so3": lambda tol, method: RotationGroup(tol),
+    "bump2d": lambda tol, method: BumpMetric2D(1.0, tol, method),
 }
 
 _CHARTS = {
@@ -680,9 +677,13 @@ def registry_names() -> tuple[str, ...]:
 
 
 def make_space(name: str, tolerances: ToleranceConfig | None = None,
-               solver: ODESolverConfig | None = None) -> ConnectionSpace:
-    """Build a registered manifold from its name, e.g. "sphere-2"."""
-    return _lookup(_SPACES, name, "manifold")(tolerances, solver)
+               method: str = "adaptive") -> ConnectionSpace:
+    """Build a registered manifold from its name, e.g. "sphere-2".
+
+    ``method`` selects the chart integrator ("adaptive" or "rk4"); the
+    closed-form spaces ignore it.
+    """
+    return _lookup(_SPACES, name, "manifold")(tolerances, method)
 
 
 def make_chart(name: str) -> ChartConnection:

@@ -1,0 +1,75 @@
+"""The public names of the package, pinned so that API growth or shrinkage
+shows up as a reviewed diff of this list."""
+
+import types
+
+import geoladders
+
+PUBLIC_NAMES = [
+    "BCHTruncation",
+    "BumpMetric2D",
+    "ChartConnection",
+    "ChartSpace",
+    "ConfigError",
+    "ConnectionSpace",
+    "ConvergenceReport",
+    "CutLocus",
+    "DomainEscape",
+    "Euclidean",
+    "GeometryError",
+    "Hyperbolic",
+    "InsufficientData",
+    "InvalidBase",
+    "LADDER_KINDS",
+    "LadderScheme",
+    "LadderTransportResult",
+    "LogBranch",
+    "MaxStepsExceeded",
+    "NoConvergence",
+    "NonFinite",
+    "NotSPD",
+    "Point",
+    "RotationGroup",
+    "SPD",
+    "Sphere",
+    "TangentVector",
+    "ToleranceConfig",
+    "Unsupported",
+    "alt_error_predicted",
+    "bch_numeric",
+    "bch_series",
+    "bch_truncation",
+    "christoffels_from_metric",
+    "conformal_christoffel",
+    "convergence_order",
+    "curvature_components",
+    "generic_directions",
+    "geodesic_flow",
+    "ladder_step",
+    "log_shooting",
+    "make_chart",
+    "make_space",
+    "nabla_curvature_components",
+    "one_step_error_sweep",
+    "pole_error_measured",
+    "pole_error_predicted",
+    "pole_step_alt",
+    "pole_step_averaged",
+    "pole_step_v1",
+    "pole_step_v2",
+    "registry_names",
+    "schild_step",
+    "transport_along_geodesic",
+    "transport_ode",
+]
+
+
+def test_public_names_are_pinned():
+    # submodules become package attributes once imported, so they are not
+    # counted: which of them are present depends on test order
+    names = sorted(
+        name for name, value in vars(geoladders).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    )
+    assert names == PUBLIC_NAMES
+    assert len(names) == 55

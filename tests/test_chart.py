@@ -9,8 +9,7 @@ from geoladders import (
     DomainEscape,
     NoConvergence,
     NonFinite,
-    ODESolverConfig,
-    ShootingConfig,
+    ToleranceConfig,
     christoffels_from_metric,
     curvature_components,
     geodesic_flow,
@@ -73,7 +72,8 @@ def test_flat_chart_flow_is_straight():
 
 
 def test_bump_flow_matches_step_halving_oracle(bump):
-    pos, _ = geodesic_flow(bump.conn, [0.0, 0.0], [0.1, 0.2], 1.0, bump.solver)
+    pos, _ = geodesic_flow(bump.conn, [0.0, 0.0], [0.1, 0.2], 1.0,
+                           bump.tolerances, bump.method)
     assert np.max(np.abs(pos - BUMP_EXP_ORACLE)) <= 1e-12
     fresh = richardson_rk4_geodesic(bump.conn, np.zeros(2),
                                     np.array([0.1, 0.2]))
@@ -83,10 +83,12 @@ def test_bump_flow_matches_step_halving_oracle(bump):
 def test_flow_semigroup_property(bump):
     x = np.array([-0.2, 0.1])
     v = np.array([0.3, -0.25])
-    pos_full, vel_full = geodesic_flow(bump.conn, x, v, 1.0, bump.solver)
-    pos_half, vel_half = geodesic_flow(bump.conn, x, v, 0.5, bump.solver)
+    pos_full, vel_full = geodesic_flow(bump.conn, x, v, 1.0,
+                                       bump.tolerances, bump.method)
+    pos_half, vel_half = geodesic_flow(bump.conn, x, v, 0.5,
+                                       bump.tolerances, bump.method)
     pos_two, vel_two = geodesic_flow(bump.conn, pos_half, vel_half, 0.5,
-                                     bump.solver)
+                                     bump.tolerances, bump.method)
     assert np.max(np.abs(pos_two - pos_full)) <= 1e-11
     assert np.max(np.abs(vel_two - vel_full)) <= 1e-11
 
@@ -94,8 +96,9 @@ def test_flow_semigroup_property(bump):
 def test_flow_reversibility(bump):
     x = np.array([0.15, -0.1])
     v = np.array([0.2, 0.3])
-    q, w = geodesic_flow(bump.conn, x, v, 1.0, bump.solver)
-    back_pos, back_vel = geodesic_flow(bump.conn, q, -w, 1.0, bump.solver)
+    q, w = geodesic_flow(bump.conn, x, v, 1.0, bump.tolerances, bump.method)
+    back_pos, back_vel = geodesic_flow(bump.conn, q, -w, 1.0,
+                                       bump.tolerances, bump.method)
     assert np.max(np.abs(back_pos - x)) <= 1e-11
     assert np.max(np.abs(back_vel + v)) <= 1e-11
 
@@ -103,7 +106,7 @@ def test_flow_reversibility(bump):
 def test_flow_conserves_metric_speed(bump):
     x = np.array([0.1, 0.2])
     v = np.array([0.25, -0.2])
-    q, w = geodesic_flow(bump.conn, x, v, 1.0, bump.solver)
+    q, w = geodesic_flow(bump.conn, x, v, 1.0, bump.tolerances, bump.method)
     speed0 = math.sqrt(v @ bump.metric(x) @ v)
     speed1 = math.sqrt(w @ bump.metric(q) @ w)
     assert abs(speed1 - speed0) / speed0 <= 1e-10
@@ -117,12 +120,17 @@ def test_flow_domain_escape():
         geodesic_flow(conn, [5.0, 0.0], [0.1, 0.0], 1.0)
 
 
+def test_unknown_integrator_method_is_rejected():
+    with pytest.raises(ValueError, match="unknown integrator method"):
+        geodesic_flow(flat_chart(), [0.0, 0.0], [1.0, 0.0], method="rk5")
+
+
 def test_fixed_step_rk4_agrees_with_adaptive(bump):
     x = np.array([0.0, 0.1])
     v = np.array([0.2, 0.2])
-    rk4 = ODESolverConfig(method="rk4", initial_step=1.0 / 256.0)
-    pos_a, _ = geodesic_flow(bump.conn, x, v, 1.0, bump.solver)
-    pos_f, _ = geodesic_flow(bump.conn, x, v, 1.0, rk4)
+    pos_a, _ = geodesic_flow(bump.conn, x, v, 1.0,
+                             bump.tolerances, bump.method)
+    pos_f, _ = geodesic_flow(bump.conn, x, v, 1.0, method="rk4")
     assert np.max(np.abs(pos_a - pos_f)) <= 1e-11
 
 
@@ -152,8 +160,9 @@ def test_bump_exp_log_round_trip(bump):
         x = rng.uniform(-0.4, 0.4, 2)
         v = rng.uniform(-1.0, 1.0, 2)
         v *= 0.5 / max(1.0, np.linalg.norm(v))
-        y, _ = geodesic_flow(bump.conn, x, v, 1.0, bump.solver)
-        v_rec, _ = log_shooting(bump.conn, x, y, bump.shooting, bump.solver)
+        y, _ = geodesic_flow(bump.conn, x, v, 1.0,
+                             bump.tolerances, bump.method)
+        v_rec, _ = log_shooting(bump.conn, x, y, bump.tolerances, bump.method)
         assert np.max(np.abs(v_rec - v)) <= 1e-9
 
 
@@ -161,15 +170,30 @@ def test_near_antipodal_shooting_signals_no_convergence():
     conn = make_chart("sphere2-stereographic")
     with pytest.raises(NoConvergence):
         log_shooting(conn, np.zeros(2), np.array([200.0, 0.0]),
-                     ShootingConfig(max_iters=12))
+                     ToleranceConfig(max_shooting_iters=12))
 
 
 def test_shooting_reports_residual_when_stalled():
     conn = make_chart("sphere2-stereographic")
     with pytest.raises(NoConvergence) as info:
         log_shooting(conn, np.zeros(2), np.array([0.9, 0.4]),
-                     ShootingConfig(max_iters=1, residual_tol=1e-15))
+                     ToleranceConfig(max_shooting_iters=1))
     assert info.value.residual is not None
+
+
+def test_shooting_line_search_without_decrease_raises_best_residual():
+    # past the antipode of x (chart point (-2, 0)) no damping of the first
+    # Newton step lowers the residual; the solve stops there and reports the
+    # initial residual instead of taking a worse trial
+    conn = make_chart("sphere2-stereographic")
+    x = np.array([0.5, 0.0])
+    y = np.array([-1.4, 0.4])
+    tol = ToleranceConfig(ode_rel_tol=1e-8, ode_abs_tol=1e-8,
+                          max_shooting_iters=10)
+    start = np.linalg.norm(geodesic_flow(conn, x, y - x, 1.0, tol)[0] - y)
+    with pytest.raises(NoConvergence, match="line search") as info:
+        log_shooting(conn, x, y, tol)
+    assert info.value.residual == start
 
 
 # -- transport ------------------------------------------------------------------
@@ -184,8 +208,10 @@ def test_flat_transport_identity():
 def test_velocity_self_transport(bump):
     x = np.array([0.2, -0.1])
     v = np.array([0.3, 0.2])
-    _, vel_end = geodesic_flow(bump.conn, x, v, 1.0, bump.solver)
-    moved, _, _ = transport_ode(bump.conn, v, x, v, 1.0, bump.solver)
+    _, vel_end = geodesic_flow(bump.conn, x, v, 1.0,
+                               bump.tolerances, bump.method)
+    moved, _, _ = transport_ode(bump.conn, v, x, v, 1.0,
+                                bump.tolerances, bump.method)
     assert np.max(np.abs(moved - vel_end)) <= 1e-10
 
 
@@ -193,32 +219,23 @@ def test_transport_composes_along_the_same_geodesic(bump):
     x = np.array([-0.15, 0.05])
     v = np.array([0.4, 0.3])
     u = np.array([0.2, -0.5])
-    direct, _, _ = transport_ode(bump.conn, u, x, v, 1.0, bump.solver)
-    mid_pos, mid_vel = geodesic_flow(bump.conn, x, v, 0.5, bump.solver)
-    first, _, _ = transport_ode(bump.conn, u, x, v, 0.5, bump.solver)
+    direct, _, _ = transport_ode(bump.conn, u, x, v, 1.0,
+                                 bump.tolerances, bump.method)
+    mid_pos, mid_vel = geodesic_flow(bump.conn, x, v, 0.5,
+                                     bump.tolerances, bump.method)
+    first, _, _ = transport_ode(bump.conn, u, x, v, 0.5,
+                                bump.tolerances, bump.method)
     second, _, _ = transport_ode(bump.conn, first, mid_pos, mid_vel, 0.5,
-                                 bump.solver)
+                                 bump.tolerances, bump.method)
     assert np.max(np.abs(second - direct)) <= 1e-11
-
-
-def test_transport_ode_accepts_geodesic_segment(bump):
-    p = bump.point([0.0, 0.0])
-    q = bump.exp(p, bump.tangent(p, [0.3, 0.2]))
-    seg = bump.geodesic(p, q)
-    moved, pos, _ = transport_ode(bump.conn, [0.1, -0.2], seg,
-                                  solver=bump.solver)
-    direct = bump.transport(bump.tangent(p, [0.1, -0.2]), q)
-    assert np.max(np.abs(moved - direct.components)) <= 1e-10
-    assert np.max(np.abs(pos - q.coords)) <= 1e-9
-    with pytest.raises(ValueError):
-        transport_ode(bump.conn, [0.1, -0.2], [0.0, 0.0])
 
 
 def test_transport_preserves_metric_norm(bump):
     x = np.array([0.1, 0.1])
     v = np.array([0.3, -0.2])
     u = np.array([-0.4, 0.25])
-    moved, pos, _ = transport_ode(bump.conn, u, x, v, 1.0, bump.solver)
+    moved, pos, _ = transport_ode(bump.conn, u, x, v, 1.0,
+                                  bump.tolerances, bump.method)
     n0 = math.sqrt(u @ bump.metric(x) @ u)
     n1 = math.sqrt(moved @ bump.metric(pos) @ moved)
     assert abs(n1 - n0) / n0 <= 1e-10
@@ -443,12 +460,15 @@ def test_bump_nabla_curvature_against_transport_conjugation(bump):
         if t == 0.0:
             r = curvature_components(conn, x)
             return np.einsum("lijk,i,j,k->l", r, *probes)
-        pos, vel = geodesic_flow(conn, x, direction * t, 1.0, bump.solver)
+        pos, vel = geodesic_flow(conn, x, direction * t, 1.0,
+                                 bump.tolerances, bump.method)
         moved = [transport_ode(conn, pr, x, direction * t, 1.0,
-                               bump.solver)[0] for pr in probes]
+                               bump.tolerances, bump.method)[0]
+                 for pr in probes]
         r = curvature_components(conn, pos)
         val = np.einsum("lijk,i,j,k->l", r, *moved)
-        return transport_ode(conn, val, pos, -vel, 1.0, bump.solver)[0]
+        return transport_ode(conn, val, pos, -vel, 1.0,
+                             bump.tolerances, bump.method)[0]
 
     delta = 1e-3
     fd = (conjugated(delta) - conjugated(-delta)) / (2.0 * delta)
@@ -490,5 +510,4 @@ def test_nan_christoffel_raises_non_finite(method):
     conn = ChartConnection(2, lambda x: np.full((2, 2, 2), np.nan),
                            chart_bounds=(np.full(2, -2.0), np.full(2, 2.0)))
     with pytest.raises(NonFinite):
-        geodesic_flow(conn, [0.3, 0.1], [0.1, 0.0],
-                      solver=ODESolverConfig(method=method))
+        geodesic_flow(conn, [0.3, 0.1], [0.1, 0.0], method=method)

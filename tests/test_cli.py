@@ -56,6 +56,19 @@ def test_transport_antipodal_exits_2(tmp_path, capsys):
     assert "CutLocus" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("manifold, p, q, u", [
+    ("sphere-2", "1,0,0", "0,1,0", "0,nan,0"),
+    ("bump2d", "0.1,0.1", "0.2,0.1", "0.1,nan"),
+])
+def test_transport_non_finite_input_exits_2(tmp_path, capsys, manifold,
+                                            p, q, u):
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text(f"p = {p}\nq = {q}\nu = {u}\n")
+    rc = main(["transport", "--manifold", manifold, "--config", str(cfg)])
+    assert rc == 2
+    assert "NonFinite" in capsys.readouterr().err
+
+
 def test_unknown_manifold_exits_1(capsys):
     assert main(["transport", "--manifold", "nosuch"]) == 1
     assert "config error" in capsys.readouterr().err

@@ -176,7 +176,6 @@ def test_single_rung_reduces_to_step():
     res = transport_along_geodesic(sp, p, q, u, 1, "pole_v2")
     direct = pole_step_v2(sp, p, q, u)
     assert np.array_equal(res.vector.components, direct.components)
-    assert len(res.diagnostics) == 1
 
 
 def test_euclidean_driver_exact_any_rungs():
@@ -187,7 +186,6 @@ def test_euclidean_driver_exact_any_rungs():
     for n in (1, 2, 5):
         res = transport_along_geodesic(space, p, q, u, n, "schild")
         assert np.allclose(res.vector.components, u.components, atol=1e-13)
-        assert len(res.diagnostics) == n
 
 
 def test_bump_error_decreases_monotonically_with_rungs(bump):
@@ -201,23 +199,29 @@ def test_bump_error_decreases_monotonically_with_rungs(bump):
         res = transport_along_geodesic(bump, p, q, u, n, "pole_v2")
         errors.append((res.vector - oracle).component_norm)
     assert all(a > b for a, b in zip(errors, errors[1:])), errors
-    # composite rate recorded for information, not asserted
+    # n rungs with the vector rescaled by 1/n: the error falls like 1/n^2
+    # (Guigui & Pennec, Found. Comput. Math. 2022)
     rate = np.polyfit(np.log([1, 2, 4, 8]), np.log(errors), 1)[0]
-    print(f"composite multi-rung rate (pole_v2, bump2d): {rate:.2f}")
+    assert abs(rate + 2.0) <= 0.3, rate
 
 
-def test_driver_diagnostics_are_recorded(bump):
+def test_bump_midpoint_and_symmetry_residuals(bump):
+    # on each rung of a 3-rung rail: the midpoint m of [a, b] satisfies
+    # log_m(a) = -log_m(b), and the symmetry s_m(x) satisfies
+    # log_m(s_m(x)) = -log_m(x)
     p = bump.point([-0.2, 0.0])
     q = bump.point([0.3, 0.2])
-    u = 0.4 * bump.random_direction(np.random.default_rng(3), p)
-    res = transport_along_geodesic(bump, p, q, u, 3, "pole_v2")
-    assert len(res.diagnostics) == 3
-    for diag in res.diagnostics:
-        assert math.isfinite(diag.midpoint_residual)
-        assert diag.midpoint_residual <= 1e-9
-        assert math.isfinite(diag.symmetry_residual)
-        assert diag.symmetry_residual <= 1e-9
-        assert diag.log_iterations >= 1
+    w = bump.log(p, q)
+    rail = [p, bump.exp(p, (1 / 3) * w), bump.exp(p, (2 / 3) * w), q]
+    rng = np.random.default_rng(3)
+    for a, b in zip(rail, rail[1:]):
+        m = bump.midpoint(a, b)
+        mid_res = (bump.log(m, a) + bump.log(m, b)).component_norm
+        assert mid_res <= 1e-9
+        x = bump.exp(a, (0.4 / 3) * bump.random_direction(rng, a))
+        sym_res = (bump.log(m, x)
+                   + bump.log(m, bump.geodesic_symmetry(m, x))).component_norm
+        assert sym_res <= 1e-9
 
 
 def test_driver_reports_failing_rung_index():
