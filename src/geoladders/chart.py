@@ -50,14 +50,14 @@ _FD_STEP = _EPS ** (1.0 / 3.0)
 # outer step of the nested differences in nabla_curvature_components, wider
 # than _FD_STEP so it stays above the noise of the inner curvature stencil
 _NABLA_FD_STEP = 5e-4
-# Newton Jacobian of the shooting solve, by central differences in velocity
-_JACOBIAN_FD_STEP = 1e-5
-# first trial fraction of each Newton step; the line search halves it
+# first trial fraction of each quasi-Newton step; the line search halves it
 _NEWTON_DAMPING = 1.0
 # time step of the fixed-step "rk4" integrator
 _RK4_STEP = 1.0 / 256.0
 # step budget of either integrator
 _MAX_STEPS = 100_000
+# right-hand-side evaluations per step of the adaptive RK45 pair
+_RHS_PER_STEP = 6
 
 # Integrator methods: "adaptive" is an embedded Runge-Kutta 4(5) pair with
 # local error control at the ToleranceConfig ODE tolerances; "rk4" is the
@@ -87,12 +87,14 @@ class ChartConnection:
                 f"christoffel returned shape {g.shape}, expected "
                 f"{(self.dim, self.dim, self.dim)}"
             )
-        gt = np.swapaxes(g, 1, 2)
-        asym = float(np.max(np.abs(g - gt))) if g.size else 0.0
+        gt = g.swapaxes(1, 2)
+        asym = float(np.abs(g - gt).max()) if g.size else 0.0
         # NaN/inf in any symbol makes asym non-finite; left unchecked, the
         # adaptive integrator's time becomes NaN and it never terminates
         if not math.isfinite(asym):
             raise NonFinite(f"christoffel symbols are not finite at {x}")
+        if asym == 0.0:
+            return g
         if asym > 1e-12:
             warnings.warn(
                 f"christoffel symbols asymmetric by {asym:.3e}; symmetrizing "
@@ -146,14 +148,27 @@ def _integrate(conn: ChartConnection, rhs, z0: np.ndarray, t: float,
             if not conn.in_bounds(z[:d]):
                 raise DomainEscape("trajectory left the chart bounds")
         return z
-    sol = solve_ivp(rhs, (0.0, t), z0, method="RK45",
+    # the step budget is enforced while the solve runs, through its count of
+    # right-hand-side evaluations: solve_ivp reports its steps only on return,
+    # and every step attempt, accepted or rejected, costs _RHS_PER_STEP
+    budget = _RHS_PER_STEP * (_MAX_STEPS + 1)
+    evals = 0
+
+    def counted(s, z):
+        nonlocal evals
+        evals += 1
+        if evals > budget:
+            raise MaxStepsExceeded(
+                f"adaptive integrator exceeded {budget} right-hand-side "
+                f"evaluations, the budget of {_MAX_STEPS} steps, at t={s:.6g}")
+        return rhs(s, z)
+
+    sol = solve_ivp(counted, (0.0, t), z0, method="RK45",
                     rtol=tolerances.ode_rel_tol, atol=tolerances.ode_abs_tol)
     if not sol.success:
-        raise MaxStepsExceeded(f"adaptive integrator failed: {sol.message}")
-    if sol.t.size - 1 > _MAX_STEPS:
-        raise MaxStepsExceeded(
-            f"{sol.t.size - 1} adaptive steps exceed the budget of "
-            f"{_MAX_STEPS}")
+        # RK45 fails only when its step size underflows, which happens as
+        # the solution blows up at the edge of the chart's domain
+        raise DomainEscape(f"adaptive integrator failed: {sol.message}")
     _check_bounds(conn, sol.y[:d])
     return sol.y[:, -1]
 
@@ -173,10 +188,10 @@ def geodesic_flow(conn: ChartConnection, x, v, t: float = 1.0,
         raise DomainEscape("initial point outside the chart bounds")
 
     def rhs(_, z):
-        pos, vel = z[:d], z[d:]
-        gam = conn.gamma(pos)
-        acc = -np.einsum("kij,i,j->k", gam, vel, vel)
-        return np.concatenate([vel, acc])
+        vel = z[d:]
+        # gv[k, i] = G^k_ij v^j; the symbols are symmetric in (i, j)
+        gv = conn.gamma(z[:d]) @ vel
+        return np.concatenate([vel, -(gv @ vel)])
 
     z = _integrate(conn, rhs, np.concatenate([x, v]), t, tolerances, method)
     return z[:d], z[d:]
@@ -185,14 +200,20 @@ def geodesic_flow(conn: ChartConnection, x, v, t: float = 1.0,
 def log_shooting(conn: ChartConnection, x, y,
                  tolerances: ToleranceConfig | None = None,
                  method: str = "adaptive"):
-    """Solve exp_x(v) = y for v by damped Newton on the endpoint residual.
+    """Solve exp_x(v) = y for v by a quasi-Newton solve on the endpoint residual.
 
     The initial guess is the chart difference y - x, which converges inside
-    convex normal neighborhoods.  Each Newton step is halved up to four times
-    until the residual decreases.  The solve succeeds once the residual is
-    at most max(10 ode_rel_tol, 1e-11), within ``max_shooting_iters``
-    iterations.  Returns (v, iterations); raises NoConvergence with the
-    best residual attached otherwise.
+    convex normal neighborhoods.  The Jacobian of the endpoint map starts
+    from its first-order model I - G(x)(v, .) and takes a rank-one "good
+    Broyden" update after each accepted step, so an iteration costs one
+    geodesic integration unless the line search halves the step (up to four
+    times) to make the residual decrease.  Once the residual is at most
+    max(10 ode_rel_tol, 1e-11), one more step is tried and kept only if it
+    lowers the residual; a chart difference that already meets the target
+    returns at once, with 0 iterations.  All steps count against
+    ``max_shooting_iters``.  Returns (v, iterations); raises
+    NoConvergence with the best residual attached otherwise, also when a
+    trial integration fails.
     """
     tolerances = tolerances or _DEFAULT_TOLERANCES
     max_iters = tolerances.max_shooting_iters
@@ -201,36 +222,42 @@ def log_shooting(conn: ChartConnection, x, y,
     residual_tol = max(10.0 * tolerances.ode_rel_tol, 1e-11)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    d = conn.dim
 
-    def endpoint(vel):
+    def endpoint(vel, rnorm):
         # a trial velocity that stalls the integrator or escapes the chart is
         # a shooting failure, not silent garbage
         try:
             return geodesic_flow(conn, x, vel, 1.0, tolerances, method)[0]
         except (MaxStepsExceeded, DomainEscape) as err:
-            raise NoConvergence(f"shooting trial failed: {err}") from err
+            raise NoConvergence(
+                f"shooting trial failed at residual {rnorm:.3e}: {err}",
+                residual=rnorm) from err
 
+    # before the first trial the solve holds v = 0, whose endpoint is x
     v = y - x
-    res = endpoint(v) - y
+    res = endpoint(v, float(np.linalg.norm(v))) - y
     rnorm = float(np.linalg.norm(res))
-    for it in range(1, max_iters + 1):
-        if rnorm <= residual_tol:
-            return v, it - 1
-        jac = np.empty((d, d))
-        h = _JACOBIAN_FD_STEP * max(1.0, float(np.linalg.norm(v)))
-        for k in range(d):
-            dv = np.zeros(d)
-            dv[k] = h
-            jac[:, k] = (endpoint(v + dv) - endpoint(v - dv)) / (2.0 * h)
+    if rnorm <= residual_tol:
+        return v, 0
+    # derivative in v of the first-order model x + v - G(x)(v, v) / 2
+    jac = np.eye(conn.dim) - v @ conn.gamma(x)
+    it = 0
+    while rnorm > residual_tol:
+        if it == max_iters:
+            raise NoConvergence(
+                f"shooting stalled after {max_iters} iterations "
+                f"(residual {rnorm:.3e})",
+                residual=rnorm,
+            )
+        it += 1
         try:
             step = np.linalg.solve(jac, res)
         except np.linalg.LinAlgError:
             raise NoConvergence("singular shooting Jacobian", residual=rnorm)
         alpha = _NEWTON_DAMPING
         for _ in range(5):
-            v_try = v - alpha * step
-            res_try = endpoint(v_try) - y
+            dv = -alpha * step
+            res_try = endpoint(v + dv, rnorm) - y
             r_try = float(np.linalg.norm(res_try))
             if r_try < rnorm:
                 break
@@ -241,14 +268,21 @@ def log_shooting(conn: ChartConnection, x, y,
                 f"(residual {rnorm:.3e})",
                 residual=rnorm,
             )
-        v, res, rnorm = v_try, res_try, r_try
-    if rnorm <= residual_tol:
-        return v, max_iters
-    raise NoConvergence(
-        f"shooting stalled after {max_iters} iterations "
-        f"(residual {rnorm:.3e})",
-        residual=rnorm,
-    )
+        # the least change to jac that maps dv to the observed residual change
+        jac += np.outer(res_try - res - jac @ dv, dv) / (dv @ dv)
+        v, res, rnorm = v + dv, res_try, r_try
+    # Broyden converges superlinearly, not quadratically, so it stops a few
+    # digits short of Newton's last step; one more step recovers them
+    if rnorm > 0.0 and it < max_iters:
+        it += 1
+        try:
+            v_try = v - np.linalg.solve(jac, res)
+            r_try = float(np.linalg.norm(endpoint(v_try, rnorm) - y))
+        except (np.linalg.LinAlgError, NoConvergence):
+            r_try = math.inf
+        if r_try < rnorm:
+            v = v_try
+    return v, it
 
 
 def transport_ode(conn: ChartConnection, u, x, v, t: float = 1.0,
@@ -267,11 +301,9 @@ def transport_ode(conn: ChartConnection, u, x, v, t: float = 1.0,
     d = conn.dim
 
     def rhs(_, z):
-        pos, vel, vec = z[:d], z[d:2 * d], z[2 * d:]
-        gam = conn.gamma(pos)
-        acc = -np.einsum("kij,i,j->k", gam, vel, vel)
-        du = -np.einsum("kij,i,j->k", gam, vel, vec)
-        return np.concatenate([vel, acc, du])
+        vel = z[d:2 * d]
+        gv = conn.gamma(z[:d]) @ vel
+        return np.concatenate([vel, -(gv @ vel), -(gv @ z[2 * d:])])
 
     z = _integrate(conn, rhs, np.concatenate([x, v, u]), t, tolerances, method)
     return z[2 * d:], z[:d], z[d:2 * d]
@@ -355,9 +387,10 @@ def conformal_christoffel(grad_f: Callable[[np.ndarray], np.ndarray]):
     def christoffel(x):
         df = np.asarray(grad_f(np.asarray(x, dtype=float)), dtype=float)
         eye = np.eye(df.size)
-        return (np.einsum("i,jk->kij", df, eye)
-                + np.einsum("j,ik->kij", df, eye)
-                - np.einsum("k,ij->kij", df, eye))
+        # g[k, i, j] = f_i d_jk; adding its (i, j) transpose gives the first
+        # two terms and keeps the symbols exactly symmetric
+        g = df[:, None] * eye[:, None, :]
+        return g + g.transpose(0, 2, 1) - df[:, None, None] * eye
 
     return christoffel
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from geoladders import (
     ChartConnection,
     ChartSpace,
     DomainEscape,
+    MaxStepsExceeded,
     NoConvergence,
     NonFinite,
     ToleranceConfig,
@@ -19,12 +21,25 @@ from geoladders import (
     nabla_curvature_components,
     transport_ode,
 )
+from geoladders import chart
 from geoladders.manifolds import _hat, _rodrigues, _so3_rotation_vector_chart
 
 
 def flat_chart(n=2, bounds=None):
     return ChartConnection(dim=n, christoffel=lambda x: np.zeros((n, n, n)),
                            chart_bounds=bounds)
+
+
+class CountingChristoffel:
+    """Wraps a christoffel callable and counts its evaluations."""
+
+    def __init__(self, conn):
+        self.fn, self.calls = conn.christoffel, 0
+        self.conn = dataclasses.replace(conn, christoffel=self)
+
+    def __call__(self, x):
+        self.calls += 1
+        return self.fn(x)
 
 
 # frozen from a step-halving classical RK4 oracle (Richardson difference
@@ -120,6 +135,29 @@ def test_flow_domain_escape():
         geodesic_flow(conn, [5.0, 0.0], [0.1, 0.0], 1.0)
 
 
+def test_flow_through_the_chart_singularity_is_domain_escape():
+    # the stereographic chart has no bounds; from the origin at this speed
+    # the geodesic reaches the north pole, the chart's point at infinity,
+    # and the adaptive step size underflows before t = 1
+    with pytest.raises(DomainEscape, match="step size"):
+        geodesic_flow(make_chart("sphere2-stereographic"), [0.0, 0.0],
+                      [3.0, 0.0])
+
+
+def test_adaptive_step_budget_stops_a_running_solve(bump, monkeypatch):
+    full = CountingChristoffel(bump.conn)
+    geodesic_flow(full.conn, [0.0, 0.0], [0.4, 0.3], 1.0,
+                  bump.tolerances, "adaptive")
+    monkeypatch.setattr(chart, "_MAX_STEPS", 5)
+    counter = CountingChristoffel(bump.conn)
+    with pytest.raises(MaxStepsExceeded):
+        geodesic_flow(counter.conn, [0.0, 0.0], [0.4, 0.3], 1.0,
+                      bump.tolerances, "adaptive")
+    # the solve stops at the budget's worth of right-hand sides instead of
+    # running to t = 1 and counting its steps afterwards
+    assert counter.calls == chart._RHS_PER_STEP * (5 + 1) < full.calls
+
+
 def test_unknown_integrator_method_is_rejected():
     with pytest.raises(ValueError, match="unknown integrator method"):
         geodesic_flow(flat_chart(), [0.0, 0.0], [1.0, 0.0], method="rk5")
@@ -148,13 +186,27 @@ def test_torsion_warning_on_asymmetric_symbols():
 
 # -- shooting -------------------------------------------------------------------
 
-def test_flat_chart_log_is_difference():
-    v, iters = log_shooting(flat_chart(), [0.0, 0.0], [1.0, 1.0])
+def test_flat_chart_log_is_difference(monkeypatch):
+    flows = []
+
+    def flow(*args):
+        flows.append(args)
+        return geodesic_flow(*args)
+
+    one_flow = CountingChristoffel(flat_chart())
+    geodesic_flow(one_flow.conn, [0.0, 0.0], [1.0, 1.0])
+    monkeypatch.setattr(chart, "geodesic_flow", flow)
+    counter = CountingChristoffel(flat_chart())
+    v, iters = log_shooting(counter.conn, [0.0, 0.0], [1.0, 1.0])
     assert np.allclose(v, [1.0, 1.0], atol=1e-12)
     assert iters == 0
+    # the chart difference meets the target: no trial beyond the first flow,
+    # and no symbols spent on a Jacobian
+    assert len(flows) == 1
+    assert counter.calls == one_flow.calls
 
 
-def test_bump_exp_log_round_trip(bump):
+def _bump_round_trips(bump):
     rng = np.random.default_rng(11)
     for _ in range(5):
         x = rng.uniform(-0.4, 0.4, 2)
@@ -162,8 +214,38 @@ def test_bump_exp_log_round_trip(bump):
         v *= 0.5 / max(1.0, np.linalg.norm(v))
         y, _ = geodesic_flow(bump.conn, x, v, 1.0,
                              bump.tolerances, bump.method)
+        yield x, v, y
+
+
+def test_bump_exp_log_round_trip(bump):
+    for x, v, y in _bump_round_trips(bump):
         v_rec, _ = log_shooting(bump.conn, x, y, bump.tolerances, bump.method)
         assert np.max(np.abs(v_rec - v)) <= 1e-9
+        end, _ = geodesic_flow(bump.conn, x, v_rec, 1.0,
+                               bump.tolerances, bump.method)
+        # small-h predictor checks (criterion 3) need the final residual
+        # well below the 1e-11 convergence target
+        assert np.linalg.norm(end - y) <= 1e-14
+
+
+def test_bump_log_christoffel_budget(bump):
+    # a finite-difference Newton Jacobian spent 11,748 evaluations on these
+    # five solves; the quasi-Newton solve spends about half of that
+    counter = CountingChristoffel(bump.conn)
+    for x, _, y in _bump_round_trips(bump):
+        log_shooting(counter.conn, x, y, bump.tolerances, bump.method)
+    assert counter.calls <= 8000
+
+
+def test_stereographic_exp_log_round_trip():
+    conn = make_chart("sphere2-stereographic")
+    x = np.array([0.3, -0.4])
+    v = np.array([0.5, 0.35])
+    y, _ = geodesic_flow(conn, x, v, 1.0)
+    v_rec, iters = log_shooting(conn, x, y)
+    assert iters >= 1
+    assert np.max(np.abs(v_rec - v)) <= 1e-9
+    assert np.linalg.norm(geodesic_flow(conn, x, v_rec, 1.0)[0] - y) <= 1e-14
 
 
 def test_near_antipodal_shooting_signals_no_convergence():
@@ -171,6 +253,21 @@ def test_near_antipodal_shooting_signals_no_convergence():
     with pytest.raises(NoConvergence):
         log_shooting(conn, np.zeros(2), np.array([200.0, 0.0]),
                      ToleranceConfig(max_shooting_iters=12))
+
+
+def test_failed_shooting_trial_reports_current_residual():
+    conn = make_chart("sphere2-stereographic")
+    # the first trial, the chart difference, runs through the chart's point
+    # at infinity; the solve still holds v = 0, whose residual is |y - x|
+    with pytest.raises(NoConvergence, match="trial failed") as info:
+        log_shooting(conn, np.zeros(2), np.array([3.0, 1.0]))
+    assert info.value.residual == pytest.approx(math.sqrt(10.0))
+    assert isinstance(info.value.__cause__, DomainEscape)
+    # here the first trial lands at chart radius tan(1.5) and the first
+    # quasi-Newton step overshoots through infinity
+    with pytest.raises(NoConvergence, match="trial failed") as info:
+        log_shooting(conn, np.zeros(2), np.array([1.5, 0.0]))
+    assert info.value.residual == pytest.approx(math.tan(1.5) - 1.5)
 
 
 def test_shooting_reports_residual_when_stalled():

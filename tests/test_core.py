@@ -72,6 +72,27 @@ def test_exp_rejects_vector_based_elsewhere():
         space.exp(p, v)
 
 
+def test_base_points_agree_per_coordinate_within_1e_8():
+    space = Euclidean(2)
+    p = space.point([0.3, -0.2])
+    here = space.tangent(p, [0.0, 1.0])
+
+    def based_at(coords):
+        return TangentVector(Point(coords, space.name), [1.0, 0.0])
+
+    near = based_at(p.coords + [5e-9, -5e-9])
+    assert np.allclose(space.exp(p, near).coords, [1.3, -0.2])
+    assert np.allclose((here + near).components, [1.0, 1.0])
+    far = based_at(p.coords + [0.0, 2e-8])
+    with pytest.raises(InvalidBase):
+        space.exp(p, far)
+    for other in (far, based_at([0.3, math.nan]), based_at([math.inf, -0.2])):
+        with pytest.raises(InvalidBase):
+            here + other
+        with pytest.raises(InvalidBase):
+            other - here
+
+
 def test_exp_zero_vector_is_identity_exactly():
     space = Sphere(2)
     p = space.point([1.0, 0.0, 0.0])
