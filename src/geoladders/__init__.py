@@ -6,12 +6,10 @@ ladder variants, series/error analysis tools, and an experiment CLI.
 """
 
 from .analysis import (
-    BCHTruncation,
     ConvergenceReport,
     alt_error_predicted,
     bch_numeric,
     bch_series,
-    bch_truncation,
     convergence_order,
     generic_directions,
     one_step_error_sweep,
@@ -49,7 +47,6 @@ from .core import (
 )
 from .ladders import (
     LADDER_KINDS,
-    LadderScheme,
     LadderTransportResult,
     ladder_step,
     pole_step_alt,

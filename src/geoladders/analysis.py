@@ -19,9 +19,7 @@ from .core import ConnectionSpace, InsufficientData, Point, TangentVector
 from .ladders import ladder_step, transport_along_geodesic
 
 __all__ = [
-    "BCHTruncation",
     "ConvergenceReport",
-    "bch_truncation",
     "bch_series",
     "bch_numeric",
     "pole_error_predicted",
@@ -34,20 +32,6 @@ __all__ = [
 ]
 
 _EPS = np.finfo(float).eps
-
-
-@dataclass(frozen=True)
-class BCHTruncation:
-    """Truncated double-exponential expansion with its labeled terms.
-
-    Order 1 is v + u; order 2 equals order 1 (a torsion-free connection has
-    no quadratic terms); order 3 adds the curvature group and order 4 the
-    curvature-derivative group.
-    """
-
-    order: int
-    terms: tuple[tuple[str, TangentVector], ...]
-    vector: TangentVector
 
 
 @dataclass(frozen=True)
@@ -70,39 +54,31 @@ class ConvergenceReport:
         return int((~self.noise_floor_mask).sum())
 
 
-def bch_truncation(space: ConnectionSpace, x: Point, v: TangentVector,
-                   u: TangentVector, order: int) -> BCHTruncation:
-    """Evaluate the double-exponential series log_x(exp(v) then exp(u)).
+def bch_series(space: ConnectionSpace, x: Point, v: TangentVector,
+               u: TangentVector, order: int) -> TangentVector:
+    """Truncated double-exponential series log_x(exp(v) then exp(u)) at x.
 
-    Coefficient set: v + u + R(u,v)v/6 + R(u,v)u/3 + nabla_v R(u,v)v/12
-    + nabla_u R(u,v)v/24 + 5 nabla_v R(u,v)u/24 + nabla_u R(u,v)u/12.
+    Order 1 is v + u; order 2 equals order 1 (a torsion-free connection has
+    no quadratic terms); order 3 adds the curvature group and order 4 the
+    curvature-derivative group.  Coefficient set: v + u + R(u,v)v/6
+    + R(u,v)u/3 + nabla_v R(u,v)v/12 + nabla_u R(u,v)v/24
+    + 5 nabla_v R(u,v)u/24 + nabla_u R(u,v)u/12.
     """
     if order not in (1, 2, 3, 4):
         raise ValueError("order must be one of 1, 2, 3, 4")
-    terms: list[tuple[str, TangentVector]] = [("v + u", v + u)]
+    terms = [v + u]
     if order >= 3:
-        terms.append(("R(u,v)v / 6", (1.0 / 6.0) * space.curvature(x, u, v, v)))
-        terms.append(("R(u,v)u / 3", (1.0 / 3.0) * space.curvature(x, u, v, u)))
+        terms += [(1.0 / 6.0) * space.curvature(x, u, v, v),
+                  (1.0 / 3.0) * space.curvature(x, u, v, u)]
     if order >= 4:
-        terms.extend([
-            ("nabla_v R(u,v)v / 12",
-             (1.0 / 12.0) * space.nabla_curvature(x, v, u, v, v)),
-            ("nabla_u R(u,v)v / 24",
-             (1.0 / 24.0) * space.nabla_curvature(x, u, u, v, v)),
-            ("5 nabla_v R(u,v)u / 24",
-             (5.0 / 24.0) * space.nabla_curvature(x, v, u, v, u)),
-            ("nabla_u R(u,v)u / 12",
-             (1.0 / 12.0) * space.nabla_curvature(x, u, u, v, u)),
-        ])
+        terms += [(1.0 / 12.0) * space.nabla_curvature(x, v, u, v, v),
+                  (1.0 / 24.0) * space.nabla_curvature(x, u, u, v, v),
+                  (5.0 / 24.0) * space.nabla_curvature(x, v, u, v, u),
+                  (1.0 / 12.0) * space.nabla_curvature(x, u, u, v, u)]
     total = np.zeros(space.ambient_dim)
-    for _, term in terms:
+    for term in terms:
         total = total + term.components
-    return BCHTruncation(order, tuple(terms), TangentVector(x, total))
-
-
-def bch_series(space, x, v, u, order: int) -> TangentVector:
-    """The truncated series as a single vector at x."""
-    return bch_truncation(space, x, v, u, order).vector
+    return TangentVector(x, total)
 
 
 def bch_numeric(space: ConnectionSpace, x: Point, v: TangentVector,

@@ -105,21 +105,14 @@ class ChartConnection:
         return 0.5 * (g + gt)
 
     def in_bounds(self, x: np.ndarray) -> bool:
+        """Whether x lies in the box; x is one point or a (dim, n) array of
+        points, such as an integrator's trajectory."""
         if self.chart_bounds is None:
             return True
         lo, hi = self.chart_bounds
-        return bool(np.all(x >= lo) and np.all(x <= hi))
-
-
-def _check_bounds(conn: ChartConnection, positions: np.ndarray):
-    """positions: (dim, n) array of visited chart points."""
-    if conn.chart_bounds is None:
-        return
-    lo, hi = conn.chart_bounds
-    below = positions < np.asarray(lo)[:, None]
-    above = positions > np.asarray(hi)[:, None]
-    if below.any() or above.any():
-        raise DomainEscape("trajectory left the chart bounds")
+        # transposed, (dim, n) points broadcast against the (dim,) box
+        xt = np.asarray(x).T
+        return bool((xt >= lo).all() and (xt <= hi).all())
 
 
 def _integrate(conn: ChartConnection, rhs, z0: np.ndarray, t: float,
@@ -169,7 +162,8 @@ def _integrate(conn: ChartConnection, rhs, z0: np.ndarray, t: float,
         # RK45 fails only when its step size underflows, which happens as
         # the solution blows up at the edge of the chart's domain
         raise DomainEscape(f"adaptive integrator failed: {sol.message}")
-    _check_bounds(conn, sol.y[:d])
+    if not conn.in_bounds(sol.y[:d]):
+        raise DomainEscape("trajectory left the chart bounds")
     return sol.y[:, -1]
 
 
@@ -205,13 +199,14 @@ def log_shooting(conn: ChartConnection, x, y,
     The initial guess is the chart difference y - x, which converges inside
     convex normal neighborhoods.  The Jacobian of the endpoint map starts
     from its first-order model I - G(x)(v, .) and takes a rank-one "good
-    Broyden" update after each accepted step, so an iteration costs one
-    geodesic integration unless the line search halves the step (up to four
-    times) to make the residual decrease.  Once the residual is at most
-    max(10 ode_rel_tol, 1e-11), one more step is tried and kept only if it
-    lowers the residual; a chart difference that already meets the target
-    returns at once, with 0 iterations.  All steps count against
-    ``max_shooting_iters``.  Returns (v, iterations); raises
+    Broyden" update after each trial, so an iteration costs one geodesic
+    integration unless the line search retries (up to four times) to make
+    the residual decrease: a rejected trial updates the Jacobian too, and
+    the next trial takes half of the step solved from the updated one.  Once
+    the residual is at most max(10 ode_rel_tol, 1e-11), one more step is
+    tried and kept only if it lowers the residual; a chart difference that
+    already meets the target returns at once, with 0 iterations.  All steps
+    count against ``max_shooting_iters``.  Returns (v, iterations); raises
     NoConvergence with the best residual attached otherwise, also when a
     trial integration fails.
     """
@@ -250,15 +245,19 @@ def log_shooting(conn: ChartConnection, x, y,
                 residual=rnorm,
             )
         it += 1
-        try:
-            step = np.linalg.solve(jac, res)
-        except np.linalg.LinAlgError:
-            raise NoConvergence("singular shooting Jacobian", residual=rnorm)
         alpha = _NEWTON_DAMPING
         for _ in range(5):
-            dv = -alpha * step
+            try:
+                dv = -alpha * np.linalg.solve(jac, res)
+            except np.linalg.LinAlgError:
+                raise NoConvergence("singular shooting Jacobian",
+                                    residual=rnorm)
             res_try = endpoint(v + dv, rnorm) - y
             r_try = float(np.linalg.norm(res_try))
+            # the least change to jac that maps dv to the observed residual
+            # change; a rejected trial informs jac too, so the next trial
+            # solves again instead of halving a step along a poor direction
+            jac += np.outer(res_try - res - jac @ dv, dv) / (dv @ dv)
             if r_try < rnorm:
                 break
             alpha *= 0.5
@@ -268,8 +267,6 @@ def log_shooting(conn: ChartConnection, x, y,
                 f"(residual {rnorm:.3e})",
                 residual=rnorm,
             )
-        # the least change to jac that maps dv to the observed residual change
-        jac += np.outer(res_try - res - jac @ dv, dv) / (dv @ dv)
         v, res, rnorm = v + dv, res_try, r_try
     # Broyden converges superlinearly, not quadratically, so it stops a few
     # digits short of Newton's last step; one more step recovers them
@@ -433,8 +430,6 @@ class ChartSpace(ConnectionSpace):
     or "rk4"), and curvature callbacks contract the finite-difference
     tensors.
     """
-
-    has_closed_form_transport = False
 
     def __init__(self, name: str, connection: ChartConnection,
                  metric: Callable[[np.ndarray], np.ndarray] | None = None,

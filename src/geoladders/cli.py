@@ -34,8 +34,6 @@ from .core import (
     ConnectionSpace,
     GeometryError,
     InsufficientData,
-    Point,
-    TangentVector,
     ToleranceConfig,
 )
 from .ladders import LADDER_KINDS, ladder_step, transport_along_geodesic
@@ -247,12 +245,22 @@ def _explicit_trial(space, cfg: ExperimentConfig):
     return p, q, u
 
 
-def _base_point(space, rng) -> Point:
+def _sweep_setup(cfg: ExperimentConfig, command: str):
+    """Space, base point m, direction pair, scales and noise floor of a
+    scaling sweep (convergence and bch-check)."""
+    if cfg.num_scales < 5:
+        raise ConfigError(f"{command} runs need at least 5 scales")
+    space = cfg.build_space()
+    rng = cfg.rng()
     # chart spaces carry a canonical interior anchor for sweeps; closed-form
     # spaces use a seeded random point
-    if isinstance(space, ChartSpace):
-        return space.anchor_point()
-    return space.random_point(rng)
+    m = (space.anchor_point() if isinstance(space, ChartSpace)
+         else space.random_point(rng))
+    u_dir, v_dir = generic_directions(space, m, rng)
+    scales = np.geomspace(cfg.h_max, cfg.h_min, cfg.num_scales)
+    floor = cfg.noise_floor if cfg.noise_floor is not None \
+        else default_noise_floor(1.0 + float(np.max(np.abs(m.coords))))
+    return space, m, u_dir, v_dir, scales, floor
 
 
 # ---------------------------------------------------------------------------
@@ -296,14 +304,8 @@ def _predicted_error_norm(space, scheme, m, u, v) -> float:
 
 def cmd_convergence(cfg: ExperimentConfig) -> int:
     """One-step error sweep under joint scaling, with a log-log slope fit."""
-    if cfg.num_scales < 5:
-        raise ConfigError("convergence runs need at least 5 scales")
-    space = cfg.build_space()
+    space, m, u_dir, v_dir, scales, floor = _sweep_setup(cfg, "convergence")
     scheme = cfg.scheme or "pole_v2"
-    rng = cfg.rng()
-    m = _base_point(space, rng)
-    u_dir, v_dir = generic_directions(space, m, rng)
-    scales = np.geomspace(cfg.h_max, cfg.h_min, cfg.num_scales)
     chash = cfg.config_hash()
     sink = _CsvSink(cfg.output)
     sink.row("manifold", "scheme", "h", "n_rungs", "error",
@@ -316,7 +318,7 @@ def cmd_convergence(cfg: ExperimentConfig) -> int:
                                   n_rungs=cfg.n_rungs).component_norm
         errors.append(err)
         predicted = (_predicted_error_norm(space, scheme, m, u, v)
-                     if cfg.n_rungs == 1 and space.has_curvature else math.nan)
+                     if cfg.n_rungs == 1 else math.nan)
         if i >= 2 and min(errors) > 0.0:
             running = float(np.polyfit(np.log(scales[: i + 1]),
                                        np.log(errors), 1)[0])
@@ -325,9 +327,6 @@ def cmd_convergence(cfg: ExperimentConfig) -> int:
         sink.row(cfg.manifold, scheme, float(h), cfg.n_rungs, err,
                  predicted, running, chash)
     errors = np.asarray(errors)
-    scale_hint = 1.0 + float(np.max(np.abs(m.coords)))
-    floor = cfg.noise_floor if cfg.noise_floor is not None \
-        else default_noise_floor(scale_hint)
     if np.all(errors <= floor):
         sink.comment("exact within tolerance (all errors at the noise floor)")
         sink.flush()
@@ -341,21 +340,10 @@ def cmd_convergence(cfg: ExperimentConfig) -> int:
 
 def cmd_bch_check(cfg: ExperimentConfig) -> int:
     """Residuals of the double-exponential series at orders 1, 3 and 4."""
-    if cfg.num_scales < 5:
-        raise ConfigError("bch-check runs need at least 5 scales")
-    space = cfg.build_space()
-    if not space.has_curvature:
-        raise ConfigError(f"{cfg.manifold} has no curvature capability")
-    rng = cfg.rng()
-    m = _base_point(space, rng)
-    u_dir, v_dir = generic_directions(space, m, rng)
-    scales = np.geomspace(cfg.h_max, cfg.h_min, cfg.num_scales)
+    space, m, u_dir, v_dir, scales, floor = _sweep_setup(cfg, "bch-check")
     chash = cfg.config_hash()
     sink = _CsvSink(cfg.output)
     sink.row("manifold", "order", "h", "residual", "config_hash")
-    scale_hint = 1.0 + float(np.max(np.abs(m.coords)))
-    floor = cfg.noise_floor if cfg.noise_floor is not None \
-        else default_noise_floor(scale_hint)
     ok = True
     summaries = []
     for order in (1, 3, 4):

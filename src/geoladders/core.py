@@ -226,16 +226,14 @@ class ConnectionSpace(abc.ABC):
     (``NonFinite``) and degenerate inputs (``exp(p, 0) == p`` exactly,
     ``log(p, p) == 0`` without shooting).
 
-    Capability flags (``has_metric``, ``has_curvature``, ...) are truthful:
-    every flagged capability is backed by a working operation.
+    The flags ``has_metric`` and ``locally_symmetric`` are truthful: a space
+    with a metric backs ``inner``, and a locally symmetric one has nabla R = 0.
     """
 
     name: str = "abstract"
     dim: int = 0
     ambient_dim: int = 0
     has_metric: bool = True
-    has_closed_form_transport: bool = True
-    has_curvature: bool = True
     locally_symmetric: bool = False
     injectivity_radius: float = math.inf
     #: radius of the neighborhood in which exp/log round trips are supported
@@ -268,6 +266,9 @@ class ConnectionSpace(abc.ABC):
         raise Unsupported(f"{self.name} has no curvature capability")
 
     def _nabla_curvature(self, x, direction, u, v, w) -> np.ndarray:
+        # on a locally symmetric space the curvature is covariantly constant
+        if self.locally_symmetric:
+            return np.zeros_like(u)
         raise Unsupported(f"{self.name} has no curvature-derivative capability")
 
     def _tangent_basis(self, x: np.ndarray) -> np.ndarray:
@@ -359,8 +360,6 @@ class ConnectionSpace(abc.ABC):
         - nabla_[u,v] w, i.e. the component formula
         R^l_ijk = d_i G^l_jk - d_j G^l_ik + G^l_im G^m_jk - G^l_jm G^m_ik.
         """
-        if not self.has_curvature:
-            raise Unsupported(f"{self.name} has no curvature capability")
         self._check_point(p)
         for vec in (u, v, w):
             self._check_base(vec, p)
@@ -372,8 +371,6 @@ class ConnectionSpace(abc.ABC):
                         u: TangentVector, v: TangentVector,
                         w: TangentVector) -> TangentVector:
         """Covariant derivative (nabla_direction R)(u, v)w at p."""
-        if not self.has_curvature:
-            raise Unsupported(f"{self.name} has no curvature capability")
         self._check_point(p)
         for vec in (direction, u, v, w):
             self._check_base(vec, p)

@@ -17,7 +17,6 @@ from .core import ConnectionSpace, GeometryError, Point, TangentVector
 
 __all__ = [
     "LADDER_KINDS",
-    "LadderScheme",
     "LadderTransportResult",
     "schild_step",
     "pole_step_v1",
@@ -27,24 +26,6 @@ __all__ = [
     "ladder_step",
     "transport_along_geodesic",
 ]
-
-@dataclass(frozen=True)
-class LadderScheme:
-    """Scheme selection plus the vector rescaling applied around the fold.
-
-    ``vector_scaling`` shrinks u before the ladder runs and is inverted on
-    the result (transport is linear, so this is exact in the limit).  ``None``
-    means the driver default: 1 for a single rung, 1/n_rungs otherwise.
-    """
-
-    kind: str = "pole_v2"
-    vector_scaling: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in LADDER_KINDS:
-            raise ValueError(f"unknown ladder kind {self.kind!r}")
-        if self.vector_scaling is not None and not 0.0 < self.vector_scaling <= 1.0:
-            raise ValueError("vector_scaling must lie in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -129,40 +110,40 @@ _STEPS = {
 LADDER_KINDS = tuple(_STEPS)
 
 
-def ladder_step(space: ConnectionSpace, p: Point, q: Point, u: TangentVector,
-                scheme) -> TangentVector:
-    """Run one step of the scheme given by kind string or LadderScheme."""
-    kind = scheme.kind if isinstance(scheme, LadderScheme) else scheme
+def _step(scheme: str):
     try:
-        step = _STEPS[kind]
+        return _STEPS[scheme]
     except KeyError:
-        raise ValueError(f"unknown ladder kind {kind!r}")
-    return step(space, p, q, u)
+        raise ValueError(f"unknown ladder kind {scheme!r}") from None
+
+
+def ladder_step(space: ConnectionSpace, p: Point, q: Point, u: TangentVector,
+                scheme: str) -> TangentVector:
+    """Run one step of the scheme named by its kind, one of LADDER_KINDS."""
+    return _step(scheme)(space, p, q, u)
 
 
 def transport_along_geodesic(space: ConnectionSpace, p: Point, q: Point,
                              u: TangentVector, n_rungs: int = 1,
-                             scheme: LadderScheme | str = "pole_v2",
-                             ) -> LadderTransportResult:
+                             scheme: str = "pole_v2") -> LadderTransportResult:
     """Fold a one-step scheme over n_rungs equal-parameter segments of [p, q].
 
-    The vector is multiplied by the scheme's vector_scaling before the fold
-    and by its inverse after; a rung failure re-raises the underlying error
-    object, with its attributes intact and the failing rung index prefixed to
-    its message.
+    The vector is scaled by 1/n_rungs before the fold and by n_rungs after,
+    so each rung carries a vector as short as its segment; a rung failure
+    re-raises the underlying error object, with its attributes intact and
+    the failing rung index prefixed to its message.
     """
-    if isinstance(scheme, str):
-        scheme = LadderScheme(scheme)
+    step = _step(scheme)
     if n_rungs < 1:
         raise ValueError("n_rungs must be at least 1")
-    step = _STEPS[scheme.kind]
     w = space.log(p, q)
     rail = [p]
     for i in range(1, n_rungs):
         rail.append(space.exp(p, (i / n_rungs) * w))
     rail.append(q)
-    scaling = scheme.vector_scaling if scheme.vector_scaling is not None \
-        else 1.0 / n_rungs
+    # (1 / scaling) * current, not n_rungs * current: the two differ in the
+    # last bit for some n_rungs
+    scaling = 1.0 / n_rungs
     current = scaling * u
     for i in range(n_rungs):
         try:

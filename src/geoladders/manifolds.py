@@ -73,9 +73,6 @@ class Euclidean(ConnectionSpace):
     def _curvature(self, x, u, v, w):
         return np.zeros_like(u)
 
-    def _nabla_curvature(self, x, direction, u, v, w):
-        return np.zeros_like(u)
-
     def _inner(self, x, u, v):
         return float(u @ v)
 
@@ -118,7 +115,10 @@ class Sphere(ConnectionSpace):
 
     def _exp(self, x, v):
         theta = float(np.linalg.norm(v))
-        y = math.cos(theta) * x + (math.sin(theta) / theta) * v
+        # the norm of a vector shorter than about 1e-154 underflows to 0;
+        # sin(theta) / theta tends to 1 there
+        sinc = math.sin(theta) / theta if theta > 0.0 else 1.0
+        y = math.cos(theta) * x + sinc * v
         return y / np.linalg.norm(y)
 
     def _log(self, x, y):
@@ -144,10 +144,6 @@ class Sphere(ConnectionSpace):
 
     def _curvature(self, x, u, v, w):
         return (v @ w) * u - (u @ w) * v
-
-    def _nabla_curvature(self, x, direction, u, v, w):
-        # constant-curvature space: the curvature tensor is covariantly constant
-        return np.zeros_like(u)
 
     def _inner(self, x, u, v):
         return float(u @ v)
@@ -231,9 +227,6 @@ class Hyperbolic(ConnectionSpace):
 
     def _curvature(self, x, u, v, w):
         return -(_mink(v, w) * u - _mink(u, w) * v)
-
-    def _nabla_curvature(self, x, direction, u, v, w):
-        return np.zeros_like(u)
 
     def _inner(self, x, u, v):
         return _mink(u, v)
@@ -357,9 +350,6 @@ class SPD(ConnectionSpace):
         ab = a @ b - b @ a
         br = ab @ c - c @ ab
         return (ps @ (-0.25 * br) @ ps).ravel()
-
-    def _nabla_curvature(self, x, direction, u, v, w):
-        return np.zeros_like(u)
 
     def _inner(self, x, u, v):
         p = self._mat(x)
@@ -497,9 +487,6 @@ class RotationGroup(ConnectionSpace):
         ab = a @ b - b @ a
         br = ab @ c - c @ ab
         return (r @ (-0.25 * br)).ravel()
-
-    def _nabla_curvature(self, x, direction, u, v, w):
-        return np.zeros_like(u)
 
     def _inner(self, x, u, v):
         return 0.5 * float(np.tensordot(self._mat(u), self._mat(v)))

@@ -1,5 +1,8 @@
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import configuration
 
 from geoladders import BumpMetric2D, make_space
 
@@ -7,6 +10,20 @@ FLEET_NAMES = ("euclidean-3", "sphere-2", "hyperbolic-2", "spd-3", "so3")
 
 # pass/fail lines collected by the acceptance suite, printed in the summary
 ACCEPTANCE_LINES = []
+
+
+def pytest_configure(config):
+    # hypothesis caches the constants it reads from the package's source in
+    # its home directory, ./.hypothesis by default, even with no example
+    # database; a temporary home keeps test runs out of the working tree
+    global _HYPOTHESIS_HOME
+    _HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="hypothesis-")
+    configuration.set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
+
+
+def pytest_unconfigure(config):
+    configuration.set_hypothesis_home_dir(None)
+    _HYPOTHESIS_HOME.cleanup()
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

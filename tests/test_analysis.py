@@ -8,7 +8,6 @@ from geoladders import (
     alt_error_predicted,
     bch_numeric,
     bch_series,
-    bch_truncation,
     convergence_order,
     generic_directions,
     make_space,
@@ -41,22 +40,9 @@ def test_bch_order_two_equals_order_one():
     one = bch_series(sp, x, v, u, 1)
     two = bch_series(sp, x, v, u, 2)
     assert np.array_equal(one.components, two.components)
-
-
-def test_bch_truncation_terms_are_labeled():
-    sp = make_space("sphere-2")
-    x = sp.point([1.0, 0.0, 0.0])
-    v = sp.tangent(x, [0.0, 0.2, 0.1])
-    u = sp.tangent(x, [0.0, -0.1, 0.3])
-    assert len(bch_truncation(sp, x, v, u, 1).terms) == 1
-    assert len(bch_truncation(sp, x, v, u, 3).terms) == 3
-    tr = bch_truncation(sp, x, v, u, 4)
-    assert len(tr.terms) == 7
-    labels = [label for label, _ in tr.terms]
-    assert labels[0] == "v + u"
-    assert any("R(u,v)v" in lab for lab in labels)
-    with pytest.raises(ValueError):
-        bch_truncation(sp, x, v, u, 5)
+    for order in (0, 5):
+        with pytest.raises(ValueError):
+            bch_series(sp, x, v, u, order)
 
 
 def test_bch_degenerate_arguments():

@@ -6,7 +6,6 @@ import types
 import geoladders
 
 PUBLIC_NAMES = [
-    "BCHTruncation",
     "BumpMetric2D",
     "ChartConnection",
     "ChartSpace",
@@ -21,7 +20,6 @@ PUBLIC_NAMES = [
     "InsufficientData",
     "InvalidBase",
     "LADDER_KINDS",
-    "LadderScheme",
     "LadderTransportResult",
     "LogBranch",
     "MaxStepsExceeded",
@@ -38,7 +36,6 @@ PUBLIC_NAMES = [
     "alt_error_predicted",
     "bch_numeric",
     "bch_series",
-    "bch_truncation",
     "christoffels_from_metric",
     "conformal_christoffel",
     "convergence_order",
@@ -72,4 +69,4 @@ def test_public_names_are_pinned():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     )
     assert names == PUBLIC_NAMES
-    assert len(names) == 55
+    assert len(names) == 52

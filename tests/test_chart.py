@@ -279,18 +279,31 @@ def test_shooting_reports_residual_when_stalled():
 
 
 def test_shooting_line_search_without_decrease_raises_best_residual():
-    # past the antipode of x (chart point (-2, 0)) no damping of the first
-    # Newton step lowers the residual; the solve stops there and reports the
-    # initial residual instead of taking a worse trial
+    # halfway to the antipode of x (chart point (-2, 0)) none of the five
+    # trials of the first iteration lowers the residual; the solve stops
+    # there and reports the initial residual instead of taking a worse trial
     conn = make_chart("sphere2-stereographic")
     x = np.array([0.5, 0.0])
-    y = np.array([-1.4, 0.4])
+    y = np.array([-1.0, 0.4])
     tol = ToleranceConfig(ode_rel_tol=1e-8, ode_abs_tol=1e-8,
                           max_shooting_iters=10)
     start = np.linalg.norm(geodesic_flow(conn, x, y - x, 1.0, tol)[0] - y)
     with pytest.raises(NoConvergence, match="line search") as info:
         log_shooting(conn, x, y, tol)
     assert info.value.residual == start
+
+
+@pytest.mark.parametrize("x, y", [
+    ((0.3977, 0.3442), (-1.4433, -0.9049)),
+    ((0.4889, -0.3123), (-1.2749, 1.1329)),
+])
+def test_rejected_trials_update_the_shooting_jacobian(bump, x, y):
+    # targets beyond the validity radius, where the first-order Jacobian is
+    # poor: halving its step finds no decrease, but a Jacobian that also
+    # learns from each rejected trial finds a descent direction
+    v, _ = log_shooting(bump.conn, x, y, bump.tolerances, bump.method)
+    end, _ = geodesic_flow(bump.conn, x, v, 1.0, bump.tolerances, bump.method)
+    assert np.linalg.norm(end - y) <= 1e-11
 
 
 # -- transport ------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 from dataclasses import fields
@@ -311,9 +312,12 @@ def test_sample_trial_respects_caps(rng):
 
 
 def test_console_entry_point_runs():
+    # the child process imports the package from where this one does, also
+    # when pytest's pythonpath setting put src/ on the path
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     proc = subprocess.run(
         [sys.executable, "-m", "geoladders.cli", "transport",
          "--manifold", "euclidean-2", "--seed", "1"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout.startswith("manifold,")

@@ -36,11 +36,9 @@ def test_registry_names_and_flags():
         space = make_space(name)
         assert space.name == name
         assert space.locally_symmetric
-        assert space.has_metric and space.has_curvature
-        assert space.has_closed_form_transport
+        assert space.has_metric
     bump = make_space("bump2d")
     assert not bump.locally_symmetric
-    assert not bump.has_closed_form_transport
     with pytest.raises(ValueError):
         make_space("torus-2")
 

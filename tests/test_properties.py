@@ -1,0 +1,80 @@
+"""Property-based checks of the ConnectionSpace contract on the closed-form
+fleet, inside half the validity radius (capped at 1).
+
+Hypothesis draws the base point's seed and the tangent vectors' coordinates
+in an orthonormal tangent basis.  The runs are derandomized and keep no
+example database, so they are reproducible and write nothing to the tree.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from conftest import FLEET_NAMES
+from geoladders import ladder_step
+from helpers import sample_radius
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None,
+                    max_examples=25)
+
+seeds = st.integers(0, 2 ** 32 - 1)
+
+
+def draw_tangent(data, space, p, lo=0.1):
+    """A tangent vector at p with metric norm in [lo, 1] * sample_radius."""
+    c = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=space.dim,
+                                    max_size=space.dim)))
+    norm = float(np.linalg.norm(c))
+    assume(norm >= 0.1)
+    length = data.draw(st.floats(lo, 1.0)) * sample_radius(space)
+    return space.tangent(p, space.tangent_basis(p) @ ((length / norm) * c))
+
+
+@pytest.mark.parametrize("name", FLEET_NAMES)
+@PROPERTY
+@given(seed=seeds, data=st.data())
+def test_exp_log_round_trip(fleet, name, seed, data):
+    space = fleet[name]
+    p = space.random_point(np.random.default_rng(seed))
+    v = draw_tangent(data, space, p, lo=0.0)
+    assert (space.log(p, space.exp(p, v)) - v).component_norm <= 1e-9
+
+
+@pytest.mark.parametrize("name", FLEET_NAMES)
+@PROPERTY
+@given(seed=seeds, alpha=st.floats(-2.0, 2.0), data=st.data())
+def test_transport_is_a_linear_isometry(fleet, name, seed, alpha, data):
+    space = fleet[name]
+    p = space.random_point(np.random.default_rng(seed))
+    q = space.exp(p, draw_tangent(data, space, p))
+    u = draw_tangent(data, space, p)
+    w = draw_tangent(data, space, p)
+    pu, pw = space.transport(u, q), space.transport(w, q)
+    assert abs(space.inner(pu, pw) - space.inner(u, w)) <= 1e-10
+    lhs = space.transport(alpha * u + w, q)
+    assert (lhs - (alpha * pu + pw)).component_norm <= 1e-10
+
+
+@pytest.mark.parametrize("name", FLEET_NAMES)
+@PROPERTY
+@given(seed=seeds, data=st.data())
+def test_geodesic_symmetry_is_an_involution(fleet, name, seed, data):
+    space = fleet[name]
+    m = space.random_point(np.random.default_rng(seed))
+    p = space.exp(m, draw_tangent(data, space, m, lo=0.0))
+    back = space.geodesic_symmetry(m, space.geodesic_symmetry(m, p))
+    assert np.linalg.norm(back.coords - p.coords) <= 1e-9
+
+
+@pytest.mark.parametrize("name", FLEET_NAMES)
+@PROPERTY
+@given(seed=seeds, data=st.data())
+def test_pole_ladder_is_exact(fleet, name, seed, data):
+    space = fleet[name]
+    p = space.random_point(np.random.default_rng(seed))
+    q = space.exp(p, draw_tangent(data, space, p))
+    u = draw_tangent(data, space, p)
+    err = space.norm(ladder_step(space, p, q, u, "pole_v2")
+                     - space.transport(u, q))
+    assert err <= space.tolerances.exactness_tol * space.norm(u)
