@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from operator import mul
 from typing import Callable
 
 import numpy as np
@@ -74,11 +75,54 @@ class ChartConnection:
     Symbols are symmetrized in (i, j) on every query; asymmetry beyond 1e-12
     triggers a warning since it would mean a connection with torsion, and a
     non-finite symbol raises NonFinite.
+
+    A conformal connection, the Levi-Civita connection of g = exp(2 f) *
+    euclidean, also carries ``grad_f``, the gradient of f; build it with
+    ``ChartConnection.conformal`` so the symbols and the gradient agree.
+    ``contract`` then evaluates G(x)(v, w) in closed form from the gradient
+    alone, which is all the geodesic and transport equations need.
     """
 
     dim: int
     christoffel: Callable[[np.ndarray], np.ndarray]
     chart_bounds: tuple | None = None  # (lo, hi) arrays, inclusive box
+    grad_f: Callable[[np.ndarray], np.ndarray] | None = None
+
+    @classmethod
+    def conformal(cls, dim: int, grad_f: Callable[[np.ndarray], np.ndarray],
+                  chart_bounds: tuple | None = None) -> "ChartConnection":
+        """The connection of g = exp(2 f) * euclidean, from the gradient of f."""
+        return cls(dim, conformal_christoffel(grad_f), chart_bounds, grad_f)
+
+    def contract(self, x: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """G(x)(v, w)^k = G^k_ij v^i w^j; w is a vector or a stack of rows,
+        each contracted with v."""
+        if self.grad_f is None:
+            # gv[k, i] = G^k_ij v^j; the symbols are symmetric in (i, j);
+            # stacked matrix-vector products round each row as gv @ row does
+            gv = self.gamma(x) @ v
+            return (gv @ w[..., None])[..., 0]
+        df = np.asarray(self.grad_f(x), dtype=float)
+        if df.shape != (self.dim,):
+            raise ValueError(
+                f"grad_f returned shape {df.shape}, expected {(self.dim,)}")
+        f = df.tolist()
+        # the same guarantee as gamma: a NaN left unchecked makes the
+        # adaptive integrator's time NaN, and it never terminates
+        if not all(map(math.isfinite, f)):
+            raise NonFinite(f"conformal factor gradient is not finite at {x}")
+        # G^k_ij = f_i d_jk + f_j d_ik - f_k d_ij gives G(v, w) =
+        # (df.v) w + (df.w) v - (v.w) df; in Python floats, since numpy's
+        # per-call cost exceeds the arithmetic at these sizes
+        vs = v.tolist()
+        fv = sum(map(mul, f, vs))
+
+        def row(r):
+            fw, vw = sum(map(mul, f, r)), sum(map(mul, vs, r))
+            return [fv * ri + fw * vi - vw * fi for ri, vi, fi in zip(r, vs, f)]
+
+        return np.array(row(w.tolist()) if w.ndim == 1
+                        else list(map(row, w.tolist())))
 
     def gamma(self, x: np.ndarray) -> np.ndarray:
         g = np.asarray(self.christoffel(x), dtype=float)
@@ -183,9 +227,7 @@ def geodesic_flow(conn: ChartConnection, x, v, t: float = 1.0,
 
     def rhs(_, z):
         vel = z[d:]
-        # gv[k, i] = G^k_ij v^j; the symbols are symmetric in (i, j)
-        gv = conn.gamma(z[:d]) @ vel
-        return np.concatenate([vel, -(gv @ vel)])
+        return np.concatenate([vel, -conn.contract(z[:d], vel, vel)])
 
     z = _integrate(conn, rhs, np.concatenate([x, v]), t, tolerances, method)
     return z[:d], z[d:]
@@ -218,11 +260,14 @@ def log_shooting(conn: ChartConnection, x, y,
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
 
-    def endpoint(vel, rnorm):
+    def endpoint(vel, rnorm, escapes=()):
         # a trial velocity that stalls the integrator or escapes the chart is
-        # a shooting failure, not silent garbage
+        # a shooting failure, not silent garbage, unless the caller takes an
+        # escape (None) as a rejected trial
         try:
             return geodesic_flow(conn, x, vel, 1.0, tolerances, method)[0]
+        except escapes:
+            return None
         except (MaxStepsExceeded, DomainEscape) as err:
             raise NoConvergence(
                 f"shooting trial failed at residual {rnorm:.3e}: {err}",
@@ -252,7 +297,13 @@ def log_shooting(conn: ChartConnection, x, y,
             except np.linalg.LinAlgError:
                 raise NoConvergence("singular shooting Jacobian",
                                     residual=rnorm)
-            res_try = endpoint(v + dv, rnorm) - y
+            end = endpoint(v + dv, rnorm, DomainEscape)
+            if end is None:
+                # the trial left the chart: no endpoint to update jac with,
+                # but a shorter step may stay inside
+                alpha *= 0.5
+                continue
+            res_try = end - y
             r_try = float(np.linalg.norm(res_try))
             # the least change to jac that maps dv to the observed residual
             # change; a rejected trial informs jac too, so the next trial
@@ -299,8 +350,9 @@ def transport_ode(conn: ChartConnection, u, x, v, t: float = 1.0,
 
     def rhs(_, z):
         vel = z[d:2 * d]
-        gv = conn.gamma(z[:d]) @ vel
-        return np.concatenate([vel, -(gv @ vel), -(gv @ z[2 * d:])])
+        # one connection evaluation for the velocity row and the transported row
+        acc = conn.contract(z[:d], vel, z[d:].reshape(2, d))
+        return np.concatenate([vel, -acc.ravel()])
 
     z = _integrate(conn, rhs, np.concatenate([x, v, u]), t, tolerances, method)
     return z[2 * d:], z[:d], z[d:2 * d]
@@ -379,6 +431,8 @@ def conformal_christoffel(grad_f: Callable[[np.ndarray], np.ndarray]):
     """Symbols of a conformal metric g = exp(2 f) * euclidean.
 
     G^k_ij = f_i d_jk + f_j d_ik - f_k d_ij, needing only the gradient of f.
+    ``ChartConnection.conformal`` pairs them with the gradient itself, from
+    which the geodesic and transport equations contract in closed form.
     """
 
     def christoffel(x):

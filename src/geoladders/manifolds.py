@@ -20,7 +20,6 @@ from .chart import (
     ChartConnection,
     ChartSpace,
     christoffels_from_metric,
-    conformal_christoffel,
 )
 from .core import (
     ConnectionSpace,
@@ -205,7 +204,11 @@ class Hyperbolic(ConnectionSpace):
         if theta == 0.0:
             return x.copy()
         y = math.cosh(theta) * x + (math.sinh(theta) / theta) * v
-        return y / math.sqrt(-_mink(y, y))
+        # recompute the time coordinate from the spatial ones: renormalizing
+        # by sqrt(-<y, y>) fails far out, where the Minkowski product cancels
+        # to a value of either sign
+        y[0] = math.sqrt(1.0 + float(y[1:] @ y[1:]))
+        return y
 
     def _log(self, x, y):
         c = -_mink(x, y)
@@ -536,10 +539,8 @@ class BumpMetric2D(ChartSpace):
         def metric(x):
             return math.exp(2.0 * beta_ * x[0] * x[0]) * np.eye(2)
 
-        conn = ChartConnection(
-            dim=2,
-            christoffel=conformal_christoffel(grad_f),
-            chart_bounds=(np.array([-2.0, -2.0]), np.array([2.0, 2.0])),
+        conn = ChartConnection.conformal(
+            2, grad_f, chart_bounds=(np.array([-2.0, -2.0]), np.array([2.0, 2.0])),
         )
         super().__init__(
             "bump2d", conn, metric=metric, tolerances=tolerances,
@@ -568,7 +569,7 @@ def _stereographic_sphere_chart():
         r2 = float(x @ x)
         return -2.0 * x / (1.0 + r2)
 
-    return ChartConnection(dim=2, christoffel=conformal_christoffel(grad_f))
+    return ChartConnection.conformal(2, grad_f)
 
 
 def _poincare_ball_chart():
@@ -577,8 +578,8 @@ def _poincare_ball_chart():
         r2 = float(x @ x)
         return 2.0 * x / (1.0 - r2)
 
-    return ChartConnection(
-        dim=2, christoffel=conformal_christoffel(grad_f),
+    return ChartConnection.conformal(
+        2, grad_f,
         chart_bounds=(np.array([-0.999, -0.999]), np.array([0.999, 0.999])),
     )
 

@@ -31,15 +31,20 @@ def flat_chart(n=2, bounds=None):
 
 
 class CountingChristoffel:
-    """Wraps a christoffel callable and counts its evaluations."""
+    """Wraps a connection's christoffel and grad_f callables and counts their
+    evaluations together: one per connection evaluation, whichever it reads."""
 
     def __init__(self, conn):
-        self.fn, self.calls = conn.christoffel, 0
-        self.conn = dataclasses.replace(conn, christoffel=self)
+        self.calls = 0
+        self.conn = dataclasses.replace(
+            conn, christoffel=self._counted(conn.christoffel),
+            grad_f=conn.grad_f and self._counted(conn.grad_f))
 
-    def __call__(self, x):
-        self.calls += 1
-        return self.fn(x)
+    def _counted(self, fn):
+        def wrapper(x):
+            self.calls += 1
+            return fn(x)
+        return wrapper
 
 
 # frozen from a step-halving classical RK4 oracle (Richardson difference
@@ -184,6 +189,39 @@ def test_torsion_warning_on_asymmetric_symbols():
     assert g[0, 0, 1] == g[0, 1, 0] == pytest.approx(5e-7)
 
 
+# -- conformal contraction -------------------------------------------------------
+
+CONFORMAL_CHARTS = ("bump2d", "sphere2-stereographic", "hyperbolic2-ball")
+
+
+@pytest.mark.parametrize("name", CONFORMAL_CHARTS)
+def test_conformal_contraction_matches_symbols(name):
+    conn = make_chart(name)
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        x = rng.uniform(-0.6, 0.6, 2)
+        v, w = rng.standard_normal((2, 2))
+        rows = rng.standard_normal((3, 2))
+        for arg in (w, rows):
+            got = conn.contract(x, v, arg)
+            ref = np.einsum("kij,i,...j->...k", conn.gamma(x), v, arg)
+            assert got.shape == ref.shape
+            assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("method", ["adaptive", "rk4"])
+@pytest.mark.parametrize("name", CONFORMAL_CHARTS)
+def test_flow_through_the_gradient_matches_flow_through_the_symbols(name,
+                                                                    method):
+    conn = make_chart(name)
+    symbols = dataclasses.replace(conn, grad_f=None)
+    x, v, u = np.array([0.2, -0.1]), np.array([0.3, 0.25]), np.array([-0.15, 0.4])
+    for run in (lambda c: geodesic_flow(c, x, v, method=method),
+                lambda c: transport_ode(c, u, x, v, method=method)):
+        fast, slow = np.concatenate(run(conn)), np.concatenate(run(symbols))
+        assert np.max(np.abs(fast - slow)) <= 1e-12
+
+
 # -- shooting -------------------------------------------------------------------
 
 def test_flat_chart_log_is_difference(monkeypatch):
@@ -255,7 +293,21 @@ def test_near_antipodal_shooting_signals_no_convergence():
                      ToleranceConfig(max_shooting_iters=12))
 
 
-def test_failed_shooting_trial_reports_current_residual():
+def _flows_failing_after(monkeypatch, n, error):
+    """Make every geodesic flow after the first n raise error."""
+    flows = []
+
+    def flow(*args):
+        flows.append(args)
+        if len(flows) > n:
+            raise error("injected")
+        return geodesic_flow(*args)
+
+    monkeypatch.setattr(chart, "geodesic_flow", flow)
+    return flows
+
+
+def test_failed_shooting_trial_reports_current_residual(monkeypatch):
     conn = make_chart("sphere2-stereographic")
     # the first trial, the chart difference, runs through the chart's point
     # at infinity; the solve still holds v = 0, whose residual is |y - x|
@@ -263,11 +315,41 @@ def test_failed_shooting_trial_reports_current_residual():
         log_shooting(conn, np.zeros(2), np.array([3.0, 1.0]))
     assert info.value.residual == pytest.approx(math.sqrt(10.0))
     assert isinstance(info.value.__cause__, DomainEscape)
-    # here the first trial lands at chart radius tan(1.5) and the first
-    # quasi-Newton step overshoots through infinity
+    # a line-search trial that exhausts the step budget ends the solve at the
+    # residual of the first trial, which lands at chart radius tan(1.5)
+    _flows_failing_after(monkeypatch, 1, MaxStepsExceeded)
     with pytest.raises(NoConvergence, match="trial failed") as info:
         log_shooting(conn, np.zeros(2), np.array([1.5, 0.0]))
     assert info.value.residual == pytest.approx(math.tan(1.5) - 1.5)
+    assert isinstance(info.value.__cause__, MaxStepsExceeded)
+
+
+@pytest.mark.parametrize("name, x, y, v", [
+    # the first quasi-Newton step overshoots through the chart's point at
+    # infinity; half of it does not, and the solve goes on to the log
+    ("sphere2-stereographic", (0.0, 0.0), (1.5, 0.0), (math.atan(1.5), 0.0)),
+    # a target beyond the validity radius whose first trials leave the box
+    ("bump2d", (0.3797, -0.4358), (0.9129, 1.4111), None),
+], ids=["stereographic-overshoot", "bump2d-far-target"])
+def test_line_search_trial_that_leaves_the_chart_is_rejected(name, x, y, v):
+    conn = make_chart(name)
+    x, y = np.array(x), np.array(y)
+    v_log, _ = log_shooting(conn, x, y)
+    assert np.linalg.norm(geodesic_flow(conn, x, v_log)[0] - y) <= 1e-11
+    if v is not None:
+        assert np.allclose(v_log, v, atol=1e-9)
+
+
+def test_line_search_with_every_trial_escaping_raises_current_residual(
+        monkeypatch):
+    conn = make_chart("sphere2-stereographic")
+    x, y = np.zeros(2), np.array([0.9, 0.4])
+    start = np.linalg.norm(geodesic_flow(conn, x, y - x)[0] - y)
+    flows = _flows_failing_after(monkeypatch, 1, DomainEscape)
+    with pytest.raises(NoConvergence, match="line search") as info:
+        log_shooting(conn, x, y)
+    assert info.value.residual == start
+    assert len(flows) == 1 + 5
 
 
 def test_shooting_reports_residual_when_stalled():
@@ -611,6 +693,17 @@ def test_chart_space_wraps_engine(bump):
 def test_chart_registry_unknown_name():
     with pytest.raises(ValueError):
         make_chart("nope")
+
+
+@pytest.mark.parametrize("method", ["adaptive", "rk4"])
+def test_nan_conformal_gradient_raises_non_finite(method):
+    conn = ChartConnection.conformal(
+        2, lambda x: np.full(2, np.nan),
+        chart_bounds=(np.full(2, -2.0), np.full(2, 2.0)))
+    with pytest.raises(NonFinite):
+        geodesic_flow(conn, [0.3, 0.1], [0.1, 0.0], method=method)
+    with pytest.raises(NonFinite):
+        transport_ode(conn, [0.0, 1.0], [0.3, 0.1], [0.1, 0.0], method=method)
 
 
 @pytest.mark.parametrize("method", ["adaptive", "rk4"])

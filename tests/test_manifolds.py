@@ -13,6 +13,7 @@ from geoladders import (
     registry_names,
     schild_step,
 )
+from geoladders.cli import POLE_SCHEMES, exactness_sweep
 from geoladders.manifolds import _hat, _rodrigues
 
 from conftest import FLEET_NAMES
@@ -184,6 +185,15 @@ def test_hyperbolic_tangent_basis_is_tangent_near_an_axis(coords):
     minkowski = np.diag([-1.0] + [1.0] * y.size)
     assert np.max(np.abs(p.coords @ minkowski @ basis)) <= 1e-14
     assert np.allclose(basis.T @ minkowski @ basis, np.eye(y.size), atol=1e-13)
+
+
+def test_far_hyperbolic_exactness_sweep_raises_no_untyped_error():
+    # at distances up to 8 the Minkowski norm that exp used to renormalize by
+    # cancelled to a negative number: ValueError from math.sqrt; exactness
+    # is not asserted this far out, where the closed forms lose digits
+    worst, _ = exactness_sweep(make_space("hyperbolic-2"), POLE_SCHEMES, 300,
+                               np.random.default_rng(7), 8.0, 6.0)
+    assert all(map(math.isfinite, worst.values()))
 
 
 def test_hyperbolic_constant_negative_curvature():
