@@ -25,6 +25,7 @@ from .core import (
     ConnectionSpace,
     CutLocus,
     LogBranch,
+    NonFinite,
     NotSPD,
     Point,
     ToleranceConfig,
@@ -170,6 +171,12 @@ def _mink(a, b) -> float:
     return float(a[1:] @ b[1:] - a[0] * b[0])
 
 
+# exp at x along a geodesic of length theta has coordinates of size at most
+# sqrt(2) x0 exp(theta); their squares, summed for the time coordinate, stay
+# below the float maximum, exp(709.78), while theta + log(x0) <= 354
+_HYPERBOLIC_MAX_LOG_SCALE = 354.0
+
+
 class Hyperbolic(ConnectionSpace):
     """Hyperbolic n-space on the upper hyperboloid <x, x> = -1, x0 > 0.
 
@@ -203,6 +210,10 @@ class Hyperbolic(ConnectionSpace):
         theta = math.sqrt(max(_mink(v, v), 0.0))
         if theta == 0.0:
             return x.copy()
+        if not theta + math.log(x[0]) <= _HYPERBOLIC_MAX_LOG_SCALE:
+            raise NonFinite(
+                f"exp overflows: geodesic length {theta:.6g} from a base "
+                f"point with time coordinate {x[0]:.6g}")
         y = math.cosh(theta) * x + (math.sinh(theta) / theta) * v
         # recompute the time coordinate from the spatial ones: renormalizing
         # by sqrt(-<y, y>) fails far out, where the Minkowski product cancels
@@ -281,8 +292,20 @@ def _sqrt_pair(p):
     return (vecs * s) @ vecs.T, (vecs / s) @ vecs.T
 
 
-def _expm_sym(s):
+# exp of an eigenvalue outside +-708 is not a normal float: it overflows
+# past 709.78 and flushes to a singular 0 below about -745
+_EXPM_MAX_LOG = 708.0
+
+
+def _expm_sym(s, margin=0.0):
     w, vecs = np.linalg.eigh(_sym(s))
+    # eigh sorts ascending; margin leaves room for a conjugation that scales
+    # the result's eigenvalues by up to exp(margin) either way
+    lim = _EXPM_MAX_LOG - margin
+    if not (-lim <= w[0] and w[-1] <= lim):
+        raise NonFinite(
+            f"matrix exponential leaves the float range: eigenvalues "
+            f"{w[0]:.6g} to {w[-1]:.6g}, limit {lim:.6g}")
     return (vecs * np.exp(w)) @ vecs.T
 
 
@@ -327,9 +350,12 @@ class SPD(ConnectionSpace):
         return float(np.linalg.norm(m - m.T))
 
     def _exp(self, x, v):
-        p, V = self._mat(x), self._mat(v)
-        ps, pis = _sqrt_pair(p)
-        inner = _expm_sym(pis @ V @ pis)
+        w, vecs = _eigh_spd(self._mat(x), "base point")
+        r = np.sqrt(w)
+        ps, pis = (vecs * r) @ vecs.T, (vecs / r) @ vecs.T
+        # the conjugation by ps scales eigenvalues by at most the base's
+        margin = math.log(max(1.0 / w[0], w[-1]))
+        inner = _expm_sym(pis @ self._mat(v) @ pis, margin)
         return _sym(ps @ inner @ ps).ravel()
 
     def _log(self, x, y):

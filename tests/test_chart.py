@@ -143,10 +143,12 @@ def test_flow_domain_escape():
 def test_flow_through_the_chart_singularity_is_domain_escape():
     # the stereographic chart has no bounds; from the origin at this speed
     # the geodesic reaches the north pole, the chart's point at infinity,
-    # and the adaptive step size underflows before t = 1
+    # and the adaptive step size underflows before t = 1, after about 7,100
+    # connection evaluations; a 4(5) pair spends about 29,000 getting there
+    counter = CountingChristoffel(make_chart("sphere2-stereographic"))
     with pytest.raises(DomainEscape, match="step size"):
-        geodesic_flow(make_chart("sphere2-stereographic"), [0.0, 0.0],
-                      [3.0, 0.0])
+        geodesic_flow(counter.conn, [0.0, 0.0], [3.0, 0.0])
+    assert counter.calls <= 10_000
 
 
 def test_adaptive_step_budget_stops_a_running_solve(bump, monkeypatch):
@@ -267,12 +269,13 @@ def test_bump_exp_log_round_trip(bump):
 
 
 def test_bump_log_christoffel_budget(bump):
-    # a finite-difference Newton Jacobian spent 11,748 evaluations on these
-    # five solves; the quasi-Newton solve spends about half of that
+    # a finite-difference Newton Jacobian spends 11,748 evaluations on these
+    # five solves; the quasi-Newton solve spends 2,451, and 5,781 when its
+    # flows run on a 4(5) pair instead of DOP853
     counter = CountingChristoffel(bump.conn)
     for x, _, y in _bump_round_trips(bump):
         log_shooting(counter.conn, x, y, bump.tolerances, bump.method)
-    assert counter.calls <= 8000
+    assert counter.calls <= 3500
 
 
 def test_stereographic_exp_log_round_trip():

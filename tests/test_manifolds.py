@@ -6,6 +6,7 @@ import pytest
 from geoladders import (
     CutLocus,
     LogBranch,
+    NonFinite,
     NotSPD,
     Sphere,
     make_chart,
@@ -196,6 +197,24 @@ def test_far_hyperbolic_exactness_sweep_raises_no_untyped_error():
     assert all(map(math.isfinite, worst.values()))
 
 
+@pytest.mark.parametrize("speed", [400.0, 1000.0])
+def test_hyperbolic_exp_overflow_is_non_finite(speed):
+    # unchecked, exp returns [inf, 2.6e173, 0] at speed 400, and math.cosh
+    # raises a bare OverflowError at 1000
+    hy = make_space("hyperbolic-2")
+    p = hy.point([1.0, 0.0, 0.0])
+    with pytest.raises(NonFinite, match="geodesic length"):
+        hy.exp(p, hy.tangent(p, [0.0, speed, 0.0]))
+
+
+def test_hyperbolic_exp_is_finite_just_below_the_overflow_guard():
+    hy = make_space("hyperbolic-2")
+    p = hy.point([1.0, 0.0, 0.0])
+    q = hy.exp(p, hy.tangent(p, [0.0, 354.0, 0.0]))
+    assert q.coords[1] == pytest.approx(math.sinh(354.0), rel=1e-12)
+    assert math.isfinite(q.coords[0])
+
+
 def test_hyperbolic_constant_negative_curvature():
     hy = make_space("hyperbolic-2")
     rng = np.random.default_rng(3)
@@ -217,6 +236,26 @@ def test_spd_exp_at_identity_is_matrix_exponential():
     v = spd.tangent(eye, np.diag([0.3, -0.4]).ravel())
     out = spd.exp(eye, v).coords.reshape(2, 2)
     assert np.allclose(out, np.diag([math.exp(0.3), math.exp(-0.4)]), atol=1e-14)
+
+
+@pytest.mark.parametrize("eig", [800.0, -800.0])
+def test_spd_exp_out_of_float_range_is_non_finite(eig):
+    # unchecked, exp returns an all-NaN matrix at 800 and the singular
+    # diag(0, 1, 1) at -800
+    spd = make_space("spd-3")
+    eye = spd.point(np.eye(3).ravel())
+    with pytest.raises(NonFinite, match="matrix exponential"):
+        spd.exp(eye, spd.tangent(eye, np.diag([eig, 0.0, 0.0]).ravel()))
+
+
+def test_spd_exp_range_check_leaves_room_for_the_base_point():
+    # exp(700) is finite, but not once the base's eigenvalue e^20 scales it
+    spd = make_space("spd-2")
+    p = spd.point(np.diag([math.exp(20.0), 1.0]).ravel())
+    with pytest.raises(NonFinite):
+        spd.exp(p, spd.tangent(p, np.diag([700.0 * math.exp(20.0), 0.0]).ravel()))
+    q = spd.exp(p, spd.tangent(p, np.diag([680.0 * math.exp(20.0), 0.0]).ravel()))
+    assert q.coords[0] == pytest.approx(math.exp(700.0), rel=1e-12)
 
 
 def test_spd_transport_diagonal_example():

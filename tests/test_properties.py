@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import FLEET_NAMES
-from geoladders import ladder_step
+from geoladders import GeometryError, ladder_step
 from helpers import sample_radius
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None,
@@ -21,13 +21,13 @@ PROPERTY = settings(derandomize=True, database=None, deadline=None,
 seeds = st.integers(0, 2 ** 32 - 1)
 
 
-def draw_tangent(data, space, p, lo=0.1):
-    """A tangent vector at p with metric norm in [lo, 1] * sample_radius."""
+def draw_tangent(data, space, p, lo=0.1, hi=1.0):
+    """A tangent vector at p with metric norm in [lo, hi] * sample_radius."""
     c = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=space.dim,
                                     max_size=space.dim)))
     norm = float(np.linalg.norm(c))
     assume(norm >= 0.1)
-    length = data.draw(st.floats(lo, 1.0)) * sample_radius(space)
+    length = data.draw(st.floats(lo, hi)) * sample_radius(space)
     return space.tangent(p, space.tangent_basis(p) @ ((length / norm) * c))
 
 
@@ -39,6 +39,22 @@ def test_exp_log_round_trip(fleet, name, seed, data):
     p = space.random_point(np.random.default_rng(seed))
     v = draw_tangent(data, space, p, lo=0.0)
     assert (space.log(p, space.exp(p, v)) - v).component_norm <= 1e-9
+
+
+@pytest.mark.parametrize("name", ["hyperbolic-2", "spd-3"])
+@PROPERTY
+@given(seed=seeds, data=st.data())
+def test_long_exp_is_finite_or_a_typed_error(fleet, name, seed, data):
+    # far beyond the validity radius the closed forms overflow; that must
+    # surface as a GeometryError, never as inf, NaN or a bare OverflowError
+    space = fleet[name]
+    p = space.random_point(np.random.default_rng(seed))
+    v = draw_tangent(data, space, p, lo=0.0, hi=1e4 / sample_radius(space))
+    try:
+        q = space.exp(p, v)
+    except GeometryError:
+        return
+    assert np.isfinite(q.coords).all()
 
 
 @pytest.mark.parametrize("name", FLEET_NAMES)
