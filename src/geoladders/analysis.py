@@ -2,11 +2,13 @@
 
 The double-exponential expansion (a BCH-type formula for affine connection
 spaces) is evaluated both from curvature callbacks (truncated series) and
-numerically from exp/log/transport, so the two routes validate each other.
+numerically from exp/transport/log, so the two routes validate each other.
 The pole-ladder error predictors evaluate the closed-form leading error term
 of one ladder step; the measured-error protocol runs a scheme across a
 symmetric segment and compares against the transport oracle at the midpoint,
-where all quantities are parallel translated before comparison.
+where all quantities are parallel translated before comparison.  The oracle
+follows that segment's geodesic with ``exp_transport`` from the midpoint, so
+it never shoots a log map to find a geodesic it already holds.
 """
 
 from __future__ import annotations
@@ -85,13 +87,11 @@ def bch_numeric(space: ConnectionSpace, x: Point, v: TangentVector,
                 u: TangentVector) -> TangentVector:
     """Ground truth for the series: log of the double exponential.
 
-    log_x(exp_y(transport of u to y)) with y = exp_x(v), using the space's
-    transport oracle.
+    log_x(exp_y(transport of u to y)) with y = exp_x(v), u carried along the
+    geodesic t -> exp_x(t v) by the space's ``exp_transport``.
     """
-    y = space.exp(x, v)
-    uy = space.transport(u, y)
-    z = space.exp(y, uy)
-    return space.log(x, z)
+    uy = space.exp_transport(u, v)
+    return space.log(x, space.exp(uy.base, uy))
 
 
 def pole_error_predicted(space: ConnectionSpace, m: Point, u: TangentVector,
@@ -128,19 +128,22 @@ def pole_error_measured(space: ConnectionSpace, m: Point, u: TangentVector,
                         n_rungs: int = 1) -> TangentVector:
     """Measured one-step transport error, compared at the midpoint.
 
-    Builds the segment p = exp_m(-v), q = exp_m(v), carries u down to p with
-    the oracle, runs the scheme from p to q, transports the result back to m
-    and subtracts u.
+    Follows the geodesic t -> exp_m(t v) both ways from m: to p = exp_m(-v),
+    carrying u along, and to q = exp_m(v), carrying v along as the geodesic's
+    velocity v_q there.  Runs the scheme from p to q, transports the result
+    back along the reversed geodesic t -> exp_q(-t v_q), which ends at m up
+    to integration error, and subtracts u.  The geodesic is never recovered
+    by a log map; the only logs are the scheme's own.
     """
-    p = space.exp(m, -v)
-    q = space.exp(m, v)
-    u_p = space.transport(u, p)
+    u_p = space.exp_transport(u, -v)
+    v_q = space.exp_transport(v, v)
     if n_rungs == 1:
-        u_q = ladder_step(space, p, q, u_p, scheme)
+        u_q = ladder_step(space, u_p.base, v_q.base, u_p, scheme)
     else:
-        u_q = transport_along_geodesic(space, p, q, u_p, n_rungs, scheme).vector
-    u_back = space.transport(u_q, m)
-    return u_back - u
+        u_q = transport_along_geodesic(space, u_p.base, v_q.base, u_p,
+                                       n_rungs, scheme).vector
+    u_back = space.exp_transport(u_q, -v_q)
+    return TangentVector(m, u_back.components) - u
 
 
 def one_step_error_sweep(space: ConnectionSpace, m: Point,

@@ -529,10 +529,15 @@ class ChartSpace(ConnectionSpace):
                                 self.tolerances, self.method)
         return TangentVector(p, v), iters
 
+    def _exp_transport(self, x, u, v):
+        # one transport ODE carries the geodesic and the vector together
+        u_t, y, _ = transport_ode(self.conn, u, x, v, 1.0, self.tolerances,
+                                  self.method)
+        return y, u_t
+
     def _transport(self, x, u, y):
         v = log_shooting(self.conn, x, y, self.tolerances, self.method)[0]
-        return transport_ode(self.conn, u, x, v, 1.0, self.tolerances,
-                             self.method)[0]
+        return self._exp_transport(x, u, v)[1]
 
     def _curvature(self, x, u, v, w):
         r = curvature_components(self.conn, x)

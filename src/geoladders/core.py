@@ -2,10 +2,11 @@
 
 Points and tangent vectors are thin wrappers around plain float arrays.
 ``ConnectionSpace`` is the contract every manifold in this package
-implements: exponential and log maps, parallel transport along geodesics,
-midpoints, geodesic symmetries, and (optionally) the curvature tensor and
-its covariant derivative.  All operations are pure functions of
-their inputs; spaces are immutable after construction and safe to share.
+implements: exponential and log maps, parallel transport along geodesics
+(to a given endpoint, or along t -> exp(t v) in one pass), midpoints,
+geodesic symmetries, and (optionally) the curvature tensor and its
+covariant derivative.  All operations are pure functions of their inputs;
+spaces are immutable after construction and safe to share.
 """
 
 from __future__ import annotations
@@ -221,10 +222,11 @@ class ConnectionSpace(abc.ABC):
     """A manifold with an affine connection (torsion-free).
 
     Subclasses implement the private kernels ``_exp``/``_log``/``_transport``
-    on raw coordinate arrays; the public wrappers handle ``Point`` /
-    ``TangentVector`` packing, base-point validation, non-finite inputs
-    (``NonFinite``) and degenerate inputs (``exp(p, 0) == p`` exactly,
-    ``log(p, p) == 0`` without shooting).
+    on raw coordinate arrays, and may override ``_exp_transport`` (exp, then
+    transport to the endpoint) when they can do both in one pass.  The public
+    wrappers handle ``Point`` / ``TangentVector`` packing, base-point
+    validation, non-finite inputs (``NonFinite``) and degenerate inputs
+    (``exp(p, 0) == p`` exactly, ``log(p, p) == 0`` without shooting).
 
     The flags ``has_metric`` and ``locally_symmetric`` are truthful: a space
     with a metric backs ``inner``, and a locally symmetric one has nabla R = 0.
@@ -258,6 +260,11 @@ class ConnectionSpace(abc.ABC):
     @abc.abstractmethod
     def _transport(self, x: np.ndarray, u: np.ndarray, y: np.ndarray) -> np.ndarray:
         ...
+
+    def _exp_transport(self, x: np.ndarray, u: np.ndarray,
+                       v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        y = self._exp(x, v)
+        return y, self._transport(x, u, y)
 
     def _inner(self, x: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
         raise Unsupported(f"{self.name} has no metric")
@@ -343,6 +350,23 @@ class ConnectionSpace(abc.ABC):
         if np.array_equal(p.coords, q.coords):
             return TangentVector(q, u.components.copy())
         return TangentVector(q, self._transport(p.coords, u.components, q.coords))
+
+    def exp_transport(self, u: TangentVector, v: TangentVector) -> TangentVector:
+        """u parallel-transported along t -> exp(t v) from their common base
+        point, returned at exp(v).
+
+        The result's base is the geodesic's endpoint, so one call yields the
+        point and the vector without a log map to recover the geodesic.
+        """
+        p = u.base
+        self._check_point(p)
+        self._check_base(v, p)
+        _require_finite(u.components, "tangent components")
+        _require_finite(v.components, "tangent components")
+        if not v.components.any():
+            return TangentVector(p, u.components.copy())
+        y, uy = self._exp_transport(p.coords, u.components, v.components)
+        return TangentVector(Point(y, self.name), uy)
 
     def midpoint(self, p: Point, q: Point) -> Point:
         """Point at parameter 1/2 on the geodesic [p, q] (exponential barycenter)."""

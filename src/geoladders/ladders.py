@@ -6,7 +6,7 @@ and a multi-rung driver that folds a chosen step along a subdivided geodesic.
 
 All steps take the transported vector u based at p and return the transported
 approximation based at q.  Pole ladder bakes the sign flip of the final log
-into the step, so callers always receive +u_q.
+into the step, u_q = -log_q(s_m(exp_p(u))), so callers always receive +u_q.
 """
 
 from __future__ import annotations
@@ -60,18 +60,23 @@ def pole_step_v1(space: ConnectionSpace, p: Point, q: Point,
     return -space.log(q, q1)
 
 
+def _reflect_log(space: ConnectionSpace, m: Point, q: Point,
+                 p1: Point) -> TangentVector:
+    """log_q(s_m(p1)): reflect p1 through m and read it off at q."""
+    return space.log(q, space.geodesic_symmetry(m, p1))
+
+
 def pole_step_v2(space: ConnectionSpace, p: Point, q: Point,
                  u: TangentVector) -> TangentVector:
-    """Pole ladder by midpoint symmetries (numerically the more stable form).
+    """Pole ladder by one midpoint symmetry (numerically the more stable form).
 
-    Reflects p' = exp_p(u) through the midpoint of [p, q], then through q;
-    the two constructions agree with pole_step_v1 up to solver tolerances.
+    Reflects p' = exp_p(u) through the midpoint m of [p, q] and returns
+    -log_q(s_m(p')).  That equals log_q(s_q(s_m(p'))) inside the validity
+    radius, so the second symmetry through q is never built; the result
+    agrees with pole_step_v1 up to solver tolerances.
     """
     m = space.midpoint(p, q)
-    p1 = space.exp(p, u)
-    q1 = space.geodesic_symmetry(m, p1)
-    q2 = space.geodesic_symmetry(q, q1)
-    return space.log(q, q2)
+    return -_reflect_log(space, m, q, space.exp(p, u))
 
 
 def pole_step_alt(space: ConnectionSpace, p: Point, q: Point,
@@ -83,19 +88,19 @@ def pole_step_alt(space: ConnectionSpace, p: Point, q: Point,
     """
     m = space.midpoint(p, q)
     p1 = space.exp(p, -u)  # = s_p(exp_p(u))
-    q1 = space.geodesic_symmetry(m, p1)
-    return space.log(q, q1)
+    return _reflect_log(space, m, q, p1)
 
 
 def pole_step_averaged(space: ConnectionSpace, p: Point, q: Point,
                        u: TangentVector) -> TangentVector:
     """Tangent-space average at q of the two symmetry orders.
 
-    Averaging does not cancel the leading error, so the step stays third
-    order like its parents.
+    The two orders share one midpoint.  Averaging does not cancel the leading
+    error, so the step stays third order like its parents.
     """
-    a = pole_step_v2(space, p, q, u)
-    b = pole_step_alt(space, p, q, u)
+    m = space.midpoint(p, q)
+    a = -_reflect_log(space, m, q, space.exp(p, u))
+    b = _reflect_log(space, m, q, space.exp(p, -u))
     return TangentVector(a.base, 0.5 * (a.components + b.components))
 
 

@@ -1,8 +1,21 @@
 """Shared property checks used by the unit suites and the acceptance gate."""
 
+from collections import Counter
+
 import numpy as np
 
-from geoladders import ladder_step
+from geoladders import chart, ladder_step
+
+
+def count_engine_calls(monkeypatch, *names):
+    """Count calls of the named chart-engine functions, by name."""
+    calls = Counter()
+    for name in names:
+        def counted(*args, fn=getattr(chart, name), name=name, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(chart, name, counted)
+    return calls
 
 
 def sample_radius(space):

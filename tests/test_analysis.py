@@ -10,11 +10,14 @@ from geoladders import (
     bch_series,
     convergence_order,
     generic_directions,
+    ladder_step,
     make_space,
     one_step_error_sweep,
     pole_error_measured,
     pole_error_predicted,
 )
+
+from helpers import count_engine_calls
 
 
 # -- double-exponential series ---------------------------------------------------
@@ -197,6 +200,36 @@ def test_variant_difference_matches_predictor_difference(bump):
     dpred = (alt_error_predicted(bump, m, u, v)
              - pole_error_predicted(bump, m, u, v))
     assert (dmeas - dpred).component_norm / dpred.component_norm <= 0.15
+
+
+def _measured_by_log_protocol(space, m, u, v, scheme):
+    """The measured error with the geodesic recovered by log maps: exp to
+    the ends, transport along log-shot geodesics to p and back to m."""
+    p = space.exp(m, -v)
+    q = space.exp(m, v)
+    u_q = ladder_step(space, p, q, space.transport(u, p), scheme)
+    return space.transport(u_q, m) - u
+
+
+@pytest.mark.parametrize("scheme", ["pole_v2", "pole_alt"])
+def test_measured_error_matches_the_log_protocol(bump, scheme):
+    m = bump.anchor_point()
+    rng = np.random.default_rng(12345)
+    u_dir, v_dir = generic_directions(bump, m, rng)
+    for h in (0.2, 0.05, 0.02):
+        ref = _measured_by_log_protocol(bump, m, h * u_dir, h * v_dir, scheme)
+        meas = pole_error_measured(bump, m, h * u_dir, h * v_dir, scheme)
+        assert (meas - ref).component_norm <= 1e-8 * ref.component_norm
+
+
+def test_measured_error_makes_three_log_solves(bump, monkeypatch):
+    # the ladder step's midpoint, symmetry and final log; the oracle follows
+    # its geodesic with three transport ODEs and shoots no log of its own
+    calls = count_engine_calls(monkeypatch, "log_shooting", "transport_ode")
+    m = bump.anchor_point()
+    u_dir, v_dir = generic_directions(bump, m, np.random.default_rng(12345))
+    pole_error_measured(bump, m, 0.1 * u_dir, 0.1 * v_dir, "pole_v2")
+    assert calls == {"log_shooting": 3, "transport_ode": 3}
 
 
 def test_one_step_sweep_has_fourth_order_slope(bump):

@@ -1,9 +1,12 @@
-"""The public names of the package, pinned so that API growth or shrinkage
-shows up as a reviewed diff of this list."""
+"""The public names of the package and the public methods of the
+``ConnectionSpace`` contract, pinned so that API growth or shrinkage shows up
+as a reviewed diff of these lists."""
 
+import inspect
 import types
 
 import geoladders
+from geoladders import ConnectionSpace
 
 PUBLIC_NAMES = [
     "BumpMetric2D",
@@ -70,3 +73,34 @@ def test_public_names_are_pinned():
     )
     assert names == PUBLIC_NAMES
     assert len(names) == 52
+
+
+CONTRACT_METHODS = [
+    "curvature",
+    "dist",
+    "exp",
+    "exp_transport",
+    "geodesic_symmetry",
+    "inner",
+    "log",
+    "log_stats",
+    "membership_residual",
+    "midpoint",
+    "nabla_curvature",
+    "norm",
+    "point",
+    "random_direction",
+    "random_point",
+    "tangency_residual",
+    "tangent",
+    "tangent_basis",
+    "transport",
+]
+
+
+def test_contract_methods_are_pinned():
+    names = sorted(
+        name for name, _ in inspect.getmembers(ConnectionSpace, inspect.isfunction)
+        if not name.startswith("_")
+    )
+    assert names == CONTRACT_METHODS

@@ -436,6 +436,22 @@ def test_transport_preserves_metric_norm(bump):
     assert abs(n1 - n0) / n0 <= 1e-10
 
 
+@pytest.mark.parametrize("method", ["adaptive", "rk4"])
+@pytest.mark.parametrize("name", ["bump2d", "sphere2-stereographic"])
+def test_exp_transport_matches_exp_and_transport(name, method):
+    # one transport ODE against a geodesic flow plus a shooting solve and a
+    # second transport ODE
+    space = ChartSpace(name, make_chart(name), metric=None, method=method)
+    p = space.point([0.2, -0.1])
+    u = space.tangent(p, [-0.15, 0.4])
+    v = space.tangent(p, [0.3, 0.25])
+    out = space.exp_transport(u, v)
+    q = space.exp(p, v)
+    assert np.max(np.abs(out.base.coords - q.coords)) <= 1e-12
+    assert np.max(np.abs(out.components
+                         - space.transport(u, q).components)) <= 1e-10
+
+
 # -- chart vs closed form: every fleet member with a chart realization ---------
 
 def _stereographic_maps():

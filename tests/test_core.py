@@ -179,3 +179,25 @@ def test_non_finite_inputs_raise_non_finite(name, bad):
         space.transport(bad_u, q)
     with pytest.raises(NonFinite):
         space.transport(u, bad_p)
+
+
+@pytest.mark.parametrize("name", ["sphere-2", "bump2d"])
+def test_exp_transport_validates_like_exp_and_transport(name):
+    space = make_space(name)
+    rng = np.random.default_rng(5)
+    p = space.random_point(rng)
+    u = 0.3 * space.random_direction(rng, p)
+    # v = 0: a copy of u at p, without integrating anything
+    out = space.exp_transport(u, 0.0 * u)
+    assert out.base is p
+    assert np.array_equal(out.components, u.components)
+    assert out.components is not u.components
+    offset = np.zeros(space.ambient_dim)
+    offset[1] = math.nan
+    with pytest.raises(NonFinite):
+        space.exp_transport(u, TangentVector(p, u.components + offset))
+    with pytest.raises(NonFinite):
+        space.exp_transport(TangentVector(p, u.components + offset), u)
+    elsewhere = space.exp(p, u)
+    with pytest.raises(InvalidBase):
+        space.exp_transport(u, TangentVector(elsewhere, u.components))

@@ -75,6 +75,22 @@ def test_transport_is_a_linear_isometry(fleet, name, seed, alpha, data):
 @pytest.mark.parametrize("name", FLEET_NAMES)
 @PROPERTY
 @given(seed=seeds, data=st.data())
+def test_exp_transport_is_exp_then_transport(fleet, name, seed, data):
+    # the default kernel is the closed-form exp followed by the closed-form
+    # transport, so the two routes agree to the last bit
+    space = fleet[name]
+    p = space.random_point(np.random.default_rng(seed))
+    u = draw_tangent(data, space, p, lo=0.0)
+    v = draw_tangent(data, space, p)
+    q = space.exp(p, v)
+    out = space.exp_transport(u, v)
+    assert np.array_equal(out.base.coords, q.coords)
+    assert np.array_equal(out.components, space.transport(u, q).components)
+
+
+@pytest.mark.parametrize("name", FLEET_NAMES)
+@PROPERTY
+@given(seed=seeds, data=st.data())
 def test_geodesic_symmetry_is_an_involution(fleet, name, seed, data):
     space = fleet[name]
     m = space.random_point(np.random.default_rng(seed))
