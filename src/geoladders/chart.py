@@ -189,7 +189,8 @@ def _integrate(conn: ChartConnection, rhs, z0: np.ndarray, t: float,
         return z
     # the step budget is enforced while the solve runs, through its count of
     # right-hand-side evaluations: solve_ivp reports its steps only on return,
-    # and every step attempt, accepted or rejected, costs _RHS_PER_STEP
+    # and every step attempt, accepted or rejected, costs _RHS_PER_STEP; the
+    # extra one covers the start rule's evaluation and solve_ivp's own at t=0
     budget = _RHS_PER_STEP * (_MAX_STEPS + 1)
     evals = 0
 
@@ -202,7 +203,14 @@ def _integrate(conn: ChartConnection, rhs, z0: np.ndarray, t: float,
                 f"evaluations, the budget of {_MAX_STEPS} steps, at t={s:.6g}")
         return rhs(s, z)
 
-    sol = solve_ivp(counted, (0.0, t), z0, method="DOP853",
+    # first step: the time over which the initial derivative moves the state
+    # by its own size, capped at the whole interval; scipy's default sizes it
+    # from the tolerance alone, which costs a short flow three steps instead
+    # of one, while the bound keeps a fast flow's first stages finite
+    f0 = counted(0.0, z0)
+    fnorm = float(np.linalg.norm(f0))
+    h0 = min(t, float(np.linalg.norm(z0)) / fnorm) if fnorm else t
+    sol = solve_ivp(counted, (0.0, t), z0, method="DOP853", first_step=h0,
                     rtol=tolerances.ode_rel_tol, atol=tolerances.ode_abs_tol)
     if not sol.success:
         # DOP853 fails only when its step size underflows, which happens as

@@ -106,6 +106,8 @@ class ToleranceConfig:
     ``exactness_tol`` bounds the relative ladder error on symmetric spaces;
     ``ode_rel_tol``/``ode_abs_tol`` drive the adaptive geodesic integrator and
     ``max_shooting_iters`` the quasi-Newton log solve of chart spaces.
+    Every tolerance is finite and positive, and ``ode_rel_tol`` is at least
+    100 machine epsilons, the least relative tolerance scipy honours.
     Defaults sit roughly two orders of magnitude above double-precision noise
     accumulated over ~1e3 arithmetic operations.
     """
@@ -117,8 +119,14 @@ class ToleranceConfig:
 
     def __post_init__(self):
         for name in ("exactness_tol", "ode_rel_tol", "ode_abs_tol"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be strictly positive")
+            # written so that NaN fails it too
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and strictly positive")
+        # scipy's integrators raise a smaller relative tolerance to 100 eps
+        # with only a warning, so the error control asked for would not happen
+        floor = 100.0 * np.finfo(float).eps
+        if self.ode_rel_tol < floor:
+            raise ValueError(f"ode_rel_tol must be at least {floor:.3g} (100 eps)")
         if self.max_shooting_iters < 1:
             raise ValueError("max_shooting_iters must be at least 1")
 

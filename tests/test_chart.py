@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from geoladders import (
     ChartConnection,
@@ -144,7 +145,8 @@ def test_flow_through_the_chart_singularity_is_domain_escape():
     # the stereographic chart has no bounds; from the origin at this speed
     # the geodesic reaches the north pole, the chart's point at infinity,
     # and the adaptive step size underflows before t = 1, after about 7,100
-    # connection evaluations; a 4(5) pair spends about 29,000 getting there
+    # connection evaluations (7,094 with scipy's first step, 7,118 with the
+    # engine's); a 4(5) pair spends about 29,000 getting there
     counter = CountingChristoffel(make_chart("sphere2-stereographic"))
     with pytest.raises(DomainEscape, match="step size"):
         geodesic_flow(counter.conn, [0.0, 0.0], [3.0, 0.0])
@@ -161,8 +163,64 @@ def test_adaptive_step_budget_stops_a_running_solve(bump, monkeypatch):
         geodesic_flow(counter.conn, [0.0, 0.0], [0.4, 0.3], 1.0,
                       bump.tolerances, "adaptive")
     # the solve stops at the budget's worth of right-hand sides instead of
-    # running to t = 1 and counting its steps afterwards
+    # running to t = 1 and counting its steps afterwards; the start rule's
+    # evaluation takes the place of the one scipy's first-step guess made,
+    # so the count is unchanged
     assert counter.calls == chart._RHS_PER_STEP * (5 + 1) < full.calls
+
+
+# the bump's short flows, as the pole ladder makes them at scales h <= 0.1;
+# along the bump's gradient, (1, 0), a |v| = 0.1 flow still has its first
+# step rejected and makes 38 evaluations
+_START_X = np.array([0.3, 0.1])
+_START_DIR = np.array([0.6, 0.8])
+
+
+@pytest.mark.parametrize("speed", [0.02, 0.05, 0.1])
+def test_short_flow_takes_one_adaptive_step(bump, speed):
+    # the first step spans the whole interval and passes the error test:
+    # the start rule's evaluation, solve_ivp's own at t = 0 and one 12-stage
+    # step; scipy's tolerance-sized first step took three steps, 38 in all
+    v = speed * _START_DIR
+    u = speed * np.array([-0.8, 0.6])
+    flow = CountingChristoffel(bump.conn)
+    geodesic_flow(flow.conn, _START_X, v)
+    transport = CountingChristoffel(bump.conn)
+    transport_ode(transport.conn, u, _START_X, v)
+    assert flow.calls <= 14
+    assert transport.calls <= 14
+
+
+def _tight_geodesic(conn, x, v):
+    """(position, velocity) at t = 1 from DOP853 at about 100 eps, through
+    the symbols rather than the engine's contraction."""
+    def rhs(_, z):
+        vel = z[2:]
+        return np.concatenate(
+            [vel, -np.einsum("kij,i,j->k", conn.gamma(z[:2]), vel, vel)])
+
+    sol = solve_ivp(rhs, (0.0, 1.0), np.concatenate([x, v]), method="DOP853",
+                    rtol=2.3e-14, atol=1e-16)
+    return sol.y[:2, -1], sol.y[2:, -1]
+
+
+@pytest.mark.parametrize("speed", [0.02, 0.05, 0.1, 0.2, 0.4, 0.6])
+def test_long_first_step_keeps_flow_accuracy(bump, speed):
+    x, v = geodesic_flow(bump.conn, _START_X, speed * _START_DIR)
+    x_ref, v_ref = _tight_geodesic(bump.conn, _START_X, speed * _START_DIR)
+    assert np.abs(x - x_ref).max() <= 1e-12
+    assert np.abs(v - v_ref).max() <= 1e-12
+
+
+def test_first_step_is_bounded_on_a_fast_flow(bump):
+    # a first step of the whole interval overflows in its own stages here and
+    # raises NonFinite; the bound |z0| / |f0| keeps them finite
+    x0 = np.array([-0.78441401, 0.32252676])
+    v0 = np.array([2.48956592, -4.92907011])
+    x, v = geodesic_flow(bump.conn, x0, v0)
+    x_ref, v_ref = _tight_geodesic(bump.conn, x0, v0)
+    assert np.abs(x - x_ref).max() <= 1e-12
+    assert np.abs(v - v_ref).max() <= 1e-12
 
 
 def test_unknown_integrator_method_is_rejected():
@@ -270,8 +328,9 @@ def test_bump_exp_log_round_trip(bump):
 
 def test_bump_log_christoffel_budget(bump):
     # a finite-difference Newton Jacobian spends 11,748 evaluations on these
-    # five solves; the quasi-Newton solve spends 2,451, and 5,781 when its
-    # flows run on a 4(5) pair instead of DOP853
+    # five solves; the quasi-Newton solve spends 2,463 (2,451 with scipy's
+    # tolerance-sized first step), and 5,781 when its flows run on a 4(5)
+    # pair instead of DOP853
     counter = CountingChristoffel(bump.conn)
     for x, _, y in _bump_round_trips(bump):
         log_shooting(counter.conn, x, y, bump.tolerances, bump.method)

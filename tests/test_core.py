@@ -31,6 +31,27 @@ def test_tolerances_must_be_positive(field):
         ToleranceConfig(**{field: -1e-3})
 
 
+@pytest.mark.parametrize("field", ["exactness_tol", "ode_rel_tol", "ode_abs_tol"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_tolerances_must_be_finite(field, value):
+    # NaN passes a "<= 0" test, and an infinite ode_abs_tol turns the
+    # integrator's error control off
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        ToleranceConfig(**{field: value})
+
+
+@pytest.mark.parametrize("rel_tol", [1e-15, 2.2e-14])
+def test_ode_rel_tol_below_scipy_floor_is_rejected(rel_tol):
+    # scipy would raise it to 100 eps = 2.22e-14 with only a UserWarning
+    with pytest.raises(ValueError, match=r"ode_rel_tol must be at least 2\.22e-14"):
+        ToleranceConfig(ode_rel_tol=rel_tol)
+
+
+def test_ode_rel_tol_at_scipy_floor_is_accepted():
+    floor = 100.0 * np.finfo(float).eps
+    assert ToleranceConfig(ode_rel_tol=floor).ode_rel_tol == floor
+
+
 def test_point_coords_coerced_to_float_array():
     p = Point([1, 2, 3], "euclidean-3")
     assert p.coords.dtype == float
