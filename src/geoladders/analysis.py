@@ -163,8 +163,12 @@ def generic_directions(space: ConnectionSpace, m: Point,
     """Two seeded unit directions at m, rejecting near-parallel pairs.
 
     Pairs with |cos angle| > 0.99 are redrawn; generic draws are neither
-    parallel nor orthogonal, as the scaling protocol requires.
+    parallel nor orthogonal, as the scaling protocol requires.  A space of
+    dimension below 2 has no such pair and raises ValueError at once.
     """
+    if space.dim < 2:
+        raise ValueError(f"{space.name} has dimension {space.dim}; a "
+                         "non-parallel direction pair needs at least 2")
     u_dir = space.random_direction(rng, m)
     for _ in range(max_tries):
         v_dir = space.random_direction(rng, m)

@@ -53,19 +53,11 @@ _FD_STEP = _EPS ** (1.0 / 3.0)
 _NABLA_FD_STEP = 5e-4
 # first trial fraction of each quasi-Newton step; the line search halves it
 _NEWTON_DAMPING = 1.0
-# time step of the fixed-step "rk4" integrator
-_RK4_STEP = 1.0 / 256.0
-# step budget of either integrator
+# step budget of the integrator
 _MAX_STEPS = 100_000
 # right-hand-side evaluations per step attempt of the adaptive DOP853 pair:
 # eleven new stages and the derivative at the step's end
 _RHS_PER_STEP = 12
-
-# Integrator methods: "adaptive" is the Dormand-Prince 8(5,3) pair (DOP853)
-# with local error control at the ToleranceConfig ODE tolerances; at their
-# tight defaults it takes fewer, longer steps than a 4(5) pair. "rk4" is the
-# classical fixed-step scheme, for bit-reproducible sweeps.
-_METHODS = ("adaptive", "rk4")
 _DEFAULT_TOLERANCES = ToleranceConfig()
 
 
@@ -162,31 +154,15 @@ class ChartConnection:
 
 
 def _integrate(conn: ChartConnection, rhs, z0: np.ndarray, t: float,
-               tolerances: ToleranceConfig, method: str) -> np.ndarray:
-    if method not in _METHODS:
-        raise ValueError(f"unknown integrator method {method!r}")
+               tolerances: ToleranceConfig) -> np.ndarray:
+    # the integrator is the Dormand-Prince 8(5,3) pair (scipy's DOP853) with
+    # local error control at the ToleranceConfig ODE tolerances; at their
+    # tight defaults it takes fewer, longer steps than a 4(5) pair
     if t == 0.0:
         return z0.copy()
     if t < 0.0:
         raise ValueError("integration time must be non-negative")
     d = conn.dim
-    if method == "rk4":
-        n = int(math.ceil(t / _RK4_STEP))
-        if n > _MAX_STEPS:
-            raise MaxStepsExceeded(
-                f"{n} fixed steps exceed the budget of {_MAX_STEPS}"
-            )
-        h = t / n
-        z = z0.copy()
-        for _ in range(n):
-            k1 = rhs(0.0, z)
-            k2 = rhs(0.0, z + 0.5 * h * k1)
-            k3 = rhs(0.0, z + 0.5 * h * k2)
-            k4 = rhs(0.0, z + h * k3)
-            z = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not conn.in_bounds(z[:d]):
-                raise DomainEscape("trajectory left the chart bounds")
-        return z
     # the step budget is enforced while the solve runs, through its count of
     # right-hand-side evaluations: solve_ivp reports its steps only on return,
     # and every step attempt, accepted or rejected, costs _RHS_PER_STEP; the
@@ -222,8 +198,7 @@ def _integrate(conn: ChartConnection, rhs, z0: np.ndarray, t: float,
 
 
 def geodesic_flow(conn: ChartConnection, x, v, t: float = 1.0,
-                  tolerances: ToleranceConfig | None = None,
-                  method: str = "adaptive"):
+                  tolerances: ToleranceConfig | None = None):
     """Integrate the geodesic equation x'' + G(x)(x', x') = 0.
 
     Returns the (position, velocity) pair at time t.
@@ -239,13 +214,12 @@ def geodesic_flow(conn: ChartConnection, x, v, t: float = 1.0,
         vel = z[d:]
         return np.concatenate([vel, -conn.contract(z[:d], vel, vel)])
 
-    z = _integrate(conn, rhs, np.concatenate([x, v]), t, tolerances, method)
+    z = _integrate(conn, rhs, np.concatenate([x, v]), t, tolerances)
     return z[:d], z[d:]
 
 
 def log_shooting(conn: ChartConnection, x, y,
-                 tolerances: ToleranceConfig | None = None,
-                 method: str = "adaptive"):
+                 tolerances: ToleranceConfig | None = None):
     """Solve exp_x(v) = y for v by a quasi-Newton solve on the endpoint residual.
 
     The initial guess is the chart difference y - x, which converges inside
@@ -275,7 +249,7 @@ def log_shooting(conn: ChartConnection, x, y,
         # a shooting failure, not silent garbage, unless the caller takes an
         # escape (None) as a rejected trial
         try:
-            return geodesic_flow(conn, x, vel, 1.0, tolerances, method)[0]
+            return geodesic_flow(conn, x, vel, 1.0, tolerances)[0]
         except escapes:
             return None
         except (MaxStepsExceeded, DomainEscape) as err:
@@ -344,8 +318,7 @@ def log_shooting(conn: ChartConnection, x, y,
 
 
 def transport_ode(conn: ChartConnection, u, x, v, t: float = 1.0,
-                  tolerances: ToleranceConfig | None = None,
-                  method: str = "adaptive"):
+                  tolerances: ToleranceConfig | None = None):
     """Transport u along the geodesic from x with initial velocity v:
     u' + G(x)(x', u) = 0.
 
@@ -364,7 +337,7 @@ def transport_ode(conn: ChartConnection, u, x, v, t: float = 1.0,
         acc = conn.contract(z[:d], vel, z[d:].reshape(2, d))
         return np.concatenate([vel, -acc.ravel()])
 
-    z = _integrate(conn, rhs, np.concatenate([x, v, u]), t, tolerances, method)
+    z = _integrate(conn, rhs, np.concatenate([x, v, u]), t, tolerances)
     return z[2 * d:], z[:d], z[d:2 * d]
 
 
@@ -490,61 +463,54 @@ class ChartSpace(ConnectionSpace):
     """A ConnectionSpace realized numerically from a ChartConnection.
 
     The log map is solved by shooting, the transport oracle is the transport
-    ODE at the configured tolerances and integrator ``method`` ("adaptive"
-    or "rk4"), and curvature callbacks contract the finite-difference
-    tensors.
+    ODE at the configured tolerances, and curvature callbacks contract the
+    finite-difference tensors.  A generic chart is not locally symmetric and
+    its injectivity radius is unknown (NaN); a subclass that knows better
+    sets them after construction.
     """
+
+    validity_radius = 0.5
+    sample_halfwidth = 0.5
 
     def __init__(self, name: str, connection: ChartConnection,
                  metric: Callable[[np.ndarray], np.ndarray] | None = None,
                  tolerances: ToleranceConfig | None = None,
-                 method: str = "adaptive",
-                 anchor=None,
-                 sample_halfwidth: float = 0.5,
-                 validity_radius: float = 0.5,
-                 locally_symmetric: bool = False):
+                 anchor=None):
         super().__init__(tolerances)
-        self.method = method
         self.name = name
         self.conn = connection
         self.dim = connection.dim
         self.ambient_dim = connection.dim
         self.metric = metric
         self.has_metric = metric is not None
-        self.locally_symmetric = locally_symmetric
         self.injectivity_radius = math.nan  # unknown for a generic chart
-        self.validity_radius = validity_radius
         #: canonical interior base point used by experiment sweeps
         self.anchor = (np.zeros(self.dim) if anchor is None
                        else np.asarray(anchor, dtype=float))
-        self.sample_halfwidth = sample_halfwidth
 
     # -- kernels --------------------------------------------------------------
 
     def _exp(self, x, v):
-        return geodesic_flow(self.conn, x, v, 1.0, self.tolerances,
-                             self.method)[0]
+        return geodesic_flow(self.conn, x, v, 1.0, self.tolerances)[0]
 
     def _log(self, x, y):
-        return log_shooting(self.conn, x, y, self.tolerances, self.method)[0]
+        return log_shooting(self.conn, x, y, self.tolerances)[0]
 
     def log_stats(self, p: Point, q: Point):
         self._check_point(p)
         self._check_point(q)
         if np.array_equal(p.coords, q.coords):
             return TangentVector(p, np.zeros(self.ambient_dim)), 0
-        v, iters = log_shooting(self.conn, p.coords, q.coords,
-                                self.tolerances, self.method)
+        v, iters = log_shooting(self.conn, p.coords, q.coords, self.tolerances)
         return TangentVector(p, v), iters
 
     def _exp_transport(self, x, u, v):
         # one transport ODE carries the geodesic and the vector together
-        u_t, y, _ = transport_ode(self.conn, u, x, v, 1.0, self.tolerances,
-                                  self.method)
+        u_t, y, _ = transport_ode(self.conn, u, x, v, 1.0, self.tolerances)
         return y, u_t
 
     def _transport(self, x, u, y):
-        v = log_shooting(self.conn, x, y, self.tolerances, self.method)[0]
+        v = log_shooting(self.conn, x, y, self.tolerances)[0]
         return self._exp_transport(x, u, v)[1]
 
     def _curvature(self, x, u, v, w):

@@ -60,7 +60,6 @@ class ExperimentConfig:
     seed: int = 0
     trials: int = 100
     output: str | None = None
-    fixed_step: bool = False
     noise_floor: float | None = None
     dist_cap: float | None = None
     u_cap: float | None = None
@@ -92,9 +91,8 @@ class ExperimentConfig:
     def build_space(self) -> ConnectionSpace:
         if self.manifold is None:
             raise ConfigError("a manifold name is required (--manifold)")
-        method = "rk4" if self.fixed_step else "adaptive"
         try:
-            return make_space(self.manifold, self.tolerances(), method)
+            return make_space(self.manifold, self.tolerances())
         except ValueError as err:
             raise ConfigError(str(err)) from err
 
@@ -106,9 +104,6 @@ class ExperimentConfig:
 # config file / flag merging
 # ---------------------------------------------------------------------------
 
-_BOOL_WORDS = {"true": True, "1": True, "yes": True,
-               "false": False, "0": False, "no": False}
-
 # field name -> declared type, with the None of an optional field dropped
 _FIELD_TYPES = {
     name: next(t for t in get_args(hint) or (hint,) if t is not type(None))
@@ -119,11 +114,9 @@ _FIELD_TYPES = {
 def _parse_value(name: str, raw: str):
     kind = _FIELD_TYPES[name]
     raw = raw.strip()
-    if kind is str:
-        return raw
     try:
-        return _BOOL_WORDS[raw.lower()] if kind is bool else kind(raw)
-    except (KeyError, ValueError):
+        return kind(raw)
+    except ValueError:
         raise ConfigError(f"bad {kind.__name__} for {name}: {raw!r}")
 
 
@@ -162,6 +155,14 @@ def _make_config(args: argparse.Namespace) -> ExperimentConfig:
     if cfg.scheme is not None and cfg.scheme not in LADDER_KINDS:
         raise ConfigError(
             f"unknown scheme {cfg.scheme!r}; choose from {LADDER_KINDS}")
+    for name in ("h_min", "h_max", "dist_cap", "u_cap", "noise_floor"):
+        value = getattr(cfg, name)
+        # a noise floor of 0 counts only exact zeros as noise
+        zero_ok = name == "noise_floor"
+        if value is not None and not (
+                math.isfinite(value) and (value > 0.0 or zero_ok and value == 0.0)):
+            raise ConfigError(f"{name} must be finite and "
+                              f"{'>= 0' if zero_ok else '> 0'}, got {value!r}")
     if cfg.h_min >= cfg.h_max:
         raise ConfigError("h_min must be smaller than h_max")
     if cfg.n_rungs < 1:
@@ -251,6 +252,9 @@ def _sweep_setup(cfg: ExperimentConfig, command: str):
     if cfg.num_scales < 5:
         raise ConfigError(f"{command} runs need at least 5 scales")
     space = cfg.build_space()
+    if space.dim < 2:
+        raise ConfigError(f"{command} needs two non-parallel directions, and "
+                          f"{cfg.manifold} has dimension {space.dim}")
     rng = cfg.rng()
     # chart spaces carry a canonical interior anchor for sweeps; closed-form
     # spaces use a seeded random point
@@ -471,9 +475,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--trials", type=int)
         p.add_argument("--tol-exactness", dest="exactness_tol", type=float)
         p.add_argument("--output", help="CSV output path (default: stdout)")
-        p.add_argument("--fixed-step", dest="fixed_step", action="store_const",
-                       const=True, help="fixed-step RK4 integration for "
-                       "bit-reproducible sweeps")
         p.add_argument("--config", help="key=value config file; flags override")
     return parser
 

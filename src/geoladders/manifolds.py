@@ -554,8 +554,7 @@ class BumpMetric2D(ChartSpace):
     """
 
     def __init__(self, beta: float = 1.0,
-                 tolerances: ToleranceConfig | None = None,
-                 method: str = "adaptive"):
+                 tolerances: ToleranceConfig | None = None):
         self.beta = float(beta)
         beta_ = self.beta
 
@@ -568,12 +567,9 @@ class BumpMetric2D(ChartSpace):
         conn = ChartConnection.conformal(
             2, grad_f, chart_bounds=(np.array([-2.0, -2.0]), np.array([2.0, 2.0])),
         )
-        super().__init__(
-            "bump2d", conn, metric=metric, tolerances=tolerances,
-            method=method,
-            anchor=np.array([0.3, 0.1]), sample_halfwidth=0.5,
-            validity_radius=0.5, locally_symmetric=(beta_ == 0.0),
-        )
+        super().__init__("bump2d", conn, metric=metric, tolerances=tolerances,
+                         anchor=np.array([0.3, 0.1]))
+        self.locally_symmetric = beta_ == 0.0
         self.injectivity_radius = math.nan if beta_ != 0.0 else math.inf
 
     def gauss_curvature(self, x) -> float:
@@ -653,12 +649,12 @@ def _so3_rotation_vector_chart():
 
 
 _SPACES = {
-    "euclidean-n": lambda n, tol, method: Euclidean(n, tol),
-    "sphere-n": lambda n, tol, method: Sphere(n, tol),
-    "hyperbolic-n": lambda n, tol, method: Hyperbolic(n, tol),
-    "spd-n": lambda n, tol, method: SPD(n, tol),
-    "so3": lambda tol, method: RotationGroup(tol),
-    "bump2d": lambda tol, method: BumpMetric2D(1.0, tol, method),
+    "euclidean-n": Euclidean,
+    "sphere-n": Sphere,
+    "hyperbolic-n": Hyperbolic,
+    "spd-n": SPD,
+    "so3": RotationGroup,
+    "bump2d": lambda tol: BumpMetric2D(1.0, tol),
 }
 
 _CHARTS = {
@@ -690,14 +686,11 @@ def registry_names() -> tuple[str, ...]:
     return tuple(_SPACES)
 
 
-def make_space(name: str, tolerances: ToleranceConfig | None = None,
-               method: str = "adaptive") -> ConnectionSpace:
-    """Build a registered manifold from its name, e.g. "sphere-2".
-
-    ``method`` selects the chart integrator ("adaptive" or "rk4"); the
-    closed-form spaces ignore it.
-    """
-    return _lookup(_SPACES, name, "manifold")(tolerances, method)
+def make_space(name: str, tolerances: ToleranceConfig | None = None
+               ) -> ConnectionSpace:
+    """Build a registered manifold from its name, e.g. "sphere-2", with the
+    given tolerances (the ``ToleranceConfig`` defaults when None)."""
+    return _lookup(_SPACES, name, "manifold")(tolerances)
 
 
 def make_chart(name: str) -> ChartConnection:

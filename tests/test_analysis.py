@@ -108,6 +108,17 @@ def test_bch_order_four_identical_to_three_on_sphere(rng):
     assert np.array_equal(a.components, b.components)
 
 
+@pytest.mark.parametrize("name", ["euclidean-1", "sphere-1"])
+def test_generic_directions_rejects_one_dimensional_space(name):
+    space = make_space(name)
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="dimension 1"):
+        generic_directions(space, space.random_point(np.random.default_rng(1)),
+                           rng)
+    assert rng.bit_generator.state == state  # raised before any draw
+
+
 # -- predictors -------------------------------------------------------------------
 
 @pytest.mark.parametrize("name", ["sphere-2", "hyperbolic-2", "spd-3", "so3"])

@@ -1,12 +1,15 @@
-"""The public names of the package and the public methods of the
-``ConnectionSpace`` contract, pinned so that API growth or shrinkage shows up
-as a reviewed diff of these lists."""
+"""The public names of the package, the public methods of the
+``ConnectionSpace`` contract, the parameters of the engine and registry entry
+points and the experiment config fields, pinned so that API growth or
+shrinkage shows up as a reviewed diff of these lists."""
 
 import inspect
 import types
+from dataclasses import fields
 
 import geoladders
 from geoladders import ConnectionSpace
+from geoladders.cli import ExperimentConfig, main
 
 PUBLIC_NAMES = [
     "BumpMetric2D",
@@ -104,3 +107,42 @@ def test_contract_methods_are_pinned():
         if not name.startswith("_")
     )
     assert names == CONTRACT_METHODS
+
+
+# one integrator and no per-space options: a knob added to any of these
+# entry points shows up here
+ENTRY_POINT_PARAMETERS = {
+    "ChartSpace": ["name", "connection", "metric", "tolerances", "anchor"],
+    "BumpMetric2D": ["beta", "tolerances"],
+    "make_space": ["name", "tolerances"],
+    "geodesic_flow": ["conn", "x", "v", "t", "tolerances"],
+    "log_shooting": ["conn", "x", "y", "tolerances"],
+    "transport_ode": ["conn", "u", "x", "v", "t", "tolerances"],
+}
+
+
+def test_entry_point_parameters_are_pinned():
+    # the signature of a class is that of its __init__ without self
+    params = {name: list(inspect.signature(getattr(geoladders, name)).parameters)
+              for name in ENTRY_POINT_PARAMETERS}
+    assert params == ENTRY_POINT_PARAMETERS
+
+
+CONFIG_FIELDS = [
+    "command", "manifold", "scheme", "h_min", "h_max", "num_scales",
+    "n_rungs", "seed", "trials", "output", "noise_floor", "dist_cap",
+    "u_cap", "p", "q", "u", "exactness_tol", "ode_rel_tol", "ode_abs_tol",
+    "max_shooting_iters",
+]
+
+
+def test_config_fields_are_pinned(tmp_path, capsys):
+    assert [f.name for f in fields(ExperimentConfig)] == CONFIG_FIELDS
+    # the removed fixed-step integrator is neither a flag nor a config key
+    assert main(["convergence", "--manifold", "bump2d", "--fixed-step"]) == 1
+    assert "unrecognized arguments: --fixed-step" in capsys.readouterr().err
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text("fixed_step = true\n")
+    assert main(["convergence", "--manifold", "bump2d",
+                 "--config", str(cfg)]) == 1
+    assert "unknown key 'fixed_step'" in capsys.readouterr().err

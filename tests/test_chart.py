@@ -94,7 +94,7 @@ def test_flat_chart_flow_is_straight():
 
 def test_bump_flow_matches_step_halving_oracle(bump):
     pos, _ = geodesic_flow(bump.conn, [0.0, 0.0], [0.1, 0.2], 1.0,
-                           bump.tolerances, bump.method)
+                           bump.tolerances)
     assert np.max(np.abs(pos - BUMP_EXP_ORACLE)) <= 1e-12
     fresh = richardson_rk4_geodesic(bump.conn, np.zeros(2),
                                     np.array([0.1, 0.2]))
@@ -105,11 +105,11 @@ def test_flow_semigroup_property(bump):
     x = np.array([-0.2, 0.1])
     v = np.array([0.3, -0.25])
     pos_full, vel_full = geodesic_flow(bump.conn, x, v, 1.0,
-                                       bump.tolerances, bump.method)
+                                       bump.tolerances)
     pos_half, vel_half = geodesic_flow(bump.conn, x, v, 0.5,
-                                       bump.tolerances, bump.method)
+                                       bump.tolerances)
     pos_two, vel_two = geodesic_flow(bump.conn, pos_half, vel_half, 0.5,
-                                     bump.tolerances, bump.method)
+                                     bump.tolerances)
     assert np.max(np.abs(pos_two - pos_full)) <= 1e-11
     assert np.max(np.abs(vel_two - vel_full)) <= 1e-11
 
@@ -117,9 +117,9 @@ def test_flow_semigroup_property(bump):
 def test_flow_reversibility(bump):
     x = np.array([0.15, -0.1])
     v = np.array([0.2, 0.3])
-    q, w = geodesic_flow(bump.conn, x, v, 1.0, bump.tolerances, bump.method)
+    q, w = geodesic_flow(bump.conn, x, v, 1.0, bump.tolerances)
     back_pos, back_vel = geodesic_flow(bump.conn, q, -w, 1.0,
-                                       bump.tolerances, bump.method)
+                                       bump.tolerances)
     assert np.max(np.abs(back_pos - x)) <= 1e-11
     assert np.max(np.abs(back_vel + v)) <= 1e-11
 
@@ -127,7 +127,7 @@ def test_flow_reversibility(bump):
 def test_flow_conserves_metric_speed(bump):
     x = np.array([0.1, 0.2])
     v = np.array([0.25, -0.2])
-    q, w = geodesic_flow(bump.conn, x, v, 1.0, bump.tolerances, bump.method)
+    q, w = geodesic_flow(bump.conn, x, v, 1.0, bump.tolerances)
     speed0 = math.sqrt(v @ bump.metric(x) @ v)
     speed1 = math.sqrt(w @ bump.metric(q) @ w)
     assert abs(speed1 - speed0) / speed0 <= 1e-10
@@ -155,13 +155,12 @@ def test_flow_through_the_chart_singularity_is_domain_escape():
 
 def test_adaptive_step_budget_stops_a_running_solve(bump, monkeypatch):
     full = CountingChristoffel(bump.conn)
-    geodesic_flow(full.conn, [0.0, 0.0], [0.4, 0.3], 1.0,
-                  bump.tolerances, "adaptive")
+    geodesic_flow(full.conn, [0.0, 0.0], [0.4, 0.3], 1.0, bump.tolerances)
     monkeypatch.setattr(chart, "_MAX_STEPS", 5)
     counter = CountingChristoffel(bump.conn)
     with pytest.raises(MaxStepsExceeded):
         geodesic_flow(counter.conn, [0.0, 0.0], [0.4, 0.3], 1.0,
-                      bump.tolerances, "adaptive")
+                      bump.tolerances)
     # the solve stops at the budget's worth of right-hand sides instead of
     # running to t = 1 and counting its steps afterwards; the start rule's
     # evaluation takes the place of the one scipy's first-step guess made,
@@ -223,20 +222,6 @@ def test_first_step_is_bounded_on_a_fast_flow(bump):
     assert np.abs(v - v_ref).max() <= 1e-12
 
 
-def test_unknown_integrator_method_is_rejected():
-    with pytest.raises(ValueError, match="unknown integrator method"):
-        geodesic_flow(flat_chart(), [0.0, 0.0], [1.0, 0.0], method="rk5")
-
-
-def test_fixed_step_rk4_agrees_with_adaptive(bump):
-    x = np.array([0.0, 0.1])
-    v = np.array([0.2, 0.2])
-    pos_a, _ = geodesic_flow(bump.conn, x, v, 1.0,
-                             bump.tolerances, bump.method)
-    pos_f, _ = geodesic_flow(bump.conn, x, v, 1.0, method="rk4")
-    assert np.max(np.abs(pos_a - pos_f)) <= 1e-11
-
-
 def test_torsion_warning_on_asymmetric_symbols():
     def lopsided(x):
         g = np.zeros((2, 2, 2))
@@ -269,15 +254,13 @@ def test_conformal_contraction_matches_symbols(name):
             assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
-@pytest.mark.parametrize("method", ["adaptive", "rk4"])
 @pytest.mark.parametrize("name", CONFORMAL_CHARTS)
-def test_flow_through_the_gradient_matches_flow_through_the_symbols(name,
-                                                                    method):
+def test_flow_through_the_gradient_matches_flow_through_the_symbols(name):
     conn = make_chart(name)
     symbols = dataclasses.replace(conn, grad_f=None)
     x, v, u = np.array([0.2, -0.1]), np.array([0.3, 0.25]), np.array([-0.15, 0.4])
-    for run in (lambda c: geodesic_flow(c, x, v, method=method),
-                lambda c: transport_ode(c, u, x, v, method=method)):
+    for run in (lambda c: geodesic_flow(c, x, v),
+                lambda c: transport_ode(c, u, x, v)):
         fast, slow = np.concatenate(run(conn)), np.concatenate(run(symbols))
         assert np.max(np.abs(fast - slow)) <= 1e-12
 
@@ -311,16 +294,16 @@ def _bump_round_trips(bump):
         v = rng.uniform(-1.0, 1.0, 2)
         v *= 0.5 / max(1.0, np.linalg.norm(v))
         y, _ = geodesic_flow(bump.conn, x, v, 1.0,
-                             bump.tolerances, bump.method)
+                             bump.tolerances)
         yield x, v, y
 
 
 def test_bump_exp_log_round_trip(bump):
     for x, v, y in _bump_round_trips(bump):
-        v_rec, _ = log_shooting(bump.conn, x, y, bump.tolerances, bump.method)
+        v_rec, _ = log_shooting(bump.conn, x, y, bump.tolerances)
         assert np.max(np.abs(v_rec - v)) <= 1e-9
         end, _ = geodesic_flow(bump.conn, x, v_rec, 1.0,
-                               bump.tolerances, bump.method)
+                               bump.tolerances)
         # small-h predictor checks (criterion 3) need the final residual
         # well below the 1e-11 convergence target
         assert np.linalg.norm(end - y) <= 1e-14
@@ -333,7 +316,7 @@ def test_bump_log_christoffel_budget(bump):
     # pair instead of DOP853
     counter = CountingChristoffel(bump.conn)
     for x, _, y in _bump_round_trips(bump):
-        log_shooting(counter.conn, x, y, bump.tolerances, bump.method)
+        log_shooting(counter.conn, x, y, bump.tolerances)
     assert counter.calls <= 3500
 
 
@@ -445,8 +428,8 @@ def test_rejected_trials_update_the_shooting_jacobian(bump, x, y):
     # targets beyond the validity radius, where the first-order Jacobian is
     # poor: halving its step finds no decrease, but a Jacobian that also
     # learns from each rejected trial finds a descent direction
-    v, _ = log_shooting(bump.conn, x, y, bump.tolerances, bump.method)
-    end, _ = geodesic_flow(bump.conn, x, v, 1.0, bump.tolerances, bump.method)
+    v, _ = log_shooting(bump.conn, x, y, bump.tolerances)
+    end, _ = geodesic_flow(bump.conn, x, v, 1.0, bump.tolerances)
     assert np.linalg.norm(end - y) <= 1e-11
 
 
@@ -463,9 +446,9 @@ def test_velocity_self_transport(bump):
     x = np.array([0.2, -0.1])
     v = np.array([0.3, 0.2])
     _, vel_end = geodesic_flow(bump.conn, x, v, 1.0,
-                               bump.tolerances, bump.method)
+                               bump.tolerances)
     moved, _, _ = transport_ode(bump.conn, v, x, v, 1.0,
-                                bump.tolerances, bump.method)
+                                bump.tolerances)
     assert np.max(np.abs(moved - vel_end)) <= 1e-10
 
 
@@ -474,13 +457,13 @@ def test_transport_composes_along_the_same_geodesic(bump):
     v = np.array([0.4, 0.3])
     u = np.array([0.2, -0.5])
     direct, _, _ = transport_ode(bump.conn, u, x, v, 1.0,
-                                 bump.tolerances, bump.method)
+                                 bump.tolerances)
     mid_pos, mid_vel = geodesic_flow(bump.conn, x, v, 0.5,
-                                     bump.tolerances, bump.method)
+                                     bump.tolerances)
     first, _, _ = transport_ode(bump.conn, u, x, v, 0.5,
-                                bump.tolerances, bump.method)
+                                bump.tolerances)
     second, _, _ = transport_ode(bump.conn, first, mid_pos, mid_vel, 0.5,
-                                 bump.tolerances, bump.method)
+                                 bump.tolerances)
     assert np.max(np.abs(second - direct)) <= 1e-11
 
 
@@ -489,18 +472,17 @@ def test_transport_preserves_metric_norm(bump):
     v = np.array([0.3, -0.2])
     u = np.array([-0.4, 0.25])
     moved, pos, _ = transport_ode(bump.conn, u, x, v, 1.0,
-                                  bump.tolerances, bump.method)
+                                  bump.tolerances)
     n0 = math.sqrt(u @ bump.metric(x) @ u)
     n1 = math.sqrt(moved @ bump.metric(pos) @ moved)
     assert abs(n1 - n0) / n0 <= 1e-10
 
 
-@pytest.mark.parametrize("method", ["adaptive", "rk4"])
 @pytest.mark.parametrize("name", ["bump2d", "sphere2-stereographic"])
-def test_exp_transport_matches_exp_and_transport(name, method):
+def test_exp_transport_matches_exp_and_transport(name):
     # one transport ODE against a geodesic flow plus a shooting solve and a
     # second transport ODE
-    space = ChartSpace(name, make_chart(name), metric=None, method=method)
+    space = ChartSpace(name, make_chart(name), metric=None)
     p = space.point([0.2, -0.1])
     u = space.tangent(p, [-0.15, 0.4])
     v = space.tangent(p, [0.3, 0.25])
@@ -731,14 +713,14 @@ def test_bump_nabla_curvature_against_transport_conjugation(bump):
             r = curvature_components(conn, x)
             return np.einsum("lijk,i,j,k->l", r, *probes)
         pos, vel = geodesic_flow(conn, x, direction * t, 1.0,
-                                 bump.tolerances, bump.method)
+                                 bump.tolerances)
         moved = [transport_ode(conn, pr, x, direction * t, 1.0,
-                               bump.tolerances, bump.method)[0]
+                               bump.tolerances)[0]
                  for pr in probes]
         r = curvature_components(conn, pos)
         val = np.einsum("lijk,i,j,k->l", r, *moved)
         return transport_ode(conn, val, pos, -vel, 1.0,
-                             bump.tolerances, bump.method)[0]
+                             bump.tolerances)[0]
 
     delta = 1e-3
     fd = (conjugated(delta) - conjugated(-delta)) / (2.0 * delta)
@@ -773,22 +755,20 @@ def test_chart_registry_unknown_name():
         make_chart("nope")
 
 
-@pytest.mark.parametrize("method", ["adaptive", "rk4"])
-def test_nan_conformal_gradient_raises_non_finite(method):
+def test_nan_conformal_gradient_raises_non_finite():
     conn = ChartConnection.conformal(
         2, lambda x: np.full(2, np.nan),
         chart_bounds=(np.full(2, -2.0), np.full(2, 2.0)))
     with pytest.raises(NonFinite):
-        geodesic_flow(conn, [0.3, 0.1], [0.1, 0.0], method=method)
+        geodesic_flow(conn, [0.3, 0.1], [0.1, 0.0])
     with pytest.raises(NonFinite):
-        transport_ode(conn, [0.0, 1.0], [0.3, 0.1], [0.1, 0.0], method=method)
+        transport_ode(conn, [0.0, 1.0], [0.3, 0.1], [0.1, 0.0])
 
 
-@pytest.mark.parametrize("method", ["adaptive", "rk4"])
-def test_nan_christoffel_raises_non_finite(method):
-    # the adaptive integrator used to run on with t = NaN; rk4 reported a
-    # misleading DomainEscape
+def test_nan_christoffel_raises_non_finite():
+    # unchecked, a NaN symbol makes the integrator's time NaN, and it never
+    # terminates
     conn = ChartConnection(2, lambda x: np.full((2, 2, 2), np.nan),
                            chart_bounds=(np.full(2, -2.0), np.full(2, 2.0)))
     with pytest.raises(NonFinite):
-        geodesic_flow(conn, [0.3, 0.1], [0.1, 0.0], method=method)
+        geodesic_flow(conn, [0.3, 0.1], [0.1, 0.0])

@@ -1,7 +1,9 @@
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields
+from pathlib import Path
 from types import SimpleNamespace
 from typing import get_args, get_type_hints
 
@@ -10,6 +12,7 @@ import pytest
 from geoladders import cli, make_space
 from geoladders.cli import (
     ExperimentConfig,
+    build_parser,
     exactness_sweep,
     load_config_file,
     main,
@@ -128,15 +131,22 @@ def test_convergence_too_few_scales_exits_1():
                  "--num-scales", "4"]) == 1
 
 
-def test_convergence_fixed_step_is_bit_deterministic(tmp_path):
+def test_convergence_is_bit_deterministic(tmp_path):
     args = ["convergence", "--manifold", "bump2d", "--scheme", "pole_v2",
             "--h-min", "0.05", "--h-max", "0.5", "--num-scales", "5",
-            "--seed", "4", "--fixed-step"]
+            "--seed", "4"]
     out1 = tmp_path / "r1.csv"
     out2 = tmp_path / "r2.csv"
     assert main(args + ["--output", str(out1)]) == 0
     assert main(args + ["--output", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["convergence", "bch-check"])
+@pytest.mark.parametrize("manifold", ["euclidean-1", "sphere-1"])
+def test_sweep_on_one_dimensional_manifold_exits_1(command, manifold, capsys):
+    assert main([command, "--manifold", manifold]) == 1
+    assert "dimension 1" in capsys.readouterr().err
 
 
 # -- bch-check -------------------------------------------------------------------
@@ -260,11 +270,9 @@ def test_exactness_sweep_counts_trials(rng):
 def test_config_file_parsing_and_flag_override(tmp_path):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(
-        "# sweep setup\nmanifold = bump2d\nseed = 12\nnum-scales = 6\n"
-        "fixed_step = true\n")
+        "# sweep setup\nmanifold = bump2d\nseed = 12\nnum-scales = 6\n")
     values = load_config_file(str(cfg))
-    assert values == {"manifold": "bump2d", "seed": 12, "num_scales": 6,
-                      "fixed_step": True}
+    assert values == {"manifold": "bump2d", "seed": 12, "num_scales": 6}
     out = tmp_path / "t.csv"
     rc = main(["transport", "--config", str(cfg), "--manifold", "euclidean-2",
                "--output", str(out)])
@@ -274,7 +282,7 @@ def test_config_file_parsing_and_flag_override(tmp_path):
 
 
 def test_every_config_field_round_trips_with_its_declared_type(tmp_path):
-    samples = {str: "text", int: 7, float: 0.25, bool: True}
+    samples = {str: "text", int: 7, float: 0.25}
     expected = {}
     for name, hint in get_type_hints(ExperimentConfig).items():
         kind = next(t for t in get_args(hint) or (hint,) if t is not type(None))
@@ -293,6 +301,24 @@ def test_config_file_unknown_key(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("manifld = sphere-2\n")
     assert main(["transport", "--config", str(cfg)]) == 1
+
+
+@pytest.mark.parametrize("name, value", [
+    ("h_min", "0"), ("h_min", "-0.1"), ("h_min", "nan"), ("h_max", "inf"),
+    ("dist_cap", "nan"), ("u_cap", "0"), ("noise_floor", "-1"),
+])
+def test_out_of_range_setting_is_a_config_error(tmp_path, capsys, name, value):
+    # h_min and h_max have flags; the other three are config-file keys
+    args = ["exactness" if name.endswith("cap") else "convergence",
+            "--manifold", "sphere-2"]
+    if name.startswith("h_"):
+        args += [f"--{name.replace('_', '-')}", value]
+    else:
+        cfg = tmp_path / "range.cfg"
+        cfg.write_text(f"{name} = {value}\n")
+        args += ["--config", str(cfg)]
+    assert main(args) == 1
+    assert f"config error: {name} must be finite" in capsys.readouterr().err
 
 
 def test_config_hash_ignores_output_path():
@@ -321,3 +347,13 @@ def test_console_entry_point_runs():
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout.startswith("manifold,")
+
+
+def test_readme_flag_list_matches_the_parser():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    documented = re.search(r"^Flags: `([^`]*)`", readme, re.M).group(1).split()
+    subparsers = build_parser()._subparsers._group_actions[0].choices
+    for name, sub in subparsers.items():
+        flags = [opt for action in sub._actions for opt in action.option_strings
+                 if opt != "--help" and opt.startswith("--")]
+        assert flags == documented, name
