@@ -71,22 +71,29 @@ class ChartConnection:
     non-finite symbol raises NonFinite.
 
     A conformal connection, the Levi-Civita connection of g = exp(2 f) *
-    euclidean, also carries ``grad_f``, the gradient of f; build it with
-    ``ChartConnection.conformal`` so the symbols and the gradient agree.
-    ``contract`` then evaluates G(x)(v, w) in closed form from the gradient
-    alone, which is all the geodesic and transport equations need.
+    euclidean, also carries ``grad_f``, the gradient of f, and optionally
+    ``hess_f``, its Hessian; build it with ``ChartConnection.conformal`` so
+    the symbols and the gradient agree.  ``contract`` then evaluates
+    G(x)(v, w) in closed form from the gradient alone, which is all the
+    geodesic and transport equations need; the Jacobi fields of
+    log_shooting take the symbols' derivatives from the Hessian.
     """
 
     dim: int
     christoffel: Callable[[np.ndarray], np.ndarray]
     chart_bounds: tuple | None = None  # (lo, hi) arrays, inclusive box
     grad_f: Callable[[np.ndarray], np.ndarray] | None = None
+    hess_f: Callable[[np.ndarray], np.ndarray] | None = None
 
     @classmethod
     def conformal(cls, dim: int, grad_f: Callable[[np.ndarray], np.ndarray],
-                  chart_bounds: tuple | None = None) -> "ChartConnection":
-        """The connection of g = exp(2 f) * euclidean, from the gradient of f."""
-        return cls(dim, conformal_christoffel(grad_f), chart_bounds, grad_f)
+                  chart_bounds: tuple | None = None,
+                  hess_f: Callable[[np.ndarray], np.ndarray] | None = None
+                  ) -> "ChartConnection":
+        """The connection of g = exp(2 f) * euclidean, from the gradient of f
+        and, when given, its Hessian."""
+        return cls(dim, conformal_christoffel(grad_f), chart_bounds, grad_f,
+                   hess_f)
 
     def contract(self, x: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
         """G(x)(v, w)^k = G^k_ij v^i w^j; w is a vector or a stack of rows,
@@ -96,15 +103,7 @@ class ChartConnection:
             # stacked matrix-vector products round each row as gv @ row does
             gv = self.gamma(x) @ v
             return (gv @ w[..., None])[..., 0]
-        df = np.asarray(self.grad_f(x), dtype=float)
-        if df.shape != (self.dim,):
-            raise ValueError(
-                f"grad_f returned shape {df.shape}, expected {(self.dim,)}")
-        f = df.tolist()
-        # the same guarantee as gamma: a NaN left unchecked makes the
-        # adaptive integrator's time NaN, and it never terminates
-        if not all(map(math.isfinite, f)):
-            raise NonFinite(f"conformal factor gradient is not finite at {x}")
+        f = self._gradient(x)
         # G^k_ij = f_i d_jk + f_j d_ik - f_k d_ij gives G(v, w) =
         # (df.v) w + (df.w) v - (v.w) df; in Python floats, since numpy's
         # per-call cost exceeds the arithmetic at these sizes
@@ -117,6 +116,30 @@ class ChartConnection:
 
         return np.array(row(w.tolist()) if w.ndim == 1
                         else list(map(row, w.tolist())))
+
+    def _gradient(self, x: np.ndarray) -> list:
+        """grad_f(x) as Python floats, checked."""
+        df = np.asarray(self.grad_f(x), dtype=float)
+        if df.shape != (self.dim,):
+            raise ValueError(
+                f"grad_f returned shape {df.shape}, expected {(self.dim,)}")
+        f = df.tolist()
+        # the same guarantee as gamma: a NaN left unchecked makes the
+        # adaptive integrator's time NaN, and it never terminates
+        if not all(map(math.isfinite, f)):
+            raise NonFinite(f"conformal factor gradient is not finite at {x}")
+        return f
+
+    def _hessian(self, x: np.ndarray) -> list:
+        """hess_f(x) as rows of Python floats, checked."""
+        hess = np.asarray(self.hess_f(x), dtype=float)
+        if hess.shape != (self.dim, self.dim):
+            raise ValueError(f"hess_f returned shape {hess.shape}, "
+                             f"expected {(self.dim, self.dim)}")
+        h = hess.tolist()
+        if not all(math.isfinite(hij) for row in h for hij in row):
+            raise NonFinite(f"conformal factor Hessian is not finite at {x}")
+        return h
 
     def gamma(self, x: np.ndarray) -> np.ndarray:
         g = np.asarray(self.christoffel(x), dtype=float)
@@ -154,10 +177,13 @@ class ChartConnection:
 
 
 def _integrate(conn: ChartConnection, rhs, z0: np.ndarray, t: float,
-               tolerances: ToleranceConfig) -> np.ndarray:
+               tolerances: ToleranceConfig, controlled: int | None = None
+               ) -> np.ndarray:
     # the integrator is the Dormand-Prince 8(5,3) pair (scipy's DOP853) with
     # local error control at the ToleranceConfig ODE tolerances; at their
-    # tight defaults it takes fewer, longer steps than a 4(5) pair
+    # tight defaults it takes fewer, longer steps than a 4(5) pair.  Only the
+    # first `controlled` components are error-controlled when it is given;
+    # the rest ride along on their steps
     if t == 0.0:
         return z0.copy()
     if t < 0.0:
@@ -177,24 +203,45 @@ def _integrate(conn: ChartConnection, rhs, z0: np.ndarray, t: float,
             raise MaxStepsExceeded(
                 f"adaptive integrator exceeded {budget} right-hand-side "
                 f"evaluations, the budget of {_MAX_STEPS} steps, at t={s:.6g}")
-        return rhs(s, z)
+        try:
+            return rhs(s, z)
+        except NonFinite:
+            # a stage of a too-long step overflowed: a NaN derivative makes
+            # the error estimate NaN, and the step is rejected and shortened
+            if np.isfinite(z).all():
+                raise
+            return np.full_like(z, np.nan)
 
-    # first step: the time over which the initial derivative moves the state
-    # by its own size, capped at the whole interval; scipy's default sizes it
-    # from the tolerance alone, which costs a short flow three steps instead
-    # of one, while the bound keeps a fast flow's first stages finite
-    f0 = counted(0.0, z0)
-    fnorm = float(np.linalg.norm(f0))
-    h0 = min(t, float(np.linalg.norm(z0)) / fnorm) if fnorm else t
-    sol = solve_ivp(counted, (0.0, t), z0, method="DOP853", first_step=h0,
-                    rtol=tolerances.ode_rel_tol, atol=tolerances.ode_abs_tol)
+    atol = tolerances.ode_abs_tol
+    if controlled is not None:
+        # an infinite tolerance takes a component out of the error norm
+        atol = np.full(z0.size, np.inf)
+        atol[:controlled] = tolerances.ode_abs_tol
+    # stages that overflow give an infinite or NaN error estimate, and scipy
+    # rejects the step; the warnings numpy raises on the way are not errors
+    with np.errstate(over="ignore", invalid="ignore"):
+        # first step: the time over which the initial derivative moves the
+        # state by its own size, capped at the whole interval; scipy's default
+        # sizes it from the tolerance alone, which costs a short flow three
+        # steps instead of one, while the bound keeps a fast flow's first
+        # stages finite
+        f0 = counted(0.0, z0)
+        fnorm = float(np.linalg.norm(f0))
+        h0 = min(t, float(np.linalg.norm(z0)) / fnorm) if fnorm else t
+        if not h0 > 0.0:
+            raise DomainEscape(
+                f"initial derivative of norm {fnorm:.3g} overflows the state")
+        sol = solve_ivp(counted, (0.0, t), z0, method="DOP853", first_step=h0,
+                        rtol=tolerances.ode_rel_tol, atol=atol)
     if not sol.success:
         # DOP853 fails only when its step size underflows, which happens as
         # the solution blows up at the edge of the chart's domain
         raise DomainEscape(f"adaptive integrator failed: {sol.message}")
-    if not conn.in_bounds(sol.y[:d]):
+    z = sol.y[:, -1]
+    # an infinite state can pass the error test, whose scale is then infinite
+    if not (np.isfinite(z).all() and conn.in_bounds(sol.y[:d])):
         raise DomainEscape("trajectory left the chart bounds")
-    return sol.y[:, -1]
+    return z
 
 
 def geodesic_flow(conn: ChartConnection, x, v, t: float = 1.0,
@@ -218,21 +265,103 @@ def geodesic_flow(conn: ChartConnection, x, v, t: float = 1.0,
     return z[:d], z[d:]
 
 
+def _jacobi_flow(conn: ChartConnection, x: np.ndarray, v: np.ndarray,
+                 tolerances: ToleranceConfig):
+    """Endpoint of the geodesic from x with velocity v at t = 1, and the
+    Jacobian of that endpoint in v.
+
+    The Jacobi fields (dx_j, dv_j) with dx_j(0) = 0, dv_j(0) = e_j solve the
+    variational equation dx' = dv, dv' = -2 G(x)(v, dv) - (d_dx G)(v, v);
+    they are integrated with the geodesic in one augmented flow, and dx_j(1)
+    is column j of the Jacobian.  Only the geodesic is error-controlled, so
+    the flow takes about the steps of a plain one; the fields, which seed a
+    quasi-Newton Jacobian, come out accurate to a few 1e-12 on them.
+    """
+    d = conn.dim
+    if not conn.in_bounds(x):
+        raise DomainEscape("initial point outside the chart bounds")
+    z0 = np.concatenate([x, v, np.zeros(d * d), np.eye(d).ravel()])
+    z = _integrate(conn, _jacobi_rhs(conn), z0, 1.0, tolerances, 2 * d)
+    return z[:d], z[2 * d:d * (d + 2)].reshape(d, d).T
+
+
+def _jacobi_rhs(conn: ChartConnection):
+    """Right-hand side of the geodesic and its d Jacobi fields, on the state
+    (x, v, dx_1 .. dx_d, dv_1 .. dv_d)."""
+    d = conn.dim
+    if conn.hess_f is None:
+        def rhs(_, z):
+            x, vel = z[:d], z[d:2 * d]
+            var = z[2 * d:].reshape(2 * d, d)
+            # one contraction for the velocity row and every dv_j row
+            acc = conn.contract(x, vel, np.vstack([vel, var[d:]]))
+            h = _FD_STEP * max(1.0, float(np.max(np.abs(x))))
+            dacc = np.einsum("nm,mkij,i,j->nk", var[:d],
+                             _fd_gamma_grad(conn, x, h), vel, vel)
+            return np.concatenate([vel, -acc[0], var[d:].ravel(),
+                                   (-2.0 * acc[1:] - dacc).ravel()])
+
+        return rhs
+
+    def rhs(_, z):
+        # in Python floats, as in contract: G(v, w) = (f.v) w + (f.w) v -
+        # (v.w) f and, as d_a f = H a, (d_a G)(v, v) = 2 (a.Hv) v - (v.v) Ha
+        f = conn._gradient(z[:d])
+        hf = conn._hessian(z[:d])
+        zs = z.tolist()
+        vs = zs[d:2 * d]
+        fv, vv = sum(map(mul, f, vs)), sum(map(mul, vs, vs))
+        hv = [sum(map(mul, hrow, vs)) for hrow in hf]
+        out = vs + [vv * fi - 2.0 * fv * vi for vi, fi in zip(vs, f)]
+        out += zs[d * (d + 2):]
+        for j in range(2 * d, d * (d + 2), d):
+            # dv_j' = -2 G(v, w) - (d_a G)(v, v) for a = dx_j, w = dv_j,
+            # gathered as cv v + cf f - 2 (f.v) w + (v.v) Ha
+            a, w = zs[j:j + d], zs[j + d * d:j + d * d + d]
+            cv = -2.0 * (sum(map(mul, f, w)) + sum(map(mul, a, hv)))
+            cf = 2.0 * sum(map(mul, vs, w))
+            out += [cv * vi + cf * fi - 2.0 * fv * wi
+                    + vv * sum(map(mul, hrow, a))
+                    for vi, fi, wi, hrow in zip(vs, f, w, hf)]
+        return np.array(out)
+
+    return rhs
+
+
+def _shooting_start(conn: ChartConnection, x: np.ndarray, d: np.ndarray):
+    """First shooting velocity toward x + d: the third-order inverse of the
+    geodesic's Taylor series x + v - G(v, v)/2 + ..., which is
+    d + G(x + d/3)(d, d)/2 + G(x)(d, G(x)(d, d))/6, or d itself where that
+    moves d by more than a quarter of its length and the series is not to
+    be trusted."""
+    try:
+        gdd = conn.contract(x, d, d)
+        v = (d + 0.5 * conn.contract(x + d / 3.0, d, d)
+             + conn.contract(x, d, gdd) / 6.0)
+    except (DomainEscape, NonFinite):
+        # x + d/3 lies outside the connection's domain
+        return d
+    # written so that a NaN start falls back too
+    return v if np.linalg.norm(v - d) <= 0.25 * np.linalg.norm(d) else d
+
+
 def log_shooting(conn: ChartConnection, x, y,
                  tolerances: ToleranceConfig | None = None):
     """Solve exp_x(v) = y for v by a quasi-Newton solve on the endpoint residual.
 
-    The initial guess is the chart difference y - x, which converges inside
-    convex normal neighborhoods.  The Jacobian of the endpoint map starts
-    from its first-order model I - G(x)(v, .) and takes a rank-one "good
-    Broyden" update after each trial, so an iteration costs one geodesic
-    integration unless the line search retries (up to four times) to make
-    the residual decrease: a rejected trial updates the Jacobian too, and
-    the next trial takes half of the step solved from the updated one.  Once
-    the residual is at most max(10 ode_rel_tol, 1e-11), one more step is
-    tried and kept only if it lowers the residual; a chart difference that
-    already meets the target returns at once, with 0 iterations.  All steps
-    count against ``max_shooting_iters``.  Returns (v, iterations); raises
+    The initial guess is the third-order inverse of the geodesic's Taylor
+    series at x, or the chart difference y - x where that series is far
+    off; either converges inside convex normal neighborhoods.  The first
+    trial integrates the Jacobi fields with the geodesic, which gives the
+    exact Jacobian of the endpoint map at the guess.  Every later trial is
+    one geodesic integration, after which the Jacobian takes a rank-one
+    "good Broyden" update; the line search retries (up to four times) to
+    make the residual decrease: a rejected trial updates the Jacobian too,
+    and the next trial takes half of the step solved from the updated one.
+    Once the residual is at most max(10 ode_rel_tol, 1e-11), one more step
+    is tried and kept only if it lowers the residual; a guess that already
+    meets the target returns at once, with 0 iterations.  All steps count
+    against ``max_shooting_iters``.  Returns (v, iterations); raises
     NoConvergence with the best residual attached otherwise, also when a
     trial integration fails.
     """
@@ -244,11 +373,13 @@ def log_shooting(conn: ChartConnection, x, y,
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
 
-    def endpoint(vel, rnorm, escapes=()):
+    def endpoint(vel, rnorm, escapes=(), flow=None):
         # a trial velocity that stalls the integrator or escapes the chart is
         # a shooting failure, not silent garbage, unless the caller takes an
         # escape (None) as a rejected trial
         try:
+            if flow is not None:
+                return flow(conn, x, vel, tolerances)
             return geodesic_flow(conn, x, vel, 1.0, tolerances)[0]
         except escapes:
             return None
@@ -258,13 +389,12 @@ def log_shooting(conn: ChartConnection, x, y,
                 residual=rnorm) from err
 
     # before the first trial the solve holds v = 0, whose endpoint is x
-    v = y - x
-    res = endpoint(v, float(np.linalg.norm(v))) - y
+    v = _shooting_start(conn, x, y - x)
+    end, jac = endpoint(v, float(np.linalg.norm(y - x)), flow=_jacobi_flow)
+    res = end - y
     rnorm = float(np.linalg.norm(res))
     if rnorm <= residual_tol:
         return v, 0
-    # derivative in v of the first-order model x + v - G(x)(v, v) / 2
-    jac = np.eye(conn.dim) - v @ conn.gamma(x)
     it = 0
     while rnorm > residual_tol:
         if it == max_iters:
@@ -487,6 +617,8 @@ class ChartSpace(ConnectionSpace):
         #: canonical interior base point used by experiment sweeps
         self.anchor = (np.zeros(self.dim) if anchor is None
                        else np.asarray(anchor, dtype=float))
+        # (connection, point bytes, tensor) of the last nabla_curvature
+        self._nabla_memo = None
 
     # -- kernels --------------------------------------------------------------
 
@@ -518,8 +650,14 @@ class ChartSpace(ConnectionSpace):
         return np.einsum("lijk,i,j,k->l", r, u, v, w)
 
     def _nabla_curvature(self, x, direction, u, v, w):
-        dr = nabla_curvature_components(self.conn, x)
-        return np.einsum("mlijk,m,i,j,k->l", dr, direction, u, v, w)
+        # the error predictor contracts the tensor twice at one point, and a
+        # sweep asks for it at the same anchor in every op: keep the last one
+        key = x.tobytes()
+        memo = self._nabla_memo
+        if memo is None or memo[0] is not self.conn or memo[1] != key:
+            memo = (self.conn, key, nabla_curvature_components(self.conn, x))
+            self._nabla_memo = memo
+        return np.einsum("mlijk,m,i,j,k->l", memo[2], direction, u, v, w)
 
     def _inner(self, x, u, v):
         if self.metric is None:

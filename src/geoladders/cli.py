@@ -169,6 +169,9 @@ def _make_config(args: argparse.Namespace) -> ExperimentConfig:
         raise ConfigError("n_rungs must be at least 1")
     if cfg.trials < 1:
         raise ConfigError("trials must be at least 1")
+    if cfg.seed < 0:
+        # numpy's generators take only non-negative seeds
+        raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
     return cfg
 
 

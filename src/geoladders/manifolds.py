@@ -24,6 +24,7 @@ from .chart import (
 from .core import (
     ConnectionSpace,
     CutLocus,
+    DomainEscape,
     LogBranch,
     NonFinite,
     NotSPD,
@@ -561,11 +562,17 @@ class BumpMetric2D(ChartSpace):
         def grad_f(x):
             return np.array([2.0 * beta_ * x[0], 0.0])
 
+        hess = np.diag([2.0 * beta_, 0.0])
+
+        def hess_f(x):
+            return hess
+
         def metric(x):
             return math.exp(2.0 * beta_ * x[0] * x[0]) * np.eye(2)
 
         conn = ChartConnection.conformal(
             2, grad_f, chart_bounds=(np.array([-2.0, -2.0]), np.array([2.0, 2.0])),
+            hess_f=hess_f,
         )
         super().__init__("bump2d", conn, metric=metric, tolerances=tolerances,
                          anchor=np.array([0.3, 0.1]))
@@ -591,18 +598,34 @@ def _stereographic_sphere_chart():
         r2 = float(x @ x)
         return -2.0 * x / (1.0 + r2)
 
-    return ChartConnection.conformal(2, grad_f)
+    def hess_f(x):
+        s = 1.0 + float(x @ x)
+        return -2.0 * np.eye(2) / s + 4.0 * np.outer(x, x) / (s * s)
+
+    return ChartConnection.conformal(2, grad_f, hess_f=hess_f)
 
 
 def _poincare_ball_chart():
     # unit-disc chart of the hyperbolic plane, metric 4 (dx^2+dy^2)/(1-r^2)^2
+    def one_minus_r2(x):
+        # the box below holds the disc; outside the disc, the factor's
+        # formulas give a metric of the wrong sign
+        s = 1.0 - float(x @ x)
+        if not s > 0.0:
+            raise DomainEscape(f"point {x} is outside the unit disc")
+        return s
+
     def grad_f(x):
-        r2 = float(x @ x)
-        return 2.0 * x / (1.0 - r2)
+        return 2.0 * x / one_minus_r2(x)
+
+    def hess_f(x):
+        s = one_minus_r2(x)
+        return 2.0 * np.eye(2) / s + 4.0 * np.outer(x, x) / (s * s)
 
     return ChartConnection.conformal(
         2, grad_f,
         chart_bounds=(np.array([-0.999, -0.999]), np.array([0.999, 0.999])),
+        hess_f=hess_f,
     )
 
 

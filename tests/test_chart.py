@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from geoladders import (
 )
 from geoladders import chart
 from geoladders.manifolds import _hat, _rodrigues, _so3_rotation_vector_chart
+from helpers import count_engine_calls
 
 
 def flat_chart(n=2, bounds=None):
@@ -32,14 +34,15 @@ def flat_chart(n=2, bounds=None):
 
 
 class CountingChristoffel:
-    """Wraps a connection's christoffel and grad_f callables and counts their
-    evaluations together: one per connection evaluation, whichever it reads."""
+    """Wraps a connection's christoffel, grad_f and hess_f callables and
+    counts their evaluations together."""
 
     def __init__(self, conn):
         self.calls = 0
         self.conn = dataclasses.replace(
             conn, christoffel=self._counted(conn.christoffel),
-            grad_f=conn.grad_f and self._counted(conn.grad_f))
+            grad_f=conn.grad_f and self._counted(conn.grad_f),
+            hess_f=conn.hess_f and self._counted(conn.hess_f))
 
     def _counted(self, fn):
         def wrapper(x):
@@ -222,6 +225,49 @@ def test_first_step_is_bounded_on_a_fast_flow(bump):
     assert np.abs(v - v_ref).max() <= 1e-12
 
 
+def test_overflowing_stages_are_rejected_steps_without_warnings(bump):
+    # a line-search trial of a far bump2d log: stages of its early steps
+    # overflow, their error estimates are infinite or NaN and scipy rejects
+    # them; numpy's warnings on the way are not raised
+    x0 = np.array([-0.020512248239137887, 0.4585229997993715])
+    v0 = np.array([-2.738216109319155, -11.189856960466967])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x, v = geodesic_flow(bump.conn, x0, v0)
+    x_ref, v_ref = _tight_geodesic(bump.conn, x0, v0)
+    assert np.abs(x - x_ref).max() <= 1e-12
+    assert np.abs(v - v_ref).max() <= 1e-12
+
+
+@pytest.mark.parametrize("conn, x, v", [
+    # stage positions overflow mid-solve, where the bump's gradient is not
+    # finite: rejected steps, then the box, not a NonFinite
+    (make_chart("bump2d"), (-0.0205, 0.4585), (1e30, 1e30)),
+    # the initial derivative's norm overflows
+    (make_chart("bump2d"), (0.3, 0.1), (1e150, 1e150)),
+    # a chart without bounds, whose endpoint would be infinite
+    (flat_chart(), (1e308, 0.0), (1e308, 0.0)),
+], ids=["bump-stages", "bump-start", "flat-endpoint"])
+def test_flow_whose_state_overflows_is_domain_escape(conn, x, v):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainEscape):
+            geodesic_flow(conn, x, v)
+
+
+@pytest.mark.parametrize("x", [(0.8, 0.8), (0.999, 0.1), (0.6, 0.8)])
+def test_hyperbolic_ball_point_outside_the_disc_is_domain_escape(x):
+    # inside the chart's box but not in the unit disc, where the conformal
+    # factor's formulas give a metric of the wrong sign
+    conn = make_chart("hyperbolic2-ball")
+    x = np.array(x)
+    assert conn.in_bounds(x)
+    for fn in (conn.grad_f, conn.hess_f,
+               lambda p: geodesic_flow(conn, p, [0.1, 0.0])):
+        with pytest.raises(DomainEscape, match="unit disc"):
+            fn(x)
+
+
 def test_torsion_warning_on_asymmetric_symbols():
     def lopsided(x):
         g = np.zeros((2, 2, 2))
@@ -255,6 +301,20 @@ def test_conformal_contraction_matches_symbols(name):
 
 
 @pytest.mark.parametrize("name", CONFORMAL_CHARTS)
+def test_conformal_hessian_matches_differences_of_the_gradient(name):
+    conn = make_chart(name)
+    rng = np.random.default_rng(9)
+    h = 1e-5
+    for _ in range(20):
+        x = rng.uniform(-0.6, 0.6, 2)
+        fd = np.column_stack([(conn.grad_f(x + e) - conn.grad_f(x - e)) / (2 * h)
+                              for e in h * np.eye(2)])
+        # relative to the Hessian, which reaches 20 near the ball's rim
+        assert np.abs(conn.hess_f(x) - fd).max() <= 1e-8 * max(
+            1.0, np.abs(fd).max())
+
+
+@pytest.mark.parametrize("name", CONFORMAL_CHARTS)
 def test_flow_through_the_gradient_matches_flow_through_the_symbols(name):
     conn = make_chart(name)
     symbols = dataclasses.replace(conn, grad_f=None)
@@ -268,23 +328,23 @@ def test_flow_through_the_gradient_matches_flow_through_the_symbols(name):
 # -- shooting -------------------------------------------------------------------
 
 def test_flat_chart_log_is_difference(monkeypatch):
-    flows = []
-
-    def flow(*args):
-        flows.append(args)
-        return geodesic_flow(*args)
-
+    x, y = np.zeros(2), np.ones(2)
+    start = CountingChristoffel(flat_chart())
+    assert np.array_equal(chart._shooting_start(start.conn, x, y - x), y - x)
     one_flow = CountingChristoffel(flat_chart())
-    geodesic_flow(one_flow.conn, [0.0, 0.0], [1.0, 1.0])
-    monkeypatch.setattr(chart, "geodesic_flow", flow)
+    end, jac = chart._jacobi_flow(one_flow.conn, x, y - x, ToleranceConfig())
+    assert np.allclose(end, y, atol=1e-12)
+    assert np.allclose(jac, np.eye(2), atol=1e-12)
+    flows = _flows_failing_after(monkeypatch, math.inf, DomainEscape)
     counter = CountingChristoffel(flat_chart())
-    v, iters = log_shooting(counter.conn, [0.0, 0.0], [1.0, 1.0])
+    v, iters = log_shooting(counter.conn, x, y)
     assert np.allclose(v, [1.0, 1.0], atol=1e-12)
     assert iters == 0
-    # the chart difference meets the target: no trial beyond the first flow,
-    # and no symbols spent on a Jacobian
-    assert len(flows) == 1
-    assert counter.calls == one_flow.calls
+    # the chart difference meets the target: the first trial, one Jacobi
+    # flow, is the only one, and no symbols are spent beyond the start and
+    # that flow
+    assert len(flows) == 0
+    assert counter.calls == start.calls + one_flow.calls
 
 
 def _bump_round_trips(bump):
@@ -311,9 +371,11 @@ def test_bump_exp_log_round_trip(bump):
 
 def test_bump_log_christoffel_budget(bump):
     # a finite-difference Newton Jacobian spends 11,748 evaluations on these
-    # five solves; the quasi-Newton solve spends 2,463 (2,451 with scipy's
-    # tolerance-sized first step), and 5,781 when its flows run on a 4(5)
-    # pair instead of DOP853
+    # five solves; the quasi-Newton solve seeded with I - G(x)(v, .) spent
+    # 2,463 (2,451 with scipy's tolerance-sized first step, 5,781 when its
+    # flows ran on a 4(5) pair instead of DOP853), and seeded with the
+    # Jacobi-field Jacobian it spends 2,201, each of whose Jacobi right-hand
+    # sides reads grad_f and hess_f once
     counter = CountingChristoffel(bump.conn)
     for x, _, y in _bump_round_trips(bump):
         log_shooting(counter.conn, x, y, bump.tolerances)
@@ -354,17 +416,23 @@ def _flows_failing_after(monkeypatch, n, error):
 
 def test_failed_shooting_trial_reports_current_residual(monkeypatch):
     conn = make_chart("sphere2-stereographic")
-    # the first trial, the chart difference, runs through the chart's point
-    # at infinity; the solve still holds v = 0, whose residual is |y - x|
+    # the first trial, the Jacobi flow from the chart difference (the series
+    # start moves it too far), runs through the chart's point at infinity;
+    # the solve still holds v = 0, whose residual is |y - x|
+    x, y = np.zeros(2), np.array([3.0, 1.0])
+    assert np.array_equal(chart._shooting_start(conn, x, y - x), y - x)
     with pytest.raises(NoConvergence, match="trial failed") as info:
-        log_shooting(conn, np.zeros(2), np.array([3.0, 1.0]))
+        log_shooting(conn, x, y)
     assert info.value.residual == pytest.approx(math.sqrt(10.0))
     assert isinstance(info.value.__cause__, DomainEscape)
-    # a line-search trial that exhausts the step budget ends the solve at the
-    # residual of the first trial, which lands at chart radius tan(1.5)
-    _flows_failing_after(monkeypatch, 1, MaxStepsExceeded)
+    # a line-search trial, the first geodesic flow, that exhausts the step
+    # budget ends the solve at the residual of the first trial, whose
+    # endpoint lands at chart radius tan(1.5)
+    x, y = np.zeros(2), np.array([1.5, 0.0])
+    assert np.array_equal(chart._shooting_start(conn, x, y - x), y - x)
+    _flows_failing_after(monkeypatch, 0, MaxStepsExceeded)
     with pytest.raises(NoConvergence, match="trial failed") as info:
-        log_shooting(conn, np.zeros(2), np.array([1.5, 0.0]))
+        log_shooting(conn, x, y)
     assert info.value.residual == pytest.approx(math.tan(1.5) - 1.5)
     assert isinstance(info.value.__cause__, MaxStepsExceeded)
 
@@ -387,14 +455,18 @@ def test_line_search_trial_that_leaves_the_chart_is_rejected(name, x, y, v):
 
 def test_line_search_with_every_trial_escaping_raises_current_residual(
         monkeypatch):
+    # after the first trial, the Jacobi flow, every geodesic flow escapes:
+    # the five trials of the first iteration are rejected
     conn = make_chart("sphere2-stereographic")
     x, y = np.zeros(2), np.array([0.9, 0.4])
-    start = np.linalg.norm(geodesic_flow(conn, x, y - x)[0] - y)
-    flows = _flows_failing_after(monkeypatch, 1, DomainEscape)
+    v0 = chart._shooting_start(conn, x, y - x)
+    end, _ = chart._jacobi_flow(conn, x, v0, ToleranceConfig())
+    start = np.linalg.norm(end - y)
+    flows = _flows_failing_after(monkeypatch, 0, DomainEscape)
     with pytest.raises(NoConvergence, match="line search") as info:
         log_shooting(conn, x, y)
     assert info.value.residual == start
-    assert len(flows) == 1 + 5
+    assert len(flows) == 5
 
 
 def test_shooting_reports_residual_when_stalled():
@@ -406,18 +478,19 @@ def test_shooting_reports_residual_when_stalled():
 
 
 def test_shooting_line_search_without_decrease_raises_best_residual():
-    # halfway to the antipode of x (chart point (-2, 0)) none of the five
-    # trials of the first iteration lowers the residual; the solve stops
-    # there and reports the initial residual instead of taking a worse trial
+    # a target past the equator of the sphere as seen from x: none of the
+    # five trials of the third iteration lowers the residual; the solve
+    # stops there and reports the residual it held after the second
+    # iteration, as a solve stopped there does, instead of taking a worse
+    # trial
     conn = make_chart("sphere2-stereographic")
-    x = np.array([0.5, 0.0])
-    y = np.array([-1.0, 0.4])
-    tol = ToleranceConfig(ode_rel_tol=1e-8, ode_abs_tol=1e-8,
-                          max_shooting_iters=10)
-    start = np.linalg.norm(geodesic_flow(conn, x, y - x, 1.0, tol)[0] - y)
-    with pytest.raises(NoConvergence, match="line search") as info:
-        log_shooting(conn, x, y, tol)
-    assert info.value.residual == start
+    x = np.array([0.3797, -0.4358])
+    y = np.array([0.9129, 1.4111])
+    with pytest.raises(NoConvergence, match="stalled after 2") as held:
+        log_shooting(conn, x, y, ToleranceConfig(max_shooting_iters=2))
+    with pytest.raises(NoConvergence, match="no decrease at iteration 3") as info:
+        log_shooting(conn, x, y)
+    assert info.value.residual == held.value.residual
 
 
 @pytest.mark.parametrize("x, y", [
@@ -431,6 +504,89 @@ def test_rejected_trials_update_the_shooting_jacobian(bump, x, y):
     v, _ = log_shooting(bump.conn, x, y, bump.tolerances)
     end, _ = geodesic_flow(bump.conn, x, v, 1.0, bump.tolerances)
     assert np.linalg.norm(end - y) <= 1e-11
+
+
+def test_far_bump_pairs_all_converge_without_warnings(bump):
+    # targets up to 1.6 out in each coordinate, far beyond the validity
+    # radius; an overflowing line-search trial once escaped the 43rd solve
+    # as a RuntimeWarning
+    rng = np.random.default_rng(5)
+    xs = rng.uniform(-0.5, 0.5, (60, 2))
+    ys = rng.uniform(-1.6, 1.6, (60, 2))
+    worst = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x, y in zip(xs, ys):
+            v, _ = log_shooting(bump.conn, x, y, bump.tolerances)
+            end, _ = geodesic_flow(bump.conn, x, v, 1.0, bump.tolerances)
+            worst = max(worst, np.linalg.norm(end - y))
+    assert worst <= 1e-13
+
+
+# -- Jacobi fields ---------------------------------------------------------------
+
+@pytest.mark.parametrize("name, x, v", [
+    ("bump2d", (0.3, 0.1), (0.4, -0.3)),
+    ("sphere2-stereographic", (0.3, -0.4), (0.5, 0.35)),
+    ("hyperbolic2-ball", (0.2, -0.3), (0.3, 0.2)),
+    # symbols only: their derivatives come from central differences
+    ("spd2-entries", (1.0, 0.2, 0.8), (0.3, -0.1, 0.2)),
+])
+def test_jacobi_flow_jacobian_matches_central_differences(name, x, v):
+    conn = make_chart(name)
+    x, v = np.array(x), np.array(v)
+    end, jac = chart._jacobi_flow(conn, x, v, ToleranceConfig())
+    # the geodesic rides along with its Jacobi fields
+    assert np.abs(end - geodesic_flow(conn, x, v)[0]).max() <= 1e-12
+    tight = ToleranceConfig(ode_rel_tol=1e-13, ode_abs_tol=1e-13)
+    h = 1e-4
+    fd = np.column_stack([
+        (geodesic_flow(conn, x, v + e, 1.0, tight)[0]
+         - geodesic_flow(conn, x, v - e, 1.0, tight)[0]) / (2 * h)
+        for e in h * np.eye(x.size)])
+    # the differences' own error is about 1e-8 here; the first-order model
+    # I - G(x)(v, .) misses by 0.06 to 0.19
+    assert np.abs(jac - fd).max() <= 1e-7
+
+
+def test_jacobi_flow_reads_gradient_and_hessian_once_per_evaluation(
+        bump, monkeypatch):
+    nfev = []
+
+    def ivp(*args, **kwargs):
+        sol = solve_ivp(*args, **kwargs)
+        nfev.append(sol.nfev)
+        return sol
+
+    monkeypatch.setattr(chart, "solve_ivp", ivp)
+    counter = CountingChristoffel(bump.conn)
+    chart._jacobi_flow(counter.conn, _START_X, 0.3 * _START_DIR,
+                       ToleranceConfig())
+    # solve_ivp's evaluations and the start rule's
+    assert counter.calls == 2 * (nfev[0] + 1)
+
+
+def test_nabla_curvature_is_built_once_per_point_and_connection(monkeypatch):
+    space = make_space("bump2d")
+    rng = np.random.default_rng(4)
+    p = space.anchor_point()
+    a, u, v, w = (space.random_direction(rng, p) for _ in range(4))
+    calls = count_engine_calls(monkeypatch, "nabla_curvature_components")
+    got = [space.nabla_curvature(p, a, u, v, w),
+           space.nabla_curvature(p, u, v, w, a)]
+    assert calls["nabla_curvature_components"] == 1
+    dr = nabla_curvature_components(space.conn, p.coords)
+    for out, args in zip(got, ((a, u, v, w), (u, v, w, a))):
+        ref = np.einsum("mlijk,m,i,j,k->l", dr, *(t.components for t in args))
+        assert np.array_equal(out.components, ref)
+    q = space.exp(p, 0.1 * u)
+    b = space.random_direction(rng, q)
+    space.nabla_curvature(q, b, b, b, b)
+    assert calls["nabla_curvature_components"] == 2
+    space.conn = dataclasses.replace(space.conn)
+    space.nabla_curvature(q, b, b, b, b)
+    space.nabla_curvature(q, b, b, b, b)
+    assert calls["nabla_curvature_components"] == 3
 
 
 # -- transport ------------------------------------------------------------------

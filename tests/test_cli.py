@@ -321,6 +321,11 @@ def test_out_of_range_setting_is_a_config_error(tmp_path, capsys, name, value):
     assert f"config error: {name} must be finite" in capsys.readouterr().err
 
 
+def test_negative_seed_is_a_config_error(capsys):
+    assert main(["transport", "--manifold", "sphere-2", "--seed", "-1"]) == 1
+    assert "config error: seed must be >= 0" in capsys.readouterr().err
+
+
 def test_config_hash_ignores_output_path():
     a = ExperimentConfig(manifold="sphere-2", seed=1, output="a.csv")
     b = ExperimentConfig(manifold="sphere-2", seed=1, output="b.csv")
