@@ -205,18 +205,27 @@ def _integrate(conn: ChartConnection, rhs, z0: np.ndarray, t: float,
                 f"evaluations, the budget of {_MAX_STEPS} steps, at t={s:.6g}")
         try:
             return rhs(s, z)
-        except NonFinite:
-            # a stage of a too-long step overflowed: a NaN derivative makes
-            # the error estimate NaN, and the step is rejected and shortened
-            if np.isfinite(z).all():
+        except (DomainEscape, NonFinite) as err:
+            # a stage of a too-long step overflowed or left the connection's
+            # domain: a NaN derivative makes the error estimate NaN, and the
+            # step is rejected and shortened.  The start rule's evaluation,
+            # at the initial state, and symbols that are not finite at a
+            # finite state still raise
+            if evals == 1 or (isinstance(err, NonFinite)
+                              and np.isfinite(z).all()):
                 raise
             return np.full_like(z, np.nan)
 
-    atol = tolerances.ode_abs_tol
+    rtol, atol = tolerances.ode_rel_tol, tolerances.ode_abs_tol
     if controlled is not None:
-        # an infinite tolerance takes a component out of the error norm
+        # scipy's error norm is a root mean square over all components: an
+        # infinite tolerance takes a component out of it, and scaling the
+        # others' tolerances by sqrt(controlled / size) gives them the norm
+        # a flow of those components alone has
+        scale = math.sqrt(controlled / z0.size)
+        rtol = max(rtol * scale, 100.0 * _EPS)
         atol = np.full(z0.size, np.inf)
-        atol[:controlled] = tolerances.ode_abs_tol
+        atol[:controlled] = tolerances.ode_abs_tol * scale
     # stages that overflow give an infinite or NaN error estimate, and scipy
     # rejects the step; the warnings numpy raises on the way are not errors
     with np.errstate(over="ignore", invalid="ignore"):
@@ -232,7 +241,7 @@ def _integrate(conn: ChartConnection, rhs, z0: np.ndarray, t: float,
             raise DomainEscape(
                 f"initial derivative of norm {fnorm:.3g} overflows the state")
         sol = solve_ivp(counted, (0.0, t), z0, method="DOP853", first_step=h0,
-                        rtol=tolerances.ode_rel_tol, atol=atol)
+                        rtol=rtol, atol=atol)
     if not sol.success:
         # DOP853 fails only when its step size underflows, which happens as
         # the solution blows up at the edge of the chart's domain
@@ -268,44 +277,25 @@ def geodesic_flow(conn: ChartConnection, x, v, t: float = 1.0,
 def _jacobi_flow(conn: ChartConnection, x: np.ndarray, v: np.ndarray,
                  tolerances: ToleranceConfig):
     """Endpoint of the geodesic from x with velocity v at t = 1, and the
-    Jacobian of that endpoint in v.
+    Jacobian of that endpoint in v, on a connection with ``hess_f``.
 
     The Jacobi fields (dx_j, dv_j) with dx_j(0) = 0, dv_j(0) = e_j solve the
     variational equation dx' = dv, dv' = -2 G(x)(v, dv) - (d_dx G)(v, v);
     they are integrated with the geodesic in one augmented flow, and dx_j(1)
-    is column j of the Jacobian.  Only the geodesic is error-controlled, so
-    the flow takes about the steps of a plain one; the fields, which seed a
-    quasi-Newton Jacobian, come out accurate to a few 1e-12 on them.
+    is column j of the Jacobian.  Only the geodesic is error-controlled, at
+    the error norm of a plain flow, so the flow takes about a plain flow's
+    steps, though not the same ones: its start rule sees the whole state.
+    The fields, which seed a quasi-Newton Jacobian, come out accurate to a
+    few 1e-12 on those steps.
     """
     d = conn.dim
     if not conn.in_bounds(x):
         raise DomainEscape("initial point outside the chart bounds")
-    z0 = np.concatenate([x, v, np.zeros(d * d), np.eye(d).ravel()])
-    z = _integrate(conn, _jacobi_rhs(conn), z0, 1.0, tolerances, 2 * d)
-    return z[:d], z[2 * d:d * (d + 2)].reshape(d, d).T
-
-
-def _jacobi_rhs(conn: ChartConnection):
-    """Right-hand side of the geodesic and its d Jacobi fields, on the state
-    (x, v, dx_1 .. dx_d, dv_1 .. dv_d)."""
-    d = conn.dim
-    if conn.hess_f is None:
-        def rhs(_, z):
-            x, vel = z[:d], z[d:2 * d]
-            var = z[2 * d:].reshape(2 * d, d)
-            # one contraction for the velocity row and every dv_j row
-            acc = conn.contract(x, vel, np.vstack([vel, var[d:]]))
-            h = _FD_STEP * max(1.0, float(np.max(np.abs(x))))
-            dacc = np.einsum("nm,mkij,i,j->nk", var[:d],
-                             _fd_gamma_grad(conn, x, h), vel, vel)
-            return np.concatenate([vel, -acc[0], var[d:].ravel(),
-                                   (-2.0 * acc[1:] - dacc).ravel()])
-
-        return rhs
 
     def rhs(_, z):
-        # in Python floats, as in contract: G(v, w) = (f.v) w + (f.w) v -
-        # (v.w) f and, as d_a f = H a, (d_a G)(v, v) = 2 (a.Hv) v - (v.v) Ha
+        # on the state (x, v, dx_1 .. dx_d, dv_1 .. dv_d), in Python floats
+        # as in contract: G(v, w) = (f.v) w + (f.w) v - (v.w) f and, as
+        # d_a f = H a, (d_a G)(v, v) = 2 (a.Hv) v - (v.v) Ha
         f = conn._gradient(z[:d])
         hf = conn._hessian(z[:d])
         zs = z.tolist()
@@ -325,7 +315,9 @@ def _jacobi_rhs(conn: ChartConnection):
                     for vi, fi, wi, hrow in zip(vs, f, w, hf)]
         return np.array(out)
 
-    return rhs
+    z0 = np.concatenate([x, v, np.zeros(d * d), np.eye(d).ravel()])
+    z = _integrate(conn, rhs, z0, 1.0, tolerances, 2 * d)
+    return z[:d], z[2 * d:d * (d + 2)].reshape(d, d).T
 
 
 def _shooting_start(conn: ChartConnection, x: np.ndarray, d: np.ndarray):
@@ -349,21 +341,25 @@ def log_shooting(conn: ChartConnection, x, y,
                  tolerances: ToleranceConfig | None = None):
     """Solve exp_x(v) = y for v by a quasi-Newton solve on the endpoint residual.
 
-    The initial guess is the third-order inverse of the geodesic's Taylor
-    series at x, or the chart difference y - x where that series is far
-    off; either converges inside convex normal neighborhoods.  The first
-    trial integrates the Jacobi fields with the geodesic, which gives the
-    exact Jacobian of the endpoint map at the guess.  Every later trial is
-    one geodesic integration, after which the Jacobian takes a rank-one
-    "good Broyden" update; the line search retries (up to four times) to
-    make the residual decrease: a rejected trial updates the Jacobian too,
-    and the next trial takes half of the step solved from the updated one.
-    Once the residual is at most max(10 ode_rel_tol, 1e-11), one more step
-    is tried and kept only if it lowers the residual; a guess that already
-    meets the target returns at once, with 0 iterations.  All steps count
-    against ``max_shooting_iters``.  Returns (v, iterations); raises
-    NoConvergence with the best residual attached otherwise, also when a
-    trial integration fails.
+    On a connection with ``hess_f`` the initial guess is the third-order
+    inverse of the geodesic's Taylor series at x, or the chart difference
+    y - x where that series is far off, and the first trial integrates the
+    Jacobi fields with the geodesic, which gives the exact Jacobian of the
+    endpoint map at the guess.  On one with only symbols the guess is the
+    chart difference, the first trial a plain geodesic integration, and the
+    Jacobian starts from its first-order model I - G(x)(v, .).  Either guess
+    converges inside convex normal neighborhoods.  Every later trial is one
+    geodesic integration, after which the Jacobian takes a rank-one "good
+    Broyden" update; the line search retries (up to four times) to make the
+    residual decrease: a rejected trial updates the Jacobian too, and the
+    next trial takes half of the step solved from the updated one.  Once
+    the residual is at most max(10 ode_rel_tol, 1e-11), one more step is
+    tried and kept only if it lowers the residual.  A guess that already
+    meets the target on the plain integration ``exp`` makes returns at
+    once, with 0 iterations.  All steps count against
+    ``max_shooting_iters``.  Returns (v, iterations); raises NoConvergence
+    with the best residual attached otherwise, also when a trial
+    integration fails.
     """
     tolerances = tolerances or _DEFAULT_TOLERANCES
     max_iters = tolerances.max_shooting_iters
@@ -373,28 +369,45 @@ def log_shooting(conn: ChartConnection, x, y,
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
 
-    def endpoint(vel, rnorm, escapes=(), flow=None):
+    def failed(rnorm, err):
         # a trial velocity that stalls the integrator or escapes the chart is
-        # a shooting failure, not silent garbage, unless the caller takes an
-        # escape (None) as a rejected trial
+        # a shooting failure, not silent garbage
+        return NoConvergence(
+            f"shooting trial failed at residual {rnorm:.3e}: {err}",
+            residual=rnorm)
+
+    def endpoint(vel, rnorm, escapes=()):
+        # unless the caller takes an escape (None) as a rejected trial
         try:
-            if flow is not None:
-                return flow(conn, x, vel, tolerances)
             return geodesic_flow(conn, x, vel, 1.0, tolerances)[0]
         except escapes:
             return None
         except (MaxStepsExceeded, DomainEscape) as err:
-            raise NoConvergence(
-                f"shooting trial failed at residual {rnorm:.3e}: {err}",
-                residual=rnorm) from err
+            raise failed(rnorm, err) from err
 
     # before the first trial the solve holds v = 0, whose endpoint is x
-    v = _shooting_start(conn, x, y - x)
-    end, jac = endpoint(v, float(np.linalg.norm(y - x)), flow=_jacobi_flow)
+    rnorm = float(np.linalg.norm(y - x))
+    jac = None
+    if conn.hess_f is None:
+        v = y - x
+        end = endpoint(v, rnorm)
+    else:
+        v = _shooting_start(conn, x, y - x)
+        try:
+            end, jac = _jacobi_flow(conn, x, v, tolerances)
+        except (MaxStepsExceeded, DomainEscape) as err:
+            raise failed(rnorm, err) from err
+        if np.linalg.norm(end - y) <= residual_tol:
+            # a guess is returned only on the endpoint exp gives it, and the
+            # augmented flow's steps are not exp's
+            end = endpoint(v, rnorm)
     res = end - y
     rnorm = float(np.linalg.norm(res))
     if rnorm <= residual_tol:
         return v, 0
+    if jac is None:
+        # derivative in v of the first-order model x + v - G(x)(v, v) / 2
+        jac = np.eye(conn.dim) - v @ conn.gamma(x)
     it = 0
     while rnorm > residual_tol:
         if it == max_iters:

@@ -268,6 +268,31 @@ def test_hyperbolic_ball_point_outside_the_disc_is_domain_escape(x):
             fn(x)
 
 
+def _poincare_exp(x, v):
+    # the unit disc's exponential map, x (+) tanh(|v|_x / 2) v / |v| in
+    # Moebius addition, with |v|_x = 2 |v| / (1 - |x|^2)
+    nv = np.linalg.norm(v)
+    u = math.tanh(nv / (1.0 - x @ x)) * v / nv
+    xu, xx, uu = x @ u, x @ x, u @ u
+    return ((1 + 2 * xu + uu) * x + (1 - xx) * u) / (1 + 2 * xu + xx * uu)
+
+
+def test_hyperbolic_ball_flow_whose_stages_overshoot_the_rim_finishes():
+    # the geodesic stays inside the disc (its end is at r = 0.978), but
+    # stages of its long first steps land outside it; they are rejected
+    # steps, not a DomainEscape that ends the solve
+    conn = make_chart("hyperbolic2-ball")
+    x, v = np.array([0.3, 0.8]), np.array([-0.25, 0.2])
+    y = _poincare_exp(x, v)
+    assert np.linalg.norm(y) > 0.97
+    assert np.abs(geodesic_flow(conn, x, v)[0] - y).max() <= 1e-12
+    u = np.array([0.1, 0.05])
+    _, end, _ = transport_ode(conn, u, x, v)
+    assert np.abs(end - y).max() <= 1e-12
+    v_rec, _ = log_shooting(conn, x, y)
+    assert np.abs(v_rec - v).max() <= 1e-9
+
+
 def test_torsion_warning_on_asymmetric_symbols():
     def lopsided(x):
         g = np.zeros((2, 2, 2))
@@ -328,23 +353,42 @@ def test_flow_through_the_gradient_matches_flow_through_the_symbols(name):
 # -- shooting -------------------------------------------------------------------
 
 def test_flat_chart_log_is_difference(monkeypatch):
-    x, y = np.zeros(2), np.ones(2)
-    start = CountingChristoffel(flat_chart())
-    assert np.array_equal(chart._shooting_start(start.conn, x, y - x), y - x)
+    flows = []
+
+    def flow(*args):
+        flows.append(args)
+        return geodesic_flow(*args)
+
     one_flow = CountingChristoffel(flat_chart())
-    end, jac = chart._jacobi_flow(one_flow.conn, x, y - x, ToleranceConfig())
+    geodesic_flow(one_flow.conn, [0.0, 0.0], [1.0, 1.0])
+    monkeypatch.setattr(chart, "geodesic_flow", flow)
+    counter = CountingChristoffel(flat_chart())
+    v, iters = log_shooting(counter.conn, [0.0, 0.0], [1.0, 1.0])
+    assert np.allclose(v, [1.0, 1.0], atol=1e-12)
+    assert iters == 0
+    # a chart with only symbols shoots the chart difference on a plain flow:
+    # no trial beyond it, and no symbols spent on a Jacobian
+    assert len(flows) == 1
+    assert counter.calls == one_flow.calls
+
+
+def test_flat_conformal_chart_log_confirms_the_guess_on_a_plain_flow(
+        monkeypatch):
+    # a chart with a Hessian shoots its first trial on a Jacobi flow, whose
+    # steps are not exp's: a guess that meets the target there is returned
+    # only after the plain flow exp takes meets it too
+    conn = ChartConnection.conformal(2, lambda x: np.zeros(2),
+                                     hess_f=lambda x: np.zeros((2, 2)))
+    x, y = np.zeros(2), np.ones(2)
+    end, jac = chart._jacobi_flow(conn, x, y - x, ToleranceConfig())
     assert np.allclose(end, y, atol=1e-12)
     assert np.allclose(jac, np.eye(2), atol=1e-12)
     flows = _flows_failing_after(monkeypatch, math.inf, DomainEscape)
-    counter = CountingChristoffel(flat_chart())
-    v, iters = log_shooting(counter.conn, x, y)
-    assert np.allclose(v, [1.0, 1.0], atol=1e-12)
+    v, iters = log_shooting(conn, x, y)
+    assert np.allclose(v, y - x, atol=1e-12)
     assert iters == 0
-    # the chart difference meets the target: the first trial, one Jacobi
-    # flow, is the only one, and no symbols are spent beyond the start and
-    # that flow
-    assert len(flows) == 0
-    assert counter.calls == start.calls + one_flow.calls
+    assert len(flows) == 1
+    assert np.linalg.norm(geodesic_flow(conn, x, v)[0] - y) <= 1e-11
 
 
 def _bump_round_trips(bump):
@@ -529,8 +573,6 @@ def test_far_bump_pairs_all_converge_without_warnings(bump):
     ("bump2d", (0.3, 0.1), (0.4, -0.3)),
     ("sphere2-stereographic", (0.3, -0.4), (0.5, 0.35)),
     ("hyperbolic2-ball", (0.2, -0.3), (0.3, 0.2)),
-    # symbols only: their derivatives come from central differences
-    ("spd2-entries", (1.0, 0.2, 0.8), (0.3, -0.1, 0.2)),
 ])
 def test_jacobi_flow_jacobian_matches_central_differences(name, x, v):
     conn = make_chart(name)
@@ -564,6 +606,29 @@ def test_jacobi_flow_reads_gradient_and_hessian_once_per_evaluation(
                        ToleranceConfig())
     # solve_ivp's evaluations and the start rule's
     assert counter.calls == 2 * (nfev[0] + 1)
+
+
+def test_jacobi_flow_controls_the_geodesic_at_a_plain_flows_error_norm(
+        bump, monkeypatch):
+    # scipy's error norm is a root mean square over all 12 components of the
+    # 2-d augmented state: the Jacobi fields' infinite tolerance drops them
+    # from the sum, and the geodesic's 4 components, their tolerances scaled
+    # by sqrt(4 / 12), get the norm a plain flow gives them
+    tolerances = []
+
+    def ivp(*args, **kwargs):
+        tolerances.append((kwargs["rtol"], kwargs["atol"]))
+        return solve_ivp(*args, **kwargs)
+
+    monkeypatch.setattr(chart, "solve_ivp", ivp)
+    tol = ToleranceConfig()
+    chart._jacobi_flow(bump.conn, _START_X, 0.3 * _START_DIR, tol)
+    geodesic_flow(bump.conn, _START_X, 0.3 * _START_DIR, 1.0, tol)
+    (rtol, atol), (plain_rtol, plain_atol) = tolerances
+    assert plain_rtol == tol.ode_rel_tol and plain_atol == tol.ode_abs_tol
+    scale = math.sqrt(4 / 12)
+    assert rtol == tol.ode_rel_tol * scale
+    assert np.array_equal(atol, [tol.ode_abs_tol * scale] * 4 + [math.inf] * 8)
 
 
 def test_nabla_curvature_is_built_once_per_point_and_connection(monkeypatch):
