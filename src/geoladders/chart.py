@@ -3,7 +3,10 @@
 Given a chart and a callable producing the symbols G^k_ij at a point, this
 module integrates the geodesic equation, inverts it by shooting, solves the
 parallel-transport ODE along geodesics, and assembles the curvature tensor
-and its covariant derivative from central finite differences.
+and its covariant derivative from central finite differences.  The ODEs are
+integrated by the module's own step loop of the Dormand-Prince 8(5,3) pair,
+which takes scipy's DOP853 steps with its coefficients, error norm and step
+control, but checks the chart's box and a step budget as it goes.
 
 ``ChartSpace`` adapts the engine to the ``ConnectionSpace`` contract so
 chart-defined manifolds compose with the ladder schemes and the analysis
@@ -19,7 +22,9 @@ from operator import mul
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853
+# unused; perfbench's tracer patches this name (ROADMAP item 1 frees it)
+from scipy.integrate import solve_ivp  # noqa: F401
 
 from .core import (
     ConnectionSpace,
@@ -53,11 +58,18 @@ _FD_STEP = _EPS ** (1.0 / 3.0)
 _NABLA_FD_STEP = 5e-4
 # first trial fraction of each quasi-Newton step; the line search halves it
 _NEWTON_DAMPING = 1.0
-# step budget of the integrator
+# budget of step attempts, accepted or rejected, of one integration
 _MAX_STEPS = 100_000
-# right-hand-side evaluations per step attempt of the adaptive DOP853 pair:
-# eleven new stages and the derivative at the step's end
-_RHS_PER_STEP = 12
+# the Dormand-Prince 8(5,3) pair, read from scipy's DOP853 so that no
+# coefficient is copied: row i of A weighs the earlier stages into stage i,
+# B the twelve stages into the eighth-order step, and E5 and E3 the stages
+# and the derivative at the step's end into the error estimates
+_STAGE_ROWS = tuple(DOP853.A[i, :i] for i in range(1, DOP853.n_stages))
+_B, _E5, _E3 = DOP853.B, DOP853.E5, DOP853.E3
+# scipy's step-size control: the next step is the last one times
+# SAFETY * error ** (-1/8), within [MIN_FACTOR, MAX_FACTOR]
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+_ERROR_EXPONENT = -1.0 / (DOP853.error_estimator_order + 1)
 _DEFAULT_TOLERANCES = ToleranceConfig()
 
 
@@ -124,8 +136,9 @@ class ChartConnection:
             raise ValueError(
                 f"grad_f returned shape {df.shape}, expected {(self.dim,)}")
         f = df.tolist()
-        # the same guarantee as gamma: a NaN left unchecked makes the
-        # adaptive integrator's time NaN, and it never terminates
+        # the same guarantee as gamma: a NaN left unchecked reads as a
+        # rejected step, and the integrator shrinks its step until it
+        # underflows and reports a domain escape instead of the fault
         if not all(map(math.isfinite, f)):
             raise NonFinite(f"conformal factor gradient is not finite at {x}")
         return f
@@ -150,8 +163,9 @@ class ChartConnection:
             )
         gt = g.swapaxes(1, 2)
         asym = float(np.abs(g - gt).max()) if g.size else 0.0
-        # NaN/inf in any symbol makes asym non-finite; left unchecked, the
-        # adaptive integrator's time becomes NaN and it never terminates
+        # NaN/inf in any symbol makes asym non-finite; left unchecked, it
+        # reads as a rejected step, and the integrator shrinks its step until
+        # it underflows and reports a domain escape instead of the fault
         if not math.isfinite(asym):
             raise NonFinite(f"christoffel symbols are not finite at {x}")
         if asym == 0.0:
@@ -176,81 +190,125 @@ class ChartConnection:
         return bool((xt >= lo).all() and (xt <= hi).all())
 
 
+def _dop853(conn: ChartConnection, rhs, z: np.ndarray, f: np.ndarray,
+            t: float, h_abs: float, rtol: float, atol: float,
+            controlled: int) -> tuple[np.ndarray, int, int]:
+    """Integrate z' = rhs(z) from time 0 to t, starting from the derivative
+    f = rhs(z) and a first step of h_abs; returns the state at t and the
+    numbers of accepted and rejected steps.
+
+    The steps are scipy's DOP853 steps: the same stages, the same error norm
+    and the same step-size control, without the solver object around them.
+    Only the first ``controlled`` components enter the error norm.  A stage
+    whose right-hand side raises DomainEscape, or NonFinite at a non-finite
+    state, makes the step's error NaN, and the step is rejected.  Every
+    accepted state must be finite and inside the chart's box.
+    """
+    d = conn.dim
+    # K[i] is stage i of the step; the last row, the derivative at the
+    # step's end, is the next step's first stage
+    K = np.empty((_B.size + 1, z.size))
+    stages = tuple((i, a, K[:i].T) for i, a in enumerate(_STAGE_ROWS, 1))
+    k_body, k_err = K[:-1].T, K[:, :controlled].T
+    s, accepted, rejected = 0.0, 0, 0
+    while s < t:
+        min_step = 10.0 * math.ulp(s)
+        if h_abs < min_step:
+            h_abs = min_step
+        step_rejected = False
+        while True:
+            if h_abs < min_step:
+                # the solution blows up at the edge of the chart's domain
+                raise DomainEscape(
+                    f"adaptive integrator failed: step size {h_abs:.3g} fell "
+                    f"below the spacing of numbers at t={s:.6g}")
+            if accepted + rejected == _MAX_STEPS:
+                raise MaxStepsExceeded(
+                    f"adaptive integrator exceeded its budget of {_MAX_STEPS} "
+                    f"steps at t={s:.6g}")
+            s_new = min(s + h_abs, t)
+            h = s_new - s
+            h_abs = h
+            K[0] = f
+            try:
+                for i, a, k in stages:
+                    zs = z + np.dot(k, a) * h
+                    K[i] = rhs(zs)
+                zs = z + h * np.dot(k_body, _B)
+                z_new, f_new = zs, rhs(zs)
+            except (DomainEscape, NonFinite) as err:
+                # a stage of a too-long step overflowed or left the
+                # connection's domain; symbols that are not finite at a
+                # finite state still raise
+                if isinstance(err, NonFinite) and np.isfinite(zs).all():
+                    raise
+                error_norm = math.nan
+            else:
+                K[-1] = f_new
+                scale = atol + np.maximum(np.abs(z[:controlled]),
+                                          np.abs(z_new[:controlled])) * rtol
+                err5 = np.dot(k_err, _E5) / scale
+                err3 = np.dot(k_err, _E3) / scale
+                # squared through the root, as scipy squares its norms, so
+                # that a plain flow takes scipy's steps to the last bit
+                e5 = math.sqrt(err5 @ err5) ** 2
+                e3 = math.sqrt(err3 @ err3) ** 2
+                # the fifth-order estimate, damped where the third-order one
+                # is small against it (Hairer, Norsett & Wanner, II.10)
+                error_norm = (h * e5 / math.sqrt((e5 + 0.01 * e3) * controlled)
+                              if e5 else 0.0)
+            if error_norm < 1.0:
+                factor = _MAX_FACTOR
+                if error_norm > 0.0:
+                    factor = min(factor,
+                                 _SAFETY * error_norm ** _ERROR_EXPONENT)
+                if step_rejected:
+                    factor = min(1.0, factor)
+                h_abs *= factor
+                break
+            # a NaN error norm shrinks the step by the least factor
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+            step_rejected = True
+            rejected += 1
+        accepted += 1
+        s, z, f = s_new, z_new, f_new
+        # an infinite state can pass the error test, whose scale is then
+        # infinite
+        if not (np.isfinite(z).all() and conn.in_bounds(z[:d])):
+            raise DomainEscape("trajectory left the chart bounds")
+    return z, accepted, rejected
+
+
 def _integrate(conn: ChartConnection, rhs, z0: np.ndarray, t: float,
                tolerances: ToleranceConfig, controlled: int | None = None
                ) -> np.ndarray:
-    # the integrator is the Dormand-Prince 8(5,3) pair (scipy's DOP853) with
-    # local error control at the ToleranceConfig ODE tolerances; at their
-    # tight defaults it takes fewer, longer steps than a 4(5) pair.  Only the
-    # first `controlled` components are error-controlled when it is given;
-    # the rest ride along on their steps
+    # the Dormand-Prince 8(5,3) pair with local error control at the
+    # ToleranceConfig ODE tolerances; at their tight defaults it takes fewer,
+    # longer steps than a 4(5) pair.  Only the first `controlled` components
+    # are error-controlled when it is given; the rest ride along on their
+    # steps.  The geodesic, transport and Jacobi equations are autonomous,
+    # so rhs takes the state alone
+    if not 0.0 <= t < math.inf:
+        raise ValueError(
+            f"integration time must be finite and non-negative, got {t}")
     if t == 0.0:
         return z0.copy()
-    if t < 0.0:
-        raise ValueError("integration time must be non-negative")
-    d = conn.dim
-    # the step budget is enforced while the solve runs, through its count of
-    # right-hand-side evaluations: solve_ivp reports its steps only on return,
-    # and every step attempt, accepted or rejected, costs _RHS_PER_STEP; the
-    # extra one covers the start rule's evaluation and solve_ivp's own at t=0
-    budget = _RHS_PER_STEP * (_MAX_STEPS + 1)
-    evals = 0
-
-    def counted(s, z):
-        nonlocal evals
-        evals += 1
-        if evals > budget:
-            raise MaxStepsExceeded(
-                f"adaptive integrator exceeded {budget} right-hand-side "
-                f"evaluations, the budget of {_MAX_STEPS} steps, at t={s:.6g}")
-        try:
-            return rhs(s, z)
-        except (DomainEscape, NonFinite) as err:
-            # a stage of a too-long step overflowed or left the connection's
-            # domain: a NaN derivative makes the error estimate NaN, and the
-            # step is rejected and shortened.  The start rule's evaluation,
-            # at the initial state, and symbols that are not finite at a
-            # finite state still raise
-            if evals == 1 or (isinstance(err, NonFinite)
-                              and np.isfinite(z).all()):
-                raise
-            return np.full_like(z, np.nan)
-
-    rtol, atol = tolerances.ode_rel_tol, tolerances.ode_abs_tol
-    if controlled is not None:
-        # scipy's error norm is a root mean square over all components: an
-        # infinite tolerance takes a component out of it, and scaling the
-        # others' tolerances by sqrt(controlled / size) gives them the norm
-        # a flow of those components alone has
-        scale = math.sqrt(controlled / z0.size)
-        rtol = max(rtol * scale, 100.0 * _EPS)
-        atol = np.full(z0.size, np.inf)
-        atol[:controlled] = tolerances.ode_abs_tol * scale
-    # stages that overflow give an infinite or NaN error estimate, and scipy
-    # rejects the step; the warnings numpy raises on the way are not errors
+    # stages that overflow give an infinite or NaN error estimate, and the
+    # step is rejected; the warnings numpy raises on the way are not errors
     with np.errstate(over="ignore", invalid="ignore"):
         # first step: the time over which the initial derivative moves the
         # state by its own size, capped at the whole interval; scipy's default
         # sizes it from the tolerance alone, which costs a short flow three
         # steps instead of one, while the bound keeps a fast flow's first
-        # stages finite
-        f0 = counted(0.0, z0)
+        # stages finite.  This evaluation, at the initial state, raises
+        f0 = rhs(z0)
         fnorm = float(np.linalg.norm(f0))
         h0 = min(t, float(np.linalg.norm(z0)) / fnorm) if fnorm else t
         if not h0 > 0.0:
             raise DomainEscape(
                 f"initial derivative of norm {fnorm:.3g} overflows the state")
-        sol = solve_ivp(counted, (0.0, t), z0, method="DOP853", first_step=h0,
-                        rtol=rtol, atol=atol)
-    if not sol.success:
-        # DOP853 fails only when its step size underflows, which happens as
-        # the solution blows up at the edge of the chart's domain
-        raise DomainEscape(f"adaptive integrator failed: {sol.message}")
-    z = sol.y[:, -1]
-    # an infinite state can pass the error test, whose scale is then infinite
-    if not (np.isfinite(z).all() and conn.in_bounds(sol.y[:d])):
-        raise DomainEscape("trajectory left the chart bounds")
-    return z
+        return _dop853(conn, rhs, z0, f0, t, h0, tolerances.ode_rel_tol,
+                       tolerances.ode_abs_tol, controlled or z0.size)[0]
 
 
 def geodesic_flow(conn: ChartConnection, x, v, t: float = 1.0,
@@ -266,7 +324,7 @@ def geodesic_flow(conn: ChartConnection, x, v, t: float = 1.0,
     if not conn.in_bounds(x):
         raise DomainEscape("initial point outside the chart bounds")
 
-    def rhs(_, z):
+    def rhs(z):
         vel = z[d:]
         return np.concatenate([vel, -conn.contract(z[:d], vel, vel)])
 
@@ -292,7 +350,7 @@ def _jacobi_flow(conn: ChartConnection, x: np.ndarray, v: np.ndarray,
     if not conn.in_bounds(x):
         raise DomainEscape("initial point outside the chart bounds")
 
-    def rhs(_, z):
+    def rhs(z):
         # on the state (x, v, dx_1 .. dx_d, dv_1 .. dv_d), in Python floats
         # as in contract: G(v, w) = (f.v) w + (f.w) v - (v.w) f and, as
         # d_a f = H a, (d_a G)(v, v) = 2 (a.Hv) v - (v.v) Ha
@@ -474,7 +532,7 @@ def transport_ode(conn: ChartConnection, u, x, v, t: float = 1.0,
     u = np.asarray(u, dtype=float)
     d = conn.dim
 
-    def rhs(_, z):
+    def rhs(z):
         vel = z[d:2 * d]
         # one connection evaluation for the velocity row and the transported row
         acc = conn.contract(z[:d], vel, z[d:].reshape(2, d))

@@ -107,7 +107,8 @@ class ToleranceConfig:
     ``ode_rel_tol``/``ode_abs_tol`` drive the adaptive geodesic integrator and
     ``max_shooting_iters`` the quasi-Newton log solve of chart spaces.
     Every tolerance is finite and positive, and ``ode_rel_tol`` is at least
-    100 machine epsilons, the least relative tolerance scipy honours.
+    100 machine epsilons, the floor of scipy's DOP853, which the chart
+    integrator keeps.
     Defaults sit roughly two orders of magnitude above double-precision noise
     accumulated over ~1e3 arithmetic operations.
     """
@@ -122,8 +123,9 @@ class ToleranceConfig:
             # written so that NaN fails it too
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and strictly positive")
-        # scipy's integrators raise a smaller relative tolerance to 100 eps
-        # with only a warning, so the error control asked for would not happen
+        # the chart integrator takes scipy's DOP853 steps, and scipy raises a
+        # smaller relative tolerance to 100 eps: error control that fine
+        # would ask for less than the stages' own rounding
         floor = 100.0 * np.finfo(float).eps
         if self.ode_rel_tol < floor:
             raise ValueError(f"ode_rel_tol must be at least {floor:.3g} (100 eps)")

@@ -147,9 +147,8 @@ def test_flow_domain_escape():
 def test_flow_through_the_chart_singularity_is_domain_escape():
     # the stereographic chart has no bounds; from the origin at this speed
     # the geodesic reaches the north pole, the chart's point at infinity,
-    # and the adaptive step size underflows before t = 1, after about 7,100
-    # connection evaluations (7,094 with scipy's first step, 7,118 with the
-    # engine's); a 4(5) pair spends about 29,000 getting there
+    # and the adaptive step size underflows before t = 1, after 7,117
+    # connection evaluations; a 4(5) pair spends about 29,000 getting there
     counter = CountingChristoffel(make_chart("sphere2-stereographic"))
     with pytest.raises(DomainEscape, match="step size"):
         geodesic_flow(counter.conn, [0.0, 0.0], [3.0, 0.0])
@@ -164,16 +163,14 @@ def test_adaptive_step_budget_stops_a_running_solve(bump, monkeypatch):
     with pytest.raises(MaxStepsExceeded):
         geodesic_flow(counter.conn, [0.0, 0.0], [0.4, 0.3], 1.0,
                       bump.tolerances)
-    # the solve stops at the budget's worth of right-hand sides instead of
-    # running to t = 1 and counting its steps afterwards; the start rule's
-    # evaluation takes the place of the one scipy's first-step guess made,
-    # so the count is unchanged
-    assert counter.calls == chart._RHS_PER_STEP * (5 + 1) < full.calls
+    # the solve stops at its budget of step attempts instead of running to
+    # t = 1: the start rule's evaluation and 12 per attempt, accepted or not
+    assert counter.calls == 1 + 12 * chart._MAX_STEPS < full.calls
 
 
 # the bump's short flows, as the pole ladder makes them at scales h <= 0.1;
 # along the bump's gradient, (1, 0), a |v| = 0.1 flow still has its first
-# step rejected and makes 38 evaluations
+# step rejected and makes 37 evaluations
 _START_X = np.array([0.3, 0.1])
 _START_DIR = np.array([0.6, 0.8])
 
@@ -181,8 +178,8 @@ _START_DIR = np.array([0.6, 0.8])
 @pytest.mark.parametrize("speed", [0.02, 0.05, 0.1])
 def test_short_flow_takes_one_adaptive_step(bump, speed):
     # the first step spans the whole interval and passes the error test:
-    # the start rule's evaluation, solve_ivp's own at t = 0 and one 12-stage
-    # step; scipy's tolerance-sized first step took three steps, 38 in all
+    # the start rule's evaluation and one 12-stage step, 13 in all; scipy's
+    # tolerance-sized first step took three steps, 38 in all
     v = speed * _START_DIR
     u = speed * np.array([-0.8, 0.6])
     flow = CountingChristoffel(bump.conn)
@@ -191,6 +188,104 @@ def test_short_flow_takes_one_adaptive_step(bump, speed):
     transport_ode(transport.conn, u, _START_X, v)
     assert flow.calls <= 14
     assert transport.calls <= 14
+
+
+def _record_solves(monkeypatch):
+    """Record every step loop the engine runs: its arguments, its endpoint
+    and its numbers of accepted and rejected steps."""
+    step_loop, solves = chart._dop853, []
+
+    def recorded(*args):
+        out = step_loop(*args)
+        solves.append((args, *out))
+        return out
+
+    monkeypatch.setattr(chart, "_dop853", recorded)
+    return solves
+
+
+def _scipy_steps(rhs, z0, t, h0, rtol, atol, controlled):
+    """scipy's DOP853 on the same problem: (endpoint, accepted steps,
+    rejected steps).  Its error norm is a root mean square over all
+    components: an infinite atol takes a component out of it, and scaling
+    the others' tolerances by sqrt(controlled / size) gives them the norm
+    of a flow of those components alone."""
+    scale = math.sqrt(controlled / z0.size)
+    atols = np.full(z0.size, math.inf)
+    atols[:controlled] = atol * scale
+    sol = solve_ivp(lambda _, z: rhs(z), (0.0, t), z0, method="DOP853",
+                    first_step=h0, rtol=rtol * scale, atol=atols)
+    assert sol.success
+    accepted = sol.t.size - 1
+    # one evaluation at t = 0 and 12 per step attempt
+    return sol.y[:, -1], accepted, (sol.nfev - 1) // 12 - accepted
+
+
+def _flows_match_scipy(solves):
+    rejected = 0
+    for (_, rhs, z0, _, t, h0, *tolerances), z, acc, rej in solves:
+        ref, ref_acc, ref_rej = _scipy_steps(rhs, z0, t, h0, *tolerances)
+        assert (acc, rej) == (ref_acc, ref_rej)
+        assert np.linalg.norm(z - ref) <= 1e-14 * np.linalg.norm(ref)
+        rejected += rej
+    return rejected
+
+
+def test_step_loop_takes_scipys_steps_on_bump_flows(bump, monkeypatch):
+    solves = _record_solves(monkeypatch)
+    rng = np.random.default_rng(31)
+    tol = ToleranceConfig()
+    for _ in range(8):
+        x = rng.uniform(-0.5, 0.5, 2)
+        v = rng.uniform(0.05, 1.0) * rng.normal(size=2)
+        u = rng.normal(size=2)
+        geodesic_flow(bump.conn, x, v)
+        transport_ode(bump.conn, u, x, v)
+        chart._jacobi_flow(bump.conn, x, v, tol)
+    assert len(solves) == 24
+    _flows_match_scipy(solves)
+
+
+def test_step_loop_takes_scipys_steps_on_a_symbols_only_chart(monkeypatch):
+    conn = make_chart("spd2-entries")
+    solves = _record_solves(monkeypatch)
+    x = np.array([1.3, 0.2, 0.9])
+    geodesic_flow(conn, x, [0.4, -0.1, 0.25])
+    transport_ode(conn, [0.2, 0.05, -0.3], x, [0.4, -0.1, 0.25])
+    log_shooting(conn, x, [1.0, 0.1, 1.2])
+    assert len(solves) >= 4
+    _flows_match_scipy(solves)
+
+
+def test_step_loop_takes_scipys_steps_after_a_rejected_first_step(
+        bump, monkeypatch):
+    # along the bump's gradient the whole-interval first step is rejected
+    solves = _record_solves(monkeypatch)
+    v = 0.1 * np.array([1.0, 0.0])
+    geodesic_flow(bump.conn, _START_X, v)
+    transport_ode(bump.conn, 0.1 * np.array([0.0, 1.0]), _START_X, v)
+    assert [(acc, rej) for _, _, acc, rej in solves] == [(2, 1)] * 2
+    assert _flows_match_scipy(solves) == 2
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -1.0])
+def test_integration_time_must_be_finite_and_non_negative(bump, t):
+    x, v = _START_X, 0.1 * _START_DIR
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        geodesic_flow(bump.conn, x, v, t)
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        transport_ode(bump.conn, v, x, v, t)
+
+
+def test_flow_stops_at_its_first_step_outside_the_box():
+    # a straight line that leaves the box in its first step of length
+    # |z0| / |f0|; the box is checked after every accepted step, so the flow
+    # does not run on to t = 100 first
+    counter = CountingChristoffel(
+        flat_chart(bounds=(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))))
+    with pytest.raises(DomainEscape, match="chart bounds"):
+        geodesic_flow(counter.conn, [0.9, 0.0], [1.0, 0.0], 100.0)
+    assert counter.calls == 13
 
 
 def _tight_geodesic(conn, x, v):
@@ -418,8 +513,9 @@ def test_bump_log_christoffel_budget(bump):
     # five solves; the quasi-Newton solve seeded with I - G(x)(v, .) spent
     # 2,463 (2,451 with scipy's tolerance-sized first step, 5,781 when its
     # flows ran on a 4(5) pair instead of DOP853), and seeded with the
-    # Jacobi-field Jacobian it spends 2,201, each of whose Jacobi right-hand
-    # sides reads grad_f and hess_f once
+    # Jacobi-field Jacobian it spends 2,170, each of whose Jacobi right-hand
+    # sides reads grad_f and hess_f once (2,201 while the start rule's
+    # evaluation was repeated as the first stage)
     counter = CountingChristoffel(bump.conn)
     for x, _, y in _bump_round_trips(bump):
         log_shooting(counter.conn, x, y, bump.tolerances)
@@ -593,42 +689,36 @@ def test_jacobi_flow_jacobian_matches_central_differences(name, x, v):
 
 def test_jacobi_flow_reads_gradient_and_hessian_once_per_evaluation(
         bump, monkeypatch):
-    nfev = []
-
-    def ivp(*args, **kwargs):
-        sol = solve_ivp(*args, **kwargs)
-        nfev.append(sol.nfev)
-        return sol
-
-    monkeypatch.setattr(chart, "solve_ivp", ivp)
+    solves = _record_solves(monkeypatch)
     counter = CountingChristoffel(bump.conn)
     chart._jacobi_flow(counter.conn, _START_X, 0.3 * _START_DIR,
                        ToleranceConfig())
-    # solve_ivp's evaluations and the start rule's
-    assert counter.calls == 2 * (nfev[0] + 1)
+    # the start rule's evaluation and 12 per step attempt
+    [(_, _, accepted, rejected)] = solves
+    assert counter.calls == 2 * (1 + 12 * (accepted + rejected))
 
 
 def test_jacobi_flow_controls_the_geodesic_at_a_plain_flows_error_norm(
         bump, monkeypatch):
-    # scipy's error norm is a root mean square over all 12 components of the
-    # 2-d augmented state: the Jacobi fields' infinite tolerance drops them
-    # from the sum, and the geodesic's 4 components, their tolerances scaled
-    # by sqrt(4 / 12), get the norm a plain flow gives them
-    tolerances = []
-
-    def ivp(*args, **kwargs):
-        tolerances.append((kwargs["rtol"], kwargs["atol"]))
-        return solve_ivp(*args, **kwargs)
-
-    monkeypatch.setattr(chart, "solve_ivp", ivp)
+    # of the 12 components of the 2-d augmented state only the geodesic's 4
+    # enter the error norm, at the tolerances of a plain flow
+    solves = _record_solves(monkeypatch)
     tol = ToleranceConfig()
     chart._jacobi_flow(bump.conn, _START_X, 0.3 * _START_DIR, tol)
     geodesic_flow(bump.conn, _START_X, 0.3 * _START_DIR, 1.0, tol)
-    (rtol, atol), (plain_rtol, plain_atol) = tolerances
-    assert plain_rtol == tol.ode_rel_tol and plain_atol == tol.ode_abs_tol
-    scale = math.sqrt(4 / 12)
-    assert rtol == tol.ode_rel_tol * scale
-    assert np.array_equal(atol, [tol.ode_abs_tol * scale] * 4 + [math.inf] * 8)
+    (jacobi, *_), (plain, *_) = solves
+    for args in (jacobi, plain):
+        assert args[-3:] == (tol.ode_rel_tol, tol.ode_abs_tol, 4)
+    assert jacobi[2].size == 12 and plain[2].size == 4
+    # fields a million times larger, whose errors grow with them, leave the
+    # geodesic's steps, and so its endpoint, unchanged to the last bit
+    conn, rhs, z0, f0, *rest = jacobi
+    big = np.concatenate([z0[:4], 1e6 * z0[4:]])
+    z, accepted, rejected = chart._dop853(conn, rhs, z0, f0, *rest)
+    z_big, accepted_big, rejected_big = chart._dop853(conn, rhs, big,
+                                                      rhs(big), *rest)
+    assert (accepted_big, rejected_big) == (accepted, rejected)
+    assert np.array_equal(z_big[:4], z[:4])
 
 
 def test_nabla_curvature_is_built_once_per_point_and_connection(monkeypatch):

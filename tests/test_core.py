@@ -42,7 +42,7 @@ def test_tolerances_must_be_finite(field, value):
 
 @pytest.mark.parametrize("rel_tol", [1e-15, 2.2e-14])
 def test_ode_rel_tol_below_scipy_floor_is_rejected(rel_tol):
-    # scipy would raise it to 100 eps = 2.22e-14 with only a UserWarning
+    # the chart integrator keeps scipy's floor of 100 eps = 2.22e-14
     with pytest.raises(ValueError, match=r"ode_rel_tol must be at least 2\.22e-14"):
         ToleranceConfig(ode_rel_tol=rel_tol)
 
