@@ -7,8 +7,9 @@ The pole-ladder error predictors evaluate the closed-form leading error term
 of one ladder step; the measured-error protocol runs a scheme across a
 symmetric segment and compares against the transport oracle at the midpoint,
 where all quantities are parallel translated before comparison.  The oracle
-follows that segment's geodesic with ``exp_transport`` from the midpoint, so
-it never shoots a log map to find a geodesic it already holds.
+follows that segment's geodesic with ``exp_transport`` from the midpoint, and
+the ladder step is handed that midpoint, so neither shoots a log map to find
+a geodesic or a point the protocol already holds.
 """
 
 from __future__ import annotations
@@ -133,12 +134,14 @@ def pole_error_measured(space: ConnectionSpace, m: Point, u: TangentVector,
     velocity v_q there.  Runs the scheme from p to q, transports the result
     back along the reversed geodesic t -> exp_q(-t v_q), which ends at m up
     to integration error, and subtracts u.  The geodesic is never recovered
-    by a log map; the only logs are the scheme's own.
+    by a log map.  A one-step pole scheme is handed m as the midpoint of
+    [p, q], which it is up to integration error, so its only logs are its
+    symmetry's and its final one; n_rungs > 1 builds its own rail.
     """
     u_p = space.exp_transport(u, -v)
     v_q = space.exp_transport(v, v)
     if n_rungs == 1:
-        u_q = ladder_step(space, u_p.base, v_q.base, u_p, scheme)
+        u_q = ladder_step(space, u_p.base, v_q.base, u_p, scheme, m)
     else:
         u_q = transport_along_geodesic(space, u_p.base, v_q.base, u_p,
                                        n_rungs, scheme).vector

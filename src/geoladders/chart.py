@@ -89,6 +89,11 @@ class ChartConnection:
     G(x)(v, w) in closed form from the gradient alone, which is all the
     geodesic and transport equations need; the Jacobi fields of
     log_shooting take the symbols' derivatives from the Hessian.
+
+    ``interior(x)``, when given, is a test that every accepted state of an
+    integration must pass besides the box, for a domain a box cannot
+    describe.  Stages of a step are not held to it: the connection raises
+    DomainEscape where it cannot be evaluated, and the step is rejected.
     """
 
     dim: int
@@ -96,16 +101,18 @@ class ChartConnection:
     chart_bounds: tuple | None = None  # (lo, hi) arrays, inclusive box
     grad_f: Callable[[np.ndarray], np.ndarray] | None = None
     hess_f: Callable[[np.ndarray], np.ndarray] | None = None
+    interior: Callable[[np.ndarray], bool] | None = None
 
     @classmethod
     def conformal(cls, dim: int, grad_f: Callable[[np.ndarray], np.ndarray],
                   chart_bounds: tuple | None = None,
-                  hess_f: Callable[[np.ndarray], np.ndarray] | None = None
+                  hess_f: Callable[[np.ndarray], np.ndarray] | None = None,
+                  interior: Callable[[np.ndarray], bool] | None = None
                   ) -> "ChartConnection":
         """The connection of g = exp(2 f) * euclidean, from the gradient of f
         and, when given, its Hessian."""
         return cls(dim, conformal_christoffel(grad_f), chart_bounds, grad_f,
-                   hess_f)
+                   hess_f, interior)
 
     def contract(self, x: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
         """G(x)(v, w)^k = G^k_ij v^i w^j; w is a vector or a stack of rows,
@@ -202,7 +209,8 @@ def _dop853(conn: ChartConnection, rhs, z: np.ndarray, f: np.ndarray,
     Only the first ``controlled`` components enter the error norm.  A stage
     whose right-hand side raises DomainEscape, or NonFinite at a non-finite
     state, makes the step's error NaN, and the step is rejected.  Every
-    accepted state must be finite and inside the chart's box.
+    accepted state must be finite, inside the chart's box and, when the
+    connection has one, pass its interior test.
     """
     d = conn.dim
     # K[i] is stage i of the step; the last row, the derivative at the
@@ -274,7 +282,8 @@ def _dop853(conn: ChartConnection, rhs, z: np.ndarray, f: np.ndarray,
         s, z, f = s_new, z_new, f_new
         # an infinite state can pass the error test, whose scale is then
         # infinite
-        if not (np.isfinite(z).all() and conn.in_bounds(z[:d])):
+        if not (np.isfinite(z).all() and conn.in_bounds(z[:d])
+                and (conn.interior is None or conn.interior(z[:d]))):
             raise DomainEscape("trajectory left the chart bounds")
     return z, accepted, rejected
 

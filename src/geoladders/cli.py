@@ -387,10 +387,12 @@ def exactness_sweep(space: ConnectionSpace, schemes, trials: int,
     """Max relative transport error per scheme over seeded trials.
 
     Trials violating the exactness conditions (distances under the
-    injectivity radius) are excluded and counted, not failed.
+    injectivity radius) are excluded and counted, not failed.  The pole
+    kinds of a trial share one midpoint of [p, q].
     """
     worst = {kind: 0.0 for kind in schemes}
     excluded = 0
+    needs_midpoint = any(kind in POLE_SCHEMES for kind in schemes)
     for _ in range(trials):
         p, q, u = sample_trial(space, rng, dist_cap, u_cap)
         if not _trial_within_conditions(space, p, q, u):
@@ -398,8 +400,9 @@ def exactness_sweep(space: ConnectionSpace, schemes, trials: int,
             continue
         oracle = space.transport(u, q)
         u_norm = space.norm(u)
+        m = space.midpoint(p, q) if needs_midpoint else None
         for kind in schemes:
-            err = space.norm(ladder_step(space, p, q, u, kind) - oracle)
+            err = space.norm(ladder_step(space, p, q, u, kind, m) - oracle)
             worst[kind] = max(worst[kind], err / u_norm)
     return worst, excluded
 

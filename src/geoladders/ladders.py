@@ -7,6 +7,13 @@ and a multi-rung driver that folds a chosen step along a subdivided geodesic.
 All steps take the transported vector u based at p and return the transported
 approximation based at q.  Pole ladder bakes the sign flip of the final log
 into the step, u_q = -log_q(s_m(exp_p(u))), so callers always receive +u_q.
+
+The pole steps reflect through the midpoint m of [p, q].  As in the paper's
+analysis, where p = exp_m(-v) and q = exp_m(v), m is an input: a caller that
+built p and q from m, or a rail that holds it, passes it, and the step skips
+the log and exp of ``space.midpoint``.  Without it the step computes m
+itself.  Schild's ladder reflects through the midpoint of another segment,
+[exp_p(u), q], and takes none.
 """
 
 from __future__ import annotations
@@ -48,13 +55,15 @@ def schild_step(space: ConnectionSpace, p: Point, q: Point,
 
 
 def pole_step_v1(space: ConnectionSpace, p: Point, q: Point,
-                 u: TangentVector) -> TangentVector:
+                 u: TangentVector, m: Point | None = None) -> TangentVector:
     """Pole ladder by double geodesic shooting through the midpoint.
 
-    m = exp_p(log_p(q)/2); p' = exp_p(u); q' = exp_{p'}(2 log_{p'}(m));
-    returns -log_q(q').
+    p' = exp_p(u); q' = exp_{p'}(2 log_{p'}(m)); returns -log_q(q').  The
+    midpoint m of [p, q], when given, is the caller's contract and is not
+    verified; without it the step computes space.midpoint(p, q), as every
+    pole step does.
     """
-    m = space.exp(p, 0.5 * space.log(p, q))
+    m = space.midpoint(p, q) if m is None else m
     p1 = space.exp(p, u)
     q1 = space.exp(p1, 2.0 * space.log(p1, m))
     return -space.log(q, q1)
@@ -67,38 +76,42 @@ def _reflect_log(space: ConnectionSpace, m: Point, q: Point,
 
 
 def pole_step_v2(space: ConnectionSpace, p: Point, q: Point,
-                 u: TangentVector) -> TangentVector:
+                 u: TangentVector, m: Point | None = None) -> TangentVector:
     """Pole ladder by one midpoint symmetry (numerically the more stable form).
 
     Reflects p' = exp_p(u) through the midpoint m of [p, q] and returns
     -log_q(s_m(p')).  That equals log_q(s_q(s_m(p'))) inside the validity
     radius, so the second symmetry through q is never built; the result
-    agrees with pole_step_v1 up to solver tolerances.
+    agrees with pole_step_v1 up to solver tolerances.  m is taken as in
+    pole_step_v1.
     """
-    m = space.midpoint(p, q)
+    m = space.midpoint(p, q) if m is None else m
     return -_reflect_log(space, m, q, space.exp(p, u))
 
 
 def pole_step_alt(space: ConnectionSpace, p: Point, q: Point,
-                  u: TangentVector) -> TangentVector:
+                  u: TangentVector, m: Point | None = None) -> TangentVector:
     """Pole ladder with the symmetry order reversed: at p first, then at m.
 
     On locally symmetric spaces this agrees with pole_step_v2 exactly; on
-    generic spaces the two differ in their fourth-order error terms.
+    generic spaces the two differ in their fourth-order error terms.  m is
+    taken as in pole_step_v1.
     """
-    m = space.midpoint(p, q)
+    m = space.midpoint(p, q) if m is None else m
     p1 = space.exp(p, -u)  # = s_p(exp_p(u))
     return _reflect_log(space, m, q, p1)
 
 
 def pole_step_averaged(space: ConnectionSpace, p: Point, q: Point,
-                       u: TangentVector) -> TangentVector:
+                       u: TangentVector, m: Point | None = None
+                       ) -> TangentVector:
     """Tangent-space average at q of the two symmetry orders.
 
-    The two orders share one midpoint.  Averaging does not cancel the leading
-    error, so the step stays third order like its parents.
+    The two orders share one midpoint, taken as in pole_step_v1.  Averaging
+    does not cancel the leading error, so the step stays third order like its
+    parents.
     """
-    m = space.midpoint(p, q)
+    m = space.midpoint(p, q) if m is None else m
     a = -_reflect_log(space, m, q, space.exp(p, u))
     b = _reflect_log(space, m, q, space.exp(p, -u))
     return TangentVector(a.base, 0.5 * (a.components + b.components))
@@ -113,6 +126,8 @@ _STEPS = {
 }
 
 LADDER_KINDS = tuple(_STEPS)
+# Schild's ladder reflects through the midpoint of [exp_p(u), q], not [p, q]
+_TAKES_MIDPOINT = frozenset(LADDER_KINDS) - {"schild"}
 
 
 def _step(scheme: str):
@@ -123,9 +138,16 @@ def _step(scheme: str):
 
 
 def ladder_step(space: ConnectionSpace, p: Point, q: Point, u: TangentVector,
-                scheme: str) -> TangentVector:
-    """Run one step of the scheme named by its kind, one of LADDER_KINDS."""
-    return _step(scheme)(space, p, q, u)
+                scheme: str, midpoint: Point | None = None) -> TangentVector:
+    """Run one step of the scheme named by its kind, one of LADDER_KINDS.
+
+    A pole step is handed ``midpoint``, the midpoint of [p, q], when the
+    caller holds it; Schild's step has no use for it and ignores it.
+    """
+    step = _step(scheme)
+    if midpoint is None or scheme not in _TAKES_MIDPOINT:
+        return step(space, p, q, u)
+    return step(space, p, q, u, midpoint)
 
 
 def transport_along_geodesic(space: ConnectionSpace, p: Point, q: Point,
@@ -136,9 +158,11 @@ def transport_along_geodesic(space: ConnectionSpace, p: Point, q: Point,
     The vector is scaled by 1/n_rungs before the fold and by n_rungs after,
     so each rung carries a vector as short as its segment; a rung failure
     re-raises the underlying error object, with its attributes intact and
-    the failing rung index prefixed to its message.
+    the failing rung index prefixed to its message.  A pole rung is handed
+    its midpoint from the rail, built at half steps of the one log of [p, q],
+    so it shoots no log to find it.
     """
-    step = _step(scheme)
+    _step(scheme)
     if n_rungs < 1:
         raise ValueError("n_rungs must be at least 1")
     w = space.log(p, q)
@@ -146,13 +170,16 @@ def transport_along_geodesic(space: ConnectionSpace, p: Point, q: Point,
     for i in range(1, n_rungs):
         rail.append(space.exp(p, (i / n_rungs) * w))
     rail.append(q)
+    mids = ([space.exp(p, ((i + 0.5) / n_rungs) * w) for i in range(n_rungs)]
+            if scheme in _TAKES_MIDPOINT else [None] * n_rungs)
     # (1 / scaling) * current, not n_rungs * current: the two differ in the
     # last bit for some n_rungs
     scaling = 1.0 / n_rungs
     current = scaling * u
     for i in range(n_rungs):
         try:
-            current = step(space, rail[i], rail[i + 1], current)
+            current = ladder_step(space, rail[i], rail[i + 1], current, scheme,
+                                  mids[i])
         except GeometryError as err:
             err.args = (f"rung {i + 1}/{n_rungs}: {err}",)
             raise

@@ -605,6 +605,14 @@ def _stereographic_sphere_chart():
     return ChartConnection.conformal(2, grad_f, hess_f=hess_f)
 
 
+# least 1 - r^2 of an accepted integration state in the hyperbolic2-ball
+# chart.  Nearer the rim the integrator's position error, about its 1e-12
+# default absolute tolerance, is no longer small against 1 - r^2, so the
+# conformal factor 2 / (1 - r^2), and any endpoint computed from it, means
+# nothing: a flow that gets there raises DomainEscape
+_RIM_MARGIN = 1e-9
+
+
 def _poincare_ball_chart():
     # unit-disc chart of the hyperbolic plane, metric 4 (dx^2+dy^2)/(1-r^2)^2
     def one_minus_r2(x):
@@ -626,6 +634,7 @@ def _poincare_ball_chart():
         2, grad_f,
         chart_bounds=(np.array([-0.999, -0.999]), np.array([0.999, 0.999])),
         hess_f=hess_f,
+        interior=lambda x: 1.0 - float(x @ x) > _RIM_MARGIN,
     )
 
 

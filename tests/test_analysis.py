@@ -215,10 +215,13 @@ def test_variant_difference_matches_predictor_difference(bump):
 
 def _measured_by_log_protocol(space, m, u, v, scheme):
     """The measured error with the geodesic recovered by log maps: exp to
-    the ends, transport along log-shot geodesics to p and back to m."""
+    the ends, transport along log-shot geodesics to p and back to m.  The
+    step is handed m, as pole_error_measured hands it; the midpoint's own
+    effect is pinned by test_step_given_its_midpoint_matches_one_computing_it.
+    """
     p = space.exp(m, -v)
     q = space.exp(m, v)
-    u_q = ladder_step(space, p, q, space.transport(u, p), scheme)
+    u_q = ladder_step(space, p, q, space.transport(u, p), scheme, m)
     return space.transport(u_q, m) - u
 
 
@@ -233,14 +236,33 @@ def test_measured_error_matches_the_log_protocol(bump, scheme):
         assert (meas - ref).component_norm <= 1e-8 * ref.component_norm
 
 
-def test_measured_error_makes_three_log_solves(bump, monkeypatch):
-    # the ladder step's midpoint, symmetry and final log; the oracle follows
-    # its geodesic with three transport ODEs and shoots no log of its own
+def test_measured_error_makes_two_log_solves(bump, monkeypatch):
+    # the ladder step's symmetry and final log: the step is handed m, so it
+    # shoots no log for the midpoint; the oracle follows its geodesic with
+    # three transport ODEs and shoots no log of its own
     calls = count_engine_calls(monkeypatch, "log_shooting", "transport_ode")
     m = bump.anchor_point()
     u_dir, v_dir = generic_directions(bump, m, np.random.default_rng(12345))
     pole_error_measured(bump, m, 0.1 * u_dir, 0.1 * v_dir, "pole_v2")
-    assert calls == {"log_shooting": 3, "transport_ode": 3}
+    assert calls == {"log_shooting": 2, "transport_ode": 3}
+
+
+@pytest.mark.parametrize("scheme", ["pole_v1", "pole_v2", "pole_alt",
+                                    "pole_avg"])
+def test_step_given_its_midpoint_matches_one_computing_it(bump, scheme):
+    # pole_error_measured hands the step m, which is the midpoint of
+    # [exp_m(-v), exp_m(v)] up to integration error; against the step that
+    # shoots its own midpoint this moves the result by round-off only
+    # (at most 8.7e-14 here)
+    m = bump.anchor_point()
+    u_dir, v_dir = generic_directions(bump, m, np.random.default_rng(12345))
+    for h in (0.2, 0.05, 0.02):
+        u, v = h * u_dir, h * v_dir
+        p, q = bump.exp(m, -v), bump.exp(m, v)
+        u_p = bump.transport(u, p)
+        given = ladder_step(bump, p, q, u_p, scheme, m)
+        computed = ladder_step(bump, p, q, u_p, scheme)
+        assert (given - computed).component_norm <= 1e-12
 
 
 def test_one_step_sweep_has_fourth_order_slope(bump):

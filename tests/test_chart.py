@@ -388,6 +388,40 @@ def test_hyperbolic_ball_flow_whose_stages_overshoot_the_rim_finishes():
     assert np.abs(v_rec - v).max() <= 1e-9
 
 
+def test_hyperbolic_ball_flow_into_the_rim_margin_is_domain_escape():
+    # flows whose exact end lies within the rim margin (1 - r^2 <= 1e-9)
+    # returned endpoints up to 1.5 off the closed form before the chart had
+    # an interior test; now each flow raises DomainEscape or lands within
+    # 1e-6, and the flows that finish are those of the bare box, bit for bit
+    conn = make_chart("hyperbolic2-ball")
+    bare = dataclasses.replace(conn, interior=None)
+    rng = np.random.default_rng(2024)
+    outcomes = {"escaped": 0, "finished": 0, "bare_off": 0}
+    for _ in range(40):
+        x = 0.95 * math.sqrt(rng.uniform()) * _unit(rng.uniform(0, 2 * math.pi))
+        v = rng.uniform(0.1, 12.0) * _unit(rng.uniform(0, 2 * math.pi))
+        y = _poincare_exp(x, v)
+        try:
+            end, _ = geodesic_flow(conn, x, v)
+        except DomainEscape:
+            outcomes["escaped"] += 1
+            try:
+                bare_end, _ = geodesic_flow(bare, x, v)
+            except DomainEscape:
+                continue
+            outcomes["bare_off"] += int(np.abs(bare_end - y).max() > 1e-6)
+            continue
+        outcomes["finished"] += 1
+        assert 1.0 - y @ y > 1e-9
+        assert np.abs(end - y).max() <= 1e-6
+        assert np.array_equal(end, geodesic_flow(bare, x, v)[0])
+    assert min(outcomes.values()) > 0, outcomes
+
+
+def _unit(angle):
+    return np.array([math.cos(angle), math.sin(angle)])
+
+
 def test_torsion_warning_on_asymmetric_symbols():
     def lopsided(x):
         g = np.zeros((2, 2, 2))

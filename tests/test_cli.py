@@ -7,9 +7,10 @@ from pathlib import Path
 from types import SimpleNamespace
 from typing import get_args, get_type_hints
 
+import numpy as np
 import pytest
 
-from geoladders import cli, make_space
+from geoladders import cli, ladder_step, make_space
 from geoladders.cli import (
     ExperimentConfig,
     build_parser,
@@ -263,6 +264,28 @@ def test_exactness_sweep_counts_trials(rng):
     worst, excluded = exactness_sweep(space, ("pole_v2",), 10, rng)
     assert excluded == 0
     assert worst["pole_v2"] <= 1e-10
+
+
+@pytest.mark.parametrize("name", cli.SYMMETRIC_FLEET)
+def test_exactness_sweep_shares_one_midpoint_bit_for_bit(name):
+    # the sweep computes the midpoint of [p, q] once per trial and hands it
+    # to the four pole kinds; each kind computing its own gives the same bits
+    space = make_space(name)
+    worst, excluded = exactness_sweep(space, cli.POLE_SCHEMES, 20,
+                                      np.random.default_rng(31))
+    rng = np.random.default_rng(31)
+    want, skipped = {kind: 0.0 for kind in cli.POLE_SCHEMES}, 0
+    for _ in range(20):
+        p, q, u = sample_trial(space, rng)
+        if not cli._trial_within_conditions(space, p, q, u):
+            skipped += 1
+            continue
+        oracle = space.transport(u, q)
+        for kind in cli.POLE_SCHEMES:
+            err = space.norm(ladder_step(space, p, q, u, kind) - oracle)
+            want[kind] = max(want[kind], err / space.norm(u))
+    assert (worst, excluded) == (want, skipped)
+    assert skipped < 20
 
 
 # -- config machinery -------------------------------------------------------------

@@ -257,7 +257,7 @@ def test_driver_reports_failing_rung_index():
 
 
 def test_driver_keeps_the_error_evidence(monkeypatch):
-    def failing_step(space, p, q, u):
+    def failing_step(space, p, q, u, m=None):
         raise NoConvergence("shooting stalled", residual=0.5)
 
     monkeypatch.setitem(ladders._STEPS, "pole_v2", failing_step)
@@ -267,6 +267,29 @@ def test_driver_keeps_the_error_evidence(monkeypatch):
     with pytest.raises(NoConvergence, match="rung 1/2: shooting stalled") as info:
         transport_along_geodesic(space, p, space.point([1.0, 0.0]), u, 2)
     assert info.value.residual == 0.5
+
+
+@pytest.mark.parametrize("n", [1, 2, 8])
+@pytest.mark.parametrize("scheme", ["pole_v2", "schild"])
+def test_rung_exp_and_log_counts(monkeypatch, scheme, n):
+    # a pole rung is handed its midpoint from the rail, built at half steps
+    # of the one log of [p, q]: pole_v2 makes n + 1 logs where computing
+    # each rung's midpoint made 2n + 1, and the same 3n - 1 exps.  Schild's
+    # rail and rungs are as before.  The sphere's symmetry is closed-form
+    sp = make_space("sphere-2")
+    p = sp.point([1.0, 0.0, 0.0])
+    q = sp.exp(p, sp.tangent(p, [0.0, 1.2, 0.4]))
+    u = sp.tangent(p, [0.0, 0.3, -0.5])
+    calls = {"exp": 0, "log": 0}
+    for name in calls:
+        def counted(*args, fn=getattr(sp, name), name=name):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(sp, name, counted)
+    transport_along_geodesic(sp, p, q, u, n, scheme)
+    want = ({"exp": 3 * n - 1, "log": n + 1} if scheme == "pole_v2"
+            else {"exp": 4 * n - 1, "log": 3 * n + 1})
+    assert calls == want
 
 
 def test_vector_scaling_is_inverted_exactly():
