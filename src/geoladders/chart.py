@@ -6,7 +6,12 @@ parallel-transport ODE along geodesics, and assembles the curvature tensor
 and its covariant derivative from central finite differences.  The ODEs are
 integrated by the module's own step loop of the Dormand-Prince 8(5,3) pair,
 which takes scipy's DOP853 steps with its coefficients, error norm and step
-control, but checks the chart's box and a step budget as it goes.
+control, but checks the chart's box, a step budget and that each step moves
+the state as it goes.  At the dimensions of these charts numpy's per-call
+cost exceeds the arithmetic, so on conformal charts the right-hand sides,
+and the checks of each accepted state, run in Python floats; the stage sums
+and the error norm stay in numpy, so the steps are still scipy's bit for
+bit.
 
 ``ChartSpace`` adapts the engine to the ``ConnectionSpace`` contract so
 chart-defined manifolds compose with the ladder schemes and the analysis
@@ -15,10 +20,11 @@ tools exactly like the closed-form model manifolds.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
-from operator import mul
+from operator import le, mul
 from typing import Callable
 
 import numpy as np
@@ -56,8 +62,6 @@ _FD_STEP = _EPS ** (1.0 / 3.0)
 # outer step of the nested differences in nabla_curvature_components, wider
 # than _FD_STEP so it stays above the noise of the inner curvature stencil
 _NABLA_FD_STEP = 5e-4
-# first trial fraction of each quasi-Newton step; the line search halves it
-_NEWTON_DAMPING = 1.0
 # budget of step attempts, accepted or rejected, of one integration
 _MAX_STEPS = 100_000
 # the Dormand-Prince 8(5,3) pair, read from scipy's DOP853 so that no
@@ -71,6 +75,9 @@ _B, _E5, _E3 = DOP853.B, DOP853.E5, DOP853.E3
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERROR_EXPONENT = -1.0 / (DOP853.error_estimator_order + 1)
 _DEFAULT_TOLERANCES = ToleranceConfig()
+# a shooting residual at most this times max(1, |y|_inf) is at the round-off
+# of the target's coordinates, where one more Newton step buys nothing
+_ROUND_OFF = 8.0 * _EPS
 
 
 @dataclass(frozen=True)
@@ -186,23 +193,40 @@ class ChartConnection:
             )
         return 0.5 * (g + gt)
 
-    def in_bounds(self, x: np.ndarray) -> bool:
-        """Whether x lies in the box; x is one point or a (dim, n) array of
-        points, such as an integrator's trajectory."""
+    def in_bounds(self, x) -> bool:
+        """Whether the point x, an array or a list of floats, lies in the
+        box.  A NaN coordinate is outside."""
         if self.chart_bounds is None:
             return True
-        lo, hi = self.chart_bounds
-        # transposed, (dim, n) points broadcast against the (dim,) box
-        xt = np.asarray(x).T
-        return bool((xt >= lo).all() and (xt <= hi).all())
+        # compared in Python floats, as the step loop hands each accepted
+        # state: numpy's per-call cost exceeds the comparisons
+        if not isinstance(x, list):
+            x = np.asarray(x)
+            if x.ndim != 1:
+                raise ValueError(f"in_bounds takes one point, got shape "
+                                 f"{x.shape}")
+            x = x.tolist()
+        if len(x) != self.dim:
+            raise ValueError(
+                f"point of {len(x)} coordinates in a {self.dim}-d chart")
+        lo, hi = self._box
+        return all(map(le, lo, x)) and all(map(le, x, hi))
+
+    @functools.cached_property
+    def _box(self) -> tuple[list, list]:
+        """The box's corners as lists of Python floats."""
+        return tuple(np.broadcast_to(np.asarray(c, dtype=float),
+                                     self.dim).tolist()
+                     for c in self.chart_bounds)
 
 
-def _dop853(conn: ChartConnection, rhs, z: np.ndarray, f: np.ndarray,
+def _dop853(conn: ChartConnection, rhs, z: np.ndarray, f,
             t: float, h_abs: float, rtol: float, atol: float,
             controlled: int) -> tuple[np.ndarray, int, int]:
     """Integrate z' = rhs(z) from time 0 to t, starting from the derivative
     f = rhs(z) and a first step of h_abs; returns the state at t and the
-    numbers of accepted and rejected steps.
+    numbers of accepted and rejected steps.  rhs returns an array or a list
+    of floats.
 
     The steps are scipy's DOP853 steps: the same stages, the same error norm
     and the same step-size control, without the solver object around them.
@@ -210,9 +234,13 @@ def _dop853(conn: ChartConnection, rhs, z: np.ndarray, f: np.ndarray,
     whose right-hand side raises DomainEscape, or NonFinite at a non-finite
     state, makes the step's error NaN, and the step is rejected.  Every
     accepted state must be finite, inside the chart's box and, when the
-    connection has one, pass its interior test.
+    connection has one, pass its interior test.  An accepted step short of
+    t that leaves the state unchanged raises DomainEscape: the solution has
+    run into the edge of the connection's domain, where stages beyond it are
+    rejected and the steps that stay before it no longer move the state.
     """
     d = conn.dim
+    z_list = z.tolist()
     # K[i] is stage i of the step; the last row, the derivative at the
     # step's end, is the next step's first stage
     K = np.empty((_B.size + 1, z.size))
@@ -224,6 +252,7 @@ def _dop853(conn: ChartConnection, rhs, z: np.ndarray, f: np.ndarray,
         if h_abs < min_step:
             h_abs = min_step
         step_rejected = False
+        K[0] = f
         while True:
             if h_abs < min_step:
                 # the solution blows up at the edge of the chart's domain
@@ -237,12 +266,12 @@ def _dop853(conn: ChartConnection, rhs, z: np.ndarray, f: np.ndarray,
             s_new = min(s + h_abs, t)
             h = s_new - s
             h_abs = h
-            K[0] = f
             try:
+                # k.dot(a) is np.dot(k, a) without its dispatch, bit for bit
                 for i, a, k in stages:
-                    zs = z + np.dot(k, a) * h
+                    zs = z + k.dot(a) * h
                     K[i] = rhs(zs)
-                zs = z + h * np.dot(k_body, _B)
+                zs = z + h * k_body.dot(_B)
                 z_new, f_new = zs, rhs(zs)
             except (DomainEscape, NonFinite) as err:
                 # a stage of a too-long step overflowed or left the
@@ -255,8 +284,8 @@ def _dop853(conn: ChartConnection, rhs, z: np.ndarray, f: np.ndarray,
                 K[-1] = f_new
                 scale = atol + np.maximum(np.abs(z[:controlled]),
                                           np.abs(z_new[:controlled])) * rtol
-                err5 = np.dot(k_err, _E5) / scale
-                err3 = np.dot(k_err, _E3) / scale
+                err5 = k_err.dot(_E5) / scale
+                err3 = k_err.dot(_E3) / scale
                 # squared through the root, as scipy squares its norms, so
                 # that a plain flow takes scipy's steps to the last bit
                 e5 = math.sqrt(err5 @ err5) ** 2
@@ -279,12 +308,18 @@ def _dop853(conn: ChartConnection, rhs, z: np.ndarray, f: np.ndarray,
             step_rejected = True
             rejected += 1
         accepted += 1
-        s, z, f = s_new, z_new, f_new
-        # an infinite state can pass the error test, whose scale is then
-        # infinite
-        if not (np.isfinite(z).all() and conn.in_bounds(z[:d])
-                and (conn.interior is None or conn.interior(z[:d]))):
+        # checked in Python floats, as the right-hand sides are; an infinite
+        # state can pass the error test, whose scale is then infinite
+        new_list = z_new.tolist()
+        if not (all(map(math.isfinite, new_list))
+                and conn.in_bounds(new_list[:d])
+                and (conn.interior is None or conn.interior(z_new[:d]))):
             raise DomainEscape("trajectory left the chart bounds")
+        if new_list == z_list and s_new < t:
+            raise DomainEscape(
+                f"adaptive integrator stalled: a step of {h:.3g} at "
+                f"t={s:.6g} left the state unchanged")
+        s, z, f, z_list = s_new, z_new, f_new, new_list
     return z, accepted, rejected
 
 
@@ -310,9 +345,10 @@ def _integrate(conn: ChartConnection, rhs, z0: np.ndarray, t: float,
         # sizes it from the tolerance alone, which costs a short flow three
         # steps instead of one, while the bound keeps a fast flow's first
         # stages finite.  This evaluation, at the initial state, raises
-        f0 = rhs(z0)
-        fnorm = float(np.linalg.norm(f0))
-        h0 = min(t, float(np.linalg.norm(z0)) / fnorm) if fnorm else t
+        f0 = np.asarray(rhs(z0))
+        # math.sqrt(x @ x) is np.linalg.norm(x) of a 1-d array, bit for bit
+        fnorm = math.sqrt(f0 @ f0)
+        h0 = min(t, math.sqrt(z0 @ z0) / fnorm) if fnorm else t
         if not h0 > 0.0:
             raise DomainEscape(
                 f"initial derivative of norm {fnorm:.3g} overflows the state")
@@ -327,18 +363,63 @@ def geodesic_flow(conn: ChartConnection, x, v, t: float = 1.0,
     Returns the (position, velocity) pair at time t.
     """
     tolerances = tolerances or _DEFAULT_TOLERANCES
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
     d = conn.dim
+    x, v = _chart_vectors(d, x, v)
     if not conn.in_bounds(x):
         raise DomainEscape("initial point outside the chart bounds")
+    z = _integrate(conn, _flow_rhs(conn), np.concatenate([x, v]), t,
+                   tolerances)
+    return z[:d], z[d:]
+
+
+def _chart_vectors(d: int, *vectors) -> list[np.ndarray]:
+    """The vectors as float arrays, each of shape (d,); the right-hand
+    sides slice the state by d and would not notice a wrong length."""
+    out = [np.asarray(a, dtype=float) for a in vectors]
+    for a in out:
+        if a.shape != (d,):
+            raise ValueError(
+                f"expected a chart vector of shape ({d},), got {a.shape}")
+    return out
+
+
+def _flow_rhs(conn: ChartConnection):
+    """Right-hand side of the geodesic equation carrying vectors by parallel
+    transport: the state (x, v, w_1 .. w_k) maps to (v, -G(x)(v, v),
+    -G(x)(v, w_1) .. -G(x)(v, w_k)).  A geodesic is the transport of no
+    vector."""
+    d = conn.dim
+    if conn.grad_f is None:
+        def rhs(z):
+            vel = z[d:2 * d]
+            # one connection evaluation for the velocity and every vector
+            acc = conn.contract(z[:d], vel, z[d:].reshape(-1, d))
+            return np.concatenate([vel, -acc.ravel()])
+        return rhs
 
     def rhs(z):
-        vel = z[d:]
-        return np.concatenate([vel, -conn.contract(z[:d], vel, vel)])
+        # in Python floats, returned as the list the step loop stores into
+        # its stage row; each row is contract's expression, negated, so
+        # each value is contract's bit for bit
+        zs = z.tolist()
+        f = conn._gradient(z[:d])
+        vs = zs[d:2 * d]
+        fv, vv = sum(map(mul, f, vs)), sum(map(mul, vs, vs))
+        out = vs + _conformal_acceleration(f, vs, fv, vv)
+        for j in range(2 * d, len(zs), d):
+            w = zs[j:j + d]
+            fw, vw = sum(map(mul, f, w)), sum(map(mul, vs, w))
+            out += [-(fv * wi + fw * vi - vw * fi)
+                    for wi, vi, fi in zip(w, vs, f)]
+        return out
+    return rhs
 
-    z = _integrate(conn, rhs, np.concatenate([x, v]), t, tolerances)
-    return z[:d], z[d:]
+
+def _conformal_acceleration(f: list, vs: list, fv: float, vv: float) -> list:
+    """-G(v, v) = -((f.v) v + (f.v) v - (v.v) f) on a conformal chart, from
+    the gradient f of its conformal exponent, fv = f.v and vv = v.v, in
+    Python floats."""
+    return [-(fv * vi + fv * vi - vv * fi) for vi, fi in zip(vs, f)]
 
 
 def _jacobi_flow(conn: ChartConnection, x: np.ndarray, v: np.ndarray,
@@ -369,7 +450,8 @@ def _jacobi_flow(conn: ChartConnection, x: np.ndarray, v: np.ndarray,
         vs = zs[d:2 * d]
         fv, vv = sum(map(mul, f, vs)), sum(map(mul, vs, vs))
         hv = [sum(map(mul, hrow, vs)) for hrow in hf]
-        out = vs + [vv * fi - 2.0 * fv * vi for vi, fi in zip(vs, f)]
+        # the geodesic's rows are a plain flow's, bit for bit
+        out = vs + _conformal_acceleration(f, vs, fv, vv)
         out += zs[d * (d + 2):]
         for j in range(2 * d, d * (d + 2), d):
             # dv_j' = -2 G(v, w) - (d_a G)(v, v) for a = dx_j, w = dv_j,
@@ -380,7 +462,7 @@ def _jacobi_flow(conn: ChartConnection, x: np.ndarray, v: np.ndarray,
             out += [cv * vi + cf * fi - 2.0 * fv * wi
                     + vv * sum(map(mul, hrow, a))
                     for vi, fi, wi, hrow in zip(vs, f, w, hf)]
-        return np.array(out)
+        return out
 
     z0 = np.concatenate([x, v, np.zeros(d * d), np.eye(d).ravel()])
     z = _integrate(conn, rhs, z0, 1.0, tolerances, 2 * d)
@@ -421,9 +503,10 @@ def log_shooting(conn: ChartConnection, x, y,
     residual decrease: a rejected trial updates the Jacobian too, and the
     next trial takes half of the step solved from the updated one.  Once
     the residual is at most max(10 ode_rel_tol, 1e-11), one more step is
-    tried and kept only if it lowers the residual.  A guess that already
-    meets the target on the plain integration ``exp`` makes returns at
-    once, with 0 iterations.  All steps count against
+    tried and kept only if it lowers the residual, unless the residual is
+    already at most 8 eps max(1, |y|_inf), the round-off of y.  A guess
+    that already meets the target on the plain integration ``exp`` makes
+    returns at once, with 0 iterations.  All steps count against
     ``max_shooting_iters``.  Returns (v, iterations); raises NoConvergence
     with the best residual attached otherwise, also when a trial
     integration fails.
@@ -433,8 +516,7 @@ def log_shooting(conn: ChartConnection, x, y,
     # the endpoint carries integration error of order ode_rel_tol, so the
     # residual target sits a decade above it, and never below 1e-11
     residual_tol = max(10.0 * tolerances.ode_rel_tol, 1e-11)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = _chart_vectors(conn.dim, x, y)
 
     def failed(rnorm, err):
         # a trial velocity that stalls the integrator or escapes the chart is
@@ -484,7 +566,7 @@ def log_shooting(conn: ChartConnection, x, y,
                 residual=rnorm,
             )
         it += 1
-        alpha = _NEWTON_DAMPING
+        alpha = 1.0
         for _ in range(5):
             try:
                 dv = -alpha * np.linalg.solve(jac, res)
@@ -514,8 +596,10 @@ def log_shooting(conn: ChartConnection, x, y,
             )
         v, res, rnorm = v + dv, res_try, r_try
     # Broyden converges superlinearly, not quadratically, so it stops a few
-    # digits short of Newton's last step; one more step recovers them
-    if rnorm > 0.0 and it < max_iters:
+    # digits short of Newton's last step; one more step recovers them,
+    # unless the residual is already at the round-off of y's coordinates
+    if (rnorm > _ROUND_OFF * max(1.0, float(np.abs(y).max()))
+            and it < max_iters):
         it += 1
         try:
             v_try = v - np.linalg.solve(jac, res)
@@ -536,18 +620,10 @@ def transport_ode(conn: ChartConnection, u, x, v, t: float = 1.0,
     the vector stay consistent.  Returns (u_t, position_t, velocity_t).
     """
     tolerances = tolerances or _DEFAULT_TOLERANCES
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    u = np.asarray(u, dtype=float)
     d = conn.dim
-
-    def rhs(z):
-        vel = z[d:2 * d]
-        # one connection evaluation for the velocity row and the transported row
-        acc = conn.contract(z[:d], vel, z[d:].reshape(2, d))
-        return np.concatenate([vel, -acc.ravel()])
-
-    z = _integrate(conn, rhs, np.concatenate([x, v, u]), t, tolerances)
+    u, x, v = _chart_vectors(d, u, x, v)
+    z = _integrate(conn, _flow_rhs(conn), np.concatenate([x, v, u]), t,
+                   tolerances)
     return z[2 * d:], z[:d], z[d:2 * d]
 
 

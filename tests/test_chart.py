@@ -168,6 +168,41 @@ def test_adaptive_step_budget_stops_a_running_solve(bump, monkeypatch):
     assert counter.calls == 1 + 12 * chart._MAX_STEPS < full.calls
 
 
+def test_flow_into_a_wall_of_the_domain_is_domain_escape():
+    # the straight line from just before the wall x_0 = 0.5, beyond which
+    # the connection raises, reaches it at t = 1e-9: stages past the wall
+    # reject their steps, and the accepted steps before it creep up until
+    # they no longer move the state, while the step size stays far above
+    # its least value.  The flow ran its whole step budget into
+    # MaxStepsExceeded (28,798 evaluations at a budget of 3,000 steps);
+    # the first accepted step that leaves the state unchanged now raises.
+    # The 182 evaluations are the start rule's one, 12 rejections whose
+    # first stage is already past the wall, which shrink the first step
+    # from 1 to 4e-9, then 10 accepted steps of 12 evaluations, the last of
+    # them the stalled one, and 10 more rejections of 49 evaluations in all:
+    # the accepted steps that creep from 1e-12 to within an ulp of the wall
+    # are the scheme's own step control, which the loop keeps bit for bit
+    def grad_f(x):
+        if x[0] > 0.5:
+            raise DomainEscape("beyond the wall")
+        return np.zeros(2)
+
+    counter = CountingChristoffel(ChartConnection.conformal(2, grad_f))
+    x = [0.5 - 1e-12, 0.0]
+    with pytest.raises(DomainEscape, match="stalled"):
+        geodesic_flow(counter.conn, x, [1e-3, 0.0])
+    assert counter.calls == 182
+    # a flow at rest, or too slow to move the state, is not stalled: its
+    # one step ends the interval
+    for v in ([0.0, 0.0], [1e-20, 0.0]):
+        counter.calls = 0
+        pos, vel = geodesic_flow(counter.conn, x, v)
+        u_t, _, _ = transport_ode(counter.conn, [0.0, 1.0], x, v)
+        assert pos.tolist() == x and vel.tolist() == v
+        assert u_t.tolist() == [0.0, 1.0]
+        assert counter.calls == 2 * 13
+
+
 # the bump's short flows, as the pole ladder makes them at scales h <= 0.1;
 # along the bump's gradient, (1, 0), a |v| = 0.1 flow still has its first
 # step rejected and makes 37 evaluations
@@ -275,6 +310,27 @@ def test_integration_time_must_be_finite_and_non_negative(bump, t):
         geodesic_flow(bump.conn, x, v, t)
     with pytest.raises(ValueError, match="finite and non-negative"):
         transport_ode(bump.conn, v, x, v, t)
+
+
+@pytest.mark.parametrize("name", ["bump2d", "sphere2-stereographic",
+                                  "spd2-entries"])
+def test_chart_vectors_of_the_wrong_length_raise_value_error(name):
+    # the right-hand sides slice the state by the chart's dimension, so a
+    # vector one coordinate too long would be integrated as another state
+    conn = make_chart(name)
+    d = conn.dim
+    x = np.array([1.3, 0.2, 0.9]) if d == 3 else np.array([0.1, 0.2])
+    v, long = 0.1 * np.ones(d), np.ones(d + 1)
+    for run in (lambda: geodesic_flow(conn, long, v),
+                lambda: geodesic_flow(conn, x, long),
+                lambda: transport_ode(conn, long, x, v),
+                lambda: transport_ode(conn, v, long, v),
+                lambda: log_shooting(conn, x, long)):
+        with pytest.raises(ValueError, match="shape"):
+            run()
+    if conn.chart_bounds is not None:
+        with pytest.raises(ValueError, match="coordinates"):
+            conn.in_bounds(long.tolist())
 
 
 def test_flow_stops_at_its_first_step_outside_the_box():
@@ -434,6 +490,29 @@ def test_torsion_warning_on_asymmetric_symbols():
     assert g[0, 0, 1] == g[0, 1, 0] == pytest.approx(5e-7)
 
 
+@pytest.mark.parametrize("name", ["bump2d", "hyperbolic2-ball", "so3-rotvec"])
+def test_in_bounds_of_one_point_matches_the_array_path(name):
+    # the step loop checks each accepted state as a list of floats
+    conn = make_chart(name)
+    lo, hi = conn.chart_bounds
+    d = conn.dim
+    points = [lo, hi, 0.5 * (lo + hi),
+              np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)]
+    for bad in (math.nan, math.inf, -math.inf):
+        for k in range(d):
+            p = 0.5 * (lo + hi)
+            p[k] = bad
+            points.append(p)
+    points.append(np.where(np.arange(d) % 2, lo, np.nextafter(hi, np.inf)))
+    expected = [True, True, True, False, False] + [False] * (3 * d) + [False]
+    for p, inside in zip(points, expected):
+        assert conn.in_bounds(p) is inside
+        assert conn.in_bounds(p.tolist()) is inside
+    # one point only: a stack of points is not a point
+    with pytest.raises(ValueError, match="one point"):
+        conn.in_bounds(np.column_stack(points[:3]))
+
+
 # -- conformal contraction -------------------------------------------------------
 
 CONFORMAL_CHARTS = ("bump2d", "sphere2-stereographic", "hyperbolic2-ball")
@@ -452,6 +531,35 @@ def test_conformal_contraction_matches_symbols(name):
             ref = np.einsum("kij,i,...j->...k", conn.gamma(x), v, arg)
             assert got.shape == ref.shape
             assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("name", CONFORMAL_CHARTS)
+def test_flow_rhs_is_the_contraction_bit_for_bit(name):
+    # the geodesic and transport right-hand sides, in Python floats, give
+    # the values of a right-hand side built on contract, to the last bit
+    conn = make_chart(name)
+    rhs = chart._flow_rhs(conn)
+    rng = np.random.default_rng(12)
+    for _ in range(50):
+        x = rng.uniform(-0.6, 0.6, 2)
+        for rows in (rng.standard_normal((1, 2)), rng.standard_normal((2, 2))):
+            vel = rows[0]
+            ref = np.concatenate([vel, -conn.contract(x, vel, rows).ravel()])
+            got = rhs(np.concatenate([x, rows.ravel()]))
+            assert np.array_equal(np.array(got), ref)
+
+
+def test_jacobi_flow_geodesic_rows_are_the_plain_rhs(bump, monkeypatch):
+    solves = _record_solves(monkeypatch)
+    chart._jacobi_flow(bump.conn, _START_X, 0.3 * _START_DIR,
+                       ToleranceConfig())
+    [((_, jacobi_rhs, *_), *_)] = solves
+    plain_rhs = chart._flow_rhs(bump.conn)
+    rng = np.random.default_rng(13)
+    for _ in range(50):
+        z = rng.standard_normal(12)
+        z[:2] = rng.uniform(-0.6, 0.6, 2)
+        assert jacobi_rhs(z)[:4] == plain_rhs(z[:4])
 
 
 @pytest.mark.parametrize("name", CONFORMAL_CHARTS)
@@ -554,6 +662,27 @@ def test_bump_log_christoffel_budget(bump):
     for x, _, y in _bump_round_trips(bump):
         log_shooting(counter.conn, x, y, bump.tolerances)
     assert counter.calls <= 3500
+
+
+def test_log_at_round_off_makes_no_polishing_flow(bump, monkeypatch):
+    # a quasi-Newton step that lands within 8 eps max(1, |y|_inf) of y ends
+    # the solve: the polishing step after it cannot lower the residual by
+    # more than round-off, so it is not tried.  On the second of these
+    # round trips the last quasi-Newton step lands at 1.6e-15
+    flows = _flows_failing_after(monkeypatch, math.inf, DomainEscape)
+    skipped = 0
+    for x, _, y in _bump_round_trips(bump):
+        flows.clear()
+        v, _ = log_shooting(bump.conn, x, y, bump.tolerances)
+        residuals = [np.linalg.norm(geodesic_flow(*args)[0] - y)
+                     for args in flows]
+        floor = 8.0 * np.finfo(float).eps * max(1.0, np.abs(y).max())
+        at_floor = [i for i, r in enumerate(residuals) if r <= floor]
+        if at_floor:
+            assert at_floor[0] == len(flows) - 1
+            assert np.array_equal(flows[-1][2], v)
+            skipped += len(flows) > 1 and residuals[-2] > 1e-11
+    assert skipped >= 1
 
 
 def test_stereographic_exp_log_round_trip():
