@@ -20,7 +20,6 @@ from .chart import (
     ChartConnection,
     ChartSpace,
     christoffels_from_metric,
-    conformal_christoffel,
     curvature_components,
     geodesic_flow,
     log_shooting,

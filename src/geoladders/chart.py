@@ -3,7 +3,8 @@
 Given a chart and a callable producing the symbols G^k_ij at a point, this
 module integrates the geodesic equation, inverts it by shooting, solves the
 parallel-transport ODE along geodesics, and assembles the curvature tensor
-and its covariant derivative from central finite differences.  The ODEs are
+and its covariant derivative from central finite differences.  Only the
+flow's right-hand side contracts the connection, G(x)(v, w).  The ODEs are
 integrated by the module's own step loop of the Dormand-Prince 8(5,3) pair,
 which takes scipy's DOP853 steps with its coefficients, error norm and step
 control, but checks the chart's box, a step budget and that each step moves
@@ -53,7 +54,6 @@ __all__ = [
     "curvature_components",
     "nabla_curvature_components",
     "christoffels_from_metric",
-    "conformal_christoffel",
 ]
 
 _EPS = np.finfo(float).eps
@@ -92,10 +92,10 @@ class ChartConnection:
     A conformal connection, the Levi-Civita connection of g = exp(2 f) *
     euclidean, also carries ``grad_f``, the gradient of f, and optionally
     ``hess_f``, its Hessian; build it with ``ChartConnection.conformal`` so
-    the symbols and the gradient agree.  ``contract`` then evaluates
-    G(x)(v, w) in closed form from the gradient alone, which is all the
-    geodesic and transport equations need; the Jacobi fields of
-    log_shooting take the symbols' derivatives from the Hessian.
+    the symbols and the gradient agree.  The geodesic and transport
+    equations then contract G(x)(v, w) in closed form from the gradient
+    alone; the Jacobi fields of log_shooting take the symbols' derivatives
+    from the Hessian.
 
     ``interior(x)``, when given, is a test that every accepted state of an
     integration must pass besides the box, for a domain a box cannot
@@ -118,30 +118,16 @@ class ChartConnection:
                   ) -> "ChartConnection":
         """The connection of g = exp(2 f) * euclidean, from the gradient of f
         and, when given, its Hessian."""
-        return cls(dim, conformal_christoffel(grad_f), chart_bounds, grad_f,
-                   hess_f, interior)
 
-    def contract(self, x: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """G(x)(v, w)^k = G^k_ij v^i w^j; w is a vector or a stack of rows,
-        each contracted with v."""
-        if self.grad_f is None:
-            # gv[k, i] = G^k_ij v^j; the symbols are symmetric in (i, j);
-            # stacked matrix-vector products round each row as gv @ row does
-            gv = self.gamma(x) @ v
-            return (gv @ w[..., None])[..., 0]
-        f = self._gradient(x)
-        # G^k_ij = f_i d_jk + f_j d_ik - f_k d_ij gives G(v, w) =
-        # (df.v) w + (df.w) v - (v.w) df; in Python floats, since numpy's
-        # per-call cost exceeds the arithmetic at these sizes
-        vs = v.tolist()
-        fv = sum(map(mul, f, vs))
+        def christoffel(x):
+            df = np.asarray(grad_f(np.asarray(x, dtype=float)), dtype=float)
+            eye = np.eye(df.size)
+            # G^k_ij = f_i d_jk + f_j d_ik - f_k d_ij: g[k, i, j] = f_i d_jk
+            # plus its (i, j) transpose keeps them exactly symmetric
+            g = df[:, None] * eye[:, None, :]
+            return g + g.transpose(0, 2, 1) - df[:, None, None] * eye
 
-        def row(r):
-            fw, vw = sum(map(mul, f, r)), sum(map(mul, vs, r))
-            return [fv * ri + fw * vi - vw * fi for ri, vi, fi in zip(r, vs, f)]
-
-        return np.array(row(w.tolist()) if w.ndim == 1
-                        else list(map(row, w.tolist())))
+        return cls(dim, christoffel, chart_bounds, grad_f, hess_f, interior)
 
     def _gradient(self, x: np.ndarray) -> list:
         """grad_f(x) as Python floats, checked."""
@@ -335,6 +321,8 @@ def _integrate(conn: ChartConnection, rhs, z0: np.ndarray, t: float,
     if not 0.0 <= t < math.inf:
         raise ValueError(
             f"integration time must be finite and non-negative, got {t}")
+    if not conn.in_bounds(z0[:conn.dim]):
+        raise DomainEscape("initial point outside the chart bounds")
     if t == 0.0:
         return z0.copy()
     # stages that overflow give an infinite or NaN error estimate, and the
@@ -365,8 +353,6 @@ def geodesic_flow(conn: ChartConnection, x, v, t: float = 1.0,
     tolerances = tolerances or _DEFAULT_TOLERANCES
     d = conn.dim
     x, v = _chart_vectors(d, x, v)
-    if not conn.in_bounds(x):
-        raise DomainEscape("initial point outside the chart bounds")
     z = _integrate(conn, _flow_rhs(conn), np.concatenate([x, v]), t,
                    tolerances)
     return z[:d], z[d:]
@@ -392,15 +378,18 @@ def _flow_rhs(conn: ChartConnection):
     if conn.grad_f is None:
         def rhs(z):
             vel = z[d:2 * d]
-            # one connection evaluation for the velocity and every vector
-            acc = conn.contract(z[:d], vel, z[d:].reshape(-1, d))
+            # one connection evaluation for the velocity and every vector:
+            # gv[k, i] = G^k_ij v^j, the symbols being symmetric, times each
+            # row in a stacked product, which rounds each as gv @ row does
+            gv = conn.gamma(z[:d]) @ vel
+            acc = gv @ z[d:].reshape(-1, d, 1)
             return np.concatenate([vel, -acc.ravel()])
         return rhs
 
     def rhs(z):
-        # in Python floats, returned as the list the step loop stores into
-        # its stage row; each row is contract's expression, negated, so
-        # each value is contract's bit for bit
+        # the conformal symbols give G(v, w) = (f.v) w + (f.w) v - (v.w) f
+        # for f = grad_f(x); in Python floats, as numpy's per-call cost
+        # exceeds the arithmetic, returned as the list of a stage row
         zs = z.tolist()
         f = conn._gradient(z[:d])
         vs = zs[d:2 * d]
@@ -437,12 +426,10 @@ def _jacobi_flow(conn: ChartConnection, x: np.ndarray, v: np.ndarray,
     few 1e-12 on those steps.
     """
     d = conn.dim
-    if not conn.in_bounds(x):
-        raise DomainEscape("initial point outside the chart bounds")
 
     def rhs(z):
         # on the state (x, v, dx_1 .. dx_d, dv_1 .. dv_d), in Python floats
-        # as in contract: G(v, w) = (f.v) w + (f.w) v - (v.w) f and, as
+        # as in _flow_rhs: G(v, w) = (f.v) w + (f.w) v - (v.w) f and, as
         # d_a f = H a, (d_a G)(v, v) = 2 (a.Hv) v - (v.v) Ha
         f = conn._gradient(z[:d])
         hf = conn._hessian(z[:d])
@@ -475,10 +462,14 @@ def _shooting_start(conn: ChartConnection, x: np.ndarray, d: np.ndarray):
     d + G(x + d/3)(d, d)/2 + G(x)(d, G(x)(d, d))/6, or d itself where that
     moves d by more than a quarter of its length and the series is not to
     be trusted."""
+    # each term is read off the flow's right-hand side at (x, v, w..), which
+    # carries -G(x)(v, w) for each w, -G(x)(v, v) first
+    rhs, n = _flow_rhs(conn), conn.dim
     try:
-        gdd = conn.contract(x, d, d)
-        v = (d + 0.5 * conn.contract(x + d / 3.0, d, d)
-             + conn.contract(x, d, gdd) / 6.0)
+        gdd = -np.asarray(rhs(np.concatenate([x, d])))[n:]
+        g_third = -np.asarray(rhs(np.concatenate([x + d / 3.0, d])))[n:]
+        g_gdd = -np.asarray(rhs(np.concatenate([x, d, gdd])))[2 * n:]
+        v = d + 0.5 * g_third + g_gdd / 6.0
     except (DomainEscape, NonFinite):
         # x + d/3 lies outside the connection's domain
         return d
@@ -695,25 +686,6 @@ def nabla_curvature_components(conn: ChartConnection, x) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Christoffel builders
 # ---------------------------------------------------------------------------
-
-def conformal_christoffel(grad_f: Callable[[np.ndarray], np.ndarray]):
-    """Symbols of a conformal metric g = exp(2 f) * euclidean.
-
-    G^k_ij = f_i d_jk + f_j d_ik - f_k d_ij, needing only the gradient of f.
-    ``ChartConnection.conformal`` pairs them with the gradient itself, from
-    which the geodesic and transport equations contract in closed form.
-    """
-
-    def christoffel(x):
-        df = np.asarray(grad_f(np.asarray(x, dtype=float)), dtype=float)
-        eye = np.eye(df.size)
-        # g[k, i, j] = f_i d_jk; adding its (i, j) transpose gives the first
-        # two terms and keeps the symbols exactly symmetric
-        g = df[:, None] * eye[:, None, :]
-        return g + g.transpose(0, 2, 1) - df[:, None, None] * eye
-
-    return christoffel
-
 
 def christoffels_from_metric(metric: Callable[[np.ndarray], np.ndarray]):
     """Levi-Civita symbols of a chart metric, by central differences.

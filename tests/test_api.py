@@ -1,14 +1,15 @@
 """The public names of the package, the public methods of the
-``ConnectionSpace`` contract, the parameters of the engine and registry entry
-points and the experiment config fields, pinned so that API growth or
-shrinkage shows up as a reviewed diff of these lists."""
+``ConnectionSpace`` contract, the surface of ``ChartConnection``, the
+parameters of the engine and registry entry points and the experiment config
+fields, pinned so that API growth or shrinkage shows up as a reviewed diff of
+these lists."""
 
 import inspect
 import types
 from dataclasses import fields
 
 import geoladders
-from geoladders import ConnectionSpace
+from geoladders import ChartConnection, ConnectionSpace
 from geoladders.cli import ExperimentConfig, main
 
 PUBLIC_NAMES = [
@@ -43,7 +44,6 @@ PUBLIC_NAMES = [
     "bch_numeric",
     "bch_series",
     "christoffels_from_metric",
-    "conformal_christoffel",
     "convergence_order",
     "curvature_components",
     "generic_directions",
@@ -75,7 +75,7 @@ def test_public_names_are_pinned():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     )
     assert names == PUBLIC_NAMES
-    assert len(names) == 52
+    assert len(names) == 51
 
 
 CONTRACT_METHODS = [
@@ -107,6 +107,22 @@ def test_contract_methods_are_pinned():
         if not name.startswith("_")
     )
     assert names == CONTRACT_METHODS
+
+
+# the connection holds a chart's data and their checks, and the engine holds
+# the one contraction of it: a second contraction shows up here
+CHART_CONNECTION_FIELDS = [
+    "dim", "christoffel", "chart_bounds", "grad_f", "hess_f", "interior",
+]
+CHART_CONNECTION_METHODS = ["conformal", "gamma", "in_bounds"]
+
+
+def test_chart_connection_surface_is_pinned():
+    names = [f.name for f in fields(ChartConnection)]
+    assert names == CHART_CONNECTION_FIELDS
+    methods = sorted(name for name in dir(ChartConnection)
+                     if not name.startswith("_") and name not in names)
+    assert methods == CHART_CONNECTION_METHODS
 
 
 # one integrator and no per-space options: a knob added to any of these

@@ -144,6 +144,22 @@ def test_flow_domain_escape():
         geodesic_flow(conn, [5.0, 0.0], [0.1, 0.0], 1.0)
 
 
+def test_transport_from_outside_the_box_is_domain_escape():
+    # the geodesic runs back into the box, but it starts outside: the
+    # transport along it escapes as the geodesic does, at any time
+    conn = flat_chart(bounds=(np.array([-1.0, -1.0]), np.array([1.0, 1.0])))
+    for t in (1.0, 0.0):
+        with pytest.raises(DomainEscape, match="initial point outside"):
+            transport_ode(conn, [0.0, 1.0], [1.5, 0.0], [-1.0, 0.0], t)
+    space = ChartSpace("flat-box", conn)
+    p = space.point([1.5, 0.0])
+    u, v = space.tangent(p, [0.0, 1.0]), space.tangent(p, [-1.0, 0.0])
+    with pytest.raises(DomainEscape, match="initial point outside"):
+        space.exp(p, v)
+    with pytest.raises(DomainEscape, match="initial point outside"):
+        space.exp_transport(u, v)
+
+
 def test_flow_through_the_chart_singularity_is_domain_escape():
     # the stereographic chart has no bounds; from the origin at this speed
     # the geodesic reaches the north pole, the chart's point at infinity,
@@ -519,34 +535,39 @@ CONFORMAL_CHARTS = ("bump2d", "sphere2-stereographic", "hyperbolic2-ball")
 
 
 @pytest.mark.parametrize("name", CONFORMAL_CHARTS)
-def test_conformal_contraction_matches_symbols(name):
+def test_flow_rhs_through_the_gradient_matches_its_symbol_branch(name):
+    # the closed form in Python floats and the product with the symbols
+    # contract one connection, on the velocity alone and with vectors
     conn = make_chart(name)
+    rhs = chart._flow_rhs(conn)
+    by_symbols = chart._flow_rhs(dataclasses.replace(conn, grad_f=None))
     rng = np.random.default_rng(8)
     for _ in range(20):
         x = rng.uniform(-0.6, 0.6, 2)
-        v, w = rng.standard_normal((2, 2))
-        rows = rng.standard_normal((3, 2))
-        for arg in (w, rows):
-            got = conn.contract(x, v, arg)
-            ref = np.einsum("kij,i,...j->...k", conn.gamma(x), v, arg)
-            assert got.shape == ref.shape
+        for rows in (rng.standard_normal((1, 2)), rng.standard_normal((3, 2))):
+            z = np.concatenate([x, rows.ravel()])
+            got, ref = np.array(rhs(z)), by_symbols(z)
+            assert got.shape == ref.shape == (z.size,)
             assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
 @pytest.mark.parametrize("name", CONFORMAL_CHARTS)
-def test_flow_rhs_is_the_contraction_bit_for_bit(name):
-    # the geodesic and transport right-hand sides, in Python floats, give
-    # the values of a right-hand side built on contract, to the last bit
+def test_shooting_start_is_the_inverse_series_on_the_symbols(name):
     conn = make_chart(name)
-    rhs = chart._flow_rhs(conn)
-    rng = np.random.default_rng(12)
-    for _ in range(50):
-        x = rng.uniform(-0.6, 0.6, 2)
-        for rows in (rng.standard_normal((1, 2)), rng.standard_normal((2, 2))):
-            vel = rows[0]
-            ref = np.concatenate([vel, -conn.contract(x, vel, rows).ravel()])
-            got = rhs(np.concatenate([x, rows.ravel()]))
-            assert np.array_equal(np.array(got), ref)
+
+    def contract(x, v, w):
+        return np.einsum("kij,i,j->k", conn.gamma(x), v, w)
+
+    rng = np.random.default_rng(14)
+    for _ in range(20):
+        x = rng.uniform(-0.5, 0.5, 2)
+        # short enough that the series is trusted and d does not fall back
+        d = 0.1 * rng.standard_normal(2)
+        ref = (d + contract(x + d / 3.0, d, d) / 2.0
+               + contract(x, d, contract(x, d, d)) / 6.0)
+        assert np.linalg.norm(ref - d) <= 0.25 * np.linalg.norm(d)
+        got = chart._shooting_start(conn, x, d)
+        assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
 def test_jacobi_flow_geodesic_rows_are_the_plain_rhs(bump, monkeypatch):
