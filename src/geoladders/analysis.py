@@ -165,8 +165,10 @@ def generic_directions(space: ConnectionSpace, m: Point,
                        rng: np.random.Generator, max_tries: int = 100):
     """Two seeded unit directions at m, rejecting near-parallel pairs.
 
-    Pairs with |cos angle| > 0.99 are redrawn; generic draws are neither
-    parallel nor orthogonal, as the scaling protocol requires.  A space of
+    Pairs with |cos angle| > 0.95 (|sin| < 0.31) are redrawn: on a
+    near-parallel pair R(u, v) nearly vanishes, and the leading error term
+    with it, so the scaling protocol would measure the next order instead.
+    Generic draws are neither parallel nor orthogonal.  A space of
     dimension below 2 has no such pair and raises ValueError at once.
     """
     if space.dim < 2:
@@ -177,7 +179,7 @@ def generic_directions(space: ConnectionSpace, m: Point,
         v_dir = space.random_direction(rng, m)
         cos = space.inner(u_dir, v_dir) if space.has_metric else float(
             u_dir.components @ v_dir.components)
-        if abs(cos) <= 0.99:
+        if abs(cos) <= 0.95:
             return u_dir, v_dir
     raise RuntimeError("could not draw a non-parallel direction pair")
 

@@ -119,6 +119,24 @@ def test_generic_directions_rejects_one_dimensional_space(name):
     assert rng.bit_generator.state == state  # raised before any draw
 
 
+def test_generic_directions_keep_pairs_off_parallel(bump):
+    # on a near-parallel pair R(u, v) nearly vanishes with the leading error
+    # term: from this seed the 60th pair of a |cos| <= 0.99 cut had cos
+    # -0.9885 and a predictor defect of 0.24 at h = 0.0431, past criterion
+    # 3's 0.15
+    m = bump.anchor_point()
+    rng = np.random.default_rng(8209)
+    for _ in range(60):
+        u_dir, v_dir = generic_directions(bump, m, rng)
+        assert abs(bump.inner(u_dir, v_dir)) <= 0.95
+    h = float(np.geomspace(0.2, 0.02, 7)[4])
+    assert h == pytest.approx(0.0431, abs=1e-4)
+    u, v = h * u_dir, h * v_dir
+    pred = pole_error_predicted(bump, m, u, v)
+    defect = (pole_error_measured(bump, m, u, v, "pole_v2") - pred)
+    assert defect.component_norm <= 0.15 * pred.component_norm
+
+
 # -- predictors -------------------------------------------------------------------
 
 @pytest.mark.parametrize("name", ["sphere-2", "hyperbolic-2", "spd-3", "so3"])
