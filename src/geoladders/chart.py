@@ -3,8 +3,9 @@
 Given a chart and a callable producing the symbols G^k_ij at a point, this
 module integrates the geodesic equation, inverts it by shooting, solves the
 parallel-transport ODE along geodesics, and assembles the curvature tensor
-and its covariant derivative from central finite differences.  Only the
-flow's right-hand side contracts the connection, G(x)(v, w).  The ODEs are
+and its covariant derivative from central finite differences.  One
+right-hand side contracts G(x)(v, w) for geodesics, transports and the
+shooting's first guess.  The ODEs are
 integrated by the module's own step loop of the Dormand-Prince 8(5,3) pair,
 which takes scipy's DOP853 steps with its coefficients, error norm and step
 control, but checks the chart's box, a step budget and that each step moves

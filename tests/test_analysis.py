@@ -133,7 +133,7 @@ def test_generic_directions_keep_pairs_off_parallel(bump):
     assert h == pytest.approx(0.0431, abs=1e-4)
     u, v = h * u_dir, h * v_dir
     pred = pole_error_predicted(bump, m, u, v)
-    defect = (pole_error_measured(bump, m, u, v, "pole_v2") - pred)
+    defect = pole_error_measured(bump, m, u, v, "pole_v2") - pred
     assert defect.component_norm <= 0.15 * pred.component_norm
 
 
