@@ -535,6 +535,48 @@ CONFORMAL_CHARTS = ("bump2d", "sphere2-stereographic", "hyperbolic2-ball")
 
 
 @pytest.mark.parametrize("name", CONFORMAL_CHARTS)
+def test_conformal_contraction_matches_symbols(name):
+    # the closed form in _flow_rhs contracts the conformal symbols, read off
+    # the right-hand side: -G(x)(v, v) on the velocity row, -G(x)(v, w) on
+    # each vector's
+    conn = make_chart(name)
+    rhs = chart._flow_rhs(conn)
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        x = rng.uniform(-0.6, 0.6, 2)
+        v = rng.standard_normal(2)
+        rows = rng.standard_normal((3, 2))
+        got = -np.array(rhs(np.concatenate([x, v, rows.ravel()]))[2:])
+        ref = np.einsum("kij,i,...j->...k", conn.gamma(x), v,
+                        np.vstack([v, rows])).ravel()
+        assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("name", CONFORMAL_CHARTS)
+def test_flow_rhs_is_the_contraction_bit_for_bit(name):
+    # on both branches the geodesic and the transport rows are one
+    # contraction, to the last bit: carrying vectors leaves the geodesic's
+    # rows as they are, and the velocity carried as a vector gets the
+    # velocity's row; the symbol branch rounds as gamma(x) @ v times a row
+    conn = make_chart(name)
+    symbols = dataclasses.replace(conn, grad_f=None)
+    rng = np.random.default_rng(12)
+    for c in (conn, symbols):
+        rhs = chart._flow_rhs(c)
+        for _ in range(50):
+            x = rng.uniform(-0.6, 0.6, 2)
+            v, w = rng.standard_normal((2, 2))
+            geodesic = np.array(rhs(np.concatenate([x, v])))
+            carried = np.array(rhs(np.concatenate([x, v, w, v])))
+            assert np.array_equal(carried[:4], geodesic)
+            assert np.array_equal(carried[6:], geodesic[2:])
+            if c is symbols:
+                gv = c.gamma(x) @ v
+                ref = np.concatenate([v, -(gv @ v), -(gv @ w), -(gv @ v)])
+                assert np.array_equal(carried, ref)
+
+
+@pytest.mark.parametrize("name", CONFORMAL_CHARTS)
 def test_flow_rhs_through_the_gradient_matches_its_symbol_branch(name):
     # the closed form in Python floats and the product with the symbols
     # contract one connection, on the velocity alone and with vectors
