@@ -2,10 +2,11 @@
 
 Points and tangent vectors are thin wrappers around plain float arrays.
 ``ConnectionSpace`` is the contract every manifold in this package
-implements: exponential and log maps, parallel transport along geodesics
-(to a given endpoint, or along t -> exp(t v) in one pass), midpoints,
-geodesic symmetries, and (optionally) the curvature tensor and its
-covariant derivative.  All operations are pure functions of their inputs;
+implements: exponential and log maps, the points exp(t v) of one geodesic
+at many times in one call, parallel transport along geodesics (to a given
+endpoint, or along t -> exp(t v) in one pass), midpoints, geodesic
+symmetries, and (optionally) the curvature tensor and its covariant
+derivative.  All operations are pure functions of their inputs;
 spaces are immutable after construction and safe to share.
 """
 
@@ -233,7 +234,9 @@ class ConnectionSpace(abc.ABC):
 
     Subclasses implement the private kernels ``_exp``/``_log``/``_transport``
     on raw coordinate arrays, and may override ``_exp_transport`` (exp, then
-    transport to the endpoint) when they can do both in one pass.  The public
+    transport to the endpoint) when they can do both in one pass, and
+    ``_geodesic`` (exp at many times along one geodesic) when the work the
+    times share can be done once.  The public
     wrappers handle ``Point`` / ``TangentVector`` packing, base-point
     validation, non-finite inputs (``NonFinite``) and degenerate inputs
     (``exp(p, 0) == p`` exactly, ``log(p, p) == 0`` without shooting).
@@ -276,6 +279,10 @@ class ConnectionSpace(abc.ABC):
         y = self._exp(x, v)
         return y, self._transport(x, u, y)
 
+    def _geodesic(self, x: np.ndarray, v: np.ndarray, times: np.ndarray):
+        """Rows exp_x(t v), one per t in times (none of them 0)."""
+        return [self._exp(x, t * v) for t in times]
+
     def _inner(self, x: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
         raise Unsupported(f"{self.name} has no metric")
 
@@ -316,6 +323,9 @@ class ConnectionSpace(abc.ABC):
         _require_finite(p.coords, "point coordinates")
 
     def _check_base(self, v: TangentVector, p: Point):
+        # every caller has just checked p itself
+        if v.base is p:
+            return
         self._check_point(v.base)
         if not _same_base(v.base.coords, p.coords):
             raise InvalidBase("tangent vector is not based at the given point")
@@ -338,6 +348,28 @@ class ConnectionSpace(abc.ABC):
         if not v.components.any():
             return p
         return Point(self._exp(p.coords, v.components), self.name)
+
+    def geodesic(self, p: Point, v: TangentVector, times) -> list[Point]:
+        """The points exp_p(t v) for every t in times, from one kernel call.
+
+        A closed-form space does the work the times share once, so a rail of
+        points along one geodesic costs about one exp.  Inputs are checked
+        as by exp; times must be a finite 1-d sequence (``ValueError``), and
+        t == 0 or v == 0 gives p itself.
+        """
+        self._check_point(p)
+        self._check_base(v, p)
+        _require_finite(v.components, "tangent components")
+        ts = np.asarray(times, dtype=float)
+        if ts.ndim != 1 or not all(map(math.isfinite, ts.tolist())):
+            raise ValueError(f"times must be a finite 1-d sequence, got {times!r}")
+        if not v.components.any():
+            return [p] * ts.size
+        moving = ts[ts != 0.0]
+        rows = iter(self._geodesic(p.coords, v.components, moving)
+                    if moving.size else ())
+        return [Point(next(rows), self.name) if t != 0.0 else p
+                for t in ts.tolist()]
 
     def log(self, p: Point, q: Point) -> TangentVector:
         """Initial velocity of the geodesic from p reaching q at time 1."""
@@ -380,7 +412,7 @@ class ConnectionSpace(abc.ABC):
 
     def midpoint(self, p: Point, q: Point) -> Point:
         """Point at parameter 1/2 on the geodesic [p, q] (exponential barycenter)."""
-        return self.exp(p, 0.5 * self.log(p, q))
+        return self.geodesic(p, self.log(p, q), (0.5,))[0]
 
     def geodesic_symmetry(self, m: Point, p: Point) -> Point:
         """Reverse p through m along the connecting geodesic: exp_m(-log_m(p))."""

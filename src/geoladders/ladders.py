@@ -13,7 +13,8 @@ analysis, where p = exp_m(-v) and q = exp_m(v), m is an input: a caller that
 built p and q from m, or a rail that holds it, passes it, and the step skips
 the log and exp of ``space.midpoint``.  Without it the step computes m
 itself.  Schild's ladder reflects through the midpoint of another segment,
-[exp_p(u), q], and takes none.
+[exp_p(u), q], and takes none.  The multi-rung driver builds its whole rail,
+midpoints included, with one ``space.geodesic`` call.
 """
 
 from __future__ import annotations
@@ -158,20 +159,24 @@ def transport_along_geodesic(space: ConnectionSpace, p: Point, q: Point,
     The vector is scaled by 1/n_rungs before the fold and by n_rungs after,
     so each rung carries a vector as short as its segment; a rung failure
     re-raises the underlying error object, with its attributes intact and
-    the failing rung index prefixed to its message.  A pole rung is handed
-    its midpoint from the rail, built at half steps of the one log of [p, q],
-    so it shoots no log to find it.
+    the failing rung index prefixed to its message.  The rail comes from
+    one ``space.geodesic`` call along the one log of [p, q]; for the pole
+    kinds it runs at half steps, and each rung is handed its midpoint from
+    it, so a rung shoots no log to find it.
     """
     _step(scheme)
     if n_rungs < 1:
         raise ValueError("n_rungs must be at least 1")
     w = space.log(p, q)
-    rail = [p]
-    for i in range(1, n_rungs):
-        rail.append(space.exp(p, (i / n_rungs) * w))
-    rail.append(q)
-    mids = ([space.exp(p, ((i + 0.5) / n_rungs) * w) for i in range(n_rungs)]
-            if scheme in _TAKES_MIDPOINT else [None] * n_rungs)
+    if scheme in _TAKES_MIDPOINT:
+        # k / (2 n) rounds the same real number as (i + 1/2) / n or i / n
+        pts = space.geodesic(p, w, [k / (2 * n_rungs)
+                                    for k in range(1, 2 * n_rungs)])
+        mids, inner = pts[0::2], pts[1::2]
+    else:
+        mids = [None] * n_rungs
+        inner = space.geodesic(p, w, [i / n_rungs for i in range(1, n_rungs)])
+    rail = [p, *inner, q]
     # (1 / scaling) * current, not n_rungs * current: the two differ in the
     # last bit for some n_rungs
     scaling = 1.0 / n_rungs

@@ -122,6 +122,16 @@ class Sphere(ConnectionSpace):
         y = math.cos(theta) * x + sinc * v
         return y / np.linalg.norm(y)
 
+    def _geodesic(self, x, v, times):
+        theta = float(np.linalg.norm(v))
+        if theta == 0.0:
+            return super()._geodesic(x, v, times)
+        # sin(t theta) / (t theta) * t v = sin(t theta) / theta * v
+        a = times * theta
+        y = (np.multiply.outer(np.cos(a), x)
+             + np.multiply.outer(np.sin(a) / theta, v))
+        return y / np.linalg.norm(y, axis=1, keepdims=True)
+
     def _log(self, x, y):
         c = float(np.clip(x @ y, -1.0, 1.0))
         u = y - c * x
@@ -178,6 +188,13 @@ def _mink(a, b) -> float:
 _HYPERBOLIC_MAX_LOG_SCALE = 354.0
 
 
+def _check_hyperbolic_scale(theta, x):
+    if not theta + math.log(x[0]) <= _HYPERBOLIC_MAX_LOG_SCALE:
+        raise NonFinite(
+            f"exp overflows: geodesic length {theta:.6g} from a base "
+            f"point with time coordinate {x[0]:.6g}")
+
+
 class Hyperbolic(ConnectionSpace):
     """Hyperbolic n-space on the upper hyperboloid <x, x> = -1, x0 > 0.
 
@@ -211,15 +228,23 @@ class Hyperbolic(ConnectionSpace):
         theta = math.sqrt(max(_mink(v, v), 0.0))
         if theta == 0.0:
             return x.copy()
-        if not theta + math.log(x[0]) <= _HYPERBOLIC_MAX_LOG_SCALE:
-            raise NonFinite(
-                f"exp overflows: geodesic length {theta:.6g} from a base "
-                f"point with time coordinate {x[0]:.6g}")
+        _check_hyperbolic_scale(theta, x)
         y = math.cosh(theta) * x + (math.sinh(theta) / theta) * v
         # recompute the time coordinate from the spatial ones: renormalizing
         # by sqrt(-<y, y>) fails far out, where the Minkowski product cancels
         # to a value of either sign
         y[0] = math.sqrt(1.0 + float(y[1:] @ y[1:]))
+        return y
+
+    def _geodesic(self, x, v, times):
+        theta = math.sqrt(max(_mink(v, v), 0.0))
+        if theta == 0.0:
+            return super()._geodesic(x, v, times)
+        _check_hyperbolic_scale(float(np.abs(times).max()) * theta, x)
+        a = times * theta
+        y = (np.multiply.outer(np.cosh(a), x)
+             + np.multiply.outer(np.sinh(a) / theta, v))
+        y[:, 0] = np.sqrt(1.0 + np.einsum("ij,ij->i", y[:, 1:], y[:, 1:]))
         return y
 
     def _log(self, x, y):
@@ -288,9 +313,12 @@ def _eigh_spd(m, what="matrix"):
 
 
 def _sqrt_pair(p):
+    """P^{1/2}, P^{-1/2}, and the expm range margin of a conjugation by
+    P^{1/2}: it scales eigenvalues by at most P's."""
     w, vecs = _eigh_spd(p, "base point")
     s = np.sqrt(w)
-    return (vecs * s) @ vecs.T, (vecs / s) @ vecs.T
+    return ((vecs * s) @ vecs.T, (vecs / s) @ vecs.T,
+            math.log(max(1.0 / w[0], w[-1])))
 
 
 # exp of an eigenvalue outside +-708 is not a normal float: it overflows
@@ -298,15 +326,19 @@ def _sqrt_pair(p):
 _EXPM_MAX_LOG = 708.0
 
 
-def _expm_sym(s, margin=0.0):
-    w, vecs = np.linalg.eigh(_sym(s))
-    # eigh sorts ascending; margin leaves room for a conjugation that scales
-    # the result's eigenvalues by up to exp(margin) either way
+def _check_expm_range(lo, hi, margin):
+    # margin leaves room for a conjugation that scales the result's
+    # eigenvalues by up to exp(margin) either way
     lim = _EXPM_MAX_LOG - margin
-    if not (-lim <= w[0] and w[-1] <= lim):
+    if not (-lim <= lo and hi <= lim):
         raise NonFinite(
             f"matrix exponential leaves the float range: eigenvalues "
-            f"{w[0]:.6g} to {w[-1]:.6g}, limit {lim:.6g}")
+            f"{lo:.6g} to {hi:.6g}, limit {lim:.6g}")
+
+
+def _expm_sym(s, margin=0.0):
+    w, vecs = np.linalg.eigh(_sym(s))
+    _check_expm_range(w[0], w[-1], margin)  # eigh sorts ascending
     return (vecs * np.exp(w)) @ vecs.T
 
 
@@ -351,29 +383,35 @@ class SPD(ConnectionSpace):
         return float(np.linalg.norm(m - m.T))
 
     def _exp(self, x, v):
-        w, vecs = _eigh_spd(self._mat(x), "base point")
-        r = np.sqrt(w)
-        ps, pis = (vecs * r) @ vecs.T, (vecs / r) @ vecs.T
-        # the conjugation by ps scales eigenvalues by at most the base's
-        margin = math.log(max(1.0 / w[0], w[-1]))
+        ps, pis, margin = _sqrt_pair(self._mat(x))
         inner = _expm_sym(pis @ self._mat(v) @ pis, margin)
         return _sym(ps @ inner @ ps).ravel()
 
+    def _geodesic(self, x, v, times):
+        # exp(t S) = Q exp(t L) Q^T: one eigendecomposition serves every t
+        ps, pis, margin = _sqrt_pair(self._mat(x))
+        lam, q = np.linalg.eigh(_sym(pis @ self._mat(v) @ pis))
+        tl = np.multiply.outer(times, lam)
+        _check_expm_range(tl.min(), tl.max(), margin)
+        a = ps @ q
+        y = (a * np.exp(tl)[:, None, :]) @ a.T
+        return (0.5 * (y + y.transpose(0, 2, 1))).reshape(len(times), -1)
+
     def _log(self, x, y):
         p, q = self._mat(x), self._mat(y)
-        ps, pis = _sqrt_pair(p)
+        ps, pis, _ = _sqrt_pair(p)
         inner = _logm_spd(pis @ q @ pis, "target point")
         return _sym(ps @ inner @ ps).ravel()
 
     def _transport(self, x, u, y):
         p, q, U = self._mat(x), self._mat(y), self._mat(u)
-        ps, pis = _sqrt_pair(p)
+        ps, pis, _ = _sqrt_pair(p)
         delta = _logm_spd(pis @ q @ pis, "target point")
         e = ps @ _expm_sym(0.5 * delta) @ pis
         return _sym(e @ U @ e.T).ravel()
 
     def _curvature(self, x, u, v, w):
-        ps, pis = _sqrt_pair(self._mat(x))
+        ps, pis, _ = _sqrt_pair(self._mat(x))
         a = pis @ self._mat(u) @ pis
         b = pis @ self._mat(v) @ pis
         c = pis @ self._mat(w) @ pis
@@ -388,7 +426,7 @@ class SPD(ConnectionSpace):
         return float(np.trace(a @ b))
 
     def _tangent_basis(self, x):
-        ps, _ = _sqrt_pair(self._mat(x))
+        ps, _, _ = _sqrt_pair(self._mat(x))
         cols = []
         for i in range(self.n):
             for j in range(i, self.n):
@@ -499,6 +537,20 @@ class RotationGroup(ConnectionSpace):
     def _exp(self, x, v):
         r = self._mat(x)
         return (r @ _rodrigues(_vee(self._body(x, v)))).ravel()
+
+    def _geodesic(self, x, v, times):
+        w = _vee(self._body(x, v))
+        theta = float(np.linalg.norm(w))
+        if theta < 1e-8:
+            return super()._geodesic(x, v, times)
+        # Rodrigues at angle a = t theta, written without dividing by a:
+        # R expm(t K) = R + sin(a) / theta R K + 2 sin^2(a / 2) / theta^2 R K^2
+        a = times * theta
+        k = _hat(w)
+        rk = self._mat(x) @ k
+        return (x + np.multiply.outer(np.sin(a) / theta, rk.ravel())
+                + np.multiply.outer(2.0 * (np.sin(0.5 * a) / theta) ** 2,
+                                    (rk @ k).ravel()))
 
     def _log(self, x, y):
         r, s = self._mat(x), self._mat(y)

@@ -83,6 +83,7 @@ CONTRACT_METHODS = [
     "dist",
     "exp",
     "exp_transport",
+    "geodesic",
     "geodesic_symmetry",
     "inner",
     "log",

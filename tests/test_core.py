@@ -114,6 +114,55 @@ def test_base_points_agree_per_coordinate_within_1e_8():
             other - here
 
 
+def test_a_base_equal_to_the_point_is_still_checked():
+    # a vector based at the very point exp was given skips the second check;
+    # an equal but distinct base is checked in full
+    space = Euclidean(2)
+    p = space.point([0.3, -0.2])
+    v = TangentVector(Point(p.coords.copy(), "euclidean-3"), [1.0, 0.0])
+    with pytest.raises(InvalidBase, match="belongs to 'euclidean-3'"):
+        space.exp(p, v)
+    with pytest.raises(InvalidBase, match="belongs to 'euclidean-3'"):
+        space.geodesic(p, v, [0.5])
+    same = TangentVector(Point(p.coords.copy(), space.name), [1.0, 0.0])
+    assert np.array_equal(space.exp(p, same).coords, [1.3, -0.2])
+
+
+@pytest.mark.parametrize("name", ["euclidean-3", "bump2d"])
+def test_geodesic_default_kernel_is_exp_bit_for_bit(name):
+    space = make_space(name)
+    rng = np.random.default_rng(11)
+    times = [0.125, -0.5, 1.0, 0.3, 0.75]
+    for _ in range(3):
+        p = space.random_point(rng)
+        v = 0.3 * space.random_direction(rng, p)
+        for t, y in zip(times, space.geodesic(p, v, times), strict=True):
+            assert np.array_equal(y.coords, space.exp(p, t * v).coords)
+
+
+@pytest.mark.parametrize("name", ["sphere-2", "bump2d"])
+def test_geodesic_validates_like_exp(name):
+    space = make_space(name)
+    rng = np.random.default_rng(5)
+    p = space.random_point(rng)
+    v = 0.3 * space.random_direction(rng, p)
+    elsewhere = space.exp(p, v)
+    with pytest.raises(InvalidBase):
+        space.geodesic(p, TangentVector(elsewhere, v.components), [0.5])
+    offset = np.zeros(space.ambient_dim)
+    offset[1] = math.nan
+    with pytest.raises(NonFinite):
+        space.geodesic(p, TangentVector(p, v.components + offset), [0.5])
+    for bad in ([0.5, math.nan], [math.inf], [[0.5]], 0.5):
+        with pytest.raises(ValueError, match="times must be a finite 1-d"):
+            space.geodesic(p, v, bad)
+    assert space.geodesic(p, v, []) == []
+    # t == 0 or v == 0: p itself, as exp gives
+    start, half = space.geodesic(p, v, [0.0, 0.5])
+    assert start is p and half is not p
+    assert all(y is p for y in space.geodesic(p, 0.0 * v, [0.5, -1.0]))
+
+
 def test_exp_zero_vector_is_identity_exactly():
     space = Sphere(2)
     p = space.point([1.0, 0.0, 0.0])

@@ -272,23 +272,23 @@ def test_driver_keeps_the_error_evidence(monkeypatch):
 @pytest.mark.parametrize("n", [1, 2, 8])
 @pytest.mark.parametrize("scheme", ["pole_v2", "schild"])
 def test_rung_exp_and_log_counts(monkeypatch, scheme, n):
-    # a pole rung is handed its midpoint from the rail, built at half steps
-    # of the one log of [p, q]: pole_v2 makes n + 1 logs where computing
-    # each rung's midpoint made 2n + 1, and the same 3n - 1 exps.  Schild's
-    # rail and rungs are as before.  The sphere's symmetry is closed-form
+    # the rail, pole midpoints included, comes from one geodesic call along
+    # the one log of [p, q]: pole_v2 then makes one exp and one log per
+    # rung.  A Schild rung's midpoint is a geodesic call of its own.  The
+    # sphere's symmetry is closed-form
     sp = make_space("sphere-2")
     p = sp.point([1.0, 0.0, 0.0])
     q = sp.exp(p, sp.tangent(p, [0.0, 1.2, 0.4]))
     u = sp.tangent(p, [0.0, 0.3, -0.5])
-    calls = {"exp": 0, "log": 0}
+    calls = {"exp": 0, "log": 0, "geodesic": 0}
     for name in calls:
         def counted(*args, fn=getattr(sp, name), name=name):
             calls[name] += 1
             return fn(*args)
         monkeypatch.setattr(sp, name, counted)
     transport_along_geodesic(sp, p, q, u, n, scheme)
-    want = ({"exp": 3 * n - 1, "log": n + 1} if scheme == "pole_v2"
-            else {"exp": 4 * n - 1, "log": 3 * n + 1})
+    want = ({"exp": n, "log": n + 1, "geodesic": 1} if scheme == "pole_v2"
+            else {"exp": 2 * n, "log": 3 * n + 1, "geodesic": n + 1})
     assert calls == want
 
 

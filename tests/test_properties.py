@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import FLEET_NAMES
-from geoladders import GeometryError, ladder_step
+from geoladders import GeometryError, NonFinite, ladder_step
 from helpers import sample_radius
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None,
@@ -55,6 +55,41 @@ def test_long_exp_is_finite_or_a_typed_error(fleet, name, seed, data):
     except GeometryError:
         return
     assert np.isfinite(q.coords).all()
+
+
+@pytest.mark.parametrize("name", FLEET_NAMES)
+@PROPERTY
+@given(seed=seeds, times=st.lists(st.floats(-1.5, 1.5), max_size=6),
+       data=st.data())
+def test_geodesic_is_exp_at_each_time(fleet, name, seed, times, data):
+    # a closed-form kernel factors the shared work out of the times, so it
+    # rounds differently from exp, but only by a few eps
+    space = fleet[name]
+    p = space.random_point(np.random.default_rng(seed))
+    v = draw_tangent(data, space, p, lo=0.0, hi=2.0)
+    eps = np.finfo(float).eps
+    for t, y in zip(times, space.geodesic(p, v, times), strict=True):
+        ref = space.exp(p, t * v).coords
+        bound = 64 * eps * max(1.0, float(np.abs(ref).max()))
+        assert np.abs(y.coords - ref).max() <= bound
+        assert space.membership_residual(y) <= 1e-9
+
+
+@pytest.mark.parametrize("name", ["hyperbolic-2", "spd-3"])
+@PROPERTY
+@given(seed=seeds, t=st.floats(-2e3, 2e3), data=st.data())
+def test_geodesic_overflows_where_exp_does(fleet, name, seed, t, data):
+    space = fleet[name]
+    p = space.random_point(np.random.default_rng(seed))
+    v = draw_tangent(data, space, p)
+    try:
+        space.exp(p, t * v)
+    except NonFinite:
+        with pytest.raises(NonFinite):
+            space.geodesic(p, v, [0.5, t])
+        return
+    for y in space.geodesic(p, v, [0.5, t]):
+        assert np.isfinite(y.coords).all()
 
 
 @pytest.mark.parametrize("name", FLEET_NAMES)
