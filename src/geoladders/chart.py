@@ -9,11 +9,12 @@ shooting's first guess.  The ODEs are
 integrated by the module's own step loop of the Dormand-Prince 8(5,3) pair,
 which takes scipy's DOP853 steps with its coefficients, error norm and step
 control, but checks the chart's box, a step budget and that each step moves
-the state as it goes.  At the dimensions of these charts numpy's per-call
-cost exceeds the arithmetic, so on conformal charts the right-hand sides,
-and the checks of each accepted state, run in Python floats; the stage sums
-and the error norm stay in numpy, so the steps are still scipy's bit for
-bit.
+the state as it goes.  It holds scipy's tableau as literals, pinned equal
+to scipy's by a test, so importing the module does not load scipy.  At the
+dimensions of these charts numpy's per-call cost exceeds the arithmetic, so
+on conformal charts the right-hand sides, and the checks of each accepted
+state, run in Python floats; the stage sums and the error norm stay in
+numpy, so the steps are still scipy's bit for bit.
 
 ``ChartSpace`` adapts the engine to the ``ConnectionSpace`` contract so
 chart-defined manifolds compose with the ladder schemes and the analysis
@@ -30,9 +31,6 @@ from operator import le, mul
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import DOP853
-# unused; perfbench's tracer patches this name (ROADMAP item 1 frees it)
-from scipy.integrate import solve_ivp  # noqa: F401
 
 from .core import (
     ConnectionSpace,
@@ -57,6 +55,17 @@ __all__ = [
     "christoffels_from_metric",
 ]
 
+
+def __getattr__(name: str):
+    # scipy's solve_ivp, which nothing here calls, imported only when the name
+    # is looked up: the benchmark's tracer patches chart.solve_ivp, and
+    # importing the package should not load scipy for it
+    if name == "solve_ivp":
+        from scipy.integrate import solve_ivp
+        return solve_ivp
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 _EPS = np.finfo(float).eps
 # optimum for first derivatives of smooth functions by central differences
 _FD_STEP = _EPS ** (1.0 / 3.0)
@@ -65,16 +74,51 @@ _FD_STEP = _EPS ** (1.0 / 3.0)
 _NABLA_FD_STEP = 5e-4
 # budget of step attempts, accepted or rejected, of one integration
 _MAX_STEPS = 100_000
-# the Dormand-Prince 8(5,3) pair, read from scipy's DOP853 so that no
-# coefficient is copied: row i of A weighs the earlier stages into stage i,
-# B the twelve stages into the eighth-order step, and E5 and E3 the stages
-# and the derivative at the step's end into the error estimates
-_STAGE_ROWS = tuple(DOP853.A[i, :i] for i in range(1, DOP853.n_stages))
-_B, _E5, _E3 = DOP853.B, DOP853.E5, DOP853.E3
+# the Dormand-Prince 8(5,3) pair as scipy's DOP853 holds it, each double
+# written as its repr so the values are scipy's to the last bit (a test pins
+# them equal): row i of A weighs the earlier stages into stage i, B the
+# twelve stages into the eighth-order step, and E5 and E3 the stages and the
+# derivative at the step's end into the error estimates
+_STAGE_ROWS = tuple(np.array(row) for row in (
+    (0.05260015195876773,),
+    (0.0197250569845379, 0.0591751709536137),
+    (0.02958758547680685, 0.0, 0.08876275643042054),
+    (0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792),
+    (0.037037037037037035, 0.0, 0.0, 0.17082860872947386,
+     0.12546768756682242),
+    (0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596,
+     -0.017578125),
+    (0.03709200011850479, 0.0, 0.0, 0.17038392571223998,
+     0.10726203044637328, -0.015319437748624402, 0.008273789163814023),
+    (0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726,
+     27.59209969944671, 20.154067550477894, -43.48988418106996),
+    (0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843,
+     21.230051448181193, 15.279233632882423, -33.28821096898486,
+     -0.020331201708508627),
+    (-0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295,
+     -8.149787010746927, -18.52006565999696, 22.739487099350505,
+     2.4936055526796523, -3.0467644718982196),
+    (2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625,
+     -17.9589318631188, 27.94888452941996, -2.8589982771350235,
+     -8.87285693353063, 12.360567175794303, 0.6433927460157636),
+))
+_B = np.array([
+    0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
+    1.8915178993145003, -5.801203960010585, 0.3111643669578199,
+    -0.1521609496625161, 0.20136540080403034, 0.04471061572777259])
+_E5 = np.array([
+    0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044,
+    -0.4957589496572502, 1.6643771824549864, -0.35032884874997366,
+    0.3341791187130175, 0.08192320648511571, -0.022355307863886294, 0.0])
+_E3 = np.array([
+    -0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
+    1.8915178993145003, -5.801203960010585, -0.4226823213237919,
+    -0.1521609496625161, 0.20136540080403034, 0.02265179219836082, 0.0])
 # scipy's step-size control: the next step is the last one times
-# SAFETY * error ** (-1/8), within [MIN_FACTOR, MAX_FACTOR]
+# SAFETY * error ** (-1/8), within [MIN_FACTOR, MAX_FACTOR]; the exponent is
+# -1 / (error estimator order 7 + 1)
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
-_ERROR_EXPONENT = -1.0 / (DOP853.error_estimator_order + 1)
+_ERROR_EXPONENT = -1.0 / 8.0
 _DEFAULT_TOLERANCES = ToleranceConfig()
 # a shooting residual at most this times max(1, |y|_inf) is at the round-off
 # of the target's coordinates, where one more Newton step buys nothing
@@ -98,10 +142,12 @@ class ChartConnection:
     alone; the Jacobi fields of log_shooting take the symbols' derivatives
     from the Hessian.
 
-    ``interior(x)``, when given, is a test that every accepted state of an
-    integration must pass besides the box, for a domain a box cannot
-    describe.  Stages of a step are not held to it: the connection raises
-    DomainEscape where it cannot be evaluated, and the step is rejected.
+    ``interior(x)``, when given, is a test that the initial and every
+    accepted state of an integration must pass besides the box, for a domain
+    a box cannot describe; a point that fails it is not a member of the
+    chart's ``ChartSpace``.  Stages of a step are not held to it: the
+    connection raises DomainEscape where it cannot be evaluated, and the
+    step is rejected.
     """
 
     dim: int
@@ -205,6 +251,12 @@ class ChartConnection:
         return tuple(np.broadcast_to(np.asarray(c, dtype=float),
                                      self.dim).tolist()
                      for c in self.chart_bounds)
+
+
+def _inside(conn: ChartConnection, x: np.ndarray) -> bool:
+    """Whether the chart point x lies in the connection's box and, when it
+    has one, passes its interior test: the states an integration accepts."""
+    return conn.in_bounds(x) and (conn.interior is None or conn.interior(x))
 
 
 def _dop853(conn: ChartConnection, rhs, z: np.ndarray, f,
@@ -322,19 +374,26 @@ def _integrate(conn: ChartConnection, rhs, z0: np.ndarray, t: float,
     if not 0.0 <= t < math.inf:
         raise ValueError(
             f"integration time must be finite and non-negative, got {t}")
-    if not conn.in_bounds(z0[:conn.dim]):
+    x0 = z0[:conn.dim]
+    if not conn.in_bounds(x0):
         raise DomainEscape("initial point outside the chart bounds")
-    if t == 0.0:
-        return z0.copy()
     # stages that overflow give an infinite or NaN error estimate, and the
     # step is rejected; the warnings numpy raises on the way are not errors
     with np.errstate(over="ignore", invalid="ignore"):
+        # this evaluation, at the initial state, raises where the connection
+        # cannot be evaluated; the interior test, which every accepted state
+        # passes too, follows it so that such a point reports the connection's
+        # own reason, and both apply to a flow of no time
+        f0 = np.asarray(rhs(z0))
+        if conn.interior is not None and not conn.interior(x0):
+            raise DomainEscape("initial point outside the chart's interior")
+        if t == 0.0:
+            return z0.copy()
         # first step: the time over which the initial derivative moves the
         # state by its own size, capped at the whole interval; scipy's default
         # sizes it from the tolerance alone, which costs a short flow three
         # steps instead of one, while the bound keeps a fast flow's first
-        # stages finite.  This evaluation, at the initial state, raises
-        f0 = np.asarray(rhs(z0))
+        # stages finite
         # math.sqrt(x @ x) is np.linalg.norm(x) of a 1-d array, bit for bit
         fnorm = math.sqrt(f0 @ f0)
         h0 = min(t, math.sqrt(z0 @ z0) / fnorm) if fnorm else t
@@ -501,7 +560,8 @@ def log_shooting(conn: ChartConnection, x, y,
     returns at once, with 0 iterations.  All steps count against
     ``max_shooting_iters``.  Returns (v, iterations); raises NoConvergence
     with the best residual attached otherwise, also when a trial
-    integration fails.
+    integration fails, and DomainEscape when x is outside the chart's box
+    or interior.
     """
     tolerances = tolerances or _DEFAULT_TOLERANCES
     max_iters = tolerances.max_shooting_iters
@@ -509,6 +569,9 @@ def log_shooting(conn: ChartConnection, x, y,
     # residual target sits a decade above it, and never below 1e-11
     residual_tol = max(10.0 * tolerances.ode_rel_tol, 1e-11)
     x, y = _chart_vectors(conn.dim, x, y)
+    if not _inside(conn, x):
+        # no trial can start there, so this is not a failed solve
+        raise DomainEscape("base point of the log outside the chart's domain")
 
     def failed(rnorm, err):
         # a trial velocity that stalls the integrator or escapes the chart is
@@ -803,7 +866,7 @@ class ChartSpace(ConnectionSpace):
     # -- helpers ---------------------------------------------------------------
 
     def membership_residual(self, p: Point) -> float:
-        return 0.0 if self.conn.in_bounds(p.coords) else math.inf
+        return 0.0 if _inside(self.conn, p.coords) else math.inf
 
     def random_point(self, rng: np.random.Generator) -> Point:
         chart = rng.uniform(-self.sample_halfwidth, self.sample_halfwidth, self.dim)

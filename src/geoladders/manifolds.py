@@ -14,7 +14,6 @@ import functools
 import math
 
 import numpy as np
-from scipy.linalg import null_space
 
 from .chart import (
     ChartConnection,
@@ -160,7 +159,15 @@ class Sphere(ConnectionSpace):
         return float(u @ v)
 
     def _tangent_basis(self, x):
-        return null_space(x[None, :])
+        # the null space of the row x by scipy's null_space rule: the right
+        # singular vectors past the rank, which counts the singular values
+        # above max(s) * eps * max(M, N), here M = 1 and N = x.size.  The
+        # columns sit in memory as in scipy's result, a view of LAPACK's
+        # Fortran-ordered vh, since a product with the basis rounds by its
+        # layout
+        _, s, vh = np.linalg.svd(x[None, :])
+        rank = np.count_nonzero(s > s.max() * np.finfo(float).eps * x.size)
+        return np.ascontiguousarray(vh.T)[:, rank:]
 
     def random_point(self, rng):
         x = rng.standard_normal(self.ambient_dim)

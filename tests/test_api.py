@@ -5,11 +5,18 @@ fields, pinned so that API growth or shrinkage shows up as a reviewed diff of
 these lists."""
 
 import inspect
+import json
+import os
+import subprocess
+import sys
 import types
 from dataclasses import fields
 
+import pytest
+import scipy.integrate
+
 import geoladders
-from geoladders import ChartConnection, ConnectionSpace
+from geoladders import ChartConnection, ConnectionSpace, chart
 from geoladders.cli import ExperimentConfig, main
 
 PUBLIC_NAMES = [
@@ -163,3 +170,37 @@ def test_config_fields_are_pinned(tmp_path, capsys):
     assert main(["convergence", "--manifold", "bump2d",
                  "--config", str(cfg)]) == 1
     assert "unknown key 'fixed_step'" in capsys.readouterr().err
+
+
+# a child process that runs the package, then prints its exit code and the
+# scipy modules it loaded; argv None only imports the package
+_FOOTPRINT_CHILD = """
+import contextlib, io, json, sys
+argv = json.loads(sys.argv[1])
+import geoladders
+from geoladders import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = 0 if argv is None else cli.main(argv)
+print(json.dumps([code, sorted(m for m in sys.modules
+                               if m.partition(".")[0] == "scipy")]))
+"""
+
+
+def test_package_runs_without_loading_scipy():
+    # the engine holds scipy's DOP853 tableau and the sphere computes
+    # scipy's null space with numpy, so neither an import nor the paper's
+    # short runs load scipy, which took most of the import time
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    for argv in (None, ["exactness", "--trials", "1"],
+                 ["convergence", "--manifold", "bump2d", "--h-min", "0.02",
+                  "--h-max", "0.2", "--num-scales", "5", "--seed", "1"]):
+        proc = subprocess.run(
+            [sys.executable, "-c", _FOOTPRINT_CHILD, json.dumps(argv)],
+            capture_output=True, text=True, env=env, check=True)
+        assert json.loads(proc.stdout.splitlines()[-1]) == [0, []], argv
+    # scipy's solve_ivp is loaded only when the name is looked up; the
+    # benchmark's tracer patches it there
+    assert chart.solve_ivp is scipy.integrate.solve_ivp
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        getattr(chart, "no_such_name")
+    assert not hasattr(chart, "DOP853")

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, solve_ivp
 
 from geoladders import (
     ChartConnection,
@@ -160,6 +160,50 @@ def test_transport_from_outside_the_box_is_domain_escape():
         space.exp_transport(u, v)
 
 
+def _ball_space():
+    return ChartSpace("ball", make_chart("hyperbolic2-ball"))
+
+
+# both lie in the chart's box: (0.9, 0.9) outside the unit disc, the second
+# inside it, at 1 - r^2 = 5e-10, within the rim margin of the interior test
+_OUTSIDE_THE_DISC = [(0.9, 0.9), (math.sqrt(0.5 - 2.5e-10),) * 2]
+
+
+@pytest.mark.parametrize("coords", _OUTSIDE_THE_DISC)
+def test_ball_point_outside_the_interior_is_not_a_member(coords):
+    space = _ball_space()
+    assert space.membership_residual(space.point(coords)) == math.inf
+    assert space.membership_residual(space.point([0.3, 0.8])) == 0.0
+
+
+@pytest.mark.parametrize("coords, reason", zip(
+    _OUTSIDE_THE_DISC,
+    ["outside the unit disc", "outside the chart's interior"]))
+def test_integration_from_outside_the_interior_is_domain_escape(coords,
+                                                                 reason):
+    # the interior test applies to the initial state as to every accepted
+    # one, after the connection's own evaluation there, and also to a flow
+    # of no time, which returned the point before
+    conn = make_chart("hyperbolic2-ball")
+    for t in (1.0, 0.0):
+        with pytest.raises(DomainEscape, match=reason):
+            geodesic_flow(conn, coords, [-0.01, 0.0], t)
+        with pytest.raises(DomainEscape, match=reason):
+            transport_ode(conn, [0.0, 0.01], coords, [-0.01, 0.0], t)
+
+
+@pytest.mark.parametrize("coords", _OUTSIDE_THE_DISC)
+def test_log_from_outside_the_domain_is_domain_escape(coords):
+    # no shooting trial can start there, so it is not a failed solve
+    space = _ball_space()
+    p, q = space.point(coords), space.point([0.1, 0.0])
+    with pytest.raises(DomainEscape, match="base point of the log outside"):
+        space.log(p, q)
+    box = flat_chart(bounds=(np.array([-1.0, -1.0]), np.array([1.0, 1.0])))
+    with pytest.raises(DomainEscape, match="base point of the log outside"):
+        log_shooting(box, [1.5, 0.0], [0.5, 0.0])
+
+
 def test_flow_through_the_chart_singularity_is_domain_escape():
     # the stereographic chart has no bounds; from the origin at this speed
     # the geodesic reaches the north pole, the chart's point at infinity,
@@ -239,6 +283,21 @@ def test_short_flow_takes_one_adaptive_step(bump, speed):
     transport_ode(transport.conn, u, _START_X, v)
     assert flow.calls <= 14
     assert transport.calls <= 14
+
+
+def test_step_loop_tableau_is_scipys():
+    # the engine holds DOP853's coefficients as literals so that importing
+    # it does not load scipy; each must be scipy's double, bit for bit
+    assert len(chart._STAGE_ROWS) == DOP853.n_stages - 1
+    for i, row in enumerate(chart._STAGE_ROWS, 1):
+        assert row.dtype == np.float64
+        assert np.array_equal(row, DOP853.A[i, :i])
+        assert row.tobytes() == DOP853.A[i, :i].tobytes()
+    for mine, scipys in [(chart._B, DOP853.B), (chart._E5, DOP853.E5),
+                         (chart._E3, DOP853.E3)]:
+        assert np.array_equal(mine, scipys)
+        assert mine.tobytes() == scipys.tobytes()
+    assert chart._ERROR_EXPONENT == -1.0 / (DOP853.error_estimator_order + 1)
 
 
 def _record_solves(monkeypatch):

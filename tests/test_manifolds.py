@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import null_space
 
 from geoladders import (
     CutLocus,
@@ -116,6 +117,28 @@ def test_sphere_transport_examples():
     assert np.allclose(normal.components, [0.0, 0.0, 0.7], atol=1e-15)
     velocity = sp.transport(sp.tangent(p, [0.0, 0.4, 0.0]), q)
     assert np.allclose(velocity.components, [-0.4, 0.0, 0.0], atol=1e-15)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_sphere_tangent_basis_is_scipys_null_space(n):
+    # numpy's SVD under scipy's null_space rank rule, bit for bit and laid
+    # out in memory as scipy's, so that a random direction drawn through
+    # the basis rounds as it did: with the columns contiguous instead, the
+    # exactness sweep's sphere-2 figures moved in the last digits
+    space = Sphere(n)
+    rng = np.random.default_rng(40 + n)
+    for _ in range(200):
+        x = space.random_point(rng).coords
+        basis = space._tangent_basis(x)
+        ref = null_space(x[None, :])
+        assert basis.shape == ref.shape == (n + 1, n)
+        assert basis.tobytes() == ref.tobytes()
+        assert basis.strides == ref.strides
+        z = rng.standard_normal(n)
+        assert (basis @ z).tobytes() == (ref @ z).tobytes()
+        eps = np.finfo(float).eps
+        assert np.abs(basis.T @ basis - np.eye(n)).max() <= 8 * eps
+        assert np.abs(x @ basis).max() <= 8 * eps
 
 
 def test_sphere_curvature_closed_form():
