@@ -273,7 +273,8 @@ def _dop853(conn: ChartConnection, rhs, z: np.ndarray, f,
     whose right-hand side raises DomainEscape, or NonFinite at a non-finite
     state, makes the step's error NaN, and the step is rejected.  Every
     accepted state must be finite, inside the chart's box and, when the
-    connection has one, pass its interior test.  An accepted step short of
+    connection has one, pass its interior test; the DomainEscape raised
+    otherwise names the test that failed.  An accepted step short of
     t that leaves the state unchanged raises DomainEscape: the solution has
     run into the edge of the connection's domain, where stages beyond it are
     rejected and the steps that stay before it no longer move the state.
@@ -350,10 +351,14 @@ def _dop853(conn: ChartConnection, rhs, z: np.ndarray, f,
         # checked in Python floats, as the right-hand sides are; an infinite
         # state can pass the error test, whose scale is then infinite
         new_list = z_new.tolist()
-        if not (all(map(math.isfinite, new_list))
-                and conn.in_bounds(new_list[:d])
-                and (conn.interior is None or conn.interior(z_new[:d]))):
-            raise DomainEscape("trajectory left the chart bounds")
+        if not all(map(math.isfinite, new_list)):
+            raise DomainEscape(f"trajectory state is not finite at t={s_new:.6g}")
+        if not conn.in_bounds(new_list[:d]):
+            raise DomainEscape(f"trajectory left the chart bounds at "
+                               f"t={s_new:.6g}")
+        if conn.interior is not None and not conn.interior(z_new[:d]):
+            raise DomainEscape(f"trajectory left the chart's interior at "
+                               f"t={s_new:.6g}")
         if new_list == z_list and s_new < t:
             raise DomainEscape(
                 f"adaptive integrator stalled: a step of {h:.3g} at "
@@ -560,8 +565,8 @@ def log_shooting(conn: ChartConnection, x, y,
     returns at once, with 0 iterations.  All steps count against
     ``max_shooting_iters``.  Returns (v, iterations); raises NoConvergence
     with the best residual attached otherwise, also when a trial
-    integration fails, and DomainEscape when x is outside the chart's box
-    or interior.
+    integration fails, and DomainEscape when x or y is outside the chart's
+    box or interior.
     """
     tolerances = tolerances or _DEFAULT_TOLERANCES
     max_iters = tolerances.max_shooting_iters
@@ -572,6 +577,9 @@ def log_shooting(conn: ChartConnection, x, y,
     if not _inside(conn, x):
         # no trial can start there, so this is not a failed solve
         raise DomainEscape("base point of the log outside the chart's domain")
+    if not _inside(conn, y):
+        # no trial can end there, since every accepted state is inside
+        raise DomainEscape(f"target {y} of the log outside the chart's domain")
 
     def failed(rnorm, err):
         # a trial velocity that stalls the integrator or escapes the chart is

@@ -36,7 +36,9 @@ from .core import (
     InsufficientData,
     ToleranceConfig,
 )
-from .ladders import LADDER_KINDS, ladder_step, transport_along_geodesic
+# ladder_step is not called here; perfbench's tracer wraps cli.ladder_step
+from .ladders import (LADDER_KINDS, _Rung, ladder_step,  # noqa: F401
+                      transport_along_geodesic)
 from .manifolds import make_space, registry_names
 
 __all__ = ["ExperimentConfig", "main", "cmd_transport", "cmd_convergence",
@@ -228,12 +230,13 @@ def sample_trial(space: ConnectionSpace, rng: np.random.Generator,
     return p, q, u
 
 
-def _trial_within_conditions(space, p, q, u) -> bool:
-    """Exactness requires dist(p, q) < inj and |u| < inj (metric spaces)."""
+def _trial_within_conditions(space, w, u_norm: float) -> bool:
+    """Exactness requires dist(p, q) = |w| < inj, for w = log_p(q), and
+    |u| < inj (metric spaces)."""
     inj = space.injectivity_radius
     if not math.isfinite(inj):
         return True
-    return space.dist(p, q) < inj and space.norm(u) < inj
+    return space.norm(w) < inj and u_norm < inj
 
 
 def _explicit_trial(space, cfg: ExperimentConfig):
@@ -387,22 +390,28 @@ def exactness_sweep(space: ConnectionSpace, schemes, trials: int,
     """Max relative transport error per scheme over seeded trials.
 
     Trials violating the exactness conditions (distances under the
-    injectivity radius) are excluded and counted, not failed.  The pole
-    kinds of a trial share one midpoint of [p, q].
+    injectivity radius) are excluded and counted, not failed.  Each trial
+    takes one log w of [p, q], which gives both the distance the conditions
+    test and the midpoint exp_p(w / 2), and builds one rung record, from
+    which every kind reads its step: the kinds share the midpoint, exp_p(u),
+    exp_p(-u) and the two reflected logs at q, and each is computed once.
     """
     worst = {kind: 0.0 for kind in schemes}
     excluded = 0
     needs_midpoint = any(kind in POLE_SCHEMES for kind in schemes)
     for _ in range(trials):
         p, q, u = sample_trial(space, rng, dist_cap, u_cap)
-        if not _trial_within_conditions(space, p, q, u):
+        w = space.log(p, q)
+        u_norm = space.norm(u)
+        if not _trial_within_conditions(space, w, u_norm):
             excluded += 1
             continue
         oracle = space.transport(u, q)
-        u_norm = space.norm(u)
-        m = space.midpoint(p, q) if needs_midpoint else None
+        # space.midpoint(p, q), from the log already taken
+        m = space.geodesic(p, w, (0.5,))[0] if needs_midpoint else None
+        rung = _Rung(space, p, q, u, m)
         for kind in schemes:
-            err = space.norm(ladder_step(space, p, q, u, kind, m) - oracle)
+            err = space.norm(rung.step(kind) - oracle)
             worst[kind] = max(worst[kind], err / u_norm)
     return worst, excluded
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 
 import numpy as np
 
@@ -328,6 +329,12 @@ def _sqrt_pair(p):
             math.log(max(1.0 / w[0], w[-1])))
 
 
+# base points an SPD space keeps the factors of, the oldest dropped first.
+# The pole kinds of one step factor three bases, p, exp_p(u) and q, and may
+# come back to p after the other two
+_SQRT_MEMO_SIZE = 4
+
+
 # exp of an eigenvalue outside +-708 is not a normal float: it overflows
 # past 709.78 and flushes to a singular 0 below about -745
 _EXPM_MAX_LOG = 708.0
@@ -361,10 +368,16 @@ class SPD(ConnectionSpace):
     vectors are symmetric matrices.  exp/log conjugate the matrix exponential
     and logarithm by P^{+-1/2}; transport P -> Q multiplies by the square
     root of Q P^{-1} on both sides.  The space is a Hadamard manifold: no cut
-    locus, infinite injectivity radius.
+    locus, infinite injectivity radius.  A space keeps P^{+-1/2} of the last
+    few base points, so a ladder step that comes back to a base factors it
+    once.
     """
 
     locally_symmetric = True
+    # guards the eviction from, and insertion into, every SPD space's memo:
+    # a space is shared between threads.  A class attribute, so that a space
+    # pickles
+    _sqrt_memo_lock = threading.Lock()
 
     def __init__(self, n: int, tolerances: ToleranceConfig | None = None):
         if n < 2:
@@ -375,9 +388,26 @@ class SPD(ConnectionSpace):
         self.ambient_dim = n * n
         self.name = f"spd-{n}"
         self.validity_radius = 2.0
+        self._sqrt_memo = {}
 
     def _mat(self, x):
         return x.reshape(self.n, self.n)
+
+    def _sqrt_pair(self, x):
+        """_sqrt_pair of the base point with flat coordinates x, memoized on
+        x's bytes.  The factors are read-only, since every caller that hits
+        gets the same arrays; a base that is not SPD raises on every call."""
+        key = x.tobytes()
+        pair = self._sqrt_memo.get(key)
+        if pair is None:
+            pair = _sqrt_pair(self._mat(x))
+            for a in pair[:2]:
+                a.flags.writeable = False
+            with self._sqrt_memo_lock:
+                if len(self._sqrt_memo) >= _SQRT_MEMO_SIZE:
+                    del self._sqrt_memo[next(iter(self._sqrt_memo))]
+                self._sqrt_memo[key] = pair
+        return pair
 
     def membership_residual(self, p):
         m = self._mat(p.coords)
@@ -390,13 +420,13 @@ class SPD(ConnectionSpace):
         return float(np.linalg.norm(m - m.T))
 
     def _exp(self, x, v):
-        ps, pis, margin = _sqrt_pair(self._mat(x))
+        ps, pis, margin = self._sqrt_pair(x)
         inner = _expm_sym(pis @ self._mat(v) @ pis, margin)
         return _sym(ps @ inner @ ps).ravel()
 
     def _geodesic(self, x, v, times):
         # exp(t S) = Q exp(t L) Q^T: one eigendecomposition serves every t
-        ps, pis, margin = _sqrt_pair(self._mat(x))
+        ps, pis, margin = self._sqrt_pair(x)
         lam, q = np.linalg.eigh(_sym(pis @ self._mat(v) @ pis))
         tl = np.multiply.outer(times, lam)
         _check_expm_range(tl.min(), tl.max(), margin)
@@ -405,20 +435,18 @@ class SPD(ConnectionSpace):
         return (0.5 * (y + y.transpose(0, 2, 1))).reshape(len(times), -1)
 
     def _log(self, x, y):
-        p, q = self._mat(x), self._mat(y)
-        ps, pis, _ = _sqrt_pair(p)
-        inner = _logm_spd(pis @ q @ pis, "target point")
+        ps, pis, _ = self._sqrt_pair(x)
+        inner = _logm_spd(pis @ self._mat(y) @ pis, "target point")
         return _sym(ps @ inner @ ps).ravel()
 
     def _transport(self, x, u, y):
-        p, q, U = self._mat(x), self._mat(y), self._mat(u)
-        ps, pis, _ = _sqrt_pair(p)
-        delta = _logm_spd(pis @ q @ pis, "target point")
+        ps, pis, _ = self._sqrt_pair(x)
+        delta = _logm_spd(pis @ self._mat(y) @ pis, "target point")
         e = ps @ _expm_sym(0.5 * delta) @ pis
-        return _sym(e @ U @ e.T).ravel()
+        return _sym(e @ self._mat(u) @ e.T).ravel()
 
     def _curvature(self, x, u, v, w):
-        ps, pis, _ = _sqrt_pair(self._mat(x))
+        ps, pis, _ = self._sqrt_pair(x)
         a = pis @ self._mat(u) @ pis
         b = pis @ self._mat(v) @ pis
         c = pis @ self._mat(w) @ pis
@@ -433,7 +461,7 @@ class SPD(ConnectionSpace):
         return float(np.trace(a @ b))
 
     def _tangent_basis(self, x):
-        ps, _, _ = _sqrt_pair(self._mat(x))
+        ps, _, _ = self._sqrt_pair(x)
         cols = []
         for i in range(self.n):
             for j in range(i, self.n):
@@ -578,7 +606,7 @@ class RotationGroup(ConnectionSpace):
         return (r @ (-0.25 * br)).ravel()
 
     def _inner(self, x, u, v):
-        return 0.5 * float(np.tensordot(self._mat(u), self._mat(v)))
+        return 0.5 * float(u @ v)
 
     def _tangent_basis(self, x):
         r = self._mat(x)

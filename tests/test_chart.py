@@ -204,6 +204,28 @@ def test_log_from_outside_the_domain_is_domain_escape(coords):
         log_shooting(box, [1.5, 0.0], [0.5, 0.0])
 
 
+@pytest.mark.parametrize("coords", _OUTSIDE_THE_DISC)
+def test_log_toward_a_target_outside_the_domain_is_domain_escape(coords):
+    # no shooting trial can end there either: a solve toward (0.9, 0.9) ran
+    # three iterations and raised NoConvergence for a line search that
+    # found no decrease
+    space = _ball_space()
+    p, q = space.point([0.1, 0.0]), space.point(coords)
+    with pytest.raises(DomainEscape, match=r"target \[.*\] of the log outside"):
+        space.log(p, q)
+    box = flat_chart(bounds=(np.array([-1.0, -1.0]), np.array([1.0, 1.0])))
+    with pytest.raises(DomainEscape, match="target .* of the log outside"):
+        log_shooting(box, [0.5, 0.0], [1.5, 0.0])
+
+
+def test_flow_that_leaves_the_interior_inside_the_box_says_so():
+    # the flow stops near (0.7071, 0.7071), well inside the ball chart's box
+    # but within the rim margin of its interior test
+    with pytest.raises(DomainEscape, match="left the chart's interior") as info:
+        geodesic_flow(make_chart("hyperbolic2-ball"), [0.0, 0.0], [8.5, 8.5])
+    assert "chart bounds" not in str(info.value)
+
+
 def test_flow_through_the_chart_singularity_is_domain_escape():
     # the stereographic chart has no bounds; from the origin at this speed
     # the geodesic reaches the north pole, the chart's point at infinity,

@@ -268,8 +268,9 @@ def test_exactness_sweep_counts_trials(rng):
 
 @pytest.mark.parametrize("name", cli.SYMMETRIC_FLEET)
 def test_exactness_sweep_shares_one_midpoint_bit_for_bit(name):
-    # the sweep computes the midpoint of [p, q] once per trial and hands it
-    # to the four pole kinds; each kind computing its own gives the same bits
+    # the sweep builds one rung record per trial, so the four pole kinds
+    # share its midpoint and the maps they have in common; separate steps,
+    # each making its own, give the same bits
     space = make_space(name)
     worst, excluded = exactness_sweep(space, cli.POLE_SCHEMES, 20,
                                       np.random.default_rng(31))
@@ -277,7 +278,8 @@ def test_exactness_sweep_shares_one_midpoint_bit_for_bit(name):
     want, skipped = {kind: 0.0 for kind in cli.POLE_SCHEMES}, 0
     for _ in range(20):
         p, q, u = sample_trial(space, rng)
-        if not cli._trial_within_conditions(space, p, q, u):
+        if not cli._trial_within_conditions(space, space.log(p, q),
+                                            space.norm(u)):
             skipped += 1
             continue
         oracle = space.transport(u, q)
@@ -375,6 +377,17 @@ def test_console_entry_point_runs():
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout.startswith("manifold,")
+
+
+def test_package_runs_as_a_module_from_a_source_tree():
+    # python -m geoladders, with the source tree on the path and no install
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "geoladders", "exactness", "--trials", "2"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("manifold,scheme,")
 
 
 def test_readme_flag_list_matches_the_parser():

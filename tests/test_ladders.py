@@ -18,6 +18,7 @@ from geoladders import (
     schild_step,
     transport_along_geodesic,
 )
+from geoladders.cli import exactness_sweep
 
 from helpers import count_engine_calls, pole_exactness_worst
 
@@ -257,10 +258,10 @@ def test_driver_reports_failing_rung_index():
 
 
 def test_driver_keeps_the_error_evidence(monkeypatch):
-    def failing_step(space, p, q, u, m=None):
+    def failing_kind(rung):
         raise NoConvergence("shooting stalled", residual=0.5)
 
-    monkeypatch.setitem(ladders._STEPS, "pole_v2", failing_step)
+    monkeypatch.setitem(ladders._KINDS, "pole_v2", failing_kind)
     space = make_space("euclidean-2")
     p = space.point([0.0, 0.0])
     u = space.tangent(p, [0.1, 0.2])
@@ -290,6 +291,29 @@ def test_rung_exp_and_log_counts(monkeypatch, scheme, n):
     want = ({"exp": n, "log": n + 1, "geodesic": 1} if scheme == "pole_v2"
             else {"exp": 2 * n, "log": 3 * n + 1, "geodesic": n + 1})
     assert calls == want
+
+
+def test_exactness_trial_contract_calls():
+    # one trial of the four pole kinds builds one rung record: the sample
+    # makes q by one exp; the log of [p, q] gives the distance and, by one
+    # geodesic call, the midpoint; the kinds share exp_p(u), exp_p(-u) and
+    # the two reflected logs at q, and pole_v1 adds an exp and two logs of
+    # its own.  The sphere's symmetry is closed-form
+    sp = make_space("sphere-2")
+    calls = dict.fromkeys(("exp", "log", "geodesic_symmetry", "geodesic",
+                           "transport", "midpoint"), 0)
+    for name in calls:
+        def counted(*args, fn=getattr(sp, name), name=name):
+            calls[name] += 1
+            return fn(*args)
+        setattr(sp, name, counted)
+    trials = 5
+    _, excluded = exactness_sweep(sp, POLE_KINDS, trials,
+                                  np.random.default_rng(7))
+    assert excluded == 0
+    per_trial = {"exp": 4, "log": 5, "geodesic_symmetry": 2, "geodesic": 1,
+                 "transport": 1, "midpoint": 0}
+    assert calls == {k: trials * n for k, n in per_trial.items()}
 
 
 def test_vector_scaling_is_inverted_exactly():

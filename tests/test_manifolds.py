@@ -10,8 +10,10 @@ from geoladders import (
     NonFinite,
     NotSPD,
     Sphere,
+    ladder_step,
     make_chart,
     make_space,
+    manifolds,
     registry_names,
     schild_step,
 )
@@ -309,6 +311,43 @@ def test_spd_rejects_non_positive_matrices():
         spd.log(eye, bad)
     with pytest.raises(NotSPD):
         spd.exp(bad, spd.tangent(bad, np.eye(2).ravel()))
+    # a base that is not SPD raises each time: the failure is not kept
+    for _ in range(2):
+        with pytest.raises(NotSPD, match="base point"):
+            spd.log(bad, eye)
+
+
+@pytest.mark.parametrize("kind", POLE_SCHEMES)
+def test_spd_pole_step_factors_each_base_once(monkeypatch, kind):
+    # the bases a pole step factors: p (the midpoint, exp_p(+-u)), exp_p(u)
+    # (pole_v1's log and exp there) and q (the final logs)
+    spd = make_space("spd-3")
+    rng = np.random.default_rng(11)
+    p = spd.random_point(rng)
+    q = spd.exp(p, 0.8 * spd.random_direction(rng, p))
+    u = 0.5 * spd.random_direction(rng, p)
+    bases = []
+
+    def factor(m):
+        bases.append(m.tobytes())
+        return sqrt_pair(m)
+
+    sqrt_pair = manifolds._sqrt_pair
+    monkeypatch.setattr(manifolds, "_sqrt_pair", factor)
+    # a space of its own, whose memo the sampling above did not fill
+    fresh = make_space("spd-3")
+    out = ladder_step(fresh, p, q, u, kind)
+    assert len(bases) == len(set(bases)) == (3 if kind == "pole_v1" else 2)
+    # the memo's factors are read-only, and the step's result is the one a
+    # space that factors every base afresh gives
+    ps, pis, _ = fresh._sqrt_pair(p.coords)
+    for a in (ps, pis):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 0] = 1.0
+    monkeypatch.setattr(spd, "_sqrt_pair",
+                        lambda x: sqrt_pair(x.reshape(3, 3)))
+    want = ladder_step(spd, p, q, u, kind)
+    assert np.array_equal(out.components, want.components)
 
 
 # -- SO(3) --------------------------------------------------------------------
@@ -323,6 +362,20 @@ def test_so3_symmetry_at_identity_is_inversion():
     assert np.allclose(out.coords.reshape(3, 3), hm.T, atol=1e-15)
     again = so3.geodesic_symmetry(eye, out)
     assert np.allclose(again.coords, h.coords, atol=1e-15)
+
+
+def test_so3_inner_is_the_matrix_contraction_bit_for_bit():
+    # <U, V> = tr(U^T V) / 2 is the dot product of the flat entries, and
+    # numpy sums the two in the same order
+    so3 = make_space("so3")
+    rng = np.random.default_rng(61)
+    for _ in range(2000):
+        p = so3.random_point(rng)
+        u, v = (rng.uniform(0.1, 3.0) * so3.random_direction(rng, p)
+                for _ in range(2))
+        want = 0.5 * float(np.tensordot(u.components.reshape(3, 3),
+                                        v.components.reshape(3, 3)))
+        assert so3.inner(u, v) == want
 
 
 def test_so3_log_branch_at_half_turn():
