@@ -48,11 +48,6 @@ from .ladders import (
     LADDER_KINDS,
     LadderTransportResult,
     ladder_step,
-    pole_step_alt,
-    pole_step_averaged,
-    pole_step_v1,
-    pole_step_v2,
-    schild_step,
     transport_along_geodesic,
 )
 from .manifolds import (

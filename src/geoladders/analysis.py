@@ -31,7 +31,6 @@ __all__ = [
     "one_step_error_sweep",
     "generic_directions",
     "convergence_order",
-    "default_noise_floor",
 ]
 
 _EPS = np.finfo(float).eps

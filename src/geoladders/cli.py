@@ -37,7 +37,8 @@ from .core import (
     ToleranceConfig,
 )
 # ladder_step is not called here; perfbench's tracer wraps cli.ladder_step
-from .ladders import (LADDER_KINDS, _Rung, ladder_step,  # noqa: F401
+from .ladders import (LADDER_KINDS, _TAKES_MIDPOINT, _Rung,
+                      ladder_step,  # noqa: F401
                       transport_along_geodesic)
 from .manifolds import make_space, registry_names
 
@@ -45,7 +46,7 @@ __all__ = ["ExperimentConfig", "main", "cmd_transport", "cmd_convergence",
            "cmd_bch_check", "cmd_exactness", "sample_trial", "exactness_sweep"]
 
 SYMMETRIC_FLEET = ("sphere-2", "hyperbolic-2", "spd-3", "so3")
-POLE_SCHEMES = ("pole_v1", "pole_v2", "pole_alt", "pole_avg")
+POLE_SCHEMES = _TAKES_MIDPOINT
 
 
 @dataclass(frozen=True)
@@ -174,6 +175,11 @@ def _make_config(args: argparse.Namespace) -> ExperimentConfig:
     if cfg.seed < 0:
         # numpy's generators take only non-negative seeds
         raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
+    given = [name for name in ("p", "q", "u")
+             if getattr(cfg, name) is not None]
+    if given and (cfg.p is None or cfg.q is None):
+        raise ConfigError(f"a trial override needs both p and q, "
+                          f"got only {', '.join(given)}")
     return cfg
 
 
@@ -282,7 +288,7 @@ def cmd_transport(cfg: ExperimentConfig) -> int:
     space = cfg.build_space()
     rng = cfg.rng()
     scheme = cfg.scheme or "pole_v2"
-    if cfg.p is not None and cfg.q is not None:
+    if cfg.p is not None:
         p, q, u = _explicit_trial(space, cfg)
     else:
         p, q, u = sample_trial(space, rng, cfg.dist_cap, cfg.u_cap)
@@ -436,6 +442,9 @@ def cmd_exactness(cfg: ExperimentConfig) -> int:
         rng = cfg.rng()
         worst, excluded = exactness_sweep(space, schemes, cfg.trials, rng,
                                           cfg.dist_cap, cfg.u_cap)
+        if excluded == cfg.trials:
+            raise InsufficientData(f"{name}: all {excluded} trials excluded "
+                                   "(condition violated), none certified")
         if excluded:
             sink.comment(f"{name}: {excluded} trials excluded "
                          "(condition violated)")

@@ -1,8 +1,9 @@
 """Geodesic ladder schemes for parallel transport.
 
-One-step constructions (Schild's ladder and the pole ladder in its two
-equivalent formulations, plus the reversed-symmetry and averaged variants)
-and a multi-rung driver that folds a chosen step along a subdivided geodesic.
+One entry point, ``ladder_step``, runs one step of a kind in LADDER_KINDS
+(Schild's ladder and the pole ladder in its two equivalent formulations,
+plus the reversed-symmetry and averaged variants), and a multi-rung driver
+folds a chosen kind along a subdivided geodesic.
 
 All steps take the transported vector u based at p and return the transported
 approximation based at q.  Pole ladder bakes the sign flip of the final log
@@ -31,11 +32,6 @@ from .core import ConnectionSpace, GeometryError, Point, TangentVector
 __all__ = [
     "LADDER_KINDS",
     "LadderTransportResult",
-    "schild_step",
-    "pole_step_v1",
-    "pole_step_v2",
-    "pole_step_alt",
-    "pole_step_averaged",
     "ladder_step",
     "transport_along_geodesic",
 ]
@@ -92,6 +88,8 @@ class _Rung:
 
 
 def _schild(r: _Rung) -> TangentVector:
+    """Extend [p, midpoint of [exp_p(u), q]] to twice its length and read the
+    end off at q: one geodesic parallelogram, first order."""
     space = r.space
     m = space.midpoint(r.exp_u, r.q)
     x1 = space.exp(r.p, 2.0 * space.log(r.p, m))
@@ -99,12 +97,15 @@ def _schild(r: _Rung) -> TangentVector:
 
 
 def _pole_v1(r: _Rung) -> TangentVector:
+    """Double shooting: -log_q(exp_p'(2 log_p'(m))) for p' = exp_p(u)."""
     space, p1 = r.space, r.exp_u
     q1 = space.exp(p1, 2.0 * space.log(p1, r.m))
     return -space.log(r.q, q1)
 
 
 def _pole_avg(r: _Rung) -> TangentVector:
+    """Mean of pole_v2 and pole_alt; it does not cancel their leading error,
+    so it stays third order."""
     a, b = r.v2, r.alt
     return TangentVector(a.base, 0.5 * (a.components + b.components))
 
@@ -118,8 +119,9 @@ _KINDS = {
 }
 
 LADDER_KINDS = tuple(_KINDS)
-# Schild's ladder reflects through the midpoint of [exp_p(u), q], not [p, q]
-_TAKES_MIDPOINT = frozenset(LADDER_KINDS) - {"schild"}
+# the pole kinds, which reflect through the midpoint of [p, q] and take it;
+# Schild's ladder reflects through the midpoint of [exp_p(u), q]
+_TAKES_MIDPOINT = tuple(kind for kind in LADDER_KINDS if kind != "schild")
 
 
 def _kind(scheme: str):
@@ -129,73 +131,17 @@ def _kind(scheme: str):
         raise ValueError(f"unknown ladder kind {scheme!r}") from None
 
 
-def schild_step(space: ConnectionSpace, p: Point, q: Point,
-                u: TangentVector) -> TangentVector:
-    """One geodesic parallelogram: first-order transport of u from p to q.
-
-    Builds x0 = exp_p(u), takes the midpoint m of [x0, q], extends the
-    geodesic from p through m to twice its length, and reads the result off
-    at q.
-    """
-    return ladder_step(space, p, q, u, "schild")
-
-
-def pole_step_v1(space: ConnectionSpace, p: Point, q: Point,
-                 u: TangentVector, m: Point | None = None) -> TangentVector:
-    """Pole ladder by double geodesic shooting through the midpoint.
-
-    p' = exp_p(u); q' = exp_{p'}(2 log_{p'}(m)); returns -log_q(q').  The
-    midpoint m of [p, q], when given, is the caller's contract and is not
-    verified; without it the step computes space.midpoint(p, q), as every
-    pole step does.
-    """
-    return ladder_step(space, p, q, u, "pole_v1", m)
-
-
-def pole_step_v2(space: ConnectionSpace, p: Point, q: Point,
-                 u: TangentVector, m: Point | None = None) -> TangentVector:
-    """Pole ladder by one midpoint symmetry (numerically the more stable form).
-
-    Reflects p' = exp_p(u) through the midpoint m of [p, q] and returns
-    -log_q(s_m(p')).  That equals log_q(s_q(s_m(p'))) inside the validity
-    radius, so the second symmetry through q is never built; the result
-    agrees with pole_step_v1 up to solver tolerances.  m is taken as in
-    pole_step_v1.
-    """
-    return ladder_step(space, p, q, u, "pole_v2", m)
-
-
-def pole_step_alt(space: ConnectionSpace, p: Point, q: Point,
-                  u: TangentVector, m: Point | None = None) -> TangentVector:
-    """Pole ladder with the symmetry order reversed: at p first, then at m.
-
-    Returns log_q(s_m(exp_p(-u))), where exp_p(-u) = s_p(exp_p(u)).  On
-    locally symmetric spaces this agrees with pole_step_v2 exactly; on
-    generic spaces the two differ in their fourth-order error terms.  m is
-    taken as in pole_step_v1.
-    """
-    return ladder_step(space, p, q, u, "pole_alt", m)
-
-
-def pole_step_averaged(space: ConnectionSpace, p: Point, q: Point,
-                       u: TangentVector, m: Point | None = None
-                       ) -> TangentVector:
-    """Tangent-space average at q of the two symmetry orders, the mean of
-    the pole_v2 and pole_alt steps.
-
-    The two orders share one midpoint, taken as in pole_step_v1.  Averaging
-    does not cancel the leading error, so the step stays third order like its
-    parents.
-    """
-    return ladder_step(space, p, q, u, "pole_avg", m)
-
-
 def ladder_step(space: ConnectionSpace, p: Point, q: Point, u: TangentVector,
                 scheme: str, midpoint: Point | None = None) -> TangentVector:
     """Run one step of the scheme named by its kind, one of LADDER_KINDS.
 
-    A pole step is handed ``midpoint``, the midpoint of [p, q], when the
-    caller holds it; Schild's step has no use for it and ignores it.
+    ``pole_v2`` is -log_q(s_m(exp_p(u))); its sign flip stands in for the
+    symmetry through q, and it agrees with ``pole_v1`` up to solver
+    tolerances.  ``pole_alt``, log_q(s_m(exp_p(-u))), reflects at p first:
+    exact like ``pole_v2`` on locally symmetric spaces, it differs from it
+    in the fourth-order error terms elsewhere.  A pole step is handed
+    ``midpoint``, the midpoint m of [p, q], when the caller holds it, and
+    does not verify it; Schild's step ignores it.
     """
     return _Rung(space, p, q, u, midpoint).step(scheme)
 

@@ -16,7 +16,8 @@ import pytest
 import scipy.integrate
 
 import geoladders
-from geoladders import ChartConnection, ConnectionSpace, chart
+from geoladders import (ChartConnection, ConnectionSpace, analysis, chart,
+                         core, ladders, manifolds)
 from geoladders.cli import ExperimentConfig, main
 
 PUBLIC_NAMES = [
@@ -63,12 +64,7 @@ PUBLIC_NAMES = [
     "one_step_error_sweep",
     "pole_error_measured",
     "pole_error_predicted",
-    "pole_step_alt",
-    "pole_step_averaged",
-    "pole_step_v1",
-    "pole_step_v2",
     "registry_names",
-    "schild_step",
     "transport_along_geodesic",
     "transport_ode",
 ]
@@ -82,7 +78,14 @@ def test_public_names_are_pinned():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     )
     assert names == PUBLIC_NAMES
-    assert len(names) == 51
+    assert len(names) == 46
+
+
+def test_public_names_are_the_modules_all():
+    # each module's __all__ is its public list, and the package exports
+    # exactly their union
+    modules = (analysis, chart, core, ladders, manifolds)
+    assert sorted(set().union(*(m.__all__ for m in modules))) == PUBLIC_NAMES
 
 
 CONTRACT_METHODS = [
@@ -142,6 +145,8 @@ ENTRY_POINT_PARAMETERS = {
     "geodesic_flow": ["conn", "x", "v", "t", "tolerances"],
     "log_shooting": ["conn", "x", "y", "tolerances"],
     "transport_ode": ["conn", "u", "x", "v", "t", "tolerances"],
+    "ladder_step": ["space", "p", "q", "u", "scheme", "midpoint"],
+    "transport_along_geodesic": ["space", "p", "q", "u", "n_rungs", "scheme"],
 }
 
 

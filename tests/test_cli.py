@@ -259,6 +259,19 @@ def test_exactness_excludes_condition_violations(tmp_path):
     assert all(float(r[4]) <= 1e-10 for r in rows)
 
 
+def test_exactness_with_every_trial_excluded_exits_3(tmp_path, capsys):
+    # caps far past the injectivity radius exclude all three trials, and a
+    # manifold with no trial left is not certified
+    cfg = tmp_path / "cap.cfg"
+    cfg.write_text("dist_cap = 50\nu_cap = 50\n")
+    rc = main(["exactness", "--manifold", "sphere-2", "--trials", "3",
+               "--seed", "1", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert "sphere-2: all 3 trials excluded" in captured.err
+    assert captured.out == ""
+
+
 def test_exactness_sweep_counts_trials(rng):
     space = make_space("sphere-2")
     worst, excluded = exactness_sweep(space, ("pole_v2",), 10, rng)
@@ -320,6 +333,19 @@ def test_every_config_field_round_trips_with_its_declared_type(tmp_path):
     assert {k: type(v) for k, v in values.items()} == \
         {k: type(v) for k, v in expected.items()}
     assert ExperimentConfig(**values).exactness_tol == 0.25
+
+
+@pytest.mark.parametrize("text", [
+    "p = 1,0,0\n", "q = 1,0,0\n", "u = 0,0.3,0\n",
+    "p = 1,0,0\nu = 0,0.3,0\n"], ids=["p", "q", "u", "p-and-u"])
+def test_partial_trial_override_is_a_config_error(tmp_path, capsys, text):
+    # a trial override is p and q, with or without u; a part of it alone is
+    # refused, not dropped for a sampled trial
+    cfg = tmp_path / "part.cfg"
+    cfg.write_text(text)
+    assert main(["transport", "--manifold", "sphere-2",
+                 "--config", str(cfg)]) == 1
+    assert "needs both p and q" in capsys.readouterr().err
 
 
 def test_config_file_unknown_key(tmp_path):
@@ -398,3 +424,15 @@ def test_readme_flag_list_matches_the_parser():
         flags = [opt for action in sub._actions for opt in action.option_strings
                  if opt != "--help" and opt.startswith("--")]
         assert flags == documented, name
+
+
+def test_readme_python_blocks_run():
+    # the fenced python blocks of the README run in order in one namespace
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
+    assert len(blocks) >= 2
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    assert namespace["sphere"].norm(
+        namespace["approx"] - namespace["exact"]) <= 1e-12

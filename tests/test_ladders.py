@@ -11,11 +11,6 @@ from geoladders import (
     ladder_step,
     ladders,
     make_space,
-    pole_step_alt,
-    pole_step_averaged,
-    pole_step_v1,
-    pole_step_v2,
-    schild_step,
     transport_along_geodesic,
 )
 from geoladders.cli import exactness_sweep
@@ -55,8 +50,8 @@ def test_pole_v1_v2_equivalence_across_fleet(fleet, rng):
                           space.random_direction(rng, p))
             u = (rng.uniform(0.2, 1.0) * 0.5 * cap) * \
                 space.random_direction(rng, p)
-            a = pole_step_v1(space, p, q, u)
-            b = pole_step_v2(space, p, q, u)
+            a = ladder_step(space, p, q, u, "pole_v1")
+            b = ladder_step(space, p, q, u, "pole_v2")
             assert (a - b).component_norm <= 1e-9, space.name
 
 
@@ -66,8 +61,8 @@ def test_pole_v1_v2_equivalence_on_bump(bump, rng):
         q = bump.exp(p, (0.35 * rng.uniform(0.3, 1.0)) *
                      bump.random_direction(rng, p))
         u = (0.3 * rng.uniform(0.3, 1.0)) * bump.random_direction(rng, p)
-        a = pole_step_v1(bump, p, q, u)
-        b = pole_step_v2(bump, p, q, u)
+        a = ladder_step(bump, p, q, u, "pole_v1")
+        b = ladder_step(bump, p, q, u, "pole_v2")
         assert (a - b).component_norm <= 1e-9
 
 
@@ -84,7 +79,7 @@ def test_sphere_half_injectivity_pole_exact():
     q = sp.point([0.0, 1.0, 0.0])  # dist pi/2 < inj pi
     u = sp.tangent(p, [0.0, 0.15, 0.26])
     oracle = sp.transport(u, q)
-    out = pole_step_v1(sp, p, q, u)
+    out = ladder_step(sp, p, q, u, "pole_v1")
     assert (out - oracle).component_norm <= 1e-10 * sp.norm(u)
 
 
@@ -107,7 +102,7 @@ def test_so3_pole_matches_transvection_transport(rng):
         q = so3.exp(p, (0.45 * math.pi) * so3.random_direction(rng, p))
         u = 0.6 * so3.random_direction(rng, p)
         oracle = so3.transport(u, q)
-        out = pole_step_v2(so3, p, q, u)
+        out = ladder_step(so3, p, q, u, "pole_v2")
         assert so3.norm(out - oracle) <= 1e-10 * so3.norm(u)
 
 
@@ -118,8 +113,8 @@ def test_reversal_round_trip_on_symmetric_fleet(fleet, rng):
         cap = 0.45 * min(space.validity_radius, 2.0)
         q = space.exp(p, cap * space.random_direction(rng, p))
         u = (0.8 * cap) * space.random_direction(rng, p)
-        there = pole_step_v2(space, p, q, u)
-        back = pole_step_v2(space, q, p, there)
+        there = ladder_step(space, p, q, u, "pole_v2")
+        back = ladder_step(space, q, p, there, "pole_v2")
         assert space.norm(back - u) <= 2e-10 * space.norm(u)
 
 
@@ -128,7 +123,8 @@ def test_schild_first_order_error_on_sphere():
     p = sp.point([1.0, 0.0, 0.0])
     q = sp.exp(p, sp.tangent(p, [0.0, 0.2, 0.0]))
     u = sp.tangent(p, [0.0, 0.0, 0.2])
-    err = (schild_step(sp, p, q, u) - sp.transport(u, q)).component_norm
+    err = (ladder_step(sp, p, q, u, "schild")
+           - sp.transport(u, q)).component_norm
     assert 0.0 < err <= 0.2 ** 3
 
 
@@ -148,8 +144,8 @@ def test_linearity_defect_decays_at_fourth_order(bump):
         p = bump.exp(m, -v)
         q = bump.exp(m, v)
         u = float(h) * bump.transport(u_dir, p)
-        a = pole_step_v2(bump, p, q, alpha * u)
-        b = alpha * pole_step_v2(bump, p, q, u)
+        a = ladder_step(bump, p, q, alpha * u, "pole_v2")
+        b = alpha * ladder_step(bump, p, q, u, "pole_v2")
         defects.append((a - b).component_norm)
     rep = convergence_order(scales, defects)
     assert rep.fitted_slope >= 3.6
@@ -161,8 +157,8 @@ def test_linearity_exact_on_symmetric_spaces(rng):
     p = sp.random_point(rng)
     q = sp.exp(p, 0.9 * sp.random_direction(rng, p))
     u = 0.7 * sp.random_direction(rng, p)
-    a = pole_step_v2(sp, p, q, 0.41 * u)
-    b = 0.41 * pole_step_v2(sp, p, q, u)
+    a = ladder_step(sp, p, q, 0.41 * u, "pole_v2")
+    b = 0.41 * ladder_step(sp, p, q, u, "pole_v2")
     assert (a - b).component_norm <= 1e-10
 
 
@@ -175,7 +171,7 @@ def test_single_rung_reduces_to_step():
     q = sp.exp(p, 0.8 * sp.random_direction(rng, p))
     u = 0.5 * sp.random_direction(rng, p)
     res = transport_along_geodesic(sp, p, q, u, 1, "pole_v2")
-    direct = pole_step_v2(sp, p, q, u)
+    direct = ladder_step(sp, p, q, u, "pole_v2")
     assert np.array_equal(res.vector.components, direct.components)
 
 
@@ -345,8 +341,8 @@ def test_alt_equals_v2_on_symmetric_spaces(rng):
     p = sp.random_point(rng)
     q = sp.exp(p, 0.9 * sp.random_direction(rng, p))
     u = 0.6 * sp.random_direction(rng, p)
-    a = pole_step_alt(sp, p, q, u)
-    b = pole_step_v2(sp, p, q, u)
+    a = ladder_step(sp, p, q, u, "pole_alt")
+    b = ladder_step(sp, p, q, u, "pole_v2")
     assert (a - b).component_norm <= 1e-10
 
 
@@ -355,9 +351,9 @@ def test_averaged_step_is_the_mean_of_variants(bump, monkeypatch):
     q = bump.point([0.3, -0.05])
     u = 0.3 * bump.random_direction(np.random.default_rng(9), p)
     calls = count_engine_calls(monkeypatch, "log_shooting")
-    avg = pole_step_averaged(bump, p, q, u)
+    avg = ladder_step(bump, p, q, u, "pole_avg")
     # one shared midpoint, then a symmetry and a final log per variant
     assert calls["log_shooting"] == 5
-    a = pole_step_v2(bump, p, q, u)
-    b = pole_step_alt(bump, p, q, u)
+    a = ladder_step(bump, p, q, u, "pole_v2")
+    b = ladder_step(bump, p, q, u, "pole_alt")
     assert np.array_equal(avg.components, 0.5 * (a.components + b.components))

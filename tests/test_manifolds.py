@@ -15,7 +15,6 @@ from geoladders import (
     make_space,
     manifolds,
     registry_names,
-    schild_step,
 )
 from geoladders.cli import POLE_SCHEMES, exactness_sweep
 from geoladders.manifolds import _hat, _rodrigues
@@ -318,7 +317,7 @@ def test_spd_rejects_non_positive_matrices():
 
 
 @pytest.mark.parametrize("kind", POLE_SCHEMES)
-def test_spd_pole_step_factors_each_base_once(monkeypatch, kind):
+def test_spd_pole_kind_factors_each_base_once(monkeypatch, kind):
     # the bases a pole step factors: p (the midpoint, exp_p(+-u)), exp_p(u)
     # (pole_v1's log and exp there) and q (the final logs)
     spd = make_space("spd-3")
@@ -537,6 +536,7 @@ def test_schild_regression_baseline_on_sphere():
     p = sp.point([1.0, 0.0, 0.0])
     q = sp.exp(p, sp.tangent(p, [0.0, 0.2, 0.0]))
     u = sp.tangent(p, [0.0, 0.0, 0.2])
-    err = (schild_step(sp, p, q, u) - sp.transport(u, q)).component_norm
+    err = (ladder_step(sp, p, q, u, "schild")
+           - sp.transport(u, q)).component_norm
     assert 0.0 < err < 0.2 ** 3
     assert err == pytest.approx(0.0040266145346893305, rel=1e-9)
