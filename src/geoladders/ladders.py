@@ -18,7 +18,8 @@ that holds it, passes it, and the record skips the log and exp of
 ``space.midpoint``.  Without it the record computes m itself.  Schild's
 ladder reflects through the midpoint of another segment, [exp_p(u), q], and
 takes none.  The multi-rung driver builds its whole rail, midpoints
-included, with one ``space.geodesic`` call.
+included, with one ``space.geodesic`` call, and hands each rung the point
+its predecessor reflected, so a pole rail makes one closing log in all.
 """
 
 from __future__ import annotations
@@ -45,10 +46,12 @@ class LadderTransportResult:
 class _Rung:
     """One step's inputs (space, p, q, u and the midpoint m of [p, q]) and,
     made on first use, the maps the pole kinds share: m, exp_p(u),
-    exp_p(-u), v2 = -log_q(s_m(exp_p(u))) and alt = log_q(s_m(exp_p(-u))).
+    exp_p(-u), the points the kinds reflect to, and v2 and alt, the
+    pole_v2 and pole_alt steps read off them at q.
 
     A given midpoint is the caller's contract and is not verified; without
     it the record computes space.midpoint(p, q) when a kind first reads m.
+    A rail may set exp_u or exp_minus_u instead of u, which is then None.
     """
 
     def __init__(self, space: ConnectionSpace, p: Point, q: Point,
@@ -70,17 +73,27 @@ class _Rung:
         # = s_p(exp_p(u))
         return self.space.exp(self.p, -self.u)
 
-    def _reflect_log(self, x: Point) -> TangentVector:
-        """log_q(s_m(x)): reflect x through m and read it off at q."""
-        return self.space.log(self.q, self.space.geodesic_symmetry(self.m, x))
+    @cached_property
+    def refl_v2(self) -> Point:
+        return self.space.geodesic_symmetry(self.m, self.exp_u)
+
+    @cached_property
+    def refl_alt(self) -> Point:
+        return self.space.geodesic_symmetry(self.m, self.exp_minus_u)
+
+    @cached_property
+    def refl_v1(self) -> Point:
+        # double shooting: exp_p'(2 log_p'(m)) for p' = exp_p(u)
+        p1 = self.exp_u
+        return self.space.exp(p1, 2.0 * self.space.log(p1, self.m))
 
     @cached_property
     def v2(self) -> TangentVector:
-        return -self._reflect_log(self.exp_u)
+        return -self.space.log(self.q, self.refl_v2)
 
     @cached_property
     def alt(self) -> TangentVector:
-        return self._reflect_log(self.exp_minus_u)
+        return self.space.log(self.q, self.refl_alt)
 
     def step(self, scheme: str) -> TangentVector:
         """The step of the kind named by scheme, one of LADDER_KINDS."""
@@ -98,9 +111,7 @@ def _schild(r: _Rung) -> TangentVector:
 
 def _pole_v1(r: _Rung) -> TangentVector:
     """Double shooting: -log_q(exp_p'(2 log_p'(m))) for p' = exp_p(u)."""
-    space, p1 = r.space, r.exp_u
-    q1 = space.exp(p1, 2.0 * space.log(p1, r.m))
-    return -space.log(r.q, q1)
+    return -r.space.log(r.q, r.refl_v1)
 
 
 def _pole_avg(r: _Rung) -> TangentVector:
@@ -122,6 +133,16 @@ LADDER_KINDS = tuple(_KINDS)
 # the pole kinds, which reflect through the midpoint of [p, q] and take it;
 # Schild's ladder reflects through the midpoint of [exp_p(u), q]
 _TAKES_MIDPOINT = tuple(kind for kind in LADDER_KINDS if kind != "schild")
+
+# the kinds whose step is -log_q(z) or +log_q(z) of the point z they reflect
+# to: the record attribute that holds z, and the map of the next rung, at q,
+# that s_q(z) = exp_q(-log_q(z)) is, exp_q(u') for -log_q(z) and exp_q(-u')
+# for +log_q(z)
+_HANDS_ON = {
+    "pole_v1": ("refl_v1", "exp_u"),
+    "pole_v2": ("refl_v2", "exp_u"),
+    "pole_alt": ("refl_alt", "exp_minus_u"),
+}
 
 
 def _kind(scheme: str):
@@ -158,6 +179,14 @@ def transport_along_geodesic(space: ConnectionSpace, p: Point, q: Point,
     one ``space.geodesic`` call along the one log of [p, q]; for the pole
     kinds it runs at half steps, and each rung is handed its midpoint from
     it, so a rung shoots no log to find it.
+
+    A kind in _HANDS_ON (pole_v1, pole_v2, pole_alt) closes a rung with
+    log_q(z) of the point z it reflects to, and the next rung opens with
+    exp_q of that log, which is s_q(z).  So the rail hands each rung the
+    symmetry of its predecessor's z instead, and takes the one closing log
+    on the last rung: n rungs of pole_v2 make 1 exp, 2 logs, 1 geodesic
+    call and 2n - 1 symmetries.  A failing hand-off carries the index of
+    the rung it starts.
     """
     _kind(scheme)
     if n_rungs < 1:
@@ -175,11 +204,17 @@ def transport_along_geodesic(space: ConnectionSpace, p: Point, q: Point,
     # (1 / scaling) * current, not n_rungs * current: the two differ in the
     # last bit for some n_rungs
     scaling = 1.0 / n_rungs
-    current = scaling * u
+    reflected, opens = _HANDS_ON.get(scheme, (None, None))
+    current, z = scaling * u, None
     for i in range(n_rungs):
         try:
-            current = ladder_step(space, rail[i], rail[i + 1], current, scheme,
-                                  mids[i])
+            rung = _Rung(space, rail[i], rail[i + 1], current, mids[i])
+            if z is not None:
+                setattr(rung, opens, space.geodesic_symmetry(rail[i], z))
+            if reflected and i + 1 < n_rungs:
+                current, z = None, getattr(rung, reflected)
+            else:
+                current = rung.step(scheme)
         except GeometryError as err:
             err.args = (f"rung {i + 1}/{n_rungs}: {err}",)
             raise

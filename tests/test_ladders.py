@@ -244,25 +244,49 @@ def test_driver_reports_failing_rung_index():
     u = sp.tangent(p, [0.0, 0.1, 0.0])
     with pytest.raises(CutLocus):
         transport_along_geodesic(sp, p, q, u, 4, "pole_v2")
-    # failure inside a rung carries the rung index: a transported vector of
-    # norm pi (2 pi before the 1/2 rung scaling) makes the rung's final log
-    # land on the antipode
+    # failure inside a rung carries the rung index.  A pole_v2 rail shoots
+    # its one closing log on the last rung: a transported vector of norm pi
+    # (3 pi before the 1/3 rung scaling) makes that log land on the antipode
     q2 = sp.exp(p, sp.tangent(p, [0.0, 1.0, 0.0]))
-    u2 = sp.tangent(p, [0.0, 0.0, 2.0 * math.pi])
-    with pytest.raises(CutLocus, match="rung 1/2"):
-        transport_along_geodesic(sp, p, q2, u2, 2, "pole_v2")
+    u2 = sp.tangent(p, [0.0, 0.0, 3.0 * math.pi])
+    with pytest.raises(CutLocus, match="rung 3/3"):
+        transport_along_geodesic(sp, p, q2, u2, 3, "pole_v2")
+
+
+@pytest.mark.parametrize("scheme", ["pole_v1", "pole_v2", "pole_alt"])
+def test_failing_hand_off_reports_the_rung_it_starts(monkeypatch, scheme):
+    # the symmetry through the rail point at 2/3 hands rung 2's reflected
+    # point on to rung 3; the midpoints of a 3-rung rail sit elsewhere
+    sp = make_space("sphere-2")
+    p = sp.point([1.0, 0.0, 0.0])
+    w = sp.tangent(p, [0.0, 1.2, 0.4])
+    q, rail_point = sp.exp(p, w), sp.exp(p, (2 / 3) * w)
+    u = sp.tangent(p, [0.0, 0.3, -0.5])
+
+    def symmetry(m, x, fn=sp.geodesic_symmetry):
+        if np.allclose(m.coords, rail_point.coords, atol=1e-12):
+            raise NoConvergence("hand-off failed", residual=0.25)
+        return fn(m, x)
+
+    monkeypatch.setattr(sp, "geodesic_symmetry", symmetry)
+    with pytest.raises(NoConvergence, match="rung 3/3: hand-off failed") as info:
+        transport_along_geodesic(sp, p, q, u, 3, scheme)
+    assert info.value.residual == 0.25
 
 
 def test_driver_keeps_the_error_evidence(monkeypatch):
-    def failing_kind(rung):
-        raise NoConvergence("shooting stalled", residual=0.5)
+    err = NoConvergence("shooting stalled", residual=0.5)
 
-    monkeypatch.setitem(ladders._KINDS, "pole_v2", failing_kind)
+    def failing_exp(p, v):
+        raise err
+
     space = make_space("euclidean-2")
     p = space.point([0.0, 0.0])
     u = space.tangent(p, [0.1, 0.2])
+    monkeypatch.setattr(space, "exp", failing_exp)
     with pytest.raises(NoConvergence, match="rung 1/2: shooting stalled") as info:
         transport_along_geodesic(space, p, space.point([1.0, 0.0]), u, 2)
+    assert info.value is err
     assert info.value.residual == 0.5
 
 
@@ -270,23 +294,56 @@ def test_driver_keeps_the_error_evidence(monkeypatch):
 @pytest.mark.parametrize("scheme", ["pole_v2", "schild"])
 def test_rung_exp_and_log_counts(monkeypatch, scheme, n):
     # the rail, pole midpoints included, comes from one geodesic call along
-    # the one log of [p, q]: pole_v2 then makes one exp and one log per
-    # rung.  A Schild rung's midpoint is a geodesic call of its own.  The
-    # sphere's symmetry is closed-form
+    # the one log of [p, q].  pole_v2 then makes one exp, on the first rung,
+    # and one closing log, on the last: each later rung opens with the
+    # symmetry of its predecessor's reflected point through the rail point
+    # they share, so its n rungs make 2n - 1 symmetries.  A Schild rung's
+    # midpoint is a geodesic call of its own.  The sphere's symmetry is
+    # closed-form
     sp = make_space("sphere-2")
     p = sp.point([1.0, 0.0, 0.0])
     q = sp.exp(p, sp.tangent(p, [0.0, 1.2, 0.4]))
     u = sp.tangent(p, [0.0, 0.3, -0.5])
-    calls = {"exp": 0, "log": 0, "geodesic": 0}
+    calls = {"exp": 0, "log": 0, "geodesic": 0, "geodesic_symmetry": 0}
     for name in calls:
         def counted(*args, fn=getattr(sp, name), name=name):
             calls[name] += 1
             return fn(*args)
         monkeypatch.setattr(sp, name, counted)
     transport_along_geodesic(sp, p, q, u, n, scheme)
-    want = ({"exp": n, "log": n + 1, "geodesic": 1} if scheme == "pole_v2"
-            else {"exp": 2 * n, "log": 3 * n + 1, "geodesic": n + 1})
+    want = ({"exp": 1, "log": 2, "geodesic": 1, "geodesic_symmetry": 2 * n - 1}
+            if scheme == "pole_v2"
+            else {"exp": 2 * n, "log": 3 * n + 1, "geodesic": n + 1,
+                  "geodesic_symmetry": 0})
     assert calls == want
+
+
+def _folded_steps(space, p, q, u, n, kind):
+    """transport_along_geodesic as a rung-by-rung fold of ladder_step: each
+    rail point and midpoint is exp_p of its own fraction of log_p(q)."""
+    w = space.log(p, q)
+    rail = [p, *(space.exp(p, (i / n) * w) for i in range(1, n)), q]
+    scaling = 1.0 / n
+    current = scaling * u
+    for i in range(n):
+        mid = (None if kind == "schild"
+               else space.exp(p, ((2 * i + 1) / (2 * n)) * w))
+        current = ladder_step(space, rail[i], rail[i + 1], current, kind, mid)
+    return (1.0 / scaling) * current
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_bump_rail_is_a_fold_of_steps(bump, kind, n):
+    # on a chart the symmetry a rung hands on is exp_q(-log_q(z)) itself, so
+    # the rail keeps the bits of the fold it replaces
+    p = bump.point([-0.3, -0.1])
+    q = bump.point([0.35, 0.2])
+    u = 0.6 * bump.random_direction(np.random.default_rng(17), p)
+    got = transport_along_geodesic(bump, p, q, u, n, kind).vector
+    want = _folded_steps(bump, p, q, u, n, kind)
+    assert np.array_equal(got.base.coords, want.base.coords)
+    assert np.array_equal(got.components, want.components)
 
 
 def test_exactness_trial_contract_calls():

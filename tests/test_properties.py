@@ -12,7 +12,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import FLEET_NAMES
-from geoladders import GeometryError, NonFinite, ladder_step
+from geoladders import (GeometryError, NonFinite, ladder_step,
+                        transport_along_geodesic)
 from helpers import sample_radius
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None,
@@ -145,3 +146,21 @@ def test_pole_ladder_is_exact(fleet, name, seed, data):
     err = space.norm(ladder_step(space, p, q, u, "pole_v2")
                      - space.transport(u, q))
     assert err <= space.tolerances.exactness_tol * space.norm(u)
+
+
+@pytest.mark.parametrize("name", FLEET_NAMES)
+@PROPERTY
+@given(seed=seeds, n=st.integers(1, 16), data=st.data())
+def test_pole_rails_are_exact(fleet, name, seed, n, data):
+    # the rail hands each rung its predecessor's reflected point through a
+    # closed-form symmetry instead of an exp of the step's log; on a
+    # symmetric space every rung stays exact, so the n-rung rail is too
+    space = fleet[name]
+    p = space.random_point(np.random.default_rng(seed))
+    q = space.exp(p, draw_tangent(data, space, p))
+    u = draw_tangent(data, space, p)
+    oracle = space.transport(u, q)
+    bound = space.tolerances.exactness_tol * space.norm(u)
+    for kind in ("pole_v1", "pole_v2", "pole_alt", "pole_avg"):
+        out = transport_along_geodesic(space, p, q, u, n, kind).vector
+        assert space.norm(out - oracle) <= bound, kind
