@@ -480,10 +480,15 @@ class SPD(ConnectionSpace):
     def geodesic_symmetry(self, m, p):
         self._check_point(m)
         self._check_point(p)
-        mm, pm = self._mat(m.coords), self._mat(p.coords)
-        _eigh_spd(pm, "point")
-        out = mm @ np.linalg.solve(pm, mm)
-        return Point(_sym(out).ravel(), self.name)
+        # m p^-1 m = a^T a for a = L^-1 m, where p = L L^T; the factor is
+        # also the check that p is SPD
+        try:
+            low = np.linalg.cholesky(_sym(self._mat(p.coords)))
+        except np.linalg.LinAlgError:
+            raise NotSPD("point is not positive definite: its Cholesky "
+                         "factorization failed") from None
+        a = np.linalg.solve(low, self._mat(m.coords))
+        return Point(_sym(a.T @ a).ravel(), self.name)
 
 
 # ---------------------------------------------------------------------------

@@ -314,6 +314,9 @@ def test_spd_rejects_non_positive_matrices():
     for _ in range(2):
         with pytest.raises(NotSPD, match="base point"):
             spd.log(bad, eye)
+    # the symmetry's Cholesky factor of the reflected point is its check
+    with pytest.raises(NotSPD, match="point is not positive definite"):
+        spd.geodesic_symmetry(eye, bad)
 
 
 @pytest.mark.parametrize("kind", POLE_SCHEMES)
