@@ -134,10 +134,9 @@ LADDER_KINDS = tuple(_KINDS)
 # Schild's ladder reflects through the midpoint of [exp_p(u), q]
 _TAKES_MIDPOINT = tuple(kind for kind in LADDER_KINDS if kind != "schild")
 
-# the kinds whose step is -log_q(z) or +log_q(z) of the point z they reflect
-# to: the record attribute that holds z, and the map of the next rung, at q,
-# that s_q(z) = exp_q(-log_q(z)) is, exp_q(u') for -log_q(z) and exp_q(-u')
-# for +log_q(z)
+# the kinds whose step u' is -log_q(z) or +log_q(z) of the point z they
+# reflect to, by the record's names for z and for the next rung's exp_q(u')
+# or exp_q(-u'), which is then exp_q(-log_q(z)) = s_q(z)
 _HANDS_ON = {
     "pole_v1": ("refl_v1", "exp_u"),
     "pole_v2": ("refl_v2", "exp_u"),
@@ -180,10 +179,9 @@ def transport_along_geodesic(space: ConnectionSpace, p: Point, q: Point,
     kinds it runs at half steps, and each rung is handed its midpoint from
     it, so a rung shoots no log to find it.
 
-    A kind in _HANDS_ON (pole_v1, pole_v2, pole_alt) closes a rung with
-    log_q(z) of the point z it reflects to, and the next rung opens with
-    exp_q of that log, which is s_q(z).  So the rail hands each rung the
-    symmetry of its predecessor's z instead, and takes the one closing log
+    A pole_v1, pole_v2 or pole_alt rung would close with a log at q that
+    the next rung's exp at q undoes; the rail hands that rung the symmetry
+    s_q(z) of the reflected point z instead, and takes the one closing log
     on the last rung: n rungs of pole_v2 make 1 exp, 2 logs, 1 geodesic
     call and 2n - 1 symmetries.  A failing hand-off carries the index of
     the rung it starts.
