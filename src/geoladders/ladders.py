@@ -55,7 +55,7 @@ class _Rung:
     """
 
     def __init__(self, space: ConnectionSpace, p: Point, q: Point,
-                 u: TangentVector, m: Point | None = None):
+                 u: TangentVector | None, m: Point | None = None):
         self.space, self.p, self.q, self.u = space, p, q, u
         if m is not None:
             self.m = m
