@@ -12,9 +12,12 @@ control, but checks the chart's box, a step budget and that each step moves
 the state as it goes.  It holds scipy's tableau as literals, pinned equal
 to scipy's by a test, so importing the module does not load scipy.  At the
 dimensions of these charts numpy's per-call cost exceeds the arithmetic, so
-on conformal charts the right-hand sides, and the checks of each accepted
-state, run in Python floats; the stage sums and the error norm stay in
-numpy, so the steps are still scipy's bit for bit.
+the loop holds the state, the stages and the error estimates as lists of
+Python floats, and so do the right-hand sides on conformal charts; the
+symbols-only right-hand side computes in numpy and hands back a list.  The
+loop's sums round otherwise than scipy's products, so its steps are
+scipy's, accepted and rejected alike, while an endpoint can differ from
+scipy's in its last bits.
 
 ``ChartSpace`` adapts the engine to the ``ConnectionSpace`` contract so
 chart-defined manifolds compose with the ladder schemes and the analysis
@@ -119,6 +122,9 @@ _E3 = np.array([
 # -1 / (error estimator order 7 + 1)
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERROR_EXPONENT = -1.0 / 8.0
+# the tableau's rows, B, E5 and E3 as lists of Python floats, which the step
+# loop unpacks into its stage sums
+_COEFFICIENTS = tuple(row.tolist() for row in (*_STAGE_ROWS, _B, _E5, _E3))
 _DEFAULT_TOLERANCES = ToleranceConfig()
 # a shooting residual at most this times max(1, |y|_inf) is at the round-off
 # of the target's coordinates, where one more Newton step buys nothing
@@ -259,77 +265,139 @@ def _inside(conn: ChartConnection, x: np.ndarray) -> bool:
     return conn.in_bounds(x) and (conn.interior is None or conn.interior(x))
 
 
-def _dop853(conn: ChartConnection, rhs, z: np.ndarray, f,
+def _dop853(conn: ChartConnection, rhs, z: np.ndarray, f: list,
             t: float, h_abs: float, rtol: float, atol: float,
             controlled: int) -> tuple[np.ndarray, int, int]:
     """Integrate z' = rhs(z) from time 0 to t, starting from the derivative
     f = rhs(z) and a first step of h_abs; returns the state at t and the
-    numbers of accepted and rejected steps.  rhs returns an array or a list
-    of floats.
+    numbers of accepted and rejected steps.  rhs takes the state as a list
+    of Python floats and returns its derivative as one.
 
     The steps are scipy's DOP853 steps: the same stages, the same error norm
     and the same step-size control, without the solver object around them.
-    Only the first ``controlled`` components enter the error norm.  A stage
-    whose right-hand side raises DomainEscape, or NonFinite at a non-finite
-    state, makes the step's error NaN, and the step is rejected.  Every
-    accepted state must be finite, inside the chart's box and, when the
-    connection has one, pass its interior test; the DomainEscape raised
-    otherwise names the test that failed.  An accepted step short of
-    t that leaves the state unchanged raises DomainEscape: the solution has
-    run into the edge of the connection's domain, where stages beyond it are
-    rejected and the steps that stay before it no longer move the state.
+    They run in Python floats, each stage one sum over the earlier stages
+    whose coefficients are not zero, as Hairer's dop853.f writes them out;
+    at these state sizes numpy's per-call cost exceeded the arithmetic.  The
+    sums round otherwise than scipy's products, so the endpoint can differ
+    from scipy's in its last bits.  Only the first ``controlled`` components
+    enter the error norm.  A stage whose right-hand side raises
+    DomainEscape, or NonFinite at a non-finite state, makes the step's error
+    NaN, and the step is rejected.  Every accepted state must be finite,
+    inside the chart's box and, when the connection has one, pass its
+    interior test; the DomainEscape raised otherwise names the test that
+    failed.  An accepted step short of t that leaves the state unchanged
+    raises DomainEscape: the solution has run into the edge of the
+    connection's domain, where stages beyond it are rejected and the steps
+    that stay before it no longer move the state.  Each error the loop
+    raises carries the time it had reached and its step counts.
     """
+    # the tableau's coefficients by stage; _ marks the zeros of scipy's
+    # rows, which no stage sum reads
+    ((a21,), (a31, a32), (a41, _, a43), (a51, _, a53, a54),
+     (a61, _, _, a64, a65), (a71, _, _, a74, a75, a76),
+     (a81, _, _, a84, a85, a86, a87), (a91, _, _, a94, a95, a96, a97, a98),
+     (a101, _, _, a104, a105, a106, a107, a108, a109),
+     (a111, _, _, a114, a115, a116, a117, a118, a119, a1110),
+     (a121, _, _, a124, a125, a126, a127, a128, a129, a1210, a1211),
+     (b1, _, _, _, _, b6, b7, b8, b9, b10, b11, b12),
+     (e1, _, _, _, _, e6, e7, e8, e9, e10, e11, e12, _),
+     (g1, _, _, _, _, g6, g7, g8, g9, g10, g11, g12, _)) = _COEFFICIENTS
     d = conn.dim
-    z_list = z.tolist()
-    # K[i] is stage i of the step; the last row, the derivative at the
-    # step's end, is the next step's first stage
-    K = np.empty((_B.size + 1, z.size))
-    stages = tuple((i, a, K[:i].T) for i, a in enumerate(_STAGE_ROWS, 1))
-    k_body, k_err = K[:-1].T, K[:, :controlled].T
+    z = z.tolist()
     s, accepted, rejected = 0.0, 0, 0
     while s < t:
         min_step = 10.0 * math.ulp(s)
         if h_abs < min_step:
             h_abs = min_step
         step_rejected = False
-        K[0] = f
+        # the derivative at the step's start is its first stage
+        k1 = f
         while True:
             if h_abs < min_step:
                 # the solution blows up at the edge of the chart's domain
                 raise DomainEscape(
                     f"adaptive integrator failed: step size {h_abs:.3g} fell "
-                    f"below the spacing of numbers at t={s:.6g}")
+                    f"below the spacing of numbers at t={s:.6g}",
+                    s, accepted, rejected)
             if accepted + rejected == _MAX_STEPS:
                 raise MaxStepsExceeded(
                     f"adaptive integrator exceeded its budget of {_MAX_STEPS} "
-                    f"steps at t={s:.6g}")
+                    f"steps at t={s:.6g}", s, accepted, rejected)
             s_new = min(s + h_abs, t)
             h = s_new - s
             h_abs = h
             try:
-                # k.dot(a) is np.dot(k, a) without its dispatch, bit for bit
-                for i, a, k in stages:
-                    zs = z + k.dot(a) * h
-                    K[i] = rhs(zs)
-                zs = z + h * k_body.dot(_B)
-                z_new, f_new = zs, rhs(zs)
+                y = [zi + h * (a21 * p1) for zi, p1 in zip(z, k1)]
+                k2 = rhs(y)
+                y = [zi + h * (a31 * p1 + a32 * p2)
+                     for zi, p1, p2 in zip(z, k1, k2)]
+                k3 = rhs(y)
+                y = [zi + h * (a41 * p1 + a43 * p3)
+                     for zi, p1, p3 in zip(z, k1, k3)]
+                k4 = rhs(y)
+                y = [zi + h * (a51 * p1 + a53 * p3 + a54 * p4)
+                     for zi, p1, p3, p4 in zip(z, k1, k3, k4)]
+                k5 = rhs(y)
+                y = [zi + h * (a61 * p1 + a64 * p4 + a65 * p5)
+                     for zi, p1, p4, p5 in zip(z, k1, k4, k5)]
+                k6 = rhs(y)
+                y = [zi + h * (a71 * p1 + a74 * p4 + a75 * p5 + a76 * p6)
+                     for zi, p1, p4, p5, p6 in zip(z, k1, k4, k5, k6)]
+                k7 = rhs(y)
+                y = [zi + h * (a81 * p1 + a84 * p4 + a85 * p5 + a86 * p6
+                               + a87 * p7)
+                     for zi, p1, p4, p5, p6, p7 in zip(z, k1, k4, k5, k6, k7)]
+                k8 = rhs(y)
+                y = [zi + h * (a91 * p1 + a94 * p4 + a95 * p5 + a96 * p6
+                               + a97 * p7 + a98 * p8)
+                     for zi, p1, p4, p5, p6, p7, p8
+                     in zip(z, k1, k4, k5, k6, k7, k8)]
+                k9 = rhs(y)
+                y = [zi + h * (a101 * p1 + a104 * p4 + a105 * p5 + a106 * p6
+                               + a107 * p7 + a108 * p8 + a109 * p9)
+                     for zi, p1, p4, p5, p6, p7, p8, p9
+                     in zip(z, k1, k4, k5, k6, k7, k8, k9)]
+                k10 = rhs(y)
+                y = [zi + h * (a111 * p1 + a114 * p4 + a115 * p5 + a116 * p6
+                               + a117 * p7 + a118 * p8 + a119 * p9
+                               + a1110 * p10)
+                     for zi, p1, p4, p5, p6, p7, p8, p9, p10
+                     in zip(z, k1, k4, k5, k6, k7, k8, k9, k10)]
+                k11 = rhs(y)
+                y = [zi + h * (a121 * p1 + a124 * p4 + a125 * p5 + a126 * p6
+                               + a127 * p7 + a128 * p8 + a129 * p9
+                               + a1210 * p10 + a1211 * p11)
+                     for zi, p1, p4, p5, p6, p7, p8, p9, p10, p11
+                     in zip(z, k1, k4, k5, k6, k7, k8, k9, k10, k11)]
+                k12 = rhs(y)
+                y = [zi + h * (b1 * p1 + b6 * p6 + b7 * p7 + b8 * p8
+                               + b9 * p9 + b10 * p10 + b11 * p11 + b12 * p12)
+                     for zi, p1, p6, p7, p8, p9, p10, p11, p12
+                     in zip(z, k1, k6, k7, k8, k9, k10, k11, k12)]
+                z_new, f_new = y, rhs(y)
             except (DomainEscape, NonFinite) as err:
                 # a stage of a too-long step overflowed or left the
                 # connection's domain; symbols that are not finite at a
                 # finite state still raise
-                if isinstance(err, NonFinite) and np.isfinite(zs).all():
+                if isinstance(err, NonFinite) and all(map(math.isfinite, y)):
                     raise
                 error_norm = math.nan
             else:
-                K[-1] = f_new
-                scale = atol + np.maximum(np.abs(z[:controlled]),
-                                          np.abs(z_new[:controlled])) * rtol
-                err5 = k_err.dot(_E5) / scale
-                err3 = k_err.dot(_E3) / scale
-                # squared through the root, as scipy squares its norms, so
-                # that a plain flow takes scipy's steps to the last bit
-                e5 = math.sqrt(err5 @ err5) ** 2
-                e3 = math.sqrt(err3 @ err3) ** 2
+                # scipy's error norm: the fifth- and third-order estimates,
+                # scaled componentwise by atol + max(|z|, |z_new|) rtol (the
+                # larger of the two, or NaN where z_new is), summed squared
+                e5 = e3 = 0.0
+                for y0, y1, p1, p6, p7, p8, p9, p10, p11, p12 in zip(
+                        z[:controlled], z_new, k1, k6, k7, k8, k9, k10, k11,
+                        k12):
+                    y0, y1 = abs(y0), abs(y1)
+                    scale = atol + (y0 if y0 > y1 else y1) * rtol
+                    r5 = (e1 * p1 + e6 * p6 + e7 * p7 + e8 * p8 + e9 * p9
+                          + e10 * p10 + e11 * p11 + e12 * p12) / scale
+                    r3 = (g1 * p1 + g6 * p6 + g7 * p7 + g8 * p8 + g9 * p9
+                          + g10 * p10 + g11 * p11 + g12 * p12) / scale
+                    e5 += r5 * r5
+                    e3 += r3 * r3
                 # the fifth-order estimate, damped where the third-order one
                 # is small against it (Hairer, Norsett & Wanner, II.10)
                 error_norm = (h * e5 / math.sqrt((e5 + 0.01 * e3) * controlled)
@@ -348,23 +416,24 @@ def _dop853(conn: ChartConnection, rhs, z: np.ndarray, f,
             step_rejected = True
             rejected += 1
         accepted += 1
-        # checked in Python floats, as the right-hand sides are; an infinite
-        # state can pass the error test, whose scale is then infinite
-        new_list = z_new.tolist()
-        if not all(map(math.isfinite, new_list)):
-            raise DomainEscape(f"trajectory state is not finite at t={s_new:.6g}")
-        if not conn.in_bounds(new_list[:d]):
+        # an infinite state can pass the error test, whose scale is then
+        # infinite
+        if not all(map(math.isfinite, z_new)):
+            raise DomainEscape(f"trajectory state is not finite at "
+                               f"t={s_new:.6g}", s_new, accepted, rejected)
+        if not conn.in_bounds(z_new[:d]):
             raise DomainEscape(f"trajectory left the chart bounds at "
-                               f"t={s_new:.6g}")
-        if conn.interior is not None and not conn.interior(z_new[:d]):
+                               f"t={s_new:.6g}", s_new, accepted, rejected)
+        if conn.interior is not None and not conn.interior(
+                np.array(z_new[:d])):
             raise DomainEscape(f"trajectory left the chart's interior at "
-                               f"t={s_new:.6g}")
-        if new_list == z_list and s_new < t:
+                               f"t={s_new:.6g}", s_new, accepted, rejected)
+        if z_new == z and s_new < t:
             raise DomainEscape(
                 f"adaptive integrator stalled: a step of {h:.3g} at "
-                f"t={s:.6g} left the state unchanged")
-        s, z, f, z_list = s_new, z_new, f_new, new_list
-    return z, accepted, rejected
+                f"t={s:.6g} left the state unchanged", s, accepted, rejected)
+        s, z, f = s_new, z_new, f_new
+    return np.array(z), accepted, rejected
 
 
 def _integrate(conn: ChartConnection, rhs, z0: np.ndarray, t: float,
@@ -383,13 +452,14 @@ def _integrate(conn: ChartConnection, rhs, z0: np.ndarray, t: float,
     if not conn.in_bounds(x0):
         raise DomainEscape("initial point outside the chart bounds")
     # stages that overflow give an infinite or NaN error estimate, and the
-    # step is rejected; the warnings numpy raises on the way are not errors
+    # step is rejected; the warnings numpy raises on the way, in a
+    # connection's own arithmetic, are not errors
     with np.errstate(over="ignore", invalid="ignore"):
         # this evaluation, at the initial state, raises where the connection
         # cannot be evaluated; the interior test, which every accepted state
         # passes too, follows it so that such a point reports the connection's
         # own reason, and both apply to a flow of no time
-        f0 = np.asarray(rhs(z0))
+        f0 = rhs(z0.tolist())
         if conn.interior is not None and not conn.interior(x0):
             raise DomainEscape("initial point outside the chart's interior")
         if t == 0.0:
@@ -400,7 +470,7 @@ def _integrate(conn: ChartConnection, rhs, z0: np.ndarray, t: float,
         # steps instead of one, while the bound keeps a fast flow's first
         # stages finite
         # math.sqrt(x @ x) is np.linalg.norm(x) of a 1-d array, bit for bit
-        fnorm = math.sqrt(f0 @ f0)
+        fnorm = math.sqrt(np.dot(f0, f0))
         h0 = min(t, math.sqrt(z0 @ z0) / fnorm) if fnorm else t
         if not h0 > 0.0:
             raise DomainEscape(
@@ -438,30 +508,30 @@ def _flow_rhs(conn: ChartConnection):
     """Right-hand side of the geodesic equation carrying vectors by parallel
     transport: the state (x, v, w_1 .. w_k) maps to (v, -G(x)(v, v),
     -G(x)(v, w_1) .. -G(x)(v, w_k)).  A geodesic is the transport of no
-    vector."""
+    vector.  The state and its derivative are lists of Python floats."""
     d = conn.dim
     if conn.grad_f is None:
         def rhs(z):
+            z = np.array(z)
             vel = z[d:2 * d]
             # one connection evaluation for the velocity and every vector:
             # gv[k, i] = G^k_ij v^j, the symbols being symmetric, times each
             # row in a stacked product, which rounds each as gv @ row does
             gv = conn.gamma(z[:d]) @ vel
             acc = gv @ z[d:].reshape(-1, d, 1)
-            return np.concatenate([vel, -acc.ravel()])
+            return np.concatenate([vel, -acc.ravel()]).tolist()
         return rhs
 
     def rhs(z):
         # the conformal symbols give G(v, w) = (f.v) w + (f.w) v - (v.w) f
         # for f = grad_f(x); in Python floats, as numpy's per-call cost
-        # exceeds the arithmetic, returned as the list of a stage row
-        zs = z.tolist()
-        f = conn._gradient(z[:d])
-        vs = zs[d:2 * d]
+        # exceeds the arithmetic
+        f = conn._gradient(np.array(z[:d]))
+        vs = z[d:2 * d]
         fv, vv = sum(map(mul, f, vs)), sum(map(mul, vs, vs))
         out = vs + _conformal_acceleration(f, vs, fv, vv)
-        for j in range(2 * d, len(zs), d):
-            w = zs[j:j + d]
+        for j in range(2 * d, len(z), d):
+            w = z[j:j + d]
             fw, vw = sum(map(mul, f, w)), sum(map(mul, vs, w))
             out += [-(fv * wi + fw * vi - vw * fi)
                     for wi, vi, fi in zip(w, vs, f)]
@@ -496,19 +566,18 @@ def _jacobi_flow(conn: ChartConnection, x: np.ndarray, v: np.ndarray,
         # on the state (x, v, dx_1 .. dx_d, dv_1 .. dv_d), in Python floats
         # as in _flow_rhs: G(v, w) = (f.v) w + (f.w) v - (v.w) f and, as
         # d_a f = H a, (d_a G)(v, v) = 2 (a.Hv) v - (v.v) Ha
-        f = conn._gradient(z[:d])
-        hf = conn._hessian(z[:d])
-        zs = z.tolist()
-        vs = zs[d:2 * d]
+        pos = np.array(z[:d])
+        f, hf = conn._gradient(pos), conn._hessian(pos)
+        vs = z[d:2 * d]
         fv, vv = sum(map(mul, f, vs)), sum(map(mul, vs, vs))
         hv = [sum(map(mul, hrow, vs)) for hrow in hf]
         # the geodesic's rows are a plain flow's, bit for bit
         out = vs + _conformal_acceleration(f, vs, fv, vv)
-        out += zs[d * (d + 2):]
+        out += z[d * (d + 2):]
         for j in range(2 * d, d * (d + 2), d):
             # dv_j' = -2 G(v, w) - (d_a G)(v, v) for a = dx_j, w = dv_j,
             # gathered as cv v + cf f - 2 (f.v) w + (v.v) Ha
-            a, w = zs[j:j + d], zs[j + d * d:j + d * d + d]
+            a, w = z[j:j + d], z[j + d * d:j + d * d + d]
             cv = -2.0 * (sum(map(mul, f, w)) + sum(map(mul, a, hv)))
             cf = 2.0 * sum(map(mul, vs, w))
             out += [cv * vi + cf * fi - 2.0 * fv * wi
@@ -531,9 +600,10 @@ def _shooting_start(conn: ChartConnection, x: np.ndarray, d: np.ndarray):
     # carries -G(x)(v, w) for each w, -G(x)(v, v) first
     rhs, n = _flow_rhs(conn), conn.dim
     try:
-        gdd = -np.asarray(rhs(np.concatenate([x, d])))[n:]
-        g_third = -np.asarray(rhs(np.concatenate([x + d / 3.0, d])))[n:]
-        g_gdd = -np.asarray(rhs(np.concatenate([x, d, gdd])))[2 * n:]
+        gdd = -np.array(rhs([*x.tolist(), *d.tolist()]))[n:]
+        g_third = -np.array(rhs([*(x + d / 3.0).tolist(), *d.tolist()]))[n:]
+        g_gdd = -np.array(rhs([*x.tolist(), *d.tolist(),
+                                *gdd.tolist()]))[2 * n:]
         v = d + 0.5 * g_third + g_gdd / 6.0
     except (DomainEscape, NonFinite):
         # x + d/3 lies outside the connection's domain

@@ -35,6 +35,7 @@ from .core import (
     GeometryError,
     InsufficientData,
     ToleranceConfig,
+    _unit_direction,
 )
 # ladder_step is not called here; perfbench's tracer wraps cli.ladder_step
 from .ladders import (LADDER_KINDS, _TAKES_MIDPOINT, _Rung,
@@ -229,10 +230,13 @@ def sample_trial(space: ConnectionSpace, rng: np.random.Generator,
     ucap = u_cap if u_cap is not None else (
         min(0.45 * inj, 1.0) if finite else 1.0)
     p = space.random_point(rng)
+    # both directions are drawn from one tangent basis at p, in the order
+    # of two random_direction calls
+    basis = space.tangent_basis(p)
     d = rng.uniform(0.1, 1.0) * dcap
-    q = space.exp(p, d * space.random_direction(rng, p))
+    q = space.exp(p, d * _unit_direction(rng, p, basis))
     r = rng.uniform(0.1, 1.0) * ucap
-    u = r * space.random_direction(rng, p)
+    u = r * _unit_direction(rng, p, basis)
     return p, q, u
 
 

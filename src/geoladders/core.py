@@ -51,11 +51,21 @@ class InvalidBase(GeometryError):
     """A tangent vector was used at a point other than its base."""
 
 
-class DomainEscape(GeometryError):
+class _StepLoopError(GeometryError):
+    """Raised by the chart engine's step loop, the error carries the time
+    ``t`` the integration had reached and its numbers of ``accepted`` and
+    ``rejected`` steps; they are None where it is raised elsewhere."""
+
+    def __init__(self, message, t=None, accepted=None, rejected=None):
+        super().__init__(message)
+        self.t, self.accepted, self.rejected = t, accepted, rejected
+
+
+class DomainEscape(_StepLoopError):
     """An integration or finite-difference stencil left the chart."""
 
 
-class MaxStepsExceeded(GeometryError):
+class MaxStepsExceeded(_StepLoopError):
     """The ODE integrator hit its step budget before reaching the end time."""
 
 
@@ -223,6 +233,16 @@ class TangentVector:
             f"TangentVector({np.array2string(self.components, precision=6)}"
             f" at {np.array2string(self.base.coords, precision=6)})"
         )
+
+
+def _unit_direction(rng: np.random.Generator, p: Point,
+                    basis: np.ndarray) -> TangentVector:
+    """Uniform unit-norm direction at p in the span of basis, whose columns
+    are metric-orthonormal: what random_direction draws from
+    tangent_basis(p)."""
+    z = rng.standard_normal(basis.shape[1])
+    z /= np.linalg.norm(z)
+    return TangentVector(p, basis @ z)
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +494,4 @@ class ConnectionSpace(abc.ABC):
 
     def random_direction(self, rng: np.random.Generator, p: Point) -> TangentVector:
         """Uniform unit-norm direction in the tangent space at p."""
-        basis = self.tangent_basis(p)
-        z = rng.standard_normal(basis.shape[1])
-        z /= np.linalg.norm(z)
-        return TangentVector(p, basis @ z)
+        return _unit_direction(rng, p, self.tangent_basis(p))

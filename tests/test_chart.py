@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import DOP853, solve_ivp
 
 from geoladders import (
@@ -242,12 +244,15 @@ def test_adaptive_step_budget_stops_a_running_solve(bump, monkeypatch):
     geodesic_flow(full.conn, [0.0, 0.0], [0.4, 0.3], 1.0, bump.tolerances)
     monkeypatch.setattr(chart, "_MAX_STEPS", 5)
     counter = CountingChristoffel(bump.conn)
-    with pytest.raises(MaxStepsExceeded):
+    with pytest.raises(MaxStepsExceeded) as info:
         geodesic_flow(counter.conn, [0.0, 0.0], [0.4, 0.3], 1.0,
                       bump.tolerances)
     # the solve stops at its budget of step attempts instead of running to
     # t = 1: the start rule's evaluation and 12 per attempt, accepted or not
     assert counter.calls == 1 + 12 * chart._MAX_STEPS < full.calls
+    err = info.value
+    assert (err.accepted, err.rejected) == (3, 2)
+    assert 0.0 < err.t < 1.0
 
 
 def test_flow_into_a_wall_of_the_domain_is_domain_escape():
@@ -263,7 +268,7 @@ def test_flow_into_a_wall_of_the_domain_is_domain_escape():
     # from 1 to 4e-9, then 10 accepted steps of 12 evaluations, the last of
     # them the stalled one, and 10 more rejections of 49 evaluations in all:
     # the accepted steps that creep from 1e-12 to within an ulp of the wall
-    # are the scheme's own step control, which the loop keeps bit for bit
+    # are the scheme's own step control, which the loop keeps
     def grad_f(x):
         if x[0] > 0.5:
             raise DomainEscape("beyond the wall")
@@ -271,9 +276,12 @@ def test_flow_into_a_wall_of_the_domain_is_domain_escape():
 
     counter = CountingChristoffel(ChartConnection.conformal(2, grad_f))
     x = [0.5 - 1e-12, 0.0]
-    with pytest.raises(DomainEscape, match="stalled"):
+    with pytest.raises(DomainEscape, match="stalled") as info:
         geodesic_flow(counter.conn, x, [1e-3, 0.0])
     assert counter.calls == 182
+    err = info.value
+    assert (err.accepted, err.rejected) == (10, 22)
+    assert err.t == pytest.approx(1e-9, rel=1e-4)
     # a flow at rest, or too slow to move the state, is not stalled: its
     # one step ends the interval
     for v in ([0.0, 0.0], [1e-20, 0.0]):
@@ -283,6 +291,59 @@ def test_flow_into_a_wall_of_the_domain_is_domain_escape():
         assert pos.tolist() == x and vel.tolist() == v
         assert u_t.tolist() == [0.0, 1.0]
         assert counter.calls == 2 * 13
+
+
+@pytest.mark.parametrize("start, attempts", [
+    (-1e-2, (21, 24)), (-1.0, (130, 66))])
+def test_flow_whose_step_size_underflows_is_domain_escape(start, attempts):
+    # the straight line from x_0 = start reaches the wall x_0 = 0, beyond
+    # which the connection raises, at t = -start.  Unlike the wall at 0.5
+    # above, coordinates near 0 are dense, so every accepted step still
+    # moves the state while the steps shrink toward the wall, until the
+    # step size falls below the least one, 10 ulp(t).  A rejection cuts the
+    # step by 5, so each flow pins that floor only within such a band;
+    # together these two change their counts of accepted and rejected step
+    # attempts for any factor outside (9.5, 12)
+    def grad_f(x):
+        if x[0] > 0.0:
+            raise DomainEscape("beyond the wall")
+        return np.zeros(2)
+
+    counter = CountingChristoffel(ChartConnection.conformal(2, grad_f))
+    end = -start
+    with pytest.raises(DomainEscape, match="fell below the spacing of "
+                       f"numbers at t={end:.6g}$") as info:
+        geodesic_flow(counter.conn, [start, 0.0], [1.0, 0.0])
+    err = info.value
+    assert (err.accepted, err.rejected) == attempts
+    # the time reached, just short of the wall
+    assert (1.0 - 1e-14) * end < err.t < end
+
+
+def test_step_loop_errors_carry_their_evidence():
+    # each error the step loop raises carries the time it reached and its
+    # numbers of accepted and rejected steps: a flow out of the box in its
+    # first step, one whose state overflows in its first step, and one that
+    # leaves the ball chart's interior; an error raised elsewhere, as for
+    # an initial point outside the box, carries None
+    box = flat_chart(bounds=(np.array([-1.0, -1.0]), np.array([1.0, 1.0])))
+    for run, message, evidence in [
+            (lambda: geodesic_flow(box, [0.9, 0.0], [1.0, 0.0], 100.0),
+             "left the chart bounds", (math.sqrt(1.81), 1, 0)),
+            (lambda: geodesic_flow(flat_chart(), [1.7e308, 0.0],
+                                   [1e307, 0.0]),
+             "state is not finite", (1.0, 1, 0)),
+            (lambda: geodesic_flow(make_chart("hyperbolic2-ball"),
+                                   [0.0, 0.0], [8.5, 8.5]),
+             "left the chart's interior", (0.9323561113637201, 63, 9)),
+            (lambda: geodesic_flow(box, [1.5, 0.0], [1.0, 0.0]),
+             "initial point outside", (None, None, None))]:
+        with pytest.raises(DomainEscape, match=message) as info:
+            run()
+        err = info.value
+        assert (err.t, err.accepted, err.rejected) == evidence
+    assert vars(MaxStepsExceeded("budget")) == vars(DomainEscape("wall")) == {
+        "t": None, "accepted": None, "rejected": None}
 
 
 # the bump's short flows, as the pole ladder makes them at scales h <= 0.1;
@@ -345,7 +406,8 @@ def _scipy_steps(rhs, z0, t, h0, rtol, atol, controlled):
     scale = math.sqrt(controlled / z0.size)
     atols = np.full(z0.size, math.inf)
     atols[:controlled] = atol * scale
-    sol = solve_ivp(lambda _, z: rhs(z), (0.0, t), z0, method="DOP853",
+    sol = solve_ivp(lambda _, z: rhs(z.tolist()), (0.0, t), z0,
+                    method="DOP853",
                     first_step=h0, rtol=rtol * scale, atol=atols)
     assert sol.success
     accepted = sol.t.size - 1
@@ -398,6 +460,59 @@ def test_step_loop_takes_scipys_steps_after_a_rejected_first_step(
     transport_ode(bump.conn, 0.1 * np.array([0.0, 1.0]), _START_X, v)
     assert [(acc, rej) for _, _, acc, rej in solves] == [(2, 1)] * 2
     assert _flows_match_scipy(solves) == 2
+
+
+STEP_LOOP_PROPERTY = settings(derandomize=True, database=None,
+                              deadline=None, max_examples=30)
+
+
+def _random_velocity(rng, dim):
+    """A velocity of uniformly drawn direction and speed up to 1."""
+    v = rng.standard_normal(dim)
+    return rng.uniform(0.0, 1.0) / np.linalg.norm(v) * v
+
+
+@STEP_LOOP_PROPERTY
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_step_loop_takes_scipys_steps_on_random_bump_flows(bump, seed):
+    # a geodesic, a transport and a Jacobi flow from anywhere in the box at
+    # speeds up to 1; a flow that leaves the box raises DomainEscape, which
+    # scipy, without the box, does not: the flows that finish are compared
+    rng = np.random.default_rng(seed)
+    x, v = rng.uniform(-2.0, 2.0, 2), _random_velocity(rng, 2)
+    u = rng.standard_normal(2)
+    with pytest.MonkeyPatch.context() as mp:
+        solves = _record_solves(mp)
+        for run in (lambda: geodesic_flow(bump.conn, x, v),
+                    lambda: transport_ode(bump.conn, u, x, v),
+                    lambda: chart._jacobi_flow(bump.conn, x, v,
+                                               bump.tolerances)):
+            try:
+                run()
+            except DomainEscape:
+                pass
+    _flows_match_scipy(solves)
+
+
+@STEP_LOOP_PROPERTY
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_step_loop_takes_scipys_steps_on_random_spd_flows(seed):
+    # a geodesic and a transport on the symbols-only chart of 2x2 SPD
+    # matrices (p11, p12, p22), from a positive definite point; its
+    # geodesics stay positive definite, and the chart has no box to leave
+    rng = np.random.default_rng(seed)
+    p11, p22 = rng.uniform(0.5, 2.0, 2)
+    x = np.array([p11, rng.uniform(-0.8, 0.8) * math.sqrt(p11 * p22), p22])
+    v, u = _random_velocity(rng, 3), rng.standard_normal(3)
+    with pytest.MonkeyPatch.context() as mp:
+        solves = _record_solves(mp)
+        geodesic_flow(SPD2_CHART, x, v)
+        transport_ode(SPD2_CHART, u, x, v)
+    assert len(solves) == 2
+    _flows_match_scipy(solves)
+
+
+SPD2_CHART = make_chart("spd2-entries")
 
 
 @pytest.mark.parametrize("t", [math.nan, math.inf, -1.0])
@@ -627,7 +742,7 @@ def test_conformal_contraction_matches_symbols(name):
         x = rng.uniform(-0.6, 0.6, 2)
         v = rng.standard_normal(2)
         rows = rng.standard_normal((3, 2))
-        got = -np.array(rhs(np.concatenate([x, v, rows.ravel()]))[2:])
+        got = -np.array(rhs(np.concatenate([x, v, rows.ravel()]).tolist())[2:])
         ref = np.einsum("kij,i,...j->...k", conn.gamma(x), v,
                         np.vstack([v, rows])).ravel()
         assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
@@ -647,8 +762,8 @@ def test_flow_rhs_is_the_contraction_bit_for_bit(name):
         for _ in range(50):
             x = rng.uniform(-0.6, 0.6, 2)
             v, w = rng.standard_normal((2, 2))
-            geodesic = np.array(rhs(np.concatenate([x, v])))
-            carried = np.array(rhs(np.concatenate([x, v, w, v])))
+            geodesic = np.array(rhs(np.concatenate([x, v]).tolist()))
+            carried = np.array(rhs(np.concatenate([x, v, w, v]).tolist()))
             assert np.array_equal(carried[:4], geodesic)
             assert np.array_equal(carried[6:], geodesic[2:])
             if c is symbols:
@@ -668,9 +783,9 @@ def test_flow_rhs_through_the_gradient_matches_its_symbol_branch(name):
     for _ in range(20):
         x = rng.uniform(-0.6, 0.6, 2)
         for rows in (rng.standard_normal((1, 2)), rng.standard_normal((3, 2))):
-            z = np.concatenate([x, rows.ravel()])
-            got, ref = np.array(rhs(z)), by_symbols(z)
-            assert got.shape == ref.shape == (z.size,)
+            z = np.concatenate([x, rows.ravel()]).tolist()
+            got, ref = np.array(rhs(z)), np.array(by_symbols(z))
+            assert got.shape == ref.shape == (len(z),)
             assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
@@ -703,6 +818,7 @@ def test_jacobi_flow_geodesic_rows_are_the_plain_rhs(bump, monkeypatch):
     for _ in range(50):
         z = rng.standard_normal(12)
         z[:2] = rng.uniform(-0.6, 0.6, 2)
+        z = z.tolist()
         assert jacobi_rhs(z)[:4] == plain_rhs(z[:4])
 
 
@@ -1023,7 +1139,8 @@ def test_jacobi_flow_controls_the_geodesic_at_a_plain_flows_error_norm(
     big = np.concatenate([z0[:4], 1e6 * z0[4:]])
     z, accepted, rejected = chart._dop853(conn, rhs, z0, f0, *rest)
     z_big, accepted_big, rejected_big = chart._dop853(conn, rhs, big,
-                                                      rhs(big), *rest)
+                                                      rhs(big.tolist()),
+                                                      *rest)
     assert (accepted_big, rejected_big) == (accepted, rejected)
     assert np.array_equal(z_big[:4], z[:4])
 

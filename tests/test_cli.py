@@ -1,3 +1,4 @@
+import math
 import os
 import re
 import subprocess
@@ -391,6 +392,36 @@ def test_sample_trial_respects_caps(rng):
         p, q, u = sample_trial(space, rng)
         assert space.dist(p, q) <= 0.9 * space.injectivity_radius + 1e-12
         assert space.norm(u) <= 0.45 * space.injectivity_radius + 1e-12
+
+
+@pytest.mark.parametrize("name", [
+    "euclidean-3", "sphere-2", "hyperbolic-2", "spd-3", "so3", "bump2d"])
+def test_sample_trial_builds_one_tangent_basis(name, monkeypatch):
+    # the two directions of a trial come from one tangent basis at p, and
+    # every triple, and the stream after it, is the one two
+    # random_direction calls draw
+    space = make_space(name)
+    mine, ref = np.random.default_rng(41), np.random.default_rng(41)
+    inj = space.injectivity_radius
+    dcap = min(0.9 * inj, 2.0) if math.isfinite(inj) else 2.0
+    ucap = min(0.45 * inj, 1.0) if math.isfinite(inj) else 1.0
+    bases = []
+    tangent_basis = space.tangent_basis
+    monkeypatch.setattr(space, "tangent_basis",
+                        lambda p: bases.append(p) or tangent_basis(p))
+    for _ in range(5):
+        del bases[:]
+        p, q, u = sample_trial(space, mine)
+        assert len(bases) == 1
+        p_ref = space.random_point(ref)
+        d = ref.uniform(0.1, 1.0) * dcap
+        q_ref = space.exp(p_ref, d * space.random_direction(ref, p_ref))
+        r = ref.uniform(0.1, 1.0) * ucap
+        u_ref = r * space.random_direction(ref, p_ref)
+        assert p.coords.tobytes() == p_ref.coords.tobytes()
+        assert q.coords.tobytes() == q_ref.coords.tobytes()
+        assert u.components.tobytes() == u_ref.components.tobytes()
+    assert mine.random() == ref.random()
 
 
 def test_console_entry_point_runs():
