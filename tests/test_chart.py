@@ -407,8 +407,8 @@ def _scipy_steps(rhs, z0, t, h0, rtol, atol, controlled):
     atols = np.full(z0.size, math.inf)
     atols[:controlled] = atol * scale
     sol = solve_ivp(lambda _, z: rhs(z.tolist()), (0.0, t), z0,
-                    method="DOP853",
-                    first_step=h0, rtol=rtol * scale, atol=atols)
+                    method="DOP853", first_step=h0, rtol=rtol * scale,
+                    atol=atols)
     assert sol.success
     accepted = sol.t.size - 1
     # one evaluation at t = 0 and 12 per step attempt
@@ -494,6 +494,9 @@ def test_step_loop_takes_scipys_steps_on_random_bump_flows(bump, seed):
     _flows_match_scipy(solves)
 
 
+SPD2_CHART = make_chart("spd2-entries")
+
+
 @STEP_LOOP_PROPERTY
 @given(seed=st.integers(0, 2 ** 32 - 1))
 def test_step_loop_takes_scipys_steps_on_random_spd_flows(seed):
@@ -510,9 +513,6 @@ def test_step_loop_takes_scipys_steps_on_random_spd_flows(seed):
         transport_ode(SPD2_CHART, u, x, v)
     assert len(solves) == 2
     _flows_match_scipy(solves)
-
-
-SPD2_CHART = make_chart("spd2-entries")
 
 
 @pytest.mark.parametrize("t", [math.nan, math.inf, -1.0])
