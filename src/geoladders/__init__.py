@@ -7,7 +7,6 @@ ladder variants, series/error analysis tools, and an experiment CLI.
 
 from .analysis import (
     ConvergenceReport,
-    alt_error_predicted,
     bch_numeric,
     bch_series,
     convergence_order,

@@ -3,10 +3,11 @@
 The double-exponential expansion (a BCH-type formula for affine connection
 spaces) is evaluated both from curvature callbacks (truncated series) and
 numerically from exp/transport/log, so the two routes validate each other.
-The pole-ladder error predictors evaluate the closed-form leading error term
-of one ladder step; the measured-error protocol runs a scheme across a
-symmetric segment and compares against the transport oracle at the midpoint,
-where all quantities are parallel translated before comparison.  The oracle
+The pole-ladder error predictor evaluates the closed-form leading error term
+of one ladder step, for either pole variant; the measured-error protocol
+runs a scheme across a symmetric segment and compares against the transport
+oracle at the midpoint, where all quantities are parallel translated before
+comparison.  The oracle
 follows that segment's geodesic with ``exp_transport`` from the midpoint, and
 the ladder step is handed that midpoint, so neither shoots a log map to find
 a geodesic or a point the protocol already holds.
@@ -18,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConnectionSpace, InsufficientData, Point, TangentVector
+from .core import (ConnectionSpace, InsufficientData, Point, TangentVector,
+                   _require_finite)
 from .ladders import ladder_step, transport_along_geodesic
 
 __all__ = [
@@ -26,7 +28,6 @@ __all__ = [
     "bch_series",
     "bch_numeric",
     "pole_error_predicted",
-    "alt_error_predicted",
     "pole_error_measured",
     "one_step_error_sweep",
     "generic_directions",
@@ -100,27 +101,19 @@ def pole_error_predicted(space: ConnectionSpace, m: Point, u: TangentVector,
 
     (nabla_v R(u,v)(5u - 2v) + nabla_u R(u,v)(v - 2u)) / 12.  Vanishes on
     locally symmetric spaces, where the curvature is covariantly constant.
+
+    The reversed-symmetry variant's term is
+    ``-pole_error_predicted(space, m, u, -v)``, that is
+    -(nabla_v R(u,v)(5u + 2v) + nabla_u R(u,v)(v + 2u)) / 12, obtained by the
+    same order-by-order inversion of the double-exponential series and
+    confirmed against the measured error (the relative defect vanishes
+    linearly in the joint scale).  The average of the two terms,
+    -(nabla_v R(u,v)v + nabla_u R(u,v)u) / 6, is generically nonzero:
+    averaging the variants cannot cancel the third-order error.
     """
     t1 = space.nabla_curvature(m, v, u, v, 5.0 * u - 2.0 * v)
     t2 = space.nabla_curvature(m, u, u, v, v - 2.0 * u)
     return (1.0 / 12.0) * (t1 + t2)
-
-
-def alt_error_predicted(space: ConnectionSpace, m: Point, u: TangentVector,
-                        v: TangentVector) -> TangentVector:
-    """Leading error of the reversed-symmetry pole variant.
-
-    -(nabla_v R(u,v)(5u + 2v) + nabla_u R(u,v)(v + 2u)) / 12, obtained by the
-    same order-by-order inversion of the double-exponential series as the
-    main-variant predictor and confirmed against the measured error (the
-    relative defect vanishes linearly in the joint scale).  The average of
-    the two predictors, -(nabla_v R(u,v)v + nabla_u R(u,v)u) / 6, is
-    generically nonzero: averaging the variants cannot cancel the
-    third-order error.
-    """
-    t1 = space.nabla_curvature(m, v, u, v, 5.0 * u + 2.0 * v)
-    t2 = space.nabla_curvature(m, u, u, v, v + 2.0 * u)
-    return (-1.0 / 12.0) * (t1 + t2)
 
 
 def pole_error_measured(space: ConnectionSpace, m: Point, u: TangentVector,
@@ -161,7 +154,7 @@ def one_step_error_sweep(space: ConnectionSpace, m: Point,
 
 
 def generic_directions(space: ConnectionSpace, m: Point,
-                       rng: np.random.Generator, max_tries: int = 100):
+                       rng: np.random.Generator):
     """Two seeded unit directions at m, rejecting near-parallel pairs.
 
     Pairs with |cos angle| > 0.95 (|sin| < 0.31) are redrawn: on a
@@ -174,7 +167,7 @@ def generic_directions(space: ConnectionSpace, m: Point,
         raise ValueError(f"{space.name} has dimension {space.dim}; a "
                          "non-parallel direction pair needs at least 2")
     u_dir = space.random_direction(rng, m)
-    for _ in range(max_tries):
+    for _ in range(100):  # draws of the second direction before giving up
         v_dir = space.random_direction(rng, m)
         cos = space.inner(u_dir, v_dir) if space.has_metric else float(
             u_dir.components @ v_dir.components)
@@ -188,18 +181,21 @@ def default_noise_floor(problem_scale: float = 1.0) -> float:
     return 100.0 * _EPS * problem_scale
 
 
-def convergence_order(scales, errors, noise_floor: float | None = None,
-                      problem_scale: float = 1.0) -> ConvergenceReport:
+def convergence_order(scales, errors,
+                      noise_floor: float | None = None) -> ConvergenceReport:
     """Fit log(error) against log(scale) by least squares.
 
     Requires at least 5 scales spanning a decade; points at or below the
-    noise floor are masked out and at least 4 must survive, otherwise
-    InsufficientData is raised.
+    noise floor (default: that of a unit problem scale) are masked out and
+    at least 4 must survive, otherwise InsufficientData is raised.  A scale
+    or error that is not finite raises NonFinite: it would fit a NaN slope.
     """
     s = np.asarray(scales, dtype=float)
     e = np.asarray(errors, dtype=float)
     if s.shape != e.shape or s.ndim != 1:
         raise ValueError("scales and errors must be matching 1-d sequences")
+    _require_finite(s, "scales")
+    _require_finite(e, "errors")
     if np.any(s <= 0.0) or np.any(e < 0.0):
         raise ValueError("scales must be positive and errors non-negative")
     if s.size < 5:
@@ -207,7 +203,7 @@ def convergence_order(scales, errors, noise_floor: float | None = None,
     if s.max() / s.min() < 10.0 * (1.0 - 1e-12):
         raise InsufficientData("scales must span at least one decade")
     floor = noise_floor if noise_floor is not None \
-        else default_noise_floor(problem_scale)
+        else default_noise_floor()
     masked = e <= floor
     used = ~masked
     if used.sum() < 4:

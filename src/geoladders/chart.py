@@ -869,7 +869,6 @@ class ChartSpace(ConnectionSpace):
     sets them after construction.
     """
 
-    validity_radius = 0.5
     sample_halfwidth = 0.5
 
     def __init__(self, name: str, connection: ChartConnection,

@@ -19,7 +19,6 @@ from typing import get_args, get_type_hints
 import numpy as np
 
 from .analysis import (
-    alt_error_predicted,
     bch_numeric,
     bch_series,
     convergence_order,
@@ -34,6 +33,7 @@ from .core import (
     ConnectionSpace,
     GeometryError,
     InsufficientData,
+    NonFinite,
     ToleranceConfig,
     _unit_direction,
 )
@@ -221,7 +221,8 @@ class _CsvSink:
 def sample_trial(space: ConnectionSpace, rng: np.random.Generator,
                  dist_cap: float | None = None, u_cap: float | None = None):
     """One seeded (p, q, u) triple with caps keeping the ladder constructions
-    inside the validity region (dist <= 0.9 inj, |u| <= 0.45 inj by default).
+    inside the injectivity radius (dist <= 0.9 inj, |u| <= 0.45 inj by
+    default).
     """
     inj = space.injectivity_radius
     finite = math.isfinite(inj)  # False for inf and for unknown (NaN)
@@ -313,11 +314,12 @@ def cmd_transport(cfg: ExperimentConfig) -> int:
 def _predicted_error_norm(space, scheme, m, u, v) -> float:
     if scheme in ("pole_v1", "pole_v2"):
         return pole_error_predicted(space, m, u, v).component_norm
+    # the reversed variant's term is the main one's at -v, negated
     if scheme == "pole_alt":
-        return alt_error_predicted(space, m, u, v).component_norm
+        return (-pole_error_predicted(space, m, u, -v)).component_norm
     if scheme == "pole_avg":
         avg = 0.5 * (pole_error_predicted(space, m, u, v)
-                     + alt_error_predicted(space, m, u, v))
+                     - pole_error_predicted(space, m, u, -v))
         return avg.component_norm
     return math.nan
 
@@ -405,13 +407,18 @@ def exactness_sweep(space: ConnectionSpace, schemes, trials: int,
     test and the midpoint exp_p(w / 2), and builds one rung record, from
     which every kind reads its step: the kinds share the midpoint, exp_p(u),
     exp_p(-u) and the two reflected logs at q, and each is computed once.
+    A log of [p, q] or a relative error that is not finite raises
+    NonFinite, which the conditions and max would otherwise drop.
     """
     worst = {kind: 0.0 for kind in schemes}
     excluded = 0
     needs_midpoint = any(kind in POLE_SCHEMES for kind in schemes)
-    for _ in range(trials):
+    for trial in range(trials):
         p, q, u = sample_trial(space, rng, dist_cap, u_cap)
         w = space.log(p, q)
+        if not all(map(math.isfinite, w.components.tolist())):
+            raise NonFinite(f"{space.name}: log_p(q) is not finite at trial "
+                            f"{trial}")
         u_norm = space.norm(u)
         if not _trial_within_conditions(space, w, u_norm):
             excluded += 1
@@ -421,8 +428,11 @@ def exactness_sweep(space: ConnectionSpace, schemes, trials: int,
         m = space.geodesic(p, w, (0.5,))[0] if needs_midpoint else None
         rung = _Rung(space, p, q, u, m)
         for kind in schemes:
-            err = space.norm(rung.step(kind) - oracle)
-            worst[kind] = max(worst[kind], err / u_norm)
+            rel = space.norm(rung.step(kind) - oracle) / u_norm
+            if not math.isfinite(rel):
+                raise NonFinite(f"{space.name}/{kind}: relative error {rel} "
+                                f"at trial {trial}")
+            worst[kind] = max(worst[kind], rel)
     return worst, excluded
 
 

@@ -271,8 +271,6 @@ class ConnectionSpace(abc.ABC):
     has_metric: bool = True
     locally_symmetric: bool = False
     injectivity_radius: float = math.inf
-    #: radius of the neighborhood in which exp/log round trips are supported
-    validity_radius: float = math.inf
 
     def __init__(self, tolerances: ToleranceConfig | None = None):
         self.tolerances = tolerances if tolerances is not None else ToleranceConfig()

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
 
 import numpy as np
 
@@ -60,7 +59,6 @@ class Euclidean(ConnectionSpace):
         self.dim = n
         self.ambient_dim = n
         self.name = f"euclidean-{n}"
-        self.validity_radius = 2.0
 
     def _exp(self, x, v):
         return x + v
@@ -106,7 +104,6 @@ class Sphere(ConnectionSpace):
         self.ambient_dim = n + 1
         self.name = f"sphere-{n}"
         self.injectivity_radius = math.pi
-        self.validity_radius = math.pi
 
     def membership_residual(self, p):
         return abs(float(np.linalg.norm(p.coords)) - 1.0)
@@ -221,7 +218,6 @@ class Hyperbolic(ConnectionSpace):
         self.dim = n
         self.ambient_dim = n + 1
         self.name = f"hyperbolic-{n}"
-        self.validity_radius = 2.0
 
     def membership_residual(self, p):
         x = p.coords
@@ -329,10 +325,18 @@ def _sqrt_pair(p):
             math.log(max(1.0 / w[0], w[-1])))
 
 
-# base points an SPD space keeps the factors of, the oldest dropped first.
-# The pole kinds of one step factor three bases, p, exp_p(u) and q, and may
-# come back to p after the other two
-_SQRT_MEMO_SIZE = 4
+# the factors of the last four SPD base points used in the process, keyed on
+# the base's bytes and n: the pole kinds of one step factor three bases, p,
+# exp_p(u) and q, and may come back to p after the other two.  The factors
+# are read-only, since every caller that hits gets the same arrays; a base
+# that is not SPD raises, and an exception is not cached.  The cache is safe
+# to share between threads
+@functools.lru_cache(maxsize=4)
+def _cached_sqrt_pair(key, n):
+    pair = _sqrt_pair(np.frombuffer(key).reshape(n, n))
+    for a in pair[:2]:
+        a.flags.writeable = False
+    return pair
 
 
 # exp of an eigenvalue outside +-708 is not a normal float: it overflows
@@ -368,16 +372,12 @@ class SPD(ConnectionSpace):
     vectors are symmetric matrices.  exp/log conjugate the matrix exponential
     and logarithm by P^{+-1/2}; transport P -> Q multiplies by the square
     root of Q P^{-1} on both sides.  The space is a Hadamard manifold: no cut
-    locus, infinite injectivity radius.  A space keeps P^{+-1/2} of the last
-    few base points, so a ladder step that comes back to a base factors it
+    locus, infinite injectivity radius.  P^{+-1/2} of the last few base
+    points are cached, so a ladder step that comes back to a base factors it
     once.
     """
 
     locally_symmetric = True
-    # guards the eviction from, and insertion into, every SPD space's memo:
-    # a space is shared between threads.  A class attribute, so that a space
-    # pickles
-    _sqrt_memo_lock = threading.Lock()
 
     def __init__(self, n: int, tolerances: ToleranceConfig | None = None):
         if n < 2:
@@ -387,27 +387,13 @@ class SPD(ConnectionSpace):
         self.dim = n * (n + 1) // 2
         self.ambient_dim = n * n
         self.name = f"spd-{n}"
-        self.validity_radius = 2.0
-        self._sqrt_memo = {}
 
     def _mat(self, x):
         return x.reshape(self.n, self.n)
 
     def _sqrt_pair(self, x):
-        """_sqrt_pair of the base point with flat coordinates x, memoized on
-        x's bytes.  The factors are read-only, since every caller that hits
-        gets the same arrays; a base that is not SPD raises on every call."""
-        key = x.tobytes()
-        pair = self._sqrt_memo.get(key)
-        if pair is None:
-            pair = _sqrt_pair(self._mat(x))
-            for a in pair[:2]:
-                a.flags.writeable = False
-            with self._sqrt_memo_lock:
-                if len(self._sqrt_memo) >= _SQRT_MEMO_SIZE:
-                    del self._sqrt_memo[next(iter(self._sqrt_memo))]
-                self._sqrt_memo[key] = pair
-        return pair
+        """_sqrt_pair of the base point with flat coordinates x, cached."""
+        return _cached_sqrt_pair(x.tobytes(), self.n)
 
     def membership_residual(self, p):
         m = self._mat(p.coords)
@@ -555,7 +541,6 @@ class RotationGroup(ConnectionSpace):
         self.ambient_dim = 9
         self.name = "so3"
         self.injectivity_radius = math.pi
-        self.validity_radius = math.pi
 
     def _mat(self, x):
         return x.reshape(3, 3)

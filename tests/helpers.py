@@ -19,8 +19,9 @@ def count_engine_calls(monkeypatch, *names):
 
 
 def sample_radius(space):
-    """Safe tangent-vector scale: half the space's validity radius, capped."""
-    return 0.5 * min(space.validity_radius, 2.0)
+    """Safe tangent-vector scale: half the space's injectivity radius,
+    capped at 1."""
+    return 0.5 * min(space.injectivity_radius, 2.0)
 
 
 def round_trip_residual(space, rng, trials=10):

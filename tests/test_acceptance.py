@@ -9,7 +9,6 @@ import time
 import numpy as np
 
 from geoladders import (
-    alt_error_predicted,
     bch_numeric,
     bch_series,
     convergence_order,
@@ -106,7 +105,7 @@ def test_criterion_4_alternative_variant(bump):
     u = 0.05 * u_dir
     v = 0.05 * v_dir
     meas = pole_error_measured(bump, m, u, v, "pole_alt")
-    pred = alt_error_predicted(bump, m, u, v)
+    pred = -pole_error_predicted(bump, m, u, -v)
     alt_defect = (meas - pred).component_norm / pred.component_norm
     scales = np.geomspace(0.2, 0.02, 7)
     errors = one_step_error_sweep(bump, m, u_dir, v_dir, scales, "pole_avg")
@@ -199,7 +198,7 @@ def test_criterion_8_v1_v2_equivalence(fleet, bump):
     for name in FLEET_NAMES:
         space = fleet[name]
         rng = np.random.default_rng(3003)
-        cap = 0.5 * min(space.validity_radius, 2.0)
+        cap = 0.5 * min(space.injectivity_radius, 2.0)
         for _ in range(100):
             p = space.random_point(rng)
             q = space.exp(p, (rng.uniform(0.2, 1.0) * cap) *

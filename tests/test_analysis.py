@@ -5,7 +5,7 @@ import pytest
 
 from geoladders import (
     InsufficientData,
-    alt_error_predicted,
+    NonFinite,
     bch_numeric,
     bch_series,
     convergence_order,
@@ -146,7 +146,7 @@ def test_predictors_vanish_on_symmetric_fleet(name, rng):
     u = 0.3 * space.random_direction(rng, m)
     v = 0.4 * space.random_direction(rng, m)
     assert pole_error_predicted(space, m, u, v).component_norm <= 1e-8
-    assert alt_error_predicted(space, m, u, v).component_norm <= 1e-8
+    assert pole_error_predicted(space, m, u, -v).component_norm <= 1e-8
 
 
 def test_predictors_vanish_for_parallel_arguments(bump):
@@ -154,7 +154,24 @@ def test_predictors_vanish_for_parallel_arguments(bump):
     u = bump.tangent(m, [0.2, 0.1])
     v = 1.7 * u
     assert pole_error_predicted(bump, m, u, v).component_norm <= 1e-12
-    assert alt_error_predicted(bump, m, u, v).component_norm <= 1e-12
+    assert pole_error_predicted(bump, m, u, -v).component_norm <= 1e-12
+
+
+def test_reversed_term_is_the_pole_term_at_minus_v(bump):
+    # the reversed variant's leading term, written out as its own formula,
+    # is the main variant's at -v, negated, bit for bit
+    m = bump.anchor_point()
+    rng = np.random.default_rng(2024)
+    for h in (0.2, 0.05, 0.02):
+        for _ in range(10):
+            u_dir, v_dir = generic_directions(bump, m, rng)
+            u = h * u_dir
+            v = h * v_dir
+            t1 = bump.nabla_curvature(m, v, u, v, 5.0 * u + 2.0 * v)
+            t2 = bump.nabla_curvature(m, u, u, v, v + 2.0 * u)
+            alt = (-1.0 / 12.0) * (t1 + t2)
+            got = -pole_error_predicted(bump, m, u, -v)
+            assert np.array_equal(got.components, alt.components)
 
 
 def test_average_of_predictors_is_material(bump):
@@ -165,7 +182,7 @@ def test_average_of_predictors_is_material(bump):
         u = 0.1 * u_dir
         v = 0.1 * v_dir
         a = pole_error_predicted(bump, m, u, v)
-        b = alt_error_predicted(bump, m, u, v)
+        b = -pole_error_predicted(bump, m, u, -v)
         avg = 0.5 * (a + b)
         assert avg.component_norm > 0.1 * max(a.component_norm,
                                               b.component_norm)
@@ -214,7 +231,7 @@ def test_alt_measured_matches_alt_predictor(bump):
     u = 0.05 * u_dir
     v = 0.05 * v_dir
     meas = pole_error_measured(bump, m, u, v, "pole_alt")
-    pred = alt_error_predicted(bump, m, u, v)
+    pred = -pole_error_predicted(bump, m, u, -v)
     assert (meas - pred).component_norm / pred.component_norm <= 0.15
 
 
@@ -226,7 +243,7 @@ def test_variant_difference_matches_predictor_difference(bump):
     v = 0.05 * v_dir
     dmeas = (pole_error_measured(bump, m, u, v, "pole_alt")
              - pole_error_measured(bump, m, u, v, "pole_v2"))
-    dpred = (alt_error_predicted(bump, m, u, v)
+    dpred = (-pole_error_predicted(bump, m, u, -v)
              - pole_error_predicted(bump, m, u, v))
     assert (dmeas - dpred).component_norm / dpred.component_norm <= 0.15
 
@@ -346,3 +363,17 @@ def test_convergence_order_validates_shapes():
         convergence_order([0.1, 0.2], [1.0])
     with pytest.raises(ValueError):
         convergence_order([0.5, 0.25, -0.1, 0.05, 0.02], [1, 1, 1, 1, 1])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_convergence_order_rejects_non_finite_data(bad):
+    # a NaN error would fit a NaN slope, which compares False with any
+    # threshold; the fit raises instead, whichever argument holds it
+    scales = np.geomspace(0.5, 0.02, 6)
+    errors = 0.1 * scales ** 4
+    errors[2] = bad
+    with pytest.raises(NonFinite, match="errors are not finite"):
+        convergence_order(scales, errors)
+    scales[0] = bad
+    with pytest.raises(NonFinite, match="scales are not finite"):
+        convergence_order(scales, 0.1 * np.ones(6))

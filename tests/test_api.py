@@ -1,5 +1,5 @@
-"""The public names of the package, the public methods of the
-``ConnectionSpace`` contract, the surface of ``ChartConnection``, the
+"""The public names of the package, the public methods and class attributes
+of the ``ConnectionSpace`` contract, the surface of ``ChartConnection``, the
 parameters of the engine and registry entry points and the experiment config
 fields, pinned so that API growth or shrinkage shows up as a reviewed diff of
 these lists."""
@@ -48,7 +48,6 @@ PUBLIC_NAMES = [
     "TangentVector",
     "ToleranceConfig",
     "Unsupported",
-    "alt_error_predicted",
     "bch_numeric",
     "bch_series",
     "christoffels_from_metric",
@@ -78,7 +77,7 @@ def test_public_names_are_pinned():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     )
     assert names == PUBLIC_NAMES
-    assert len(names) == 46
+    assert len(names) == 45
 
 
 def test_public_names_are_the_modules_all():
@@ -120,6 +119,25 @@ def test_contract_methods_are_pinned():
     assert names == CONTRACT_METHODS
 
 
+# one radius: a second one, or any other flag on the contract, shows up here
+CONTRACT_ATTRIBUTES = [
+    "ambient_dim",
+    "dim",
+    "has_metric",
+    "injectivity_radius",
+    "locally_symmetric",
+    "name",
+]
+
+
+def test_contract_attributes_are_pinned():
+    names = sorted(
+        name for name, value in vars(ConnectionSpace).items()
+        if not name.startswith("_") and not inspect.isfunction(value)
+    )
+    assert names == CONTRACT_ATTRIBUTES
+
+
 # the connection holds a chart's data and their checks, and the engine holds
 # the one contraction of it: a second contraction shows up here
 CHART_CONNECTION_FIELDS = [
@@ -147,6 +165,9 @@ ENTRY_POINT_PARAMETERS = {
     "transport_ode": ["conn", "u", "x", "v", "t", "tolerances"],
     "ladder_step": ["space", "p", "q", "u", "scheme", "midpoint"],
     "transport_along_geodesic": ["space", "p", "q", "u", "n_rungs", "scheme"],
+    "generic_directions": ["space", "m", "rng"],
+    "convergence_order": ["scales", "errors", "noise_floor"],
+    "pole_error_predicted": ["space", "m", "u", "v"],
 }
 
 

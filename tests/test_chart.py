@@ -1004,7 +1004,8 @@ def test_failed_shooting_trial_reports_current_residual(monkeypatch):
     # the first quasi-Newton step overshoots through the chart's point at
     # infinity; half of it does not, and the solve goes on to the log
     ("sphere2-stereographic", (0.0, 0.0), (1.5, 0.0), (math.atan(1.5), 0.0)),
-    # a target beyond the validity radius whose first trials leave the box
+    # a target outside the [-0.5, 0.5]^2 sampling square whose first trials
+    # leave the box
     ("bump2d", (0.3797, -0.4358), (0.9129, 1.4111), None),
 ], ids=["stereographic-overshoot", "bump2d-far-target"])
 def test_line_search_trial_that_leaves_the_chart_is_rejected(name, x, y, v):
@@ -1061,7 +1062,7 @@ def test_shooting_line_search_without_decrease_raises_best_residual():
     ((0.4889, -0.3123), (-1.2749, 1.1329)),
 ])
 def test_rejected_trials_update_the_shooting_jacobian(bump, x, y):
-    # targets beyond the validity radius, where the first-order Jacobian is
+    # targets outside the sampling square, where the first-order Jacobian is
     # poor: halving its step finds no decrease, but a Jacobian that also
     # learns from each rejected trial finds a descent direction
     v, _ = log_shooting(bump.conn, x, y, bump.tolerances)
@@ -1070,8 +1071,8 @@ def test_rejected_trials_update_the_shooting_jacobian(bump, x, y):
 
 
 def test_far_bump_pairs_all_converge_without_warnings(bump):
-    # targets up to 1.6 out in each coordinate, far beyond the validity
-    # radius; an overflowing line-search trial once escaped the 43rd solve
+    # targets up to 1.6 out in each coordinate, far outside the sampling
+    # square; an overflowing line-search trial once escaped the 43rd solve
     # as a RuntimeWarning
     rng = np.random.default_rng(5)
     xs = rng.uniform(-0.5, 0.5, (60, 2))

@@ -11,7 +11,7 @@ from typing import get_args, get_type_hints
 import numpy as np
 import pytest
 
-from geoladders import cli, ladder_step, make_space
+from geoladders import NonFinite, Sphere, cli, ladder_step, make_space
 from geoladders.cli import (
     ExperimentConfig,
     build_parser,
@@ -185,6 +185,19 @@ def test_bch_check_slope_failure_exits_5(monkeypatch, capsys):
     assert "order threshold" in capsys.readouterr().err
 
 
+def test_bch_check_with_a_nan_curvature_exits_2(monkeypatch, capsys):
+    # a NaN residual fits a NaN slope, and nan < order + 0.8 is False, so
+    # the check would pass; the fit raises NonFinite instead
+    monkeypatch.setattr(Sphere, "_curvature",
+                        lambda self, x, u, v, w: np.full_like(u, np.nan))
+    rc = main(["bch-check", "--manifold", "sphere-2", "--seed", "6",
+               "--h-min", "0.05", "--h-max", "0.5", "--num-scales", "5"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "NonFinite: errors are not finite" in captured.err
+    assert captured.out == ""
+
+
 def test_bch_check_bump_slopes(tmp_path):
     out = tmp_path / "b.csv"
     rc = main(["bch-check", "--manifold", "bump2d", "--seed", "5",
@@ -270,6 +283,32 @@ def test_exactness_with_every_trial_excluded_exits_3(tmp_path, capsys):
     captured = capsys.readouterr()
     assert rc == 3
     assert "sphere-2: all 3 trials excluded" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("kernel, message", [
+    # max(worst, nan) keeps worst: a NaN oracle would certify the run
+    ("_transport", "sphere-2/pole_v1: relative error nan at trial 0"),
+    # a NaN distance fails the conditions: the trial would be excluded
+    ("_log", "sphere-2: log_p(q) is not finite at trial 0"),
+])
+def test_exactness_sweep_raises_on_a_nan(monkeypatch, rng, kernel, message):
+    space = make_space("sphere-2")
+    monkeypatch.setattr(space, kernel,
+                        lambda x, *args: np.full_like(x, np.nan))
+    with pytest.raises(NonFinite, match=re.escape(message)):
+        exactness_sweep(space, cli.POLE_SCHEMES, 5, rng)
+
+
+def test_exactness_with_a_nan_transport_exits_2(monkeypatch, capsys):
+    monkeypatch.setattr(Sphere, "_transport",
+                        lambda self, x, u, y: np.full_like(u, np.nan))
+    rc = main(["exactness", "--manifold", "sphere-2", "--trials", "5",
+               "--seed", "3"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert ("NonFinite: sphere-2/pole_v1: relative error nan at trial 0"
+            in captured.err)
     assert captured.out == ""
 
 

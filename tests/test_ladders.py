@@ -45,7 +45,7 @@ def test_pole_v1_v2_equivalence_across_fleet(fleet, rng):
     for space in fleet.values():
         for _ in range(20):
             p = space.random_point(rng)
-            cap = 0.5 * min(space.validity_radius, 2.0)
+            cap = 0.5 * min(space.injectivity_radius, 2.0)
             q = space.exp(p, (rng.uniform(0.2, 1.0) * cap) *
                           space.random_direction(rng, p))
             u = (rng.uniform(0.2, 1.0) * 0.5 * cap) * \
@@ -110,7 +110,7 @@ def test_reversal_round_trip_on_symmetric_fleet(fleet, rng):
     for name in ("sphere-2", "hyperbolic-2", "spd-3", "so3"):
         space = fleet[name]
         p = space.random_point(rng)
-        cap = 0.45 * min(space.validity_radius, 2.0)
+        cap = 0.45 * min(space.injectivity_radius, 2.0)
         q = space.exp(p, cap * space.random_direction(rng, p))
         u = (0.8 * cap) * space.random_direction(rng, p)
         there = ladder_step(space, p, q, u, "pole_v2")

@@ -336,13 +336,15 @@ def test_spd_pole_kind_factors_each_base_once(monkeypatch, kind):
 
     sqrt_pair = manifolds._sqrt_pair
     monkeypatch.setattr(manifolds, "_sqrt_pair", factor)
-    # a space of its own, whose memo the sampling above did not fill
-    fresh = make_space("spd-3")
-    out = ladder_step(fresh, p, q, u, kind)
+    # the cache is the process's: empty it of the bases the sampling above
+    # factored
+    manifolds._cached_sqrt_pair.cache_clear()
+    out = ladder_step(spd, p, q, u, kind)
     assert len(bases) == len(set(bases)) == (3 if kind == "pole_v1" else 2)
-    # the memo's factors are read-only, and the step's result is the one a
+    # the cached factors are read-only, and the step's result is the one a
     # space that factors every base afresh gives
-    ps, pis, _ = fresh._sqrt_pair(p.coords)
+    ps, pis, _ = spd._sqrt_pair(p.coords)
+    assert make_space("spd-3")._sqrt_pair(p.coords)[0] is ps
     for a in (ps, pis):
         with pytest.raises(ValueError, match="read-only"):
             a[0, 0] = 1.0

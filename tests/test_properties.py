@@ -1,5 +1,5 @@
 """Property-based checks of the ConnectionSpace contract on the closed-form
-fleet, inside half the validity radius (capped at 1).
+fleet, inside half the injectivity radius (capped at 1).
 
 Hypothesis draws the base point's seed and the tangent vectors' coordinates
 in an orthonormal tangent basis.  The runs are derandomized and keep no
@@ -46,7 +46,7 @@ def test_exp_log_round_trip(fleet, name, seed, data):
 @PROPERTY
 @given(seed=seeds, data=st.data())
 def test_long_exp_is_finite_or_a_typed_error(fleet, name, seed, data):
-    # far beyond the validity radius the closed forms overflow; that must
+    # far beyond the sampling radius the closed forms overflow; that must
     # surface as a GeometryError, never as inf, NaN or a bare OverflowError
     space = fleet[name]
     p = space.random_point(np.random.default_rng(seed))
