@@ -13,11 +13,13 @@ the state as it goes.  It holds scipy's tableau as literals, pinned equal
 to scipy's by a test, so importing the module does not load scipy.  At the
 dimensions of these charts numpy's per-call cost exceeds the arithmetic, so
 the loop holds the state, the stages and the error estimates as lists of
-Python floats, and so do the right-hand sides on conformal charts; the
-symbols-only right-hand side computes in numpy and hands back a list.  The
-loop's sums round otherwise than scipy's products, so its steps are
-scipy's, accepted and rejected alike, while an endpoint can differ from
-scipy's in its last bits.
+Python floats, and so do the right-hand sides on conformal charts, which
+hand the conformal factor's callbacks the chart point as a list and read
+their numbers as they come.  numpy remains in the symbols-only right-hand
+side, which hands back a list, in the shooting's linear algebra and in the
+finite-difference curvature.  The loop's sums round otherwise than scipy's
+products, so its steps are scipy's, accepted and rejected alike, while an
+endpoint can differ from scipy's in its last bits.
 
 ``ChartSpace`` adapts the engine to the ``ConnectionSpace`` contract so
 chart-defined manifolds compose with the ladder schemes and the analysis
@@ -31,7 +33,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from operator import le, mul
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -146,7 +148,13 @@ class ChartConnection:
     the symbols and the gradient agree.  The geodesic and transport
     equations then contract G(x)(v, w) in closed form from the gradient
     alone; the Jacobi fields of log_shooting take the symbols' derivatives
-    from the Hessian.
+    from the Hessian.  Both take the chart point as a list of ``dim``
+    Python floats; ``grad_f`` returns ``dim`` numbers and ``hess_f``
+    ``dim`` rows of ``dim`` numbers.  The right-hand sides compute in
+    Python floats, so callbacks written in them cost no numpy call; arrays
+    work too, at numpy's cost per element.  Every read checks the lengths
+    (ValueError) and that the numbers are finite (NonFinite).
+    ``christoffel`` and ``interior`` take the point as an array.
 
     ``interior(x)``, when given, is a test that the initial and every
     accepted state of an integration must pass besides the box, for a domain
@@ -159,21 +167,27 @@ class ChartConnection:
     dim: int
     christoffel: Callable[[np.ndarray], np.ndarray]
     chart_bounds: tuple | None = None  # (lo, hi) arrays, inclusive box
-    grad_f: Callable[[np.ndarray], np.ndarray] | None = None
-    hess_f: Callable[[np.ndarray], np.ndarray] | None = None
+    grad_f: Callable[[list], Sequence] | None = None
+    hess_f: Callable[[list], Sequence] | None = None
     interior: Callable[[np.ndarray], bool] | None = None
 
     @classmethod
-    def conformal(cls, dim: int, grad_f: Callable[[np.ndarray], np.ndarray],
+    def conformal(cls, dim: int, grad_f: Callable[[list], Sequence],
                   chart_bounds: tuple | None = None,
-                  hess_f: Callable[[np.ndarray], np.ndarray] | None = None,
+                  hess_f: Callable[[list], Sequence] | None = None,
                   interior: Callable[[np.ndarray], bool] | None = None
                   ) -> "ChartConnection":
         """The connection of g = exp(2 f) * euclidean, from the gradient of f
-        and, when given, its Hessian."""
+        and, when given, its Hessian.  ``grad_f(x)`` and ``hess_f(x)`` take
+        the chart point x as a list of ``dim`` Python floats; ``grad_f``
+        returns ``dim`` numbers, ``hess_f`` ``dim`` rows of ``dim`` numbers,
+        which the right-hand sides read as they come: written in Python
+        floats, they cost them no numpy call.  The symbols built here hand
+        ``grad_f`` the point as such a list too."""
 
         def christoffel(x):
-            df = np.asarray(grad_f(np.asarray(x, dtype=float)), dtype=float)
+            df = np.asarray(grad_f(np.asarray(x, dtype=float).tolist()),
+                            dtype=float)
             eye = np.eye(df.size)
             # G^k_ij = f_i d_jk + f_j d_ik - f_k d_ij: g[k, i, j] = f_i d_jk
             # plus its (i, j) transpose keeps them exactly symmetric
@@ -182,13 +196,12 @@ class ChartConnection:
 
         return cls(dim, christoffel, chart_bounds, grad_f, hess_f, interior)
 
-    def _gradient(self, x: np.ndarray) -> list:
-        """grad_f(x) as Python floats, checked."""
-        df = np.asarray(self.grad_f(x), dtype=float)
-        if df.shape != (self.dim,):
+    def _gradient(self, x: list) -> Sequence:
+        """grad_f(x) at the chart point x, a list of Python floats, checked."""
+        f = self.grad_f(x)
+        if len(f) != self.dim:
             raise ValueError(
-                f"grad_f returned shape {df.shape}, expected {(self.dim,)}")
-        f = df.tolist()
+                f"grad_f returned {len(f)} numbers, expected {self.dim}")
         # the same guarantee as gamma: a NaN left unchecked reads as a
         # rejected step, and the integrator shrinks its step until it
         # underflows and reports a domain escape instead of the fault
@@ -196,15 +209,20 @@ class ChartConnection:
             raise NonFinite(f"conformal factor gradient is not finite at {x}")
         return f
 
-    def _hessian(self, x: np.ndarray) -> list:
-        """hess_f(x) as rows of Python floats, checked."""
-        hess = np.asarray(self.hess_f(x), dtype=float)
-        if hess.shape != (self.dim, self.dim):
-            raise ValueError(f"hess_f returned shape {hess.shape}, "
-                             f"expected {(self.dim, self.dim)}")
-        h = hess.tolist()
-        if not all(math.isfinite(hij) for row in h for hij in row):
-            raise NonFinite(f"conformal factor Hessian is not finite at {x}")
+    def _hessian(self, x: list) -> Sequence:
+        """hess_f(x) at the chart point x, a list of Python floats, checked."""
+        h = self.hess_f(x)
+        d = self.dim
+        if len(h) != d:
+            raise ValueError(f"hess_f returned {len(h)} rows, expected {d}")
+        # row by row, the cheapest of the forms tried for both checks
+        for row in h:
+            if len(row) != d:
+                raise ValueError(f"hess_f returned a row of {len(row)} "
+                                 f"numbers, expected {d}")
+            if not all(map(math.isfinite, row)):
+                raise NonFinite(
+                    f"conformal factor Hessian is not finite at {x}")
         return h
 
     def gamma(self, x: np.ndarray) -> np.ndarray:
@@ -526,7 +544,7 @@ def _flow_rhs(conn: ChartConnection):
         # the conformal symbols give G(v, w) = (f.v) w + (f.w) v - (v.w) f
         # for f = grad_f(x); in Python floats, as numpy's per-call cost
         # exceeds the arithmetic
-        f = conn._gradient(np.array(z[:d]))
+        f = conn._gradient(z[:d])
         vs = z[d:2 * d]
         fv, vv = sum(map(mul, f, vs)), sum(map(mul, vs, vs))
         out = vs + _conformal_acceleration(f, vs, fv, vv)
@@ -566,7 +584,7 @@ def _jacobi_flow(conn: ChartConnection, x: np.ndarray, v: np.ndarray,
         # on the state (x, v, dx_1 .. dx_d, dv_1 .. dv_d), in Python floats
         # as in _flow_rhs: G(v, w) = (f.v) w + (f.w) v - (v.w) f and, as
         # d_a f = H a, (d_a G)(v, v) = 2 (a.Hv) v - (v.v) Ha
-        pos = np.array(z[:d])
+        pos = z[:d]
         f, hf = conn._gradient(pos), conn._hessian(pos)
         vs = z[d:2 * d]
         fv, vv = sum(map(mul, f, vs)), sum(map(mul, vs, vs))

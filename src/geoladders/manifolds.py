@@ -637,9 +637,9 @@ class BumpMetric2D(ChartSpace):
         beta_ = self.beta
 
         def grad_f(x):
-            return np.array([2.0 * beta_ * x[0], 0.0])
+            return [2.0 * beta_ * x[0], 0.0]
 
-        hess = np.diag([2.0 * beta_, 0.0])
+        hess = ((2.0 * beta_, 0.0), (0.0, 0.0))
 
         def hess_f(x):
             return hess
@@ -670,14 +670,24 @@ class BumpMetric2D(ChartSpace):
 
 def _stereographic_sphere_chart():
     # plane chart of the unit 2-sphere, projection from the north pole;
-    # pullback metric 4 (dx^2 + dy^2) / (1 + r^2)^2
+    # pullback metric 4 (dx^2 + dy^2) / (1 + r^2)^2.  The callbacks compute
+    # in Python floats, in the order of the numpy expressions they replaced,
+    # -2.0 * x / s and -2.0 * np.eye(2) / s + 4.0 * np.outer(x, x) / (s * s),
+    # so each value keeps its bits but r^2: numpy's x @ x went through BLAS,
+    # whose kernel may fuse the second product and its sum into one rounding
     def grad_f(x):
-        r2 = float(x @ x)
-        return -2.0 * x / (1.0 + r2)
+        x0, x1 = x
+        s = 1.0 + (x0 * x0 + x1 * x1)
+        return [-2.0 * x0 / s, -2.0 * x1 / s]
 
     def hess_f(x):
-        s = 1.0 + float(x @ x)
-        return -2.0 * np.eye(2) / s + 4.0 * np.outer(x, x) / (s * s)
+        x0, x1 = x
+        s = 1.0 + (x0 * x0 + x1 * x1)
+        ss = s * s
+        # the identity's zero added -2.0 * 0.0 / s = -0.0, which is no change
+        off = 4.0 * (x0 * x1) / ss
+        return [[-2.0 / s + 4.0 * (x0 * x0) / ss, off],
+                [off, -2.0 / s + 4.0 * (x1 * x1) / ss]]
 
     return ChartConnection.conformal(2, grad_f, hess_f=hess_f)
 
@@ -692,20 +702,29 @@ _RIM_MARGIN = 1e-9
 
 def _poincare_ball_chart():
     # unit-disc chart of the hyperbolic plane, metric 4 (dx^2+dy^2)/(1-r^2)^2
-    def one_minus_r2(x):
+    def one_minus_r2(x0, x1):
         # the box below holds the disc; outside the disc, the factor's
         # formulas give a metric of the wrong sign
-        s = 1.0 - float(x @ x)
+        s = 1.0 - (x0 * x0 + x1 * x1)
         if not s > 0.0:
-            raise DomainEscape(f"point {x} is outside the unit disc")
+            raise DomainEscape(f"point ({x0}, {x1}) is outside the unit disc")
         return s
 
+    # in Python floats, as on the sphere's chart
     def grad_f(x):
-        return 2.0 * x / one_minus_r2(x)
+        x0, x1 = x
+        s = one_minus_r2(x0, x1)
+        return [2.0 * x0 / s, 2.0 * x1 / s]
 
     def hess_f(x):
-        s = one_minus_r2(x)
-        return 2.0 * np.eye(2) / s + 4.0 * np.outer(x, x) / (s * s)
+        x0, x1 = x
+        s = one_minus_r2(x0, x1)
+        ss = s * s
+        # the identity's zero added 2.0 * 0.0 / s = 0.0, which turns -0.0
+        # into 0.0
+        off = 0.0 + 4.0 * (x0 * x1) / ss
+        return [[2.0 / s + 4.0 * (x0 * x0) / ss, off],
+                [off, 2.0 / s + 4.0 * (x1 * x1) / ss]]
 
     return ChartConnection.conformal(
         2, grad_f,

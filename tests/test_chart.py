@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -829,11 +830,197 @@ def test_conformal_hessian_matches_differences_of_the_gradient(name):
     h = 1e-5
     for _ in range(20):
         x = rng.uniform(-0.6, 0.6, 2)
-        fd = np.column_stack([(conn.grad_f(x + e) - conn.grad_f(x - e)) / (2 * h)
-                              for e in h * np.eye(2)])
+        # the callbacks return Python floats, which numpy differences
+        fd = np.column_stack([
+            (np.asarray(conn.grad_f((x + e).tolist()))
+             - np.asarray(conn.grad_f((x - e).tolist()))) / (2 * h)
+            for e in h * np.eye(2)])
         # relative to the Hessian, which reaches 20 near the ball's rim
-        assert np.abs(conn.hess_f(x) - fd).max() <= 1e-8 * max(
-            1.0, np.abs(fd).max())
+        assert np.abs(np.asarray(conn.hess_f(x.tolist())) - fd).max() <= (
+            1e-8 * max(1.0, np.abs(fd).max()))
+
+
+def _numpy_factor_callbacks(name):
+    """The numpy formulas the conformal charts' float callbacks replaced, as
+    (grad_f, hess_f) of a point array.  r^2 is np.sum(x * x), two rounded
+    squares and their rounded sum as in the float callbacks: the replaced
+    x @ x runs through BLAS, whose kernel may fuse the second square into
+    the sum, and on such a CPU it differs from them in the last bit."""
+    if name == "bump2d":
+        beta = 1.0
+        return (lambda x: np.array([2.0 * beta * x[0], 0.0]),
+                lambda x: np.diag([2.0 * beta, 0.0]))
+    if name == "sphere2-stereographic":
+        def grad_f(x):
+            r2 = float(np.sum(x * x))
+            return -2.0 * x / (1.0 + r2)
+
+        def hess_f(x):
+            s = 1.0 + float(np.sum(x * x))
+            return -2.0 * np.eye(2) / s + 4.0 * np.outer(x, x) / (s * s)
+
+        return grad_f, hess_f
+
+    def grad_f(x):
+        return 2.0 * x / (1.0 - float(np.sum(x * x)))
+
+    def hess_f(x):
+        s = 1.0 - float(np.sum(x * x))
+        return 2.0 * np.eye(2) / s + 4.0 * np.outer(x, x) / (s * s)
+
+    return grad_f, hess_f
+
+
+def _chart_points(name, rng, n=50):
+    """n seeded points in the chart's domain, inside the disc for the
+    ball, and points with a zero coordinate, where a product is -0.0."""
+    if name == "hyperbolic2-ball":
+        angle, radius = rng.uniform(0.0, 2 * np.pi, n), rng.uniform(0, 0.99, n)
+        points = radius[:, None] * np.column_stack([np.cos(angle),
+                                                    np.sin(angle)])
+    else:
+        points = rng.uniform(-1.9, 1.9, (n, 2))
+    return [*points, np.array([0.0, -0.3]), np.array([-0.4, 0.0]),
+            np.array([-0.0, 0.5])]
+
+
+@pytest.mark.parametrize("name", CONFORMAL_CHARTS)
+def test_float_factor_callbacks_keep_the_bits_of_the_numpy_formulas(name):
+    # the float callbacks follow the operation order of the numpy formulas
+    # they replaced, so every value keeps its bits, the sign of a zero too;
+    # the symbols built from them match the ones built from those formulas
+    conn = make_chart(name)
+    grad_ref, hess_ref = _numpy_factor_callbacks(name)
+    for x in _chart_points(name, np.random.default_rng(23)):
+        # the one operation numpy may round otherwise: within an ulp
+        r2 = float(x @ x)
+        assert abs(float(np.sum(x * x)) - r2) <= math.ulp(r2)
+        grad, hess = (np.asarray(fn(x.tolist()))
+                      for fn in (conn.grad_f, conn.hess_f))
+        assert grad.tobytes() == grad_ref(x).tobytes()
+        assert hess.tobytes() == hess_ref(x).tobytes()
+        df = grad_ref(x)
+        g = df[:, None] * np.eye(2)[:, None, :]
+        symbols = g + g.transpose(0, 2, 1) - df[:, None, None] * np.eye(2)
+        assert conn.christoffel(x).tobytes() == symbols.tobytes()
+
+
+def _recording(conn):
+    """The connection with grad_f and hess_f wrapped to record the types of
+    the points and of their coordinates that each receives."""
+    seen = {"grad_f": set(), "hess_f": set()}
+
+    def recorded(name, fn):
+        def wrapper(x):
+            seen[name].add((type(x), *{type(xi) for xi in x}))
+            return fn(x)
+        return wrapper
+
+    return dataclasses.replace(
+        conn, grad_f=recorded("grad_f", conn.grad_f),
+        hess_f=recorded("hess_f", conn.hess_f)), seen
+
+
+def test_factor_callbacks_receive_lists_of_floats():
+    # on the geodesic, transport and Jacobi paths, and from the symbols
+    # ChartConnection.conformal builds
+    conn, seen = _recording(make_chart("bump2d"))
+    x, v = [0.3, 0.1], [0.2, -0.1]
+    geodesic_flow(conn, x, v)
+    transport_ode(conn, [0.0, 1.0], x, v)
+    chart._jacobi_flow(conn, np.array(x), np.array(v), ToleranceConfig())
+    assert seen == {"grad_f": {(list, float)}, "hess_f": {(list, float)}}
+    seen["grad_f"].clear()
+    ChartConnection.conformal(2, conn.grad_f).christoffel(np.array(x))
+    assert seen["grad_f"] == {(list, float)}
+
+
+@pytest.mark.parametrize("name", CONFORMAL_CHARTS)
+def test_conformal_right_hand_sides_make_no_numpy_call(name, monkeypatch):
+    # the plain, transport and Jacobi right-hand sides compute in Python
+    # floats from end to end: no numpy function runs in an evaluation, and
+    # every number they return is a float, not a numpy scalar
+    solves = _record_solves(monkeypatch)
+    conn = make_chart(name)
+    chart._jacobi_flow(conn, np.array([0.2, -0.1]), np.array([0.1, 0.2]),
+                       ToleranceConfig())
+    [((_, jacobi_rhs, *_), *_)] = solves
+    plain_rhs = chart._flow_rhs(conn)
+    states = [(plain_rhs, [0.2, -0.1, 0.1, 0.2]),
+              (plain_rhs, [0.2, -0.1, 0.1, 0.2, 0.5, -0.7]),
+              (jacobi_rhs, [0.2, -0.1, 0.1, 0.2, 0.0, 0.0, 0.0, 0.0,
+                            1.0, 0.0, 0.0, 1.0])]
+    numpy_calls = []
+
+    def profile(frame, event, arg):
+        if event == "c_call" and "numpy" in str(getattr(arg, "__module__",
+                                                        "")):
+            numpy_calls.append(arg)
+
+    for rhs, z in states:
+        sys.setprofile(profile)
+        try:
+            out = rhs(z)
+        finally:
+            sys.setprofile(None)
+        assert numpy_calls == []
+        assert len(out) == len(z) and {type(o) for o in out} == {float}
+
+
+@pytest.mark.parametrize("grad_f, hess_f, message", [
+    (lambda x: [0.0, 0.0, 0.0], None, "grad_f returned 3 numbers"),
+    (lambda x: [0.0], None, "grad_f returned 1 numbers"),
+    (lambda x: [0.0, 0.0], lambda x: [[0.0, 0.0]] * 3, "3 rows"),
+    (lambda x: [0.0, 0.0], lambda x: [[0.0, 0.0], [0.0]],
+     "a row of 1 numbers"),
+    (lambda x: [0.0, 0.0], lambda x: [[0.0, 0.0, 0.0]] * 2,
+     "a row of 3 numbers"),
+], ids=["grad-long", "grad-short", "hess-rows", "hess-row-short",
+        "hess-row-long"])
+def test_factor_callbacks_of_the_wrong_length_raise_value_error(
+        grad_f, hess_f, message):
+    # the right-hand sides zip the callbacks' numbers with the state, and
+    # would not notice a wrong length; a geodesic flow reads no Hessian
+    conn = ChartConnection.conformal(
+        2, grad_f, chart_bounds=(np.full(2, -2.0), np.full(2, 2.0)),
+        hess_f=hess_f)
+    runs = [lambda: log_shooting(conn, [0.3, 0.1], [0.5, 0.2])]
+    if hess_f is None:
+        runs.append(lambda: geodesic_flow(conn, [0.3, 0.1], [0.2, 0.1]))
+    for run in runs:
+        with pytest.raises(ValueError, match=message):
+            run()
+
+
+@pytest.mark.parametrize("wall", [-math.inf, 0.4],
+                         ids=["at-start", "in-a-stage"])
+def test_nan_conformal_hessian_raises_non_finite(wall):
+    # at a finite state, from the Jacobi flow's first evaluation or from
+    # the stage of a step that crosses x_0 = wall, past which the Hessian
+    # is NaN; a stage that is not finite would reject its step instead
+    def hess_f(x):
+        return [[math.nan if x[0] > wall else 0.0, 0.0], [0.0, 0.0]]
+
+    conn = ChartConnection.conformal(
+        2, lambda x: [0.0, 0.0],
+        chart_bounds=(np.full(2, -2.0), np.full(2, 2.0)), hess_f=hess_f)
+    with pytest.raises(NonFinite, match="Hessian is not finite"):
+        log_shooting(conn, [0.3, 0.1], [0.5, 0.2])
+
+
+def test_factor_callbacks_returning_arrays_flow_as_floats():
+    # numpy's float64 rounds as a Python float, so a chart whose callbacks
+    # return arrays flows, transports and shoots to the same bits, at
+    # numpy's cost per element
+    floats = make_chart("bump2d")
+    grad_f, hess_f = _numpy_factor_callbacks("bump2d")
+    arrays = dataclasses.replace(floats, grad_f=grad_f, hess_f=hess_f)
+    x, v, y = [0.3, 0.1], [0.2, -0.1], [0.6, -0.2]
+    for run in (lambda c: geodesic_flow(c, x, v),
+                lambda c: transport_ode(c, [0.0, 1.0], x, v),
+                lambda c: log_shooting(c, x, y)):
+        got, ref = run(arrays), run(floats)
+        assert all(np.array_equal(a, b) for a, b in zip(got, ref))
 
 
 @pytest.mark.parametrize("name", CONFORMAL_CHARTS)
