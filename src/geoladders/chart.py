@@ -180,10 +180,10 @@ class ChartConnection:
         """The connection of g = exp(2 f) * euclidean, from the gradient of f
         and, when given, its Hessian.  ``grad_f(x)`` and ``hess_f(x)`` take
         the chart point x as a list of ``dim`` Python floats; ``grad_f``
-        returns ``dim`` numbers, ``hess_f`` ``dim`` rows of ``dim`` numbers,
-        which the right-hand sides read as they come: written in Python
-        floats, they cost them no numpy call.  The symbols built here hand
-        ``grad_f`` the point as such a list too."""
+        returns ``dim`` numbers and ``hess_f`` ``dim`` rows of ``dim``
+        numbers.  Written in Python floats, they cost the right-hand sides
+        no numpy call.  The symbols built here hand ``grad_f`` such a list
+        too."""
 
         def christoffel(x):
             df = np.asarray(grad_f(np.asarray(x, dtype=float).tolist()),
