@@ -33,7 +33,6 @@ from .core import (
     GeometryError,
     InsufficientData,
     InvalidBase,
-    LogBranch,
     MaxStepsExceeded,
     NoConvergence,
     NonFinite,

@@ -83,8 +83,8 @@ _MAX_STEPS = 100_000
 # written as its repr so the values are scipy's to the last bit (a test pins
 # them equal): row i of A weighs the earlier stages into stage i, B the
 # twelve stages into the eighth-order step, and E5 and E3 the stages and the
-# derivative at the step's end into the error estimates
-_STAGE_ROWS = tuple(np.array(row) for row in (
+# derivative at the step's end into the error estimates, unpacked by _dop853
+_STAGE_ROWS = (
     (0.05260015195876773,),
     (0.0197250569845379, 0.0591751709536137),
     (0.02958758547680685, 0.0, 0.08876275643042054),
@@ -106,27 +106,24 @@ _STAGE_ROWS = tuple(np.array(row) for row in (
     (2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625,
      -17.9589318631188, 27.94888452941996, -2.8589982771350235,
      -8.87285693353063, 12.360567175794303, 0.6433927460157636),
-))
-_B = np.array([
+)
+_B = (
     0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
     1.8915178993145003, -5.801203960010585, 0.3111643669578199,
-    -0.1521609496625161, 0.20136540080403034, 0.04471061572777259])
-_E5 = np.array([
+    -0.1521609496625161, 0.20136540080403034, 0.04471061572777259)
+_E5 = (
     0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044,
     -0.4957589496572502, 1.6643771824549864, -0.35032884874997366,
-    0.3341791187130175, 0.08192320648511571, -0.022355307863886294, 0.0])
-_E3 = np.array([
+    0.3341791187130175, 0.08192320648511571, -0.022355307863886294, 0.0)
+_E3 = (
     -0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
     1.8915178993145003, -5.801203960010585, -0.4226823213237919,
-    -0.1521609496625161, 0.20136540080403034, 0.02265179219836082, 0.0])
+    -0.1521609496625161, 0.20136540080403034, 0.02265179219836082, 0.0)
 # scipy's step-size control: the next step is the last one times
 # SAFETY * error ** (-1/8), within [MIN_FACTOR, MAX_FACTOR]; the exponent is
 # -1 / (error estimator order 7 + 1)
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERROR_EXPONENT = -1.0 / 8.0
-# the tableau's rows, B, E5 and E3 as lists of Python floats, which the step
-# loop unpacks into its stage sums
-_COEFFICIENTS = tuple(row.tolist() for row in (*_STAGE_ROWS, _B, _E5, _E3))
 _DEFAULT_TOLERANCES = ToleranceConfig()
 # a shooting residual at most this times max(1, |y|_inf) is at the round-off
 # of the target's coordinates, where one more Newton step buys nothing
@@ -319,7 +316,8 @@ def _dop853(conn: ChartConnection, rhs, z: np.ndarray, f: list,
      (a121, _, _, a124, a125, a126, a127, a128, a129, a1210, a1211),
      (b1, _, _, _, _, b6, b7, b8, b9, b10, b11, b12),
      (e1, _, _, _, _, e6, e7, e8, e9, e10, e11, e12, _),
-     (g1, _, _, _, _, g6, g7, g8, g9, g10, g11, g12, _)) = _COEFFICIENTS
+     (g1, _, _, _, _, g6, g7, g8, g9, g10, g11, g12, _)) = (
+         *_STAGE_ROWS, _B, _E5, _E3)
     d = conn.dim
     z = z.tolist()
     s, accepted, rejected = 0.0, 0, 0
@@ -782,17 +780,19 @@ def transport_ode(conn: ChartConnection, u, x, v, t: float = 1.0,
 # Curvature from finite differences
 # ---------------------------------------------------------------------------
 
+def _central_differences(f, x: np.ndarray, h: float) -> np.ndarray:
+    """D[m] = (f(x + h e_m) - f(x - h e_m)) / 2h for each axis m of x."""
+    return np.array([(np.asarray(f(x + dx), dtype=float)
+                      - np.asarray(f(x - dx), dtype=float)) / (2.0 * h)
+                     for dx in h * np.eye(x.size)])
+
+
 def _fd_gamma_grad(conn: ChartConnection, x: np.ndarray, h: float) -> np.ndarray:
     """dG[m, k, i, j] = d_m G^k_ij by central differences."""
-    d = conn.dim
-    out = np.empty((d, d, d, d))
-    for m in range(d):
-        dx = np.zeros(d)
-        dx[m] = h
-        if not (conn.in_bounds(x + dx) and conn.in_bounds(x - dx)):
-            raise DomainEscape("finite-difference stencil left the chart bounds")
-        out[m] = (conn.gamma(x + dx) - conn.gamma(x - dx)) / (2.0 * h)
-    return out
+    if not all(conn.in_bounds(x + dx) and conn.in_bounds(x - dx)
+               for dx in h * np.eye(conn.dim)):
+        raise DomainEscape("finite-difference stencil left the chart bounds")
+    return _central_differences(conn.gamma, x, h)
 
 
 def curvature_components(conn: ChartConnection, x, fd_step: float | None = None
@@ -826,14 +826,7 @@ def nabla_curvature_components(conn: ChartConnection, x) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     h = _NABLA_FD_STEP * max(1.0, float(np.max(np.abs(x))))
-    d = conn.dim
-    dr = np.empty((d, d, d, d, d))
-    for m in range(d):
-        dx = np.zeros(d)
-        dx[m] = h
-        rp = curvature_components(conn, x + dx)
-        rm = curvature_components(conn, x - dx)
-        dr[m] = (rp - rm) / (2.0 * h)
+    dr = _central_differences(lambda y: curvature_components(conn, y), x, h)
     g = conn.gamma(x)
     r = curvature_components(conn, x)
     dr += np.einsum("lma,aijk->mlijk", g, r)
@@ -855,14 +848,8 @@ def christoffels_from_metric(metric: Callable[[np.ndarray], np.ndarray]):
 
     def christoffel(x):
         x = np.asarray(x, dtype=float)
-        d = x.size
         h = _FD_STEP * max(1.0, float(np.max(np.abs(x))))
-        dg = np.empty((d, d, d))
-        for m in range(d):
-            dx = np.zeros(d)
-            dx[m] = h
-            dg[m] = (np.asarray(metric(x + dx), dtype=float)
-                     - np.asarray(metric(x - dx), dtype=float)) / (2.0 * h)
+        dg = _central_differences(metric, x, h)
         ginv = np.linalg.inv(np.asarray(metric(x), dtype=float))
         # lower-index symbols: G_kij = 1/2 (d_i g_kj + d_j g_ki - d_k g_ij)
         lower = 0.5 * (np.einsum("ikj->kij", dg)

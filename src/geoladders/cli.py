@@ -33,8 +33,10 @@ from .core import (
     ConnectionSpace,
     GeometryError,
     InsufficientData,
+    InvalidBase,
     NonFinite,
     ToleranceConfig,
+    _require_finite,
     _unit_direction,
 )
 # ladder_step is not called here; perfbench's tracer wraps cli.ladder_step
@@ -48,6 +50,8 @@ __all__ = ["ExperimentConfig", "main", "cmd_transport", "cmd_convergence",
 
 SYMMETRIC_FLEET = ("sphere-2", "hyperbolic-2", "spd-3", "so3")
 POLE_SCHEMES = _TAKES_MIDPOINT
+# the most an explicit p, q or u may miss its space's constraint by
+_OVERRIDE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -251,14 +255,29 @@ def _trial_within_conditions(space, w, u_norm: float) -> bool:
 
 
 def _explicit_trial(space, cfg: ExperimentConfig):
+    """The config's p, q and u: ConfigError unless each parses and p, q lie
+    on the space and u on its tangent space at p, within _OVERRIDE_TOL."""
+    def coords(text):
+        return [float(t) for t in text.split(",")]
+
     try:
-        p = space.point([float(t) for t in cfg.p.split(",")])
-        q = space.point([float(t) for t in cfg.q.split(",")])
-    except ValueError as err:
-        raise ConfigError(f"bad p/q override: {err}")
-    if cfg.u is not None:
-        u = space.tangent(p, [float(t) for t in cfg.u.split(",")])
-    else:
+        p, q = space.point(coords(cfg.p)), space.point(coords(cfg.q))
+        u = None if cfg.u is None else space.tangent(p, coords(cfg.u))
+    except (ValueError, InvalidBase) as err:
+        raise ConfigError(f"bad p/q/u override: {err}") from None
+    # residuals of non-finite coordinates measure nothing: NonFinite
+    _require_finite(np.concatenate([p.coords, q.coords]), "override points")
+    offsets = [("p", space.membership_residual(p)),
+               ("q", space.membership_residual(q))]
+    if u is not None:
+        _require_finite(u.components, "override u's components")
+        offsets.append(("u", space.tangency_residual(u)))
+    for name, off in offsets:
+        # written so that a NaN residual passes on to the numerical error
+        if off > _OVERRIDE_TOL:
+            raise ConfigError(f"override {name} is off {space.name} by "
+                              f"{off:.3g}, more than {_OVERRIDE_TOL:g}")
+    if u is None:
         u = 0.5 * space.random_direction(cfg.rng(), p)
     return p, q, u
 

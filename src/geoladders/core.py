@@ -27,7 +27,6 @@ __all__ = [
     "NoConvergence",
     "NonFinite",
     "CutLocus",
-    "LogBranch",
     "NotSPD",
     "Unsupported",
     "InsufficientData",
@@ -84,10 +83,6 @@ class NonFinite(GeometryError):
 
 class CutLocus(GeometryError):
     """The log map was requested at or beyond the cut locus."""
-
-
-class LogBranch(GeometryError):
-    """Matrix log requested on the branch cut (rotation angle at pi)."""
 
 
 class NotSPD(GeometryError):
@@ -256,7 +251,8 @@ class ConnectionSpace(abc.ABC):
     on raw coordinate arrays, and may override ``_exp_transport`` (exp, then
     transport to the endpoint) when they can do both in one pass, and
     ``_geodesic`` (exp at many times along one geodesic) when the work the
-    times share can be done once.  The public
+    times share can be done once, and ``_geodesic_symmetry`` when the
+    reflection has a closed form.  The public
     wrappers handle ``Point`` / ``TangentVector`` packing, base-point
     validation, non-finite inputs (``NonFinite``) and degenerate inputs
     (``exp(p, 0) == p`` exactly, ``log(p, p) == 0`` without shooting).
@@ -300,6 +296,11 @@ class ConnectionSpace(abc.ABC):
     def _geodesic(self, x: np.ndarray, v: np.ndarray, times: np.ndarray):
         """Rows exp_x(t v), one per t in times (none of them 0)."""
         return [self._exp(x, t * v) for t in times]
+
+    def _geodesic_symmetry(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        # exp_x(-log_x(y)) by the public maps, with their checks and spans
+        m = Point(x, self.name)
+        return self.exp(m, -self.log(m, Point(y, self.name))).coords
 
     def _inner(self, x: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
         raise Unsupported(f"{self.name} has no metric")
@@ -434,7 +435,9 @@ class ConnectionSpace(abc.ABC):
 
     def geodesic_symmetry(self, m: Point, p: Point) -> Point:
         """Reverse p through m along the connecting geodesic: exp_m(-log_m(p))."""
-        return self.exp(m, -self.log(m, p))
+        self._check_point(m)
+        self._check_point(p)
+        return Point(self._geodesic_symmetry(m.coords, p.coords), self.name)
 
     def curvature(self, p: Point, u: TangentVector, v: TangentVector,
                   w: TangentVector) -> TangentVector:

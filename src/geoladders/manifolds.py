@@ -24,7 +24,6 @@ from .core import (
     ConnectionSpace,
     CutLocus,
     DomainEscape,
-    LogBranch,
     NonFinite,
     NotSPD,
     Point,
@@ -167,16 +166,13 @@ class Sphere(ConnectionSpace):
         rank = np.count_nonzero(s > s.max() * np.finfo(float).eps * x.size)
         return np.ascontiguousarray(vh.T)[:, rank:]
 
+    def _geodesic_symmetry(self, x, y):
+        # point reflection through x extends past the cut locus of the log map
+        return 2.0 * float(x @ y) * x - y
+
     def random_point(self, rng):
         x = rng.standard_normal(self.ambient_dim)
         return Point(x / np.linalg.norm(x), self.name)
-
-    def geodesic_symmetry(self, m, p):
-        # point reflection through m extends past the cut locus of the log map
-        self._check_point(m)
-        self._check_point(p)
-        return Point(2.0 * float(m.coords @ p.coords) * m.coords - p.coords,
-                     self.name)
 
 
 # ---------------------------------------------------------------------------
@@ -289,15 +285,12 @@ class Hyperbolic(ConnectionSpace):
             basis.append(cand / math.sqrt(_mink(cand, cand)))
         return np.column_stack(basis)
 
+    def _geodesic_symmetry(self, x, y):
+        return -y - 2.0 * _mink(x, y) * x
+
     def random_point(self, rng):
         y = 0.5 * rng.standard_normal(self.dim)
         x = np.concatenate([[math.sqrt(1.0 + float(y @ y))], y])
-        return Point(x, self.name)
-
-    def geodesic_symmetry(self, m, p):
-        self._check_point(m)
-        self._check_point(p)
-        x = -p.coords - 2.0 * _mink(m.coords, p.coords) * m.coords
         return Point(x, self.name)
 
 
@@ -363,6 +356,12 @@ def _expm_sym(s, margin=0.0):
 def _logm_spd(p, what="matrix"):
     w, vecs = _eigh_spd(p, what)
     return (vecs * np.log(w)) @ vecs.T
+
+
+def _bracket_curvature(a, b, c):
+    """R(a, b)c = -[[a, b], c] / 4 of the SPD and SO(3) connections."""
+    ab = a @ b - b @ a
+    return -0.25 * (ab @ c - c @ ab)
 
 
 class SPD(ConnectionSpace):
@@ -431,14 +430,23 @@ class SPD(ConnectionSpace):
         e = ps @ _expm_sym(0.5 * delta) @ pis
         return _sym(e @ self._mat(u) @ e.T).ravel()
 
+    def _geodesic_symmetry(self, x, y):
+        # x y^-1 x = a^T a for a = L^-1 x, where y = L L^T; the factor is
+        # also the check that y is SPD
+        try:
+            low = np.linalg.cholesky(_sym(self._mat(y)))
+        except np.linalg.LinAlgError:
+            raise NotSPD("point is not positive definite: its Cholesky "
+                         "factorization failed") from None
+        a = np.linalg.solve(low, self._mat(x))
+        return _sym(a.T @ a).ravel()
+
     def _curvature(self, x, u, v, w):
         ps, pis, _ = self._sqrt_pair(x)
         a = pis @ self._mat(u) @ pis
         b = pis @ self._mat(v) @ pis
         c = pis @ self._mat(w) @ pis
-        ab = a @ b - b @ a
-        br = ab @ c - c @ ab
-        return (ps @ (-0.25 * br) @ ps).ravel()
+        return (ps @ _bracket_curvature(a, b, c) @ ps).ravel()
 
     def _inner(self, x, u, v):
         p = self._mat(x)
@@ -462,19 +470,6 @@ class SPD(ConnectionSpace):
     def random_point(self, rng):
         s = 0.5 * _sym(rng.standard_normal((self.n, self.n)))
         return Point(_expm_sym(s).ravel(), self.name)
-
-    def geodesic_symmetry(self, m, p):
-        self._check_point(m)
-        self._check_point(p)
-        # m p^-1 m = a^T a for a = L^-1 m, where p = L L^T; the factor is
-        # also the check that p is SPD
-        try:
-            low = np.linalg.cholesky(_sym(self._mat(p.coords)))
-        except np.linalg.LinAlgError:
-            raise NotSPD("point is not positive definite: its Cholesky "
-                         "factorization failed") from None
-        a = np.linalg.solve(low, self._mat(m.coords))
-        return Point(_sym(a.T @ a).ravel(), self.name)
 
 
 # ---------------------------------------------------------------------------
@@ -509,13 +504,13 @@ _BRANCH_TOL = 1e-6
 
 
 def _rotation_log(r):
-    """Rotation vector of r; raises LogBranch within 1e-6 of angle pi."""
+    """Rotation vector of r; raises CutLocus within 1e-6 of angle pi."""
     a = _vee(r - r.T) / 2.0  # sin(theta) * axis
     s = float(np.linalg.norm(a))
     c = 0.5 * (float(np.trace(r)) - 1.0)
     theta = math.atan2(s, c)
     if theta > math.pi - _BRANCH_TOL:
-        raise LogBranch("rotation angle at the cut locus (pi)")
+        raise CutLocus("rotation angle at the cut locus (pi)")
     if theta < 1e-8:
         return a * (1.0 + theta * theta / 6.0)
     return (theta / s) * a
@@ -588,12 +583,14 @@ class RotationGroup(ConnectionSpace):
         half = _rodrigues(0.5 * w)
         return (r @ half @ self._body(x, u) @ half).ravel()
 
+    def _geodesic_symmetry(self, x, y):
+        g, h = self._mat(x), self._mat(y)
+        return (g @ h.T @ g).ravel()
+
     def _curvature(self, x, u, v, w):
         r = self._mat(x)
         a, b, c = self._body(x, u), self._body(x, v), self._body(x, w)
-        ab = a @ b - b @ a
-        br = ab @ c - c @ ab
-        return (r @ (-0.25 * br)).ravel()
+        return (r @ _bracket_curvature(a, b, c)).ravel()
 
     def _inner(self, x, u, v):
         return 0.5 * float(u @ v)
@@ -610,12 +607,6 @@ class RotationGroup(ConnectionSpace):
         if np.linalg.det(q) < 0.0:
             q[:, [0, 1]] = q[:, [1, 0]]
         return Point(q.ravel(), self.name)
-
-    def geodesic_symmetry(self, m, p):
-        self._check_point(m)
-        self._check_point(p)
-        g, h = self._mat(m.coords), self._mat(p.coords)
-        return Point((g @ h.T @ g).ravel(), self.name)
 
 
 # ---------------------------------------------------------------------------

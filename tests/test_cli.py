@@ -11,7 +11,8 @@ from typing import get_args, get_type_hints
 import numpy as np
 import pytest
 
-from geoladders import NonFinite, Sphere, cli, ladder_step, make_space
+from geoladders import (NonFinite, Sphere, cli, ladder_step, make_space,
+                         pole_error_predicted)
 from geoladders.cli import (
     ExperimentConfig,
     build_parser,
@@ -73,6 +74,27 @@ def test_transport_non_finite_input_exits_2(tmp_path, capsys, manifold,
     rc = main(["transport", "--manifold", manifold, "--config", str(cfg)])
     assert rc == 2
     assert "NonFinite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("manifold, text, message", [
+    ("sphere-2", "p = 1,0,0\nq = 0,1,0\nu = 0,abc,0\n", "could not convert"),
+    ("sphere-2", "p = 1,0,0\nq = 0,1,0\nu = 0,1\n", "components of length 2"),
+    ("sphere-2", "p = 1,0,0\nq = 0,2,0\nu = 0,0,0.3\n", "override q is off"),
+    ("sphere-2", "p = 1,0,0\nq = 0,1,0\nu = 1,0,0\n", "override u is off"),
+    ("spd-3", "p = 1,0.1,0,0,1,0,0,0,1\nq = 1,0,0,0,1,0,0,0,1\n",
+     "override p is off"),
+], ids=["unparsed-u", "short-u", "q-off-sphere", "u-not-tangent",
+        "asymmetric-p"])
+def test_transport_bad_override_is_a_config_error(tmp_path, capsys, manifold,
+                                                  text, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    rc = main(["transport", "--manifold", manifold, "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("config error:")
+    assert message in captured.err
+    assert captured.out == ""
 
 
 def test_unknown_manifold_exits_1(capsys):
@@ -142,6 +164,47 @@ def test_convergence_is_bit_deterministic(tmp_path):
     assert main(args + ["--output", str(out1)]) == 0
     assert main(args + ["--output", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+_BUMP_SWEEP = ["convergence", "--manifold", "bump2d", "--seed", "4",
+               "--h-min", "0.05", "--h-max", "0.5", "--num-scales", "5"]
+
+
+def test_convergence_over_two_rungs_predicts_nothing(tmp_path):
+    # the predictor is a one-step term, so a multi-rung sweep leaves it nan
+    out = tmp_path / "r.csv"
+    assert main(_BUMP_SWEEP + ["--n-rungs", "2", "--output", str(out)]) == 0
+    _, rows, comments = read_rows(out)
+    assert [r[3] for r in rows] == ["2"] * 5
+    assert all(math.isnan(float(r[5])) for r in rows)
+    errors = [float(r[4]) for r in rows]
+    assert all(math.isfinite(e) for e in errors)
+    assert errors == sorted(errors, reverse=True)  # h falls down the rows
+    fit = [c for c in comments if "fitted_slope" in c][0]
+    # 3.826 on the machine it was written on
+    assert 3.82 <= float(fit.split("fitted_slope=")[1].split()[0]) <= 3.83
+
+
+@pytest.mark.parametrize("scheme", ["pole_alt", "pole_avg", "schild"])
+def test_convergence_predicts_each_scheme_by_its_own_term(tmp_path, scheme):
+    out = tmp_path / "p.csv"
+    assert main(_BUMP_SWEEP + ["--scheme", scheme, "--output", str(out)]) == 0
+    _, rows, _ = read_rows(out)
+    cfg = ExperimentConfig(command="convergence", manifold="bump2d",
+                           scheme=scheme, seed=4, h_min=0.05, h_max=0.5,
+                           num_scales=5)
+    space, m, u_dir, v_dir, scales, _ = cli._sweep_setup(cfg, "convergence")
+    assert len(rows) == len(scales)
+    for row, h in zip(rows, scales):
+        if scheme == "schild":
+            assert math.isnan(float(row[5]))
+            continue
+        u, v = float(h) * u_dir, float(h) * v_dir
+        # the reversed variant's term is the main one's at -v, negated
+        want = -pole_error_predicted(space, m, u, -v)
+        if scheme == "pole_avg":
+            want = 0.5 * (pole_error_predicted(space, m, u, v) + want)
+        assert float(row[5]) == want.component_norm
 
 
 @pytest.mark.parametrize("command", ["convergence", "bch-check"])
