@@ -46,7 +46,6 @@ from .core import (
     Point,
     TangentVector,
     ToleranceConfig,
-    Unsupported,
 )
 
 __all__ = [
@@ -130,7 +129,7 @@ _DEFAULT_TOLERANCES = ToleranceConfig()
 _ROUND_OFF = 8.0 * _EPS
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChartConnection:
     """A torsion-free affine connection defined numerically on a chart.
 
@@ -787,14 +786,6 @@ def _central_differences(f, x: np.ndarray, h: float) -> np.ndarray:
                      for dx in h * np.eye(x.size)])
 
 
-def _fd_gamma_grad(conn: ChartConnection, x: np.ndarray, h: float) -> np.ndarray:
-    """dG[m, k, i, j] = d_m G^k_ij by central differences."""
-    if not all(conn.in_bounds(x + dx) and conn.in_bounds(x - dx)
-               for dx in h * np.eye(conn.dim)):
-        raise DomainEscape("finite-difference stencil left the chart bounds")
-    return _central_differences(conn.gamma, x, h)
-
-
 def curvature_components(conn: ChartConnection, x, fd_step: float | None = None
                          ) -> np.ndarray:
     """Curvature tensor R[l, i, j, k] = R^l_ijk at chart point x.
@@ -806,7 +797,11 @@ def curvature_components(conn: ChartConnection, x, fd_step: float | None = None
     """
     x = np.asarray(x, dtype=float)
     h = fd_step if fd_step is not None else _FD_STEP * max(1.0, float(np.max(np.abs(x))))
-    dg = _fd_gamma_grad(conn, x, h)
+    if not all(conn.in_bounds(x + dx) and conn.in_bounds(x - dx)
+               for dx in h * np.eye(conn.dim)):
+        raise DomainEscape("finite-difference stencil left the chart bounds")
+    # dg[m, k, i, j] = d_m G^k_ij
+    dg = _central_differences(conn.gamma, x, h)
     g = conn.gamma(x)
     r = (np.einsum("iljk->lijk", dg)
          - np.einsum("jlik->lijk", dg)
@@ -834,6 +829,14 @@ def nabla_curvature_components(conn: ChartConnection, x) -> np.ndarray:
     dr -= np.einsum("amj,liak->mlijk", g, r)
     dr -= np.einsum("amk,lija->mlijk", g, r)
     return dr
+
+
+# the last tensor a ChartSpace asked for: the error predictor contracts it
+# twice at one point, and a sweep at one anchor asks in every op.  The key's
+# connection hashes by identity, and its id is not reused while held here
+@functools.lru_cache(maxsize=1)
+def _cached_nabla_curvature(conn: ChartConnection, key: bytes) -> np.ndarray:
+    return nabla_curvature_components(conn, np.frombuffer(key))
 
 
 # ---------------------------------------------------------------------------
@@ -874,8 +877,6 @@ class ChartSpace(ConnectionSpace):
     sets them after construction.
     """
 
-    sample_halfwidth = 0.5
-
     def __init__(self, name: str, connection: ChartConnection,
                  metric: Callable[[np.ndarray], np.ndarray] | None = None,
                  tolerances: ToleranceConfig | None = None,
@@ -891,8 +892,6 @@ class ChartSpace(ConnectionSpace):
         #: canonical interior base point used by experiment sweeps
         self.anchor = (np.zeros(self.dim) if anchor is None
                        else np.asarray(anchor, dtype=float))
-        # (connection, point bytes, tensor) of the last nabla_curvature
-        self._nabla_memo = None
 
     # -- kernels --------------------------------------------------------------
 
@@ -924,18 +923,10 @@ class ChartSpace(ConnectionSpace):
         return np.einsum("lijk,i,j,k->l", r, u, v, w)
 
     def _nabla_curvature(self, x, direction, u, v, w):
-        # the error predictor contracts the tensor twice at one point, and a
-        # sweep asks for it at the same anchor in every op: keep the last one
-        key = x.tobytes()
-        memo = self._nabla_memo
-        if memo is None or memo[0] is not self.conn or memo[1] != key:
-            memo = (self.conn, key, nabla_curvature_components(self.conn, x))
-            self._nabla_memo = memo
-        return np.einsum("mlijk,m,i,j,k->l", memo[2], direction, u, v, w)
+        dr = _cached_nabla_curvature(self.conn, x.tobytes())
+        return np.einsum("mlijk,m,i,j,k->l", dr, direction, u, v, w)
 
     def _inner(self, x, u, v):
-        if self.metric is None:
-            raise Unsupported(f"{self.name} has no metric")
         return float(u @ np.asarray(self.metric(x), dtype=float) @ v)
 
     def _tangent_basis(self, x):
@@ -951,7 +942,7 @@ class ChartSpace(ConnectionSpace):
         return 0.0 if _inside(self.conn, p.coords) else math.inf
 
     def random_point(self, rng: np.random.Generator) -> Point:
-        chart = rng.uniform(-self.sample_halfwidth, self.sample_halfwidth, self.dim)
+        chart = rng.uniform(-0.5, 0.5, self.dim)
         return Point(chart, self.name)
 
     def anchor_point(self) -> Point:

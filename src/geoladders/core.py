@@ -320,17 +320,21 @@ class ConnectionSpace(abc.ABC):
     # -- validation helpers --------------------------------------------------
 
     def point(self, coords) -> Point:
-        """Wrap raw coordinates as a Point owned by this space."""
+        """Wrap finite raw coordinates as a Point owned by this space."""
         arr = _as_float_array(coords)
         if arr.size != self.ambient_dim:
             raise ValueError(
                 f"{self.name} expects {self.ambient_dim} coordinates, got {arr.size}"
             )
+        _require_finite(arr, "point coordinates")
         return Point(arr, self.name)
 
     def tangent(self, p: Point, components) -> TangentVector:
+        """Wrap finite raw components as a vector at p."""
         self._check_point(p)
-        return TangentVector(p, components)
+        v = TangentVector(p, components)
+        self._check_base(v, p)
+        return v
 
     def _check_point(self, p: Point):
         if p.space_id != self.name:
@@ -342,12 +346,13 @@ class ConnectionSpace(abc.ABC):
         _require_finite(p.coords, "point coordinates")
 
     def _check_base(self, v: TangentVector, p: Point):
-        # every caller has just checked p itself
-        if v.base is p:
-            return
-        self._check_point(v.base)
-        if not _same_base(v.base.coords, p.coords):
-            raise InvalidBase("tangent vector is not based at the given point")
+        """The one rule for a vector argument: v is at p, and its components
+        are finite.  Every caller has just checked p itself."""
+        if v.base is not p:
+            self._check_point(v.base)
+            if not _same_base(v.base.coords, p.coords):
+                raise InvalidBase("tangent vector is not based at the given point")
+        _require_finite(v.components, "tangent components")
 
     def membership_residual(self, p: Point) -> float:
         """How far the point is from satisfying the space's membership constraint."""
@@ -363,7 +368,6 @@ class ConnectionSpace(abc.ABC):
         """Geodesic endpoint at time 1 starting from p with velocity v."""
         self._check_point(p)
         self._check_base(v, p)
-        _require_finite(v.components, "tangent components")
         if not v.components.any():
             return p
         return Point(self._exp(p.coords, v.components), self.name)
@@ -378,7 +382,6 @@ class ConnectionSpace(abc.ABC):
         """
         self._check_point(p)
         self._check_base(v, p)
-        _require_finite(v.components, "tangent components")
         ts = np.asarray(times, dtype=float)
         if ts.ndim != 1 or not all(map(math.isfinite, ts.tolist())):
             raise ValueError(f"times must be a finite 1-d sequence, got {times!r}")
@@ -407,7 +410,7 @@ class ConnectionSpace(abc.ABC):
         self._check_point(q)
         p = u.base
         self._check_point(p)
-        _require_finite(u.components, "tangent components")
+        self._check_base(u, p)
         if np.array_equal(p.coords, q.coords):
             return TangentVector(q, u.components.copy())
         return TangentVector(q, self._transport(p.coords, u.components, q.coords))
@@ -422,8 +425,7 @@ class ConnectionSpace(abc.ABC):
         p = u.base
         self._check_point(p)
         self._check_base(v, p)
-        _require_finite(u.components, "tangent components")
-        _require_finite(v.components, "tangent components")
+        self._check_base(u, p)
         if not v.components.any():
             return TangentVector(p, u.components.copy())
         y, uy = self._exp_transport(p.coords, u.components, v.components)

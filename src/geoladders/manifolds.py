@@ -28,7 +28,6 @@ from .core import (
     NotSPD,
     Point,
     ToleranceConfig,
-    Unsupported,
 )
 
 __all__ = [
@@ -196,6 +195,14 @@ def _check_hyperbolic_scale(theta, x):
             f"point with time coordinate {x[0]:.6g}")
 
 
+def _check_reflection_scale(bound):
+    # before a closed-form reflection runs, where numpy would only warn and
+    # return inf; about half the float range (1.8e308) leaves room for the
+    # bound's rounding, and a NaN bound fails too
+    if not bound <= 8.9e307:
+        raise NonFinite(f"reflection leaves the float range: bound {bound:.3g}")
+
+
 class Hyperbolic(ConnectionSpace):
     """Hyperbolic n-space on the upper hyperboloid <x, x> = -1, x0 > 0.
 
@@ -286,6 +293,11 @@ class Hyperbolic(ConnectionSpace):
         return np.column_stack(basis)
 
     def _geodesic_symmetry(self, x, y):
+        # no number below passes Y (1 + 2 X^2), X and Y the sums of the
+        # |coordinates| of x and y: |<x, y>| is at most XY
+        big_x = sum(map(abs, x.tolist()))
+        _check_reflection_scale(sum(map(abs, y.tolist()))
+                                * (1.0 + 2.0 * big_x * big_x))
         return -y - 2.0 * _mink(x, y) * x
 
     def random_point(self, rng):
@@ -439,6 +451,10 @@ class SPD(ConnectionSpace):
             raise NotSPD("point is not positive definite: its Cholesky "
                          "factorization failed") from None
         a = np.linalg.solve(low, self._mat(x))
+        # no number below passes 2 A^2, A the sum of the |entries| of a,
+        # which a NaN in a makes NaN
+        big = sum(map(abs, a.ravel().tolist()))
+        _check_reflection_scale(2.0 * big * big)
         return _sym(a.T @ a).ravel()
 
     def _curvature(self, x, u, v, w):
@@ -659,27 +675,40 @@ class BumpMetric2D(ChartSpace):
 
 # chart-level realizations of the fleet, for cross-validation
 
-def _stereographic_sphere_chart():
-    # plane chart of the unit 2-sphere, projection from the north pole;
-    # pullback metric 4 (dx^2 + dy^2) / (1 + r^2)^2.  The callbacks compute
-    # in Python floats, in the order of the numpy expressions they replaced,
-    # -2.0 * x / s and -2.0 * np.eye(2) / s + 4.0 * np.outer(x, x) / (s * s),
-    # so each value keeps its bits but r^2: numpy's x @ x went through BLAS,
-    # whose kernel may fuse the second product and its sum into one rounding
+def _disc_factor(k):
+    # grad_f and hess_f of the factor of the metric 4 |dx|^2 / (1 + k r^2)^2:
+    # the sphere's chart from its north pole at k = 1, the Poincare disc at
+    # k = -1.  In Python floats, in the order of the numpy expressions they
+    # replaced, -2k x / s and -2k I / s + 4 x x^T / s^2, so each value keeps
+    # its bits but r^2, where numpy's x @ x may fuse a product into its sum
+    def one_plus_kr2(x0, x1):
+        s = 1.0 + k * (x0 * x0 + x1 * x1)
+        # outside the unit disc (k < 0) the formulas give a metric of the
+        # wrong sign; a NaN passes on to the factor's finiteness check
+        if s <= 0.0:
+            raise DomainEscape(f"point ({x0}, {x1}) is outside the unit disc")
+        return s
+
     def grad_f(x):
         x0, x1 = x
-        s = 1.0 + (x0 * x0 + x1 * x1)
-        return [-2.0 * x0 / s, -2.0 * x1 / s]
+        s = one_plus_kr2(x0, x1)
+        return [-2.0 * k * x0 / s, -2.0 * k * x1 / s]
 
     def hess_f(x):
         x0, x1 = x
-        s = 1.0 + (x0 * x0 + x1 * x1)
+        s = one_plus_kr2(x0, x1)
         ss = s * s
-        # the identity's zero added -2.0 * 0.0 / s = -0.0, which is no change
-        off = 4.0 * (x0 * x1) / ss
-        return [[-2.0 / s + 4.0 * (x0 * x0) / ss, off],
-                [off, -2.0 / s + 4.0 * (x1 * x1) / ss]]
+        # the identity's zero adds -0.0 at k = 1, which is no change, and
+        # 0.0 at k = -1, which turns -0.0 into 0.0
+        off = -2.0 * k * 0.0 / s + 4.0 * (x0 * x1) / ss
+        return [[-2.0 * k / s + 4.0 * (x0 * x0) / ss, off],
+                [off, -2.0 * k / s + 4.0 * (x1 * x1) / ss]]
 
+    return grad_f, hess_f
+
+
+def _stereographic_sphere_chart():
+    grad_f, hess_f = _disc_factor(1.0)
     return ChartConnection.conformal(2, grad_f, hess_f=hess_f)
 
 
@@ -692,31 +721,8 @@ _RIM_MARGIN = 1e-9
 
 
 def _poincare_ball_chart():
-    # unit-disc chart of the hyperbolic plane, metric 4 (dx^2+dy^2)/(1-r^2)^2
-    def one_minus_r2(x0, x1):
-        # the box below holds the disc; outside the disc, the factor's
-        # formulas give a metric of the wrong sign
-        s = 1.0 - (x0 * x0 + x1 * x1)
-        if not s > 0.0:
-            raise DomainEscape(f"point ({x0}, {x1}) is outside the unit disc")
-        return s
-
-    # in Python floats, as on the sphere's chart
-    def grad_f(x):
-        x0, x1 = x
-        s = one_minus_r2(x0, x1)
-        return [2.0 * x0 / s, 2.0 * x1 / s]
-
-    def hess_f(x):
-        x0, x1 = x
-        s = one_minus_r2(x0, x1)
-        ss = s * s
-        # the identity's zero added 2.0 * 0.0 / s = 0.0, which turns -0.0
-        # into 0.0
-        off = 0.0 + 4.0 * (x0 * x1) / ss
-        return [[2.0 / s + 4.0 * (x0 * x0) / ss, off],
-                [off, 2.0 / s + 4.0 * (x1 * x1) / ss]]
-
+    # the box holds the disc
+    grad_f, hess_f = _disc_factor(-1.0)
     return ChartConnection.conformal(
         2, grad_f,
         chart_bounds=(np.array([-0.999, -0.999]), np.array([0.999, 0.999])),

@@ -24,6 +24,8 @@ from geoladders import (
     make_chart,
     make_space,
     nabla_curvature_components,
+    pole_error_measured,
+    pole_error_predicted,
     transport_ode,
 )
 from geoladders import chart
@@ -1352,6 +1354,22 @@ def test_nabla_curvature_is_built_once_per_point_and_connection(monkeypatch):
     space.nabla_curvature(q, b, b, b, b)
     space.nabla_curvature(q, b, b, b, b)
     assert calls["nabla_curvature_components"] == 3
+
+
+def test_a_sweep_op_leaves_the_space_unchanged():
+    # a space is immutable after construction: the measured error and the
+    # predictor, with its cached tensor, keep nothing in the space
+    space = make_space("bump2d")
+    m = space.anchor_point()
+    u, v = (0.1 * space.random_direction(np.random.default_rng(s), m)
+            for s in (1, 2))
+    before = dict(vars(space))
+    anchor = space.anchor.copy()
+    pole_error_measured(space, m, u, v)
+    pole_error_predicted(space, m, u, v)
+    assert vars(space).keys() == before.keys()
+    assert all(vars(space)[k] is before[k] for k in before)
+    assert np.array_equal(space.anchor, anchor)
 
 
 # -- transport ------------------------------------------------------------------

@@ -475,6 +475,58 @@ def test_out_of_range_setting_is_a_config_error(tmp_path, capsys, name, value):
     assert f"config error: {name} must be finite" in capsys.readouterr().err
 
 
+# {cfg} is a config file holding the case's text, or no file when the text
+# is None; {tmp} is an empty directory
+@pytest.mark.parametrize("args, text, message", [
+    (["transport"], None, "a manifold name is required"),
+    (["transport", "--manifold", "sphere-2", "--config", "{cfg}"],
+     "seed = abc\n", "bad int for seed: 'abc'"),
+    (["transport", "--manifold", "sphere-2", "--config", "{cfg}"],
+     None, "cannot read config file"),
+    (["transport", "--manifold", "sphere-2", "--config", "{cfg}"],
+     "seed 3\n", ":1: expected key=value"),
+    (["transport", "--manifold", "sphere-2", "--config", "{cfg}"],
+     "scheme = ladder\n", "unknown scheme 'ladder'"),
+    (["convergence", "--manifold", "sphere-2", "--h-min", "0.5",
+      "--h-max", "0.5"], None, "h_min must be smaller than h_max"),
+    (["transport", "--manifold", "sphere-2", "--n-rungs", "0"], None,
+     "n_rungs must be at least 1"),
+    (["exactness", "--trials", "0"], None, "trials must be at least 1"),
+    (["exactness", "--manifold", "bump2d"], None,
+     "bump2d is not flagged locally symmetric"),
+    (["exactness", "--trials", "2", "--output", "{tmp}/missing/x.csv"], None,
+     "cannot write"),
+    (["exactness", "--trials", "2", "--output", "{tmp}"], None,
+     "cannot write"),
+], ids=["no-manifold", "bad-typed-value", "unreadable-config", "no-equals",
+        "unknown-scheme", "h-min-not-below-h-max", "no-rungs", "no-trials",
+        "not-symmetric", "output-in-missing-dir", "output-is-a-dir"])
+def test_config_errors_exit_1_with_their_message(tmp_path, capsys, args, text,
+                                                 message):
+    cfg = tmp_path / "run.cfg"
+    if text is not None:
+        cfg.write_text(text)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    argv = [a.format(cfg=cfg, tmp=out_dir) for a in args]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error:")
+    assert message in captured.err
+    assert captured.out == ""
+
+
+def test_override_without_u_draws_it_from_the_seed(tmp_path, capsys):
+    cfg = tmp_path / "pq.cfg"
+    cfg.write_text("p = 1,0,0\nq = 0,1,0\n")
+    runs = []
+    for _ in range(2):
+        assert main(["transport", "--manifold", "sphere-2",
+                     "--config", str(cfg)]) == 0
+        runs.append(capsys.readouterr().out)
+    assert runs[0] == runs[1] and runs[0].startswith("manifold,")
+
+
 def test_negative_seed_is_a_config_error(capsys):
     assert main(["transport", "--manifold", "sphere-2", "--seed", "-1"]) == 1
     assert "config error: seed must be >= 0" in capsys.readouterr().err

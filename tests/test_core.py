@@ -249,6 +249,16 @@ def test_non_finite_inputs_raise_non_finite(name, bad):
         space.transport(bad_u, q)
     with pytest.raises(NonFinite):
         space.transport(u, bad_p)
+    # every vector argument is checked, curvature's too
+    with pytest.raises(NonFinite):
+        space.curvature(p, u, bad_u, u)
+    with pytest.raises(NonFinite):
+        space.nabla_curvature(p, u, u, u, bad_u)
+    # and outside coordinates where they enter
+    with pytest.raises(NonFinite):
+        space.point(bad_p.coords)
+    with pytest.raises(NonFinite):
+        space.tangent(p, bad_u.components)
 
 
 @pytest.mark.parametrize("name", ["sphere-2", "bump2d"])

@@ -318,6 +318,17 @@ def test_spd_rejects_non_positive_matrices():
         spd.geodesic_symmetry(eye, bad)
 
 
+@pytest.mark.parametrize("name, m, p", [
+    ("hyperbolic-2", [1e160, 1e160, 0.0], [1e160, -1e160, 0.0]),
+    ("spd-3", 1e200 * np.eye(3).ravel(), 1e-200 * np.eye(3).ravel()),
+])
+def test_symmetry_out_of_the_float_range_raises_non_finite(name, m, p):
+    # finite inputs whose reflection overflows: NonFinite, not a warning
+    space = make_space(name)
+    with pytest.raises(NonFinite, match="leaves the float range"):
+        space.geodesic_symmetry(space.point(m), space.point(p))
+
+
 @pytest.mark.parametrize("kind", POLE_SCHEMES)
 def test_spd_pole_kind_factors_each_base_once(monkeypatch, kind):
     # the bases a pole step factors: p (the midpoint, exp_p(+-u)), exp_p(u)
