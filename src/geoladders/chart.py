@@ -9,7 +9,11 @@ shooting's first guess.  The ODEs are
 integrated by the module's own step loop of the Dormand-Prince 8(5,3) pair,
 which takes scipy's DOP853 steps with its coefficients, error norm and step
 control, but checks the chart's box, a step budget and that each step moves
-the state as it goes.  It holds scipy's tableau as literals, pinned equal
+the state as it goes, and evaluates the derivative at a step's end only
+when the step is accepted and another follows, whose first stage it is.
+The shooting's first trial, which only seeds its quasi-Newton solve, runs
+at a looser tolerance than the flows that decide convergence.  The loop
+holds scipy's tableau as literals, pinned equal
 to scipy's by a test, so importing the module does not load scipy.  At the
 dimensions of these charts numpy's per-call cost exceeds the arithmetic, so
 the loop holds the state, the stages and the error estimates as lists of
@@ -31,7 +35,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from operator import le, mul
 from typing import Callable, Sequence
 
@@ -285,7 +289,10 @@ def _dop853(conn: ChartConnection, rhs, z: np.ndarray, f: list,
     """Integrate z' = rhs(z) from time 0 to t, starting from the derivative
     f = rhs(z) and a first step of h_abs; returns the state at t and the
     numbers of accepted and rejected steps.  rhs takes the state as a list
-    of Python floats and returns its derivative as one.
+    of Python floats and returns its derivative as one.  A step attempt
+    evaluates rhs at its 11 later stages; an accepted step short of t also
+    evaluates it at its end, the next step's first stage, which the error
+    estimates weigh by 0, so the last step does not.
 
     The steps are scipy's DOP853 steps: the same stages, the same error norm
     and the same step-size control, without the solver object around them.
@@ -294,9 +301,10 @@ def _dop853(conn: ChartConnection, rhs, z: np.ndarray, f: list,
     at these state sizes numpy's per-call cost exceeded the arithmetic.  The
     sums round otherwise than scipy's products, so the endpoint can differ
     from scipy's in its last bits.  Only the first ``controlled`` components
-    enter the error norm.  A stage whose right-hand side raises
-    DomainEscape, or NonFinite at a non-finite state, makes the step's error
-    NaN, and the step is rejected.  Every accepted state must be finite,
+    enter the error norm.  A stage, or the derivative at the end of a step
+    that passed the error test, whose right-hand side raises DomainEscape,
+    or NonFinite at a non-finite state, makes the step's error NaN, and the
+    step is rejected.  Every accepted state must be finite,
     inside the chart's box and, when the connection has one, pass its
     interior test; the DomainEscape raised otherwise names the test that
     failed.  An accepted step short of t that leaves the state unchanged
@@ -389,15 +397,7 @@ def _dop853(conn: ChartConnection, rhs, z: np.ndarray, f: list,
                                + b9 * p9 + b10 * p10 + b11 * p11 + b12 * p12)
                      for zi, p1, p6, p7, p8, p9, p10, p11, p12
                      in zip(z, k1, k6, k7, k8, k9, k10, k11, k12)]
-                z_new, f_new = y, rhs(y)
-            except (DomainEscape, NonFinite) as err:
-                # a stage of a too-long step overflowed or left the
-                # connection's domain; symbols that are not finite at a
-                # finite state still raise
-                if isinstance(err, NonFinite) and all(map(math.isfinite, y)):
-                    raise
-                error_norm = math.nan
-            else:
+                z_new = y
                 # scipy's error norm: the fifth- and third-order estimates,
                 # scaled componentwise by atol + max(|z|, |z_new|) rtol (the
                 # larger of the two, or NaN where z_new is), summed squared
@@ -417,6 +417,19 @@ def _dop853(conn: ChartConnection, rhs, z: np.ndarray, f: list,
                 # is small against it (Hairer, Norsett & Wanner, II.10)
                 error_norm = (h * e5 / math.sqrt((e5 + 0.01 * e3) * controlled)
                               if e5 else 0.0)
+                if error_norm < 1.0 and s_new < t:
+                    # the derivative at the end of an accepted step is the
+                    # next step's first stage, which the error estimates
+                    # weigh by 0
+                    f = rhs(y)
+            except (DomainEscape, NonFinite) as err:
+                # a stage of a too-long step, or the end of one that passed
+                # the error test, overflowed or left the connection's
+                # domain; symbols that are not finite at a finite state
+                # still raise
+                if isinstance(err, NonFinite) and all(map(math.isfinite, y)):
+                    raise
+                error_norm = math.nan
             if error_norm < 1.0:
                 factor = _MAX_FACTOR
                 if error_norm > 0.0:
@@ -447,7 +460,7 @@ def _dop853(conn: ChartConnection, rhs, z: np.ndarray, f: list,
             raise DomainEscape(
                 f"adaptive integrator stalled: a step of {h:.3g} at "
                 f"t={s:.6g} left the state unchanged", s, accepted, rejected)
-        s, z, f = s_new, z_new, f_new
+        s, z = s_new, z_new
     return np.array(z), accepted, rejected
 
 
@@ -474,7 +487,8 @@ def _integrate(conn: ChartConnection, rhs, z0: np.ndarray, t: float,
         # cannot be evaluated; the interior test, which every accepted state
         # passes too, follows it so that such a point reports the connection's
         # own reason, and both apply to a flow of no time
-        f0 = rhs(z0.tolist())
+        z = z0.tolist()
+        f0 = rhs(z)
         if conn.interior is not None and not conn.interior(x0):
             raise DomainEscape("initial point outside the chart's interior")
         if t == 0.0:
@@ -483,10 +497,10 @@ def _integrate(conn: ChartConnection, rhs, z0: np.ndarray, t: float,
         # state by its own size, capped at the whole interval; scipy's default
         # sizes it from the tolerance alone, which costs a short flow three
         # steps instead of one, while the bound keeps a fast flow's first
-        # stages finite
-        # math.sqrt(x @ x) is np.linalg.norm(x) of a 1-d array, bit for bit
-        fnorm = math.sqrt(np.dot(f0, f0))
-        h0 = min(t, math.sqrt(z0 @ z0) / fnorm) if fnorm else t
+        # stages finite.  The norms are sums in Python floats, which round
+        # alike on every CPU, where BLAS's dot may fuse its products
+        fnorm = math.sqrt(sum(map(mul, f0, f0)))
+        h0 = min(t, math.sqrt(sum(map(mul, z, z))) / fnorm) if fnorm else t
         if not h0 > 0.0:
             raise DomainEscape(
                 f"initial derivative of norm {fnorm:.3g} overflows the state")
@@ -569,11 +583,12 @@ def _jacobi_flow(conn: ChartConnection, x: np.ndarray, v: np.ndarray,
     The Jacobi fields (dx_j, dv_j) with dx_j(0) = 0, dv_j(0) = e_j solve the
     variational equation dx' = dv, dv' = -2 G(x)(v, dv) - (d_dx G)(v, v);
     they are integrated with the geodesic in one augmented flow, and dx_j(1)
-    is column j of the Jacobian.  Only the geodesic is error-controlled, at
-    the error norm of a plain flow, so the flow takes about a plain flow's
-    steps, though not the same ones: its start rule sees the whole state.
-    The fields, which seed a quasi-Newton Jacobian, come out accurate to a
-    few 1e-12 on those steps.
+    is column j of the Jacobian.  Only the geodesic is error-controlled, by
+    the error norm of a plain flow at the given tolerances, so at equal
+    tolerances the flow takes about a plain flow's steps, though not the
+    same ones: its start rule sees the whole state.  The fields, which seed
+    a quasi-Newton Jacobian, come out accurate to a few 1e-12 on those
+    steps; log_shooting runs the flow at the looser ``_seed_tolerances``.
     """
     d = conn.dim
 
@@ -627,6 +642,18 @@ def _shooting_start(conn: ChartConnection, x: np.ndarray, d: np.ndarray):
     return v if np.linalg.norm(v - d) <= 0.25 * np.linalg.norm(d) else d
 
 
+def _seed_tolerances(tolerances: ToleranceConfig) -> ToleranceConfig:
+    """The tolerances of the Jacobi flow that seeds a shooting solve: its
+    relative tolerance is the solve's to the power 3/4, 1e-9 at the default
+    1e-12, and never tighter than the solve's.  The seed's endpoint and
+    Jacobian only start the quasi-Newton iteration, which decides
+    convergence on the flows ``exp`` integrates at the solve's own
+    tolerance, so a seed more accurate than its first step buys nothing
+    (inexact Newton: Dembo, Eisenstat & Steihaug, 1982)."""
+    rtol = tolerances.ode_rel_tol
+    return replace(tolerances, ode_rel_tol=max(rtol, rtol ** 0.75))
+
+
 def log_shooting(conn: ChartConnection, x, y,
                  tolerances: ToleranceConfig | None = None):
     """Solve exp_x(v) = y for v by a quasi-Newton solve on the endpoint residual.
@@ -634,8 +661,12 @@ def log_shooting(conn: ChartConnection, x, y,
     On a connection with ``hess_f`` the initial guess is the third-order
     inverse of the geodesic's Taylor series at x, or the chart difference
     y - x where that series is far off, and the first trial integrates the
-    Jacobi fields with the geodesic, which gives the exact Jacobian of the
-    endpoint map at the guess.  On one with only symbols the guess is the
+    Jacobi fields with the geodesic, which gives the Jacobian of the
+    endpoint map at the guess.  That trial only seeds the solve, so it runs
+    at ``_seed_tolerances``, a relative tolerance of 1e-9 at the default
+    1e-12; every later trial, and the flow that confirms a guess, is the
+    plain flow ``exp`` integrates at ``ode_rel_tol``, so a returned v meets
+    the target on ``exp``'s map.  On one with only symbols the guess is the
     chart difference, the first trial a plain geodesic integration, and the
     Jacobian starts from its first-order model I - G(x)(v, .).  Either guess
     converges inside convex normal neighborhoods.  Every later trial is one
@@ -691,7 +722,7 @@ def log_shooting(conn: ChartConnection, x, y,
     else:
         v = _shooting_start(conn, x, y - x)
         try:
-            end, jac = _jacobi_flow(conn, x, v, tolerances)
+            end, jac = _jacobi_flow(conn, x, v, _seed_tolerances(tolerances))
         except (MaxStepsExceeded, DomainEscape) as err:
             raise failed(rnorm, err) from err
         if np.linalg.norm(end - y) <= residual_tol:

@@ -10,8 +10,10 @@ Exit codes: 0 ok, 1 config error, 2 numerical error, 3 insufficient data,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import math
+import os
 import sys
 from dataclasses import dataclass, fields, replace
 from typing import get_args, get_type_hints
@@ -218,6 +220,30 @@ class _CsvSink:
                     fh.write(text)
             except OSError as err:
                 raise ConfigError(f"cannot write {self.path}: {err}") from None
+
+
+@contextlib.contextmanager
+def _writable_output(path: str | None):
+    """Check that the --output path can be written before the command does
+    any work.  A missing file is created empty, and removed again if the
+    command raises; an existing one is left as it is until the command's
+    rows are written."""
+    if path is None:
+        yield
+        return
+    created = not os.path.lexists(path)
+    try:
+        # append mode creates a missing file and changes no existing one
+        open(path, "a", encoding="utf-8").close()
+    except OSError as err:
+        raise ConfigError(f"cannot write {path}: {err}") from None
+    try:
+        yield
+    except BaseException:
+        if created:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +564,8 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         cfg = _make_config(args)
-        return _COMMANDS[args.command][0](cfg)
+        with _writable_output(cfg.output):
+            return _COMMANDS[args.command][0](cfg)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 1

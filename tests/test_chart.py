@@ -234,7 +234,7 @@ def test_flow_that_leaves_the_interior_inside_the_box_says_so():
 def test_flow_through_the_chart_singularity_is_domain_escape():
     # the stereographic chart has no bounds; from the origin at this speed
     # the geodesic reaches the north pole, the chart's point at infinity,
-    # and the adaptive step size underflows before t = 1, after 7,117
+    # and the adaptive step size underflows before t = 1, after 7,113
     # connection evaluations; a 4(5) pair spends about 29,000 getting there
     counter = CountingChristoffel(make_chart("sphere2-stereographic"))
     with pytest.raises(DomainEscape, match="step size"):
@@ -251,10 +251,12 @@ def test_adaptive_step_budget_stops_a_running_solve(bump, monkeypatch):
         geodesic_flow(counter.conn, [0.0, 0.0], [0.4, 0.3], 1.0,
                       bump.tolerances)
     # the solve stops at its budget of step attempts instead of running to
-    # t = 1: the start rule's evaluation and 12 per attempt, accepted or not
-    assert counter.calls == 1 + 12 * chart._MAX_STEPS < full.calls
+    # t = 1: the start rule's evaluation, 11 stages per attempt, accepted or
+    # not, and the derivative at the end of each accepted step short of t
     err = info.value
     assert (err.accepted, err.rejected) == (3, 2)
+    assert (counter.calls == 1 + 11 * chart._MAX_STEPS + err.accepted
+            < full.calls)
     assert 0.0 < err.t < 1.0
 
 
@@ -286,14 +288,15 @@ def test_flow_into_a_wall_of_the_domain_is_domain_escape():
     assert (err.accepted, err.rejected) == (10, 22)
     assert err.t == pytest.approx(1e-9, rel=1e-4)
     # a flow at rest, or too slow to move the state, is not stalled: its
-    # one step ends the interval
+    # one step ends the interval, after the start rule's evaluation and the
+    # step's 11 stages
     for v in ([0.0, 0.0], [1e-20, 0.0]):
         counter.calls = 0
         pos, vel = geodesic_flow(counter.conn, x, v)
         u_t, _, _ = transport_ode(counter.conn, [0.0, 1.0], x, v)
         assert pos.tolist() == x and vel.tolist() == v
         assert u_t.tolist() == [0.0, 1.0]
-        assert counter.calls == 2 * 13
+        assert counter.calls == 2 * 12
 
 
 @pytest.mark.parametrize("start, attempts", [
@@ -351,7 +354,7 @@ def test_step_loop_errors_carry_their_evidence():
 
 # the bump's short flows, as the pole ladder makes them at scales h <= 0.1;
 # along the bump's gradient, (1, 0), a |v| = 0.1 flow still has its first
-# step rejected and makes 37 evaluations
+# step rejected and makes 35 evaluations
 _START_X = np.array([0.3, 0.1])
 _START_DIR = np.array([0.6, 0.8])
 
@@ -359,8 +362,8 @@ _START_DIR = np.array([0.6, 0.8])
 @pytest.mark.parametrize("speed", [0.02, 0.05, 0.1])
 def test_short_flow_takes_one_adaptive_step(bump, speed):
     # the first step spans the whole interval and passes the error test:
-    # the start rule's evaluation and one 12-stage step, 13 in all; scipy's
-    # tolerance-sized first step took three steps, 38 in all
+    # the start rule's evaluation and the step's 11 later stages, 12 in all;
+    # scipy's tolerance-sized first step took three steps, 38 in all
     v = speed * _START_DIR
     u = speed * np.array([-0.8, 0.6])
     flow = CountingChristoffel(bump.conn)
@@ -396,6 +399,42 @@ def _record_solves(monkeypatch):
 
     monkeypatch.setattr(chart, "_dop853", recorded)
     return solves
+
+
+def test_flow_evaluates_the_derivative_only_where_a_step_follows(
+        bump, monkeypatch):
+    # the start rule's evaluation, the 11 later stages of each attempt,
+    # accepted or rejected, and the derivative at the end of each accepted
+    # step short of t, the next step's first stage: 94 evaluations here,
+    # where computing it after every attempt made 101
+    solves = _record_solves(monkeypatch)
+    counter = CountingChristoffel(bump.conn)
+    geodesic_flow(counter.conn, [0.0, 0.0], [0.4, 0.3])
+    [(_, _, accepted, rejected)] = solves
+    assert (accepted, rejected) == (6, 2)
+    assert counter.calls == 1 + 11 * (accepted + rejected) + accepted - 1
+
+
+def test_flow_of_no_time_returns_its_start(bump, monkeypatch):
+    # a flow of length 0 runs no step loop, but its start rule's evaluation
+    # still checks that the connection can be evaluated there
+    solves = _record_solves(monkeypatch)
+    counter = CountingChristoffel(bump.conn)
+    x, v, u = [0.3, 0.1], [0.4, -0.3], [0.0, 1.0]
+    pos, vel = geodesic_flow(counter.conn, x, v, 0.0)
+    u_t, _, _ = transport_ode(counter.conn, u, x, v, 0.0)
+    assert pos.tolist() == x and vel.tolist() == v and u_t.tolist() == u
+    assert counter.calls == 2
+    assert solves == []
+
+    def grad_f(x):
+        if x[0] > 0.5:
+            raise DomainEscape("beyond the wall")
+        return [0.0, 0.0]
+
+    with pytest.raises(DomainEscape, match="beyond the wall"):
+        geodesic_flow(ChartConnection.conformal(2, grad_f), [0.6, 0.0],
+                      [1.0, 0.0], 0.0)
 
 
 def _scipy_steps(rhs, z0, t, h0, rtol, atol, controlled):
@@ -1102,9 +1141,11 @@ def test_bump_log_christoffel_budget(bump):
     # five solves; the quasi-Newton solve seeded with I - G(x)(v, .) spent
     # 2,463 (2,451 with scipy's tolerance-sized first step, 5,781 when its
     # flows ran on a 4(5) pair instead of DOP853), and seeded with the
-    # Jacobi-field Jacobian it spends 2,170, each of whose Jacobi right-hand
+    # Jacobi-field Jacobian it spent 2,170, each of whose Jacobi right-hand
     # sides reads grad_f and hess_f once (2,201 while the start rule's
-    # evaluation was repeated as the first stage)
+    # evaluation was repeated as the first stage).  It spent 2,073 while
+    # each step also evaluated the derivative at its end, after the last
+    # step too, and the seed ran at the solve's tolerance; it spends 1,771
     counter = CountingChristoffel(bump.conn)
     for x, _, y in _bump_round_trips(bump):
         log_shooting(counter.conn, x, y, bump.tolerances)
@@ -1206,12 +1247,14 @@ def test_line_search_trial_that_leaves_the_chart_is_rejected(name, x, y, v):
 
 def test_line_search_with_every_trial_escaping_raises_current_residual(
         monkeypatch):
-    # after the first trial, the Jacobi flow, every geodesic flow escapes:
-    # the five trials of the first iteration are rejected
+    # after the first trial, the Jacobi flow at the seed's tolerance, every
+    # geodesic flow escapes: the five trials of the first iteration are
+    # rejected
     conn = make_chart("sphere2-stereographic")
     x, y = np.zeros(2), np.array([0.9, 0.4])
     v0 = chart._shooting_start(conn, x, y - x)
-    end, _ = chart._jacobi_flow(conn, x, v0, ToleranceConfig())
+    end, _ = chart._jacobi_flow(conn, x, v0,
+                                chart._seed_tolerances(ToleranceConfig()))
     start = np.linalg.norm(end - y)
     flows = _flows_failing_after(monkeypatch, 0, DomainEscape)
     with pytest.raises(NoConvergence, match="line search") as info:
@@ -1257,21 +1300,144 @@ def test_rejected_trials_update_the_shooting_jacobian(bump, x, y):
     assert np.linalg.norm(end - y) <= 1e-11
 
 
-def test_far_bump_pairs_all_converge_without_warnings(bump):
+def _far_bump_pairs():
     # targets up to 1.6 out in each coordinate, far outside the sampling
-    # square; an overflowing line-search trial once escaped the 43rd solve
-    # as a RuntimeWarning
+    # square
     rng = np.random.default_rng(5)
     xs = rng.uniform(-0.5, 0.5, (60, 2))
     ys = rng.uniform(-1.6, 1.6, (60, 2))
+    return list(zip(xs, ys))
+
+
+def test_far_bump_pairs_all_converge_without_warnings(bump):
+    # an overflowing line-search trial once escaped the 43rd solve as a
+    # RuntimeWarning
     worst = 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for x, y in zip(xs, ys):
+        for x, y in _far_bump_pairs():
             v, _ = log_shooting(bump.conn, x, y, bump.tolerances)
             end, _ = geodesic_flow(bump.conn, x, v, 1.0, bump.tolerances)
             worst = max(worst, np.linalg.norm(end - y))
     assert worst <= 1e-13
+
+
+def _bump_log_pairs(bump):
+    return ([(x, y) for x, _, y in _bump_round_trips(bump)]
+            + _far_bump_pairs())
+
+
+def test_only_the_shooting_seed_runs_at_the_seed_tolerance(bump, monkeypatch):
+    # the Jacobi flow that seeds each log, with its 12-component state, runs
+    # at the seed's looser tolerance; every line-search trial, polishing
+    # step and confirmation is a plain flow at the solve's own, the map exp
+    # integrates
+    tol = bump.tolerances
+    seed = chart._seed_tolerances(tol)
+    assert seed.ode_rel_tol > tol.ode_rel_tol
+    assert seed.ode_abs_tol == tol.ode_abs_tol
+    pairs = _bump_log_pairs(bump)
+    solves = _record_solves(monkeypatch)
+    for x, y in pairs:
+        solves.clear()
+        log_shooting(bump.conn, x, y, tol)
+        (first, *_), *rest = solves
+        assert first[2].size == 12
+        assert first[-3:] == (seed.ode_rel_tol, seed.ode_abs_tol, 4)
+        assert rest
+        for args, *_ in rest:
+            assert args[2].size == 4
+            assert args[-3:] == (tol.ode_rel_tol, tol.ode_abs_tol, 4)
+
+
+def test_a_tighter_shooting_seed_saves_no_iterations(bump, monkeypatch):
+    # the seed only starts the quasi-Newton solve: integrated at the
+    # solve's own tolerance it costs more steps and buys no iteration.  On
+    # these 65 logs both seeds take 492 iterations, where two far logs
+    # trade one (12 and 6 iterations against 11 and 7), and the tighter one
+    # spends 174,715 evaluations against 165,131
+    pairs = _bump_log_pairs(bump)
+
+    def iterations():
+        return sum(log_shooting(bump.conn, x, y, bump.tolerances)[1]
+                   for x, y in pairs)
+
+    loose = iterations()
+    jacobi_flow = chart._jacobi_flow
+    monkeypatch.setattr(
+        chart, "_jacobi_flow",
+        lambda conn, x, v, tolerances: jacobi_flow(conn, x, v,
+                                                   bump.tolerances))
+    assert iterations() >= loose
+
+
+def test_singular_shooting_jacobian_is_no_convergence():
+    # on a line with G = 1 the geodesic from 0 at speed v ends at
+    # log(1 + v): the first trial, v = y - x = 1, misses y = 1, and the
+    # first-order Jacobian 1 - G v there is 0
+    conn = ChartConnection(dim=1, christoffel=lambda x: np.ones((1, 1, 1)))
+    with pytest.raises(NoConvergence, match="singular") as info:
+        log_shooting(conn, [0.0], [1.0])
+    assert info.value.residual == pytest.approx(1.0 - math.log(2.0))
+
+
+@pytest.mark.parametrize("failure", ["flow", "solve"])
+def test_failed_polishing_step_keeps_the_converged_velocity(
+        bump, monkeypatch, failure):
+    # the step after convergence is kept only if it lowers the residual; a
+    # singular Jacobian or a flow that fails there leaves the last
+    # quasi-Newton trial's velocity, and the step still counts
+    x, _, y = next(_bump_round_trips(bump))
+    flows = _flows_failing_after(monkeypatch, math.inf, DomainEscape)
+    solve, solves = np.linalg.solve, []
+
+    def counted_solve(a, b):
+        solves.append(a)
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counted_solve)
+    v_ref, iters_ref = log_shooting(bump.conn, x, y, bump.tolerances)
+    # the polishing flow was the last, and it was kept
+    assert np.array_equal(flows[-1][2], v_ref)
+    converged = flows[-2][2]
+    assert not np.array_equal(converged, v_ref)
+    n_flows, n_solves = len(flows), len(solves)
+    if failure == "flow":
+        flows = _flows_failing_after(monkeypatch, n_flows - 1, DomainEscape)
+    else:
+        def failing_solve(a, b):
+            solves.append(a)
+            if len(solves) == n_solves:
+                raise np.linalg.LinAlgError("injected")
+            return solve(a, b)
+
+        solves.clear()
+        monkeypatch.setattr(np.linalg, "solve", failing_solve)
+    v, iters = log_shooting(bump.conn, x, y, bump.tolerances)
+    assert np.array_equal(v, converged)
+    assert iters == iters_ref
+
+
+@pytest.mark.parametrize("beyond", [DomainEscape("beyond the wall"),
+                                    [math.nan, 0.0]],
+                         ids=["domain-escape", "not-finite"])
+def test_third_order_guess_falls_back_where_the_connection_fails(beyond):
+    # x + d/3 lies past a wall beyond which the connection raises or is not
+    # finite: the guess is the chart difference d itself
+    def grad_f(x):
+        if x[0] > 0.5:
+            if isinstance(beyond, Exception):
+                raise beyond
+            return beyond
+        return [0.5 * x[0], 0.0]
+
+    conn = ChartConnection.conformal(2, grad_f)
+    x = np.array([0.4, 0.0])
+    d = np.array([0.4, 0.1])
+    assert np.array_equal(chart._shooting_start(conn, x, d), d)
+    # a step that stays before the wall moves the guess
+    assert not np.array_equal(chart._shooting_start(conn, x, 0.1 * d),
+                              0.1 * d)
 
 
 # -- Jacobi fields ---------------------------------------------------------------
@@ -1304,9 +1470,11 @@ def test_jacobi_flow_reads_gradient_and_hessian_once_per_evaluation(
     counter = CountingChristoffel(bump.conn)
     chart._jacobi_flow(counter.conn, _START_X, 0.3 * _START_DIR,
                        ToleranceConfig())
-    # the start rule's evaluation and 12 per step attempt
+    # the start rule's evaluation, 11 stages per step attempt and the
+    # derivative at the end of each accepted step but the last
     [(_, _, accepted, rejected)] = solves
-    assert counter.calls == 2 * (1 + 12 * (accepted + rejected))
+    assert counter.calls == 2 * (1 + 11 * (accepted + rejected)
+                                 + accepted - 1)
 
 
 def test_jacobi_flow_controls_the_geodesic_at_a_plain_flows_error_norm(

@@ -516,6 +516,41 @@ def test_config_errors_exit_1_with_their_message(tmp_path, capsys, args, text,
     assert captured.out == ""
 
 
+def test_unwritable_output_is_reported_before_any_work(monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cli, "exactness_sweep",
+                        lambda *args: calls.append(args))
+    assert main(["exactness", "--trials", "2",
+                 "--output", "/nonexistent/x.csv"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: cannot write "
+                                   "/nonexistent/x.csv")
+    assert captured.out == ""
+    assert calls == []
+
+
+@pytest.mark.parametrize("existing", [True, False],
+                         ids=["existing-file", "new-file"])
+def test_failed_run_leaves_the_output_as_it_was(tmp_path, monkeypatch, capsys,
+                                                existing):
+    # the output is checked before the run and written after it: a run that
+    # fails in between leaves an existing file untouched and removes the one
+    # it created
+    def failing_sweep(*args):
+        raise NonFinite("injected")
+
+    monkeypatch.setattr(cli, "exactness_sweep", failing_sweep)
+    out = tmp_path / "x.csv"
+    if existing:
+        out.write_text("old rows\n")
+    assert main(["exactness", "--trials", "2", "--output", str(out)]) == 2
+    assert "NonFinite: injected" in capsys.readouterr().err
+    if existing:
+        assert out.read_text() == "old rows\n"
+    else:
+        assert not out.exists()
+
+
 def test_override_without_u_draws_it_from_the_seed(tmp_path, capsys):
     cfg = tmp_path / "pq.cfg"
     cfg.write_text("p = 1,0,0\nq = 0,1,0\n")
