@@ -200,50 +200,45 @@ def _fmt(x) -> str:
 
 
 class _CsvSink:
-    def __init__(self, path: str | None):
-        self.path = path
+    """The run's CSV rows, each ending with the config hash, written once
+    to --output or stdout when the command returns.  Entering checks that
+    --output can be written before any work, creating a missing file that
+    a failing run removes again; an existing file keeps its bytes until
+    the rows are written."""
+
+    def __init__(self, cfg: ExperimentConfig):
+        self.path = cfg.output
+        self.chash = cfg.config_hash()
         self.lines: list[str] = []
+        self.created = False
+
+    def __enter__(self):
+        if self.path is not None:
+            self.created = not os.path.lexists(self.path)
+            try:
+                # append mode creates a missing file and changes no existing one
+                open(self.path, "a", encoding="utf-8").close()
+            except OSError as err:
+                raise ConfigError(f"cannot write {self.path}: {err}") from None
+        return self
+
+    def __exit__(self, kind, err, tb):
+        if kind is None:
+            with (contextlib.nullcontext(sys.stdout) if self.path is None else
+                  open(self.path, "w", encoding="utf-8", newline="\n")) as out:
+                out.write("\n".join(self.lines) + "\n")
+        elif self.created:
+            with contextlib.suppress(OSError):
+                os.remove(self.path)
+
+    def header(self, *names):
+        self.lines.append(",".join(names + ("config_hash",)))
 
     def row(self, *cells):
-        self.lines.append(",".join(_fmt(c) for c in cells))
+        self.lines.append(",".join(_fmt(c) for c in cells + (self.chash,)))
 
     def comment(self, text: str):
         self.lines.append(f"# {text}")
-
-    def flush(self):
-        text = "\n".join(self.lines) + "\n"
-        if self.path is None:
-            sys.stdout.write(text)
-        else:
-            try:
-                with open(self.path, "w", encoding="utf-8", newline="\n") as fh:
-                    fh.write(text)
-            except OSError as err:
-                raise ConfigError(f"cannot write {self.path}: {err}") from None
-
-
-@contextlib.contextmanager
-def _writable_output(path: str | None):
-    """Check that the --output path can be written before the command does
-    any work.  A missing file is created empty, and removed again if the
-    command raises; an existing one is left as it is until the command's
-    rows are written."""
-    if path is None:
-        yield
-        return
-    created = not os.path.lexists(path)
-    try:
-        # append mode creates a missing file and changes no existing one
-        open(path, "a", encoding="utf-8").close()
-    except OSError as err:
-        raise ConfigError(f"cannot write {path}: {err}") from None
-    try:
-        yield
-    except BaseException:
-        if created:
-            with contextlib.suppress(OSError):
-                os.remove(path)
-        raise
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +327,7 @@ def _sweep_setup(cfg: ExperimentConfig, command: str):
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_transport(cfg: ExperimentConfig) -> int:
+def cmd_transport(cfg: ExperimentConfig, sink: _CsvSink) -> int:
     """One ladder transport; CSV row with the result and the oracle error."""
     space = cfg.build_space()
     rng = cfg.rng()
@@ -344,14 +339,11 @@ def cmd_transport(cfg: ExperimentConfig) -> int:
     result = transport_along_geodesic(space, p, q, u, cfg.n_rungs, scheme)
     oracle = space.transport(u, q)
     err = space.norm(result.vector - oracle)
-    sink = _CsvSink(cfg.output)
-    sink.row("manifold", "scheme", "n_rungs", "u_norm", "dist_pq",
-             "result", "oracle_error", "config_hash")
+    sink.header("manifold", "scheme", "n_rungs", "u_norm", "dist_pq",
+                "result", "oracle_error")
     sink.row(cfg.manifold, scheme, cfg.n_rungs, space.norm(u),
              space.dist(p, q),
-             ";".join(_fmt(c) for c in result.vector.components),
-             err, cfg.config_hash())
-    sink.flush()
+             ";".join(_fmt(c) for c in result.vector.components), err)
     return 0
 
 
@@ -368,14 +360,20 @@ def _predicted_error_norm(space, scheme, m, u, v) -> float:
     return math.nan
 
 
-def cmd_convergence(cfg: ExperimentConfig) -> int:
+def _fit_unless_exact(scales, values, floor):
+    """convergence_order's fit, or None if every value is at the noise floor."""
+    values = np.asarray(values)
+    if np.all(values <= floor):
+        return None
+    return convergence_order(scales, values, noise_floor=floor)
+
+
+def cmd_convergence(cfg: ExperimentConfig, sink: _CsvSink) -> int:
     """One-step error sweep under joint scaling, with a log-log slope fit."""
     space, m, u_dir, v_dir, scales, floor = _sweep_setup(cfg, "convergence")
     scheme = cfg.scheme or "pole_v2"
-    chash = cfg.config_hash()
-    sink = _CsvSink(cfg.output)
-    sink.row("manifold", "scheme", "h", "n_rungs", "error",
-             "predicted_error", "slope_running", "config_hash")
+    sink.header("manifold", "scheme", "h", "n_rungs", "error",
+                "predicted_error", "slope_running")
     errors = []
     for i, h in enumerate(scales):
         u = float(h) * u_dir
@@ -391,25 +389,20 @@ def cmd_convergence(cfg: ExperimentConfig) -> int:
         else:
             running = math.nan
         sink.row(cfg.manifold, scheme, float(h), cfg.n_rungs, err,
-                 predicted, running, chash)
-    errors = np.asarray(errors)
-    if np.all(errors <= floor):
+                 predicted, running)
+    report = _fit_unless_exact(scales, errors, floor)
+    if report is None:
         sink.comment("exact within tolerance (all errors at the noise floor)")
-        sink.flush()
-        return 0
-    report = convergence_order(scales, errors, noise_floor=floor)
-    sink.comment(f"fitted_slope={report.fitted_slope:.6f} "
-                 f"r_squared={report.r_squared:.8f} n_used={report.n_used}")
-    sink.flush()
+    else:
+        sink.comment(f"fitted_slope={report.fitted_slope:.6f} "
+                     f"r_squared={report.r_squared:.8f} n_used={report.n_used}")
     return 0
 
 
-def cmd_bch_check(cfg: ExperimentConfig) -> int:
+def cmd_bch_check(cfg: ExperimentConfig, sink: _CsvSink) -> int:
     """Residuals of the double-exponential series at orders 1, 3 and 4."""
     space, m, u_dir, v_dir, scales, floor = _sweep_setup(cfg, "bch-check")
-    chash = cfg.config_hash()
-    sink = _CsvSink(cfg.output)
-    sink.row("manifold", "order", "h", "residual", "config_hash")
+    sink.header("manifold", "order", "h", "residual")
     ok = True
     summaries = []
     for order in (1, 3, 4):
@@ -420,18 +413,16 @@ def cmd_bch_check(cfg: ExperimentConfig) -> int:
             res = (bch_numeric(space, m, v, u)
                    - bch_series(space, m, v, u, order)).component_norm
             residuals.append(res)
-            sink.row(cfg.manifold, order, float(h), res, chash)
-        residuals = np.asarray(residuals)
-        if np.all(residuals <= floor):
+            sink.row(cfg.manifold, order, float(h), res)
+        report = _fit_unless_exact(scales, residuals, floor)
+        if report is None:
             summaries.append(f"order_{order}=exact_within_tolerance")
             continue
-        report = convergence_order(scales, residuals, noise_floor=floor)
         summaries.append(f"order_{order}_slope={report.fitted_slope:.4f}")
         if report.fitted_slope < order + 0.8:
             ok = False
     for line in summaries:
         sink.comment(line)
-    sink.flush()
     if not ok:
         print("bch-check: a residual slope fell below its order threshold",
               file=sys.stderr)
@@ -479,17 +470,14 @@ def exactness_sweep(space: ConnectionSpace, schemes, trials: int,
     return worst, excluded
 
 
-def cmd_exactness(cfg: ExperimentConfig) -> int:
+def cmd_exactness(cfg: ExperimentConfig, sink: _CsvSink) -> int:
     """Certify pole-ladder exactness on the locally symmetric fleet."""
     manifolds = (cfg.manifold,) if cfg.manifold else SYMMETRIC_FLEET
     if cfg.scheme is not None and cfg.scheme not in POLE_SCHEMES:
         raise ConfigError(
             f"exactness applies to pole variants only, not {cfg.scheme!r}")
     schemes = (cfg.scheme,) if cfg.scheme else POLE_SCHEMES
-    chash = cfg.config_hash()
-    sink = _CsvSink(cfg.output)
-    sink.row("manifold", "scheme", "trials", "excluded", "max_rel_error",
-             "config_hash")
+    sink.header("manifold", "scheme", "trials", "excluded", "max_rel_error")
     failures = []
     for name in manifolds:
         space = replace(cfg, manifold=name).build_space()
@@ -506,11 +494,9 @@ def cmd_exactness(cfg: ExperimentConfig) -> int:
             sink.comment(f"{name}: {excluded} trials excluded "
                          "(condition violated)")
         for kind in schemes:
-            sink.row(name, kind, cfg.trials - excluded, excluded,
-                     worst[kind], chash)
+            sink.row(name, kind, cfg.trials - excluded, excluded, worst[kind])
             if worst[kind] > tol:
                 failures.append(f"{name}/{kind}: {worst[kind]:.3e} > {tol:.1e}")
-    sink.flush()
     if failures:
         for failure in failures:
             print(f"exactness failure: {failure}", file=sys.stderr)
@@ -564,8 +550,8 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         cfg = _make_config(args)
-        with _writable_output(cfg.output):
-            return _COMMANDS[args.command][0](cfg)
+        with _CsvSink(cfg) as sink:
+            return _COMMANDS[args.command][0](cfg, sink)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 1
