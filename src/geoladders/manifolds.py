@@ -43,6 +43,21 @@ __all__ = [
 ]
 
 
+def _check_float_range(bound, what):
+    # before a closed form runs, where numpy would only warn and return inf;
+    # about half the float range (1.8e308) leaves room for the bound's
+    # rounding, and a NaN bound fails too
+    if not bound <= 8.9e307:
+        raise NonFinite(f"{what} leaves the float range: bound {bound:.3g}")
+
+
+def _check_tangent_scale(v, reach=1.0):
+    # the norm of reach * v squares its components, so it overflows once
+    # that length passes about 1.3e154; the sum of |components| bounds it
+    big = reach * sum(map(abs, v.tolist()))
+    _check_float_range(big * big, "squared tangent norm")
+
+
 # ---------------------------------------------------------------------------
 # Euclidean space
 # ---------------------------------------------------------------------------
@@ -110,6 +125,7 @@ class Sphere(ConnectionSpace):
         return abs(float(v.base.coords @ v.components))
 
     def _exp(self, x, v):
+        _check_tangent_scale(v)
         theta = float(np.linalg.norm(v))
         # the norm of a vector shorter than about 1e-154 underflows to 0;
         # sin(theta) / theta tends to 1 there
@@ -118,6 +134,7 @@ class Sphere(ConnectionSpace):
         return y / np.linalg.norm(y)
 
     def _geodesic(self, x, v, times):
+        _check_tangent_scale(v, max(1.0, *map(abs, times.tolist())))
         theta = float(np.linalg.norm(v))
         if theta == 0.0:
             return super()._geodesic(x, v, times)
@@ -193,14 +210,6 @@ def _check_hyperbolic_scale(theta, x):
         raise NonFinite(
             f"exp overflows: geodesic length {theta:.6g} from a base "
             f"point with time coordinate {x[0]:.6g}")
-
-
-def _check_reflection_scale(bound):
-    # before a closed-form reflection runs, where numpy would only warn and
-    # return inf; about half the float range (1.8e308) leaves room for the
-    # bound's rounding, and a NaN bound fails too
-    if not bound <= 8.9e307:
-        raise NonFinite(f"reflection leaves the float range: bound {bound:.3g}")
 
 
 class Hyperbolic(ConnectionSpace):
@@ -296,8 +305,8 @@ class Hyperbolic(ConnectionSpace):
         # no number below passes Y (1 + 2 X^2), X and Y the sums of the
         # |coordinates| of x and y: |<x, y>| is at most XY
         big_x = sum(map(abs, x.tolist()))
-        _check_reflection_scale(sum(map(abs, y.tolist()))
-                                * (1.0 + 2.0 * big_x * big_x))
+        _check_float_range(sum(map(abs, y.tolist()))
+                           * (1.0 + 2.0 * big_x * big_x), "reflection")
         return -y - 2.0 * _mink(x, y) * x
 
     def random_point(self, rng):
@@ -454,7 +463,7 @@ class SPD(ConnectionSpace):
         # no number below passes 2 A^2, A the sum of the |entries| of a,
         # which a NaN in a makes NaN
         big = sum(map(abs, a.ravel().tolist()))
-        _check_reflection_scale(2.0 * big * big)
+        _check_float_range(2.0 * big * big, "reflection")
         return _sym(a.T @ a).ravel()
 
     def _curvature(self, x, u, v, w):
@@ -571,10 +580,13 @@ class RotationGroup(ConnectionSpace):
         return 0.5 * (a - a.T)
 
     def _exp(self, x, v):
+        # the body's rotation vector is no longer than the sum of v's |entries|
+        _check_tangent_scale(v)
         r = self._mat(x)
         return (r @ _rodrigues(_vee(self._body(x, v)))).ravel()
 
     def _geodesic(self, x, v, times):
+        _check_tangent_scale(v, max(1.0, *map(abs, times.tolist())))
         w = _vee(self._body(x, v))
         theta = float(np.linalg.norm(w))
         if theta < 1e-8:

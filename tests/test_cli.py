@@ -97,6 +97,23 @@ def test_transport_bad_override_is_a_config_error(tmp_path, capsys, manifold,
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("args, text", [
+    (["convergence", "--manifold", "{name}", "--h-max", "1e300",
+      "--h-min", "1e299"], None),
+    (["transport", "--manifold", "{name}", "--config", "{cfg}"],
+     "u_cap = 1e300\n"),
+], ids=["convergence-scales", "transport-u-cap"])
+@pytest.mark.parametrize("name", ["sphere-2", "so3"])
+def test_overflowing_tangent_norm_exits_2(tmp_path, capsys, args, text, name):
+    cfg = tmp_path / "run.cfg"
+    if text is not None:
+        cfg.write_text(text)
+    assert main([a.format(name=name, cfg=cfg) for a in args]) == 2
+    captured = capsys.readouterr()
+    assert "NonFinite" in captured.err and "float range" in captured.err
+    assert captured.out == ""
+
+
 def test_unknown_manifold_exits_1(capsys):
     assert main(["transport", "--manifold", "nosuch"]) == 1
     assert "config error" in capsys.readouterr().err
@@ -245,7 +262,15 @@ def test_bch_check_slope_failure_exits_5(monkeypatch, capsys):
     rc = main(["bch-check", "--manifold", "sphere-2", "--seed", "6",
                "--h-min", "0.05", "--h-max", "0.5", "--num-scales", "5"])
     assert rc == 5
-    assert "order threshold" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "order threshold" in captured.err
+    # the failing check still writes every row
+    lines = captured.out.splitlines()
+    assert lines[0] == "manifold,order,h,residual,config_hash"
+    rows = [ln.split(",") for ln in lines[1:] if not ln.startswith("#")]
+    scales = np.geomspace(0.5, 0.05, 5)
+    assert [(r[1], float(r[2])) for r in rows] == [
+        (str(order), float(h)) for order in (1, 3, 4) for h in scales]
 
 
 def test_bch_check_with_a_nan_curvature_exits_2(monkeypatch, capsys):
@@ -292,11 +317,19 @@ def test_exactness_default_fleet(tmp_path):
 
 
 def test_exactness_unreachable_tolerance_exits_4(tmp_path, capsys):
+    out = tmp_path / "x.csv"
     rc = main(["exactness", "--manifold", "sphere-2", "--trials", "5",
                "--seed", "3", "--tol-exactness", "1e-18",
-               "--output", str(tmp_path / "x.csv")])
+               "--output", str(out)])
     assert rc == 4
     assert "exactness failure" in capsys.readouterr().err
+    # the failing certification still writes every row
+    header, rows, _ = read_rows(out)
+    assert header == ["manifold", "scheme", "trials", "excluded",
+                      "max_rel_error", "config_hash"]
+    assert [(r[0], r[1]) for r in rows] == [
+        ("sphere-2", kind) for kind in cli.POLE_SCHEMES]
+    assert all(float(r[4]) > 1e-18 for r in rows)
 
 
 def test_tol_exactness_flag_overrides_the_config_file(tmp_path):

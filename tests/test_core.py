@@ -183,6 +183,26 @@ def test_point_wrap_validates_length():
         space.point([1.0, 2.0])
 
 
+def test_point_of_the_wrong_length_is_invalid_base():
+    space = Sphere(2)
+    q = space.point([1.0, 0.0, 0.0])
+    with pytest.raises(InvalidBase, match="has 2 coordinates, expected 3"):
+        space.log(Point([0.0, 1.0], "sphere-2"), q)
+
+
+def test_transport_to_its_own_base_returns_a_copy(monkeypatch):
+    space = Sphere(2)
+    p = space.point([0.0, 1.0, 0.0])
+    u = space.tangent(p, [0.3, 0.0, -0.4])
+    monkeypatch.setattr(space, "_transport",
+                        lambda *args: pytest.fail("the kernel ran"))
+    q = space.point(p.coords.copy())
+    out = space.transport(u, q)
+    assert out.base is q
+    assert out.components.tobytes() == u.components.tobytes()
+    assert not np.shares_memory(out.components, u.components)
+
+
 def test_euclidean_exp_log_transport():
     space = Euclidean(2)
     p = space.point([1.0, 2.0])

@@ -392,6 +392,26 @@ def test_so3_inner_is_the_matrix_contraction_bit_for_bit():
         assert so3.inner(u, v) == want
 
 
+@pytest.mark.parametrize("name", ["sphere-2", "so3"])
+def test_exp_past_the_norms_float_range_is_non_finite(name):
+    # unchecked, numpy's norm squares past the float range from a length of
+    # about 1.3e154, and math.sin(inf) raised a bare ValueError in exp while
+    # geodesic returned NaN points
+    space = make_space(name)
+    rng = np.random.default_rng(9)
+    p = space.random_point(rng)
+    d = space.random_direction(rng, p)
+    assert np.isfinite(space.exp(p, 1e150 * d).coords).all()
+    assert np.isfinite(space.geodesic(p, d, [0.5, 1e150])[1].coords).all()
+    for length in (1e155, 1e300):
+        with pytest.raises(NonFinite, match="leaves the float range"):
+            space.exp(p, length * d)
+        with pytest.raises(NonFinite, match="leaves the float range"):
+            space.geodesic(p, d, [0.5, length])
+        with pytest.raises(NonFinite, match="leaves the float range"):
+            space.geodesic(p, length * d, [0.5])
+
+
 def test_so3_log_branch_at_half_turn():
     so3 = make_space("so3")
     eye = so3.point(np.eye(3).ravel())
@@ -424,6 +444,21 @@ def test_so3_geodesics_are_one_parameter_subgroups():
     v = so3.tangent(p, (r @ _hat(w)).ravel())
     q = so3.exp(p, v)
     assert np.allclose(q.coords.reshape(3, 3), r @ _rodrigues(w), atol=1e-14)
+
+
+def test_so3_rotvec_right_jacobian_small_angle_branch():
+    # below theta = 1e-6 the chart's right Jacobian is I - K/2 + K^2/6; at
+    # 9e-7 the closed form still holds a to the last bits, written without
+    # cancellation, and b = (theta - sin theta) / theta^3 to three digits
+    right_jacobian = manifolds._so3_rotation_vector_chart()[2]
+    theta = 9e-7
+    w = theta * np.array([0.48, 0.6, 0.64])
+    j, k = right_jacobian(w), _hat(w)
+    a = 2.0 * math.sin(0.5 * theta) ** 2 / theta ** 2
+    b = (theta - math.sin(theta)) / theta ** 3
+    np.testing.assert_allclose(0.5 * (j.T - j), a * k, rtol=1e-12)
+    np.testing.assert_allclose(0.5 * (j + j.T) - np.eye(3), b * (k @ k),
+                               rtol=1e-2)
 
 
 # -- bump metric --------------------------------------------------------------
