@@ -28,7 +28,9 @@ import sys
 from pathlib import Path
 
 GOLDEN_FILE = Path(__file__).with_name("cli_runs.txt")
-PINNED_CORETYPE = "Prescott"
+# with NPY_DISABLE_CPU_FEATURES, which names the features numpy dispatches
+PINNED = {"OPENBLAS_CORETYPE": "Prescott",
+          "GLIBC_TUNABLES": "glibc.cpu.hwcaps=-AVX2,-FMA"}
 
 RUNS = (
     [["exactness", "--trials", "30", "--seed", "3"]]
@@ -53,9 +55,8 @@ def pinned_env():
     # only features this CPU has can be turned off
     dispatched = [name for name in umath.__cpu_dispatch__
                   if umath.__cpu_features__.get(name)]
-    return dict(os.environ, OPENBLAS_CORETYPE=PINNED_CORETYPE,
-                NPY_DISABLE_CPU_FEATURES=" ".join(dispatched),
-                GLIBC_TUNABLES="glibc.cpu.hwcaps=-AVX2,-FMA")
+    return dict(os.environ, **PINNED,
+                NPY_DISABLE_CPU_FEATURES=" ".join(dispatched))
 
 
 def openblas_config():
@@ -74,7 +75,7 @@ def openblas_config():
                        "scipy_openblas_get_config", "openblas_get_config"):
             getter = getattr(lib, symbol, None)
             if getter is not None:
-                getter.restype = ctypes.c_char_p
+                getter.argtypes, getter.restype = (), ctypes.c_char_p
                 return " ".join(getter().decode().split())
     return None
 
@@ -103,7 +104,8 @@ def render_runs():
 
 
 def main(argv):
-    if os.environ.get("OPENBLAS_CORETYPE") != PINNED_CORETYPE:
+    if ("NPY_DISABLE_CPU_FEATURES" not in os.environ
+            or any(os.environ.get(k) != v for k, v in PINNED.items())):
         return subprocess.call([sys.executable, __file__, *argv],
                                env=pinned_env())
     line = platform_line()
