@@ -52,11 +52,9 @@ def pinned_env():
         from numpy._core import _multiarray_umath as umath
     except ImportError:  # numpy 1.x
         from numpy.core import _multiarray_umath as umath
-    # only features this CPU has can be turned off
-    dispatched = [name for name in umath.__cpu_dispatch__
-                  if umath.__cpu_features__.get(name)]
+    # numpy skips the names of features this CPU lacks
     return dict(os.environ, **PINNED,
-                NPY_DISABLE_CPU_FEATURES=" ".join(dispatched))
+                NPY_DISABLE_CPU_FEATURES=" ".join(umath.__cpu_dispatch__))
 
 
 def openblas_config():
