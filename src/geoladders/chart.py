@@ -817,8 +817,7 @@ def _central_differences(f, x: np.ndarray, h: float) -> np.ndarray:
                      for dx in h * np.eye(x.size)])
 
 
-def curvature_components(conn: ChartConnection, x, fd_step: float | None = None
-                         ) -> np.ndarray:
+def curvature_components(conn: ChartConnection, x) -> np.ndarray:
     """Curvature tensor R[l, i, j, k] = R^l_ijk at chart point x.
 
     R^l_ijk = d_i G^l_jk - d_j G^l_ik + G^l_im G^m_jk - G^l_jm G^m_ik, with the
@@ -827,7 +826,7 @@ def curvature_components(conn: ChartConnection, x, fd_step: float | None = None
     symmetry holds to the last bit.
     """
     x = np.asarray(x, dtype=float)
-    h = fd_step if fd_step is not None else _FD_STEP * max(1.0, float(np.max(np.abs(x))))
+    h = _FD_STEP * max(1.0, float(np.max(np.abs(x))))
     if not all(conn.in_bounds(x + dx) and conn.in_bounds(x - dx)
                for dx in h * np.eye(conn.dim)):
         raise DomainEscape("finite-difference stencil left the chart bounds")

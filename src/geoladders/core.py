@@ -78,7 +78,7 @@ class NoConvergence(GeometryError):
 
 class NonFinite(GeometryError):
     """An input or computed quantity (coordinates, components, a Christoffel
-    symbol) is NaN or infinite."""
+    symbol, a squared norm) is NaN or infinite or would leave the float range."""
 
 
 class CutLocus(GeometryError):
@@ -162,6 +162,17 @@ def _require_finite(values: np.ndarray, what: str):
     # np.isfinite(values).all(), and it runs on every exp/log/transport
     if not all(map(math.isfinite, values.tolist())):
         raise NonFinite(f"{what} are not finite: {values}")
+
+
+# about half the float range (1.8e308), leaving room for a bound's rounding
+_FLOAT_LIMIT = 8.9e307
+
+
+def _check_float_range(bound, what):
+    # before a closed form runs, where numpy would only warn and return inf;
+    # a NaN bound fails too
+    if not bound <= _FLOAT_LIMIT:
+        raise NonFinite(f"{what} leaves the float range: bound {bound:.3g}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,10 +263,10 @@ class ConnectionSpace(abc.ABC):
     transport to the endpoint) when they can do both in one pass, and
     ``_geodesic`` (exp at many times along one geodesic) when the work the
     times share can be done once, and ``_geodesic_symmetry`` when the
-    reflection has a closed form.  The public
-    wrappers handle ``Point`` / ``TangentVector`` packing, base-point
-    validation, non-finite inputs (``NonFinite``) and degenerate inputs
-    (``exp(p, 0) == p`` exactly, ``log(p, p) == 0`` without shooting).
+    reflection has a closed form.  The public wrappers handle ``Point`` /
+    ``TangentVector`` packing, base-point validation, non-finite inputs and
+    vectors whose squared norm would overflow (``NonFinite``) and degenerate
+    inputs (``exp(p, 0) == p`` exactly, ``log(p, p) == 0`` without shooting).
 
     The flags ``has_metric`` and ``locally_symmetric`` are truthful: a space
     with a metric backs ``inner``, and a locally symmetric one has nabla R = 0.
@@ -330,7 +341,7 @@ class ConnectionSpace(abc.ABC):
         return Point(arr, self.name)
 
     def tangent(self, p: Point, components) -> TangentVector:
-        """Wrap finite raw components as a vector at p."""
+        """Wrap raw components as a vector at p, checked as a vector argument."""
         self._check_point(p)
         v = TangentVector(p, components)
         self._check_base(v, p)
@@ -345,14 +356,19 @@ class ConnectionSpace(abc.ABC):
             )
         _require_finite(p.coords, "point coordinates")
 
-    def _check_base(self, v: TangentVector, p: Point):
-        """The one rule for a vector argument: v is at p, and its components
-        are finite.  Every caller has just checked p itself."""
+    def _check_base(self, v: TangentVector, p: Point, reach: float = 1.0):
+        """The one rule for a vector argument: v is at p, its components are
+        finite, and the squared norm of t v stays in the float range for
+        |t| <= reach (``NonFinite``).  Every caller has just checked p."""
         if v.base is not p:
             self._check_point(v.base)
             if not _same_base(v.base.coords, p.coords):
                 raise InvalidBase("tangent vector is not based at the given point")
-        _require_finite(v.components, "tangent components")
+        # the sum of |components| bounds the norm, and is NaN or inf if one is
+        big = reach * sum(map(abs, v.components.tolist()))
+        if not big * big <= _FLOAT_LIMIT:
+            _require_finite(v.components, "tangent components")
+            _check_float_range(big * big, "squared tangent norm")
 
     def membership_residual(self, p: Point) -> float:
         """How far the point is from satisfying the space's membership constraint."""
@@ -381,17 +397,18 @@ class ConnectionSpace(abc.ABC):
         t == 0 or v == 0 gives p itself.
         """
         self._check_point(p)
-        self._check_base(v, p)
         ts = np.asarray(times, dtype=float)
-        if ts.ndim != 1 or not all(map(math.isfinite, ts.tolist())):
+        tl = ts.tolist()
+        if ts.ndim != 1 or not all(map(math.isfinite, tl)):
             raise ValueError(f"times must be a finite 1-d sequence, got {times!r}")
+        self._check_base(v, p, max([1.0, *map(abs, tl)]))
         if not v.components.any():
             return [p] * ts.size
         moving = ts[ts != 0.0]
         rows = iter(self._geodesic(p.coords, v.components, moving)
                     if moving.size else ())
         return [Point(next(rows), self.name) if t != 0.0 else p
-                for t in ts.tolist()]
+                for t in tl]
 
     def log(self, p: Point, q: Point) -> TangentVector:
         """Initial velocity of the geodesic from p reaching q at time 1."""

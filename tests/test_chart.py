@@ -1774,10 +1774,11 @@ def test_curvature_against_loop_holonomy(bump):
     assert np.max(np.abs(defect - expected)) <= 5e-3  # O(eps) truncation
 
 
-def test_fd_curvature_convergence_order():
+def test_fd_curvature_convergence_order(monkeypatch):
     # the bump symbols are linear in position (central differences exact), so
     # probe the stencil order on the stereographic chart, whose symbols are
-    # rational and whose sectional curvature is exactly 1
+    # rational and whose sectional curvature is exactly 1; the step is the
+    # module's, as no coordinate of x passes 1
     conn = make_chart("sphere2-stereographic")
     x = np.array([0.25, -0.15])
     r2 = float(x @ x)
@@ -1788,7 +1789,8 @@ def test_fd_curvature_convergence_order():
     steps = np.geomspace(3e-2, 3e-3, 6)
     errs = []
     for h in steps:
-        r = curvature_components(conn, x, fd_step=float(h))
+        monkeypatch.setattr(chart, "_FD_STEP", float(h))
+        r = curvature_components(conn, x)
         k = float(np.einsum("lijk,i,j,k->l", r, e1, e2, e2) @ g @ e1)
         errs.append(abs(k - 1.0))
     slope = np.polyfit(np.log(steps), np.log(errs), 1)[0]
@@ -1835,10 +1837,11 @@ def test_bump_nabla_curvature_against_transport_conjugation(bump):
     assert np.max(np.abs(fd - contracted)) <= 2e-5
 
 
-def test_fd_stencil_domain_escape():
+def test_fd_stencil_domain_escape(monkeypatch):
     conn = flat_chart(bounds=(np.array([-1.0, -1.0]), np.array([1.0, 1.0])))
+    monkeypatch.setattr(chart, "_FD_STEP", 1e-3)
     with pytest.raises(DomainEscape):
-        curvature_components(conn, np.array([1.0, 0.0]), fd_step=1e-3)
+        curvature_components(conn, np.array([1.0, 0.0]))
 
 
 def test_christoffels_from_metric_matches_conformal_closed_form(bump):

@@ -103,13 +103,17 @@ def test_transport_bad_override_is_a_config_error(tmp_path, capsys, manifold,
     (["transport", "--manifold", "{name}", "--config", "{cfg}"],
      "u_cap = 1e300\n"),
 ], ids=["convergence-scales", "transport-u-cap"])
-@pytest.mark.parametrize("name", ["sphere-2", "so3"])
+@pytest.mark.parametrize("name", ["sphere-2", "so3", "euclidean-3",
+                                  "hyperbolic-2", "spd-3", "bump2d"])
 def test_overflowing_tangent_norm_exits_2(tmp_path, capsys, args, text, name):
+    # the contract's vector check raises on every space, before a kernel
+    # can warn, return inf or fail to integrate
     cfg = tmp_path / "run.cfg"
     if text is not None:
         cfg.write_text(text)
     assert main([a.format(name=name, cfg=cfg) for a in args]) == 2
     captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1
     assert "NonFinite" in captured.err and "float range" in captured.err
     assert captured.out == ""
 
@@ -531,9 +535,12 @@ def test_out_of_range_setting_is_a_config_error(tmp_path, capsys, name, value):
      "cannot write"),
     (["exactness", "--trials", "2", "--output", "{tmp}"], None,
      "cannot write"),
+    (["exactness", "--manifold", "euclidean-0", "--trials", "2"], None,
+     "euclidean dimension must be at least 1"),
 ], ids=["no-manifold", "bad-typed-value", "unreadable-config", "no-equals",
         "unknown-scheme", "h-min-not-below-h-max", "no-rungs", "no-trials",
-        "not-symmetric", "output-in-missing-dir", "output-is-a-dir"])
+        "not-symmetric", "output-in-missing-dir", "output-is-a-dir",
+        "euclidean-0"])
 def test_config_errors_exit_1_with_their_message(tmp_path, capsys, args, text,
                                                  message):
     cfg = tmp_path / "run.cfg"

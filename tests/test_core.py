@@ -15,6 +15,8 @@ from geoladders import (
     make_space,
 )
 
+from conftest import FLEET_NAMES
+
 
 def test_tolerance_defaults():
     tol = ToleranceConfig()
@@ -279,6 +281,39 @@ def test_non_finite_inputs_raise_non_finite(name, bad):
         space.point(bad_p.coords)
     with pytest.raises(NonFinite):
         space.tangent(p, bad_u.components)
+
+
+@pytest.mark.parametrize("name", [*FLEET_NAMES, "bump2d"])
+def test_vectors_past_the_float_range_raise_non_finite(name):
+    # a finite 1e160 component squares past the float range in any norm:
+    # NonFinite from the vector check, before a kernel warns, returns inf
+    # or integrates, in every vector argument
+    space = make_space(name)
+    rng = np.random.default_rng(5)
+    p = space.random_point(rng)
+    u = 0.3 * space.random_direction(rng, p)
+    q = space.exp(p, u)
+    offset = np.zeros(space.ambient_dim)
+    offset[1] = 1e160
+    big = TangentVector(p, u.components + offset)
+    calls = [lambda: space.exp(p, big),
+             lambda: space.geodesic(p, big, [0.5]),
+             lambda: space.geodesic(p, u, [0.5, 1e160]),
+             lambda: space.transport(big, q),
+             lambda: space.exp_transport(big, u),
+             lambda: space.exp_transport(u, big),
+             lambda: space.tangent(p, big.components)]
+    for i in range(3):
+        args = [u, u, u]
+        args[i] = big
+        calls.append(lambda args=args: space.curvature(p, *args))
+    for i in range(4):
+        args = [u, u, u, u]
+        args[i] = big
+        calls.append(lambda args=args: space.nabla_curvature(p, *args))
+    for call in calls:
+        with pytest.raises(NonFinite, match="leaves the float range"):
+            call()
 
 
 @pytest.mark.parametrize("name", ["sphere-2", "bump2d"])

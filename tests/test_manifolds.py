@@ -9,6 +9,7 @@ from geoladders import (
     NonFinite,
     NotSPD,
     Sphere,
+    TangentVector,
     ladder_step,
     make_chart,
     make_space,
@@ -57,6 +58,7 @@ def test_registry_family_builds_at_minimum_dimension(name):
     lambda: make_space("hyperbolic-0"),
     lambda: make_space("spd-1"),
     lambda: Sphere(0),
+    lambda: make_space("euclidean-0"),
 ])
 def test_below_minimum_dimension_is_rejected(build):
     with pytest.raises(ValueError, match="at least"):
@@ -410,6 +412,17 @@ def test_exp_past_the_norms_float_range_is_non_finite(name):
             space.geodesic(p, d, [0.5, length])
         with pytest.raises(NonFinite, match="leaves the float range"):
             space.geodesic(p, length * d, [0.5])
+
+
+def test_euclidean_exp_at_a_far_point_is_finite_or_non_finite():
+    # x + v would overflow to an inf point; the vector check bounds v below
+    # about 1e154, which cannot move a coordinate near the float maximum
+    space = make_space("euclidean-3")
+    p = space.point([1.7e308, 0.0, 0.0])
+    with pytest.raises(NonFinite, match="leaves the float range"):
+        space.exp(p, TangentVector(p, [1e308, 0.0, 0.0]))
+    q = space.exp(p, space.tangent(p, [9e153, 0.0, 0.0]))
+    assert np.array_equal(q.coords, p.coords)
 
 
 def test_so3_log_branch_at_half_turn():

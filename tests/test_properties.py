@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import FLEET_NAMES
-from geoladders import (GeometryError, NonFinite, ladder_step,
+from geoladders import (GeometryError, NonFinite, TangentVector, ladder_step,
                         transport_along_geodesic)
 from helpers import sample_radius
 
@@ -23,13 +23,14 @@ seeds = st.integers(0, 2 ** 32 - 1)
 
 
 def draw_tangent(data, space, p, lo=0.1, hi=1.0):
-    """A tangent vector at p with metric norm in [lo, hi] * sample_radius."""
+    """A tangent vector at p with metric norm in [lo, hi] * sample_radius,
+    unchecked: the map it is passed to checks it."""
     c = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=space.dim,
                                     max_size=space.dim)))
     norm = float(np.linalg.norm(c))
     assume(norm >= 0.1)
     length = data.draw(st.floats(lo, hi)) * sample_radius(space)
-    return space.tangent(p, space.tangent_basis(p) @ ((length / norm) * c))
+    return TangentVector(p, space.tangent_basis(p) @ ((length / norm) * c))
 
 
 @pytest.mark.parametrize("name", FLEET_NAMES)
@@ -42,17 +43,21 @@ def test_exp_log_round_trip(fleet, name, seed, data):
     assert (space.log(p, space.exp(p, v)) - v).component_norm <= 1e-9
 
 
-def far(lengths):
-    """Parametrize over the spaces whose exp can overflow, each with the
-    length its draws reach: the hyperbolic and SPD closed forms overflow
-    past a few hundred, the sphere's and SO(3)'s only where the norm of the
-    vector does, past about 1.3e154."""
-    spaces = ("hyperbolic-2", "spd-3", "sphere-2", "so3")
-    return pytest.mark.parametrize("name, reach", zip(spaces, lengths),
-                                   ids=spaces)
+def far(reach):
+    """Parametrize over the spaces and the lengths their draws reach: the
+    hyperbolic and SPD closed forms overflow past a few hundred, so they are
+    drawn to reach, and the squared norm of any vector past about 1.3e154,
+    so every space is drawn to 1e160."""
+    cases = [("hyperbolic-2", reach, "hyperbolic-2"), ("spd-3", reach, "spd-3"),
+             ("sphere-2", 1e160, "sphere-2"), ("so3", 1e160, "so3"),
+             ("euclidean-3", 1e160, "euclidean-3"),
+             ("hyperbolic-2", 1e160, "hyperbolic-2-1e160"),
+             ("spd-3", 1e160, "spd-3-1e160")]
+    return pytest.mark.parametrize(
+        "name, reach", [pytest.param(n, r, id=i) for n, r, i in cases])
 
 
-@far([1e4, 1e4, 1e160, 1e160])
+@far(1e4)
 @PROPERTY
 @given(seed=seeds, data=st.data())
 def test_long_exp_is_finite_or_a_typed_error(fleet, name, reach, seed, data):
@@ -87,7 +92,7 @@ def test_geodesic_is_exp_at_each_time(fleet, name, seed, times, data):
         assert space.membership_residual(y) <= 1e-9
 
 
-@far([2e3, 2e3, 1e160, 1e160])
+@far(2e3)
 @PROPERTY
 @given(seed=seeds, data=st.data())
 def test_geodesic_overflows_where_exp_does(fleet, name, reach, seed, data):
