@@ -5,16 +5,17 @@ module integrates the geodesic equation, inverts it by shooting, solves the
 parallel-transport ODE along geodesics, and assembles the curvature tensor
 and its covariant derivative from central finite differences.  One
 right-hand side contracts G(x)(v, w) for geodesics, transports and the
-shooting's first guess.  The ODEs are
-integrated by the module's own step loop of the Dormand-Prince 8(5,3) pair,
-which takes scipy's DOP853 steps with its coefficients, error norm and step
-control, but checks the chart's box, a step budget and that each step moves
-the state as it goes, and evaluates the derivative at a step's end only
-when the step is accepted and another follows, whose first stage it is.
-The shooting's first trial, which only seeds its quasi-Newton solve, runs
-at a looser tolerance than the flows that decide convergence.  The loop
-holds scipy's tableau as literals, pinned equal
-to scipy's by a test, so importing the module does not load scipy.  At the
+shooting's first guess.  The ODEs are integrated by the module's own step
+loop of the Dormand-Prince 8(5,3) pair, which takes scipy's DOP853 steps
+with its coefficients, error norm and step control, but checks the chart's
+box, a step budget and that each step moves the state as it goes, and
+evaluates the derivative at a step's end only when the step is accepted
+and another follows, whose first stage it is.  On a 2-d conformal chart
+the shooting's first trial carries the surface's scalar Jacobi equation
+with the geodesic; it only seeds the quasi-Newton solve, so it runs at a
+looser tolerance than the flows that decide convergence.  The loop holds
+scipy's tableau as literals, pinned equal to scipy's by a test, so
+importing the module does not load scipy.  At the
 dimensions of these charts numpy's per-call cost exceeds the arithmetic, so
 the loop holds the state, the stages and the error estimates as lists of
 Python floats, and so do the right-hand sides on conformal charts, which
@@ -147,13 +148,14 @@ class ChartConnection:
     ``hess_f``, its Hessian; build it with ``ChartConnection.conformal`` so
     the symbols and the gradient agree.  The geodesic and transport
     equations then contract G(x)(v, w) in closed form from the gradient
-    alone; the Jacobi fields of log_shooting take the symbols' derivatives
-    from the Hessian.  Both take the chart point as a list of ``dim``
-    Python floats; ``grad_f`` returns ``dim`` numbers and ``hess_f``
-    ``dim`` rows of ``dim`` numbers.  The right-hand sides compute in
-    Python floats, so callbacks written in them cost no numpy call; arrays
-    work too, at numpy's cost per element.  Every read checks the lengths
-    (ValueError) and that the numbers are finite (NonFinite).
+    alone.  On a 2-d chart the shooting seed of log_shooting reads the
+    Gauss curvature from the Hessian's trace; a chart of another dimension
+    does not read the Hessian.  Both callbacks take the chart point as a
+    list of ``dim`` Python floats; ``grad_f`` returns ``dim`` numbers and
+    ``hess_f`` ``dim`` rows of ``dim`` numbers.  The right-hand sides
+    compute in Python floats, so callbacks written in them cost no numpy
+    call; arrays work too, at numpy's cost per element.  Every read checks
+    the lengths (ValueError) and that the numbers are finite (NonFinite).
     ``christoffel`` and ``interior`` take the point as an array.
 
     ``interior(x)``, when given, is a test that the initial and every
@@ -464,6 +466,15 @@ def _dop853(conn: ChartConnection, rhs, z: np.ndarray, f: list,
     return np.array(z), accepted, rejected
 
 
+def _norm(a) -> float:
+    """Euclidean norm of a list of Python floats or a 1-d array, as a sum
+    in Python floats: it rounds alike on every CPU, where BLAS's dot, which
+    np.linalg.norm calls, may fuse its products."""
+    if not isinstance(a, list):
+        a = a.tolist()
+    return math.sqrt(sum(map(mul, a, a)))
+
+
 def _integrate(conn: ChartConnection, rhs, z0: np.ndarray, t: float,
                tolerances: ToleranceConfig, controlled: int | None = None
                ) -> np.ndarray:
@@ -497,10 +508,9 @@ def _integrate(conn: ChartConnection, rhs, z0: np.ndarray, t: float,
         # state by its own size, capped at the whole interval; scipy's default
         # sizes it from the tolerance alone, which costs a short flow three
         # steps instead of one, while the bound keeps a fast flow's first
-        # stages finite.  The norms are sums in Python floats, which round
-        # alike on every CPU, where BLAS's dot may fuse its products
-        fnorm = math.sqrt(sum(map(mul, f0, f0)))
-        h0 = min(t, math.sqrt(sum(map(mul, z, z))) / fnorm) if fnorm else t
+        # stages finite
+        fnorm = _norm(f0)
+        h0 = min(t, _norm(z) / fnorm) if fnorm else t
         if not h0 > 0.0:
             raise DomainEscape(
                 f"initial derivative of norm {fnorm:.3g} overflows the state")
@@ -578,46 +588,40 @@ def _conformal_acceleration(f: list, vs: list, fv: float, vv: float) -> list:
 def _jacobi_flow(conn: ChartConnection, x: np.ndarray, v: np.ndarray,
                  tolerances: ToleranceConfig):
     """Endpoint of the geodesic from x with velocity v at t = 1, and the
-    Jacobian of that endpoint in v, on a connection with ``hess_f``.
+    Jacobian of that endpoint in v, on a 2-d connection with ``hess_f``.
 
-    The Jacobi fields (dx_j, dv_j) with dx_j(0) = 0, dv_j(0) = e_j solve the
-    variational equation dx' = dv, dv' = -2 G(x)(v, dv) - (d_dx G)(v, v);
-    they are integrated with the geodesic in one augmented flow, and dx_j(1)
-    is column j of the Jacobian.  Only the geodesic is error-controlled, by
-    the error norm of a plain flow at the given tolerances, so at equal
-    tolerances the flow takes about a plain flow's steps, though not the
-    same ones: its start rule sees the whole state.  The fields, which seed
-    a quasi-Newton Jacobian, come out accurate to a few 1e-12 on those
-    steps; log_shooting runs the flow at the looser ``_seed_tolerances``.
+    On a surface the Jacobi field with J(0) = 0, J'(0) = v is t x'(t),
+    and with J'(0) = Rv, R the rotation by 90 degrees (a conformal metric's
+    own), it is b(t) R x'(t), where b'' + K |x'|_g^2 b = 0, b(0) = 0,
+    b'(0) = 1 (do Carmo, Riemannian Geometry, ch. 5).  For g = exp(2 f)
+    euclidean, K |x'|_g^2 = -(f_00 + f_11) |v|^2, so one flow carries the
+    state (x, v, b, b'), and with v_1 = x'(1) the Jacobian is
+    (v_1 v^T + b(1) R v_1 (R v)^T) / |v|^2, the identity at v = 0.  Only
+    the geodesic is error-controlled, by a plain flow's error norm, so the
+    flow takes about a plain flow's steps, though not the same ones: its
+    start rule sees the whole state.  The Jacobian comes out accurate to a
+    few 1e-12 at the default tolerances; log_shooting runs the flow at the
+    looser ``_seed_tolerances``.
     """
-    d = conn.dim
-
     def rhs(z):
-        # on the state (x, v, dx_1 .. dx_d, dv_1 .. dv_d), in Python floats
-        # as in _flow_rhs: G(v, w) = (f.v) w + (f.w) v - (v.w) f and, as
-        # d_a f = H a, (d_a G)(v, v) = 2 (a.Hv) v - (v.v) Ha
-        pos = z[:d]
+        # on the state (x, v, b, b'), in Python floats as in _flow_rhs; the
+        # geodesic's rows are a plain flow's, bit for bit
+        pos, vs = z[:2], z[2:4]
         f, hf = conn._gradient(pos), conn._hessian(pos)
-        vs = z[d:2 * d]
         fv, vv = sum(map(mul, f, vs)), sum(map(mul, vs, vs))
-        hv = [sum(map(mul, hrow, vs)) for hrow in hf]
-        # the geodesic's rows are a plain flow's, bit for bit
-        out = vs + _conformal_acceleration(f, vs, fv, vv)
-        out += z[d * (d + 2):]
-        for j in range(2 * d, d * (d + 2), d):
-            # dv_j' = -2 G(v, w) - (d_a G)(v, v) for a = dx_j, w = dv_j,
-            # gathered as cv v + cf f - 2 (f.v) w + (v.v) Ha
-            a, w = z[j:j + d], z[j + d * d:j + d * d + d]
-            cv = -2.0 * (sum(map(mul, f, w)) + sum(map(mul, a, hv)))
-            cf = 2.0 * sum(map(mul, vs, w))
-            out += [cv * vi + cf * fi - 2.0 * fv * wi
-                    + vv * sum(map(mul, hrow, a))
-                    for vi, fi, wi, hrow in zip(vs, f, w, hf)]
-        return out
+        return (vs + _conformal_acceleration(f, vs, fv, vv)
+                + [z[5], (hf[0][0] + hf[1][1]) * vv * z[4]])
 
-    z0 = np.concatenate([x, v, np.zeros(d * d), np.eye(d).ravel()])
-    z = _integrate(conn, rhs, z0, 1.0, tolerances, 2 * d)
-    return z[:d], z[2 * d:d * (d + 2)].reshape(d, d).T
+    z = _integrate(conn, rhs, np.array([*x.tolist(), *v.tolist(), 0.0, 1.0]),
+                   1.0, tolerances, 4)
+    # over u = v / |v| and w = v_1 / |v|, so that a tiny v neither underflows
+    # nor divides by zero: w u^T + b(1) Rw (Ru)^T, with R(a, c) = (-c, a)
+    n = math.hypot(*v.tolist())
+    if n == 0.0:
+        return z[:2], np.eye(2)
+    (a, c), (p, q), b = (v / n).tolist(), (z[2:4] / n).tolist(), float(z[4])
+    return z[:2], np.array([[p * a + b * q * c, p * c - b * q * a],
+                            [q * a - b * p * c, q * c + b * p * a]])
 
 
 def _shooting_start(conn: ChartConnection, x: np.ndarray, d: np.ndarray):
@@ -639,7 +643,7 @@ def _shooting_start(conn: ChartConnection, x: np.ndarray, d: np.ndarray):
         # x + d/3 lies outside the connection's domain
         return d
     # written so that a NaN start falls back too
-    return v if np.linalg.norm(v - d) <= 0.25 * np.linalg.norm(d) else d
+    return v if _norm(v - d) <= 0.25 * _norm(d) else d
 
 
 def _seed_tolerances(tolerances: ToleranceConfig) -> ToleranceConfig:
@@ -658,15 +662,17 @@ def log_shooting(conn: ChartConnection, x, y,
                  tolerances: ToleranceConfig | None = None):
     """Solve exp_x(v) = y for v by a quasi-Newton solve on the endpoint residual.
 
-    On a connection with ``hess_f`` the initial guess is the third-order
-    inverse of the geodesic's Taylor series at x, or the chart difference
-    y - x where that series is far off, and the first trial integrates the
-    Jacobi fields with the geodesic, which gives the Jacobian of the
-    endpoint map at the guess.  That trial only seeds the solve, so it runs
-    at ``_seed_tolerances``, a relative tolerance of 1e-9 at the default
+    On a 2-d connection with ``hess_f`` the initial guess is the
+    third-order inverse of the geodesic's Taylor series at x, or the chart
+    difference y - x where that series is far off, and the first trial
+    integrates the surface's scalar Jacobi equation with the geodesic
+    (``_jacobi_flow``), which gives the Jacobian of the endpoint map at the
+    guess.  That trial only seeds the solve, so it runs at
+    ``_seed_tolerances``, a relative tolerance of 1e-9 at the default
     1e-12; every later trial, and the flow that confirms a guess, is the
     plain flow ``exp`` integrates at ``ode_rel_tol``, so a returned v meets
-    the target on ``exp``'s map.  On one with only symbols the guess is the
+    the target on ``exp``'s map.  On every other chart, one with only
+    symbols or a conformal one of another dimension, the guess is the
     chart difference, the first trial a plain geodesic integration, and the
     Jacobian starts from its first-order model I - G(x)(v, .).  Either guess
     converges inside convex normal neighborhoods.  Every later trial is one
@@ -714,9 +720,9 @@ def log_shooting(conn: ChartConnection, x, y,
             raise failed(rnorm, err) from err
 
     # before the first trial the solve holds v = 0, whose endpoint is x
-    rnorm = float(np.linalg.norm(y - x))
+    rnorm = _norm(y - x)
     jac = None
-    if conn.hess_f is None:
+    if conn.hess_f is None or conn.dim != 2:
         v = y - x
         end = endpoint(v, rnorm)
     else:
@@ -725,12 +731,12 @@ def log_shooting(conn: ChartConnection, x, y,
             end, jac = _jacobi_flow(conn, x, v, _seed_tolerances(tolerances))
         except (MaxStepsExceeded, DomainEscape) as err:
             raise failed(rnorm, err) from err
-        if np.linalg.norm(end - y) <= residual_tol:
+        if _norm(end - y) <= residual_tol:
             # a guess is returned only on the endpoint exp gives it, and the
             # augmented flow's steps are not exp's
             end = endpoint(v, rnorm)
     res = end - y
-    rnorm = float(np.linalg.norm(res))
+    rnorm = _norm(res)
     if rnorm <= residual_tol:
         return v, 0
     if jac is None:
@@ -759,7 +765,7 @@ def log_shooting(conn: ChartConnection, x, y,
                 alpha *= 0.5
                 continue
             res_try = end - y
-            r_try = float(np.linalg.norm(res_try))
+            r_try = _norm(res_try)
             # the least change to jac that maps dv to the observed residual
             # change; a rejected trial informs jac too, so the next trial
             # solves again instead of halving a step along a poor direction
@@ -782,7 +788,7 @@ def log_shooting(conn: ChartConnection, x, y,
         it += 1
         try:
             v_try = v - np.linalg.solve(jac, res)
-            r_try = float(np.linalg.norm(endpoint(v_try, rnorm) - y))
+            r_try = _norm(endpoint(v_try, rnorm) - y)
         except (np.linalg.LinAlgError, NoConvergence):
             r_try = math.inf
         if r_try < rnorm:

@@ -462,7 +462,12 @@ def exactness_sweep(space: ConnectionSpace, schemes, trials: int,
         m = space.geodesic(p, w, (0.5,))[0]
         rung = _Rung(space, p, q, u, m)
         for kind in schemes:
-            rel = space.norm(rung.step(kind) - oracle) / u_norm
+            diff = rung.step(kind) - oracle
+            try:
+                rel = space.norm(diff) / u_norm
+            except NonFinite:
+                # the vector check names neither the kind nor the trial
+                rel = math.nan
             if not math.isfinite(rel):
                 raise NonFinite(f"{space.name}/{kind}: relative error {rel} "
                                 f"at trial {trial}")

@@ -491,10 +491,16 @@ class ConnectionSpace(abc.ABC):
     # -- metric --------------------------------------------------------------
 
     def inner(self, u: TangentVector, v: TangentVector) -> float:
+        """Metric inner product of u and v, both checked as vectors at u's
+        base."""
         if not self.has_metric:
             raise Unsupported(f"{self.name} has no metric")
-        u._require_same_base(v)
-        return self._inner(u.base.coords, u.components, v.components)
+        p = u.base
+        self._check_point(p)
+        self._check_base(u, p)
+        if v is not u:
+            self._check_base(v, p)
+        return self._inner(p.coords, u.components, v.components)
 
     def norm(self, u: TangentVector) -> float:
         return math.sqrt(max(self.inner(u, u), 0.0))

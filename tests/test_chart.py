@@ -856,7 +856,7 @@ def test_jacobi_flow_geodesic_rows_are_the_plain_rhs(bump, monkeypatch):
     plain_rhs = chart._flow_rhs(bump.conn)
     rng = np.random.default_rng(13)
     for _ in range(50):
-        z = rng.standard_normal(12)
+        z = rng.standard_normal(6)
         z[:2] = rng.uniform(-0.6, 0.6, 2)
         z = z.tolist()
         assert jacobi_rhs(z)[:4] == plain_rhs(z[:4])
@@ -987,8 +987,7 @@ def test_conformal_right_hand_sides_make_no_numpy_call(name, monkeypatch):
     plain_rhs = chart._flow_rhs(conn)
     states = [(plain_rhs, [0.2, -0.1, 0.1, 0.2]),
               (plain_rhs, [0.2, -0.1, 0.1, 0.2, 0.5, -0.7]),
-              (jacobi_rhs, [0.2, -0.1, 0.1, 0.2, 0.0, 0.0, 0.0, 0.0,
-                            1.0, 0.0, 0.0, 1.0])]
+              (jacobi_rhs, [0.2, -0.1, 0.1, 0.2, 0.3, 1.0])]
     numpy_calls = []
 
     def profile(frame, event, arg):
@@ -1031,14 +1030,20 @@ def test_factor_callbacks_of_the_wrong_length_raise_value_error(
             run()
 
 
+@pytest.mark.parametrize("entry", [(0, 0), (0, 1)],
+                         ids=["diagonal", "off-diagonal"])
 @pytest.mark.parametrize("wall", [-math.inf, 0.4],
                          ids=["at-start", "in-a-stage"])
-def test_nan_conformal_hessian_raises_non_finite(wall):
+def test_nan_conformal_hessian_raises_non_finite(wall, entry):
     # at a finite state, from the Jacobi flow's first evaluation or from
     # the stage of a step that crosses x_0 = wall, past which the Hessian
-    # is NaN; a stage that is not finite would reject its step instead
+    # is NaN; a stage that is not finite would reject its step instead.
+    # The seed reads only the diagonal, and an entry off it is checked too
     def hess_f(x):
-        return [[math.nan if x[0] > wall else 0.0, 0.0], [0.0, 0.0]]
+        h = [[0.0, 0.0], [0.0, 0.0]]
+        if x[0] > wall:
+            h[entry[0]][entry[1]] = math.nan
+        return h
 
     conn = ChartConnection.conformal(
         2, lambda x: [0.0, 0.0],
@@ -1145,7 +1150,8 @@ def test_bump_log_christoffel_budget(bump):
     # sides reads grad_f and hess_f once (2,201 while the start rule's
     # evaluation was repeated as the first stage).  It spent 2,073 while
     # each step also evaluated the derivative at its end, after the last
-    # step too, and the seed ran at the solve's tolerance; it spends 1,771
+    # step too, and the seed ran at the solve's tolerance, and 1,771 while
+    # the seed integrated the variational equation; it spends 1,747
     counter = CountingChristoffel(bump.conn)
     for x, _, y in _bump_round_trips(bump):
         log_shooting(counter.conn, x, y, bump.tolerances)
@@ -1328,7 +1334,7 @@ def _bump_log_pairs(bump):
 
 
 def test_only_the_shooting_seed_runs_at_the_seed_tolerance(bump, monkeypatch):
-    # the Jacobi flow that seeds each log, with its 12-component state, runs
+    # the Jacobi flow that seeds each log, with its 6-component state, runs
     # at the seed's looser tolerance; every line-search trial, polishing
     # step and confirmation is a plain flow at the solve's own, the map exp
     # integrates
@@ -1342,7 +1348,7 @@ def test_only_the_shooting_seed_runs_at_the_seed_tolerance(bump, monkeypatch):
         solves.clear()
         log_shooting(bump.conn, x, y, tol)
         (first, *_), *rest = solves
-        assert first[2].size == 12
+        assert first[2].size == 6
         assert first[-3:] == (seed.ode_rel_tol, seed.ode_abs_tol, 4)
         assert rest
         for args, *_ in rest:
@@ -1451,7 +1457,7 @@ def test_jacobi_flow_jacobian_matches_central_differences(name, x, v):
     conn = make_chart(name)
     x, v = np.array(x), np.array(v)
     end, jac = chart._jacobi_flow(conn, x, v, ToleranceConfig())
-    # the geodesic rides along with its Jacobi fields
+    # the geodesic rides along with the scalar Jacobi equation
     assert np.abs(end - geodesic_flow(conn, x, v)[0]).max() <= 1e-12
     tight = ToleranceConfig(ode_rel_tol=1e-13, ode_abs_tol=1e-13)
     h = 1e-4
@@ -1479,8 +1485,8 @@ def test_jacobi_flow_reads_gradient_and_hessian_once_per_evaluation(
 
 def test_jacobi_flow_controls_the_geodesic_at_a_plain_flows_error_norm(
         bump, monkeypatch):
-    # of the 12 components of the 2-d augmented state only the geodesic's 4
-    # enter the error norm, at the tolerances of a plain flow
+    # of the 6 components of the seed state (x, v, b, b') only the
+    # geodesic's 4 enter the error norm, at the tolerances of a plain flow
     solves = _record_solves(monkeypatch)
     tol = ToleranceConfig()
     chart._jacobi_flow(bump.conn, _START_X, 0.3 * _START_DIR, tol)
@@ -1488,8 +1494,8 @@ def test_jacobi_flow_controls_the_geodesic_at_a_plain_flows_error_norm(
     (jacobi, *_), (plain, *_) = solves
     for args in (jacobi, plain):
         assert args[-3:] == (tol.ode_rel_tol, tol.ode_abs_tol, 4)
-    assert jacobi[2].size == 12 and plain[2].size == 4
-    # fields a million times larger, whose errors grow with them, leave the
+    assert jacobi[2].size == 6 and plain[2].size == 4
+    # a field a million times larger, whose errors grow with it, leaves the
     # geodesic's steps, and so its endpoint, unchanged to the last bit
     conn, rhs, z0, f0, *rest = jacobi
     big = np.concatenate([z0[:4], 1e6 * z0[4:]])
@@ -1499,6 +1505,55 @@ def test_jacobi_flow_controls_the_geodesic_at_a_plain_flows_error_norm(
                                                       *rest)
     assert (accepted_big, rejected_big) == (accepted, rejected)
     assert np.array_equal(z_big[:4], z[:4])
+
+
+def test_jacobi_flow_of_no_velocity_is_the_identity(bump):
+    # the Jacobian's formula divides by |v|^2, which is 0 here: the seed
+    # returns the exact Jacobian, the identity, without a warning, and a log
+    # from a point to itself returns 0 in no iteration
+    x = np.array([0.3, 0.1])
+    end, jac = chart._jacobi_flow(bump.conn, x, np.zeros(2), ToleranceConfig())
+    assert np.array_equal(end, x)
+    assert np.array_equal(jac, np.eye(2))
+    v, iters = log_shooting(bump.conn, x, x)
+    assert np.array_equal(v, np.zeros(2)) and iters == 0
+
+
+def _stereographic_3_sphere():
+    """The unit 3-sphere's conformal chart from its north pole, with the
+    Hessian of its factor, counting the Hessian's reads."""
+    reads = []
+
+    def grad_f(x):
+        s = 1.0 + sum(xi * xi for xi in x)
+        return [-2.0 * xi / s for xi in x]
+
+    def hess_f(x):
+        reads.append(x)
+        s = 1.0 + sum(xi * xi for xi in x)
+        return [[-2.0 * (i == j) / s + 4.0 * x[i] * x[j] / (s * s)
+                 for j in range(3)] for i in range(3)]
+
+    return ChartConnection.conformal(3, grad_f, hess_f=hess_f), reads
+
+
+def test_three_dimensional_conformal_chart_shoots_from_the_first_order_seed(
+        monkeypatch):
+    # the scalar Jacobi equation holds on a surface only: a 3-d conformal
+    # chart starts from the chart difference on a plain flow, with the
+    # first-order Jacobian I - G(x)(v, .), and never reads its Hessian.
+    # This log takes 9 iterations; seeded by the 3-d variational equation
+    # it took 7
+    conn, reads = _stereographic_3_sphere()
+    x, y = np.array([0.1, -0.2, 0.3]), np.array([0.5, 0.3, -0.2])
+    monkeypatch.setattr(chart, "_jacobi_flow", lambda *args: pytest.fail(
+        "the 2-d seed ran"))
+    flows = _flows_failing_after(monkeypatch, math.inf, DomainEscape)
+    v, iters = log_shooting(conn, x, y)
+    assert np.array_equal(flows[0][2], y - x)
+    assert iters == 9
+    assert np.linalg.norm(geodesic_flow(conn, x, v)[0] - y) <= 1e-11
+    assert reads == []
 
 
 def test_nabla_curvature_is_built_once_per_point_and_connection(monkeypatch):

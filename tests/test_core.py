@@ -316,6 +316,31 @@ def test_vectors_past_the_float_range_raise_non_finite(name):
             call()
 
 
+@pytest.mark.parametrize("name", [*FLEET_NAMES, "bump2d"])
+def test_metric_maps_check_their_vectors(name):
+    # inner, norm and dist take their vectors through the one vector rule:
+    # a NaN or a 1e200 component raises NonFinite, with no numpy warning,
+    # in either argument; vectors at another point are InvalidBase
+    space = make_space(name)
+    rng = np.random.default_rng(5)
+    p = space.random_point(rng)
+    u = 0.3 * space.random_direction(rng, p)
+    q = space.exp(p, u)
+    assert space.norm(u) == pytest.approx(0.3, rel=1e-12)
+    assert space.dist(p, q) == pytest.approx(0.3, rel=1e-9)
+    for bad, message in ((math.nan, "not finite"),
+                         (1e200, "leaves the float range")):
+        offset = np.zeros(space.ambient_dim)
+        offset[1] = bad
+        w = TangentVector(p, u.components + offset)
+        for call in (lambda: space.norm(w), lambda: space.inner(w, w),
+                     lambda: space.inner(u, w), lambda: space.inner(w, u)):
+            with pytest.raises(NonFinite, match=message):
+                call()
+    with pytest.raises(InvalidBase):
+        space.inner(u, space.random_direction(rng, q))
+
+
 @pytest.mark.parametrize("name", ["sphere-2", "bump2d"])
 def test_exp_transport_validates_like_exp_and_transport(name):
     space = make_space(name)
