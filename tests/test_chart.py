@@ -1030,10 +1030,10 @@ def test_factor_callbacks_of_the_wrong_length_raise_value_error(
             run()
 
 
-@pytest.mark.parametrize("entry", [(0, 0), (0, 1)],
-                         ids=["diagonal", "off-diagonal"])
-@pytest.mark.parametrize("wall", [-math.inf, 0.4],
-                         ids=["at-start", "in-a-stage"])
+@pytest.mark.parametrize("wall, entry", [
+    (-math.inf, (0, 0)), (0.4, (0, 0)), (-math.inf, (0, 1)), (0.4, (0, 1)),
+], ids=["at-start", "in-a-stage", "at-start-off-diagonal",
+        "in-a-stage-off-diagonal"])
 def test_nan_conformal_hessian_raises_non_finite(wall, entry):
     # at a finite state, from the Jacobi flow's first evaluation or from
     # the stage of a step that crosses x_0 = wall, past which the Hessian
