@@ -96,21 +96,30 @@ def bch_numeric(space: ConnectionSpace, x: Point, v: TangentVector,
 
 
 def pole_error_predicted(space: ConnectionSpace, m: Point, u: TangentVector,
-                         v: TangentVector) -> TangentVector:
-    """Leading error term of one pole-ladder step, evaluated at the midpoint.
+                         v: TangentVector, scheme="pole_v2") -> TangentVector:
+    """Leading error term of one step of a pole-ladder kind, evaluated at the
+    midpoint.
 
-    (nabla_v R(u,v)(5u - 2v) + nabla_u R(u,v)(v - 2u)) / 12.  Vanishes on
-    locally symmetric spaces, where the curvature is covariantly constant.
+    For pole_v1 and pole_v2 it is (nabla_v R(u,v)(5u - 2v)
+    + nabla_u R(u,v)(v - 2u)) / 12.  Vanishes on locally symmetric spaces,
+    where the curvature is covariantly constant.
 
-    The reversed-symmetry variant's term is
-    ``-pole_error_predicted(space, m, u, -v)``, that is
-    -(nabla_v R(u,v)(5u + 2v) + nabla_u R(u,v)(v + 2u)) / 12, obtained by the
-    same order-by-order inversion of the double-exponential series and
-    confirmed against the measured error (the relative defect vanishes
-    linearly in the joint scale).  The average of the two terms,
-    -(nabla_v R(u,v)v + nabla_u R(u,v)u) / 6, is generically nonzero:
-    averaging the variants cannot cancel the third-order error.
+    The reversed-symmetry variant pole_alt has the main term at -v, negated,
+    that is -(nabla_v R(u,v)(5u + 2v) + nabla_u R(u,v)(v + 2u)) / 12,
+    obtained by the same order-by-order inversion of the double-exponential
+    series and confirmed against the measured error (the relative defect
+    vanishes linearly in the joint scale).  pole_avg has the mean of the
+    two, -(nabla_v R(u,v)v + nabla_u R(u,v)u) / 6, which is generically
+    nonzero: averaging the variants cannot cancel the third-order error.
+    Any other kind, Schild's ladder included, raises ValueError.
     """
+    if scheme == "pole_alt":
+        return -pole_error_predicted(space, m, u, -v)
+    if scheme == "pole_avg":
+        return 0.5 * (pole_error_predicted(space, m, u, v)
+                      - pole_error_predicted(space, m, u, -v))
+    if scheme not in ("pole_v1", "pole_v2"):
+        raise ValueError(f"no leading-term predictor for {scheme!r}")
     t1 = space.nabla_curvature(m, v, u, v, 5.0 * u - 2.0 * v)
     t2 = space.nabla_curvature(m, u, u, v, v - 2.0 * u)
     return (1.0 / 12.0) * (t1 + t2)
@@ -143,12 +152,14 @@ def pole_error_measured(space: ConnectionSpace, m: Point, u: TangentVector,
 
 def one_step_error_sweep(space: ConnectionSpace, m: Point,
                          u_dir: TangentVector, v_dir: TangentVector,
-                         scales, scheme="pole_v2") -> np.ndarray:
-    """Norms of the measured one-step error under joint scaling u, v <- h."""
+                         scales, scheme="pole_v2",
+                         n_rungs: int = 1) -> np.ndarray:
+    """Norms of the measured error of n_rungs rungs under joint scaling
+    u, v <- h."""
     out = []
     for h in scales:
         err = pole_error_measured(space, m, float(h) * u_dir,
-                                  float(h) * v_dir, scheme)
+                                  float(h) * v_dir, scheme, n_rungs)
         out.append(err.component_norm)
     return np.asarray(out)
 

@@ -51,6 +51,7 @@ from .core import (
     Point,
     TangentVector,
     ToleranceConfig,
+    _norm,
 )
 
 __all__ = [
@@ -464,15 +465,6 @@ def _dop853(conn: ChartConnection, rhs, z: np.ndarray, f: list,
                 f"t={s:.6g} left the state unchanged", s, accepted, rejected)
         s, z = s_new, z_new
     return np.array(z), accepted, rejected
-
-
-def _norm(a) -> float:
-    """Euclidean norm of a list of Python floats or a 1-d array, as a sum
-    in Python floats: it rounds alike on every CPU, where BLAS's dot, which
-    np.linalg.norm calls, may fuse its products."""
-    if not isinstance(a, list):
-        a = a.tolist()
-    return math.sqrt(sum(map(mul, a, a)))
 
 
 def _integrate(conn: ChartConnection, rhs, z0: np.ndarray, t: float,

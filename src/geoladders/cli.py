@@ -26,7 +26,7 @@ from .analysis import (
     convergence_order,
     default_noise_floor,
     generic_directions,
-    pole_error_measured,
+    one_step_error_sweep,
     pole_error_predicted,
 )
 from .chart import ChartSpace
@@ -302,15 +302,15 @@ def _explicit_trial(space, cfg: ExperimentConfig):
     return p, q, u
 
 
-def _sweep_setup(cfg: ExperimentConfig, command: str):
+def _sweep_setup(cfg: ExperimentConfig):
     """Space, base point m, direction pair, scales and noise floor of a
     scaling sweep (convergence and bch-check)."""
     if cfg.num_scales < 5:
-        raise ConfigError(f"{command} runs need at least 5 scales")
+        raise ConfigError(f"{cfg.command} runs need at least 5 scales")
     space = cfg.build_space()
     if space.dim < 2:
-        raise ConfigError(f"{command} needs two non-parallel directions, and "
-                          f"{cfg.manifold} has dimension {space.dim}")
+        raise ConfigError(f"{cfg.command} needs two non-parallel directions, "
+                          f"and {cfg.manifold} has dimension {space.dim}")
     rng = cfg.rng()
     # chart spaces carry a canonical interior anchor for sweeps; closed-form
     # spaces use a seeded random point
@@ -347,19 +347,6 @@ def cmd_transport(cfg: ExperimentConfig, sink: _CsvSink) -> int:
     return 0
 
 
-def _predicted_error_norm(space, scheme, m, u, v) -> float:
-    if scheme in ("pole_v1", "pole_v2"):
-        return pole_error_predicted(space, m, u, v).component_norm
-    # the reversed variant's term is the main one's at -v, negated
-    if scheme == "pole_alt":
-        return (-pole_error_predicted(space, m, u, -v)).component_norm
-    if scheme == "pole_avg":
-        avg = 0.5 * (pole_error_predicted(space, m, u, v)
-                     - pole_error_predicted(space, m, u, -v))
-        return avg.component_norm
-    return math.nan
-
-
 def _fit_unless_exact(scales, values, floor):
     """convergence_order's fit, or None if every value is at the noise floor."""
     values = np.asarray(values)
@@ -370,26 +357,25 @@ def _fit_unless_exact(scales, values, floor):
 
 def cmd_convergence(cfg: ExperimentConfig, sink: _CsvSink) -> int:
     """One-step error sweep under joint scaling, with a log-log slope fit."""
-    space, m, u_dir, v_dir, scales, floor = _sweep_setup(cfg, "convergence")
+    space, m, u_dir, v_dir, scales, floor = _sweep_setup(cfg)
     scheme = cfg.scheme or "pole_v2"
     sink.header("manifold", "scheme", "h", "n_rungs", "error",
                 "predicted_error", "slope_running")
-    errors = []
-    for i, h in enumerate(scales):
-        u = float(h) * u_dir
-        v = float(h) * v_dir
-        err = pole_error_measured(space, m, u, v, scheme,
-                                  n_rungs=cfg.n_rungs).component_norm
-        errors.append(err)
-        predicted = (_predicted_error_norm(space, scheme, m, u, v)
-                     if cfg.n_rungs == 1 else math.nan)
-        if i >= 2 and min(errors) > 0.0:
+    errors = one_step_error_sweep(space, m, u_dir, v_dir, scales, scheme,
+                                  n_rungs=cfg.n_rungs).tolist()
+    # the predictor is a one-step term, and Schild's ladder has none yet
+    predicts = cfg.n_rungs == 1 and scheme in POLE_SCHEMES
+    for i, (h, err) in enumerate(zip(scales.tolist(), errors)):
+        predicted = (pole_error_predicted(space, m, h * u_dir, h * v_dir,
+                                          scheme).component_norm
+                     if predicts else math.nan)
+        if i >= 2 and min(errors[: i + 1]) > 0.0:
             running = float(np.polyfit(np.log(scales[: i + 1]),
-                                       np.log(errors), 1)[0])
+                                       np.log(errors[: i + 1]), 1)[0])
         else:
             running = math.nan
-        sink.row(cfg.manifold, scheme, float(h), cfg.n_rungs, err,
-                 predicted, running)
+        sink.row(cfg.manifold, scheme, h, cfg.n_rungs, err, predicted,
+                 running)
     report = _fit_unless_exact(scales, errors, floor)
     if report is None:
         sink.comment("exact within tolerance (all errors at the noise floor)")
@@ -401,7 +387,7 @@ def cmd_convergence(cfg: ExperimentConfig, sink: _CsvSink) -> int:
 
 def cmd_bch_check(cfg: ExperimentConfig, sink: _CsvSink) -> int:
     """Residuals of the double-exponential series at orders 1, 3 and 4."""
-    space, m, u_dir, v_dir, scales, floor = _sweep_setup(cfg, "bch-check")
+    space, m, u_dir, v_dir, scales, floor = _sweep_setup(cfg)
     sink.header("manifold", "order", "h", "residual")
     ok = True
     summaries = []

@@ -16,6 +16,7 @@ import abc
 import math
 import numbers
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
@@ -168,6 +169,15 @@ def _require_finite(values: np.ndarray, what: str):
 _FLOAT_LIMIT = 8.9e307
 
 
+def _norm(a) -> float:
+    """Euclidean norm of a list of Python floats or a 1-d array, as a sum
+    in Python floats: it rounds alike on every CPU, where BLAS's dot, which
+    np.linalg.norm calls, may fuse its products."""
+    if not isinstance(a, list):
+        a = a.tolist()
+    return math.sqrt(sum(map(mul, a, a)))
+
+
 def _check_float_range(bound, what):
     # before a closed form runs, where numpy would only warn and return inf;
     # a NaN bound fails too
@@ -208,7 +218,7 @@ class TangentVector:
     @property
     def component_norm(self) -> float:
         """Euclidean norm of the raw components (chart/embedding level)."""
-        return float(np.linalg.norm(self.components))
+        return _norm(self.components)
 
     def _require_same_base(self, other: "TangentVector"):
         if self.base.space_id != other.base.space_id or not _same_base(

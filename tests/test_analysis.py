@@ -147,6 +147,8 @@ def test_predictors_vanish_on_symmetric_fleet(name, rng):
     v = 0.4 * space.random_direction(rng, m)
     assert pole_error_predicted(space, m, u, v).component_norm <= 1e-8
     assert pole_error_predicted(space, m, u, -v).component_norm <= 1e-8
+    for kind in ("pole_v1", "pole_v2", "pole_alt", "pole_avg"):
+        assert not pole_error_predicted(space, m, u, v, kind).components.any()
 
 
 def test_predictors_vanish_for_parallel_arguments(bump):
@@ -172,6 +174,21 @@ def test_reversed_term_is_the_pole_term_at_minus_v(bump):
             alt = (-1.0 / 12.0) * (t1 + t2)
             got = -pole_error_predicted(bump, m, u, -v)
             assert np.array_equal(got.components, alt.components)
+            got = pole_error_predicted(bump, m, u, v, "pole_alt")
+            assert np.array_equal(got.components, alt.components)
+            # the mean of the two kinds' terms
+            avg = 0.5 * (pole_error_predicted(bump, m, u, v)
+                         - pole_error_predicted(bump, m, u, -v))
+            got = pole_error_predicted(bump, m, u, v, "pole_avg")
+            assert np.array_equal(got.components, avg.components)
+
+
+@pytest.mark.parametrize("kind", ["schild", "pole_c"])
+def test_kind_without_a_leading_term_is_a_value_error(bump, kind):
+    m = bump.anchor_point()
+    u, v = bump.tangent(m, [0.2, 0.1]), bump.tangent(m, [-0.1, 0.2])
+    with pytest.raises(ValueError, match="no leading-term predictor"):
+        pole_error_predicted(bump, m, u, v, kind)
 
 
 def test_average_of_predictors_is_material(bump):
@@ -309,6 +326,17 @@ def test_one_step_sweep_has_fourth_order_slope(bump):
     rep = convergence_order(scales, errors)
     assert 3.7 <= rep.fitted_slope <= 4.3
     assert rep.r_squared >= 0.999
+
+
+def test_sweep_of_several_rungs_is_the_measured_error_of_as_many(bump):
+    m = bump.anchor_point()
+    u_dir, v_dir = generic_directions(bump, m, np.random.default_rng(8))
+    scales = [0.2, 0.05]
+    errors = one_step_error_sweep(bump, m, u_dir, v_dir, scales, "pole_alt",
+                                  n_rungs=2)
+    want = [pole_error_measured(bump, m, h * u_dir, h * v_dir, "pole_alt",
+                                n_rungs=2).component_norm for h in scales]
+    assert errors.tolist() == want
 
 
 # -- convergence-order fitting -------------------------------------------------------

@@ -177,7 +177,9 @@ ENTRY_POINT_PARAMETERS = {
     "transport_along_geodesic": ["space", "p", "q", "u", "n_rungs", "scheme"],
     "generic_directions": ["space", "m", "rng"],
     "convergence_order": ["scales", "errors", "noise_floor"],
-    "pole_error_predicted": ["space", "m", "u", "v"],
+    "pole_error_predicted": ["space", "m", "u", "v", "scheme"],
+    "one_step_error_sweep": ["space", "m", "u_dir", "v_dir", "scales", "scheme",
+                             "n_rungs"],
 }
 
 

@@ -214,7 +214,7 @@ def test_convergence_predicts_each_scheme_by_its_own_term(tmp_path, scheme):
     cfg = ExperimentConfig(command="convergence", manifold="bump2d",
                            scheme=scheme, seed=4, h_min=0.05, h_max=0.5,
                            num_scales=5)
-    space, m, u_dir, v_dir, scales, _ = cli._sweep_setup(cfg, "convergence")
+    space, m, u_dir, v_dir, scales, _ = cli._sweep_setup(cfg)
     assert len(rows) == len(scales)
     for row, h in zip(rows, scales):
         if scheme == "schild":

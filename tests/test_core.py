@@ -77,6 +77,18 @@ def test_tangent_vector_arithmetic():
     assert a.component_norm == pytest.approx(math.sqrt(5.0))
 
 
+def test_component_norm_sums_its_squares_left_to_right():
+    # the same bits on every CPU and BLAS kernel: np.linalg.norm's dot may
+    # fuse or reorder its products, and a compensated sum would read
+    # 1e16 + 2 for the squares of [1e8, 1, 1]
+    p = Point([0.0, 0.0, 0.0], "euclidean-3")
+    rng = np.random.default_rng(3)
+    for comps in [[1e8, 1.0, 1.0], *rng.standard_normal((200, 3)).tolist()]:
+        x, y, z = comps
+        want = math.sqrt(x * x + y * y + z * z)
+        assert TangentVector(p, comps).component_norm == want, comps
+
+
 def test_vectors_from_different_bases_do_not_combine():
     p = Point([0.0, 0.0], "euclidean-2")
     q = Point([1.0, 0.0], "euclidean-2")
