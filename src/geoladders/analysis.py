@@ -15,6 +15,7 @@ a geodesic or a point the protocol already holds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -192,6 +193,26 @@ def default_noise_floor(problem_scale: float = 1.0) -> float:
     return 100.0 * _EPS * problem_scale
 
 
+def _log_fit(scales, errors, floor: float):
+    """(slope, intercept, r_squared) of the least-squares line through the
+    points (log h, log e) whose error e is above floor, or None when fewer
+    than 3 are.  In Python floats summed by math.fsum, so the fit rounds
+    alike whichever BLAS, LAPACK or SIMD kernels numpy runs."""
+    pts = [(math.log(h), math.log(e))
+           for h, e in zip(scales, errors) if e > floor]
+    if len(pts) < 3:
+        return None
+    xs, ys = zip(*pts)
+    mx, my = math.fsum(xs) / len(pts), math.fsum(ys) / len(pts)
+    dx, dy = [x - mx for x in xs], [y - my for y in ys]
+    slope = (math.fsum(a * b for a, b in zip(dx, dy))
+             / math.fsum(a * a for a in dx))
+    intercept = my - slope * mx
+    ss_res = math.fsum((y - (slope * x + intercept)) ** 2 for x, y in pts)
+    ss_tot = math.fsum(b * b for b in dy)
+    return slope, intercept, 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+
+
 def convergence_order(scales, errors,
                       noise_floor: float | None = None) -> ConvergenceReport:
     """Fit log(error) against log(scale) by least squares.
@@ -220,14 +241,8 @@ def convergence_order(scales, errors,
     if used.sum() < 4:
         raise InsufficientData(
             f"only {int(used.sum())} points above the noise floor")
-    ls = np.log(s[used])
-    le = np.log(e[used])
-    slope, intercept = np.polyfit(ls, le, 1)
-    fit = slope * ls + intercept
-    ss_res = float(np.sum((le - fit) ** 2))
-    ss_tot = float(np.sum((le - le.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+    slope, intercept, r2 = _log_fit(s.tolist(), e.tolist(), floor)
     return ConvergenceReport(
-        scales=s, errors=e, fitted_slope=float(slope),
-        intercept=float(intercept), r_squared=r2, noise_floor_mask=masked,
+        scales=s, errors=e, fitted_slope=slope, intercept=intercept,
+        r_squared=r2, noise_floor_mask=masked,
     )

@@ -51,6 +51,7 @@ from .core import (
     Point,
     TangentVector,
     ToleranceConfig,
+    _dot,
     _norm,
 )
 
@@ -760,8 +761,11 @@ def log_shooting(conn: ChartConnection, x, y,
             r_try = _norm(res_try)
             # the least change to jac that maps dv to the observed residual
             # change; a rejected trial informs jac too, so the next trial
-            # solves again instead of halving a step along a poor direction
-            jac += np.outer(res_try - res - jac @ dv, dv) / (dv @ dv)
+            # solves again instead of halving a step along a poor direction;
+            # its products in Python floats, which round alike on every CPU
+            dl = dv.tolist()
+            jdv = [_dot(row, dl) for row in jac.tolist()]
+            jac += np.outer(res_try - res - jdv, dv) / _dot(dl, dl)
             if r_try < rnorm:
                 break
             alpha *= 0.5

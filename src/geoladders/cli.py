@@ -21,6 +21,7 @@ from typing import get_args, get_type_hints
 import numpy as np
 
 from .analysis import (
+    _log_fit,
     bch_numeric,
     bch_series,
     convergence_order,
@@ -365,15 +366,14 @@ def cmd_convergence(cfg: ExperimentConfig, sink: _CsvSink) -> int:
                                   n_rungs=cfg.n_rungs).tolist()
     # the predictor is a one-step term, and Schild's ladder has none yet
     predicts = cfg.n_rungs == 1 and scheme in POLE_SCHEMES
-    for i, (h, err) in enumerate(zip(scales.tolist(), errors)):
+    hs = scales.tolist()
+    for i, (h, err) in enumerate(zip(hs, errors)):
         predicted = (pole_error_predicted(space, m, h * u_dir, h * v_dir,
                                           scheme).component_norm
                      if predicts else math.nan)
-        if i >= 2 and min(errors[: i + 1]) > 0.0:
-            running = float(np.polyfit(np.log(scales[: i + 1]),
-                                       np.log(errors[: i + 1]), 1)[0])
-        else:
-            running = math.nan
+        # convergence_order's fit of the rows so far, with its noise floor
+        fit = _log_fit(hs[: i + 1], errors[: i + 1], floor)
+        running = math.nan if fit is None else fit[0]
         sink.row(cfg.manifold, scheme, h, cfg.n_rungs, err, predicted,
                  running)
     report = _fit_unless_exact(scales, errors, floor)

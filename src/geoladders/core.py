@@ -16,7 +16,6 @@ import abc
 import math
 import numbers
 from dataclasses import dataclass
-from operator import mul
 
 import numpy as np
 
@@ -169,13 +168,21 @@ def _require_finite(values: np.ndarray, what: str):
 _FLOAT_LIMIT = 8.9e307
 
 
+def _dot(a, b) -> float:
+    """Sum of the products of two sequences of Python floats, left to right,
+    alike on every CPU and Python version: BLAS's dot may fuse or reorder
+    its products, and sum() compensates its rounding from Python 3.12 on."""
+    total = 0.0
+    for x, y in zip(a, b):
+        total += x * y
+    return total
+
+
 def _norm(a) -> float:
-    """Euclidean norm of a list of Python floats or a 1-d array, as a sum
-    in Python floats: it rounds alike on every CPU, where BLAS's dot, which
-    np.linalg.norm calls, may fuse its products."""
+    """Euclidean norm of a list of Python floats or a 1-d array, by _dot."""
     if not isinstance(a, list):
         a = a.tolist()
-    return math.sqrt(sum(map(mul, a, a)))
+    return math.sqrt(_dot(a, a))
 
 
 def _check_float_range(bound, what):

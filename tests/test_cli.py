@@ -148,6 +148,22 @@ def test_convergence_sphere_flags_exactness(tmp_path):
     assert any("exact within tolerance" in c for c in comments)
 
 
+def test_running_slope_is_the_fit_of_the_errors_above_the_floor(capsys):
+    # euclidean errors are round-off at or below the noise floor, which
+    # the summary's fit masks; the running slope masks them too instead of
+    # fitting a slope to noise
+    assert main(["convergence", "--manifold", "euclidean-2"]) == 0
+    *rows, summary = capsys.readouterr().out.splitlines()[1:]
+    assert summary == "# exact within tolerance (all errors at the noise floor)"
+    assert len(rows) == 7 and [r.split(",")[6] for r in rows] == ["nan"] * 7
+    # over all the scales it is the summary's fit
+    assert main(["convergence", "--manifold", "bump2d", "--seed", "4",
+                 "--h-min", "0.05", "--h-max", "0.5", "--num-scales", "5"]) == 0
+    *rows, summary = capsys.readouterr().out.splitlines()[1:]
+    running = float(rows[-1].split(",")[6])
+    assert summary.startswith(f"# fitted_slope={running:.6f} ")
+
+
 def test_convergence_bump_fits_fourth_order(tmp_path):
     out = tmp_path / "b.csv"
     rc = main(["convergence", "--manifold", "bump2d", "--scheme", "pole_v2",

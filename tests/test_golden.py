@@ -6,7 +6,9 @@ Where the child's platform line (machine, numpy, OpenBLAS build and core,
 C library) is the one recorded with the golden bytes, the outputs must be
 byte-identical.  Anywhere else the kernels cannot be pinned to the ones
 that made the bytes, so the test compares every number to 1e-12 relative
-instead and says why in a ``GoldenBytesNotCompared`` warning.
+instead and says why in a ``GoldenBytesNotCompared`` warning.  Two more
+tests hold the ``bump2d`` runs to their bytes under another OpenBLAS kernel
+and under the compensated ``sum()`` of Python 3.12 and later.
 """
 
 import json
@@ -17,6 +19,10 @@ import subprocess
 import sys
 import warnings
 
+import pytest
+
+from geoladders import chart, core
+from geoladders.cli import main
 from golden import cli_runs
 
 # a number in the runs' text: a CSV cell, a coordinate, a comment's value
@@ -107,3 +113,63 @@ def test_golden_comparison_passes_round_off_and_nothing_more():
     # the text around the numbers is compared as it is
     renamed = want.replace("# fitted_slope=3.986266", "# slope=3.986266", 1)
     assert [change for _, change in _moved(renamed, want)] == [math.inf]
+
+
+# the core that OpenBLAS 0.3.31 names when pinned to Prescott
+_PINNED_CORE = "Katmai"
+_RENDER_CHILD = """
+import json
+from golden import cli_runs
+print(json.dumps({"platform": cli_runs.platform_line(),
+                  "text": cli_runs.render_runs()}))
+"""
+
+
+def test_bump2d_runs_are_the_golden_bytes_under_the_haswell_kernel():
+    # the chart engine's norms, sums, fits and Broyden products are Python
+    # floats, so the bump2d runs do not depend on the OpenBLAS kernel; the
+    # fleet's closed forms call BLAS, and their runs may move
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            flags = set(fh.read().split())
+    except OSError:
+        flags = set()
+    if not {"avx2", "fma"} <= flags:
+        pytest.skip("/proc/cpuinfo lists no avx2 and fma: no Haswell kernel")
+    env = dict(cli_runs.pinned_env(), OPENBLAS_CORETYPE="Haswell",
+               PYTHONPATH=os.pathsep.join(sys.path))
+    child = subprocess.run([sys.executable, "-c", _RENDER_CHILD],
+                           capture_output=True, text=True, env=env)
+    assert child.returncode == 0, child.stderr
+    got = json.loads(child.stdout)
+    platform, want = _golden()
+    if got["platform"] != platform.replace(f" {_PINNED_CORE} ", " Haswell "):
+        pytest.skip(f"the golden bytes were made on '{platform}', the Haswell "
+                    f"runs on '{got['platform']}'")
+    assert [m for m in _moved(got["text"], want) if "bump2d" in m[0]] == []
+
+
+def _compensated_sum(values, start=0):
+    """sum() of Python 3.12 and later on floats: Neumaier's compensated
+    summation, which rounds otherwise than a left-to-right sum."""
+    total, c = float(start), 0.0
+    for x in values:
+        t = total + x
+        c += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + c if c and math.isfinite(c) else total
+
+
+def test_bump2d_transport_does_not_depend_on_the_python_sum(monkeypatch,
+                                                              capsys):
+    # the golden platform line records no Python version: the engine's
+    # norms and products sum left to right, and its two-term sums round
+    # alike under both algorithms
+    assert _compensated_sum([1e16, 1.0, -1e16]) == 1.0
+    argv = ["transport", "--manifold", "bump2d", "--seed", "7"]
+    assert main(argv) == 0
+    plain = capsys.readouterr().out
+    for module in (core, chart):
+        monkeypatch.setattr(module, "sum", _compensated_sum, raising=False)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == plain
