@@ -936,7 +936,7 @@ class ChartSpace(ConnectionSpace):
     def log_stats(self, p: Point, q: Point):
         self._check_point(p)
         self._check_point(q)
-        if np.array_equal(p.coords, q.coords):
+        if p.coords.tolist() == q.coords.tolist():
             return TangentVector(p, np.zeros(self.ambient_dim)), 0
         v, iters = log_shooting(self.conn, p.coords, q.coords, self.tolerances)
         return TangentVector(p, v), iters
@@ -945,10 +945,6 @@ class ChartSpace(ConnectionSpace):
         # one transport ODE carries the geodesic and the vector together
         u_t, y, _ = transport_ode(self.conn, u, x, v, 1.0, self.tolerances)
         return y, u_t
-
-    def _transport(self, x, u, y):
-        v = log_shooting(self.conn, x, y, self.tolerances)[0]
-        return self._exp_transport(x, u, v)[1]
 
     def _curvature(self, x, u, v, w):
         r = curvature_components(self.conn, x)

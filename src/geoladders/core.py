@@ -275,9 +275,10 @@ def _unit_direction(rng: np.random.Generator, p: Point,
 class ConnectionSpace(abc.ABC):
     """A manifold with an affine connection (torsion-free).
 
-    Subclasses implement the private kernels ``_exp``/``_log``/``_transport``
-    on raw coordinate arrays, and may override ``_exp_transport`` (exp, then
-    transport to the endpoint) when they can do both in one pass, and
+    Subclasses implement the private kernels ``_exp``/``_log`` and
+    ``_exp_transport`` (the point exp(v) and u transported along
+    t -> exp(t v)) on raw coordinate arrays; ``transport`` to a point q is
+    that kernel along ``_log``'s velocity.  They may override
     ``_geodesic`` (exp at many times along one geodesic) when the work the
     times share can be done once, and ``_geodesic_symmetry`` when the
     reflection has a closed form.  The public wrappers handle ``Point`` /
@@ -313,13 +314,10 @@ class ConnectionSpace(abc.ABC):
         ...
 
     @abc.abstractmethod
-    def _transport(self, x: np.ndarray, u: np.ndarray, y: np.ndarray) -> np.ndarray:
-        ...
-
     def _exp_transport(self, x: np.ndarray, u: np.ndarray,
                        v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        y = self._exp(x, v)
-        return y, self._transport(x, u, y)
+        """(exp_x(v), u transported along t -> exp_x(t v)), whatever |v|;
+        the point is _exp's, bit for bit."""
 
     def _geodesic(self, x: np.ndarray, v: np.ndarray, times: np.ndarray):
         """Rows exp_x(t v), one per t in times (none of them 0)."""
@@ -431,7 +429,8 @@ class ConnectionSpace(abc.ABC):
         """Initial velocity of the geodesic from p reaching q at time 1."""
         self._check_point(p)
         self._check_point(q)
-        if np.array_equal(p.coords, q.coords):
+        # equal as np.array_equal finds finite arrays, several times faster
+        if p.coords.tolist() == q.coords.tolist():
             return TangentVector(p, np.zeros(self.ambient_dim))
         return TangentVector(p, self._log(p.coords, q.coords))
 
@@ -445,16 +444,19 @@ class ConnectionSpace(abc.ABC):
         p = u.base
         self._check_point(p)
         self._check_base(u, p)
-        if np.array_equal(p.coords, q.coords):
+        if p.coords.tolist() == q.coords.tolist():
             return TangentVector(q, u.components.copy())
-        return TangentVector(q, self._transport(p.coords, u.components, q.coords))
+        x = p.coords
+        v = self._log(x, q.coords)
+        return TangentVector(q, self._exp_transport(x, u.components, v)[1])
 
     def exp_transport(self, u: TangentVector, v: TangentVector) -> TangentVector:
         """u parallel-transported along t -> exp(t v) from their common base
         point, returned at exp(v).
 
-        The result's base is the geodesic's endpoint, so one call yields the
-        point and the vector without a log map to recover the geodesic.
+        The result's base is exp(v), bit for bit, so one call yields the
+        point and the vector without a log map to recover the geodesic, and
+        follows t -> exp(t v) for any length of v, past the cut locus too.
         """
         p = u.base
         self._check_point(p)

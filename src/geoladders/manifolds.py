@@ -67,8 +67,8 @@ class Euclidean(ConnectionSpace):
     def _log(self, x, y):
         return y - x
 
-    def _transport(self, x, u, y):
-        return u.copy()
+    def _exp_transport(self, x, u, v):
+        return x + v, u.copy()
 
     def _curvature(self, x, u, v, w):
         return np.zeros_like(u)
@@ -141,15 +141,16 @@ class Sphere(ConnectionSpace):
             return np.zeros_like(x)
         return (theta / nr) * u
 
-    def _transport(self, x, u, y):
-        w = self._log(x, y)
-        theta = float(np.linalg.norm(w))
+    def _exp_transport(self, x, u, v):
+        y = self._exp(x, v)
+        theta = float(np.linalg.norm(v))
         if theta == 0.0:
-            return u.copy()
-        e = w / theta
-        ue = float(u @ e)
-        out = u + ue * ((math.cos(theta) - 1.0) * e - math.sin(theta) * x)
-        return out - (out @ y) * y
+            return y, u.copy()
+        # u's component ue along e = v / theta turns in the plane of x and e
+        ue = float(u @ v) / theta
+        out = (u + (ue * (math.cos(theta) - 1.0) / theta) * v
+               - (ue * math.sin(theta)) * x)
+        return y, out - (out @ y) * y
 
     def _curvature(self, x, u, v, w):
         return (v @ w) * u - (u @ w) * v
@@ -257,15 +258,15 @@ class Hyperbolic(ConnectionSpace):
             return np.zeros_like(x)
         return (math.asinh(nr) / nr) * u
 
-    def _transport(self, x, u, y):
-        w = self._log(x, y)
-        theta = math.sqrt(max(_mink(w, w), 0.0))
+    def _exp_transport(self, x, u, v):
+        y = self._exp(x, v)
+        theta = math.sqrt(max(_mink(v, v), 0.0))
         if theta == 0.0:
-            return u.copy()
-        e = w / theta
-        ue = _mink(u, e)
-        out = u + ue * ((math.cosh(theta) - 1.0) * e + math.sinh(theta) * x)
-        return out + _mink(y, out) * y
+            return y, u.copy()
+        ue = _mink(u, v) / theta
+        out = (u + (ue * (math.cosh(theta) - 1.0) / theta) * v
+               + (ue * math.sinh(theta)) * x)
+        return y, out + _mink(y, out) * y
 
     def _curvature(self, x, u, v, w):
         return -(_mink(v, w) * u - _mink(u, w) * v)
@@ -354,15 +355,15 @@ def _check_expm_range(lo, hi, margin):
             f"{lo:.6g} to {hi:.6g}, limit {lim:.6g}")
 
 
-def _expm_sym(s, margin=0.0):
+def _eigh_expm(s, margin=0.0):
     w, vecs = np.linalg.eigh(_sym(s))
     _check_expm_range(w[0], w[-1], margin)  # eigh sorts ascending
+    return w, vecs
+
+
+def _expm_sym(s, margin=0.0):
+    w, vecs = _eigh_expm(s, margin)
     return (vecs * np.exp(w)) @ vecs.T
-
-
-def _logm_spd(p, what="matrix"):
-    w, vecs = _eigh_spd(p, what)
-    return (vecs * np.log(w)) @ vecs.T
 
 
 def _bracket_curvature(a, b, c):
@@ -376,11 +377,12 @@ class SPD(ConnectionSpace):
 
     Points and tangent vectors are stored as flattened n x n arrays; tangent
     vectors are symmetric matrices.  exp/log conjugate the matrix exponential
-    and logarithm by P^{+-1/2}; transport P -> Q multiplies by the square
-    root of Q P^{-1} on both sides.  The space is a Hadamard manifold: no cut
-    locus, infinite injectivity radius.  P^{+-1/2} of the last few base
-    points are cached, so a ladder step that comes back to a base factors it
-    once.
+    and logarithm by P^{+-1/2}; transport along t -> exp_P(t V) is
+    U -> E U E^T with E = P^{1/2} expm(S/2) P^{-1/2}, S = P^{-1/2} V P^{-1/2},
+    the square root of Q P^{-1} for Q = exp_P(V).  The space is a Hadamard
+    manifold: no cut locus, infinite injectivity radius.  P^{+-1/2} of the
+    last few base points are cached, so a ladder step that comes back to a
+    base factors it once.
     """
 
     locally_symmetric = True
@@ -428,14 +430,16 @@ class SPD(ConnectionSpace):
 
     def _log(self, x, y):
         ps, pis, _ = self._sqrt_pair(x)
-        inner = _logm_spd(pis @ self._mat(y) @ pis, "target point")
-        return _sym(ps @ inner @ ps).ravel()
+        w, vecs = _eigh_spd(pis @ self._mat(y) @ pis, "target point")
+        return _sym(ps @ ((vecs * np.log(w)) @ vecs.T) @ ps).ravel()
 
-    def _transport(self, x, u, y):
-        ps, pis, _ = self._sqrt_pair(x)
-        delta = _logm_spd(pis @ self._mat(y) @ pis, "target point")
-        e = ps @ _expm_sym(0.5 * delta) @ pis
-        return _sym(e @ self._mat(u) @ e.T).ravel()
+    def _exp_transport(self, x, u, v):
+        # one eigh of S = P^-1/2 V P^-1/2 serves expm(S) and expm(S / 2)
+        ps, pis, margin = self._sqrt_pair(x)
+        w, vecs = _eigh_expm(pis @ self._mat(v) @ pis, margin)
+        y = _sym(ps @ ((vecs * np.exp(w)) @ vecs.T) @ ps).ravel()
+        e = ps @ ((vecs * np.exp(0.5 * w)) @ vecs.T) @ pis
+        return y, _sym(e @ self._mat(u) @ e.T).ravel()
 
     def _geodesic_symmetry(self, x, y):
         # x y^-1 x = a^T a for a = L^-1 x, where y = L L^T; the factor is
@@ -514,19 +518,6 @@ def _rodrigues(w):
 _BRANCH_TOL = 1e-6
 
 
-def _rotation_log(r):
-    """Rotation vector of r; raises CutLocus within 1e-6 of angle pi."""
-    a = _vee(r - r.T) / 2.0  # sin(theta) * axis
-    s = float(np.linalg.norm(a))
-    c = 0.5 * (float(np.trace(r)) - 1.0)
-    theta = math.atan2(s, c)
-    if theta > math.pi - _BRANCH_TOL:
-        raise CutLocus("rotation angle at the cut locus (pi)")
-    if theta < 1e-8:
-        return a * (1.0 + theta * theta / 6.0)
-    return (theta / s) * a
-
-
 class RotationGroup(ConnectionSpace):
     """SO(3) with the symmetric Cartan-Schouten connection.
 
@@ -584,15 +575,25 @@ class RotationGroup(ConnectionSpace):
                                     (rk @ k).ravel()))
 
     def _log(self, x, y):
-        r, s = self._mat(x), self._mat(y)
-        w = _rotation_log(r.T @ s)
-        return (r @ _hat(w)).ravel()
+        # R hat(w), w the rotation vector of R^T S; CutLocus near angle pi
+        r = self._mat(x)
+        rel = r.T @ self._mat(y)
+        a = _vee(rel - rel.T) / 2.0  # sin(theta) * axis
+        s = float(np.linalg.norm(a))
+        c = 0.5 * (float(np.trace(rel)) - 1.0)
+        theta = math.atan2(s, c)
+        if theta > math.pi - _BRANCH_TOL:
+            raise CutLocus("rotation angle at the cut locus (pi)")
+        if theta < 1e-8:
+            return (r @ _hat(a * (1.0 + theta * theta / 6.0))).ravel()
+        return (r @ _hat((theta / s) * a)).ravel()
 
-    def _transport(self, x, u, y):
-        r, s = self._mat(x), self._mat(y)
-        w = _rotation_log(r.T @ s)
+    def _exp_transport(self, x, u, v):
+        r = self._mat(x)
+        w = _vee(self._body(x, v))
         half = _rodrigues(0.5 * w)
-        return (r @ half @ self._body(x, u) @ half).ravel()
+        return ((r @ _rodrigues(w)).ravel(),
+                (r @ half @ self._body(x, u) @ half).ravel())
 
     def _geodesic_symmetry(self, x, y):
         g, h = self._mat(x), self._mat(y)

@@ -404,21 +404,23 @@ def test_exactness_with_every_trial_excluded_exits_3(tmp_path, capsys):
 
 @pytest.mark.parametrize("kernel, message", [
     # max(worst, nan) keeps worst: a NaN oracle would certify the run
-    ("_transport", "sphere-2/pole_v1: relative error nan at trial 0"),
+    ("_exp_transport", "sphere-2/pole_v1: relative error nan at trial 0"),
     # a NaN distance fails the conditions: the trial would be excluded
     ("_log", "sphere-2: log_p(q) is not finite at trial 0"),
 ])
 def test_exactness_sweep_raises_on_a_nan(monkeypatch, rng, kernel, message):
     space = make_space("sphere-2")
-    monkeypatch.setattr(space, kernel,
-                        lambda x, *args: np.full_like(x, np.nan))
+    nan = np.full(space.ambient_dim, np.nan)
+    # the transport kernel returns the endpoint and the vector
+    monkeypatch.setattr(space, kernel, lambda x, *args: (
+        (x, nan) if kernel == "_exp_transport" else nan))
     with pytest.raises(NonFinite, match=re.escape(message)):
         exactness_sweep(space, cli.POLE_SCHEMES, 5, rng)
 
 
 def test_exactness_with_a_nan_transport_exits_2(monkeypatch, capsys):
-    monkeypatch.setattr(Sphere, "_transport",
-                        lambda self, x, u, y: np.full_like(u, np.nan))
+    monkeypatch.setattr(Sphere, "_exp_transport",
+                        lambda self, x, u, v: (x, np.full_like(u, np.nan)))
     rc = main(["exactness", "--manifold", "sphere-2", "--trials", "5",
                "--seed", "3"])
     captured = capsys.readouterr()

@@ -433,6 +433,25 @@ def test_so3_log_branch_at_half_turn():
         so3.log(eye, half_turn)
 
 
+@pytest.mark.parametrize("name", ["so3", "sphere-2"])
+def test_exp_transport_follows_exp_past_the_cut_locus(name):
+    # exp_transport(u, v) carries u along t -> exp(t v) whatever |v|, so it
+    # agrees with 64 short steps that each carry the velocity along too,
+    # at the cut locus (|v| = pi) and past it
+    space = make_space(name)
+    rng = np.random.default_rng(3)
+    p = space.random_point(rng)
+    d = space.random_direction(rng, p)
+    u = space.random_direction(rng, p)
+    for length in (math.pi, 4.0, 5.5):
+        out = space.exp_transport(u, length * d)
+        uk, vk = u, (length / 64) * d
+        for _ in range(64):
+            uk, vk = space.exp_transport(uk, vk), space.exp_transport(vk, vk)
+        assert np.max(np.abs(out.base.coords - uk.base.coords)) <= 1e-12
+        assert np.max(np.abs(out.components - uk.components)) <= 1e-12
+
+
 def test_so3_transvection_matches_closed_form_transport():
     # the composition of the symmetries at the midpoint and the endpoint
     # moves the geodesic along itself; its differential is the transport

@@ -129,8 +129,9 @@ def test_transport_is_a_linear_isometry(fleet, name, seed, alpha, data):
 @PROPERTY
 @given(seed=seeds, data=st.data())
 def test_exp_transport_is_exp_then_transport(fleet, name, seed, data):
-    # the default kernel is the closed-form exp followed by the closed-form
-    # transport, so the two routes agree to the last bit
+    # the kernel's endpoint is exp's to the last bit; transport to it runs
+    # the kernel along log's velocity, which inside the injectivity radius
+    # is v up to round-off
     space = fleet[name]
     p = space.random_point(np.random.default_rng(seed))
     u = draw_tangent(data, space, p, lo=0.0)
@@ -138,7 +139,8 @@ def test_exp_transport_is_exp_then_transport(fleet, name, seed, data):
     q = space.exp(p, v)
     out = space.exp_transport(u, v)
     assert np.array_equal(out.base.coords, q.coords)
-    assert np.array_equal(out.components, space.transport(u, q).components)
+    assert np.max(np.abs(out.components
+                         - space.transport(u, q).components)) <= 1e-12
 
 
 @pytest.mark.parametrize("name", FLEET_NAMES)
