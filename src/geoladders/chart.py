@@ -16,11 +16,15 @@ with the geodesic; it only seeds the quasi-Newton solve, so it runs at a
 looser tolerance than the flows that decide convergence.  The loop holds
 scipy's tableau as literals, pinned equal to scipy's by a test, so
 importing the module does not load scipy.  At the
-dimensions of these charts numpy's per-call cost exceeds the arithmetic, so
-the loop holds the state, the stages and the error estimates as lists of
-Python floats, and so do the right-hand sides on conformal charts, which
-hand the conformal factor's callbacks the chart point as a list and read
-their numbers as they come.  numpy remains in the symbols-only right-hand
+dimensions of these charts numpy's per-call cost exceeds the arithmetic,
+and so do the loops and comprehensions of Python code written for any
+state size.  A step attempt is therefore straight-line code in Python
+floats, generated on first use for each state shape, and so are the
+right-hand sides on conformal charts, for each dimension and number of
+transported vectors; they hand the conformal factor's callbacks the chart
+point as a list and read their numbers as they come.  The generated
+source is registered with linecache under a name that gives its shape, so
+tracebacks show its lines.  numpy remains in the symbols-only right-hand
 side, which hands back a list, in the shooting's linear algebra and in the
 finite-difference curvature.  The loop's sums round otherwise than scipy's
 products, so its steps are scipy's, accepted and rejected alike, while an
@@ -34,10 +38,12 @@ tools exactly like the closed-form model manifolds.
 from __future__ import annotations
 
 import functools
+import linecache
 import math
+import textwrap
 import warnings
 from dataclasses import dataclass, replace
-from operator import le, mul
+from operator import le
 from typing import Callable, Sequence
 
 import numpy as np
@@ -160,6 +166,15 @@ class ChartConnection:
     the lengths (ValueError) and that the numbers are finite (NonFinite).
     ``christoffel`` and ``interior`` take the point as an array.
 
+    Those right-hand sides are straight-line code that the engine
+    generates once per dimension and number of transported vectors, and
+    for the 2-d Jacobi seed (``_conformal_rhs``): one expression per
+    component, with no loop, comprehension or slice at run time, as the
+    engine's step attempts are.  They keep the operands and order of the
+    loops they replaced, the reference that a test holds them to, so
+    every derivative keeps its bits; each dot product sums left to right
+    from 0.0, alike on every Python version.
+
     ``interior(x)``, when given, is a test that the initial and every
     accepted state of an integration must pass besides the box, for a domain
     a box cannot describe; a point that fails it is not a member of the
@@ -199,19 +214,6 @@ class ChartConnection:
             return g + g.transpose(0, 2, 1) - df[:, None, None] * eye
 
         return cls(dim, christoffel, chart_bounds, grad_f, hess_f, interior)
-
-    def _gradient(self, x: list) -> Sequence:
-        """grad_f(x) at the chart point x, a list of Python floats, checked."""
-        f = self.grad_f(x)
-        if len(f) != self.dim:
-            raise ValueError(
-                f"grad_f returned {len(f)} numbers, expected {self.dim}")
-        # the same guarantee as gamma: a NaN left unchecked reads as a
-        # rejected step, and the integrator shrinks its step until it
-        # underflows and reports a domain escape instead of the fault
-        if not all(map(math.isfinite, f)):
-            raise NonFinite(f"conformal factor gradient is not finite at {x}")
-        return f
 
     def _hessian(self, x: list) -> Sequence:
         """hess_f(x) at the chart point x, a list of Python floats, checked."""
@@ -287,6 +289,81 @@ def _inside(conn: ChartConnection, x: np.ndarray) -> bool:
     return conn.in_bounds(x) and (conn.interior is None or conn.interior(x))
 
 
+def _compile(name: str, header: str, body: list, namespace: dict):
+    """The function that ``header`` opens and the generated lines ``body``
+    make up, run as the file ``name``, which linecache holds so that
+    tracebacks, pdb and profilers show its lines.  The name gives the shape
+    the function was built for."""
+    source = header + "\n" + textwrap.indent("\n".join(body), "    ") + "\n"
+    linecache.cache[name] = (len(source), None, source.splitlines(True), name)
+    exec(compile(source, name, "exec"), namespace)
+    return namespace[header[len("def "):header.index("(")]]
+
+
+def _weighted(coefficients, stages, i: int) -> str:
+    """c_1 * k{s_1}_i + c_2 * k{s_2}_i + ..., left to right, over the
+    coefficients that are not zero, each written as its repr."""
+    return " + ".join(f"{c!r} * k{s}_{i}"
+                      for c, s in zip(coefficients, stages) if c)
+
+
+@functools.cache
+def _stages(n: int, controlled: int):
+    """One step attempt of _dop853 on a state of n components, the first
+    ``controlled`` of them error-controlled, as straight-line code:
+    ``stages(rhs, z, f, h, rtol, atol, more)`` returns the state at the
+    step's end, the step's error norm and the derivative the next step
+    starts from, which is f unless the step passed the error test and
+    ``more`` steps follow."""
+    comps, ctrl = range(n), range(controlled)
+
+    def each(name):
+        return ", ".join(name.format(i) for i in comps)
+
+    body = [f"{each('z{}')} = z", f"{each('k1_{}')} = f", "try:"]
+    for stage, row in enumerate(_STAGE_ROWS, 2):
+        terms = [_weighted(row, range(1, stage), i) for i in comps]
+        body += ["    y = [" + ",\n         ".join(
+                     f"z{i} + h * ({t})" for i, t in zip(comps, terms)) + "]",
+                 f"    {each(f'k{stage}_{{}}')} = rhs(y)"]
+    body += [f"    n{i} = z{i} + h * ({_weighted(_B, range(1, 13), i)})"
+             for i in comps]
+    body.append(f"    y = [{each('n{}')}]")
+    # scipy's error norm: the fifth- and third-order estimates, scaled
+    # componentwise by atol + max(|z|, |z_new|) rtol (the larger of the two,
+    # or NaN where z_new is), summed squared
+    for i in ctrl:
+        body += [f"    a, b = abs(z{i}), abs(n{i})",
+                 "    s = atol + (a if a > b else b) * rtol",
+                 f"    r5_{i} = ({_weighted(_E5, range(1, 14), i)}) / s",
+                 f"    r3_{i} = ({_weighted(_E3, range(1, 14), i)}) / s"]
+    body += [f"    e{e} = 0.0 + " + " + ".join(f"r{e}_{i} * r{e}_{i}"
+                                               for i in ctrl)
+             for e in (5, 3)]
+    body += [
+        # the fifth-order estimate, damped where the third-order one is small
+        # against it (Hairer, Norsett & Wanner, II.10)
+        f"    error = (h * e5 / sqrt((e5 + 0.01 * e3) * {controlled})"
+        " if e5 else 0.0)",
+        # the derivative at the end of an accepted step is the next step's
+        # first stage, which the error estimates weigh by 0
+        "    if error < 1.0 and more:",
+        "        f = rhs(y)",
+        # a stage of a too-long step, or the end of one that passed the
+        # error test, overflowed or left the connection's domain; symbols
+        # that are not finite at a finite state still raise
+        "except (DomainEscape, NonFinite) as err:",
+        "    if isinstance(err, NonFinite) and all(map(isfinite, y)):",
+        "        raise",
+        "    error = nan",
+        "return y, error, f"]
+    return _compile(
+        f"<chart stages n={n} controlled={controlled}>",
+        "def stages(rhs, z, f, h, rtol, atol, more):", body,
+        {"DomainEscape": DomainEscape, "NonFinite": NonFinite,
+         "isfinite": math.isfinite, "sqrt": math.sqrt, "nan": math.nan})
+
+
 def _dop853(conn: ChartConnection, rhs, z: np.ndarray, f: list,
             t: float, h_abs: float, rtol: float, atol: float,
             controlled: int) -> tuple[np.ndarray, int, int]:
@@ -300,35 +377,30 @@ def _dop853(conn: ChartConnection, rhs, z: np.ndarray, f: list,
 
     The steps are scipy's DOP853 steps: the same stages, the same error norm
     and the same step-size control, without the solver object around them.
-    They run in Python floats, each stage one sum over the earlier stages
-    whose coefficients are not zero, as Hairer's dop853.f writes them out;
-    at these state sizes numpy's per-call cost exceeded the arithmetic.  The
-    sums round otherwise than scipy's products, so the endpoint can differ
-    from scipy's in its last bits.  Only the first ``controlled`` components
-    enter the error norm.  A stage, or the derivative at the end of a step
-    that passed the error test, whose right-hand side raises DomainEscape,
-    or NonFinite at a non-finite state, makes the step's error NaN, and the
-    step is rejected.  Every accepted state must be finite,
-    inside the chart's box and, when the connection has one, pass its
-    interior test; the DomainEscape raised otherwise names the test that
-    failed.  An accepted step short of t that leaves the state unchanged
-    raises DomainEscape: the solution has run into the edge of the
+    A step attempt is straight-line code that ``_stages`` generates once per
+    state size and number of controlled components, from the tableau's
+    reprs and the stage indices alone: one Python-float expression per
+    component and stage, summing the earlier stages whose coefficients are
+    not zero left to right, as Hairer's dop853.f writes them out.  At these
+    state sizes, numpy's per-call cost, and the loops and comprehensions of
+    a written-out step, exceed the arithmetic.  The generated expressions
+    keep the operands and order of the loop that preceded them, which a
+    test holds as the reference, so every state and step count keeps its
+    bits; the sums round otherwise than scipy's products, so the endpoint
+    can differ from scipy's in its last bits.  Only the first
+    ``controlled`` components enter the error norm.  A stage, or the
+    derivative at the end of a step that passed the error test, whose
+    right-hand side raises DomainEscape, or NonFinite at a non-finite state,
+    makes the step's error NaN, and the step is rejected.  Every accepted
+    state must be finite, inside the chart's box and, when the connection
+    has one, pass its interior test; the DomainEscape raised otherwise names
+    the test that failed.  An accepted step short of t that leaves the state
+    unchanged raises DomainEscape: the solution has run into the edge of the
     connection's domain, where stages beyond it are rejected and the steps
     that stay before it no longer move the state.  Each error the loop
     raises carries the time it had reached and its step counts.
     """
-    # the tableau's coefficients by stage; _ marks the zeros of scipy's
-    # rows, which no stage sum reads
-    ((a21,), (a31, a32), (a41, _, a43), (a51, _, a53, a54),
-     (a61, _, _, a64, a65), (a71, _, _, a74, a75, a76),
-     (a81, _, _, a84, a85, a86, a87), (a91, _, _, a94, a95, a96, a97, a98),
-     (a101, _, _, a104, a105, a106, a107, a108, a109),
-     (a111, _, _, a114, a115, a116, a117, a118, a119, a1110),
-     (a121, _, _, a124, a125, a126, a127, a128, a129, a1210, a1211),
-     (b1, _, _, _, _, b6, b7, b8, b9, b10, b11, b12),
-     (e1, _, _, _, _, e6, e7, e8, e9, e10, e11, e12, _),
-     (g1, _, _, _, _, g6, g7, g8, g9, g10, g11, g12, _)) = (
-         *_STAGE_ROWS, _B, _E5, _E3)
+    stages = _stages(z.size, controlled)
     d = conn.dim
     z = z.tolist()
     s, accepted, rejected = 0.0, 0, 0
@@ -337,8 +409,6 @@ def _dop853(conn: ChartConnection, rhs, z: np.ndarray, f: list,
         if h_abs < min_step:
             h_abs = min_step
         step_rejected = False
-        # the derivative at the step's start is its first stage
-        k1 = f
         while True:
             if h_abs < min_step:
                 # the solution blows up at the edge of the chart's domain
@@ -353,87 +423,8 @@ def _dop853(conn: ChartConnection, rhs, z: np.ndarray, f: list,
             s_new = min(s + h_abs, t)
             h = s_new - s
             h_abs = h
-            try:
-                y = [zi + h * (a21 * p1) for zi, p1 in zip(z, k1)]
-                k2 = rhs(y)
-                y = [zi + h * (a31 * p1 + a32 * p2)
-                     for zi, p1, p2 in zip(z, k1, k2)]
-                k3 = rhs(y)
-                y = [zi + h * (a41 * p1 + a43 * p3)
-                     for zi, p1, p3 in zip(z, k1, k3)]
-                k4 = rhs(y)
-                y = [zi + h * (a51 * p1 + a53 * p3 + a54 * p4)
-                     for zi, p1, p3, p4 in zip(z, k1, k3, k4)]
-                k5 = rhs(y)
-                y = [zi + h * (a61 * p1 + a64 * p4 + a65 * p5)
-                     for zi, p1, p4, p5 in zip(z, k1, k4, k5)]
-                k6 = rhs(y)
-                y = [zi + h * (a71 * p1 + a74 * p4 + a75 * p5 + a76 * p6)
-                     for zi, p1, p4, p5, p6 in zip(z, k1, k4, k5, k6)]
-                k7 = rhs(y)
-                y = [zi + h * (a81 * p1 + a84 * p4 + a85 * p5 + a86 * p6
-                               + a87 * p7)
-                     for zi, p1, p4, p5, p6, p7 in zip(z, k1, k4, k5, k6, k7)]
-                k8 = rhs(y)
-                y = [zi + h * (a91 * p1 + a94 * p4 + a95 * p5 + a96 * p6
-                               + a97 * p7 + a98 * p8)
-                     for zi, p1, p4, p5, p6, p7, p8
-                     in zip(z, k1, k4, k5, k6, k7, k8)]
-                k9 = rhs(y)
-                y = [zi + h * (a101 * p1 + a104 * p4 + a105 * p5 + a106 * p6
-                               + a107 * p7 + a108 * p8 + a109 * p9)
-                     for zi, p1, p4, p5, p6, p7, p8, p9
-                     in zip(z, k1, k4, k5, k6, k7, k8, k9)]
-                k10 = rhs(y)
-                y = [zi + h * (a111 * p1 + a114 * p4 + a115 * p5 + a116 * p6
-                               + a117 * p7 + a118 * p8 + a119 * p9
-                               + a1110 * p10)
-                     for zi, p1, p4, p5, p6, p7, p8, p9, p10
-                     in zip(z, k1, k4, k5, k6, k7, k8, k9, k10)]
-                k11 = rhs(y)
-                y = [zi + h * (a121 * p1 + a124 * p4 + a125 * p5 + a126 * p6
-                               + a127 * p7 + a128 * p8 + a129 * p9
-                               + a1210 * p10 + a1211 * p11)
-                     for zi, p1, p4, p5, p6, p7, p8, p9, p10, p11
-                     in zip(z, k1, k4, k5, k6, k7, k8, k9, k10, k11)]
-                k12 = rhs(y)
-                y = [zi + h * (b1 * p1 + b6 * p6 + b7 * p7 + b8 * p8
-                               + b9 * p9 + b10 * p10 + b11 * p11 + b12 * p12)
-                     for zi, p1, p6, p7, p8, p9, p10, p11, p12
-                     in zip(z, k1, k6, k7, k8, k9, k10, k11, k12)]
-                z_new = y
-                # scipy's error norm: the fifth- and third-order estimates,
-                # scaled componentwise by atol + max(|z|, |z_new|) rtol (the
-                # larger of the two, or NaN where z_new is), summed squared
-                e5 = e3 = 0.0
-                for y0, y1, p1, p6, p7, p8, p9, p10, p11, p12 in zip(
-                        z[:controlled], z_new, k1, k6, k7, k8, k9, k10, k11,
-                        k12):
-                    y0, y1 = abs(y0), abs(y1)
-                    scale = atol + (y0 if y0 > y1 else y1) * rtol
-                    r5 = (e1 * p1 + e6 * p6 + e7 * p7 + e8 * p8 + e9 * p9
-                          + e10 * p10 + e11 * p11 + e12 * p12) / scale
-                    r3 = (g1 * p1 + g6 * p6 + g7 * p7 + g8 * p8 + g9 * p9
-                          + g10 * p10 + g11 * p11 + g12 * p12) / scale
-                    e5 += r5 * r5
-                    e3 += r3 * r3
-                # the fifth-order estimate, damped where the third-order one
-                # is small against it (Hairer, Norsett & Wanner, II.10)
-                error_norm = (h * e5 / math.sqrt((e5 + 0.01 * e3) * controlled)
-                              if e5 else 0.0)
-                if error_norm < 1.0 and s_new < t:
-                    # the derivative at the end of an accepted step is the
-                    # next step's first stage, which the error estimates
-                    # weigh by 0
-                    f = rhs(y)
-            except (DomainEscape, NonFinite) as err:
-                # a stage of a too-long step, or the end of one that passed
-                # the error test, overflowed or left the connection's
-                # domain; symbols that are not finite at a finite state
-                # still raise
-                if isinstance(err, NonFinite) and all(map(math.isfinite, y)):
-                    raise
-                error_norm = math.nan
+            # the derivative at the step's start is its first stage
+            z_new, error_norm, f = stages(rhs, z, f, h, rtol, atol, s_new < t)
             if error_norm < 1.0:
                 factor = _MAX_FACTOR
                 if error_norm > 0.0:
@@ -520,7 +511,7 @@ def geodesic_flow(conn: ChartConnection, x, v, t: float = 1.0,
     tolerances = tolerances or _DEFAULT_TOLERANCES
     d = conn.dim
     x, v = _chart_vectors(d, x, v)
-    z = _integrate(conn, _flow_rhs(conn), np.concatenate([x, v]), t,
+    z = _integrate(conn, _flow_rhs(conn, 0), np.concatenate([x, v]), t,
                    tolerances)
     return z[:d], z[d:]
 
@@ -536,46 +527,81 @@ def _chart_vectors(d: int, *vectors) -> list[np.ndarray]:
     return out
 
 
-def _flow_rhs(conn: ChartConnection):
-    """Right-hand side of the geodesic equation carrying vectors by parallel
-    transport: the state (x, v, w_1 .. w_k) maps to (v, -G(x)(v, v),
-    -G(x)(v, w_1) .. -G(x)(v, w_k)).  A geodesic is the transport of no
-    vector.  The state and its derivative are lists of Python floats."""
+def _flow_rhs(conn: ChartConnection, vectors: int):
+    """Right-hand side of the geodesic equation carrying ``vectors`` vectors
+    by parallel transport: the state (x, v, w_1 .. w_k) maps to (v,
+    -G(x)(v, v), -G(x)(v, w_1) .. -G(x)(v, w_k)).  A geodesic is the
+    transport of no vector.  The state and its derivative are lists of
+    Python floats."""
+    if conn.grad_f is not None:
+        return _conformal_rhs(conn.dim, vectors, False)(conn)
     d = conn.dim
-    if conn.grad_f is None:
-        def rhs(z):
-            z = np.array(z)
-            vel = z[d:2 * d]
-            # one connection evaluation for the velocity and every vector:
-            # gv[k, i] = G^k_ij v^j, the symbols being symmetric, times each
-            # row in a stacked product, which rounds each as gv @ row does
-            gv = conn.gamma(z[:d]) @ vel
-            acc = gv @ z[d:].reshape(-1, d, 1)
-            return np.concatenate([vel, -acc.ravel()]).tolist()
-        return rhs
 
     def rhs(z):
-        # the conformal symbols give G(v, w) = (f.v) w + (f.w) v - (v.w) f
-        # for f = grad_f(x); in Python floats, as numpy's per-call cost
-        # exceeds the arithmetic
-        f = conn._gradient(z[:d])
-        vs = z[d:2 * d]
-        fv, vv = sum(map(mul, f, vs)), sum(map(mul, vs, vs))
-        out = vs + _conformal_acceleration(f, vs, fv, vv)
-        for j in range(2 * d, len(z), d):
-            w = z[j:j + d]
-            fw, vw = sum(map(mul, f, w)), sum(map(mul, vs, w))
-            out += [-(fv * wi + fw * vi - vw * fi)
-                    for wi, vi, fi in zip(w, vs, f)]
-        return out
+        z = np.array(z)
+        vel = z[d:2 * d]
+        # one connection evaluation for the velocity and every vector:
+        # gv[k, i] = G^k_ij v^j, the symbols being symmetric, times each
+        # row in a stacked product, which rounds each as gv @ row does
+        gv = conn.gamma(z[:d]) @ vel
+        acc = gv @ z[d:].reshape(-1, d, 1)
+        return np.concatenate([vel, -acc.ravel()]).tolist()
     return rhs
 
 
-def _conformal_acceleration(f: list, vs: list, fv: float, vv: float) -> list:
-    """-G(v, v) = -((f.v) v + (f.v) v - (v.v) f) on a conformal chart, from
-    the gradient f of its conformal exponent, fv = f.v and vv = v.v, in
-    Python floats."""
-    return [-(fv * vi + fv * vi - vv * fi) for vi, fi in zip(vs, f)]
+@functools.cache
+def _conformal_rhs(dim: int, vectors: int, jacobi: bool):
+    """The right-hand side on a conformal chart of dimension ``dim``, as
+    straight-line code generated once per shape: ``conformal_rhs(conn)``
+    binds it to the connection's callbacks.  The state is (x, v, w_1 ..
+    w_vectors), as in _flow_rhs, or with ``jacobi`` the (x, v, b, b') of
+    _jacobi_flow.  The conformal symbols give G(v, w) = (f.v) w + (f.w) v -
+    (v.w) f for f = grad_f(x), each dot product summed left to right from
+    0.0 as ``core._dot`` sums: sum() compensates its rounding from Python
+    3.12 on, though at dim 2 its value is this one on every version."""
+    comps = range(dim)
+    x, v, f = ([f"{c}{i}" for i in comps] for c in "xvf")
+    ws = [[f"w{j}_{i}" for i in comps] for j in range(vectors)]
+    state = [*x, *v, *(c for w in ws for c in w), *(["b", "db"] * jacobi)]
+
+    def dot(a, b):
+        return " + ".join(["0.0", *(f"{p} * {q}" for p, q in zip(a, b))])
+
+    body = [
+        f"{', '.join(state)} = z",
+        f"x = [{', '.join(x)}]",
+        "f = grad_f(x)",
+        # the same guarantee as gamma: a NaN left unchecked reads as a
+        # rejected step, and the integrator shrinks its step until it
+        # underflows and reports a domain escape instead of the fault
+        f"if len(f) != {dim}:",
+        "    raise ValueError(",
+        f"        f'grad_f returned {{len(f)}} numbers, expected {dim}')",
+        f"{', '.join(f)}, = f",
+        f"if not ({' and '.join(f'isfinite({fi})' for fi in f)}):",
+        "    raise NonFinite(",
+        "        f'conformal factor gradient is not finite at {x}')",
+        *["hf = hessian(x)"] * jacobi,
+        f"fv = {dot(f, v)}",
+        f"vv = {dot(v, v)}"]
+    rows = [*v, *(f"-(fv * {vi} + fv * {vi} - vv * {fi})"
+                  for vi, fi in zip(v, f))]
+    for j, w in enumerate(ws):
+        body += [f"fw{j} = {dot(f, w)}", f"vw{j} = {dot(v, w)}"]
+        rows += [f"-(fv * {wi} + fw{j} * {vi} - vw{j} * {fi})"
+                 for wi, vi, fi in zip(w, v, f)]
+    if jacobi:
+        # K |x'|_g^2 b = -(f_00 + f_11) |v|^2 b, as _jacobi_flow derives
+        trace = " + ".join(f"hf[{i}][{i}]" for i in comps)
+        rows += ["db", f"({trace}) * vv * b"]
+    body.append("return [" + ",\n        ".join(rows) + "]")
+    return _compile(
+        f"<chart conformal rhs dim={dim} "
+        + ("jacobi>" if jacobi else f"vectors={vectors}>"),
+        "def conformal_rhs(conn):",
+        ["grad_f, hessian = conn.grad_f, conn._hessian", "def rhs(z):",
+         textwrap.indent("\n".join(body), "    "), "return rhs"],
+        {"NonFinite": NonFinite, "isfinite": math.isfinite})
 
 
 def _jacobi_flow(conn: ChartConnection, x: np.ndarray, v: np.ndarray,
@@ -596,15 +622,8 @@ def _jacobi_flow(conn: ChartConnection, x: np.ndarray, v: np.ndarray,
     few 1e-12 at the default tolerances; log_shooting runs the flow at the
     looser ``_seed_tolerances``.
     """
-    def rhs(z):
-        # on the state (x, v, b, b'), in Python floats as in _flow_rhs; the
-        # geodesic's rows are a plain flow's, bit for bit
-        pos, vs = z[:2], z[2:4]
-        f, hf = conn._gradient(pos), conn._hessian(pos)
-        fv, vv = sum(map(mul, f, vs)), sum(map(mul, vs, vs))
-        return (vs + _conformal_acceleration(f, vs, fv, vv)
-                + [z[5], (hf[0][0] + hf[1][1]) * vv * z[4]])
-
+    # the geodesic's rows are a plain flow's, bit for bit
+    rhs = _conformal_rhs(2, 0, True)(conn)
     z = _integrate(conn, rhs, np.array([*x.tolist(), *v.tolist(), 0.0, 1.0]),
                    1.0, tolerances, 4)
     # over u = v / |v| and w = v_1 / |v|, so that a tiny v neither underflows
@@ -625,12 +644,13 @@ def _shooting_start(conn: ChartConnection, x: np.ndarray, d: np.ndarray):
     be trusted."""
     # each term is read off the flow's right-hand side at (x, v, w..), which
     # carries -G(x)(v, w) for each w, -G(x)(v, v) first
-    rhs, n = _flow_rhs(conn), conn.dim
+    geodesic, carried, n = _flow_rhs(conn, 0), _flow_rhs(conn, 1), conn.dim
     try:
-        gdd = -np.array(rhs([*x.tolist(), *d.tolist()]))[n:]
-        g_third = -np.array(rhs([*(x + d / 3.0).tolist(), *d.tolist()]))[n:]
-        g_gdd = -np.array(rhs([*x.tolist(), *d.tolist(),
-                                *gdd.tolist()]))[2 * n:]
+        gdd = -np.array(geodesic([*x.tolist(), *d.tolist()]))[n:]
+        g_third = -np.array(geodesic([*(x + d / 3.0).tolist(),
+                                      *d.tolist()]))[n:]
+        g_gdd = -np.array(carried([*x.tolist(), *d.tolist(),
+                                   *gdd.tolist()]))[2 * n:]
         v = d + 0.5 * g_third + g_gdd / 6.0
     except (DomainEscape, NonFinite):
         # x + d/3 lies outside the connection's domain
@@ -803,7 +823,7 @@ def transport_ode(conn: ChartConnection, u, x, v, t: float = 1.0,
     tolerances = tolerances or _DEFAULT_TOLERANCES
     d = conn.dim
     u, x, v = _chart_vectors(d, u, x, v)
-    z = _integrate(conn, _flow_rhs(conn), np.concatenate([x, v, u]), t,
+    z = _integrate(conn, _flow_rhs(conn, 1), np.concatenate([x, v, u]), t,
                    tolerances)
     return z[2 * d:], z[:d], z[d:2 * d]
 

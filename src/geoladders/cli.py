@@ -38,6 +38,7 @@ from .core import (
     InsufficientData,
     InvalidBase,
     NonFinite,
+    TangentVector,
     ToleranceConfig,
     _unit_direction,
 )
@@ -424,8 +425,9 @@ def exactness_sweep(space: ConnectionSpace, schemes, trials: int,
 
     Trials violating the exactness conditions (distances under the
     injectivity radius) are excluded and counted, not failed.  Each trial
-    takes one log w of [p, q], which gives both the distance the conditions
-    test and the midpoint exp_p(w / 2), and builds one rung record, from
+    takes one log w of [p, q], which gives the distance the conditions
+    test, the oracle, u transported along t -> exp_p(t w), and the midpoint
+    exp_p(w / 2), and builds one rung record, from
     which every kind reads its step: the kinds share the midpoint, exp_p(u),
     exp_p(-u) and the two reflected logs at q, and each is computed once.
     A log of [p, q] or a relative error that is not finite raises
@@ -443,7 +445,9 @@ def exactness_sweep(space: ConnectionSpace, schemes, trials: int,
         if not _trial_within_conditions(space, w, u_norm):
             excluded += 1
             continue
-        oracle = space.transport(u, q)
+        # space.transport(u, q) from the log already taken: both carry u
+        # along t -> exp_p(t w), so the oracle keeps transport's bits
+        oracle = TangentVector(q, space.exp_transport(u, w).components)
         # space.midpoint(p, q), from the log already taken
         m = space.geodesic(p, w, (0.5,))[0]
         rung = _Rung(space, p, q, u, m)

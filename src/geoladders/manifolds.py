@@ -266,6 +266,12 @@ class Hyperbolic(ConnectionSpace):
         ue = _mink(u, v) / theta
         out = (u + (ue * (math.cosh(theta) - 1.0) / theta) * v
                + (ue * math.sinh(theta)) * x)
+        # the projection onto the tangent space at y: no number in it passes
+        # O Y^2, O and Y the sums of the |coordinates| of out and y, as
+        # |<y, out>| is at most Y O
+        big_y = sum(map(abs, y.tolist()))
+        _check_float_range(sum(map(abs, out.tolist())) * big_y * big_y,
+                           "transport")
         return y, out + _mink(y, out) * y
 
     def _curvature(self, x, u, v, w):

@@ -777,7 +777,7 @@ def test_conformal_contraction_matches_symbols(name):
     # the right-hand side: -G(x)(v, v) on the velocity row, -G(x)(v, w) on
     # each vector's
     conn = make_chart(name)
-    rhs = chart._flow_rhs(conn)
+    rhs = chart._flow_rhs(conn, 3)
     rng = np.random.default_rng(8)
     for _ in range(20):
         x = rng.uniform(-0.6, 0.6, 2)
@@ -799,12 +799,13 @@ def test_flow_rhs_is_the_contraction_bit_for_bit(name):
     symbols = dataclasses.replace(conn, grad_f=None)
     rng = np.random.default_rng(12)
     for c in (conn, symbols):
-        rhs = chart._flow_rhs(c)
+        plain_rhs, carrying_rhs = chart._flow_rhs(c, 0), chart._flow_rhs(c, 2)
         for _ in range(50):
             x = rng.uniform(-0.6, 0.6, 2)
             v, w = rng.standard_normal((2, 2))
-            geodesic = np.array(rhs(np.concatenate([x, v]).tolist()))
-            carried = np.array(rhs(np.concatenate([x, v, w, v]).tolist()))
+            geodesic = np.array(plain_rhs(np.concatenate([x, v]).tolist()))
+            carried = np.array(carrying_rhs(
+                np.concatenate([x, v, w, v]).tolist()))
             assert np.array_equal(carried[:4], geodesic)
             assert np.array_equal(carried[6:], geodesic[2:])
             if c is symbols:
@@ -818,12 +819,13 @@ def test_flow_rhs_through_the_gradient_matches_its_symbol_branch(name):
     # the closed form in Python floats and the product with the symbols
     # contract one connection, on the velocity alone and with vectors
     conn = make_chart(name)
-    rhs = chart._flow_rhs(conn)
-    by_symbols = chart._flow_rhs(dataclasses.replace(conn, grad_f=None))
+    symbols = dataclasses.replace(conn, grad_f=None)
     rng = np.random.default_rng(8)
     for _ in range(20):
         x = rng.uniform(-0.6, 0.6, 2)
         for rows in (rng.standard_normal((1, 2)), rng.standard_normal((3, 2))):
+            rhs = chart._flow_rhs(conn, len(rows) - 1)
+            by_symbols = chart._flow_rhs(symbols, len(rows) - 1)
             z = np.concatenate([x, rows.ravel()]).tolist()
             got, ref = np.array(rhs(z)), np.array(by_symbols(z))
             assert got.shape == ref.shape == (len(z),)
@@ -854,7 +856,7 @@ def test_jacobi_flow_geodesic_rows_are_the_plain_rhs(bump, monkeypatch):
     chart._jacobi_flow(bump.conn, _START_X, 0.3 * _START_DIR,
                        ToleranceConfig())
     [((_, jacobi_rhs, *_), *_)] = solves
-    plain_rhs = chart._flow_rhs(bump.conn)
+    plain_rhs = chart._flow_rhs(bump.conn, 0)
     rng = np.random.default_rng(13)
     for _ in range(50):
         z = rng.standard_normal(6)
@@ -985,9 +987,8 @@ def test_conformal_right_hand_sides_make_no_numpy_call(name, monkeypatch):
     chart._jacobi_flow(conn, np.array([0.2, -0.1]), np.array([0.1, 0.2]),
                        ToleranceConfig())
     [((_, jacobi_rhs, *_), *_)] = solves
-    plain_rhs = chart._flow_rhs(conn)
-    states = [(plain_rhs, [0.2, -0.1, 0.1, 0.2]),
-              (plain_rhs, [0.2, -0.1, 0.1, 0.2, 0.5, -0.7]),
+    states = [(chart._flow_rhs(conn, 0), [0.2, -0.1, 0.1, 0.2]),
+              (chart._flow_rhs(conn, 1), [0.2, -0.1, 0.1, 0.2, 0.5, -0.7]),
               (jacobi_rhs, [0.2, -0.1, 0.1, 0.2, 0.3, 1.0])]
     numpy_calls = []
 

@@ -352,10 +352,12 @@ def test_exactness_trial_contract_calls():
     # makes q by one exp; the log of [p, q] gives the distance and, by one
     # geodesic call, the midpoint; the kinds share exp_p(u), exp_p(-u) and
     # the two reflected logs at q, and pole_v1 adds an exp and two logs of
-    # its own.  The sphere's symmetry is closed-form
+    # its own.  The oracle carries u along the log already taken, so the
+    # log kernel runs once per log.  The sphere's symmetry is closed-form
     sp = make_space("sphere-2")
-    calls = dict.fromkeys(("exp", "log", "geodesic_symmetry", "geodesic",
-                           "transport", "midpoint"), 0)
+    calls = dict.fromkeys(("exp", "log", "_log", "geodesic_symmetry",
+                           "geodesic", "transport", "exp_transport",
+                           "midpoint"), 0)
     for name in calls:
         def counted(*args, fn=getattr(sp, name), name=name):
             calls[name] += 1
@@ -365,8 +367,9 @@ def test_exactness_trial_contract_calls():
     _, excluded = exactness_sweep(sp, POLE_KINDS, trials,
                                   np.random.default_rng(7))
     assert excluded == 0
-    per_trial = {"exp": 4, "log": 5, "geodesic_symmetry": 2, "geodesic": 1,
-                 "transport": 1, "midpoint": 0}
+    per_trial = {"exp": 4, "log": 5, "_log": 5, "geodesic_symmetry": 2,
+                 "geodesic": 1, "transport": 0, "exp_transport": 1,
+                 "midpoint": 0}
     assert calls == {k: trials * n for k, n in per_trial.items()}
 
 

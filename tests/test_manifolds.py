@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from geoladders import (
     registry_names,
 )
 from geoladders.cli import POLE_SCHEMES, exactness_sweep
-from geoladders.manifolds import _hat, _rodrigues
+from geoladders.manifolds import _hat, _mink, _rodrigues
 
 from conftest import FLEET_NAMES
 from helpers import (
@@ -238,6 +239,40 @@ def test_hyperbolic_exp_is_finite_just_below_the_overflow_guard():
     q = hy.exp(p, hy.tangent(p, [0.0, 354.0, 0.0]))
     assert q.coords[1] == pytest.approx(math.sinh(354.0), rel=1e-12)
     assert math.isfinite(q.coords[0])
+
+
+def _far_hyperbolic_transports(distance):
+    """50 seeded transports of a unit vector over the given distance."""
+    hy, rng = make_space("hyperbolic-2"), np.random.default_rng(1)
+    for _ in range(50):
+        p = hy.random_point(rng)
+        q = hy.exp(p, distance * hy.random_direction(rng, p))
+        yield hy, hy.random_direction(rng, p), q
+
+
+def test_far_hyperbolic_transport_overflow_is_non_finite():
+    # the tangency projection at q overflowed with a numpy warning on 32 of
+    # these draws, and returned inf where warnings are not errors
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for hy, u, q in _far_hyperbolic_transports(300.0):
+            with pytest.raises(NonFinite, match="transport leaves the float"):
+                hy.transport(u, q)
+
+
+def test_far_hyperbolic_transport_inside_the_guard_keeps_its_bits():
+    # the guard only reads: the transport is the closed form's to the bit
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for hy, u, q in _far_hyperbolic_transports(200.0):
+            x, w = u.base.coords, u.components
+            v = hy.log(u.base, q).components
+            y, theta = hy._exp(x, v), math.sqrt(max(_mink(v, v), 0.0))
+            ue = _mink(w, v) / theta
+            out = (w + (ue * (math.cosh(theta) - 1.0) / theta) * v
+                   + (ue * math.sinh(theta)) * x)
+            want = out + _mink(y, out) * y
+            assert hy.transport(u, q).components.tobytes() == want.tobytes()
 
 
 def test_hyperbolic_constant_negative_curvature():
