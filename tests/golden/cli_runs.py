@@ -101,20 +101,23 @@ def render_runs():
     return "".join(parts)
 
 
-def main(argv):
+def main(argv, script=__file__, golden_file=GOLDEN_FILE, render=render_runs):
+    """Print or, with ``--write``, write the runs that ``render`` makes, in
+    a process under ``pinned_env()``: ``script`` runs itself again under it
+    when this one is not pinned."""
     if ("NPY_DISABLE_CPU_FEATURES" not in os.environ
             or any(os.environ.get(k) != v for k, v in PINNED.items())):
-        return subprocess.call([sys.executable, __file__, *argv],
+        return subprocess.call([sys.executable, script, *argv],
                                env=pinned_env())
     line = platform_line()
     if "--write" not in argv:
-        print(json.dumps({"platform": line, "text": render_runs()}))
+        print(json.dumps({"platform": line, "text": render()}))
         return 0
     if platform.machine() not in ("x86_64", "AMD64") or "OpenBLAS" not in line:
-        print(f"cli_runs: not writing {GOLDEN_FILE}: the BLAS kernel cannot "
-              f"be pinned on {line}", file=sys.stderr)
+        print(f"{Path(script).stem}: not writing {golden_file}: the BLAS "
+              f"kernel cannot be pinned on {line}", file=sys.stderr)
         return 1
-    GOLDEN_FILE.write_bytes(f"# {line}\n{render_runs()}".encode("utf-8"))
+    golden_file.write_bytes(f"# {line}\n{render()}".encode("utf-8"))
     return 0
 
 

@@ -1,5 +1,6 @@
 """The CLI's output, bit for bit: the 23 runs of ``golden/cli_runs.py``
-against the bytes kept in ``golden/cli_runs.txt``.
+against the bytes kept in ``golden/cli_runs.txt``, and the chart engine's
+runs of ``golden/engine_runs.py`` against ``golden/engine_runs.txt``.
 
 The runs are made in one child process under ``cli_runs.pinned_env()``.
 Where the child's platform line (machine, numpy, OpenBLAS build and core,
@@ -23,11 +24,13 @@ import pytest
 
 from geoladders import chart, core
 from geoladders.cli import main
-from golden import cli_runs
+from golden import cli_runs, engine_runs
 
-# a number in the runs' text: a CSV cell, a coordinate, a comment's value
+# a number in the runs' text: a CSV cell, a coordinate, a comment's value,
+# or a float in hex
 _NUMBER = re.compile(
-    r"(?<![\w.+-])[-+]?(?:\d+\.?\d*(?:[eE][-+]?\d+)?|inf|nan)(?![\w.])")
+    r"(?<![\w.+-])[-+]?(?:0x[\da-f]+\.?[\da-f]*p[-+]\d+"
+    r"|\d+\.?\d*(?:[eE][-+]?\d+)?|inf|nan)(?![\w.])")
 _REL_TOL = 1e-12
 # numbers up to this size are round-off themselves, such as the fleet's
 # exactness and oracle errors, and are not compared; the smallest other
@@ -58,7 +61,7 @@ def _moved(got, want):
         if mine is not None and _NUMBER.sub("#", mine) == _NUMBER.sub("#", body):
             change = 0.0
             for a, b in zip(_NUMBER.findall(mine), _NUMBER.findall(body)):
-                x, y = float(a), float(b)
+                x, y = _float(a), _float(b)
                 size = max(abs(x), abs(y))
                 if x == y or math.isnan(x) and math.isnan(y):
                     continue
@@ -71,31 +74,47 @@ def _moved(got, want):
                     - _runs(want).keys()]
 
 
-def _golden():
-    header, text = cli_runs.GOLDEN_FILE.read_bytes().decode("utf-8").split(
+def _float(text):
+    return float.fromhex(text) if "x" in text else float(text)
+
+
+def _golden(runs=cli_runs):
+    header, text = runs.GOLDEN_FILE.read_bytes().decode("utf-8").split(
         "\n", 1)
     return header.removeprefix("# "), text
 
 
-def test_cli_runs_match_their_golden_bytes():
+def _match_golden(runs):
+    """The runs of the golden module ``runs``, made in a child process
+    under the pinned environment, against its golden file."""
     # the child imports the package from where this process does
     env = dict(cli_runs.pinned_env(), PYTHONPATH=os.pathsep.join(sys.path))
-    child = subprocess.run([sys.executable, cli_runs.__file__],
+    child = subprocess.run([sys.executable, runs.__file__],
                            capture_output=True, text=True, env=env)
     assert child.returncode == 0, child.stderr
     got = json.loads(child.stdout)
-    platform, want = _golden()
+    platform, want = _golden(runs)
     moved = _moved(got["text"], want)
     if got["platform"] == platform:
         assert not moved, f"runs whose bytes moved (largest relative " \
-            f"change): {moved}; regenerate with tests/golden/cli_runs.py " \
-            f"--write only if the change is meant"
+            f"change): {moved}; regenerate with {runs.__file__} --write " \
+            f"only if the change is meant"
         return
     warnings.warn(GoldenBytesNotCompared(
         f"compared to {_REL_TOL:g} relative, not byte for byte: the runs "
         f"were made on '{got['platform']}' and the golden bytes on "
         f"'{platform}'"))
     assert [m for m in moved if not m[1] <= _REL_TOL] == []
+
+
+def test_cli_runs_match_their_golden_bytes():
+    _match_golden(cli_runs)
+
+
+def test_engine_runs_match_their_golden_bytes():
+    # every step loop's state and step counts, and every flow's, transport's
+    # and log's result, on the six built-in charts
+    _match_golden(engine_runs)
 
 
 def test_golden_comparison_passes_round_off_and_nothing_more():
@@ -113,6 +132,22 @@ def test_golden_comparison_passes_round_off_and_nothing_more():
     # the text around the numbers is compared as it is
     renamed = want.replace("# fitted_slope=3.986266", "# slope=3.986266", 1)
     assert [change for _, change in _moved(renamed, want)] == [math.inf]
+
+
+def test_golden_comparison_reads_floats_in_hex():
+    _, want = _golden(engine_runs)
+    assert _moved(want, want) == []
+    # the first coordinate of the first flow's endpoint, twice in its run
+    value = want.split("\n", 2)[1].split()[1]
+    assert want.count(value) == 2
+
+    def moved_by(factor):
+        return _moved(want.replace(value, (_float(value) * factor).hex()),
+                      want)
+
+    (header, change), = moved_by(1.0 + 4e-13)
+    assert header.startswith("flow bump2d") and change < _REL_TOL
+    assert moved_by(1.0 + 4e-12)[0][1] > _REL_TOL
 
 
 # the core that OpenBLAS 0.3.31 names when pinned to Prescott
