@@ -121,9 +121,15 @@ def pole_error_predicted(space: ConnectionSpace, m: Point, u: TangentVector,
                       - pole_error_predicted(space, m, u, -v))
     if scheme not in ("pole_v1", "pole_v2"):
         raise ValueError(f"no leading-term predictor for {scheme!r}")
-    t1 = space.nabla_curvature(m, v, u, v, 5.0 * u - 2.0 * v)
-    t2 = space.nabla_curvature(m, u, u, v, v - 2.0 * u)
-    return (1.0 / 12.0) * (t1 + t2)
+    # m, u and v checked once, then the two contractions on their
+    # components: the elementwise operations of the vector arithmetic
+    space._check_point(m)
+    space._check_base(u, m)
+    space._check_base(v, m)
+    x, uc, vc = m.coords, u.components, v.components
+    t1 = space._nabla_curvature(x, vc, uc, vc, 5.0 * uc - 2.0 * vc)
+    t2 = space._nabla_curvature(x, uc, uc, vc, vc - 2.0 * uc)
+    return TangentVector(m, (1.0 / 12.0) * (t1 + t2))
 
 
 def pole_error_measured(space: ConnectionSpace, m: Point, u: TangentVector,

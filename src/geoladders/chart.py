@@ -24,9 +24,12 @@ right-hand sides on conformal charts, for each dimension and number of
 transported vectors; they hand the conformal factor's callbacks the chart
 point as a list and read their numbers as they come.  The generated
 source is registered with linecache under a name that gives its shape, so
-tracebacks show its lines.  numpy remains in the symbols-only right-hand
-side, which hands back a list, in the shooting's linear algebra and in the
-finite-difference curvature.  The loop's sums round otherwise than scipy's
+tracebacks show its lines.  On conformal charts a step attempt writes each
+stage's derivative out from the same expressions, and calls no function
+but the factor's callbacks.  From the shooting solve down to the
+right-hand side the engine's state is Python floats.  numpy remains in the
+symbols-only right-hand side, which hands back a list, in the shooting's
+linear solve and in the finite-difference curvature.  The loop's sums round otherwise than scipy's
 products, so its steps are scipy's, accepted and rejected alike, while an
 endpoint can differ from scipy's in its last bits.
 
@@ -44,7 +47,7 @@ import textwrap
 import warnings
 from dataclasses import dataclass, replace
 from operator import le
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -169,11 +172,14 @@ class ChartConnection:
     Those right-hand sides are straight-line code that the engine
     generates once per dimension and number of transported vectors, and
     for the 2-d Jacobi seed (``_conformal_rhs``): one expression per
-    component, with no loop, comprehension or slice at run time, as the
-    engine's step attempts are.  They keep the operands and order of the
-    loops they replaced, the reference that a test holds them to, so
-    every derivative keeps its bits; each dot product sums left to right
-    from 0.0, alike on every Python version.
+    component, with no loop, comprehension or slice at run time.  The
+    engine's step attempts on the chart write the same expressions out
+    at each stage, so an integration calls no right-hand side after its
+    first derivative.  They keep the operands and order of the loops they
+    replaced, the reference that a test holds them to, so every derivative
+    keeps its bits; each dot product sums left to right from 0.0, alike on
+    every Python version.  Each ODE's right-hand side and step attempt are
+    bound to the connection once, on first use, and kept with it.
 
     ``interior(x)``, when given, is a test that the initial and every
     accepted state of an integration must pass besides the box, for a domain
@@ -282,11 +288,30 @@ class ChartConnection:
                                      self.dim).tolist()
                      for c in self.chart_bounds)
 
+    # the engine's ODEs on this connection, each bound once, on first use:
+    # a replaced connection binds its own callbacks
+    @functools.cached_property
+    def _geodesic(self) -> _Kernel:
+        """The geodesic equation's kernel."""
+        return _kernel(self, 0, False)
 
-def _inside(conn: ChartConnection, x: np.ndarray) -> bool:
-    """Whether the chart point x lies in the connection's box and, when it
-    has one, passes its interior test: the states an integration accepts."""
-    return conn.in_bounds(x) and (conn.interior is None or conn.interior(x))
+    @functools.cached_property
+    def _transport(self) -> _Kernel:
+        """The kernel of the geodesic carrying one vector."""
+        return _kernel(self, 1, False)
+
+    @functools.cached_property
+    def _jacobi(self) -> _Kernel:
+        """The kernel of _jacobi_flow's geodesic and scalar Jacobi field."""
+        return _kernel(self, 0, True)
+
+
+def _inside(conn: ChartConnection, x) -> bool:
+    """Whether the chart point x, an array or a list of floats, lies in the
+    connection's box and, when it has one, passes its interior test: the
+    states an integration accepts."""
+    return conn.in_bounds(x) and (conn.interior is None
+                                  or conn.interior(np.asarray(x)))
 
 
 def _compile(name: str, header: str, body: list, namespace: dict):
@@ -307,33 +332,96 @@ def _weighted(coefficients, stages, i: int) -> str:
                       for c, s in zip(coefficients, stages) if c)
 
 
+def _conformal_derivative(dim: int, vectors: int, jacobi: bool,
+                          state: list) -> tuple[list, list]:
+    """The derivative on a conformal chart of dimension ``dim`` at the state
+    whose components the names ``state`` hold, (x, v, w_1 .. w_vectors) as
+    in _flow_rhs or, with ``jacobi``, the (x, v, b, b') of _jacobi_flow:
+    the lines that read the factor's callbacks, named ``grad_f`` and
+    ``hessian``, and the dot products, and one expression per component.
+    The conformal symbols give G(v, w) = (g.v) w + (g.w) v - (v.w) g for
+    g = grad_f(x), each dot product summed left to right from 0.0 as
+    ``core._dot`` sums: sum() compensates its rounding from Python 3.12 on,
+    though at dim 2 its value is this one on every version."""
+    x, v = state[:dim], state[dim:2 * dim]
+    ws = [state[(2 + j) * dim:(3 + j) * dim] for j in range(vectors)]
+    g = [f"g{i}" for i in range(dim)]
+
+    def dot(a, b):
+        return " + ".join(["0.0", *(f"{p} * {q}" for p, q in zip(a, b))])
+
+    lines = [
+        f"x = [{', '.join(x)}]",
+        "g = grad_f(x)",
+        # the same guarantee as gamma: a NaN left unchecked reads as a
+        # rejected step, and the integrator shrinks its step until it
+        # underflows and reports a domain escape instead of the fault
+        f"if len(g) != {dim}:",
+        "    raise ValueError(",
+        f"        f'grad_f returned {{len(g)}} numbers, expected {dim}')",
+        f"{', '.join(g)}, = g",
+        f"if not ({' and '.join(f'isfinite({gi})' for gi in g)}):",
+        "    raise NonFinite(",
+        "        f'conformal factor gradient is not finite at {x}')",
+        *["hf = hessian(x)"] * jacobi,
+        f"gv = {dot(g, v)}",
+        f"vv = {dot(v, v)}"]
+    rows = [*v, *(f"-(gv * {vi} + gv * {vi} - vv * {gi})"
+                  for vi, gi in zip(v, g))]
+    for j, w in enumerate(ws):
+        lines += [f"gw{j} = {dot(g, w)}", f"vw{j} = {dot(v, w)}"]
+        rows += [f"-(gv * {wi} + gw{j} * {vi} - vw{j} * {gi})"
+                 for wi, vi, gi in zip(w, v, g)]
+    if jacobi:
+        # K |x'|_g^2 b = -(f_00 + f_11) |v|^2 b, as _jacobi_flow derives
+        b, db = state[-2:]
+        trace = " + ".join(f"hf[{i}][{i}]" for i in range(dim))
+        rows += [db, f"({trace}) * vv * {b}"]
+    return lines, rows
+
+
 @functools.cache
-def _stages(n: int, controlled: int):
+def _stages(n: int, controlled: int, conformal: tuple | None):
     """One step attempt of _dop853 on a state of n components, the first
     ``controlled`` of them error-controlled, as straight-line code:
-    ``stages(rhs, z, f, h, rtol, atol, more)`` returns the state at the
-    step's end, the step's error norm and the derivative the next step
-    starts from, which is f unless the step passed the error test and
-    ``more`` steps follow."""
+    ``attempt(conn, rhs)`` binds it, and ``stages(z, f, h, rtol, atol,
+    more)`` returns the state at the step's end, the step's error norm and
+    the derivative the next step starts from, which is f unless the step
+    passed the error test and ``more`` steps follow.  On a chart with only
+    symbols (``conformal`` None) each stage's derivative is rhs at its
+    state.  On a conformal chart, of shape (dim, vectors, jacobi), the
+    derivative is written out at each stage from the lines and expressions
+    of _conformal_derivative, which _conformal_rhs is built from too, and
+    rhs is not called."""
     comps, ctrl = range(n), range(controlled)
+    state = [f"y{i}" for i in comps]
+    ys = ", ".join(state)
 
     def each(name):
         return ", ".join(name.format(i) for i in comps)
 
+    def derivative(stage):
+        # the derivative at the state y0 .. into k{stage}_0 .., or with no
+        # stage, at the step's end, into the list f
+        if conformal is None:
+            return ([f"y = [{ys}]", f"{each(f'k{stage}_{{}}')} = rhs(y)"]
+                    if stage else ["f = rhs(y)"])
+        lines, rows = _conformal_derivative(*conformal, state)
+        return lines + ([f"k{stage}_{i} = {row}" for i, row in zip(comps, rows)]
+                        if stage else [f"f = [{', '.join(rows)}]"])
+
     body = [f"{each('z{}')} = z", f"{each('k1_{}')} = f", "try:"]
     for stage, row in enumerate(_STAGE_ROWS, 2):
-        terms = [_weighted(row, range(1, stage), i) for i in comps]
-        body += ["    y = [" + ",\n         ".join(
-                     f"z{i} + h * ({t})" for i, t in zip(comps, terms)) + "]",
-                 f"    {each(f'k{stage}_{{}}')} = rhs(y)"]
-    body += [f"    n{i} = z{i} + h * ({_weighted(_B, range(1, 13), i)})"
+        body += [f"    y{i} = z{i} + h * ({_weighted(row, range(1, stage), i)})"
+                 for i in comps]
+        body += ["    " + line for line in derivative(stage)]
+    body += [f"    y{i} = z{i} + h * ({_weighted(_B, range(1, 13), i)})"
              for i in comps]
-    body.append(f"    y = [{each('n{}')}]")
     # scipy's error norm: the fifth- and third-order estimates, scaled
     # componentwise by atol + max(|z|, |z_new|) rtol (the larger of the two,
     # or NaN where z_new is), summed squared
     for i in ctrl:
-        body += [f"    a, b = abs(z{i}), abs(n{i})",
+        body += [f"    a, b = abs(z{i}), abs(y{i})",
                  "    s = atol + (a if a > b else b) * rtol",
                  f"    r5_{i} = ({_weighted(_E5, range(1, 14), i)}) / s",
                  f"    r3_{i} = ({_weighted(_E3, range(1, 14), i)}) / s"]
@@ -345,64 +433,104 @@ def _stages(n: int, controlled: int):
         # against it (Hairer, Norsett & Wanner, II.10)
         f"    error = (h * e5 / sqrt((e5 + 0.01 * e3) * {controlled})"
         " if e5 else 0.0)",
+        f"    y = [{ys}]",
         # the derivative at the end of an accepted step is the next step's
         # first stage, which the error estimates weigh by 0
         "    if error < 1.0 and more:",
-        "        f = rhs(y)",
+        *("        " + line for line in derivative(None)),
         # a stage of a too-long step, or the end of one that passed the
         # error test, overflowed or left the connection's domain; symbols
         # that are not finite at a finite state still raise
         "except (DomainEscape, NonFinite) as err:",
-        "    if isinstance(err, NonFinite) and all(map(isfinite, y)):",
+        "    if isinstance(err, NonFinite) and "
+        + " and ".join(f"isfinite(y{i})" for i in comps) + ":",
         "        raise",
-        "    error = nan",
+        "    return z, nan, f",
         "return y, error, f"]
+    if conformal is None:
+        name = f"<chart stages n={n} controlled={controlled}>"
+    else:
+        dim, vectors, jacobi = conformal
+        name = (f"<chart conformal stages dim={dim} "
+                + ("jacobi>" if jacobi else f"vectors={vectors}>"))
     return _compile(
-        f"<chart stages n={n} controlled={controlled}>",
-        "def stages(rhs, z, f, h, rtol, atol, more):", body,
+        name, "def attempt(conn, rhs):",
+        ["grad_f, hessian = conn.grad_f, conn._hessian",
+         "def stages(z, f, h, rtol, atol, more):",
+         textwrap.indent("\n".join(body), "    "), "return stages"],
         {"DomainEscape": DomainEscape, "NonFinite": NonFinite,
          "isfinite": math.isfinite, "sqrt": math.sqrt, "nan": math.nan})
 
 
-def _dop853(conn: ChartConnection, rhs, z: np.ndarray, f: list,
-            t: float, h_abs: float, rtol: float, atol: float,
-            controlled: int) -> tuple[np.ndarray, int, int]:
+class _Kernel(NamedTuple):
+    """One of the engine's ODEs bound to a connection: its right-hand side,
+    from a state, a list of Python floats, to its derivative; its step
+    attempt, from ``_stages``; and how many leading components enter the
+    error norm."""
+    rhs: Callable[[list], list]
+    attempt: Callable
+    controlled: int
+
+
+def _kernel(conn: ChartConnection, vectors: int, jacobi: bool) -> _Kernel:
+    """The geodesic equation carrying ``vectors`` vectors or, with
+    ``jacobi``, the 2-d Jacobi seed of _jacobi_flow, bound to ``conn``.
+    Only the geodesic's components of the Jacobi seed are error-controlled.
+    """
+    d = conn.dim
+    n = (2 + vectors) * d + 2 * jacobi
+    controlled = 2 * d if jacobi else n
+    if conn.grad_f is None and not jacobi:
+        rhs = _flow_rhs(conn, vectors)
+        return _Kernel(rhs, _stages(n, controlled, None)(conn, rhs),
+                       controlled)
+    rhs = _conformal_rhs(d, vectors, jacobi)(conn)
+    return _Kernel(rhs, _stages(n, controlled, (d, vectors, jacobi))(conn, rhs),
+                   controlled)
+
+
+def _dop853(conn: ChartConnection, kernel: _Kernel, z: list, f: list,
+            t: float, h_abs: float, rtol: float, atol: float
+            ) -> tuple[list, int, int]:
     """Integrate z' = rhs(z) from time 0 to t, starting from the derivative
     f = rhs(z) and a first step of h_abs; returns the state at t and the
-    numbers of accepted and rejected steps.  rhs takes the state as a list
-    of Python floats and returns its derivative as one.  A step attempt
-    evaluates rhs at its 11 later stages; an accepted step short of t also
-    evaluates it at its end, the next step's first stage, which the error
-    estimates weigh by 0, so the last step does not.
+    numbers of accepted and rejected steps.  The states and derivatives are
+    lists of Python floats, from the caller's state to the one returned.
+    A step attempt evaluates the derivative at its 11 later stages; an
+    accepted step short of t also evaluates it at its end, the next step's
+    first stage, which the error estimates weigh by 0, so the last step
+    does not.
 
     The steps are scipy's DOP853 steps: the same stages, the same error norm
     and the same step-size control, without the solver object around them.
-    A step attempt is straight-line code that ``_stages`` generates once per
-    state size and number of controlled components, from the tableau's
-    reprs and the stage indices alone: one Python-float expression per
-    component and stage, summing the earlier stages whose coefficients are
-    not zero left to right, as Hairer's dop853.f writes them out.  At these
-    state sizes, numpy's per-call cost, and the loops and comprehensions of
-    a written-out step, exceed the arithmetic.  The generated expressions
-    keep the operands and order of the loop that preceded them, which a
-    test holds as the reference, so every state and step count keeps its
-    bits; the sums round otherwise than scipy's products, so the endpoint
-    can differ from scipy's in its last bits.  Only the first
-    ``controlled`` components enter the error norm.  A stage, or the
-    derivative at the end of a step that passed the error test, whose
-    right-hand side raises DomainEscape, or NonFinite at a non-finite state,
-    makes the step's error NaN, and the step is rejected.  Every accepted
-    state must be finite, inside the chart's box and, when the connection
-    has one, pass its interior test; the DomainEscape raised otherwise names
-    the test that failed.  An accepted step short of t that leaves the state
-    unchanged raises DomainEscape: the solution has run into the edge of the
-    connection's domain, where stages beyond it are rejected and the steps
-    that stay before it no longer move the state.  Each error the loop
-    raises carries the time it had reached and its step counts.
+    A step attempt is the kernel's straight-line code, which ``_stages``
+    generates once per state shape from the tableau's reprs and the stage
+    indices alone: one Python-float expression per component and stage,
+    summing the earlier stages whose coefficients are not zero left to
+    right, as Hairer's dop853.f writes them out.  On a conformal chart the
+    attempt also writes out each stage's derivative, so it calls no
+    right-hand side.  At these state sizes, numpy's per-call cost, and the
+    loops, comprehensions and calls of a written-out step, exceed the
+    arithmetic.  The generated expressions keep the operands and order of
+    the loop and right-hand sides that preceded them, which a test holds
+    as the reference, so every state and step count keeps its bits; the
+    sums round otherwise than scipy's products, so the endpoint can differ
+    from scipy's in its last bits.  Only the kernel's first ``controlled``
+    components enter the error norm.  A stage, or the derivative at the end
+    of a step that passed the error test, that raises DomainEscape, or
+    NonFinite at a non-finite state, makes the step's error NaN, and the
+    step is rejected.  Every accepted state must be finite, inside the
+    chart's box and, when the connection has one, pass its interior test;
+    the DomainEscape raised otherwise names the test that failed.  An
+    accepted step short of t that leaves the state unchanged raises
+    DomainEscape: the solution has run into the edge of the connection's
+    domain, where stages beyond it are rejected and the steps that stay
+    before it no longer move the state.  Each error the loop raises
+    carries the time it had reached and its step counts.
     """
-    stages = _stages(z.size, controlled)
-    d = conn.dim
-    z = z.tolist()
+    attempt, d = kernel.attempt, conn.dim
+    # map() stops at the corners' d coordinates, the state's position
+    lo, hi = conn._box if conn.chart_bounds is not None else ((), ())
     s, accepted, rejected = 0.0, 0, 0
     while s < t:
         min_step = 10.0 * math.ulp(s)
@@ -424,7 +552,7 @@ def _dop853(conn: ChartConnection, rhs, z: np.ndarray, f: list,
             h = s_new - s
             h_abs = h
             # the derivative at the step's start is its first stage
-            z_new, error_norm, f = stages(rhs, z, f, h, rtol, atol, s_new < t)
+            z_new, error_norm, f = attempt(z, f, h, rtol, atol, s_new < t)
             if error_norm < 1.0:
                 factor = _MAX_FACTOR
                 if error_norm > 0.0:
@@ -444,7 +572,7 @@ def _dop853(conn: ChartConnection, rhs, z: np.ndarray, f: list,
         if not all(map(math.isfinite, z_new)):
             raise DomainEscape(f"trajectory state is not finite at "
                                f"t={s_new:.6g}", s_new, accepted, rejected)
-        if not conn.in_bounds(z_new[:d]):
+        if not (all(map(le, lo, z_new)) and all(map(le, z_new, hi))):
             raise DomainEscape(f"trajectory left the chart bounds at "
                                f"t={s_new:.6g}", s_new, accepted, rejected)
         if conn.interior is not None and not conn.interior(
@@ -456,50 +584,51 @@ def _dop853(conn: ChartConnection, rhs, z: np.ndarray, f: list,
                 f"adaptive integrator stalled: a step of {h:.3g} at "
                 f"t={s:.6g} left the state unchanged", s, accepted, rejected)
         s, z = s_new, z_new
-    return np.array(z), accepted, rejected
+    return z, accepted, rejected
 
 
-def _integrate(conn: ChartConnection, rhs, z0: np.ndarray, t: float,
-               tolerances: ToleranceConfig, controlled: int | None = None
-               ) -> np.ndarray:
+def _integrate(conn: ChartConnection, kernel: _Kernel, z: list, t: float,
+               tolerances: ToleranceConfig) -> list:
     # the Dormand-Prince 8(5,3) pair with local error control at the
     # ToleranceConfig ODE tolerances; at their tight defaults it takes fewer,
-    # longer steps than a 4(5) pair.  Only the first `controlled` components
-    # are error-controlled when it is given; the rest ride along on their
-    # steps.  The geodesic, transport and Jacobi equations are autonomous,
-    # so rhs takes the state alone
+    # longer steps than a 4(5) pair.  The geodesic, transport and Jacobi
+    # equations are autonomous, so rhs takes the state alone, a list of
+    # Python floats.  The caller has entered _quiet()
     if not 0.0 <= t < math.inf:
         raise ValueError(
             f"integration time must be finite and non-negative, got {t}")
-    x0 = z0[:conn.dim]
+    x0 = z[:conn.dim]
     if not conn.in_bounds(x0):
         raise DomainEscape("initial point outside the chart bounds")
-    # stages that overflow give an infinite or NaN error estimate, and the
-    # step is rejected; the warnings numpy raises on the way, in a
-    # connection's own arithmetic, are not errors
-    with np.errstate(over="ignore", invalid="ignore"):
-        # this evaluation, at the initial state, raises where the connection
-        # cannot be evaluated; the interior test, which every accepted state
-        # passes too, follows it so that such a point reports the connection's
-        # own reason, and both apply to a flow of no time
-        z = z0.tolist()
-        f0 = rhs(z)
-        if conn.interior is not None and not conn.interior(x0):
-            raise DomainEscape("initial point outside the chart's interior")
-        if t == 0.0:
-            return z0.copy()
-        # first step: the time over which the initial derivative moves the
-        # state by its own size, capped at the whole interval; scipy's default
-        # sizes it from the tolerance alone, which costs a short flow three
-        # steps instead of one, while the bound keeps a fast flow's first
-        # stages finite
-        fnorm = _norm(f0)
-        h0 = min(t, _norm(z) / fnorm) if fnorm else t
-        if not h0 > 0.0:
-            raise DomainEscape(
-                f"initial derivative of norm {fnorm:.3g} overflows the state")
-        return _dop853(conn, rhs, z0, f0, t, h0, tolerances.ode_rel_tol,
-                       tolerances.ode_abs_tol, controlled or z0.size)[0]
+    # this evaluation, at the initial state, raises where the connection
+    # cannot be evaluated; the interior test, which every accepted state
+    # passes too, follows it so that such a point reports the connection's
+    # own reason, and both apply to a flow of no time
+    f0 = kernel.rhs(z)
+    if conn.interior is not None and not conn.interior(np.array(x0)):
+        raise DomainEscape("initial point outside the chart's interior")
+    if t == 0.0:
+        return z
+    # first step: the time over which the initial derivative moves the
+    # state by its own size, capped at the whole interval; scipy's default
+    # sizes it from the tolerance alone, which costs a short flow three
+    # steps instead of one, while the bound keeps a fast flow's first
+    # stages finite
+    fnorm = _norm(f0)
+    h0 = min(t, _norm(z) / fnorm) if fnorm else t
+    if not h0 > 0.0:
+        raise DomainEscape(
+            f"initial derivative of norm {fnorm:.3g} overflows the state")
+    return _dop853(conn, kernel, z, f0, t, h0, tolerances.ode_rel_tol,
+                   tolerances.ode_abs_tol)[0]
+
+
+def _quiet():
+    """The numpy error state of a public engine call: stages that overflow
+    give an infinite or NaN error estimate, and the step is rejected, so the
+    warnings numpy raises on the way, in a connection's own arithmetic, are
+    not errors."""
+    return np.errstate(over="ignore", invalid="ignore")
 
 
 def geodesic_flow(conn: ChartConnection, x, v, t: float = 1.0,
@@ -508,23 +637,25 @@ def geodesic_flow(conn: ChartConnection, x, v, t: float = 1.0,
 
     Returns the (position, velocity) pair at time t.
     """
-    tolerances = tolerances or _DEFAULT_TOLERANCES
     d = conn.dim
-    x, v = _chart_vectors(d, x, v)
-    z = _integrate(conn, _flow_rhs(conn, 0), np.concatenate([x, v]), t,
-                   tolerances)
-    return z[:d], z[d:]
+    with _quiet():
+        z = _integrate(conn, conn._geodesic, _chart_state(d, x, v), t,
+                       tolerances or _DEFAULT_TOLERANCES)
+    return np.array(z[:d]), np.array(z[d:])
 
 
-def _chart_vectors(d: int, *vectors) -> list[np.ndarray]:
-    """The vectors as float arrays, each of shape (d,); the right-hand
-    sides slice the state by d and would not notice a wrong length."""
-    out = [np.asarray(a, dtype=float) for a in vectors]
-    for a in out:
+def _chart_state(d: int, *vectors) -> list:
+    """The vectors, each of shape (d,), as one list of Python floats; the
+    right-hand sides slice the state by d and would not notice a wrong
+    length."""
+    z = []
+    for a in vectors:
+        a = np.asarray(a, dtype=float)
         if a.shape != (d,):
             raise ValueError(
                 f"expected a chart vector of shape ({d},), got {a.shape}")
-    return out
+        z += a.tolist()
+    return z
 
 
 def _flow_rhs(conn: ChartConnection, vectors: int):
@@ -552,49 +683,18 @@ def _flow_rhs(conn: ChartConnection, vectors: int):
 @functools.cache
 def _conformal_rhs(dim: int, vectors: int, jacobi: bool):
     """The right-hand side on a conformal chart of dimension ``dim``, as
-    straight-line code generated once per shape: ``conformal_rhs(conn)``
-    binds it to the connection's callbacks.  The state is (x, v, w_1 ..
-    w_vectors), as in _flow_rhs, or with ``jacobi`` the (x, v, b, b') of
-    _jacobi_flow.  The conformal symbols give G(v, w) = (f.v) w + (f.w) v -
-    (v.w) f for f = grad_f(x), each dot product summed left to right from
-    0.0 as ``core._dot`` sums: sum() compensates its rounding from Python
-    3.12 on, though at dim 2 its value is this one on every version."""
+    straight-line code generated once per shape from the lines and
+    expressions of _conformal_derivative: ``conformal_rhs(conn)`` binds it
+    to the connection's callbacks.  The state is (x, v, w_1 .. w_vectors),
+    as in _flow_rhs, or with ``jacobi`` the (x, v, b, b') of
+    _jacobi_flow."""
     comps = range(dim)
-    x, v, f = ([f"{c}{i}" for i in comps] for c in "xvf")
-    ws = [[f"w{j}_{i}" for i in comps] for j in range(vectors)]
-    state = [*x, *v, *(c for w in ws for c in w), *(["b", "db"] * jacobi)]
-
-    def dot(a, b):
-        return " + ".join(["0.0", *(f"{p} * {q}" for p, q in zip(a, b))])
-
-    body = [
-        f"{', '.join(state)} = z",
-        f"x = [{', '.join(x)}]",
-        "f = grad_f(x)",
-        # the same guarantee as gamma: a NaN left unchecked reads as a
-        # rejected step, and the integrator shrinks its step until it
-        # underflows and reports a domain escape instead of the fault
-        f"if len(f) != {dim}:",
-        "    raise ValueError(",
-        f"        f'grad_f returned {{len(f)}} numbers, expected {dim}')",
-        f"{', '.join(f)}, = f",
-        f"if not ({' and '.join(f'isfinite({fi})' for fi in f)}):",
-        "    raise NonFinite(",
-        "        f'conformal factor gradient is not finite at {x}')",
-        *["hf = hessian(x)"] * jacobi,
-        f"fv = {dot(f, v)}",
-        f"vv = {dot(v, v)}"]
-    rows = [*v, *(f"-(fv * {vi} + fv * {vi} - vv * {fi})"
-                  for vi, fi in zip(v, f))]
-    for j, w in enumerate(ws):
-        body += [f"fw{j} = {dot(f, w)}", f"vw{j} = {dot(v, w)}"]
-        rows += [f"-(fv * {wi} + fw{j} * {vi} - vw{j} * {fi})"
-                 for wi, vi, fi in zip(w, v, f)]
-    if jacobi:
-        # K |x'|_g^2 b = -(f_00 + f_11) |v|^2 b, as _jacobi_flow derives
-        trace = " + ".join(f"hf[{i}][{i}]" for i in comps)
-        rows += ["db", f"({trace}) * vv * b"]
-    body.append("return [" + ",\n        ".join(rows) + "]")
+    state = [*(f"x{i}" for i in comps), *(f"v{i}" for i in comps),
+             *(f"w{j}_{i}" for j in range(vectors) for i in comps),
+             *(["b", "db"] * jacobi)]
+    lines, rows = _conformal_derivative(dim, vectors, jacobi, state)
+    body = [f"{', '.join(state)} = z", *lines,
+            "return [" + ",\n        ".join(rows) + "]"]
     return _compile(
         f"<chart conformal rhs dim={dim} "
         + ("jacobi>" if jacobi else f"vectors={vectors}>"),
@@ -604,10 +704,10 @@ def _conformal_rhs(dim: int, vectors: int, jacobi: bool):
         {"NonFinite": NonFinite, "isfinite": math.isfinite})
 
 
-def _jacobi_flow(conn: ChartConnection, x: np.ndarray, v: np.ndarray,
-                 tolerances: ToleranceConfig):
+def _jacobi_flow(conn: ChartConnection, x, v, tolerances: ToleranceConfig):
     """Endpoint of the geodesic from x with velocity v at t = 1, and the
-    Jacobian of that endpoint in v, on a 2-d connection with ``hess_f``.
+    Jacobian of that endpoint in v, on a 2-d connection with ``hess_f``: a
+    list of Python floats and the Jacobian's rows as lists of them.
 
     On a surface the Jacobi field with J(0) = 0, J'(0) = v is t x'(t),
     and with J'(0) = Rv, R the rotation by 90 degrees (a conformal metric's
@@ -623,42 +723,43 @@ def _jacobi_flow(conn: ChartConnection, x: np.ndarray, v: np.ndarray,
     looser ``_seed_tolerances``.
     """
     # the geodesic's rows are a plain flow's, bit for bit
-    rhs = _conformal_rhs(2, 0, True)(conn)
-    z = _integrate(conn, rhs, np.array([*x.tolist(), *v.tolist(), 0.0, 1.0]),
-                   1.0, tolerances, 4)
+    z0 = [*map(float, x), *map(float, v), 0.0, 1.0]
+    z = _integrate(conn, conn._jacobi, z0, 1.0, tolerances)
     # over u = v / |v| and w = v_1 / |v|, so that a tiny v neither underflows
     # nor divides by zero: w u^T + b(1) Rw (Ru)^T, with R(a, c) = (-c, a)
-    n = math.hypot(*v.tolist())
+    n = math.hypot(z0[2], z0[3])
     if n == 0.0:
-        return z[:2], np.eye(2)
-    (a, c), (p, q), b = (v / n).tolist(), (z[2:4] / n).tolist(), float(z[4])
-    return z[:2], np.array([[p * a + b * q * c, p * c - b * q * a],
-                            [q * a - b * p * c, q * c + b * p * a]])
+        return z[:2], [[1.0, 0.0], [0.0, 1.0]]
+    a, c, p, q, b = z0[2] / n, z0[3] / n, z[2] / n, z[3] / n, z[4]
+    return z[:2], [[p * a + b * q * c, p * c - b * q * a],
+                   [q * a - b * p * c, q * c + b * p * a]]
 
 
-def _shooting_start(conn: ChartConnection, x: np.ndarray, d: np.ndarray):
+def _shooting_start(conn: ChartConnection, x, d):
     """First shooting velocity toward x + d: the third-order inverse of the
     geodesic's Taylor series x + v - G(v, v)/2 + ..., which is
     d + G(x + d/3)(d, d)/2 + G(x)(d, G(x)(d, d))/6, or d itself where that
     moves d by more than a quarter of its length and the series is not to
-    be trusted."""
+    be trusted.  x and d are lists of Python floats, and so is the
+    velocity."""
     # each term is read off the flow's right-hand side at (x, v, w..), which
     # carries -G(x)(v, w) for each w, -G(x)(v, v) first
-    geodesic, carried, n = _flow_rhs(conn, 0), _flow_rhs(conn, 1), conn.dim
+    geodesic, carried, n = conn._geodesic.rhs, conn._transport.rhs, conn.dim
     try:
-        gdd = -np.array(geodesic([*x.tolist(), *d.tolist()]))[n:]
-        g_third = -np.array(geodesic([*(x + d / 3.0).tolist(),
-                                      *d.tolist()]))[n:]
-        g_gdd = -np.array(carried([*x.tolist(), *d.tolist(),
-                                   *gdd.tolist()]))[2 * n:]
-        v = d + 0.5 * g_third + g_gdd / 6.0
+        gdd = [-c for c in geodesic([*x, *d])[n:]]
+        g_third = [-c for c in geodesic(
+            [*(a + b / 3.0 for a, b in zip(x, d)), *d])[n:]]
+        g_gdd = [-c for c in carried([*x, *d, *gdd])[2 * n:]]
+        v = [a + 0.5 * b + c / 6.0 for a, b, c in zip(d, g_third, g_gdd)]
     except (DomainEscape, NonFinite):
         # x + d/3 lies outside the connection's domain
         return d
     # written so that a NaN start falls back too
-    return v if _norm(v - d) <= 0.25 * _norm(d) else d
+    return (v if _norm([a - b for a, b in zip(v, d)]) <= 0.25 * _norm(d)
+            else d)
 
 
+@functools.lru_cache(maxsize=16)
 def _seed_tolerances(tolerances: ToleranceConfig) -> ToleranceConfig:
     """The tolerances of the Jacobi flow that seeds a shooting solve: its
     relative tolerance is the solve's to the power 3/4, 1e-9 at the default
@@ -666,7 +767,8 @@ def _seed_tolerances(tolerances: ToleranceConfig) -> ToleranceConfig:
     Jacobian only start the quasi-Newton iteration, which decides
     convergence on the flows ``exp`` integrates at the solve's own
     tolerance, so a seed more accurate than its first step buys nothing
-    (inexact Newton: Dembo, Eisenstat & Steihaug, 1982)."""
+    (inexact Newton: Dembo, Eisenstat & Steihaug, 1982).  Built once per
+    ToleranceConfig, which is frozen and hashes by identity."""
     rtol = tolerances.ode_rel_tol
     return replace(tolerances, ode_rel_tol=max(rtol, rtol ** 0.75))
 
@@ -702,19 +804,34 @@ def log_shooting(conn: ChartConnection, x, y,
     with the best residual attached otherwise, also when a trial
     integration fails, and DomainEscape when x or y is outside the chart's
     box or interior.
+
+    The solve holds v, the residuals and the Jacobian with its updates in
+    Python floats, each operation that of the numpy expression it stands
+    for; only the linear solve is numpy's, LAPACK's LU.  Every trial is a
+    call of the module's ``geodesic_flow``.
     """
     tolerances = tolerances or _DEFAULT_TOLERANCES
-    max_iters = tolerances.max_shooting_iters
-    # the endpoint carries integration error of order ode_rel_tol, so the
-    # residual target sits a decade above it, and never below 1e-11
-    residual_tol = max(10.0 * tolerances.ode_rel_tol, 1e-11)
-    x, y = _chart_vectors(conn.dim, x, y)
+    d = conn.dim
+    z = _chart_state(d, x, y)
+    x, y = z[:d], z[d:]
     if not _inside(conn, x):
         # no trial can start there, so this is not a failed solve
         raise DomainEscape("base point of the log outside the chart's domain")
     if not _inside(conn, y):
         # no trial can end there, since every accepted state is inside
-        raise DomainEscape(f"target {y} of the log outside the chart's domain")
+        raise DomainEscape(
+            f"target {np.array(y)} of the log outside the chart's domain")
+    with _quiet():
+        return _shoot(conn, x, y, tolerances)
+
+
+def _shoot(conn: ChartConnection, x: list, y: list,
+           tolerances: ToleranceConfig):
+    """log_shooting's solve from x to y, both inside the chart's domain."""
+    max_iters = tolerances.max_shooting_iters
+    # the endpoint carries integration error of order ode_rel_tol, so the
+    # residual target sits a decade above it, and never below 1e-11
+    residual_tol = max(10.0 * tolerances.ode_rel_tol, 1e-11)
 
     def failed(rnorm, err):
         # a trial velocity that stalls the integrator or escapes the chart is
@@ -723,38 +840,41 @@ def log_shooting(conn: ChartConnection, x, y,
             f"shooting trial failed at residual {rnorm:.3e}: {err}",
             residual=rnorm)
 
-    def endpoint(vel, rnorm, escapes=()):
-        # unless the caller takes an escape (None) as a rejected trial
+    def residual(vel, rnorm, escapes=()):
+        # end - y at the endpoint of the trial vel, unless the caller takes
+        # an escape (None) as a rejected trial
         try:
-            return geodesic_flow(conn, x, vel, 1.0, tolerances)[0]
+            end = geodesic_flow(conn, x, vel, 1.0, tolerances)[0].tolist()
         except escapes:
             return None
         except (MaxStepsExceeded, DomainEscape) as err:
             raise failed(rnorm, err) from err
+        return [a - b for a, b in zip(end, y)]
 
     # before the first trial the solve holds v = 0, whose endpoint is x
-    rnorm = _norm(y - x)
+    v = [b - a for a, b in zip(x, y)]
+    rnorm = _norm(v)
     jac = None
     if conn.hess_f is None or conn.dim != 2:
-        v = y - x
-        end = endpoint(v, rnorm)
+        res = residual(v, rnorm)
     else:
-        v = _shooting_start(conn, x, y - x)
+        v = _shooting_start(conn, x, v)
         try:
             end, jac = _jacobi_flow(conn, x, v, _seed_tolerances(tolerances))
         except (MaxStepsExceeded, DomainEscape) as err:
             raise failed(rnorm, err) from err
-        if _norm(end - y) <= residual_tol:
+        res = [a - b for a, b in zip(end, y)]
+        if _norm(res) <= residual_tol:
             # a guess is returned only on the endpoint exp gives it, and the
             # augmented flow's steps are not exp's
-            end = endpoint(v, rnorm)
-    res = end - y
+            res = residual(v, rnorm)
     rnorm = _norm(res)
     if rnorm <= residual_tol:
-        return v, 0
+        return np.array(v), 0
     if jac is None:
         # derivative in v of the first-order model x + v - G(x)(v, v) / 2
-        jac = np.eye(conn.dim) - v @ conn.gamma(x)
+        jac = (np.eye(conn.dim)
+               - np.array(v) @ conn.gamma(np.array(x))).tolist()
     it = 0
     while rnorm > residual_tol:
         if it == max_iters:
@@ -767,25 +887,28 @@ def log_shooting(conn: ChartConnection, x, y,
         alpha = 1.0
         for _ in range(5):
             try:
-                dv = -alpha * np.linalg.solve(jac, res)
+                step = np.linalg.solve(jac, res).tolist()
             except np.linalg.LinAlgError:
                 raise NoConvergence("singular shooting Jacobian",
                                     residual=rnorm)
-            end = endpoint(v + dv, rnorm, DomainEscape)
-            if end is None:
+            dv = [-alpha * c for c in step]
+            v_try = [a + b for a, b in zip(v, dv)]
+            res_try = residual(v_try, rnorm, DomainEscape)
+            if res_try is None:
                 # the trial left the chart: no endpoint to update jac with,
                 # but a shorter step may stay inside
                 alpha *= 0.5
                 continue
-            res_try = end - y
             r_try = _norm(res_try)
             # the least change to jac that maps dv to the observed residual
             # change; a rejected trial informs jac too, so the next trial
             # solves again instead of halving a step along a poor direction;
             # its products in Python floats, which round alike on every CPU
-            dl = dv.tolist()
-            jdv = [_dot(row, dl) for row in jac.tolist()]
-            jac += np.outer(res_try - res - jdv, dv) / _dot(dl, dl)
+            dd = _dot(dv, dv)
+            change = [a - b - _dot(row, dv)
+                      for a, b, row in zip(res_try, res, jac)]
+            jac = [[j + c * b / dd for j, b in zip(row, dv)]
+                   for row, c in zip(jac, change)]
             if r_try < rnorm:
                 break
             alpha *= 0.5
@@ -795,21 +918,21 @@ def log_shooting(conn: ChartConnection, x, y,
                 f"(residual {rnorm:.3e})",
                 residual=rnorm,
             )
-        v, res, rnorm = v + dv, res_try, r_try
+        v, res, rnorm = v_try, res_try, r_try
     # Broyden converges superlinearly, not quadratically, so it stops a few
     # digits short of Newton's last step; one more step recovers them,
     # unless the residual is already at the round-off of y's coordinates
-    if (rnorm > _ROUND_OFF * max(1.0, float(np.abs(y).max()))
-            and it < max_iters):
+    if rnorm > _ROUND_OFF * max(1.0, *map(abs, y)) and it < max_iters:
         it += 1
         try:
-            v_try = v - np.linalg.solve(jac, res)
-            r_try = _norm(endpoint(v_try, rnorm) - y)
+            v_try = [a - b for a, b in zip(
+                v, np.linalg.solve(jac, res).tolist())]
+            r_try = _norm(residual(v_try, rnorm))
         except (np.linalg.LinAlgError, NoConvergence):
             r_try = math.inf
         if r_try < rnorm:
             v = v_try
-    return v, it
+    return np.array(v), it
 
 
 def transport_ode(conn: ChartConnection, u, x, v, t: float = 1.0,
@@ -820,12 +943,11 @@ def transport_ode(conn: ChartConnection, u, x, v, t: float = 1.0,
     The transport is integrated jointly with the geodesic so the curve and
     the vector stay consistent.  Returns (u_t, position_t, velocity_t).
     """
-    tolerances = tolerances or _DEFAULT_TOLERANCES
     d = conn.dim
-    u, x, v = _chart_vectors(d, u, x, v)
-    z = _integrate(conn, _flow_rhs(conn, 1), np.concatenate([x, v, u]), t,
-                   tolerances)
-    return z[2 * d:], z[:d], z[d:2 * d]
+    with _quiet():
+        z = _integrate(conn, conn._transport, _chart_state(d, x, v, u), t,
+                       tolerances or _DEFAULT_TOLERANCES)
+    return np.array(z[2 * d:]), np.array(z[:d]), np.array(z[d:2 * d])
 
 
 # ---------------------------------------------------------------------------

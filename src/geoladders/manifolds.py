@@ -750,7 +750,12 @@ def _spd2_entry_chart():
                 g[:, i, j] = (m[0, 0], m[0, 1], m[1, 1])
         return g
 
-    return ChartConnection(dim=3, christoffel=christoffel)
+    # the chart's domain is the positive-definite cone, p11 > 0 and
+    # det P > 0, which a box cannot describe: a log between points outside
+    # it would cross det P = 0, where the symbols blow up
+    return ChartConnection(
+        dim=3, christoffel=christoffel,
+        interior=lambda x: x[0] > 0.0 and x[0] * x[2] - x[1] * x[1] > 0.0)
 
 
 def _so3_rotation_vector_chart():

@@ -1,10 +1,12 @@
 """The chart engine's step loop and conformal right-hand sides written out
 by hand, as loops and comprehensions over lists of Python floats: the
 reference that the straight-line code ``chart`` generates per state shape
-must match bit for bit (``test_chart_kernels.py``).  Each function takes
-the arguments of the engine function it stands in for, so a test can patch
-it in: ``dop853`` for ``chart._dop853`` and ``conformal_rhs`` for
-``chart._conformal_rhs``."""
+must match bit for bit (``test_chart_kernels.py``): the step attempts,
+whose stages on a conformal chart write the derivative out, and the
+conformal right-hand sides.  Each function takes the arguments of the
+engine function it stands in for, so a test can patch it in: ``dop853`` for
+``chart._dop853``, which it runs on the kernel's right-hand side, and
+``conformal_rhs`` for ``chart._conformal_rhs``."""
 
 import math
 from operator import mul
@@ -24,10 +26,11 @@ from geoladders.chart import (
 )
 
 
-def dop853(conn, rhs, z, f, t, h_abs, rtol, atol, controlled):
+def dop853(conn, kernel, z, f, t, h_abs, rtol, atol):
     """chart._dop853 as a loop whose stages are comprehensions over the
-    state's components and whose error norm is a loop over the controlled
-    ones."""
+    state's components, each evaluating the kernel's right-hand side, and
+    whose error norm is a loop over the controlled ones."""
+    rhs, controlled = kernel.rhs, kernel.controlled
     # the tableau's coefficients by stage; _ marks the zeros of scipy's
     # rows, which no stage sum reads
     ((a21,), (a31, a32), (a41, _, a43), (a51, _, a53, a54),
@@ -43,7 +46,6 @@ def dop853(conn, rhs, z, f, t, h_abs, rtol, atol, controlled):
     # read when called, so that a test can lower the budget
     max_steps = chart._MAX_STEPS
     d = conn.dim
-    z = z.tolist()
     s, accepted, rejected = 0.0, 0, 0
     while s < t:
         min_step = 10.0 * math.ulp(s)
@@ -178,7 +180,7 @@ def dop853(conn, rhs, z, f, t, h_abs, rtol, atol, controlled):
                 f"adaptive integrator stalled: a step of {h:.3g} at "
                 f"t={s:.6g} left the state unchanged", s, accepted, rejected)
         s, z = s_new, z_new
-    return np.array(z), accepted, rejected
+    return z, accepted, rejected
 
 
 def _gradient(conn, x):

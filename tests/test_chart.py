@@ -458,10 +458,11 @@ def _scipy_steps(rhs, z0, t, h0, rtol, atol, controlled):
 
 def _flows_match_scipy(solves):
     rejected = 0
-    for (_, rhs, z0, _, t, h0, *tolerances), z, acc, rej in solves:
-        ref, ref_acc, ref_rej = _scipy_steps(rhs, z0, t, h0, *tolerances)
+    for (_, kernel, z0, _, t, h0, rtol, atol), z, acc, rej in solves:
+        ref, ref_acc, ref_rej = _scipy_steps(kernel.rhs, np.array(z0), t, h0,
+                                             rtol, atol, kernel.controlled)
         assert (acc, rej) == (ref_acc, ref_rej)
-        assert np.linalg.norm(z - ref) <= 1e-14 * np.linalg.norm(ref)
+        assert np.linalg.norm(np.array(z) - ref) <= 1e-14 * np.linalg.norm(ref)
         rejected += rej
     return rejected
 
@@ -855,8 +856,8 @@ def test_jacobi_flow_geodesic_rows_are_the_plain_rhs(bump, monkeypatch):
     solves = _record_solves(monkeypatch)
     chart._jacobi_flow(bump.conn, _START_X, 0.3 * _START_DIR,
                        ToleranceConfig())
-    [((_, jacobi_rhs, *_), *_)] = solves
-    plain_rhs = chart._flow_rhs(bump.conn, 0)
+    [((_, jacobi, *_), *_)] = solves
+    jacobi_rhs, plain_rhs = jacobi.rhs, chart._flow_rhs(bump.conn, 0)
     rng = np.random.default_rng(13)
     for _ in range(50):
         z = rng.standard_normal(6)
@@ -986,7 +987,8 @@ def test_conformal_right_hand_sides_make_no_numpy_call(name, monkeypatch):
     conn = make_chart(name)
     chart._jacobi_flow(conn, np.array([0.2, -0.1]), np.array([0.1, 0.2]),
                        ToleranceConfig())
-    [((_, jacobi_rhs, *_), *_)] = solves
+    [((_, jacobi, *_), *_)] = solves
+    jacobi_rhs = jacobi.rhs
     states = [(chart._flow_rhs(conn, 0), [0.2, -0.1, 0.1, 0.2]),
               (chart._flow_rhs(conn, 1), [0.2, -0.1, 0.1, 0.2, 0.5, -0.7]),
               (jacobi_rhs, [0.2, -0.1, 0.1, 0.2, 0.3, 1.0])]
@@ -1350,12 +1352,14 @@ def test_only_the_shooting_seed_runs_at_the_seed_tolerance(bump, monkeypatch):
         solves.clear()
         log_shooting(bump.conn, x, y, tol)
         (first, *_), *rest = solves
-        assert first[2].size == 6
-        assert first[-3:] == (seed.ode_rel_tol, seed.ode_abs_tol, 4)
+        assert len(first[2]) == 6
+        assert (*first[-2:], first[1].controlled) == (
+            seed.ode_rel_tol, seed.ode_abs_tol, 4)
         assert rest
         for args, *_ in rest:
-            assert args[2].size == 4
-            assert args[-3:] == (tol.ode_rel_tol, tol.ode_abs_tol, 4)
+            assert len(args[2]) == 4
+            assert (*args[-2:], args[1].controlled) == (
+                tol.ode_rel_tol, tol.ode_abs_tol, 4)
 
 
 def test_a_tighter_shooting_seed_saves_no_iterations(bump, monkeypatch):
@@ -1495,15 +1499,16 @@ def test_jacobi_flow_controls_the_geodesic_at_a_plain_flows_error_norm(
     geodesic_flow(bump.conn, _START_X, 0.3 * _START_DIR, 1.0, tol)
     (jacobi, *_), (plain, *_) = solves
     for args in (jacobi, plain):
-        assert args[-3:] == (tol.ode_rel_tol, tol.ode_abs_tol, 4)
-    assert jacobi[2].size == 6 and plain[2].size == 4
+        assert (*args[-2:], args[1].controlled) == (
+            tol.ode_rel_tol, tol.ode_abs_tol, 4)
+    assert len(jacobi[2]) == 6 and len(plain[2]) == 4
     # a field a million times larger, whose errors grow with it, leaves the
     # geodesic's steps, and so its endpoint, unchanged to the last bit
-    conn, rhs, z0, f0, *rest = jacobi
-    big = np.concatenate([z0[:4], 1e6 * z0[4:]])
-    z, accepted, rejected = chart._dop853(conn, rhs, z0, f0, *rest)
-    z_big, accepted_big, rejected_big = chart._dop853(conn, rhs, big,
-                                                      rhs(big.tolist()),
+    conn, kernel, z0, f0, *rest = jacobi
+    big = [*z0[:4], *(1e6 * c for c in z0[4:])]
+    z, accepted, rejected = chart._dop853(conn, kernel, z0, f0, *rest)
+    z_big, accepted_big, rejected_big = chart._dop853(conn, kernel, big,
+                                                      kernel.rhs(big),
                                                       *rest)
     assert (accepted_big, rejected_big) == (accepted, rejected)
     assert np.array_equal(z_big[:4], z[:4])
@@ -1736,6 +1741,23 @@ def test_spd_chart_matches_closed_form():
     closed = spd.transport(spd.tangent(p, umat.ravel()), q)
     assert np.max(np.abs(entries(closed.components.reshape(2, 2)) - moved)) \
         <= 1e-9
+
+
+def test_spd_chart_domain_is_the_positive_definite_cone():
+    # a log from a negative definite to an indefinite matrix crossed
+    # det P = 0, where the symbols blow up, and its trials ran into the
+    # step budget for 102 s before it raised NoConvergence; outside the
+    # cone the chart has no points, and the log says so at once
+    conn = make_chart("spd2-entries")
+    x, y = [-0.1143, -0.0654, -0.1378], [0.0072, -0.0940, 0.0961]
+    with pytest.raises(DomainEscape, match="base point of the log outside"):
+        log_shooting(conn, x, y)
+    with pytest.raises(DomainEscape, match="target .* of the log outside"):
+        log_shooting(conn, [1.3, 0.2, 0.9], y)
+    with pytest.raises(DomainEscape, match="outside the chart's interior"):
+        geodesic_flow(conn, y, [0.1, 0.0, 0.0])
+    assert conn.interior(np.array([1.3, 0.2, 0.9]))
+    assert not conn.interior(np.array([1.3, 1.2, 0.9]))
 
 
 def test_so3_chart_matches_closed_form():

@@ -1,6 +1,8 @@
 """The chart engine's generated kernels against the hand-written loop they
 replace (``loop_reference``): the same states and step counts to the bit,
-and the same errors with the same evidence."""
+and the same errors with the same evidence.  On conformal charts the
+generated step attempts write each stage's derivative out, where the loop
+calls the hand-written right-hand side."""
 
 import math
 import re
@@ -42,6 +44,14 @@ def _solves(monkeypatch, run, reference):
         if reference:
             step_loop = loop_reference.dop853
             m.setattr(chart, "_conformal_rhs", loop_reference.conformal_rhs)
+            # a connection binds each of its kernels once, on first use:
+            # here every flow binds its kernel anew, on the hand-written
+            # right-hand sides
+            for name, shape in (("_geodesic", (0, False)),
+                                ("_transport", (1, False)),
+                                ("_jacobi", (0, True))):
+                m.setattr(ChartConnection, name, property(
+                    lambda conn, shape=shape: chart._kernel(conn, *shape)))
 
         def recorded(*args):
             try:
@@ -49,7 +59,7 @@ def _solves(monkeypatch, run, reference):
             except Exception as err:
                 solves.append(_evidence(err))
                 raise
-            solves.append(([c.hex() for c in z.tolist()], accepted, rejected))
+            solves.append(([c.hex() for c in z], accepted, rejected))
             return z, accepted, rejected
 
         m.setattr(chart, "_dop853", recorded)
@@ -121,11 +131,15 @@ def _ends_in(solves, error, match):
     assert kind is error and match in message
 
 
-def test_box_escape_matches_the_loop(monkeypatch):
-    conn = ChartConnection(2, lambda x: np.zeros((2, 2, 2)),
-                           chart_bounds=(np.full(2, -1.0), np.full(2, 1.0)))
-    solves = _same_as_reference(
-        monkeypatch, lambda: geodesic_flow(conn, [0.5, 0.0], [1.0, 0.0]))
+@pytest.mark.parametrize("conn, x, v", [
+    (ChartConnection(2, lambda x: np.zeros((2, 2, 2)),
+                     chart_bounds=(np.full(2, -1.0), np.full(2, 1.0))),
+     [0.5, 0.0], [1.0, 0.0]),
+    (make_chart("bump2d"), [1.5, 0.0], [2.0, 0.5]),
+], ids=["symbols", "conformal"])
+def test_box_escape_matches_the_loop(conn, x, v, monkeypatch):
+    solves = _same_as_reference(monkeypatch,
+                                lambda: geodesic_flow(conn, x, v))
     _ends_in(solves, DomainEscape, "left the chart bounds")
 
 
@@ -175,22 +189,32 @@ def test_step_budget_matches_the_loop(bump, monkeypatch):
         monkeypatch, lambda: geodesic_flow(bump.conn, [0.0, 0.0], [0.4, 0.3]))
     _ends_in(solves, MaxStepsExceeded, "budget of 5 steps")
     assert solves[-1][3:] == (3, 2)
+    solves = _same_as_reference(
+        monkeypatch, lambda: transport_ode(bump.conn, _U, [0.0, 0.0],
+                                           [0.4, 0.3]))
+    _ends_in(solves, MaxStepsExceeded, "budget of 5 steps")
 
 
 def test_traceback_shows_the_generated_line():
-    # the generated stages and right-hand side are registered with
-    # linecache under names that give their shape, so a traceback quotes
-    # the stage and the check that raised
-    conn = ChartConnection.conformal(2, _beyond(0.4, None, math.nan))
+    # the generated stages are registered with linecache under names that
+    # give their shape, so a traceback quotes the stage that raised or, on
+    # a conformal chart, whose derivative is written out in the stages, the
+    # check that raised
+    symbols = ChartConnection(2, lambda x: np.full(
+        (2, 2, 2), math.nan if x[0] > 0.4 else 0.0))
     with pytest.raises(NonFinite) as info:
-        transport_ode(conn, _U, _X, _V)
+        transport_ode(symbols, _U, _X, _V)
     text = "".join(traceback.format_exception(info.value))
     stage = re.search(r'File "<chart stages n=6 controlled=6>", line \d+, '
                       r"in stages\n +(.*)\n", text)
     assert re.fullmatch(r"k(\d+)_0, (k\1_\d, ){4}k\1_5 = rhs\(y\)",
                         stage[1])
-    assert re.search(r'File "<chart conformal rhs dim=2 vectors=1>", line '
-                     r"\d+, in rhs\n +raise NonFinite\(\n", text)
+    conn = ChartConnection.conformal(2, _beyond(0.4, None, math.nan))
+    with pytest.raises(NonFinite) as info:
+        transport_ode(conn, _U, _X, _V)
+    text = "".join(traceback.format_exception(info.value))
+    assert re.search(r'File "<chart conformal stages dim=2 vectors=1>", '
+                     r"line \d+, in stages\n +raise NonFinite\(\n", text)
 
 
 def _three_dimensional_conformal():
@@ -198,6 +222,31 @@ def _three_dimensional_conformal():
         s = 1.0 + sum(xi * xi for xi in x)
         return [-2.0 * xi / s for xi in x]
     return ChartConnection.conformal(3, grad_f)
+
+
+def _left_to_right_sum(values, start=0):
+    """sum() before Python 3.12: a left-to-right sum, as the generated
+    dot products are."""
+    total = float(start)
+    for x in values:
+        total += x
+    return total
+
+
+def test_three_dimensional_conformal_flows_match_the_loop_bit_for_bit(
+        monkeypatch):
+    # the fused stages of a 3-d conformal chart, with 0 and 1 carried
+    # vectors, and its log, which starts from the first-order seed; the
+    # reference sums its dot products left to right, on every version
+    monkeypatch.setattr(loop_reference, "sum", _left_to_right_sum,
+                        raising=False)
+    conn = _three_dimensional_conformal()
+    x, v, u = [0.3, 0.1, -0.2], [0.2, -0.1, 0.4], [0.0, 1.0, 0.5]
+    for run in (lambda: geodesic_flow(conn, x, v),
+                lambda: transport_ode(conn, u, x, v),
+                lambda: log_shooting(conn, x, [0.5, 0.2, 0.1])):
+        solves = _same_as_reference(monkeypatch, run)
+        assert solves and all(len(s) == 3 for s in solves)
 
 
 def test_three_dimensional_conformal_rhs_sums_left_to_right(monkeypatch):
