@@ -131,16 +131,17 @@ def _ends_in(solves, error, match):
     assert kind is error and match in message
 
 
-@pytest.mark.parametrize("conn, x, v", [
-    (ChartConnection(2, lambda x: np.zeros((2, 2, 2)),
-                     chart_bounds=(np.full(2, -1.0), np.full(2, 1.0))),
-     [0.5, 0.0], [1.0, 0.0]),
-    (make_chart("bump2d"), [1.5, 0.0], [2.0, 0.5]),
-], ids=["symbols", "conformal"])
-def test_box_escape_matches_the_loop(conn, x, v, monkeypatch):
-    solves = _same_as_reference(monkeypatch,
-                                lambda: geodesic_flow(conn, x, v))
-    _ends_in(solves, DomainEscape, "left the chart bounds")
+def test_box_escape_matches_the_loop(monkeypatch):
+    # on a chart with only symbols and on a conformal one, whose stages
+    # write the derivative out
+    for conn, x, v in [
+            (ChartConnection(2, lambda x: np.zeros((2, 2, 2)),
+                             chart_bounds=(np.full(2, -1.0), np.full(2, 1.0))),
+             [0.5, 0.0], [1.0, 0.0]),
+            (make_chart("bump2d"), [1.5, 0.0], [2.0, 0.5])]:
+        solves = _same_as_reference(monkeypatch,
+                                    lambda: geodesic_flow(conn, x, v))
+        _ends_in(solves, DomainEscape, "left the chart bounds")
 
 
 def test_interior_escape_matches_the_loop(monkeypatch):
