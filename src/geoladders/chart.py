@@ -4,34 +4,34 @@ Given a chart and a callable producing the symbols G^k_ij at a point, this
 module integrates the geodesic equation, inverts it by shooting, solves the
 parallel-transport ODE along geodesics, and assembles the curvature tensor
 and its covariant derivative from central finite differences.  One
-right-hand side contracts G(x)(v, w) for geodesics, transports and the
-shooting's first guess.  The ODEs are integrated by the module's own step
-loop of the Dormand-Prince 8(5,3) pair, which takes scipy's DOP853 steps
-with its coefficients, error norm and step control, but checks the chart's
-box, a step budget and that each step moves the state as it goes, and
-evaluates the derivative at a step's end only when the step is accepted
-and another follows, whose first stage it is.  On a 2-d conformal chart
-the shooting's first trial carries the surface's scalar Jacobi equation
-with the geodesic; it only seeds the quasi-Newton solve, so it runs at a
-looser tolerance than the flows that decide convergence.  The loop holds
-scipy's tableau as literals, pinned equal to scipy's by a test, so
-importing the module does not load scipy.  At the
-dimensions of these charts numpy's per-call cost exceeds the arithmetic,
-and so do the loops and comprehensions of Python code written for any
-state size.  A step attempt is therefore straight-line code in Python
-floats, generated on first use for each state shape, and so are the
-right-hand sides on conformal charts, for each dimension and number of
-transported vectors; they hand the conformal factor's callbacks the chart
-point as a list and read their numbers as they come.  The generated
-source is registered with linecache under a name that gives its shape, so
-tracebacks show its lines.  On conformal charts a step attempt writes each
-stage's derivative out from the same expressions, and calls no function
-but the factor's callbacks.  From the shooting solve down to the
-right-hand side the engine's state is Python floats.  numpy remains in the
-symbols-only right-hand side, which hands back a list, in the shooting's
-linear solve and in the finite-difference curvature.  The loop's sums round otherwise than scipy's
-products, so its steps are scipy's, accepted and rejected alike, while an
-endpoint can differ from scipy's in its last bits.
+contraction G(x)(v, w) serves geodesics, transports and the shooting's
+first guess.  The ODEs are integrated by the module's own step loop of the
+Dormand-Prince 8(5,3) pair, which takes scipy's DOP853 steps with its
+coefficients, error norm and step control, but checks the chart's box, a
+step budget and that each step moves the state as it goes, and evaluates
+the derivative at a step's end only when the step is accepted and another
+follows, whose first stage it is.  On a 2-d conformal chart the shooting's
+first trial carries the surface's scalar Jacobi equation with the geodesic;
+it only seeds the quasi-Newton solve, so it runs at a looser tolerance than
+the flows that decide convergence.  The loop holds scipy's tableau as
+literals, pinned equal to scipy's by a test, so importing the module does
+not load scipy.
+
+At the dimensions of these charts numpy's per-call cost exceeds the
+arithmetic, and so do loops and comprehensions over the state.  Each ODE's
+kernel, its right-hand side and its step attempt, is therefore straight-line
+code in Python floats, generated on first use from one source per shape and
+registered with linecache under a name that gives the shape, so tracebacks
+show its lines.  On a chart with only symbols the right-hand side is
+numpy's contraction of them, handed back as a list, and each stage calls
+it.  On a conformal chart the right-hand side and each stage write the
+derivative out from the same expressions, and call no function but the
+factor's callbacks.  From the shooting solve down to the right-hand side
+the engine's state is Python floats; numpy remains in the symbols'
+contraction, in the shooting's linear solve and in the finite-difference
+curvature.  The loop's sums round otherwise than scipy's products, so its
+steps are scipy's, accepted and rejected alike, while an endpoint can
+differ from scipy's in its last bits.
 
 ``ChartSpace`` adapts the engine to the ``ConnectionSpace`` contract so
 chart-defined manifolds compose with the ladder schemes and the analysis
@@ -169,17 +169,18 @@ class ChartConnection:
     the lengths (ValueError) and that the numbers are finite (NonFinite).
     ``christoffel`` and ``interior`` take the point as an array.
 
-    Those right-hand sides are straight-line code that the engine
-    generates once per dimension and number of transported vectors, and
-    for the 2-d Jacobi seed (``_conformal_rhs``): one expression per
-    component, with no loop, comprehension or slice at run time.  The
-    engine's step attempts on the chart write the same expressions out
+    Those right-hand sides are straight-line code, one expression per
+    component with no loop, comprehension or slice at run time, generated
+    with the step attempt of the same ODE from one source per shape
+    (``_kernel_code``); the step attempts write the same expressions out
     at each stage, so an integration calls no right-hand side after its
-    first derivative.  They keep the operands and order of the loops they
-    replaced, the reference that a test holds them to, so every derivative
-    keeps its bits; each dot product sums left to right from 0.0, alike on
-    every Python version.  Each ODE's right-hand side and step attempt are
-    bound to the connection once, on first use, and kept with it.
+    first derivative.  They keep the operands and order of the hand-written
+    loops in ``tests/loop_reference.py``, which a test holds them to bit
+    for bit; each dot product sums left to right from 0.0, alike on every
+    Python version.  Each ODE's kernel is bound to the connection once, on
+    first use, and kept with it.  Only a 2-d connection with both
+    callbacks has the Jacobi seed's kernel; log_shooting seeds exactly
+    where it has one.
 
     ``interior(x)``, when given, is a test that the initial and every
     accepted state of an integration must pass besides the box, for a domain
@@ -301,9 +302,14 @@ class ChartConnection:
         return _kernel(self, 1, False)
 
     @functools.cached_property
-    def _jacobi(self) -> _Kernel:
-        """The kernel of _jacobi_flow's geodesic and scalar Jacobi field."""
-        return _kernel(self, 0, True)
+    def _jacobi(self) -> _Kernel | None:
+        """The kernel of _jacobi_flow's geodesic and scalar Jacobi field,
+        which seeds log_shooting: on a 2-d connection with ``grad_f`` and
+        ``hess_f`` alone, None on every other."""
+        if (self.dim == 2 and self.grad_f is not None
+                and self.hess_f is not None):
+            return _kernel(self, 0, True)
+        return None
 
 
 def _inside(conn: ChartConnection, x) -> bool:
@@ -312,17 +318,6 @@ def _inside(conn: ChartConnection, x) -> bool:
     states an integration accepts."""
     return conn.in_bounds(x) and (conn.interior is None
                                   or conn.interior(np.asarray(x)))
-
-
-def _compile(name: str, header: str, body: list, namespace: dict):
-    """The function that ``header`` opens and the generated lines ``body``
-    make up, run as the file ``name``, which linecache holds so that
-    tracebacks, pdb and profilers show its lines.  The name gives the shape
-    the function was built for."""
-    source = header + "\n" + textwrap.indent("\n".join(body), "    ") + "\n"
-    linecache.cache[name] = (len(source), None, source.splitlines(True), name)
-    exec(compile(source, name, "exec"), namespace)
-    return namespace[header[len("def "):header.index("(")]]
 
 
 def _weighted(coefficients, stages, i: int) -> str:
@@ -335,14 +330,14 @@ def _weighted(coefficients, stages, i: int) -> str:
 def _conformal_derivative(dim: int, vectors: int, jacobi: bool,
                           state: list) -> tuple[list, list]:
     """The derivative on a conformal chart of dimension ``dim`` at the state
-    whose components the names ``state`` hold, (x, v, w_1 .. w_vectors) as
-    in _flow_rhs or, with ``jacobi``, the (x, v, b, b') of _jacobi_flow:
-    the lines that read the factor's callbacks, named ``grad_f`` and
-    ``hessian``, and the dot products, and one expression per component.
-    The conformal symbols give G(v, w) = (g.v) w + (g.w) v - (v.w) g for
-    g = grad_f(x), each dot product summed left to right from 0.0 as
-    ``core._dot`` sums: sum() compensates its rounding from Python 3.12 on,
-    though at dim 2 its value is this one on every version."""
+    whose components the names ``state`` hold, (x, v, w_1 .. w_vectors) or,
+    with ``jacobi``, the (x, v, b, b') of _jacobi_flow: the lines that read
+    the factor's callbacks, named ``grad_f`` and ``hessian``, and the dot
+    products, and one expression per component.  The conformal symbols give
+    G(v, w) = (g.v) w + (g.w) v - (v.w) g for g = grad_f(x), each dot
+    product summed left to right from 0.0 as ``core._dot`` sums: sum()
+    compensates its rounding from Python 3.12 on, though at dim 2 its value
+    is this one on every version."""
     x, v = state[:dim], state[dim:2 * dim]
     ws = [state[(2 + j) * dim:(3 + j) * dim] for j in range(vectors)]
     g = [f"g{i}" for i in range(dim)]
@@ -381,18 +376,31 @@ def _conformal_derivative(dim: int, vectors: int, jacobi: bool,
 
 
 @functools.cache
-def _stages(n: int, controlled: int, conformal: tuple | None):
-    """One step attempt of _dop853 on a state of n components, the first
-    ``controlled`` of them error-controlled, as straight-line code:
-    ``attempt(conn, rhs)`` binds it, and ``stages(z, f, h, rtol, atol,
+def _kernel_code(dim: int, vectors: int, jacobi: bool, conformal: bool):
+    """The kernel of one ODE shape as straight-line code, whose
+    ``bind(conn)`` binds it to the connection's callbacks and returns the
+    _Kernel.  The shape is the geodesic equation on a chart of dimension
+    ``dim`` carrying ``vectors`` vectors by parallel transport, (x, v, w_1
+    .. w_vectors) mapping to (v, -G(x)(v, v), -G(x)(v, w_1) ..), or with
+    ``jacobi`` the 2-d (x, v, b, b') of _jacobi_flow, whose geodesic alone
+    is error-controlled.  The step attempt ``stages(z, f, h, rtol, atol,
     more)`` returns the state at the step's end, the step's error norm and
     the derivative the next step starts from, which is f unless the step
-    passed the error test and ``more`` steps follow.  On a chart with only
-    symbols (``conformal`` None) each stage's derivative is rhs at its
-    state.  On a conformal chart, of shape (dim, vectors, jacobi), the
-    derivative is written out at each stage from the lines and expressions
-    of _conformal_derivative, which _conformal_rhs is built from too, and
-    rhs is not called."""
+    passed the error test and ``more`` steps follow.
+
+    On a chart with only symbols (not ``conformal``) ``rhs`` evaluates
+    gamma once for the velocity and every vector, gv[k, i] = G^k_ij v^j,
+    the symbols being symmetric, times each row in a stacked product,
+    which rounds each as gv @ row does, and each stage calls it; the
+    Jacobi shape is a conformal chart's only, since this product would
+    take (b, b') for a vector.  On a conformal chart ``rhs`` and each
+    stage's derivative are the lines and expressions of
+    _conformal_derivative, so the attempt calls no function but the
+    factor's callbacks.  The source is registered with linecache under a
+    name that gives its shape, so tracebacks, pdb and profilers show its
+    lines."""
+    n = (2 + vectors) * dim + 2 * jacobi
+    controlled = 2 * dim if jacobi else n
     comps, ctrl = range(n), range(controlled)
     state = [f"y{i}" for i in comps]
     ys = ", ".join(state)
@@ -400,13 +408,21 @@ def _stages(n: int, controlled: int, conformal: tuple | None):
     def each(name):
         return ", ".join(name.format(i) for i in comps)
 
+    if conformal:
+        lines, rows = _conformal_derivative(dim, vectors, jacobi, state)
+        rhs = [f"{ys} = z", *lines, f"return [{', '.join(rows)}]"]
+    else:
+        rhs = ["z = array(z)", f"vel = z[{dim}:{2 * dim}]",
+               f"gv = gamma(z[:{dim}]) @ vel",
+               f"acc = gv @ z[{dim}:].reshape(-1, {dim}, 1)",
+               "return concatenate([vel, -acc.ravel()]).tolist()"]
+
     def derivative(stage):
         # the derivative at the state y0 .. into k{stage}_0 .., or with no
         # stage, at the step's end, into the list f
-        if conformal is None:
+        if not conformal:
             return ([f"y = [{ys}]", f"{each(f'k{stage}_{{}}')} = rhs(y)"]
                     if stage else ["f = rhs(y)"])
-        lines, rows = _conformal_derivative(*conformal, state)
         return lines + ([f"k{stage}_{i} = {row}" for i, row in zip(comps, rows)]
                         if stage else [f"f = [{', '.join(rows)}]"])
 
@@ -447,26 +463,30 @@ def _stages(n: int, controlled: int, conformal: tuple | None):
         "        raise",
         "    return z, nan, f",
         "return y, error, f"]
-    if conformal is None:
-        name = f"<chart stages n={n} controlled={controlled}>"
-    else:
-        dim, vectors, jacobi = conformal
-        name = (f"<chart conformal stages dim={dim} "
-                + ("jacobi>" if jacobi else f"vectors={vectors}>"))
-    return _compile(
-        name, "def attempt(conn, rhs):",
-        ["grad_f, hessian = conn.grad_f, conn._hessian",
-         "def stages(z, f, h, rtol, atol, more):",
-         textwrap.indent("\n".join(body), "    "), "return stages"],
-        {"DomainEscape": DomainEscape, "NonFinite": NonFinite,
-         "isfinite": math.isfinite, "sqrt": math.sqrt, "nan": math.nan})
+    name = (f"<chart {'conformal ' * conformal}kernel dim={dim} "
+            + ("jacobi>" if jacobi else f"vectors={vectors}>"))
+    callbacks = ("grad_f, hessian = conn.grad_f, conn._hessian" if conformal
+                 else "gamma = conn.gamma")
+    source = "\n".join([
+        "def bind(conn):", "    " + callbacks, "    def rhs(z):",
+        textwrap.indent("\n".join(rhs), " " * 8),
+        "    def stages(z, f, h, rtol, atol, more):",
+        textwrap.indent("\n".join(body), " " * 8),
+        f"    return Kernel(rhs, stages, {controlled})"]) + "\n"
+    linecache.cache[name] = (len(source), None, source.splitlines(True), name)
+    namespace = {"Kernel": _Kernel, "DomainEscape": DomainEscape,
+                 "NonFinite": NonFinite, "isfinite": math.isfinite,
+                 "sqrt": math.sqrt, "nan": math.nan, "array": np.array,
+                 "concatenate": np.concatenate}
+    exec(compile(source, name, "exec"), namespace)
+    return namespace["bind"]
 
 
 class _Kernel(NamedTuple):
     """One of the engine's ODEs bound to a connection: its right-hand side,
     from a state, a list of Python floats, to its derivative; its step
-    attempt, from ``_stages``; and how many leading components enter the
-    error norm."""
+    attempt, ``stages(z, f, h, rtol, atol, more)``; and how many leading
+    components enter the error norm."""
     rhs: Callable[[list], list]
     attempt: Callable
     controlled: int
@@ -474,19 +494,9 @@ class _Kernel(NamedTuple):
 
 def _kernel(conn: ChartConnection, vectors: int, jacobi: bool) -> _Kernel:
     """The geodesic equation carrying ``vectors`` vectors or, with
-    ``jacobi``, the 2-d Jacobi seed of _jacobi_flow, bound to ``conn``.
-    Only the geodesic's components of the Jacobi seed are error-controlled.
-    """
-    d = conn.dim
-    n = (2 + vectors) * d + 2 * jacobi
-    controlled = 2 * d if jacobi else n
-    if conn.grad_f is None and not jacobi:
-        rhs = _flow_rhs(conn, vectors)
-        return _Kernel(rhs, _stages(n, controlled, None)(conn, rhs),
-                       controlled)
-    rhs = _conformal_rhs(d, vectors, jacobi)(conn)
-    return _Kernel(rhs, _stages(n, controlled, (d, vectors, jacobi))(conn, rhs),
-                   controlled)
+    ``jacobi``, the 2-d Jacobi seed of _jacobi_flow, bound to ``conn``."""
+    return _kernel_code(conn.dim, vectors, jacobi,
+                        conn.grad_f is not None)(conn)
 
 
 def _dop853(conn: ChartConnection, kernel: _Kernel, z: list, f: list,
@@ -503,17 +513,16 @@ def _dop853(conn: ChartConnection, kernel: _Kernel, z: list, f: list,
 
     The steps are scipy's DOP853 steps: the same stages, the same error norm
     and the same step-size control, without the solver object around them.
-    A step attempt is the kernel's straight-line code, which ``_stages``
-    generates once per state shape from the tableau's reprs and the stage
-    indices alone: one Python-float expression per component and stage,
-    summing the earlier stages whose coefficients are not zero left to
-    right, as Hairer's dop853.f writes them out.  On a conformal chart the
-    attempt also writes out each stage's derivative, so it calls no
-    right-hand side.  At these state sizes, numpy's per-call cost, and the
-    loops, comprehensions and calls of a written-out step, exceed the
-    arithmetic.  The generated expressions keep the operands and order of
-    the loop and right-hand sides that preceded them, which a test holds
-    as the reference, so every state and step count keeps its bits; the
+    A step attempt is the kernel's straight-line code, which
+    ``_kernel_code`` generates once per shape from the tableau's reprs and
+    the stage indices alone: one Python-float expression per component and
+    stage, summing the earlier stages whose coefficients are not zero left
+    to right, as Hairer's dop853.f writes them out.  On a conformal chart
+    the attempt also writes out each stage's derivative, so it calls no
+    right-hand side.  The generated expressions keep the operands and
+    order of the hand-written loop and right-hand sides in
+    ``tests/loop_reference.py``, which a test holds them to bit for bit, so
+    every state and step count keeps its bits; the
     sums round otherwise than scipy's products, so the endpoint can differ
     from scipy's in its last bits.  Only the kernel's first ``controlled``
     components enter the error norm.  A stage, or the derivative at the end
@@ -658,56 +667,11 @@ def _chart_state(d: int, *vectors) -> list:
     return z
 
 
-def _flow_rhs(conn: ChartConnection, vectors: int):
-    """Right-hand side of the geodesic equation carrying ``vectors`` vectors
-    by parallel transport: the state (x, v, w_1 .. w_k) maps to (v,
-    -G(x)(v, v), -G(x)(v, w_1) .. -G(x)(v, w_k)).  A geodesic is the
-    transport of no vector.  The state and its derivative are lists of
-    Python floats."""
-    if conn.grad_f is not None:
-        return _conformal_rhs(conn.dim, vectors, False)(conn)
-    d = conn.dim
-
-    def rhs(z):
-        z = np.array(z)
-        vel = z[d:2 * d]
-        # one connection evaluation for the velocity and every vector:
-        # gv[k, i] = G^k_ij v^j, the symbols being symmetric, times each
-        # row in a stacked product, which rounds each as gv @ row does
-        gv = conn.gamma(z[:d]) @ vel
-        acc = gv @ z[d:].reshape(-1, d, 1)
-        return np.concatenate([vel, -acc.ravel()]).tolist()
-    return rhs
-
-
-@functools.cache
-def _conformal_rhs(dim: int, vectors: int, jacobi: bool):
-    """The right-hand side on a conformal chart of dimension ``dim``, as
-    straight-line code generated once per shape from the lines and
-    expressions of _conformal_derivative: ``conformal_rhs(conn)`` binds it
-    to the connection's callbacks.  The state is (x, v, w_1 .. w_vectors),
-    as in _flow_rhs, or with ``jacobi`` the (x, v, b, b') of
-    _jacobi_flow."""
-    comps = range(dim)
-    state = [*(f"x{i}" for i in comps), *(f"v{i}" for i in comps),
-             *(f"w{j}_{i}" for j in range(vectors) for i in comps),
-             *(["b", "db"] * jacobi)]
-    lines, rows = _conformal_derivative(dim, vectors, jacobi, state)
-    body = [f"{', '.join(state)} = z", *lines,
-            "return [" + ",\n        ".join(rows) + "]"]
-    return _compile(
-        f"<chart conformal rhs dim={dim} "
-        + ("jacobi>" if jacobi else f"vectors={vectors}>"),
-        "def conformal_rhs(conn):",
-        ["grad_f, hessian = conn.grad_f, conn._hessian", "def rhs(z):",
-         textwrap.indent("\n".join(body), "    "), "return rhs"],
-        {"NonFinite": NonFinite, "isfinite": math.isfinite})
-
-
 def _jacobi_flow(conn: ChartConnection, x, v, tolerances: ToleranceConfig):
     """Endpoint of the geodesic from x with velocity v at t = 1, and the
-    Jacobian of that endpoint in v, on a 2-d connection with ``hess_f``: a
-    list of Python floats and the Jacobian's rows as lists of them.
+    Jacobian of that endpoint in v, on a 2-d conformal connection with
+    ``hess_f``: a list of Python floats and the Jacobian's rows as lists of
+    them.
 
     On a surface the Jacobi field with J(0) = 0, J'(0) = v is t x'(t),
     and with J'(0) = Rv, R the rotation by 90 degrees (a conformal metric's
@@ -777,7 +741,7 @@ def log_shooting(conn: ChartConnection, x, y,
                  tolerances: ToleranceConfig | None = None):
     """Solve exp_x(v) = y for v by a quasi-Newton solve on the endpoint residual.
 
-    On a 2-d connection with ``hess_f`` the initial guess is the
+    On a 2-d conformal connection with ``hess_f`` the initial guess is the
     third-order inverse of the geodesic's Taylor series at x, or the chart
     difference y - x where that series is far off, and the first trial
     integrates the surface's scalar Jacobi equation with the geodesic
@@ -787,7 +751,7 @@ def log_shooting(conn: ChartConnection, x, y,
     1e-12; every later trial, and the flow that confirms a guess, is the
     plain flow ``exp`` integrates at ``ode_rel_tol``, so a returned v meets
     the target on ``exp``'s map.  On every other chart, one with only
-    symbols or a conformal one of another dimension, the guess is the
+    symbols, without ``hess_f`` or of another dimension, the guess is the
     chart difference, the first trial a plain geodesic integration, and the
     Jacobian starts from its first-order model I - G(x)(v, .).  Either guess
     converges inside convex normal neighborhoods.  Every later trial is one
@@ -855,7 +819,7 @@ def _shoot(conn: ChartConnection, x: list, y: list,
     v = [b - a for a, b in zip(x, y)]
     rnorm = _norm(v)
     jac = None
-    if conn.hess_f is None or conn.dim != 2:
+    if conn._jacobi is None:
         res = residual(v, rnorm)
     else:
         v = _shooting_start(conn, x, v)

@@ -1,12 +1,13 @@
-"""The chart engine's step loop and conformal right-hand sides written out
-by hand, as loops and comprehensions over lists of Python floats: the
-reference that the straight-line code ``chart`` generates per state shape
-must match bit for bit (``test_chart_kernels.py``): the step attempts,
-whose stages on a conformal chart write the derivative out, and the
-conformal right-hand sides.  Each function takes the arguments of the
-engine function it stands in for, so a test can patch it in: ``dop853`` for
-``chart._dop853``, which it runs on the kernel's right-hand side, and
-``conformal_rhs`` for ``chart._conformal_rhs``."""
+"""The chart engine's step loop and right-hand sides written out by hand,
+as loops and comprehensions over lists of Python floats, and on a chart
+with only symbols as numpy's contraction: the reference that the
+straight-line kernels ``chart`` generates per shape must match bit for bit
+(``test_chart_kernels.py``): the step attempts, whose stages on a
+conformal chart write the derivative out, and the right-hand sides.
+``dop853`` takes the arguments of ``chart._dop853``, so a test can patch it
+in, and runs on the kernel's right-hand side; ``symbol_rhs`` and
+``conformal_rhs`` are the right-hand sides a test binds into that kernel in
+place of the generated ones."""
 
 import math
 from operator import mul
@@ -199,30 +200,47 @@ def _conformal_acceleration(f, vs, fv, vv):
     return [-(fv * vi + fv * vi - vv * fi) for vi, fi in zip(vs, f)]
 
 
-def conformal_rhs(dim, vectors, jacobi):
-    """chart._conformal_rhs with dot products summed by sum(), for a state
-    carrying any number of vectors, or the Jacobi seed's state."""
-    def bind(conn):
-        d = conn.dim
+def symbol_rhs(conn):
+    """The right-hand side on a chart with only symbols, for a state
+    carrying any number of vectors, (x, v, w_1 .. w_k) mapping to (v,
+    -G(x)(v, v), -G(x)(v, w_1) ..): one connection evaluation for the
+    velocity and every vector, gv[k, i] = G^k_ij v^j, the symbols being
+    symmetric, times each row in a stacked product, which rounds each as
+    gv @ row does."""
+    d = conn.dim
 
-        def flow_rhs(z):
-            f = _gradient(conn, z[:d])
-            vs = z[d:2 * d]
-            fv, vv = sum(map(mul, f, vs)), sum(map(mul, vs, vs))
-            out = vs + _conformal_acceleration(f, vs, fv, vv)
-            for j in range(2 * d, len(z), d):
-                w = z[j:j + d]
-                fw, vw = sum(map(mul, f, w)), sum(map(mul, vs, w))
-                out += [-(fv * wi + fw * vi - vw * fi)
-                        for wi, vi, fi in zip(w, vs, f)]
-            return out
+    def rhs(z):
+        z = np.array(z)
+        vel = z[d:2 * d]
+        gv = conn.gamma(z[:d]) @ vel
+        acc = gv @ z[d:].reshape(-1, d, 1)
+        return np.concatenate([vel, -acc.ravel()]).tolist()
+    return rhs
 
-        def jacobi_rhs(z):
-            pos, vs = z[:2], z[2:4]
-            f, hf = _gradient(conn, pos), conn._hessian(pos)
-            fv, vv = sum(map(mul, f, vs)), sum(map(mul, vs, vs))
-            return (vs + _conformal_acceleration(f, vs, fv, vv)
-                    + [z[5], (hf[0][0] + hf[1][1]) * vv * z[4]])
 
-        return jacobi_rhs if jacobi else flow_rhs
-    return bind
+def conformal_rhs(conn, jacobi=False):
+    """The right-hand side on a conformal chart with dot products summed by
+    sum(), for a state carrying any number of vectors or, with ``jacobi``,
+    the Jacobi seed's state."""
+    d = conn.dim
+
+    def flow_rhs(z):
+        f = _gradient(conn, z[:d])
+        vs = z[d:2 * d]
+        fv, vv = sum(map(mul, f, vs)), sum(map(mul, vs, vs))
+        out = vs + _conformal_acceleration(f, vs, fv, vv)
+        for j in range(2 * d, len(z), d):
+            w = z[j:j + d]
+            fw, vw = sum(map(mul, f, w)), sum(map(mul, vs, w))
+            out += [-(fv * wi + fw * vi - vw * fi)
+                    for wi, vi, fi in zip(w, vs, f)]
+        return out
+
+    def jacobi_rhs(z):
+        pos, vs = z[:2], z[2:4]
+        f, hf = _gradient(conn, pos), conn._hessian(pos)
+        fv, vv = sum(map(mul, f, vs)), sum(map(mul, vs, vs))
+        return (vs + _conformal_acceleration(f, vs, fv, vv)
+                + [z[5], (hf[0][0] + hf[1][1]) * vv * z[4]])
+
+    return jacobi_rhs if jacobi else flow_rhs

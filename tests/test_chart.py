@@ -170,6 +170,7 @@ def _ball_space():
     return ChartSpace("ball", make_chart("hyperbolic2-ball"))
 
 
+
 # both lie in the chart's box: (0.9, 0.9) outside the unit disc, the second
 # inside it, at 1 - r^2 = 5e-10, within the rim margin of the interior test
 _OUTSIDE_THE_DISC = [(0.9, 0.9), (math.sqrt(0.5 - 2.5e-10),) * 2]
@@ -774,11 +775,11 @@ CONFORMAL_CHARTS = ("bump2d", "sphere2-stereographic", "hyperbolic2-ball")
 
 @pytest.mark.parametrize("name", CONFORMAL_CHARTS)
 def test_conformal_contraction_matches_symbols(name):
-    # the closed form in _flow_rhs contracts the conformal symbols, read off
-    # the right-hand side: -G(x)(v, v) on the velocity row, -G(x)(v, w) on
-    # each vector's
+    # the closed form in the generated right-hand side contracts the
+    # conformal symbols, read off the right-hand side: -G(x)(v, v) on the
+    # velocity row, -G(x)(v, w) on each vector's
     conn = make_chart(name)
-    rhs = chart._flow_rhs(conn, 3)
+    rhs = chart._kernel(conn, 3, False).rhs
     rng = np.random.default_rng(8)
     for _ in range(20):
         x = rng.uniform(-0.6, 0.6, 2)
@@ -800,7 +801,8 @@ def test_flow_rhs_is_the_contraction_bit_for_bit(name):
     symbols = dataclasses.replace(conn, grad_f=None)
     rng = np.random.default_rng(12)
     for c in (conn, symbols):
-        plain_rhs, carrying_rhs = chart._flow_rhs(c, 0), chart._flow_rhs(c, 2)
+        plain_rhs = chart._kernel(c, 0, False).rhs
+        carrying_rhs = chart._kernel(c, 2, False).rhs
         for _ in range(50):
             x = rng.uniform(-0.6, 0.6, 2)
             v, w = rng.standard_normal((2, 2))
@@ -825,8 +827,8 @@ def test_flow_rhs_through_the_gradient_matches_its_symbol_branch(name):
     for _ in range(20):
         x = rng.uniform(-0.6, 0.6, 2)
         for rows in (rng.standard_normal((1, 2)), rng.standard_normal((3, 2))):
-            rhs = chart._flow_rhs(conn, len(rows) - 1)
-            by_symbols = chart._flow_rhs(symbols, len(rows) - 1)
+            rhs = chart._kernel(conn, len(rows) - 1, False).rhs
+            by_symbols = chart._kernel(symbols, len(rows) - 1, False).rhs
             z = np.concatenate([x, rows.ravel()]).tolist()
             got, ref = np.array(rhs(z)), np.array(by_symbols(z))
             assert got.shape == ref.shape == (len(z),)
@@ -857,7 +859,8 @@ def test_jacobi_flow_geodesic_rows_are_the_plain_rhs(bump, monkeypatch):
     chart._jacobi_flow(bump.conn, _START_X, 0.3 * _START_DIR,
                        ToleranceConfig())
     [((_, jacobi, *_), *_)] = solves
-    jacobi_rhs, plain_rhs = jacobi.rhs, chart._flow_rhs(bump.conn, 0)
+    jacobi_rhs = jacobi.rhs
+    plain_rhs = chart._kernel(bump.conn, 0, False).rhs
     rng = np.random.default_rng(13)
     for _ in range(50):
         z = rng.standard_normal(6)
@@ -989,8 +992,9 @@ def test_conformal_right_hand_sides_make_no_numpy_call(name, monkeypatch):
                        ToleranceConfig())
     [((_, jacobi, *_), *_)] = solves
     jacobi_rhs = jacobi.rhs
-    states = [(chart._flow_rhs(conn, 0), [0.2, -0.1, 0.1, 0.2]),
-              (chart._flow_rhs(conn, 1), [0.2, -0.1, 0.1, 0.2, 0.5, -0.7]),
+    states = [(chart._kernel(conn, 0, False).rhs, [0.2, -0.1, 0.1, 0.2]),
+              (chart._kernel(conn, 1, False).rhs,
+               [0.2, -0.1, 0.1, 0.2, 0.5, -0.7]),
               (jacobi_rhs, [0.2, -0.1, 0.1, 0.2, 0.3, 1.0])]
     numpy_calls = []
 
@@ -1542,6 +1546,17 @@ def _stereographic_3_sphere():
                  for j in range(3)] for i in range(3)]
 
     return ChartConnection.conformal(3, grad_f, hess_f=hess_f), reads
+
+
+def test_symbols_with_a_hessian_shoot_without_the_jacobi_seed():
+    # the seed is a 2-d conformal chart's: a Hessian on a chart with only
+    # symbols has no gradient to go with it, and the log shoots on the
+    # symbols, here flat, where the chart difference meets the target
+    conn = ChartConnection(2, lambda x: np.zeros((2, 2, 2)),
+                           hess_f=lambda x: [[0.0, 0.0], [0.0, 0.0]])
+    assert conn._jacobi is None
+    v, iters = log_shooting(conn, [0.0, 0.0], [0.5, 0.2])
+    assert (v.tolist(), iters) == ([0.5, 0.2], 0)
 
 
 def test_three_dimensional_conformal_chart_shoots_from_the_first_order_seed(

@@ -33,6 +33,22 @@ def _evidence(err):
             getattr(err, "accepted", None), getattr(err, "rejected", None))
 
 
+def _reference_kernel(conn, vectors, jacobi):
+    """The kernel of the geodesic carrying ``vectors`` vectors or, with
+    ``jacobi``, of the 2-d Jacobi seed, which only a 2-d connection with
+    ``grad_f`` and ``hess_f`` has, on the hand-written right-hand sides;
+    the reference loop calls no step attempt."""
+    d = conn.dim
+    if jacobi:
+        if d != 2 or conn.grad_f is None or conn.hess_f is None:
+            return None
+        return chart._Kernel(loop_reference.conformal_rhs(conn, True), None,
+                             2 * d)
+    rhs = (loop_reference.symbol_rhs(conn) if conn.grad_f is None
+           else loop_reference.conformal_rhs(conn))
+    return chart._Kernel(rhs, None, (2 + vectors) * d)
+
+
 def _solves(monkeypatch, run, reference):
     """Every step loop that run() makes, as its state in float hex and its
     numbers of accepted and rejected steps, or as its error's evidence,
@@ -43,7 +59,6 @@ def _solves(monkeypatch, run, reference):
         step_loop = chart._dop853
         if reference:
             step_loop = loop_reference.dop853
-            m.setattr(chart, "_conformal_rhs", loop_reference.conformal_rhs)
             # a connection binds each of its kernels once, on first use:
             # here every flow binds its kernel anew, on the hand-written
             # right-hand sides
@@ -51,7 +66,7 @@ def _solves(monkeypatch, run, reference):
                                 ("_transport", (1, False)),
                                 ("_jacobi", (0, True))):
                 m.setattr(ChartConnection, name, property(
-                    lambda conn, shape=shape: chart._kernel(conn, *shape)))
+                    lambda conn, shape=shape: _reference_kernel(conn, *shape)))
 
         def recorded(*args):
             try:
@@ -97,8 +112,8 @@ def test_conformal_flows_match_the_loop_bit_for_bit(name, monkeypatch):
 
 @pytest.mark.parametrize("name", ["flat-3", "so3-rotvec"])
 def test_symbol_flows_match_the_loop_bit_for_bit(name, monkeypatch):
-    # the symbol branch's numpy contraction on the generated stages, at
-    # state sizes 6 and 9
+    # the generated numpy contraction and stages against the hand-written
+    # ones, at state sizes 6 and 9
     conn = make_chart(name)
     x, v, u = [0.3, 0.1, -0.2], [0.2, -0.1, 0.4], [0.0, 1.0, 0.5]
     for run in (lambda: geodesic_flow(conn, x, v),
@@ -206,7 +221,7 @@ def test_traceback_shows_the_generated_line():
     with pytest.raises(NonFinite) as info:
         transport_ode(symbols, _U, _X, _V)
     text = "".join(traceback.format_exception(info.value))
-    stage = re.search(r'File "<chart stages n=6 controlled=6>", line \d+, '
+    stage = re.search(r'File "<chart kernel dim=2 vectors=1>", line \d+, '
                       r"in stages\n +(.*)\n", text)
     assert re.fullmatch(r"k(\d+)_0, (k\1_\d, ){4}k\1_5 = rhs\(y\)",
                         stage[1])
@@ -214,7 +229,7 @@ def test_traceback_shows_the_generated_line():
     with pytest.raises(NonFinite) as info:
         transport_ode(conn, _U, _X, _V)
     text = "".join(traceback.format_exception(info.value))
-    assert re.search(r'File "<chart conformal stages dim=2 vectors=1>", '
+    assert re.search(r'File "<chart conformal kernel dim=2 vectors=1>", '
                      r"line \d+, in stages\n +raise NonFinite\(\n", text)
 
 
@@ -255,10 +270,10 @@ def test_three_dimensional_conformal_rhs_sums_left_to_right(monkeypatch):
     # Python version; the loop's sum() is Neumaier's compensated sum from
     # Python 3.12 on, which rounds otherwise on some of these draws
     conn = _three_dimensional_conformal()
-    rhs = chart._flow_rhs(conn, 1)
+    rhs = chart._kernel(conn, 1, False).rhs
     monkeypatch.setattr(loop_reference, "sum", _compensated_sum,
                         raising=False)
-    compensated = loop_reference.conformal_rhs(3, 1, False)(conn)
+    compensated = loop_reference.conformal_rhs(conn)
     rng = np.random.default_rng(21)
     differs = 0
     for _ in range(200):
