@@ -1012,7 +1012,8 @@ class ChartSpace(ConnectionSpace):
     ODE at the configured tolerances, and curvature callbacks contract the
     finite-difference tensors.  A generic chart is not locally symmetric and
     its injectivity radius is unknown (NaN); a subclass that knows better
-    sets them after construction.
+    sets them after construction.  The anchor, the origin when not given,
+    must be a finite point of the connection's domain (ValueError).
     """
 
     def __init__(self, name: str, connection: ChartConnection,
@@ -1030,6 +1031,12 @@ class ChartSpace(ConnectionSpace):
         #: canonical interior base point used by experiment sweeps
         self.anchor = (np.zeros(self.dim) if anchor is None
                        else np.asarray(anchor, dtype=float))
+        # every op of a sweep starts there, and would fail there instead
+        if (self.anchor.shape != (self.dim,)
+                or not np.isfinite(self.anchor).all()
+                or not _inside(connection, self.anchor)):
+            raise ValueError(f"anchor {self.anchor} is not a finite point "
+                             f"of the {self.dim}-d chart's domain")
 
     # -- kernels --------------------------------------------------------------
 

@@ -804,10 +804,12 @@ def _lookup(table: dict, name: str, what: str):
     """Constructor registered for name, with a family's dimension bound.
 
     A key ending in "-n" names a family; "sphere-2" selects "sphere-n" with
-    n = 2.  The placeholder "sphere-n" itself names nothing.
+    n = 2.  n is written in ASCII digits with no leading zero, so that each
+    space has one name.  The placeholder "sphere-n" itself names nothing.
     """
     family, sep, num = name.rpartition("-")
-    if sep and num.isdecimal() and f"{family}-n" in table:
+    if (sep and num.isascii() and num.isdecimal() and str(int(num)) == num
+            and f"{family}-n" in table):
         return functools.partial(table[f"{family}-n"], int(num))
     if name in table and not name.endswith("-n"):
         return table[name]

@@ -170,6 +170,18 @@ def _ball_space():
     return ChartSpace("ball", make_chart("hyperbolic2-ball"))
 
 
+@pytest.mark.parametrize("name, anchor", [
+    ("bump2d", [0.1, 0.2, 0.3]),
+    ("bump2d", [math.nan, 0.0]),
+    ("bump2d", [2.5, 0.0]),
+    # inside the ball chart's box, outside its interior, the open disc
+    ("hyperbolic2-ball", [0.8, 0.7]),
+], ids=["wrong-shape", "not-finite", "outside-the-box", "outside-the-disc"])
+def test_anchor_outside_the_chart_is_rejected(name, anchor):
+    # every op of a sweep starts at the anchor, which would fail there
+    with pytest.raises(ValueError, match="anchor"):
+        ChartSpace(name, make_chart(name), anchor=anchor)
+
 
 # both lie in the chart's box: (0.9, 0.9) outside the unit disc, the second
 # inside it, at 1 - r^2 = 5e-10, within the rim margin of the interior test

@@ -123,6 +123,16 @@ def test_unknown_manifold_exits_1(capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_second_spelling_of_a_manifold_exits_1(tmp_path, capsys):
+    # sphere-02 would run sphere-2 while the CSV and its config hash named
+    # it sphere-02
+    out = tmp_path / "t.csv"
+    assert main(["transport", "--manifold", "sphere-02", "--output",
+                 str(out)]) == 1
+    assert capsys.readouterr().err.startswith("config error: unknown manifold")
+    assert not out.exists()
+
+
 def test_bad_flag_exits_1():
     assert main(["transport", "--manifold", "sphere-2", "--seed", "x"]) == 1
 

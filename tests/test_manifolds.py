@@ -73,6 +73,17 @@ def test_unregistered_names_are_rejected(lookup, name):
         lookup(name)
 
 
+@pytest.mark.parametrize("lookup, name", [
+    (make_space, "sphere-02"), (make_space, "sphere-00"),
+    (make_space, "sphere-\u0662"), (make_chart, "flat-03"),
+    (make_chart, "flat-\uff13")])
+def test_family_dimensions_have_one_spelling(lookup, name):
+    # ASCII digits with no leading zero: "sphere-02" would build sphere-2
+    # under a second name, and the CLI would print and hash that name
+    with pytest.raises(ValueError, match="unknown"):
+        lookup(name)
+
+
 @pytest.mark.parametrize("name", ["flat-3", "bump2d", "sphere2-stereographic",
                                   "hyperbolic2-ball", "spd2-entries",
                                   "so3-rotvec"])
