@@ -1,4 +1,5 @@
-"""Series evaluators, transport error meters and convergence-order fits.
+"""Series evaluators, transport error meters, experiment kernels and
+convergence-order fits.
 
 The double-exponential expansion (a BCH-type formula for affine connection
 spaces) is evaluated both from curvature callbacks (truncated series) and
@@ -10,7 +11,8 @@ oracle at the midpoint, where all quantities are parallel translated before
 comparison.  The oracle
 follows that segment's geodesic with ``exp_transport`` from the midpoint, and
 the ladder step is handed that midpoint, so neither shoots a log map to find
-a geodesic or a point the protocol already holds.
+a geodesic or a point the protocol already holds.  The CLI, the tests and
+the benchmark run the experiments here and keep no copies of their own.
 """
 
 from __future__ import annotations
@@ -20,9 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (ConnectionSpace, InsufficientData, Point, TangentVector,
-                   _require_finite)
-from .ladders import ladder_step, transport_along_geodesic
+from .core import (ConnectionSpace, InsufficientData, NonFinite, Point,
+                   TangentVector, _require_finite, _unit_direction)
+from .ladders import (_TAKES_MIDPOINT, _Rung, ladder_step,
+                      transport_along_geodesic)
 
 __all__ = [
     "ConvergenceReport",
@@ -36,6 +39,7 @@ __all__ = [
 ]
 
 _EPS = np.finfo(float).eps
+POLE_SCHEMES = _TAKES_MIDPOINT
 
 
 @dataclass(frozen=True)
@@ -94,6 +98,21 @@ def bch_numeric(space: ConnectionSpace, x: Point, v: TangentVector,
     """
     uy = space.exp_transport(u, v)
     return space.log(x, space.exp(uy.base, uy))
+
+
+def bch_residual_sweep(space: ConnectionSpace, m: Point,
+                       u_dir: TangentVector, v_dir: TangentVector, scales,
+                       orders=(1, 3, 4)) -> dict:
+    """Order -> norms of bch_numeric minus bch_series at that order under
+    joint scaling u, v <- h, from one bch_numeric per scale."""
+    residuals = {order: [] for order in orders}
+    for h in scales:
+        u, v = float(h) * u_dir, float(h) * v_dir
+        numeric = bch_numeric(space, m, v, u)
+        for order in orders:
+            residuals[order].append(
+                (numeric - bch_series(space, m, v, u, order)).component_norm)
+    return residuals
 
 
 def pole_error_predicted(space: ConnectionSpace, m: Point, u: TangentVector,
@@ -192,6 +211,78 @@ def generic_directions(space: ConnectionSpace, m: Point,
         if abs(cos) <= 0.95:
             return u_dir, v_dir
     raise RuntimeError("could not draw a non-parallel direction pair")
+
+
+def sample_trial(space: ConnectionSpace, rng: np.random.Generator,
+                 dist_cap: float | None = None, u_cap: float | None = None):
+    """One seeded (p, q, u) triple with caps keeping the ladder constructions
+    inside the injectivity radius (dist <= 0.9 inj, |u| <= 0.45 inj by
+    default).
+    """
+    inj = space.injectivity_radius
+    finite = math.isfinite(inj)  # False for inf and for unknown (NaN)
+    dcap = dist_cap if dist_cap is not None else (
+        min(0.9 * inj, 2.0) if finite else 2.0)
+    ucap = u_cap if u_cap is not None else (
+        min(0.45 * inj, 1.0) if finite else 1.0)
+    p = space.random_point(rng)
+    # both directions are drawn from one tangent basis at p, in the order
+    # of two random_direction calls
+    basis = space.tangent_basis(p)
+    d = rng.uniform(0.1, 1.0) * dcap
+    q = space.exp(p, d * _unit_direction(rng, p, basis))
+    r = rng.uniform(0.1, 1.0) * ucap
+    u = r * _unit_direction(rng, p, basis)
+    return p, q, u
+
+
+def exactness_sweep(space: ConnectionSpace, schemes, trials: int,
+                    rng: np.random.Generator,
+                    dist_cap: float | None = None,
+                    u_cap: float | None = None):
+    """Max relative transport error per pole kind over seeded trials.
+
+    Trials violating the exactness conditions, |log_p(q)| and |u| under a
+    finite injectivity radius, are excluded and counted, not failed.  Each
+    trial takes one log w of [p, q], which gives the distance the conditions
+    test, the oracle, u transported along t -> exp_p(t w), and the midpoint
+    exp_p(w / 2), and builds one rung record, from which every kind reads its
+    step: the kinds share the midpoint, exp_p(u), exp_p(-u) and the two
+    reflected logs at q, and each is computed once.  A log of [p, q] or a
+    relative error that is not finite raises NonFinite, which the conditions
+    and max would otherwise drop.
+    """
+    inj = space.injectivity_radius
+    worst = {kind: 0.0 for kind in schemes}
+    excluded = 0
+    for trial in range(trials):
+        p, q, u = sample_trial(space, rng, dist_cap, u_cap)
+        w = space.log(p, q)
+        if not all(map(math.isfinite, w.components.tolist())):
+            raise NonFinite(f"{space.name}: log_p(q) is not finite at trial "
+                            f"{trial}")
+        u_norm = space.norm(u)
+        if math.isfinite(inj) and not (space.norm(w) < inj and u_norm < inj):
+            excluded += 1
+            continue
+        # space.transport(u, q) from the log already taken: both carry u
+        # along t -> exp_p(t w), so the oracle keeps transport's bits
+        oracle = TangentVector(q, space.exp_transport(u, w).components)
+        # space.midpoint(p, q), from the log already taken
+        m = space.geodesic(p, w, (0.5,))[0]
+        rung = _Rung(space, p, q, u, m)
+        for kind in schemes:
+            diff = rung.step(kind) - oracle
+            try:
+                rel = space.norm(diff) / u_norm
+            except NonFinite:
+                # the vector check names neither the kind nor the trial
+                rel = math.nan
+            if not math.isfinite(rel):
+                raise NonFinite(f"{space.name}/{kind}: relative error {rel} "
+                                f"at trial {trial}")
+            worst[kind] = max(worst[kind], rel)
+    return worst, excluded
 
 
 def default_noise_floor(problem_scale: float = 1.0) -> float:

@@ -60,6 +60,7 @@ from .core import (
     Point,
     TangentVector,
     ToleranceConfig,
+    Unsupported,
     _dot,
     _norm,
 )
@@ -732,7 +733,7 @@ def _seed_tolerances(tolerances: ToleranceConfig) -> ToleranceConfig:
     convergence on the flows ``exp`` integrates at the solve's own
     tolerance, so a seed more accurate than its first step buys nothing
     (inexact Newton: Dembo, Eisenstat & Steihaug, 1982).  Built once per
-    ToleranceConfig, which is frozen and hashes by identity."""
+    ToleranceConfig value: the frozen dataclass hashes by its fields."""
     rtol = tolerances.ode_rel_tol
     return replace(tolerances, ode_rel_tol=max(rtol, rtol ** 0.75))
 
@@ -1083,8 +1084,13 @@ class ChartSpace(ConnectionSpace):
         return 0.0 if _inside(self.conn, p.coords) else math.inf
 
     def random_point(self, rng: np.random.Generator) -> Point:
-        chart = rng.uniform(-0.5, 0.5, self.dim)
-        return Point(chart, self.name)
+        # uniform on the box [-0.5, 0.5]^d, redrawn until inside the domain
+        for _ in range(1000):
+            chart = rng.uniform(-0.5, 0.5, self.dim)
+            if _inside(self.conn, chart):
+                return Point(chart, self.name)
+        raise Unsupported(f"{self.name}: 1000 draws from [-0.5, 0.5]^"
+                          f"{self.dim} all fell outside the chart's domain")
 
     def anchor_point(self) -> Point:
         return Point(self.anchor.copy(), self.name)

@@ -1,6 +1,7 @@
 """Experiment harness: single transports, convergence sweeps, series checks
 and symmetric-space exactness certification, with deterministic seeding and
-CSV output.
+CSV output.  The module parses flags and config files, runs the kernels of
+``analysis`` and writes their CSV; it computes no experiment of its own.
 
 Subcommands: transport | convergence | bch-check | exactness.
 Exit codes: 0 ok, 1 config error, 2 numerical error, 3 insufficient data,
@@ -21,14 +22,16 @@ from typing import get_args, get_type_hints
 import numpy as np
 
 from .analysis import (
+    POLE_SCHEMES,
     _log_fit,
-    bch_numeric,
-    bch_series,
+    bch_residual_sweep,
     convergence_order,
     default_noise_floor,
+    exactness_sweep,
     generic_directions,
     one_step_error_sweep,
     pole_error_predicted,
+    sample_trial,
 )
 from .chart import ChartSpace
 from .core import (
@@ -37,22 +40,18 @@ from .core import (
     GeometryError,
     InsufficientData,
     InvalidBase,
-    NonFinite,
     TangentVector,
     ToleranceConfig,
-    _unit_direction,
 )
 # ladder_step is not called here; perfbench's tracer wraps cli.ladder_step
-from .ladders import (LADDER_KINDS, _TAKES_MIDPOINT, _Rung,
-                      ladder_step,  # noqa: F401
+from .ladders import (LADDER_KINDS, ladder_step,  # noqa: F401
                       transport_along_geodesic)
 from .manifolds import make_space, registry_names
 
 __all__ = ["ExperimentConfig", "main", "cmd_transport", "cmd_convergence",
-           "cmd_bch_check", "cmd_exactness", "sample_trial", "exactness_sweep"]
+           "cmd_bch_check", "cmd_exactness"]
 
 SYMMETRIC_FLEET = ("sphere-2", "hyperbolic-2", "spd-3", "so3")
-POLE_SCHEMES = _TAKES_MIDPOINT
 # the most an explicit p, q or u may miss its space's constraint by
 _OVERRIDE_TOL = 1e-8
 
@@ -243,42 +242,6 @@ class _CsvSink:
         self.lines.append(f"# {text}")
 
 
-# ---------------------------------------------------------------------------
-# trial sampling
-# ---------------------------------------------------------------------------
-
-def sample_trial(space: ConnectionSpace, rng: np.random.Generator,
-                 dist_cap: float | None = None, u_cap: float | None = None):
-    """One seeded (p, q, u) triple with caps keeping the ladder constructions
-    inside the injectivity radius (dist <= 0.9 inj, |u| <= 0.45 inj by
-    default).
-    """
-    inj = space.injectivity_radius
-    finite = math.isfinite(inj)  # False for inf and for unknown (NaN)
-    dcap = dist_cap if dist_cap is not None else (
-        min(0.9 * inj, 2.0) if finite else 2.0)
-    ucap = u_cap if u_cap is not None else (
-        min(0.45 * inj, 1.0) if finite else 1.0)
-    p = space.random_point(rng)
-    # both directions are drawn from one tangent basis at p, in the order
-    # of two random_direction calls
-    basis = space.tangent_basis(p)
-    d = rng.uniform(0.1, 1.0) * dcap
-    q = space.exp(p, d * _unit_direction(rng, p, basis))
-    r = rng.uniform(0.1, 1.0) * ucap
-    u = r * _unit_direction(rng, p, basis)
-    return p, q, u
-
-
-def _trial_within_conditions(space, w, u_norm: float) -> bool:
-    """Exactness requires dist(p, q) = |w| < inj, for w = log_p(q), and
-    |u| < inj (metric spaces)."""
-    inj = space.injectivity_radius
-    if not math.isfinite(inj):
-        return True
-    return space.norm(w) < inj and u_norm < inj
-
-
 def _explicit_trial(space, cfg: ExperimentConfig):
     """The config's p, q and u: ConfigError unless each parses and p, q lie
     on the space and u on its tangent space at p, within _OVERRIDE_TOL."""
@@ -339,12 +302,13 @@ def cmd_transport(cfg: ExperimentConfig, sink: _CsvSink) -> int:
     else:
         p, q, u = sample_trial(space, rng, cfg.dist_cap, cfg.u_cap)
     result = transport_along_geodesic(space, p, q, u, cfg.n_rungs, scheme)
-    oracle = space.transport(u, q)
+    # space.transport(u, q) and space.dist(p, q), from one log of [p, q]
+    w = space.log(p, q)
+    oracle = TangentVector(q, space.exp_transport(u, w).components)
     err = space.norm(result.vector - oracle)
     sink.header("manifold", "scheme", "n_rungs", "u_norm", "dist_pq",
                 "result", "oracle_error")
-    sink.row(cfg.manifold, scheme, cfg.n_rungs, space.norm(u),
-             space.dist(p, q),
+    sink.row(cfg.manifold, scheme, cfg.n_rungs, space.norm(u), space.norm(w),
              ";".join(_fmt(c) for c in result.vector.components), err)
     return 0
 
@@ -392,15 +356,10 @@ def cmd_bch_check(cfg: ExperimentConfig, sink: _CsvSink) -> int:
     sink.header("manifold", "order", "h", "residual")
     ok = True
     summaries = []
-    for order in (1, 3, 4):
-        residuals = []
-        for h in scales:
-            u = float(h) * u_dir
-            v = float(h) * v_dir
-            res = (bch_numeric(space, m, v, u)
-                   - bch_series(space, m, v, u, order)).component_norm
-            residuals.append(res)
-            sink.row(cfg.manifold, order, float(h), res)
+    sweep = bch_residual_sweep(space, m, u_dir, v_dir, scales)
+    for order, residuals in sweep.items():
+        for h, res in zip(scales.tolist(), residuals):
+            sink.row(cfg.manifold, order, h, res)
         report = _fit_unless_exact(scales, residuals, floor)
         if report is None:
             summaries.append(f"order_{order}=exact_within_tolerance")
@@ -415,54 +374,6 @@ def cmd_bch_check(cfg: ExperimentConfig, sink: _CsvSink) -> int:
               file=sys.stderr)
         return 5
     return 0
-
-
-def exactness_sweep(space: ConnectionSpace, schemes, trials: int,
-                    rng: np.random.Generator,
-                    dist_cap: float | None = None,
-                    u_cap: float | None = None):
-    """Max relative transport error per pole kind over seeded trials.
-
-    Trials violating the exactness conditions (distances under the
-    injectivity radius) are excluded and counted, not failed.  Each trial
-    takes one log w of [p, q], which gives the distance the conditions
-    test, the oracle, u transported along t -> exp_p(t w), and the midpoint
-    exp_p(w / 2), and builds one rung record, from
-    which every kind reads its step: the kinds share the midpoint, exp_p(u),
-    exp_p(-u) and the two reflected logs at q, and each is computed once.
-    A log of [p, q] or a relative error that is not finite raises
-    NonFinite, which the conditions and max would otherwise drop.
-    """
-    worst = {kind: 0.0 for kind in schemes}
-    excluded = 0
-    for trial in range(trials):
-        p, q, u = sample_trial(space, rng, dist_cap, u_cap)
-        w = space.log(p, q)
-        if not all(map(math.isfinite, w.components.tolist())):
-            raise NonFinite(f"{space.name}: log_p(q) is not finite at trial "
-                            f"{trial}")
-        u_norm = space.norm(u)
-        if not _trial_within_conditions(space, w, u_norm):
-            excluded += 1
-            continue
-        # space.transport(u, q) from the log already taken: both carry u
-        # along t -> exp_p(t w), so the oracle keeps transport's bits
-        oracle = TangentVector(q, space.exp_transport(u, w).components)
-        # space.midpoint(p, q), from the log already taken
-        m = space.geodesic(p, w, (0.5,))[0]
-        rung = _Rung(space, p, q, u, m)
-        for kind in schemes:
-            diff = rung.step(kind) - oracle
-            try:
-                rel = space.norm(diff) / u_norm
-            except NonFinite:
-                # the vector check names neither the kind nor the trial
-                rel = math.nan
-            if not math.isfinite(rel):
-                raise NonFinite(f"{space.name}/{kind}: relative error {rel} "
-                                f"at trial {trial}")
-            worst[kind] = max(worst[kind], rel)
-    return worst, excluded
 
 
 def cmd_exactness(cfg: ExperimentConfig, sink: _CsvSink) -> int:

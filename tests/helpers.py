@@ -4,7 +4,7 @@ from collections import Counter
 
 import numpy as np
 
-from geoladders import chart, ladder_step
+from geoladders import chart
 
 
 def count_engine_calls(monkeypatch, *names):
@@ -159,24 +159,3 @@ def transport_conjugation_derivative(space, p, direction, u, v, w, delta=1e-4):
 
     return (conjugated(delta) - conjugated(-delta)) / (2.0 * delta)
 
-
-def pole_exactness_worst(space, rng, trials, kinds,
-                         dist_frac=0.9, u_frac=0.45):
-    """Max relative error of pole variants against the oracle."""
-    import math
-    inj = space.injectivity_radius
-    finite = math.isfinite(inj)
-    dcap = min(dist_frac * inj, 2.0) if finite else 2.0
-    ucap = min(u_frac * inj, 1.0) if finite else 1.0
-    worst = {kind: 0.0 for kind in kinds}
-    for _ in range(trials):
-        p = space.random_point(rng)
-        q = space.exp(p, (rng.uniform(0.1, 1.0) * dcap) *
-                      space.random_direction(rng, p))
-        u = (rng.uniform(0.1, 1.0) * ucap) * space.random_direction(rng, p)
-        oracle = space.transport(u, q)
-        un = space.norm(u)
-        for kind in kinds:
-            err = space.norm(ladder_step(space, p, q, u, kind) - oracle)
-            worst[kind] = max(worst[kind], err / un)
-    return worst

@@ -9,8 +9,6 @@ import time
 import numpy as np
 
 from geoladders import (
-    bch_numeric,
-    bch_series,
     convergence_order,
     generic_directions,
     ladder_step,
@@ -19,21 +17,20 @@ from geoladders import (
     pole_error_measured,
     pole_error_predicted,
 )
+from geoladders.analysis import (POLE_SCHEMES, bch_residual_sweep,
+                                 exactness_sweep)
 
 from conftest import ACCEPTANCE_LINES, FLEET_NAMES
 from helpers import (
     bianchi_residual,
     curvature_skew_residual,
     midpoint_residual,
-    pole_exactness_worst,
     round_trip_residual,
     symmetry_composition_residual,
     symmetry_involution_residual,
     transport_isometry_residual,
     transport_linearity_residual,
 )
-
-POLE_KINDS = ("pole_v1", "pole_v2", "pole_alt", "pole_avg")
 
 
 def _record(ok, label, detail):
@@ -45,16 +42,17 @@ def _record(ok, label, detail):
 
 def test_criterion_1_symmetric_space_exactness(fleet):
     start = time.perf_counter()
-    worst_overall = 0.0
+    worst_overall, excluded = 0.0, 0
     details = []
     for name in ("sphere-2", "hyperbolic-2", "spd-3", "so3"):
-        rng = np.random.default_rng(1001)
-        worst = pole_exactness_worst(fleet[name], rng, 100, POLE_KINDS)
+        worst, skipped = exactness_sweep(fleet[name], POLE_SCHEMES, 100,
+                                         np.random.default_rng(1001))
         peak = max(worst.values())
         worst_overall = max(worst_overall, peak)
+        excluded += skipped
         details.append(f"{name}={peak:.2e}")
     elapsed = time.perf_counter() - start
-    _record(worst_overall <= 1e-10 and elapsed < 30.0,
+    _record(worst_overall <= 1e-10 and excluded == 0 and elapsed < 30.0,
             "criterion 1 (symmetric-space exactness)",
             f"max rel error {worst_overall:.2e} <= 1e-10 over 100 trials x 4 "
             f"variants [{', '.join(details)}] in {elapsed:.1f}s")
@@ -121,26 +119,15 @@ def test_criterion_5_series_expansion(bump):
     rng = np.random.default_rng(5)
     u_dir, v_dir = generic_directions(bump, m, rng)
     scales = np.geomspace(0.2, 0.02, 7)
-    slopes = {}
-    for order in (1, 3, 4):
-        residuals = []
-        for h in scales:
-            u = float(h) * u_dir
-            v = float(h) * v_dir
-            residuals.append((bch_numeric(bump, m, v, u)
-                              - bch_series(bump, m, v, u, order)).component_norm)
-        slopes[order] = convergence_order(scales, residuals).fitted_slope
+    slopes = {order: convergence_order(scales, residuals).fitted_slope
+              for order, residuals in bch_residual_sweep(
+                  bump, m, u_dir, v_dir, scales).items()}
     sp = make_space("sphere-2")
     rng = np.random.default_rng(6)
     ms = sp.random_point(rng)
     us, vs = generic_directions(sp, ms, rng)
     sphere_scales = np.geomspace(0.5, 0.05, 7)
-    res3 = []
-    for h in sphere_scales:
-        u = float(h) * us
-        v = float(h) * vs
-        res3.append((bch_numeric(sp, ms, v, u)
-                     - bch_series(sp, ms, v, u, 3)).component_norm)
+    res3 = bch_residual_sweep(sp, ms, us, vs, sphere_scales, (3,))[3]
     sphere_slope = convergence_order(sphere_scales, res3).fitted_slope
     ok = all(slopes[k] >= k + 0.8 for k in (1, 3, 4)) and sphere_slope >= 4.8
     _record(ok, "criterion 5 (series expansion residual decay)",

@@ -16,6 +16,7 @@ from geoladders import (
     pole_error_measured,
     pole_error_predicted,
 )
+from geoladders.analysis import bch_residual_sweep
 
 from helpers import count_engine_calls
 
@@ -88,14 +89,8 @@ def test_bch_residual_decay_on_sphere(order, min_slope):
     m = sp.random_point(rng)
     u_dir, v_dir = generic_directions(sp, m, rng)
     scales = np.geomspace(0.5, 0.05, 7)
-    residuals = []
-    for h in scales:
-        u = float(h) * u_dir
-        v = float(h) * v_dir
-        residuals.append(
-            (bch_numeric(sp, m, v, u)
-             - bch_series(sp, m, v, u, order)).component_norm)
-    rep = convergence_order(scales, residuals)
+    residuals = bch_residual_sweep(sp, m, u_dir, v_dir, scales, (order,))
+    rep = convergence_order(scales, residuals[order])
     assert rep.fitted_slope >= min_slope
 
 
@@ -226,32 +221,6 @@ def test_measured_error_at_exactness_tolerance_on_symmetric(name, rng):
     assert err.component_norm <= space.tolerances.exactness_tol
 
 
-def test_measured_matches_predicted_and_defect_shrinks(bump):
-    m = bump.anchor_point()
-    rng = np.random.default_rng(12345)
-    u_dir, v_dir = generic_directions(bump, m, rng)
-    defects = []
-    for h in (0.05, 0.025, 0.0125):
-        u = h * u_dir
-        v = h * v_dir
-        meas = pole_error_measured(bump, m, u, v, "pole_v2")
-        pred = pole_error_predicted(bump, m, u, v)
-        defects.append((meas - pred).component_norm / pred.component_norm)
-    assert defects[0] <= 0.15
-    assert defects[0] > defects[1] > defects[2]
-
-
-def test_alt_measured_matches_alt_predictor(bump):
-    m = bump.anchor_point()
-    rng = np.random.default_rng(12345)
-    u_dir, v_dir = generic_directions(bump, m, rng)
-    u = 0.05 * u_dir
-    v = 0.05 * v_dir
-    meas = pole_error_measured(bump, m, u, v, "pole_alt")
-    pred = -pole_error_predicted(bump, m, u, -v)
-    assert (meas - pred).component_norm / pred.component_norm <= 0.15
-
-
 def test_variant_difference_matches_predictor_difference(bump):
     m = bump.anchor_point()
     rng = np.random.default_rng(12345)
@@ -315,17 +284,6 @@ def test_step_given_its_midpoint_matches_one_computing_it(bump, scheme):
         given = ladder_step(bump, p, q, u_p, scheme, m)
         computed = ladder_step(bump, p, q, u_p, scheme)
         assert (given - computed).component_norm <= 1e-12
-
-
-def test_one_step_sweep_has_fourth_order_slope(bump):
-    m = bump.anchor_point()
-    rng = np.random.default_rng(12345)
-    u_dir, v_dir = generic_directions(bump, m, rng)
-    scales = np.geomspace(0.2, 0.02, 7)
-    errors = one_step_error_sweep(bump, m, u_dir, v_dir, scales, "pole_v2")
-    rep = convergence_order(scales, errors)
-    assert 3.7 <= rep.fitted_slope <= 4.3
-    assert rep.r_squared >= 0.999
 
 
 def test_sweep_of_several_rungs_is_the_measured_error_of_as_many(bump):

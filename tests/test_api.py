@@ -4,6 +4,7 @@ parameters of the engine and registry entry points and the experiment config
 fields, pinned so that API growth or shrinkage shows up as a reviewed diff of
 these lists."""
 
+import ast
 import inspect
 import json
 import os
@@ -84,6 +85,18 @@ def test_public_names_are_the_modules_all():
     # exactly their union
     modules = (analysis, chart, core, ladders, manifolds)
     assert sorted(set().union(*(m.__all__ for m in modules))) == PUBLIC_NAMES
+
+
+def test_cli_imports_no_private_kernel_names():
+    # the CLI parses, configures and writes CSV over the package's kernels;
+    # the experiments it runs live in analysis, which may use private names
+    tree = ast.parse(inspect.getsource(geoladders.cli))
+    private = [(node.module, alias.name) for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               and node.module in ("ladders", "core", "geoladders.ladders",
+                                   "geoladders.core")
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
 
 
 CONTRACT_METHODS = [

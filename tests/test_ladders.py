@@ -1,22 +1,25 @@
 import functools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from geoladders import (
+    ChartSpace,
     CutLocus,
     NoConvergence,
+    analysis,
+    cli,
     convergence_order,
     ladder_step,
     ladders,
     make_space,
     transport_along_geodesic,
 )
-from geoladders.analysis import _log_fit
-from geoladders.cli import exactness_sweep
+from geoladders.analysis import _log_fit, exactness_sweep
 
-from helpers import count_engine_calls, pole_exactness_worst
+from helpers import count_engine_calls
 
 ALL_KINDS = ("schild", "pole_v1", "pole_v2", "pole_alt", "pole_avg")
 POLE_KINDS = ("pole_v1", "pole_v2", "pole_alt", "pole_avg")
@@ -69,7 +72,8 @@ def test_pole_v1_v2_equivalence_on_bump(bump, rng):
 
 @pytest.mark.parametrize("name", ["sphere-2", "hyperbolic-2", "spd-3", "so3"])
 def test_symmetric_space_exactness(fleet, rng, name):
-    worst = pole_exactness_worst(fleet[name], rng, 25, POLE_KINDS)
+    worst, excluded = exactness_sweep(fleet[name], POLE_KINDS, 25, rng)
+    assert excluded == 0
     for kind, err in worst.items():
         assert err <= 1e-10, (name, kind, err)
 
@@ -317,6 +321,25 @@ def test_rung_exp_and_log_counts(monkeypatch, scheme, n):
             else {"exp": 2 * n, "log": 3 * n + 1, "geodesic": n + 1,
                   "geodesic_symmetry": 0})
     assert calls == want
+
+
+def test_cli_runs_repeat_no_series_evaluation_or_log(monkeypatch, capsys):
+    # bch-check evaluates the numerical series once per scale for its three
+    # orders; transport logs [p, q] for its rail and for oracle and distance
+    calls, trials = Counter(), []
+    numeric, log = analysis.bch_numeric, ChartSpace._log
+    sample = cli.sample_trial
+    monkeypatch.setattr(analysis, "bch_numeric", lambda *args: (
+        calls.update(["series"]) or numeric(*args)))
+    monkeypatch.setattr(cli, "sample_trial", lambda *args: (
+        trials.append(sample(*args)) or trials[-1]))
+    monkeypatch.setattr(ChartSpace, "_log", lambda self, x, y: (
+        calls.update([(tuple(x), tuple(y))]) or log(self, x, y)))
+    assert cli.main(["bch-check", "--manifold", "bump2d", "--seed", "11"]) == 0
+    assert cli.main(["transport", "--manifold", "bump2d", "--seed", "7"]) == 0
+    p, q, _ = trials[0]
+    assert calls["series"] == 7
+    assert calls[tuple(p.coords), tuple(q.coords)] == 2
 
 
 def _folded_steps(space, p, q, u, n, kind):

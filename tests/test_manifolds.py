@@ -17,7 +17,7 @@ from geoladders import (
     manifolds,
     registry_names,
 )
-from geoladders.cli import POLE_SCHEMES, exactness_sweep
+from geoladders.analysis import POLE_SCHEMES, exactness_sweep
 from geoladders.manifolds import _hat, _mink, _rodrigues
 
 from conftest import FLEET_NAMES
