@@ -101,15 +101,16 @@ def bch_numeric(space: ConnectionSpace, x: Point, v: TangentVector,
 
 
 def bch_residual_sweep(space: ConnectionSpace, m: Point,
-                       u_dir: TangentVector, v_dir: TangentVector, scales,
-                       orders=(1, 3, 4)) -> dict:
-    """Order -> norms of bch_numeric minus bch_series at that order under
-    joint scaling u, v <- h, from one bch_numeric per scale."""
-    residuals = {order: [] for order in orders}
+                       u_dir: TangentVector, v_dir: TangentVector,
+                       scales) -> dict:
+    """Order -> norms of bch_numeric minus bch_series at that order, for
+    orders 1, 3 and 4, under joint scaling u, v <- h, from one bch_numeric
+    per scale."""
+    residuals = {1: [], 3: [], 4: []}
     for h in scales:
         u, v = float(h) * u_dir, float(h) * v_dir
         numeric = bch_numeric(space, m, v, u)
-        for order in orders:
+        for order in residuals:
             residuals[order].append(
                 (numeric - bch_series(space, m, v, u, order)).component_norm)
     return residuals

@@ -127,7 +127,7 @@ def test_criterion_5_series_expansion(bump):
     ms = sp.random_point(rng)
     us, vs = generic_directions(sp, ms, rng)
     sphere_scales = np.geomspace(0.5, 0.05, 7)
-    res3 = bch_residual_sweep(sp, ms, us, vs, sphere_scales, (3,))[3]
+    res3 = bch_residual_sweep(sp, ms, us, vs, sphere_scales)[3]
     sphere_slope = convergence_order(sphere_scales, res3).fitted_slope
     ok = all(slopes[k] >= k + 0.8 for k in (1, 3, 4)) and sphere_slope >= 4.8
     _record(ok, "criterion 5 (series expansion residual decay)",

@@ -89,8 +89,8 @@ def test_bch_residual_decay_on_sphere(order, min_slope):
     m = sp.random_point(rng)
     u_dir, v_dir = generic_directions(sp, m, rng)
     scales = np.geomspace(0.5, 0.05, 7)
-    residuals = bch_residual_sweep(sp, m, u_dir, v_dir, scales, (order,))
-    rep = convergence_order(scales, residuals[order])
+    residuals = bch_residual_sweep(sp, m, u_dir, v_dir, scales)[order]
+    rep = convergence_order(scales, residuals)
     assert rep.fitted_slope >= min_slope
 
 

@@ -450,7 +450,8 @@ def test_exactness_sweep_counts_trials(rng):
 def test_exactness_sweep_shares_one_midpoint_bit_for_bit(name):
     # the sweep builds one rung record per trial, so the four pole kinds
     # share its midpoint and the maps they have in common; separate steps,
-    # each making its own, give the same bits
+    # each making its own, give the same bits, and each public step is
+    # exact against the transport oracle
     space = make_space(name)
     worst, excluded = exactness_sweep(space, cli.POLE_SCHEMES, 20,
                                       np.random.default_rng(31))
@@ -466,6 +467,7 @@ def test_exactness_sweep_shares_one_midpoint_bit_for_bit(name):
         oracle = space.transport(u, q)
         for kind in cli.POLE_SCHEMES:
             err = space.norm(ladder_step(space, p, q, u, kind) - oracle)
+            assert err <= 1e-10 * space.norm(u), (name, kind, err)
             want[kind] = max(want[kind], err / space.norm(u))
     assert (worst, excluded) == (want, skipped)
     assert skipped < 20
