@@ -264,7 +264,8 @@ def _unit_direction(rng: np.random.Generator, p: Point,
     are metric-orthonormal: what random_direction draws from
     tangent_basis(p)."""
     z = rng.standard_normal(basis.shape[1])
-    z /= np.linalg.norm(z)
+    # np.linalg.norm(z) by its own 1-d definition, without its call cost
+    z /= math.sqrt(float(z @ z))
     return TangentVector(p, basis @ z)
 
 

@@ -113,12 +113,14 @@ class Sphere(ConnectionSpace):
         return abs(float(v.base.coords @ v.components))
 
     def _exp(self, x, v):
-        theta = float(np.linalg.norm(v))
+        # each 1-d norm as numpy's np.linalg.norm defines it, sqrt(v . v),
+        # without its per-call cost
+        theta = math.sqrt(float(v @ v))
         # the norm of a vector shorter than about 1e-154 underflows to 0;
         # sin(theta) / theta tends to 1 there
         sinc = math.sin(theta) / theta if theta > 0.0 else 1.0
         y = math.cos(theta) * x + sinc * v
-        return y / np.linalg.norm(y)
+        return y / math.sqrt(float(y @ y))
 
     def _geodesic(self, x, v, times):
         theta = float(np.linalg.norm(v))
@@ -133,7 +135,7 @@ class Sphere(ConnectionSpace):
     def _log(self, x, y):
         c = float(np.clip(x @ y, -1.0, 1.0))
         u = y - c * x
-        nr = float(np.linalg.norm(u))
+        nr = math.sqrt(float(u @ u))
         theta = math.atan2(nr, c)
         if theta > math.pi - self._ANTIPODE_TOL:
             raise CutLocus("log at an antipodal point is undefined")
@@ -143,7 +145,7 @@ class Sphere(ConnectionSpace):
 
     def _exp_transport(self, x, u, v):
         y = self._exp(x, v)
-        theta = float(np.linalg.norm(v))
+        theta = math.sqrt(float(v @ v))
         if theta == 0.0:
             return y, u.copy()
         # u's component ue along e = v / theta turns in the plane of x and e
@@ -175,7 +177,7 @@ class Sphere(ConnectionSpace):
 
     def random_point(self, rng):
         x = rng.standard_normal(self.ambient_dim)
-        return Point(x / np.linalg.norm(x), self.name)
+        return Point(x / math.sqrt(float(x @ x)), self.name)
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +374,25 @@ def _expm_sym(s, margin=0.0):
     return (vecs * np.exp(w)) @ vecs.T
 
 
+@functools.lru_cache(maxsize=None)
+def _sym_basis(n):
+    """Stack of the n(n+1)/2 matrices F of the orthonormal basis of Sym(n)
+    under <A, B> = tr(AB): E_ii, then (E_ij + E_ji) / sqrt(2), i < j, in row
+    order; read-only, built once per n."""
+    stack = []
+    for i in range(n):
+        for j in range(i, n):
+            f = np.zeros((n, n))
+            if i == j:
+                f[i, i] = 1.0
+            else:
+                f[i, j] = f[j, i] = 1.0 / math.sqrt(2.0)
+            stack.append(f)
+    stack = np.array(stack)
+    stack.flags.writeable = False
+    return stack
+
+
 def _bracket_curvature(a, b, c):
     """R(a, b)c = -[[a, b], c] / 4 of the SPD and SO(3) connections."""
     ab = a @ b - b @ a
@@ -470,23 +491,20 @@ class SPD(ConnectionSpace):
         return (ps @ _bracket_curvature(a, b, c) @ ps).ravel()
 
     def _inner(self, x, u, v):
-        p = self._mat(x)
-        a = np.linalg.solve(p, self._mat(u))
-        b = np.linalg.solve(p, self._mat(v))
-        return float(np.trace(a @ b))
+        # tr(P^-1 U P^-1 V) = <A, B> for A = P^-1/2 U P^-1/2 and B alike,
+        # from the cached factor; the contraction is symmetric in u and v
+        # bit for bit and not negative on (u, u)
+        _, pis, _ = self._sqrt_pair(x)
+        a = pis @ self._mat(u) @ pis
+        b = pis @ self._mat(v) @ pis
+        return float(np.vdot(a, b))
 
     def _tangent_basis(self, x):
         ps, _, _ = self._sqrt_pair(x)
-        cols = []
-        for i in range(self.n):
-            for j in range(i, self.n):
-                f = np.zeros((self.n, self.n))
-                if i == j:
-                    f[i, i] = 1.0
-                else:
-                    f[i, j] = f[j, i] = 1.0 / math.sqrt(2.0)
-                cols.append((ps @ f @ ps).ravel())
-        return np.column_stack(cols)
+        # the columns P^1/2 F P^1/2 of the basis F of Sym(n), from one
+        # stacked product, laid out as np.column_stack of the flat columns
+        cols = (ps @ _sym_basis(self.n) @ ps).reshape(self.dim, -1)
+        return np.ascontiguousarray(cols.T)
 
     def random_point(self, rng):
         s = 0.5 * _sym(rng.standard_normal((self.n, self.n)))
@@ -505,20 +523,56 @@ def _hat(w):
     ])
 
 
-def _vee(m):
-    return np.array([m[2, 1], m[0, 2], m[1, 0]])
+# The SO(3) kernels work on 3x3 matrices as lists of 9 row-major Python
+# floats: at this size numpy's per-call cost is several times the arithmetic.
+# Every sum runs left to right, never by sum(), which compensates its
+# rounding from Python 3.12 on, so the kernels round alike on every version
+
+def _mul3(a, b):
+    """Product of two 3x3 matrices, as lists of 9 row-major floats."""
+    a0, a1, a2, a3, a4, a5, a6, a7, a8 = a
+    b0, b1, b2, b3, b4, b5, b6, b7, b8 = b
+    return [a0 * b0 + a1 * b3 + a2 * b6,
+            a0 * b1 + a1 * b4 + a2 * b7,
+            a0 * b2 + a1 * b5 + a2 * b8,
+            a3 * b0 + a4 * b3 + a5 * b6,
+            a3 * b1 + a4 * b4 + a5 * b7,
+            a3 * b2 + a4 * b5 + a5 * b8,
+            a6 * b0 + a7 * b3 + a8 * b6,
+            a6 * b1 + a7 * b4 + a8 * b7,
+            a6 * b2 + a7 * b5 + a8 * b8]
 
 
-def _rodrigues(w):
-    theta = float(np.linalg.norm(w))
-    k = _hat(w)
+def _transpose3(a):
+    """Transpose of a 3x3 matrix as 9 row-major floats."""
+    return [a[0], a[3], a[6], a[1], a[4], a[7], a[2], a[5], a[8]]
+
+
+def _hat3(w0, w1, w2):
+    """hat(w) as 9 row-major floats."""
+    return [0.0, -w2, w1, w2, 0.0, -w0, -w1, w0, 0.0]
+
+
+def _rodrigues(w0, w1, w2):
+    """expm(hat(w)) = I + a K + b K^2, K = hat(w), as 9 row-major floats."""
+    theta = math.sqrt(w0 * w0 + w1 * w1 + w2 * w2)
     if theta < 1e-8:
         a = 1.0 - theta * theta / 6.0
         b = 0.5 - theta * theta / 24.0
     else:
         a = math.sin(theta) / theta
         b = (1.0 - math.cos(theta)) / (theta * theta)
-    return np.eye(3) + a * k + b * (k @ k)
+    k = _hat3(w0, w1, w2)
+    kk = _mul3(k, k)
+    return [1.0 + b * kk[0], a * k[1] + b * kk[1], a * k[2] + b * kk[2],
+            a * k[3] + b * kk[3], 1.0 + b * kk[4], a * k[5] + b * kk[5],
+            a * k[6] + b * kk[6], a * k[7] + b * kk[7], 1.0 + b * kk[8]]
+
+
+def _body_vec(r, v):
+    """Rotation vector of the skew body components of V at R, from lists."""
+    a = _mul3(_transpose3(r), v)
+    return 0.5 * (a[7] - a[5]), 0.5 * (a[2] - a[6]), 0.5 * (a[3] - a[1])
 
 
 _BRANCH_TOL = 1e-6
@@ -557,72 +611,80 @@ class RotationGroup(ConnectionSpace):
         body = self._mat(v.base.coords).T @ self._mat(v.components)
         return float(np.linalg.norm(body + body.T)) / 2.0
 
-    def _body(self, x, v):
-        """Skew body components R^T V of a tangent matrix at R."""
-        a = self._mat(x).T @ self._mat(v)
-        return 0.5 * (a - a.T)
-
     def _exp(self, x, v):
-        r = self._mat(x)
-        return (r @ _rodrigues(_vee(self._body(x, v)))).ravel()
+        r = x.tolist()
+        return np.array(_mul3(r, _rodrigues(*_body_vec(r, v.tolist()))))
 
     def _geodesic(self, x, v, times):
-        w = _vee(self._body(x, v))
-        theta = float(np.linalg.norm(w))
+        r = x.tolist()
+        w0, w1, w2 = _body_vec(r, v.tolist())
+        theta = math.sqrt(w0 * w0 + w1 * w1 + w2 * w2)
         if theta < 1e-8:
             return super()._geodesic(x, v, times)
         # Rodrigues at angle a = t theta, written without dividing by a:
         # R expm(t K) = R + sin(a) / theta R K + 2 sin^2(a / 2) / theta^2 R K^2
         a = times * theta
-        k = _hat(w)
-        rk = self._mat(x) @ k
-        return (x + np.multiply.outer(np.sin(a) / theta, rk.ravel())
+        k = _hat3(w0, w1, w2)
+        rk = _mul3(r, k)
+        return (x + np.multiply.outer(np.sin(a) / theta, rk)
                 + np.multiply.outer(2.0 * (np.sin(0.5 * a) / theta) ** 2,
-                                    (rk @ k).ravel()))
+                                    _mul3(rk, k)))
 
     def _log(self, x, y):
         # R hat(w), w the rotation vector of R^T S; CutLocus near angle pi
-        r = self._mat(x)
-        rel = r.T @ self._mat(y)
-        a = _vee(rel - rel.T) / 2.0  # sin(theta) * axis
-        s = float(np.linalg.norm(a))
-        c = 0.5 * (float(np.trace(rel)) - 1.0)
+        r = x.tolist()
+        rel = _mul3(_transpose3(r), y.tolist())
+        # sin(theta) * axis
+        a0 = (rel[7] - rel[5]) / 2.0
+        a1 = (rel[2] - rel[6]) / 2.0
+        a2 = (rel[3] - rel[1]) / 2.0
+        s = math.sqrt(a0 * a0 + a1 * a1 + a2 * a2)
+        c = 0.5 * (rel[0] + rel[4] + rel[8] - 1.0)
         theta = math.atan2(s, c)
         if theta > math.pi - _BRANCH_TOL:
             raise CutLocus("rotation angle at the cut locus (pi)")
-        if theta < 1e-8:
-            return (r @ _hat(a * (1.0 + theta * theta / 6.0))).ravel()
-        return (r @ _hat((theta / s) * a)).ravel()
+        f = 1.0 + theta * theta / 6.0 if theta < 1e-8 else theta / s
+        return np.array(_mul3(r, _hat3(f * a0, f * a1, f * a2)))
 
     def _exp_transport(self, x, u, v):
-        r = self._mat(x)
-        w = _vee(self._body(x, v))
-        half = _rodrigues(0.5 * w)
-        return ((r @ _rodrigues(w)).ravel(),
-                (r @ half @ self._body(x, u) @ half).ravel())
+        # the point by _exp's operations, and u's body components, hat of
+        # their rotation vector bit for bit, conjugated by expm(X / 2)
+        r = x.tolist()
+        w0, w1, w2 = _body_vec(r, v.tolist())
+        half = _rodrigues(0.5 * w0, 0.5 * w1, 0.5 * w2)
+        body_u = _hat3(*_body_vec(r, u.tolist()))
+        return (np.array(_mul3(r, _rodrigues(w0, w1, w2))),
+                np.array(_mul3(_mul3(_mul3(r, half), body_u), half)))
 
     def _geodesic_symmetry(self, x, y):
-        g, h = self._mat(x), self._mat(y)
-        return (g @ h.T @ g).ravel()
+        g = x.tolist()
+        return np.array(_mul3(_mul3(g, _transpose3(y.tolist())), g))
 
     def _curvature(self, x, u, v, w):
-        r = self._mat(x)
-        a, b, c = self._body(x, u), self._body(x, v), self._body(x, w)
-        return (r @ _bracket_curvature(a, b, c)).ravel()
+        r = x.tolist()
+        a, b, c = (np.reshape(_hat3(*_body_vec(r, t.tolist())), (3, 3))
+                   for t in (u, v, w))
+        return (self._mat(x) @ _bracket_curvature(a, b, c)).ravel()
 
     def _inner(self, x, u, v):
         return 0.5 * float(u @ v)
 
     def _tangent_basis(self, x):
-        r = self._mat(x)
-        cols = [(r @ _hat(e)).ravel() for e in np.eye(3)]
-        return np.column_stack(cols)
+        r = x.tolist()
+        cols = [_mul3(r, _hat3(*e))
+                for e in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))]
+        # rows of the 9 x 3 matrix, laid out in memory as np.column_stack
+        # lays it out, since a product with the basis rounds by its layout
+        return np.array(list(zip(*cols)))
 
     def random_point(self, rng):
         a = rng.standard_normal((3, 3))
         q, rr = np.linalg.qr(a)
         q = q * np.sign(np.diag(rr))
-        if np.linalg.det(q) < 0.0:
+        # the sign of det(q) = +-1, as the triple product of its rows
+        (q0, q1, q2), (q3, q4, q5), (q6, q7, q8) = q.tolist()
+        if q0 * (q4 * q8 - q5 * q7) + q1 * (q5 * q6 - q3 * q8) \
+                + q2 * (q3 * q7 - q4 * q6) < 0.0:
             q[:, [0, 1]] = q[:, [1, 0]]
         return Point(q.ravel(), self.name)
 

@@ -99,6 +99,34 @@ def test_cli_imports_no_private_kernel_names():
     assert private == []
 
 
+def _is_map_abs(node):
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "map" and len(node.args) == 2
+            and isinstance(node.args[0], ast.Name)
+            and node.args[0].id == "abs")
+
+
+def test_builtin_sum_only_bounds_absolute_values():
+    # sum() compensates its rounding from Python 3.12 on, so a kernel that
+    # summed products with it would round differently across the supported
+    # versions; it may add up |entries| for a range bound, which no result
+    # carries, and the kernels' sums run left to right
+    package = os.path.dirname(geoladders.__file__)
+    misuses = []
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as f:
+            tree = ast.parse(f.read())
+        misuses += [(name, node.lineno) for node in ast.walk(tree)
+                    if isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == "sum"
+                    and not (len(node.args) == 1 and not node.keywords
+                             and _is_map_abs(node.args[0]))]
+    assert misuses == []
+
+
 CONTRACT_METHODS = [
     "curvature",
     "dist",

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import DOP853, solve_ivp
+from scipy.linalg import expm
 
 from geoladders import (
     ChartConnection,
@@ -31,7 +32,7 @@ from geoladders import (
 )
 from geoladders import chart
 from geoladders.analysis import _log_fit
-from geoladders.manifolds import _hat, _rodrigues, _so3_rotation_vector_chart
+from geoladders.manifolds import _hat, _so3_rotation_vector_chart
 from helpers import count_engine_calls
 
 
@@ -363,9 +364,11 @@ def test_step_loop_errors_carry_their_evidence():
     for run, message, evidence in [
             (lambda: geodesic_flow(box, [0.9, 0.0], [1.0, 0.0], 100.0),
              "left the chart bounds", (math.sqrt(1.81), 1, 0)),
+            # the state's norm overflows, not the derivative's, so the
+            # first step spans the whole interval
             (lambda: geodesic_flow(flat_chart(), [1.7e308, 0.0],
-                                   [1e307, 0.0]),
-             "state is not finite", (1.0, 1, 0)),
+                                   [1e150, 0.0], 1e160),
+             "state is not finite", (1e160, 1, 0)),
             (lambda: geodesic_flow(make_chart("hyperbolic2-ball"),
                                    [0.0, 0.0], [8.5, 8.5]),
              "left the chart's interior", (0.9323561113637201, 63, 9)),
@@ -670,20 +673,30 @@ def test_overflowing_stages_are_rejected_steps_without_warnings(bump):
     assert np.abs(v - v_ref).max() <= 1e-12
 
 
-@pytest.mark.parametrize("conn, x, v", [
+@pytest.mark.parametrize("conn, x, v, match", [
     # stage positions overflow mid-solve, where the bump's gradient is not
     # finite: rejected steps, then the box, not a NonFinite
-    (make_chart("bump2d"), (-0.0205, 0.4585), (1e30, 1e30)),
+    (make_chart("bump2d"), (-0.0205, 0.4585), (1e30, 1e30), None),
     # the initial derivative's norm overflows
-    (make_chart("bump2d"), (0.3, 0.1), (1e150, 1e150)),
-    # a chart without bounds, whose endpoint would be infinite
-    (flat_chart(), (1e308, 0.0), (1e308, 0.0)),
+    (make_chart("bump2d"), (0.3, 0.1), (1e150, 1e150), None),
+    # a chart without bounds, whose endpoint would be infinite: the norms
+    # of the state and of its derivative both overflow, and the flow fails
+    # before its first step attempt instead of after hundreds
+    (flat_chart(), (1e308, 0.0), (1e308, 0.0),
+     "initial derivative .* overflows the state"),
 ], ids=["bump-stages", "bump-start", "flat-endpoint"])
-def test_flow_whose_state_overflows_is_domain_escape(conn, x, v):
+def test_flow_whose_state_overflows_is_domain_escape(conn, x, v, match):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(DomainEscape):
+        with pytest.raises(DomainEscape, match=match):
             geodesic_flow(conn, x, v)
+
+
+def test_flow_whose_state_norm_overflows_takes_its_whole_step():
+    # the state's norm overflows but its derivative's does not: an infinite
+    # ratio caps the first step at the whole interval, and the flow ends
+    x, v = geodesic_flow(flat_chart(), (1e200, 0.0), (1.0, 0.0))
+    assert x.tolist() == [1e200, 0.0] and v.tolist() == [1.0, 0.0]
 
 
 @pytest.mark.parametrize("x", [(0.8, 0.8), (0.999, 0.1), (0.6, 0.8)])
@@ -1809,10 +1822,10 @@ def test_so3_chart_matches_closed_form():
     thdot = np.linalg.solve(right_jacobian(th0), omega)
     udot = np.linalg.solve(right_jacobian(th0), u_body)
     th1, _ = geodesic_flow(conn, th0, thdot, 1.0)
-    r0 = _rodrigues(th0)
+    r0 = expm(_hat(th0))
     p = so3.point(r0.ravel())
     q = so3.exp(p, so3.tangent(p, (r0 @ _hat(omega)).ravel()))
-    assert np.max(np.abs(_rodrigues(th1) - q.coords.reshape(3, 3))) <= 1e-10
+    assert np.max(np.abs(expm(_hat(th1)) - q.coords.reshape(3, 3))) <= 1e-10
     moved, th1b, _ = transport_ode(conn, udot, th0, thdot, 1.0)
     closed_body = q.coords.reshape(3, 3).T @ \
         so3.transport(so3.tangent(p, (r0 @ _hat(u_body)).ravel()),

@@ -439,11 +439,26 @@ def test_exactness_with_a_nan_transport_exits_2(monkeypatch, capsys):
     assert captured.out == ""
 
 
-def test_exactness_sweep_counts_trials(rng):
+def test_exactness_sweep_excludes_trials_past_the_radius():
+    # with u_cap = 4, some draws of |u| pass the injectivity radius pi:
+    # the sweep counts those trials as excluded and takes its maximum over
+    # the others, which the same draws replayed through the public step
+    # and the transport oracle give bit for bit
     space = make_space("sphere-2")
-    worst, excluded = exactness_sweep(space, ("pole_v2",), 10, rng)
-    assert excluded == 0
-    assert worst["pole_v2"] <= 1e-10
+    worst, excluded = exactness_sweep(space, ("pole_v2",), 40,
+                                      np.random.default_rng(17), u_cap=4.0)
+    rng = np.random.default_rng(17)
+    kept = []
+    for _ in range(40):
+        p, q, u = sample_trial(space, rng, u_cap=4.0)
+        if space.norm(u) >= math.pi:
+            continue
+        err = space.norm(ladder_step(space, p, q, u, "pole_v2")
+                         - space.transport(u, q))
+        kept.append(err / space.norm(u))
+    assert 0 < excluded == 40 - len(kept)
+    assert worst == {"pole_v2": max(kept)}
+    assert max(kept) <= 1e-10
 
 
 @pytest.mark.parametrize("name", cli.SYMMETRIC_FLEET)

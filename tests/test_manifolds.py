@@ -3,7 +3,9 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.linalg import null_space
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+from scipy.linalg import expm, logm, null_space
 
 from geoladders import (
     CutLocus,
@@ -18,7 +20,7 @@ from geoladders import (
     registry_names,
 )
 from geoladders.analysis import POLE_SCHEMES, exactness_sweep
-from geoladders.manifolds import _hat, _mink, _rodrigues
+from geoladders.manifolds import _hat, _mink
 
 from conftest import FLEET_NAMES
 from helpers import (
@@ -364,6 +366,59 @@ def test_spd_rejects_non_positive_matrices():
     # the symmetry's Cholesky factor of the reflected point is its check
     with pytest.raises(NotSPD, match="point is not positive definite"):
         spd.geodesic_symmetry(eye, bad)
+    # the inner product reads the base's factor, as exp and log do
+    with pytest.raises(NotSPD, match="base point"):
+        spd.inner(TangentVector(bad, np.eye(2).ravel()),
+                  TangentVector(bad, np.eye(2).ravel()))
+
+
+def _spd_inner_by_solves(spd, u, v):
+    # tr(P^-1 U P^-1 V) by two LU solves, the form the factor replaced
+    p = u.base.coords.reshape(spd.n, spd.n)
+    a = np.linalg.solve(p, u.components.reshape(spd.n, spd.n))
+    b = np.linalg.solve(p, v.components.reshape(spd.n, spd.n))
+    return float(np.trace(a @ b))
+
+
+def test_spd_inner_from_the_factor_is_the_trace_form():
+    # within 1e-14 of |u| |v|, the scale of either form's rounding: near
+    # orthogonal pairs make the value itself far smaller.  Swapping u and v
+    # swaps the two factors of the contraction, which keeps its bits
+    spd = make_space("spd-3")
+    rng = np.random.default_rng(83)
+    for _ in range(2000):
+        p = spd.random_point(rng)
+        u, v = (rng.uniform(0.1, 3.0) * spd.random_direction(rng, p)
+                for _ in range(2))
+        got = spd.inner(u, v)
+        scale = spd.norm(u) * spd.norm(v)
+        assert abs(got - _spd_inner_by_solves(spd, u, v)) <= 1e-14 * scale
+        assert spd.inner(v, u) == got
+        assert spd.inner(u, u) >= 0.0
+
+
+@pytest.mark.parametrize("n, draws", [(2, 500), (3, 2000), (4, 500)])
+def test_spd_tangent_basis_is_the_column_loop_bit_for_bit(n, draws):
+    # one stacked product P^1/2 F P^1/2 over the basis of Sym(n), against
+    # the loop over its matrices that it replaced, kept here as the
+    # reference; the layout is the loop's too
+    spd = make_space(f"spd-{n}")
+    rng = np.random.default_rng(89)
+    for _ in range(draws):
+        p = spd.random_point(rng)
+        ps = spd._sqrt_pair(p.coords)[0]
+        cols = []
+        for i in range(n):
+            for j in range(i, n):
+                f = np.zeros((n, n))
+                if i == j:
+                    f[i, i] = 1.0
+                else:
+                    f[i, j] = f[j, i] = 1.0 / math.sqrt(2.0)
+                cols.append((ps @ f @ ps).ravel())
+        got = spd.tangent_basis(p)
+        assert np.array_equal(got, np.column_stack(cols))
+        assert got.flags.c_contiguous
 
 
 @pytest.mark.parametrize("name, m, p", [
@@ -426,6 +481,58 @@ def test_so3_symmetry_at_identity_is_inversion():
     assert np.allclose(again.coords, h.coords, atol=1e-15)
 
 
+SO3_PROPERTY = settings(derandomize=True, database=None, deadline=None,
+                        max_examples=150)
+
+# rotation angles on both sides of the series branch at 1e-8, generic ones,
+# and ones within 1e-3 of the cut locus at pi, short of its 1e-6 margin
+so3_angles = st.one_of(
+    st.floats(-11.0, -5.0).map(lambda e: 10.0 ** e),
+    st.floats(1e-5, math.pi - 1e-3),
+    st.floats(-5.5, -3.0).map(lambda e: math.pi - 10.0 ** e),
+)
+
+
+@SO3_PROPERTY
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       axis=st.tuples(*[st.floats(-1.0, 1.0)] * 3), theta=so3_angles)
+@example(seed=1, axis=(0.48, 0.6, 0.64), theta=0.99e-8)
+@example(seed=1, axis=(0.48, 0.6, 0.64), theta=1.01e-8)
+@example(seed=2, axis=(0.0, 0.0, 1.0), theta=math.pi - 1e-3)
+@example(seed=2, axis=(0.0, 0.0, 1.0), theta=math.pi - 1.1e-6)
+def test_so3_exp_and_log_are_scipys_expm_and_logm(seed, axis, theta):
+    # the body matrices of the Python-float kernels against scipy's matrix
+    # exponential and logarithm.  Near pi the log reads the rotation's axis
+    # from sin(theta) times it, so the log of a rounded point is good to
+    # about eps / (pi - theta) there, whatever the method
+    so3 = make_space("so3")
+    p = so3.random_point(np.random.default_rng(seed))
+    r = p.coords.reshape(3, 3)
+    size = float(np.linalg.norm(axis))
+    assume(size >= 0.1)
+    w = (theta / size) * np.array(axis)
+    q = so3.exp(p, so3.tangent(p, (r @ _hat(w)).ravel()))
+    assert np.abs(q.coords.reshape(3, 3) - r @ expm(_hat(w))).max() <= 1e-14
+    body = r.T @ so3.log(p, q).components.reshape(3, 3)
+    want = logm(r.T @ q.coords.reshape(3, 3))
+    assert np.abs(body - want.real).max() <= \
+        1e-14 / min(1.0, math.pi - theta)
+
+
+def test_so3_random_point_is_the_determinant_form_bit_for_bit():
+    # the column swap that makes det = +1 is picked by the sign of the
+    # triple product of the rows; np.linalg.det, the form it replaced and
+    # kept here as the reference, picks the same on every draw
+    so3 = make_space("so3")
+    mine, ref = np.random.default_rng(71), np.random.default_rng(71)
+    for _ in range(10000):
+        q, rr = np.linalg.qr(ref.standard_normal((3, 3)))
+        q = q * np.sign(np.diag(rr))
+        if np.linalg.det(q) < 0.0:
+            q[:, [0, 1]] = q[:, [1, 0]]
+        assert np.array_equal(so3.random_point(mine).coords, q.ravel())
+
+
 def test_so3_inner_is_the_matrix_contraction_bit_for_bit():
     # <U, V> = tr(U^T V) / 2 is the dot product of the flat entries, and
     # numpy sums the two in the same order
@@ -474,7 +581,7 @@ def test_euclidean_exp_at_a_far_point_is_finite_or_non_finite():
 def test_so3_log_branch_at_half_turn():
     so3 = make_space("so3")
     eye = so3.point(np.eye(3).ravel())
-    half_turn = so3.point(_rodrigues(np.array([math.pi, 0.0, 0.0])).ravel())
+    half_turn = so3.point(expm(_hat([math.pi, 0.0, 0.0])).ravel())
     with pytest.raises(CutLocus):
         so3.log(eye, half_turn)
 
@@ -521,7 +628,7 @@ def test_so3_geodesics_are_one_parameter_subgroups():
     r = p.coords.reshape(3, 3)
     v = so3.tangent(p, (r @ _hat(w)).ravel())
     q = so3.exp(p, v)
-    assert np.allclose(q.coords.reshape(3, 3), r @ _rodrigues(w), atol=1e-14)
+    assert np.allclose(q.coords.reshape(3, 3), r @ expm(_hat(w)), atol=1e-14)
 
 
 def test_so3_rotvec_right_jacobian_small_angle_branch():
