@@ -623,12 +623,12 @@ def _integrate(conn: ChartConnection, kernel: _Kernel, z: list, t: float,
     # state by its own size, capped at the whole interval; scipy's default
     # sizes it from the tolerance alone, which costs a short flow three
     # steps instead of one, while the bound keeps a fast flow's first
-    # stages finite.  Where both norms overflow the ratio is NaN, which
-    # min() would pass over; it counts as 0, as a derivative that
-    # overflows against a finite state does
+    # stages finite.  The ratio is min()'s first argument, which it keeps
+    # unless the second is smaller: where both norms overflow the ratio is
+    # NaN, and it fails the check below as a derivative that overflows
+    # against a finite state does, where min(t, nan) would return t
     fnorm = _norm(f0)
-    ratio = _norm(z) / fnorm if fnorm else math.inf
-    h0 = min(t, ratio) if not math.isnan(ratio) else 0.0
+    h0 = min(_norm(z) / fnorm, t) if fnorm else t
     if not h0 > 0.0:
         raise DomainEscape(
             f"initial derivative of norm {fnorm:.3g} overflows the state")
