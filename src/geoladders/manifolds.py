@@ -515,14 +515,6 @@ class SPD(ConnectionSpace):
 # SO(3) with the symmetric Cartan-Schouten connection
 # ---------------------------------------------------------------------------
 
-def _hat(w):
-    return np.array([
-        [0.0, -w[2], w[1]],
-        [w[2], 0.0, -w[0]],
-        [-w[1], w[0], 0.0],
-    ])
-
-
 # The SO(3) kernels work on 3x3 matrices as lists of 9 row-major Python
 # floats: at this size numpy's per-call cost is several times the arithmetic.
 # Every sum runs left to right, never by sum(), which compensates its
@@ -551,6 +543,11 @@ def _transpose3(a):
 def _hat3(w0, w1, w2):
     """hat(w) as 9 row-major floats."""
     return [0.0, -w2, w1, w2, 0.0, -w0, -w1, w0, 0.0]
+
+
+def _hat(w):
+    """hat(w) as a 3x3 array."""
+    return np.reshape(_hat3(*w), (3, 3))
 
 
 def _rodrigues(w0, w1, w2):
@@ -662,8 +659,7 @@ class RotationGroup(ConnectionSpace):
 
     def _curvature(self, x, u, v, w):
         r = x.tolist()
-        a, b, c = (np.reshape(_hat3(*_body_vec(r, t.tolist())), (3, 3))
-                   for t in (u, v, w))
+        a, b, c = (_hat(_body_vec(r, t.tolist())) for t in (u, v, w))
         return (self._mat(x) @ _bracket_curvature(a, b, c)).ravel()
 
     def _inner(self, x, u, v):
