@@ -24,8 +24,8 @@ import numpy as np
 
 from .core import (ConnectionSpace, InsufficientData, NonFinite, Point,
                    TangentVector, _require_finite, _unit_direction)
-from .ladders import (_TAKES_MIDPOINT, _Rung, ladder_step,
-                      transport_along_geodesic)
+from .ladders import (_POLES, _TAKES_MIDPOINT, _Openings, _Rung,
+                      ladder_step, transport_along_geodesic)
 
 __all__ = [
     "ConvergenceReport",
@@ -121,26 +121,26 @@ def pole_error_predicted(space: ConnectionSpace, m: Point, u: TangentVector,
     """Leading error term of one step of a pole-ladder kind, evaluated at the
     midpoint.
 
-    For pole_v1 and pole_v2 it is (nabla_v R(u,v)(5u - 2v)
-    + nabla_u R(u,v)(v - 2u)) / 12.  Vanishes on locally symmetric spaces,
-    where the curvature is covariantly constant.
-
-    The reversed-symmetry variant pole_alt has the main term at -v, negated,
-    that is -(nabla_v R(u,v)(5u + 2v) + nabla_u R(u,v)(v + 2u)) / 12,
-    obtained by the same order-by-order inversion of the double-exponential
-    series and confirmed against the measured error (the relative defect
-    vanishes linearly in the joint scale).  pole_avg has the mean of the
-    two, -(nabla_v R(u,v)v + nabla_u R(u,v)u) / 6, which is generically
+    A kind that opens at exp_p(σu) has the main term P(u, v) =
+    (nabla_v R(u,v)(5u - 2v) + nabla_u R(u,v)(v - 2u)) / 12 at σv, times
+    σ: pole_v1 and pole_v2 have P(u, v), and the reversed-symmetry variant
+    pole_alt has -P(u, -v) = -(nabla_v R(u,v)(5u + 2v)
+    + nabla_u R(u,v)(v + 2u)) / 12, obtained by the same order-by-order
+    inversion of the double-exponential series and confirmed against the
+    measured error (the relative defect vanishes linearly in the joint
+    scale).  Each vanishes on locally symmetric spaces, where the curvature
+    is covariantly constant.  pole_avg has the mean of the two,
+    -(nabla_v R(u,v)v + nabla_u R(u,v)u) / 6, which is generically
     nonzero: averaging the variants cannot cancel the third-order error.
     Any other kind, Schild's ladder included, raises ValueError.
     """
-    if scheme == "pole_alt":
-        return -pole_error_predicted(space, m, u, -v)
     if scheme == "pole_avg":
         return 0.5 * (pole_error_predicted(space, m, u, v)
                       - pole_error_predicted(space, m, u, -v))
-    if scheme not in ("pole_v1", "pole_v2"):
+    if scheme not in _POLES:
         raise ValueError(f"no leading-term predictor for {scheme!r}")
+    if _POLES[scheme][0] == -1:
+        return -pole_error_predicted(space, m, u, -v)
     # m, u and v checked once, then the two contractions on their
     # components: the elementwise operations of the vector arithmetic
     space._check_point(m)
@@ -248,10 +248,10 @@ def exactness_sweep(space: ConnectionSpace, schemes, trials: int,
     trial takes one log w of [p, q], which gives the distance the conditions
     test, the oracle, u transported along t -> exp_p(t w), and the midpoint
     exp_p(w / 2), and builds one rung record, from which every kind reads its
-    step: the kinds share the midpoint, exp_p(u), exp_p(-u) and the two
-    reflected logs at q, and each is computed once.  A log of [p, q] or a
-    relative error that is not finite raises NonFinite, which the conditions
-    and max would otherwise drop.
+    step: the kinds share the midpoint, the openings exp_p(u) and exp_p(-u)
+    and the pole_v2 and pole_alt steps, and each is computed once.  A log of
+    [p, q] or a relative error that is not finite raises NonFinite, which
+    the conditions and max would otherwise drop.
     """
     inj = space.injectivity_radius
     worst = {kind: 0.0 for kind in schemes}
@@ -271,7 +271,7 @@ def exactness_sweep(space: ConnectionSpace, schemes, trials: int,
         oracle = TangentVector(q, space.exp_transport(u, w).components)
         # space.midpoint(p, q), from the log already taken
         m = space.geodesic(p, w, (0.5,))[0]
-        rung = _Rung(space, p, q, u, m)
+        rung = _Rung(space, p, q, _Openings(space, p, u), m)
         for kind in schemes:
             diff = rung.step(kind) - oracle
             try:

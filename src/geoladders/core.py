@@ -228,9 +228,9 @@ class TangentVector:
         return _norm(self.components)
 
     def _require_same_base(self, other: "TangentVector"):
-        if self.base.space_id != other.base.space_id or not _same_base(
-            self.base.coords, other.base.coords
-        ):
+        a, b = self.base, other.base  # one Point is its own base
+        if a is not b and (a.space_id != b.space_id
+                           or not _same_base(a.coords, b.coords)):
             raise InvalidBase("cannot combine vectors from different tangent spaces")
 
     def __add__(self, other):

@@ -9,24 +9,26 @@ All steps take the transported vector u based at p and return the transported
 approximation based at q.  Pole ladder bakes the sign flip of the final log
 into the step, u_q = -log_q(s_m(exp_p(u))), so callers always receive +u_q.
 
-Every step reads its kind from a rung record, which holds the step's inputs
-and makes on first use the maps the pole kinds share, so several kinds read
-from one record make each map once.  The pole steps reflect through the
-midpoint m of [p, q].  As in the paper's analysis, where p = exp_m(-v) and
-q = exp_m(v), m is an input: a caller that built p and q from m, or a rail
-that holds it, passes it, and the record skips the log and exp of
-``space.midpoint``.  Without it the record computes m itself.  Schild's
-ladder reflects through the midpoint of another segment, [exp_p(u), q], and
-takes none.  The multi-rung driver builds its whole rail, midpoints
-included, with one ``space.geodesic`` call, and hands each rung the point
-its predecessor reflected, so a pole rail makes one closing log in all.
+A pole kind is one row of ``_POLES``: the sign σ of the point exp_p(σu) it
+opens at, and the rule that reflects that point through the midpoint m of
+[p, q]; its step is -σ log_q(z) of the reflected point z.  Every step reads
+its kind from a rung record, which holds the step's inputs and m and makes
+on first use, and keeps, the opening points, the reflected points and the
+steps, so several kinds read from one record make each map once.  As in the
+paper's analysis, where p = exp_m(-v) and q = exp_m(v), m is an input: a
+caller that built p and q from m, or a rail that holds it, passes it, and
+the record skips the log and exp of ``space.midpoint``.  Without it the
+record computes m itself.  Schild's ladder reflects through the midpoint of
+another segment, [exp_p(u), q], and takes none.  The multi-rung driver
+builds its whole rail, midpoints included, with one ``space.geodesic`` call,
+and opens each rung at the symmetry of the point its predecessor reflected,
+so a pole rail makes one closing log in all.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from operator import attrgetter
 
 from .core import ConnectionSpace, GeometryError, Point, TangentVector
 
@@ -43,112 +45,103 @@ class LadderTransportResult:
     vector: TangentVector
 
 
+def _double_shoot(space: ConnectionSpace, m: Point, x: Point) -> Point:
+    """x reflected through m by double shooting: exp_x(2 log_x(m))."""
+    return space.exp(x, 2.0 * space.log(x, m))
+
+
+def _symmetry(space: ConnectionSpace, m: Point, x: Point) -> Point:
+    """x reflected through m by the space's geodesic symmetry s_m."""
+    return space.geodesic_symmetry(m, x)
+
+
+# kind: (σ, the rule reflecting exp_p(σu) through m)
+_POLES = {
+    "pole_v1": (1, _double_shoot),
+    "pole_v2": (1, _symmetry),
+    "pole_alt": (-1, _symmetry),
+}
+
+
+class _Openings(dict):
+    """The points exp_p(σu) a rung opens at, by sign σ, each made on first
+    use; a rail files the one point it hands on in a plain dict instead."""
+
+    def __init__(self, space: ConnectionSpace, p: Point, u: TangentVector):
+        super().__init__()
+        self.space, self.p, self.u = space, p, u
+
+    def __missing__(self, sign: int) -> Point:
+        point = self[sign] = self.space.exp(
+            self.p, self.u if sign == 1 else -self.u)
+        return point
+
+
 class _Rung:
-    """One step's inputs (space, p, q, u and the midpoint m of [p, q]) and,
-    made on first use, the maps the pole kinds share: m, exp_p(u),
-    exp_p(-u), the points the kinds reflect to, and v2 and alt, the
-    pole_v2 and pole_alt steps read off them at q.
+    """One step's inputs (space, p, q, the openings exp_p(σu) by sign σ and
+    the midpoint m of [p, q]) and, each made on first use and kept, m, the
+    points the pole kinds reflect to and the steps, one per kind.
 
     A given midpoint is the caller's contract and is not verified; without
     it the record computes space.midpoint(p, q) when a kind first reads m.
-    A rail may set exp_u or exp_minus_u instead of u, which is then None.
     """
 
     def __init__(self, space: ConnectionSpace, p: Point, q: Point,
-                 u: TangentVector | None, m: Point | None = None):
-        self.space, self.p, self.q, self.u = space, p, q, u
+                 opened: dict, m: Point | None = None):
+        self.space, self.p, self.q, self.opened = space, p, q, opened
         if m is not None:
             self.m = m
+        self._reflected, self._steps = {}, {}
 
     @cached_property
     def m(self) -> Point:
         return self.space.midpoint(self.p, self.q)
 
-    @cached_property
-    def exp_u(self) -> Point:
-        return self.space.exp(self.p, self.u)
+    def reflected(self, kind: str) -> Point:
+        """The point z a pole kind in _POLES reflects its opening to."""
+        if kind not in self._reflected:
+            sign, reflect = _POLES[kind]
+            self._reflected[kind] = reflect(self.space, self.m,
+                                            self.opened[sign])
+        return self._reflected[kind]
 
-    @cached_property
-    def exp_minus_u(self) -> Point:
-        # = s_p(exp_p(u))
-        return self.space.exp(self.p, -self.u)
-
-    @cached_property
-    def refl_v2(self) -> Point:
-        return self.space.geodesic_symmetry(self.m, self.exp_u)
-
-    @cached_property
-    def refl_alt(self) -> Point:
-        return self.space.geodesic_symmetry(self.m, self.exp_minus_u)
-
-    @cached_property
-    def refl_v1(self) -> Point:
-        # double shooting: exp_p'(2 log_p'(m)) for p' = exp_p(u)
-        p1 = self.exp_u
-        return self.space.exp(p1, 2.0 * self.space.log(p1, self.m))
-
-    @cached_property
-    def v2(self) -> TangentVector:
-        return -self.space.log(self.q, self.refl_v2)
-
-    @cached_property
-    def alt(self) -> TangentVector:
-        return self.space.log(self.q, self.refl_alt)
-
-    def step(self, scheme: str) -> TangentVector:
-        """The step of the kind named by scheme, one of LADDER_KINDS."""
-        return _kind(scheme)(self)
+    def step(self, kind: str) -> TangentVector:
+        """The step of the kind, one of LADDER_KINDS."""
+        if kind not in self._steps:
+            if kind in _POLES:
+                log = self.space.log(self.q, self.reflected(kind))
+                self._steps[kind] = -log if _POLES[kind][0] == 1 else log
+            else:
+                self._steps[kind] = _OTHERS[_kind(kind)](self)
+        return self._steps[kind]
 
 
 def _schild(r: _Rung) -> TangentVector:
     """Extend [p, midpoint of [exp_p(u), q]] to twice its length and read the
     end off at q: one geodesic parallelogram, first order."""
-    space = r.space
-    m = space.midpoint(r.exp_u, r.q)
-    x1 = space.exp(r.p, 2.0 * space.log(r.p, m))
-    return space.log(r.q, x1)
-
-
-def _pole_v1(r: _Rung) -> TangentVector:
-    """Double shooting: -log_q(exp_p'(2 log_p'(m))) for p' = exp_p(u)."""
-    return -r.space.log(r.q, r.refl_v1)
+    m = r.space.midpoint(r.opened[1], r.q)
+    return r.space.log(r.q, _double_shoot(r.space, m, r.p))
 
 
 def _pole_avg(r: _Rung) -> TangentVector:
     """Mean of pole_v2 and pole_alt; it does not cancel their leading error,
     so it stays third order."""
-    a, b = r.v2, r.alt
+    a, b = r.step("pole_v2"), r.step("pole_alt")
     return TangentVector(a.base, 0.5 * (a.components + b.components))
 
 
-_KINDS = {
-    "schild": _schild,
-    "pole_v1": _pole_v1,
-    "pole_v2": attrgetter("v2"),
-    "pole_alt": attrgetter("alt"),
-    "pole_avg": _pole_avg,
-}
-
-LADDER_KINDS = tuple(_KINDS)
+_OTHERS = {"schild": _schild, "pole_avg": _pole_avg}
 # the pole kinds, which reflect through the midpoint of [p, q] and take it;
 # Schild's ladder reflects through the midpoint of [exp_p(u), q]
-_TAKES_MIDPOINT = tuple(kind for kind in LADDER_KINDS if kind != "schild")
-
-# the kinds whose step u' is -log_q(z) or +log_q(z) of the point z they
-# reflect to, by the record's names for z and for the next rung's exp_q(u')
-# or exp_q(-u'), which is then exp_q(-log_q(z)) = s_q(z)
-_HANDS_ON = {
-    "pole_v1": ("refl_v1", "exp_u"),
-    "pole_v2": ("refl_v2", "exp_u"),
-    "pole_alt": ("refl_alt", "exp_minus_u"),
-}
+_TAKES_MIDPOINT = (*_POLES, "pole_avg")
+LADDER_KINDS = ("schild", *_TAKES_MIDPOINT)
 
 
-def _kind(scheme: str):
-    try:
-        return _KINDS[scheme]
-    except KeyError:
-        raise ValueError(f"unknown ladder kind {scheme!r}") from None
+def _kind(scheme: str) -> str:
+    """scheme itself, when it names one of LADDER_KINDS."""
+    if scheme not in LADDER_KINDS:
+        raise ValueError(f"unknown ladder kind {scheme!r}")
+    return scheme
 
 
 def ladder_step(space: ConnectionSpace, p: Point, q: Point, u: TangentVector,
@@ -163,7 +156,7 @@ def ladder_step(space: ConnectionSpace, p: Point, q: Point, u: TangentVector,
     ``midpoint``, the midpoint m of [p, q], when the caller holds it, and
     does not verify it; Schild's step ignores it.
     """
-    return _Rung(space, p, q, u, midpoint).step(scheme)
+    return _Rung(space, p, q, _Openings(space, p, u), midpoint).step(scheme)
 
 
 def transport_along_geodesic(space: ConnectionSpace, p: Point, q: Point,
@@ -179,12 +172,12 @@ def transport_along_geodesic(space: ConnectionSpace, p: Point, q: Point,
     kinds it runs at half steps, and each rung is handed its midpoint from
     it, so a rung shoots no log to find it.
 
-    A pole_v1, pole_v2 or pole_alt rung would close with a log at q that
-    the next rung's exp at q undoes; the rail hands that rung the symmetry
-    s_q(z) of the reflected point z instead, and takes the one closing log
-    on the last rung: n rungs of pole_v2 make 1 exp, 2 logs, 1 geodesic
-    call and 2n - 1 symmetries.  A failing hand-off carries the index of
-    the rung it starts.
+    A rung of a kind in _POLES would close with the step u' = -σ log_q(z),
+    and the next rung would open at exp_q(σu'), which is the symmetry
+    s_q(z); the rail opens that rung at s_q(z), filed under σ, and takes
+    the one closing log on the last rung: n rungs of pole_v2 make 1 exp,
+    2 logs, 1 geodesic call and 2n - 1 symmetries.  A failing hand-off
+    carries the index of the rung it starts.
     """
     _kind(scheme)
     if n_rungs < 1:
@@ -202,15 +195,15 @@ def transport_along_geodesic(space: ConnectionSpace, p: Point, q: Point,
     # (1 / scaling) * current, not n_rungs * current: the two differ in the
     # last bit for some n_rungs
     scaling = 1.0 / n_rungs
-    reflected, opens = _HANDS_ON.get(scheme, (None, None))
+    sign = _POLES[scheme][0] if scheme in _POLES else 0
     current, z = scaling * u, None
     for i in range(n_rungs):
         try:
-            rung = _Rung(space, rail[i], rail[i + 1], current, mids[i])
-            if z is not None:
-                setattr(rung, opens, space.geodesic_symmetry(rail[i], z))
-            if reflected and i + 1 < n_rungs:
-                current, z = None, getattr(rung, reflected)
+            opened = (_Openings(space, rail[i], current) if z is None
+                      else {sign: space.geodesic_symmetry(rail[i], z)})
+            rung = _Rung(space, rail[i], rail[i + 1], opened, mids[i])
+            if sign and i + 1 < n_rungs:
+                z = rung.reflected(scheme)
             else:
                 current = rung.step(scheme)
         except GeometryError as err:

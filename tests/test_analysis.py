@@ -6,6 +6,7 @@ import pytest
 from geoladders import (
     InsufficientData,
     NonFinite,
+    Sphere,
     bch_numeric,
     bch_series,
     convergence_order,
@@ -16,7 +17,9 @@ from geoladders import (
     pole_error_measured,
     pole_error_predicted,
 )
-from geoladders.analysis import bch_residual_sweep
+from geoladders import analysis
+from geoladders.analysis import (bch_residual_sweep, default_noise_floor,
+                                 sample_trial)
 
 from helpers import count_engine_calls
 
@@ -130,6 +133,26 @@ def test_generic_directions_keep_pairs_off_parallel(bump):
     pred = pole_error_predicted(bump, m, u, v)
     defect = pole_error_measured(bump, m, u, v, "pole_v2") - pred
     assert defect.component_norm <= 0.15 * pred.component_norm
+
+
+def test_generic_directions_edges(monkeypatch):
+    # a cosine of exactly 0.95 is kept; all-parallel draws give up after
+    # the first direction and 100 more
+    space = make_space("euclidean-2")
+    m = space.point([0.0, 0.0])
+    e1 = space.tangent(m, [1.0, 0.0])
+    edge = space.tangent(m, [0.95, 0.5])
+    assert space.inner(e1, edge) == 0.95
+    draws = iter([e1, edge])
+    monkeypatch.setattr(space, "random_direction", lambda rng, p: next(draws))
+    u_dir, v_dir = generic_directions(space, m, None)
+    assert u_dir is e1 and v_dir is edge
+    calls = []
+    monkeypatch.setattr(space, "random_direction",
+                        lambda rng, p: calls.append(1) or e1)
+    with pytest.raises(RuntimeError, match="non-parallel"):
+        generic_directions(space, m, None)
+    assert len(calls) == 101
 
 
 # -- predictors -------------------------------------------------------------------
@@ -297,7 +320,61 @@ def test_sweep_of_several_rungs_is_the_measured_error_of_as_many(bump):
     assert errors.tolist() == want
 
 
+def test_sweep_runs_one_rung_by_default(monkeypatch):
+    # criteria 2, 4 and 6 sweep without n_rungs: one ladder step per scale,
+    # handed the midpoint, and no rail
+    sp = make_space("sphere-2")
+    m = sp.point([1.0, 0.0, 0.0])
+    u_dir, v_dir = generic_directions(sp, m, np.random.default_rng(3))
+
+    def rail(*args):
+        raise AssertionError("a one-rung sweep builds no rail")
+
+    monkeypatch.setattr(analysis, "transport_along_geodesic", rail)
+    errors = one_step_error_sweep(sp, m, u_dir, v_dir, [0.2, 0.1])
+    assert errors.shape == (2,)
+
+
+# -- trial sampling ------------------------------------------------------------------
+
+def test_sample_trial_caps_scale_with_a_binding_injectivity_radius():
+    # dist <= 0.9 inj and |u| <= 0.45 inj; with inj = 1 these caps bind
+    # before the fixed ones, 2 and 1
+    sp = Sphere(2)
+    sp.injectivity_radius = 1.0
+    rng = np.random.default_rng(12)
+    dists, norms = [], []
+    for _ in range(200):
+        p, q, u = sample_trial(sp, rng)
+        dists.append(sp.dist(p, q))
+        norms.append(sp.norm(u))
+    assert 0.85 < max(dists) <= 0.9 + 1e-12
+    assert 0.42 < max(norms) <= 0.45 + 1e-12
+
+
+def test_exactness_sweep_excludes_a_trial_at_the_radius(monkeypatch):
+    # the conditions are strict: |log_p(q)| or |u| equal to the injectivity
+    # radius excludes the trial, and a radius above both keeps it
+    sp = Sphere(2)
+    p = sp.point([1.0, 0.0, 0.0])
+    q = sp.exp(p, sp.tangent(p, [0.0, 0.6, 0.2]))
+    dist = sp.norm(sp.log(p, q))
+    short, unit = (sp.tangent(p, [0.0, 0.0, c]) for c in (0.1, 1.0))
+    assert sp.norm(short) < dist < sp.norm(unit) == 1.0
+    for u, inj, excluded in ((short, dist, 1), (unit, 1.0, 1),
+                             (unit, 1.5, 0)):
+        monkeypatch.setattr(analysis, "sample_trial", lambda *args: (p, q, u))
+        sp.injectivity_radius = inj
+        assert analysis.exactness_sweep(sp, ("pole_v2",), 1, None)[1] \
+            == excluded
+
+
 # -- convergence-order fitting -------------------------------------------------------
+
+def test_default_noise_floor_is_100_eps_of_the_problem_scale():
+    eps = np.finfo(float).eps
+    assert default_noise_floor() == 100.0 * eps
+    assert default_noise_floor(3.0) == 100.0 * eps * 3.0
 
 def test_convergence_order_synthetic_quartic():
     scales = np.geomspace(1.0, 0.05, 7)
@@ -344,11 +421,55 @@ def test_convergence_order_requires_four_points_above_floor():
         convergence_order(scales, errors)
 
 
+def test_convergence_order_accepts_exactly_four_points_above_floor():
+    # five scales over one decade; a zero error is masked, not refused
+    scales = np.geomspace(1.0, 0.1, 5)
+    errors = 0.5 * scales ** 3
+    errors[-1] = 0.0
+    rep = convergence_order(scales, errors)
+    assert rep.noise_floor_mask.tolist() == [False] * 4 + [True]
+    assert rep.fitted_slope == pytest.approx(3.0, abs=1e-12)
+    errors[-2] = 0.0
+    with pytest.raises(InsufficientData, match="only 3 points"):
+        convergence_order(scales, errors)
+
+
+def test_convergence_order_masks_an_error_at_the_floor():
+    # at the floor is noise: off the power law, it would bend the slope
+    scales = np.geomspace(1.0, 0.01, 6)
+    errors = 1e-3 * scales ** 2
+    errors[-1] = 1e-9
+    rep = convergence_order(scales, errors, noise_floor=1e-9)
+    assert rep.noise_floor_mask.tolist() == [False] * 5 + [True]
+    assert rep.fitted_slope == pytest.approx(2.0, abs=1e-12)
+
+
+def test_convergence_order_decade_edge():
+    # a decade short by its 1e-12 relative slack is accepted, and one short
+    # by twice the slack is refused
+    decade = 10.0 * (1.0 - 1e-12)
+    rep = convergence_order([decade, 5.0, 3.0, 2.0, 1.0],
+                            [decade ** 2, 25.0, 9.0, 4.0, 1.0])
+    assert rep.fitted_slope == pytest.approx(2.0, abs=1e-12)
+    short = 10.0 * (1.0 - 2e-12)
+    with pytest.raises(InsufficientData, match="decade"):
+        convergence_order([short, 5.0, 3.0, 2.0, 1.0], [1.0] * 5)
+
+
+def test_convergence_order_of_constant_errors_has_r_squared_one():
+    # ss_tot = 0: the flat line fits exactly
+    rep = convergence_order(np.geomspace(1.0, 0.1, 5), [0.01] * 5)
+    assert rep.fitted_slope == 0.0
+    assert rep.r_squared == 1.0
+
+
 def test_convergence_order_validates_shapes():
     with pytest.raises(ValueError):
         convergence_order([0.1, 0.2], [1.0])
     with pytest.raises(ValueError):
         convergence_order([0.5, 0.25, -0.1, 0.05, 0.02], [1, 1, 1, 1, 1])
+    with pytest.raises(ValueError, match="positive"):
+        convergence_order([0.5, 0.25, 0.0, 0.05, 0.02], [1, 1, 1, 1, 1])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

@@ -21,6 +21,7 @@ from geoladders import (
     Unsupported,
     christoffels_from_metric,
     curvature_components,
+    generic_directions,
     geodesic_flow,
     log_shooting,
     make_chart,
@@ -195,6 +196,21 @@ def test_random_points_are_members_of_the_chart():
     conn = dataclasses.replace(flat_chart(), interior=lambda x: x[0] > 0.6)
     with pytest.raises(Unsupported, match="1000 draws"):
         ChartSpace("far", conn, anchor=[0.7, 0.0]).random_point(rng)
+
+
+def test_chart_space_without_a_metric():
+    # the tangent basis is the coordinate one, generic directions compare
+    # by the component cosine, and nothing measures a norm
+    space = ChartSpace("flat-2", make_chart("flat-2"))
+    assert not space.has_metric
+    m = space.point([0.2, -0.1])
+    assert np.array_equal(space.tangent_basis(m), np.eye(2))
+    u, v = generic_directions(space, m, np.random.default_rng(4))
+    for d in (u, v):
+        assert math.isclose(math.hypot(*d.components), 1.0, abs_tol=1e-15)
+    assert abs(float(u.components @ v.components)) <= 0.95
+    with pytest.raises(Unsupported, match="no metric"):
+        space.norm(u)
 
 
 # both lie in the chart's box: (0.9, 0.9) outside the unit disc, the second

@@ -5,6 +5,8 @@ import pytest
 
 from geoladders import (
     Euclidean,
+    analysis,
+    core,
     InvalidBase,
     NonFinite,
     Point,
@@ -96,6 +98,32 @@ def test_vectors_from_different_bases_do_not_combine():
     b = TangentVector(q, [1.0, 0.0])
     with pytest.raises(InvalidBase):
         a + b
+
+
+def test_vectors_at_one_point_object_skip_the_base_comparison(monkeypatch):
+    # a Point object is its own base, as in _check_base: only an equal but
+    # distinct base point is compared, and another space's is refused
+    calls = []
+    same_base = core._same_base
+    monkeypatch.setattr(core, "_same_base", lambda a, b: (
+        calls.append(1) or same_base(a, b)))
+    p = Point([0.3, -0.2], "euclidean-2")
+    a = TangentVector(p, [1.0, 2.0])
+    b = TangentVector(p, [0.5, -1.0])
+    assert np.array_equal((a - b).components, [0.5, 3.0])
+    assert np.array_equal((a + b).components, [1.5, 1.0])
+    assert calls == []
+    c = TangentVector(Point(p.coords.copy(), "euclidean-2"), [1.0, 0.0])
+    assert np.array_equal((a + c).components, [2.0, 2.0])
+    assert len(calls) == 1
+    d = TangentVector(Point(p.coords.copy(), "euclidean-3"), [1.0, 0.0])
+    with pytest.raises(InvalidBase):
+        a + d
+    # each step minus its oracle in the exactness sweep shares q
+    for name in ("sphere-2", "spd-3"):
+        analysis.exactness_sweep(make_space(name), analysis.POLE_SCHEMES, 3,
+                                 np.random.default_rng(5))
+    assert len(calls) == 1
 
 
 def test_exp_rejects_vector_based_elsewhere():

@@ -180,6 +180,21 @@ def test_single_rung_reduces_to_step():
     assert np.array_equal(res.vector.components, direct.components)
 
 
+def test_rail_runs_one_rung_by_default(monkeypatch):
+    # n rungs of pole_v2 make 2n - 1 symmetries: one without n_rungs
+    sp = make_space("sphere-2")
+    p = sp.point([1.0, 0.0, 0.0])
+    q = sp.exp(p, sp.tangent(p, [0.0, 0.8, 0.3]))
+    u = sp.tangent(p, [0.0, -0.2, 0.4])
+    calls, symmetry = [], sp.geodesic_symmetry
+    monkeypatch.setattr(sp, "geodesic_symmetry", lambda *args: (
+        calls.append(args) or symmetry(*args)))
+    res = transport_along_geodesic(sp, p, q, u)
+    assert len(calls) == 1
+    want = transport_along_geodesic(sp, p, q, u, 1, "pole_v2")
+    assert np.array_equal(res.vector.components, want.vector.components)
+
+
 def test_euclidean_driver_exact_any_rungs():
     space = make_space("euclidean-3")
     p = space.point([0.0, 0.0, 1.0])
