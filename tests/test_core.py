@@ -5,8 +5,6 @@ import pytest
 
 from geoladders import (
     Euclidean,
-    analysis,
-    core,
     InvalidBase,
     NonFinite,
     Point,
@@ -14,6 +12,8 @@ from geoladders import (
     TangentVector,
     ToleranceConfig,
     Unsupported,
+    analysis,
+    core,
     make_space,
 )
 

@@ -7,8 +7,9 @@ dropped.  Every mutant is written into a temporary copy of the tree, never
 into the working tree, and Tier-1 (``tests`` and ``perfbench``, the module's
 own test file first) runs on it with ``-x`` under a timeout.  A mutant the
 tests pass survives.  Survivors reviewed as equivalent are listed with their
-reasons in ``equivalent_mutants.json`` next to this script, so the report
-names only new ones; the exit status is 1 when there are any.
+reasons in ``equivalent_mutants.json`` next to this script, as
+``{"mutant": "<key as the report prints it>", "reason": "..."}``, so the
+report names only new ones; the exit status is 1 when there are any.
 
     python tools/mutants.py src/geoladders/ladders.py src/geoladders/analysis.py
     python tools/mutants.py --list src/geoladders/ladders.py
