@@ -24,8 +24,8 @@ import numpy as np
 
 from .core import (ConnectionSpace, InsufficientData, NonFinite, Point,
                    TangentVector, _require_finite, _unit_direction)
-from .ladders import (_POLES, _TAKES_MIDPOINT, _Openings, _Rung,
-                      ladder_step, transport_along_geodesic)
+from .ladders import (_TAKES_MIDPOINT, _rung, _sign, ladder_step,
+                      transport_along_geodesic)
 
 __all__ = [
     "ConvergenceReport",
@@ -137,9 +137,10 @@ def pole_error_predicted(space: ConnectionSpace, m: Point, u: TangentVector,
     if scheme == "pole_avg":
         return 0.5 * (pole_error_predicted(space, m, u, v)
                       - pole_error_predicted(space, m, u, -v))
-    if scheme not in _POLES:
+    sign = _sign(scheme)
+    if not sign:
         raise ValueError(f"no leading-term predictor for {scheme!r}")
-    if _POLES[scheme][0] == -1:
+    if sign == -1:
         return -pole_error_predicted(space, m, u, -v)
     # m, u and v checked once, then the two contractions on their
     # components: the elementwise operations of the vector arithmetic
@@ -271,7 +272,7 @@ def exactness_sweep(space: ConnectionSpace, schemes, trials: int,
         oracle = TangentVector(q, space.exp_transport(u, w).components)
         # space.midpoint(p, q), from the log already taken
         m = space.geodesic(p, w, (0.5,))[0]
-        rung = _Rung(space, p, q, _Openings(space, p, u), m)
+        rung = _rung(space, p, q, u, m)
         for kind in schemes:
             diff = rung.step(kind) - oracle
             try:

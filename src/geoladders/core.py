@@ -228,7 +228,9 @@ class TangentVector:
         return _norm(self.components)
 
     def _require_same_base(self, other: "TangentVector"):
-        a, b = self.base, other.base  # one Point is its own base
+        # one Point is its own base, its coordinates finite or not; a space
+        # refuses a non-finite base when it is used
+        a, b = self.base, other.base
         if a is not b and (a.space_id != b.space_id
                            or not _same_base(a.coords, b.coords)):
             raise InvalidBase("cannot combine vectors from different tangent spaces")

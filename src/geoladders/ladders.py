@@ -12,17 +12,10 @@ into the step, u_q = -log_q(s_m(exp_p(u))), so callers always receive +u_q.
 A pole kind is one row of ``_POLES``: the sign σ of the point exp_p(σu) it
 opens at, and the rule that reflects that point through the midpoint m of
 [p, q]; its step is -σ log_q(z) of the reflected point z.  Every step reads
-its kind from a rung record, which holds the step's inputs and m and makes
-on first use, and keeps, the opening points, the reflected points and the
-steps, so several kinds read from one record make each map once.  As in the
-paper's analysis, where p = exp_m(-v) and q = exp_m(v), m is an input: a
-caller that built p and q from m, or a rail that holds it, passes it, and
-the record skips the log and exp of ``space.midpoint``.  Without it the
-record computes m itself.  Schild's ladder reflects through the midpoint of
-another segment, [exp_p(u), q], and takes none.  The multi-rung driver
-builds its whole rail, midpoints included, with one ``space.geodesic`` call,
-and opens each rung at the symmetry of the point its predecessor reflected,
-so a pole rail makes one closing log in all.
+its kind from a rung record, ``_Rung``, which makes each map once for all
+the kinds read from it.  As in the paper's analysis, where p = exp_m(-v)
+and q = exp_m(v), m is an input: a caller or a rail that holds it hands it
+on, and the record skips the log and exp of ``space.midpoint``.
 """
 
 from __future__ import annotations
@@ -63,6 +56,11 @@ _POLES = {
 }
 
 
+def _sign(kind: str) -> int:
+    """σ of a kind in _POLES, 0 for any other kind."""
+    return _POLES[kind][0] if kind in _POLES else 0
+
+
 class _Openings(dict):
     """The points exp_p(σu) a rung opens at, by sign σ, each made on first
     use; a rail files the one point it hands on in a plain dict instead."""
@@ -79,12 +77,9 @@ class _Openings(dict):
 
 class _Rung:
     """One step's inputs (space, p, q, the openings exp_p(σu) by sign σ and
-    the midpoint m of [p, q]) and, each made on first use and kept, m, the
-    points the pole kinds reflect to and the steps, one per kind.
-
-    A given midpoint is the caller's contract and is not verified; without
-    it the record computes space.midpoint(p, q) when a kind first reads m.
-    """
+    the midpoint m of [p, q], given and not verified, or else computed on
+    first read) and, made on first use and kept, the points the pole kinds
+    reflect to and the steps, one per kind."""
 
     def __init__(self, space: ConnectionSpace, p: Point, q: Point,
                  opened: dict, m: Point | None = None):
@@ -108,12 +103,18 @@ class _Rung:
     def step(self, kind: str) -> TangentVector:
         """The step of the kind, one of LADDER_KINDS."""
         if kind not in self._steps:
-            if kind in _POLES:
+            if _sign(kind):
                 log = self.space.log(self.q, self.reflected(kind))
-                self._steps[kind] = -log if _POLES[kind][0] == 1 else log
+                self._steps[kind] = -log if _sign(kind) == 1 else log
             else:
                 self._steps[kind] = _OTHERS[_kind(kind)](self)
         return self._steps[kind]
+
+
+def _rung(space: ConnectionSpace, p: Point, q: Point, u: TangentVector,
+          m: Point | None = None) -> _Rung:
+    """The record of one step of u from p to q, opening at exp_p(±u)."""
+    return _Rung(space, p, q, _Openings(space, p, u), m)
 
 
 def _schild(r: _Rung) -> TangentVector:
@@ -156,7 +157,7 @@ def ladder_step(space: ConnectionSpace, p: Point, q: Point, u: TangentVector,
     ``midpoint``, the midpoint m of [p, q], when the caller holds it, and
     does not verify it; Schild's step ignores it.
     """
-    return _Rung(space, p, q, _Openings(space, p, u), midpoint).step(scheme)
+    return _rung(space, p, q, u, midpoint).step(scheme)
 
 
 def transport_along_geodesic(space: ConnectionSpace, p: Point, q: Point,
@@ -167,10 +168,9 @@ def transport_along_geodesic(space: ConnectionSpace, p: Point, q: Point,
     The vector is scaled by 1/n_rungs before the fold and by n_rungs after,
     so each rung carries a vector as short as its segment; a rung failure
     re-raises the underlying error object, with its attributes intact and
-    the failing rung index prefixed to its message.  The rail comes from
-    one ``space.geodesic`` call along the one log of [p, q]; for the pole
-    kinds it runs at half steps, and each rung is handed its midpoint from
-    it, so a rung shoots no log to find it.
+    the failing rung index prefixed to its message.  The rail, midpoints
+    included for the pole kinds, comes from one ``space.geodesic`` call
+    along the one log of [p, q], so a rung shoots no log to find them.
 
     A rung of a kind in _POLES would close with the step u' = -σ log_q(z),
     and the next rung would open at exp_q(σu'), which is the symmetry
@@ -195,7 +195,7 @@ def transport_along_geodesic(space: ConnectionSpace, p: Point, q: Point,
     # (1 / scaling) * current, not n_rungs * current: the two differ in the
     # last bit for some n_rungs
     scaling = 1.0 / n_rungs
-    sign = _POLES[scheme][0] if scheme in _POLES else 0
+    sign = _sign(scheme)
     current, z = scaling * u, None
     for i in range(n_rungs):
         try:

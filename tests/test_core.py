@@ -119,11 +119,23 @@ def test_vectors_at_one_point_object_skip_the_base_comparison(monkeypatch):
     d = TangentVector(Point(p.coords.copy(), "euclidean-3"), [1.0, 0.0])
     with pytest.raises(InvalidBase):
         a + d
+    # one Point with a non-finite coordinate is still its own base: the sum
+    # is made, and a space refuses its base when it is used
+    bad = Point([math.nan, 0.0], "euclidean-2")
+    e = TangentVector(bad, [1.0, 0.0]) + TangentVector(bad, [0.0, 1.0])
+    assert e.base is bad and np.array_equal(e.components, [1.0, 1.0])
+    assert len(calls) == 1
+    with pytest.raises(NonFinite):
+        Euclidean(2).exp(bad, e)
+    with pytest.raises(InvalidBase):
+        TangentVector(bad, [1.0, 0.0]) + TangentVector(
+            Point(bad.coords.copy(), "euclidean-2"), [1.0, 0.0])
+    assert len(calls) == 2
     # each step minus its oracle in the exactness sweep shares q
     for name in ("sphere-2", "spd-3"):
         analysis.exactness_sweep(make_space(name), analysis.POLE_SCHEMES, 3,
                                  np.random.default_rng(5))
-    assert len(calls) == 1
+    assert len(calls) == 2
 
 
 def test_exp_rejects_vector_based_elsewhere():

@@ -5,14 +5,15 @@ swapped; < and <=, > and >=, == and != swapped; a numeric constant doubled
 (an int raised by 1, a zero float made 1.0); a ``not`` or a unary minus
 dropped.  Every mutant is written into a temporary copy of the tree, never
 into the working tree, and Tier-1 (``tests`` and ``perfbench``, the module's
-own test file first) runs on it with ``-x`` under a timeout.  A mutant the
-tests pass survives.  Survivors reviewed as equivalent are listed with their
-reasons in ``equivalent_mutants.json`` next to this script, as
+own test file first) runs on it with ``-x`` under a timeout of TIMEOUT
+seconds, in as many tree copies at once as the machine has cores.  A mutant
+the tests pass survives; one that runs out of time counts as timed out.
+Survivors reviewed as equivalent are listed with their reasons in
+``equivalent_mutants.json`` next to this script, as
 ``{"mutant": "<key as the report prints it>", "reason": "..."}``, so the
 report names only new ones; the exit status is 1 when there are any.
 
     python tools/mutants.py src/geoladders/ladders.py src/geoladders/analysis.py
-    python tools/mutants.py --list src/geoladders/ladders.py
 
 Standard library only; it is a development tool, not a test step.
 """
@@ -35,6 +36,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 EQUIVALENT = Path(__file__).resolve().with_name("equivalent_mutants.json")
+TIMEOUT = 300.0  # seconds per test run; Tier-1 takes well under a minute
 
 _SWAPS = {
     ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Div, ast.Div: ast.Mult,
@@ -133,14 +135,14 @@ def mutants(module: Path):
     return out
 
 
-def _run_tests(tree: Path, module: Path, timeout: float) -> str:
+def _run_tests(tree: Path, module: Path) -> str:
     """'killed', 'timeout' or 'survived' for the tree as it stands."""
     own = Path("tests") / f"test_{module.stem}.py"
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
            *([str(own)] if (tree / own).exists() else []), "tests", "perfbench"]
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     try:
-        proc = subprocess.run(cmd, cwd=tree, env=env, timeout=timeout,
+        proc = subprocess.run(cmd, cwd=tree, env=env, timeout=TIMEOUT,
                               stdout=subprocess.DEVNULL,
                               stderr=subprocess.DEVNULL)
     except subprocess.TimeoutExpired:
@@ -148,7 +150,7 @@ def _run_tests(tree: Path, module: Path, timeout: float) -> str:
     return "survived" if proc.returncode == 0 else "killed"
 
 
-def _pass(module: Path, plan, trees, equivalent, timeout) -> int:
+def _pass(module: Path, plan, trees, equivalent) -> int:
     """Run every mutant of one module; prints the survivors and a count
     line, and returns the number of survivors not listed as equivalent."""
     rel = module.relative_to(ROOT)
@@ -157,7 +159,7 @@ def _pass(module: Path, plan, trees, equivalent, timeout) -> int:
     baseline = ast.unparse(ast.parse(module.read_text(encoding="utf-8")))
     for tree in trees:
         (tree / rel).write_text(baseline, encoding="utf-8")
-    if _run_tests(trees[0], module, timeout) != "survived":
+    if _run_tests(trees[0], module) != "survived":
         raise SystemExit(f"{rel}: the tests fail on the unmutated module")
     free, start = queue.Queue(), time.monotonic()
     for tree in trees:
@@ -168,7 +170,7 @@ def _pass(module: Path, plan, trees, equivalent, timeout) -> int:
         tree = free.get()
         try:
             (tree / rel).write_text(source, encoding="utf-8")
-            return key, line, _run_tests(tree, module, timeout)
+            return key, line, _run_tests(tree, module)
         finally:
             (tree / rel).write_text(baseline, encoding="utf-8")
             free.put(tree)
@@ -199,31 +201,17 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("modules", nargs="+", type=Path,
                     help="module files under src/, e.g. src/geoladders/ladders.py")
-    ap.add_argument("--jobs", type=int, default=1,
-                    help="tree copies tested at once (default 1)")
-    ap.add_argument("--timeout", type=float, default=300.0,
-                    help="seconds per test run; a mutant that runs longer "
-                         "counts as timed out, not as surviving (default 300)")
-    ap.add_argument("--list", action="store_true",
-                    help="print the mutants' lines and keys and run nothing")
     args = ap.parse_args(argv)
-    if args.jobs < 1:
-        ap.error("--jobs must be at least 1")
     equivalent = {e["mutant"]: e["reason"]
                   for e in json.loads(EQUIVALENT.read_text(encoding="utf-8"))}
     modules = [m.resolve() for m in args.modules]
     plans = {m: mutants(m) for m in modules}
-    if args.list:
-        for m in modules:
-            for key, line, _ in plans[m]:
-                print(f"{line:5d}  {key}")
-        return 0
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
-        trees = [Path(tmp) / f"tree{j}" for j in range(args.jobs)]
+        trees = [Path(tmp) / f"tree{j}" for j in range(os.cpu_count() or 1)]
         for tree in trees:
             shutil.copytree(ROOT, tree, ignore=shutil.ignore_patterns(
                 ".git", "__pycache__", ".pytest_cache", "out", "*.egg-info"))
-        survivors = sum(_pass(m, plans[m], trees, equivalent, args.timeout)
+        survivors = sum(_pass(m, plans[m], trees, equivalent)
                         for m in modules)
     return 1 if survivors else 0
 
