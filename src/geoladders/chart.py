@@ -3,19 +3,19 @@
 Given a chart and a callable producing the symbols G^k_ij at a point, this
 module integrates the geodesic equation, inverts it by shooting, solves the
 parallel-transport ODE along geodesics, and assembles the curvature tensor
-and its covariant derivative from central finite differences.  One
-contraction G(x)(v, w) serves geodesics, transports and the shooting's
-first guess.  The ODEs are integrated by the module's own step loop of the
-Dormand-Prince 8(5,3) pair, which takes scipy's DOP853 steps with its
-coefficients, error norm and step control, but checks the chart's box, a
-step budget and that each step moves the state as it goes, and evaluates
-the derivative at a step's end only when the step is accepted and another
-follows, whose first stage it is.  On a 2-d conformal chart the shooting's
-first trial carries the surface's scalar Jacobi equation with the geodesic;
-it only seeds the quasi-Newton solve, so it runs at a looser tolerance than
-the flows that decide convergence.  The loop holds scipy's tableau as
-literals, pinned equal to scipy's by a test, so importing the module does
-not load scipy.
+and its covariant derivative from central finite differences, each stencil
+held to the chart's domain.  One contraction G(x)(v, w) serves geodesics,
+transports and the shooting's first guess.  The ODEs are integrated by the
+module's own step loop of the Dormand-Prince 8(5,3) pair, which takes
+scipy's DOP853 steps with its coefficients, error norm and step control,
+but checks the chart's box, a step budget and that each step moves the
+state as it goes, and evaluates the derivative at a step's end only when
+the step is accepted and another follows, whose first stage it is.  On a
+2-d conformal chart the shooting's first trial carries the surface's scalar
+Jacobi equation with the geodesic; it only seeds the quasi-Newton solve, so
+it runs at a looser tolerance than the flows that decide convergence.  The
+loop holds scipy's tableau as literals, pinned equal to scipy's by a test,
+so importing the module does not load scipy.
 
 At the dimensions of these charts numpy's per-call cost exceeds the
 arithmetic, and so do loops and comprehensions over the state.  Each ODE's
@@ -45,7 +45,7 @@ import linecache
 import math
 import textwrap
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from operator import le
 from typing import Callable, NamedTuple, Sequence
 
@@ -58,7 +58,6 @@ from .core import (
     NoConvergence,
     NonFinite,
     Point,
-    TangentVector,
     ToleranceConfig,
     Unsupported,
     _dot,
@@ -598,12 +597,13 @@ def _dop853(conn: ChartConnection, kernel: _Kernel, z: list, f: list,
 
 
 def _integrate(conn: ChartConnection, kernel: _Kernel, z: list, t: float,
-               tolerances: ToleranceConfig) -> list:
+               rtol: float, atol: float) -> list:
     # the Dormand-Prince 8(5,3) pair with local error control at the
-    # ToleranceConfig ODE tolerances; at their tight defaults it takes fewer,
-    # longer steps than a 4(5) pair.  The geodesic, transport and Jacobi
-    # equations are autonomous, so rhs takes the state alone, a list of
-    # Python floats.  The caller has entered _quiet()
+    # relative and absolute tolerances rtol and atol; at the tight
+    # ToleranceConfig defaults it takes fewer, longer steps than a 4(5)
+    # pair.  The geodesic, transport and Jacobi equations are autonomous,
+    # so rhs takes the state alone, a list of Python floats.  The caller
+    # has entered _quiet()
     if not 0.0 <= t < math.inf:
         raise ValueError(
             f"integration time must be finite and non-negative, got {t}")
@@ -632,8 +632,7 @@ def _integrate(conn: ChartConnection, kernel: _Kernel, z: list, t: float,
     if not h0 > 0.0:
         raise DomainEscape(
             f"initial derivative of norm {fnorm:.3g} overflows the state")
-    return _dop853(conn, kernel, z, f0, t, h0, tolerances.ode_rel_tol,
-                   tolerances.ode_abs_tol)[0]
+    return _dop853(conn, kernel, z, f0, t, h0, rtol, atol)[0]
 
 
 def _quiet():
@@ -650,10 +649,10 @@ def geodesic_flow(conn: ChartConnection, x, v, t: float = 1.0,
 
     Returns the (position, velocity) pair at time t.
     """
-    d = conn.dim
+    d, tol = conn.dim, tolerances or _DEFAULT_TOLERANCES
     with _quiet():
         z = _integrate(conn, conn._geodesic, _chart_state(d, x, v), t,
-                       tolerances or _DEFAULT_TOLERANCES)
+                       tol.ode_rel_tol, tol.ode_abs_tol)
     return np.array(z[:d]), np.array(z[d:])
 
 
@@ -671,7 +670,7 @@ def _chart_state(d: int, *vectors) -> list:
     return z
 
 
-def _jacobi_flow(conn: ChartConnection, x, v, tolerances: ToleranceConfig):
+def _jacobi_flow(conn: ChartConnection, x, v, rtol: float, atol: float):
     """Endpoint of the geodesic from x with velocity v at t = 1, and the
     Jacobian of that endpoint in v, on a 2-d conformal connection with
     ``hess_f``: a list of Python floats and the Jacobian's rows as lists of
@@ -684,15 +683,16 @@ def _jacobi_flow(conn: ChartConnection, x, v, tolerances: ToleranceConfig):
     euclidean, K |x'|_g^2 = -(f_00 + f_11) |v|^2, so one flow carries the
     state (x, v, b, b'), and with v_1 = x'(1) the Jacobian is
     (v_1 v^T + b(1) R v_1 (R v)^T) / |v|^2, the identity at v = 0.  Only
-    the geodesic is error-controlled, by a plain flow's error norm, so the
-    flow takes about a plain flow's steps, though not the same ones: its
-    start rule sees the whole state.  The Jacobian comes out accurate to a
-    few 1e-12 at the default tolerances; log_shooting runs the flow at the
-    looser ``_seed_tolerances``.
+    the geodesic is error-controlled, at the relative and absolute
+    tolerances rtol and atol, by a plain flow's error norm, so the flow
+    takes about a plain flow's steps, though not the same ones: its start
+    rule sees the whole state.  The Jacobian comes out accurate to a few
+    1e-12 at the default tolerances; log_shooting runs the flow at a looser
+    relative tolerance, 1e-9 at the default 1e-12.
     """
     # the geodesic's rows are a plain flow's, bit for bit
     z0 = [*map(float, x), *map(float, v), 0.0, 1.0]
-    z = _integrate(conn, conn._jacobi, z0, 1.0, tolerances)
+    z = _integrate(conn, conn._jacobi, z0, 1.0, rtol, atol)
     # over u = v / |v| and w = v_1 / |v|, so that a tiny v neither underflows
     # nor divides by zero: w u^T + b(1) Rw (Ru)^T, with R(a, c) = (-c, a)
     n = math.hypot(z0[2], z0[3])
@@ -727,20 +727,6 @@ def _shooting_start(conn: ChartConnection, x, d):
             else d)
 
 
-@functools.lru_cache(maxsize=16)
-def _seed_tolerances(tolerances: ToleranceConfig) -> ToleranceConfig:
-    """The tolerances of the Jacobi flow that seeds a shooting solve: its
-    relative tolerance is the solve's to the power 3/4, 1e-9 at the default
-    1e-12, and never tighter than the solve's.  The seed's endpoint and
-    Jacobian only start the quasi-Newton iteration, which decides
-    convergence on the flows ``exp`` integrates at the solve's own
-    tolerance, so a seed more accurate than its first step buys nothing
-    (inexact Newton: Dembo, Eisenstat & Steihaug, 1982).  Built once per
-    ToleranceConfig value: the frozen dataclass hashes by its fields."""
-    rtol = tolerances.ode_rel_tol
-    return replace(tolerances, ode_rel_tol=max(rtol, rtol ** 0.75))
-
-
 def log_shooting(conn: ChartConnection, x, y,
                  tolerances: ToleranceConfig | None = None):
     """Solve exp_x(v) = y for v by a quasi-Newton solve on the endpoint residual.
@@ -750,11 +736,12 @@ def log_shooting(conn: ChartConnection, x, y,
     difference y - x where that series is far off, and the first trial
     integrates the surface's scalar Jacobi equation with the geodesic
     (``_jacobi_flow``), which gives the Jacobian of the endpoint map at the
-    guess.  That trial only seeds the solve, so it runs at
-    ``_seed_tolerances``, a relative tolerance of 1e-9 at the default
-    1e-12; every later trial, and the flow that confirms a guess, is the
-    plain flow ``exp`` integrates at ``ode_rel_tol``, so a returned v meets
-    the target on ``exp``'s map.  On every other chart, one with only
+    guess.  That trial only seeds the solve, so it runs at a relative
+    tolerance of ode_rel_tol ** 0.75, 1e-9 at the default 1e-12, never
+    tighter than ode_rel_tol; every later trial, and the flow that confirms
+    a guess, is the plain flow ``exp`` integrates at ``ode_rel_tol``, so a
+    returned v meets the target on ``exp``'s map.  On every other chart, one
+    with only
     symbols, without ``hess_f`` or of another dimension, the guess is the
     chart difference, the first trial a plain geodesic integration, and the
     Jacobian starts from its first-order model I - G(x)(v, .).  Either guess
@@ -796,10 +783,10 @@ def log_shooting(conn: ChartConnection, x, y,
 def _shoot(conn: ChartConnection, x: list, y: list,
            tolerances: ToleranceConfig):
     """log_shooting's solve from x to y, both inside the chart's domain."""
-    max_iters = tolerances.max_shooting_iters
+    max_iters, rtol = tolerances.max_shooting_iters, tolerances.ode_rel_tol
     # the endpoint carries integration error of order ode_rel_tol, so the
     # residual target sits a decade above it, and never below 1e-11
-    residual_tol = max(10.0 * tolerances.ode_rel_tol, 1e-11)
+    residual_tol = max(10.0 * rtol, 1e-11)
 
     def failed(rnorm, err):
         # a trial velocity that stalls the integrator or escapes the chart is
@@ -828,7 +815,13 @@ def _shoot(conn: ChartConnection, x: list, y: list,
     else:
         v = _shooting_start(conn, x, v)
         try:
-            end, jac = _jacobi_flow(conn, x, v, _seed_tolerances(tolerances))
+            # the seed's endpoint and Jacobian only start the quasi-Newton
+            # iteration, which decides convergence on the flows exp
+            # integrates at rtol, so a seed more accurate than its first
+            # step buys nothing (inexact Newton: Dembo, Eisenstat &
+            # Steihaug, 1982): rtol ** 0.75, 1e-9 at the default 1e-12
+            end, jac = _jacobi_flow(conn, x, v, max(rtol, rtol ** 0.75),
+                                    tolerances.ode_abs_tol)
         except (MaxStepsExceeded, DomainEscape) as err:
             raise failed(rnorm, err) from err
         res = [a - b for a, b in zip(end, y)]
@@ -911,10 +904,10 @@ def transport_ode(conn: ChartConnection, u, x, v, t: float = 1.0,
     The transport is integrated jointly with the geodesic so the curve and
     the vector stay consistent.  Returns (u_t, position_t, velocity_t).
     """
-    d = conn.dim
+    d, tol = conn.dim, tolerances or _DEFAULT_TOLERANCES
     with _quiet():
         z = _integrate(conn, conn._transport, _chart_state(d, x, v, u), t,
-                       tolerances or _DEFAULT_TOLERANCES)
+                       tol.ode_rel_tol, tol.ode_abs_tol)
     return np.array(z[2 * d:]), np.array(z[:d]), np.array(z[d:2 * d])
 
 
@@ -935,13 +928,16 @@ def curvature_components(conn: ChartConnection, x) -> np.ndarray:
     R^l_ijk = d_i G^l_jk - d_j G^l_ik + G^l_im G^m_jk - G^l_jm G^m_ik, with the
     Christoffel derivatives taken by central differences.  The result is
     antisymmetrized in (i, j), which the exact tensor satisfies, so the skew
-    symmetry holds to the last bit.
+    symmetry holds to the last bit.  x and every point of its stencil must
+    lie in the chart's box and pass its interior test, as the states of an
+    integration do; DomainEscape otherwise.
     """
     x = np.asarray(x, dtype=float)
     h = _FD_STEP * max(1.0, float(np.max(np.abs(x))))
-    if not all(conn.in_bounds(x + dx) and conn.in_bounds(x - dx)
-               for dx in h * np.eye(conn.dim)):
-        raise DomainEscape("finite-difference stencil left the chart bounds")
+    steps = h * np.eye(conn.dim)
+    if not all(_inside(conn, y) for y in (x, *(x + steps), *(x - steps))):
+        raise DomainEscape(
+            f"finite-difference stencil at {x} left the chart's domain")
     # dg[m, k, i, j] = d_m G^k_ij
     dg = _central_differences(conn.gamma, x, h)
     g = conn.gamma(x)
@@ -959,7 +955,8 @@ def nabla_curvature_components(conn: ChartConnection, x) -> np.ndarray:
     +G^l_ma R^a_ijk for the upper slot and -G^a_m* R...a... for each of the
     three lower slots.  The outer finite-difference step is wider than the
     one inside R so the nested differencing stays above the noise of the
-    inner stencil.
+    inner stencil.  Each R it differences holds its stencil to the chart's
+    domain, so a point of the outer stencil outside it raises DomainEscape.
     """
     x = np.asarray(x, dtype=float)
     h = _NABLA_FD_STEP * max(1.0, float(np.max(np.abs(x))))
@@ -1049,14 +1046,6 @@ class ChartSpace(ConnectionSpace):
 
     def _log(self, x, y):
         return log_shooting(self.conn, x, y, self.tolerances)[0]
-
-    def log_stats(self, p: Point, q: Point):
-        self._check_point(p)
-        self._check_point(q)
-        if p.coords.tolist() == q.coords.tolist():
-            return TangentVector(p, np.zeros(self.ambient_dim)), 0
-        v, iters = log_shooting(self.conn, p.coords, q.coords, self.tolerances)
-        return TangentVector(p, v), iters
 
     def _exp_transport(self, x, u, v):
         # one transport ODE carries the geodesic and the vector together

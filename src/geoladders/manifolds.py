@@ -553,7 +553,7 @@ def _hat(w):
 def _rodrigues(w0, w1, w2):
     """expm(hat(w)) = I + a K + b K^2, K = hat(w), as 9 row-major floats."""
     theta = math.sqrt(w0 * w0 + w1 * w1 + w2 * w2)
-    if theta < 1e-8:
+    if theta < _SMALL_ANGLE:
         a = 1.0 - theta * theta / 6.0
         b = 0.5 - theta * theta / 24.0
     else:
@@ -572,6 +572,11 @@ def _body_vec(r, v):
     return 0.5 * (a[7] - a[5]), 0.5 * (a[2] - a[6]), 0.5 * (a[3] - a[1])
 
 
+# below this rotation angle the Rodrigues coefficients sin(t) / t and
+# (1 - cos(t)) / t^2 and the log's t / sin(t) are read off their Taylor
+# series, whose first omitted terms are under 1e-33, for the closed forms
+# divide by a vanishing t and 1 - cos(t) has lost every digit there
+_SMALL_ANGLE = 1e-8
 _BRANCH_TOL = 1e-6
 
 
@@ -616,7 +621,7 @@ class RotationGroup(ConnectionSpace):
         r = x.tolist()
         w0, w1, w2 = _body_vec(r, v.tolist())
         theta = math.sqrt(w0 * w0 + w1 * w1 + w2 * w2)
-        if theta < 1e-8:
+        if theta < _SMALL_ANGLE:
             return super()._geodesic(x, v, times)
         # Rodrigues at angle a = t theta, written without dividing by a:
         # R expm(t K) = R + sin(a) / theta R K + 2 sin^2(a / 2) / theta^2 R K^2
@@ -640,7 +645,7 @@ class RotationGroup(ConnectionSpace):
         theta = math.atan2(s, c)
         if theta > math.pi - _BRANCH_TOL:
             raise CutLocus("rotation angle at the cut locus (pi)")
-        f = 1.0 + theta * theta / 6.0 if theta < 1e-8 else theta / s
+        f = 1.0 + theta * theta / 6.0 if theta < _SMALL_ANGLE else theta / s
         return np.array(_mul3(r, _hat3(f * a0, f * a1, f * a2)))
 
     def _exp_transport(self, x, u, v):

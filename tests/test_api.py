@@ -161,7 +161,7 @@ def test_contract_methods_are_pinned():
 
 @pytest.mark.parametrize("cls", [manifolds.Euclidean, manifolds.Sphere,
                                  manifolds.Hyperbolic, manifolds.SPD,
-                                 manifolds.RotationGroup,
+                                 manifolds.RotationGroup, chart.ChartSpace,
                                  manifolds.BumpMetric2D])
 def test_spaces_override_only_the_constraint_and_sampling_methods(cls):
     # a space supplies kernels; the public methods, which check the points

@@ -63,6 +63,9 @@ class CountingChristoffel:
 # frozen from a step-halving classical RK4 oracle (Richardson difference
 # below 1e-12 at n = 512 substeps)
 BUMP_EXP_ORACLE = np.array([0.10098092258132939, 0.19865901710410314])
+# the relative and absolute tolerances the integrator takes at the
+# ToleranceConfig defaults
+ODE_TOL = (ToleranceConfig().ode_rel_tol, ToleranceConfig().ode_abs_tol)
 
 
 def richardson_rk4_geodesic(conn, x, v, target=1e-12):
@@ -522,7 +525,7 @@ def test_step_loop_takes_scipys_steps_on_bump_flows(bump, monkeypatch):
         u = rng.normal(size=2)
         geodesic_flow(bump.conn, x, v)
         transport_ode(bump.conn, u, x, v)
-        chart._jacobi_flow(bump.conn, x, v, tol)
+        chart._jacobi_flow(bump.conn, x, v, tol.ode_rel_tol, tol.ode_abs_tol)
     assert len(solves) == 24
     _flows_match_scipy(solves)
 
@@ -572,8 +575,7 @@ def test_step_loop_takes_scipys_steps_on_random_bump_flows(bump, seed):
         solves = _record_solves(mp)
         for run in (lambda: geodesic_flow(bump.conn, x, v),
                     lambda: transport_ode(bump.conn, u, x, v),
-                    lambda: chart._jacobi_flow(bump.conn, x, v,
-                                               bump.tolerances)):
+                    lambda: chart._jacobi_flow(bump.conn, x, v, *ODE_TOL)):
             try:
                 run()
             except DomainEscape:
@@ -903,8 +905,7 @@ def test_shooting_start_is_the_inverse_series_on_the_symbols(name):
 
 def test_jacobi_flow_geodesic_rows_are_the_plain_rhs(bump, monkeypatch):
     solves = _record_solves(monkeypatch)
-    chart._jacobi_flow(bump.conn, _START_X, 0.3 * _START_DIR,
-                       ToleranceConfig())
+    chart._jacobi_flow(bump.conn, _START_X, 0.3 * _START_DIR, *ODE_TOL)
     [((_, jacobi, *_), *_)] = solves
     jacobi_rhs = jacobi.rhs
     plain_rhs = chart._kernel(bump.conn, 0, False).rhs
@@ -1021,7 +1022,7 @@ def test_factor_callbacks_receive_lists_of_floats():
     x, v = [0.3, 0.1], [0.2, -0.1]
     geodesic_flow(conn, x, v)
     transport_ode(conn, [0.0, 1.0], x, v)
-    chart._jacobi_flow(conn, np.array(x), np.array(v), ToleranceConfig())
+    chart._jacobi_flow(conn, np.array(x), np.array(v), *ODE_TOL)
     assert seen == {"grad_f": {(list, float)}, "hess_f": {(list, float)}}
     seen["grad_f"].clear()
     ChartConnection.conformal(2, conn.grad_f).christoffel(np.array(x))
@@ -1036,7 +1037,7 @@ def test_conformal_right_hand_sides_make_no_numpy_call(name, monkeypatch):
     solves = _record_solves(monkeypatch)
     conn = make_chart(name)
     chart._jacobi_flow(conn, np.array([0.2, -0.1]), np.array([0.1, 0.2]),
-                       ToleranceConfig())
+                       *ODE_TOL)
     [((_, jacobi, *_), *_)] = solves
     jacobi_rhs = jacobi.rhs
     states = [(chart._kernel(conn, 0, False).rhs, [0.2, -0.1, 0.1, 0.2]),
@@ -1083,6 +1084,12 @@ def test_factor_callbacks_of_the_wrong_length_raise_value_error(
     for run in runs:
         with pytest.raises(ValueError, match=message):
             run()
+
+
+def test_christoffel_of_the_wrong_shape_raises_value_error():
+    conn = ChartConnection(2, lambda x: np.zeros((2, 2)))
+    with pytest.raises(ValueError, match=r"shape \(2, 2\), expected \(2, 2, 2\)"):
+        geodesic_flow(conn, [0.0, 0.0], [0.1, 0.0])
 
 
 @pytest.mark.parametrize("wall, entry", [
@@ -1163,7 +1170,7 @@ def test_flat_conformal_chart_log_confirms_the_guess_on_a_plain_flow(
     conn = ChartConnection.conformal(2, lambda x: np.zeros(2),
                                      hess_f=lambda x: np.zeros((2, 2)))
     x, y = np.zeros(2), np.ones(2)
-    end, jac = chart._jacobi_flow(conn, x, y - x, ToleranceConfig())
+    end, jac = chart._jacobi_flow(conn, x, y - x, *ODE_TOL)
     assert np.allclose(end, y, atol=1e-12)
     assert np.allclose(jac, np.eye(2), atol=1e-12)
     flows = _flows_failing_after(monkeypatch, math.inf, DomainEscape)
@@ -1314,8 +1321,7 @@ def test_line_search_with_every_trial_escaping_raises_current_residual(
     conn = make_chart("sphere2-stereographic")
     x, y = np.zeros(2), np.array([0.9, 0.4])
     v0 = chart._shooting_start(conn, x, y - x)
-    end, _ = chart._jacobi_flow(conn, x, v0,
-                                chart._seed_tolerances(ToleranceConfig()))
+    end, _ = chart._jacobi_flow(conn, x, v0, ODE_TOL[0] ** 0.75, ODE_TOL[1])
     start = np.linalg.norm(end - y)
     flows = _flows_failing_after(monkeypatch, 0, DomainEscape)
     with pytest.raises(NoConvergence, match="line search") as info:
@@ -1394,9 +1400,6 @@ def test_only_the_shooting_seed_runs_at_the_seed_tolerance(bump, monkeypatch):
     # step and confirmation is a plain flow at the solve's own, the map exp
     # integrates
     tol = bump.tolerances
-    seed = chart._seed_tolerances(tol)
-    assert seed.ode_rel_tol > tol.ode_rel_tol
-    assert seed.ode_abs_tol == tol.ode_abs_tol
     pairs = _bump_log_pairs(bump)
     solves = _record_solves(monkeypatch)
     for x, y in pairs:
@@ -1405,7 +1408,8 @@ def test_only_the_shooting_seed_runs_at_the_seed_tolerance(bump, monkeypatch):
         (first, *_), *rest = solves
         assert len(first[2]) == 6
         assert (*first[-2:], first[1].controlled) == (
-            seed.ode_rel_tol, seed.ode_abs_tol, 4)
+            tol.ode_rel_tol ** 0.75, tol.ode_abs_tol, 4)
+        assert math.isclose(first[-2], 1e-9)
         assert rest
         for args, *_ in rest:
             assert len(args[2]) == 4
@@ -1429,8 +1433,7 @@ def test_a_tighter_shooting_seed_saves_no_iterations(bump, monkeypatch):
     jacobi_flow = chart._jacobi_flow
     monkeypatch.setattr(
         chart, "_jacobi_flow",
-        lambda conn, x, v, tolerances: jacobi_flow(conn, x, v,
-                                                   bump.tolerances))
+        lambda conn, x, v, rtol, atol: jacobi_flow(conn, x, v, *ODE_TOL))
     assert iterations() >= loose
 
 
@@ -1513,7 +1516,7 @@ def test_third_order_guess_falls_back_where_the_connection_fails(beyond):
 def test_jacobi_flow_jacobian_matches_central_differences(name, x, v):
     conn = make_chart(name)
     x, v = np.array(x), np.array(v)
-    end, jac = chart._jacobi_flow(conn, x, v, ToleranceConfig())
+    end, jac = chart._jacobi_flow(conn, x, v, *ODE_TOL)
     # the geodesic rides along with the scalar Jacobi equation
     assert np.abs(end - geodesic_flow(conn, x, v)[0]).max() <= 1e-12
     tight = ToleranceConfig(ode_rel_tol=1e-13, ode_abs_tol=1e-13)
@@ -1531,8 +1534,7 @@ def test_jacobi_flow_reads_gradient_and_hessian_once_per_evaluation(
         bump, monkeypatch):
     solves = _record_solves(monkeypatch)
     counter = CountingChristoffel(bump.conn)
-    chart._jacobi_flow(counter.conn, _START_X, 0.3 * _START_DIR,
-                       ToleranceConfig())
+    chart._jacobi_flow(counter.conn, _START_X, 0.3 * _START_DIR, *ODE_TOL)
     # the start rule's evaluation, 11 stages per step attempt and the
     # derivative at the end of each accepted step but the last
     [(_, _, accepted, rejected)] = solves
@@ -1545,13 +1547,12 @@ def test_jacobi_flow_controls_the_geodesic_at_a_plain_flows_error_norm(
     # of the 6 components of the seed state (x, v, b, b') only the
     # geodesic's 4 enter the error norm, at the tolerances of a plain flow
     solves = _record_solves(monkeypatch)
-    tol = ToleranceConfig()
-    chart._jacobi_flow(bump.conn, _START_X, 0.3 * _START_DIR, tol)
-    geodesic_flow(bump.conn, _START_X, 0.3 * _START_DIR, 1.0, tol)
+    chart._jacobi_flow(bump.conn, _START_X, 0.3 * _START_DIR, *ODE_TOL)
+    geodesic_flow(bump.conn, _START_X, 0.3 * _START_DIR, 1.0,
+                  ToleranceConfig())
     (jacobi, *_), (plain, *_) = solves
     for args in (jacobi, plain):
-        assert (*args[-2:], args[1].controlled) == (
-            tol.ode_rel_tol, tol.ode_abs_tol, 4)
+        assert (*args[-2:], args[1].controlled) == (*ODE_TOL, 4)
     assert len(jacobi[2]) == 6 and len(plain[2]) == 4
     # a field a million times larger, whose errors grow with it, leaves the
     # geodesic's steps, and so its endpoint, unchanged to the last bit
@@ -1570,7 +1571,7 @@ def test_jacobi_flow_of_no_velocity_is_the_identity(bump):
     # returns the exact Jacobian, the identity, without a warning, and a log
     # from a point to itself returns 0 in no iteration
     x = np.array([0.3, 0.1])
-    end, jac = chart._jacobi_flow(bump.conn, x, np.zeros(2), ToleranceConfig())
+    end, jac = chart._jacobi_flow(bump.conn, x, np.zeros(2), *ODE_TOL)
     assert np.array_equal(end, x)
     assert np.array_equal(jac, np.eye(2))
     v, iters = log_shooting(bump.conn, x, x)
@@ -1985,6 +1986,24 @@ def test_fd_stencil_domain_escape(monkeypatch):
         curvature_components(conn, np.array([1.0, 0.0]))
 
 
+def test_curvature_stencil_stays_in_the_chart_interior():
+    # spd2-entries' domain, the positive-definite cone, is an interior test,
+    # not a box: at (1, 1.1, 1) det P < 0, and (1, 1 - 1e-9, 1) is a member
+    # whose stencil crosses det P = 0, where the symbols blow up.  Both
+    # tensors raise rather than return the symbols' differences there
+    conn = make_chart("spd2-entries")
+    member = np.array([1.0, 1.0 - 1e-9, 1.0])
+    steps = chart._FD_STEP * np.eye(3)
+    assert chart._inside(conn, member)
+    assert sum(not chart._inside(conn, y)
+               for y in (*(member + steps), *(member - steps))) == 3
+    for x in ([1.0, 1.1, 1.0], member):
+        with pytest.raises(DomainEscape, match="stencil"):
+            curvature_components(conn, x)
+        with pytest.raises(DomainEscape, match="stencil"):
+            nabla_curvature_components(conn, x)
+
+
 def test_christoffels_from_metric_matches_conformal_closed_form(bump):
     gamma_fd = christoffels_from_metric(bump.metric)
     x = np.array([0.25, -0.35])
@@ -1996,9 +2015,12 @@ def test_chart_space_wraps_engine(bump):
     v = bump.tangent(p, [0.1, 0.2])
     q = bump.exp(p, v)
     assert np.max(np.abs(q.coords - BUMP_EXP_ORACLE)) <= 1e-12
-    vec, iters = bump.log_stats(p, q)
-    assert iters >= 1
+    vec = bump.log(p, q)
     assert np.max(np.abs(vec.components - v.components)) <= 1e-9
+    # the space's log is the engine's shooting solve, which iterates here
+    w, iters = log_shooting(bump.conn, p.coords, q.coords, bump.tolerances)
+    assert iters >= 1
+    assert np.array_equal(w, vec.components)
 
 
 def test_chart_registry_unknown_name():

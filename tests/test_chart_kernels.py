@@ -92,6 +92,8 @@ def _same_as_reference(monkeypatch, run):
 
 
 _X, _V, _U, _Y = [0.3, 0.1], [0.2, -0.1], [0.0, 1.0], [0.6, -0.2]
+# the integrator's relative and absolute tolerances at the defaults
+_ODE_TOL = (ToleranceConfig().ode_rel_tol, ToleranceConfig().ode_abs_tol)
 
 
 @pytest.mark.parametrize(
@@ -103,7 +105,7 @@ def test_conformal_flows_match_the_loop_bit_for_bit(name, monkeypatch):
     runs = [lambda: geodesic_flow(conn, _X, _V),
             lambda: transport_ode(conn, _U, _X, _V),
             lambda: chart._jacobi_flow(conn, np.array(_X), np.array(_V),
-                                       ToleranceConfig()),
+                                       *_ODE_TOL),
             lambda: log_shooting(conn, _X, _Y)]
     for run in runs:
         solves = _same_as_reference(monkeypatch, run)
@@ -195,7 +197,7 @@ def test_non_finite_at_a_finite_stage_matches_the_loop(monkeypatch):
             [math.nan if x[0] > 0.4 else 0.0, 0.0], [0.0, 0.0]])
     solves = _same_as_reference(
         monkeypatch, lambda: chart._jacobi_flow(
-            conn, np.array(_X), np.array(_V), ToleranceConfig()))
+            conn, np.array(_X), np.array(_V), *_ODE_TOL))
     _ends_in(solves, NonFinite, "Hessian is not finite")
 
 

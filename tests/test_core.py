@@ -44,6 +44,12 @@ def test_tolerances_must_be_finite(field, value):
         ToleranceConfig(**{field: value})
 
 
+def test_max_shooting_iters_must_be_at_least_one():
+    with pytest.raises(ValueError, match="max_shooting_iters must be at least 1"):
+        ToleranceConfig(max_shooting_iters=0)
+    assert ToleranceConfig(max_shooting_iters=1).max_shooting_iters == 1
+
+
 @pytest.mark.parametrize("rel_tol", [1e-15, 2.2e-14])
 def test_ode_rel_tol_below_scipy_floor_is_rejected(rel_tol):
     # the chart integrator keeps scipy's floor of 100 eps = 2.22e-14
@@ -62,6 +68,13 @@ def test_point_coords_coerced_to_float_array():
     assert p.coords.shape == (3,)
 
 
+def test_point_coords_of_a_matrix_are_its_entries_row_major():
+    m = np.array([[2.0, 0.5], [0.25, 1.0]])
+    p = Point(m, "spd-2")
+    assert p.coords.shape == (4,)
+    assert p.coords.tolist() == [2.0, 0.5, 0.25, 1.0]
+
+
 def test_tangent_vector_length_must_match_base():
     p = Point([0.0, 0.0], "euclidean-2")
     with pytest.raises(InvalidBase):
@@ -77,6 +90,11 @@ def test_tangent_vector_arithmetic():
     assert np.allclose((2.0 * a).components, [2.0, 4.0])
     assert np.allclose((-a).components, [-1.0, -2.0])
     assert a.component_norm == pytest.approx(math.sqrt(5.0))
+    # a factor that is not a real number is refused from either side
+    with pytest.raises(TypeError):
+        a * "x"
+    with pytest.raises(TypeError):
+        "x" * a
 
 
 def test_component_norm_sums_its_squares_left_to_right():

@@ -209,6 +209,32 @@ def test_hyperbolic_membership_and_tangency():
         assert hy.membership_residual(q) <= 1e-9
 
 
+def test_hyperbolic_membership_needs_a_positive_time_coordinate():
+    # the lower sheet, and the plane between the sheets, are not members
+    hy = make_space("hyperbolic-2")
+    for coords in ([-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]):
+        assert hy.membership_residual(hy.point(coords)) == math.inf
+
+
+@pytest.mark.parametrize("name", ["sphere-2", "hyperbolic-2"])
+def test_kernels_at_a_vector_whose_squared_norm_underflows(name):
+    # |v|^2 of v = (0, 1e-170, 0) underflows to 0, so every kernel takes
+    # its angle-0 branch: the geodesic keeps p to its rounding, the
+    # transport along v is the identity, and the log to a point 1e-170
+    # away finds a tangential part of norm 0 and returns 0
+    space = make_space(name)
+    p = space.point([1.0, 0.0, 0.0])
+    v = space.tangent(p, [0.0, 1e-170, 0.0])
+    u = space.tangent(p, [0.0, 0.0, 1.0])
+    for q in space.geodesic(p, v, [0.5, 1.0]):
+        assert np.abs(q.coords - p.coords).max() <= 1e-170
+    moved = space.exp_transport(u, v)
+    assert moved.components.tolist() == [0.0, 0.0, 1.0]
+    assert moved.base.coords.tolist() == space.exp(p, v).coords.tolist()
+    q = space.point([1.0, 1e-170, 0.0])
+    assert space.log(p, q).components.tolist() == [0.0, 0.0, 0.0]
+
+
 @pytest.mark.parametrize("coords", [
     [0.7175, 6.6e-6],  # spatial part of a fleet-exactness trial point
     [1e-12, 0.9],
