@@ -196,9 +196,14 @@ def test_random_points_are_members_of_the_chart():
     rng = np.random.default_rng(0)
     assert {spd.membership_residual(spd.random_point(rng))
             for _ in range(1000)} == {0.0}
-    conn = dataclasses.replace(flat_chart(), interior=lambda x: x[0] > 0.6)
+    tests = []
+    conn = dataclasses.replace(
+        flat_chart(), interior=lambda x: tests.append(x) or x[0] > 0.6)
+    far = ChartSpace("far", conn, anchor=[0.7, 0.0])
+    tests.clear()
     with pytest.raises(Unsupported, match="1000 draws"):
-        ChartSpace("far", conn, anchor=[0.7, 0.0]).random_point(rng)
+        far.random_point(rng)
+    assert len(tests) == 1000
 
 
 def test_chart_space_without_a_metric():
@@ -696,7 +701,8 @@ def test_overflowing_stages_are_rejected_steps_without_warnings(bump):
     # finite: rejected steps, then the box, not a NonFinite
     (make_chart("bump2d"), (-0.0205, 0.4585), (1e30, 1e30), None),
     # the initial derivative's norm overflows
-    (make_chart("bump2d"), (0.3, 0.1), (1e150, 1e150), None),
+    (make_chart("bump2d"), (0.3, 0.1), (1e150, 1e150),
+     "initial derivative .* overflows the state"),
     # a chart without bounds, whose endpoint would be infinite: the norms
     # of the state and of its derivative both overflow, and the flow fails
     # before its first step attempt
@@ -1437,6 +1443,17 @@ def test_a_tighter_shooting_seed_saves_no_iterations(bump, monkeypatch):
     assert iterations() >= loose
 
 
+def test_the_last_broyden_step_counts_against_the_budget(bump):
+    # this log converges in 6 iterations and takes the one more step after
+    # them; with a budget of 6 it converges without that step
+    x, y = np.array([0.3, 0.1]), np.array([0.8, -0.5])
+    assert log_shooting(bump.conn, x, y)[1] == 7
+    v, iters = log_shooting(bump.conn, x, y,
+                            ToleranceConfig(max_shooting_iters=6))
+    assert iters == 6
+    assert np.abs(geodesic_flow(bump.conn, x, v)[0] - y).max() <= 1e-11
+
+
 def test_singular_shooting_jacobian_is_no_convergence():
     # on a line with G = 1 the geodesic from 0 at speed v ends at
     # log(1 + v): the first trial, v = y - x = 1, misses y = 1, and the
@@ -1982,8 +1999,27 @@ def test_bump_nabla_curvature_against_transport_conjugation(bump):
 def test_fd_stencil_domain_escape(monkeypatch):
     conn = flat_chart(bounds=(np.array([-1.0, -1.0]), np.array([1.0, 1.0])))
     monkeypatch.setattr(chart, "_FD_STEP", 1e-3)
+    # either side of the stencil may leave the box
+    for x in ([1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]):
+        with pytest.raises(DomainEscape):
+            curvature_components(conn, np.array(x))
+
+
+def test_fd_steps_scale_with_the_point_beyond_one():
+    # both steps are their constants times max(1, |x|_inf): the stencils
+    # of these points end just past the edge of the box at that scale,
+    # and just inside it at the unscaled step
+    fd, nabla = chart._FD_STEP, chart._NABLA_FD_STEP
+    conn = flat_chart(bounds=(np.full(2, -2.0), np.full(2, 2.0)))
     with pytest.raises(DomainEscape):
-        curvature_components(conn, np.array([1.0, 0.0]))
+        curvature_components(conn, [2.0 - 1.5 * fd, 0.0])
+    with pytest.raises(DomainEscape):
+        nabla_curvature_components(conn, [2.0 - 1.5 * nabla, 0.0])
+    # below |x|_inf = 1 the steps are the constants themselves
+    unit = flat_chart(bounds=(np.full(2, -1.0), np.full(2, 1.0)))
+    assert not curvature_components(unit, [1.0 - 1.5 * fd, 0.0]).any()
+    assert not nabla_curvature_components(
+        unit, [1.0 - 1.5 * nabla, 0.0]).any()
 
 
 def test_curvature_stencil_stays_in_the_chart_interior():
