@@ -741,13 +741,12 @@ def log_shooting(conn: ChartConnection, x, y,
     tighter than ode_rel_tol; every later trial, and the flow that confirms
     a guess, is the plain flow ``exp`` integrates at ``ode_rel_tol``, so a
     returned v meets the target on ``exp``'s map.  On every other chart, one
-    with only
-    symbols, without ``hess_f`` or of another dimension, the guess is the
-    chart difference, the first trial a plain geodesic integration, and the
-    Jacobian starts from its first-order model I - G(x)(v, .).  Either guess
-    converges inside convex normal neighborhoods.  Every later trial is one
-    geodesic integration, after which the Jacobian takes a rank-one "good
-    Broyden" update; the line search retries (up to four times) to make the
+    with only symbols, without ``hess_f`` or of another dimension, the guess
+    is the chart difference, the first trial a plain geodesic integration,
+    and the Jacobian starts from its first-order model I - G(x)(v, .).
+    Either guess converges inside convex normal neighborhoods.  Every later
+    trial is one geodesic integration, after which the Jacobian takes a
+    rank-one "good Broyden" update; the line search retries (up to four times) to make the
     residual decrease: a rejected trial updates the Jacobian too, and the
     next trial takes half of the step solved from the updated one.  Once
     the residual is at most max(10 ode_rel_tol, 1e-11), one more step is
