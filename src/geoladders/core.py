@@ -150,6 +150,11 @@ def _as_float_array(values) -> np.ndarray:
     return arr
 
 
+# a 1-d ndarray of this dtype is what _as_float_array returns as it is, and
+# what every kernel returns: Point and TangentVector keep it without a call
+_FLOAT64 = np.dtype(float)
+
+
 def _same_base(a: np.ndarray, b: np.ndarray) -> bool:
     """Coordinates agree to 1e-8 each; NaN or inf never agrees."""
     # one reduction instead of np.allclose, several times cheaper at this
@@ -192,7 +197,7 @@ def _check_float_range(bound, what):
         raise NonFinite(f"{what} leaves the float range: bound {bound:.3g}")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Point:
     """A location on a manifold, in chart or embedding coordinates."""
 
@@ -200,13 +205,15 @@ class Point:
     space_id: str
 
     def __post_init__(self):
-        object.__setattr__(self, "coords", _as_float_array(self.coords))
+        c = self.coords
+        if type(c) is not np.ndarray or c.dtype is not _FLOAT64 or c.ndim != 1:
+            object.__setattr__(self, "coords", _as_float_array(c))
 
     def __repr__(self):
         return f"Point({np.array2string(self.coords, precision=6)}, {self.space_id!r})"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class TangentVector:
     """A tangent vector: base point plus a component array of equal length."""
 
@@ -214,13 +221,16 @@ class TangentVector:
     components: np.ndarray
 
     def __post_init__(self):
-        comps = _as_float_array(self.components)
+        comps = self.components
+        if type(comps) is not np.ndarray or comps.dtype is not _FLOAT64 \
+                or comps.ndim != 1:
+            comps = _as_float_array(comps)
+            object.__setattr__(self, "components", comps)
         if comps.shape != self.base.coords.shape:
             raise InvalidBase(
                 f"components of length {comps.size} do not match base of "
                 f"length {self.base.coords.size}"
             )
-        object.__setattr__(self, "components", comps)
 
     @property
     def component_norm(self) -> float:

@@ -29,6 +29,7 @@ from .core import (
     Point,
     ToleranceConfig,
     _check_float_range,
+    _dot,
 )
 
 __all__ = [
@@ -469,19 +470,45 @@ class SPD(ConnectionSpace):
         return y, _sym(e @ self._mat(u) @ e.T).ravel()
 
     def _geodesic_symmetry(self, x, y):
-        # x y^-1 x = a^T a for a = L^-1 x, where y = L L^T; the factor is
-        # also the check that y is SPD
-        try:
-            low = np.linalg.cholesky(_sym(self._mat(y)))
-        except np.linalg.LinAlgError:
-            raise NotSPD("point is not positive definite: its Cholesky "
-                         "factorization failed") from None
-        a = np.linalg.solve(low, self._mat(x))
+        # x y^-1 x = a^T a for a = L^-1 x, where L L^T is y's symmetric part;
+        # the factor is also the check that y is SPD.  On Python floats, as
+        # the SO(3) kernels are, with every sum left to right: at the fleet's
+        # sizes numpy's per-call cost is several times the arithmetic
+        ys = self._mat(y).tolist()
+        low = []  # the rows of L, each up to its diagonal
+        for i, yi in enumerate(ys):
+            row = []
+            for j, lj in enumerate(low):
+                s = 0.5 * (yi[j] + ys[j][i])
+                for lik, ljk in zip(row, lj):
+                    s -= lik * ljk
+                row.append(s / lj[j])
+            s = yi[i]
+            for lik in row:
+                s -= lik * lik
+            # written so that NaN fails it too
+            if not s > 0.0:
+                raise NotSPD("point is not positive definite: its Cholesky "
+                             "factorization failed")
+            row.append(math.sqrt(s))
+            low.append(row)
+        # forward substitution, a row of a at a time
+        a = []
+        for li, ai in zip(low, self._mat(x).tolist()):
+            for lik, ak in zip(li, a):
+                ai = [s - lik * t for s, t in zip(ai, ak)]
+            a.append([s / li[-1] for s in ai])
         # no number below passes 2 A^2, A the sum of the |entries| of a,
         # which a NaN in a makes NaN
-        big = sum(map(abs, a.ravel().tolist()))
+        big = sum(map(abs, [t for ai in a for t in ai]))
         _check_float_range(2.0 * big * big, "reflection")
-        return _sym(a.T @ a).ravel()
+        # the upper triangle of a^T a, mirrored: symmetric bit for bit
+        n, cols = self.n, list(zip(*a))
+        out = [0.0] * (n * n)
+        for i, ci in enumerate(cols):
+            for j in range(i, n):
+                out[i * n + j] = out[j * n + i] = _dot(ci, cols[j])
+        return np.array(out)
 
     def _curvature(self, x, u, v, w):
         ps, pis, _ = self._sqrt_pair(x)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -79,6 +80,62 @@ def test_tangent_vector_length_must_match_base():
     p = Point([0.0, 0.0], "euclidean-2")
     with pytest.raises(InvalidBase):
         TangentVector(p, [1.0, 2.0, 3.0])
+
+
+def _wrap(kind, values):
+    # a Point of the values, or a vector of them at a zero base of their size
+    if kind is Point:
+        return Point(values, "euclidean-3").coords
+    return TangentVector(Point(np.zeros(3), "euclidean-3"), values).components
+
+
+@pytest.mark.parametrize("kind", [Point, TangentVector])
+def test_points_and_vectors_are_frozen_and_slotted(kind):
+    obj = Point([1.0, 2.0], "euclidean-2")
+    if kind is TangentVector:
+        obj = TangentVector(obj, [0.5, 0.25])
+    for field in dataclasses.fields(kind):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, field.name, np.zeros(2))
+    # no new attribute either; Python 3.11's frozen, slotted dataclass
+    # raises TypeError from its __setattr__ for a name that is not a field
+    assert not hasattr(obj, "__dict__")
+    with pytest.raises((AttributeError, TypeError)):
+        obj.label = "new"
+
+
+@pytest.mark.parametrize("kind", [Point, TangentVector])
+@pytest.mark.parametrize("values", [
+    [1, 2, 3],
+    [1.0, 2.5, -3.0],
+    np.array([1, 2, 3]),
+    np.array([1.0, 2.5, -3.0], dtype=np.float32),
+    np.array([[1.0, 2.5, -3.0]]),
+    np.array([1.0, 2.5, -3.0], dtype=">f8"),
+], ids=["ints", "floats", "int-array", "float32", "row", "big-endian"])
+def test_points_and_vectors_convert_other_input_to_flat_float64(kind, values):
+    got = _wrap(kind, values)
+    assert type(got) is np.ndarray
+    assert got.dtype == np.float64 and got.dtype.isnative
+    assert got.shape == (3,)
+    assert got.tolist() == np.asarray(values, dtype=float).ravel().tolist()
+
+
+@pytest.mark.parametrize("kind", [Point, TangentVector])
+def test_a_flat_float64_array_is_kept_as_the_same_object(kind):
+    # as np.asarray keeps it: a view stays a view of its array
+    arr = np.arange(6.0)
+    for values in (arr[:3], arr[::2]):
+        assert _wrap(kind, values) is values
+
+
+def test_tangent_vector_of_a_flat_float64_array_must_match_base():
+    p = Point(np.zeros(2), "euclidean-2")
+    with pytest.raises(InvalidBase, match="length 3 do not match base of "
+                                          "length 2"):
+        TangentVector(p, np.ones(3))
+    with pytest.raises(InvalidBase, match="length 1 do not match"):
+        TangentVector(p, [1])
 
 
 def test_tangent_vector_arithmetic():

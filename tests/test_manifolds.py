@@ -13,6 +13,7 @@ from geoladders import (
     NotSPD,
     Sphere,
     TangentVector,
+    core,
     ladder_step,
     make_chart,
     make_space,
@@ -396,6 +397,66 @@ def test_spd_rejects_non_positive_matrices():
     with pytest.raises(NotSPD, match="base point"):
         spd.inner(TangentVector(bad, np.eye(2).ravel()),
                   TangentVector(bad, np.eye(2).ravel()))
+
+
+def _spd_symmetry_by_lapack(x, y, n):
+    # x y^-1 x = a^T a, a = L^-1 x, by LAPACK's Cholesky factor of y's
+    # symmetric part and its LU solve, the form the Python-float kernel
+    # replaced
+    m = y.reshape(n, n)
+    low = np.linalg.cholesky(0.5 * (m + m.T))
+    a = np.linalg.solve(low, x.reshape(n, n))
+    g = a.T @ a
+    return (0.5 * (g + g.T)).ravel()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_spd_symmetry_is_the_lapack_form(n):
+    # within 1e-14 of the result's largest entry, and symmetric bit for bit
+    # without a symmetrization; most sampled points are not symmetric bit
+    # for bit, so the factor reads their symmetric part
+    spd = make_space(f"spd-{n}")
+    rng = np.random.default_rng(97)
+    for _ in range(2000):
+        m, p = spd.random_point(rng), spd.random_point(rng)
+        got = spd.geodesic_symmetry(m, p).coords
+        want = _spd_symmetry_by_lapack(m.coords, p.coords, n)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+        g = got.reshape(n, n)
+        assert np.array_equal(g, g.T)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_spd_symmetry_rejects_a_singular_or_indefinite_point(n):
+    # all ones has rank 1: its second pivot is 0 exactly
+    spd = make_space(f"spd-{n}")
+    eye = spd.point(np.eye(n).ravel())
+    indefinite = np.eye(n)
+    indefinite[-1, -1] = -0.5
+    for bad in (np.ones((n, n)), indefinite):
+        with pytest.raises(NotSPD, match="point is not positive definite"):
+            spd.geodesic_symmetry(eye, spd.point(bad.ravel()))
+    # a NaN pivot fails the kernel's check too
+    nan = np.eye(n)
+    nan[1, 0] = math.nan
+    with pytest.raises(NotSPD, match="point is not positive definite"):
+        spd._geodesic_symmetry(eye.coords, nan.ravel())
+
+
+def test_spd_symmetry_range_bound_is_twice_the_squared_entry_sum():
+    # x = c I reflected through I is c^2 I, and a = c I has |entries| summing
+    # to A = 2c: at 2 A^2 = 0.75 of the limit it passes, at 1.5 it raises
+    spd = make_space("spd-2")
+    eye = spd.point(np.eye(2).ravel())
+    for share, passes in ((0.75, True), (1.5, False)):
+        c = math.sqrt(share * core._FLOAT_LIMIT / 8.0)
+        m = spd.point(c * np.eye(2).ravel())
+        if passes:
+            got = spd.geodesic_symmetry(m, eye).coords
+            assert got.tolist() == [c * c, 0.0, 0.0, c * c]
+        else:
+            with pytest.raises(NonFinite, match="reflection leaves"):
+                spd.geodesic_symmetry(m, eye)
 
 
 def _spd_inner_by_solves(spd, u, v):
