@@ -138,6 +138,14 @@ def test_tangent_vector_of_a_flat_float64_array_must_match_base():
         TangentVector(p, [1])
 
 
+def test_points_and_vectors_print_six_decimals():
+    p = Point([1.23456789, 2.0], "euclidean-2")
+    assert repr(p) == "Point([1.234568 2.      ], 'euclidean-2')"
+    v = TangentVector(p, [0.123456789, -3.0])
+    assert repr(v) == ("TangentVector([ 0.123457 -3.      ] "
+                       "at [1.234568 2.      ])")
+
+
 def test_tangent_vector_arithmetic():
     p = Point([0.0, 0.0], "euclidean-2")
     a = TangentVector(p, [1.0, 2.0])
@@ -241,6 +249,41 @@ def test_base_points_agree_per_coordinate_within_1e_8():
             here + other
         with pytest.raises(InvalidBase):
             other - here
+
+
+def test_bases_exactly_1e_8_apart_agree():
+    space = Euclidean(2)
+    origin = space.point([0.0, 0.0])
+    tie = TangentVector(Point([1e-8, 0.0], space.name), [1.0, 0.0])
+    assert space.exp(origin, tie).coords.tolist() == [1.0, 0.0]
+
+
+def test_float_range_bound_at_the_limit_passes():
+    core._check_float_range(core._FLOAT_LIMIT, "bound")
+    with pytest.raises(NonFinite, match="bound leaves the float range"):
+        core._check_float_range(np.nextafter(core._FLOAT_LIMIT, math.inf),
+                                "bound")
+
+
+def test_geodesic_bounds_the_vector_by_its_longest_time_or_one():
+    # |v|^2 at half the float limit passes for times up to 1 and fails at 2
+    space = Euclidean(2)
+    p = space.point([0.0, 0.0])
+    v = space.tangent(p, [math.sqrt(0.5 * core._FLOAT_LIMIT), 0.0])
+    assert len(space.geodesic(p, v, [0.5, 1.0])) == 2
+    with pytest.raises(NonFinite, match="leaves the float range"):
+        space.geodesic(p, v, [2.0])
+
+
+@pytest.mark.parametrize("name", FLEET_NAMES)
+def test_closed_form_log_stats_is_the_log_with_no_iterations(name):
+    space = make_space(name)
+    rng = np.random.default_rng(3)
+    p = space.random_point(rng)
+    q = space.exp(p, 0.5 * space.random_direction(rng, p))
+    v, iterations = space.log_stats(p, q)
+    assert iterations == 0
+    assert np.array_equal(v.components, space.log(p, q).components)
 
 
 def test_a_base_equal_to_the_point_is_still_checked():
