@@ -472,8 +472,9 @@ class SPD(ConnectionSpace):
     def _geodesic_symmetry(self, x, y):
         # x y^-1 x = a^T a for a = L^-1 x, where L L^T is y's symmetric part;
         # the factor is also the check that y is SPD.  On Python floats, as
-        # the SO(3) kernels are, with every sum left to right: at the fleet's
-        # sizes numpy's per-call cost is several times the arithmetic
+        # the SO(3) kernels are, with every sum left to right: up to n = 3
+        # numpy's per-call cost is more than the arithmetic, while from
+        # n = 4 on LAPACK's calls are the faster (README)
         ys = self._mat(y).tolist()
         low = []  # the rows of L, each up to its diagonal
         for i, yi in enumerate(ys):
