@@ -97,8 +97,8 @@ def test_points_and_vectors_are_frozen_and_slotted(kind):
     for field in dataclasses.fields(kind):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(obj, field.name, np.zeros(2))
-    # no new attribute either; Python 3.11's frozen, slotted dataclass
-    # raises TypeError from its __setattr__ for a name that is not a field
+    # no new attribute either: a frozen, slotted dataclass's __setattr__
+    # raises TypeError for a name that is not a field (Python 3.10 to 3.13)
     assert not hasattr(obj, "__dict__")
     with pytest.raises((AttributeError, TypeError)):
         obj.label = "new"
